@@ -265,9 +265,10 @@ def merge_shard_votes(
     votes, labels applied once) and the per-shard counters are summed.
     Votes are integers, so the sum is *exactly* the single global tally an
     unsharded fit computes. Returns ``None`` when any shard cannot take
-    the native path (missing index arrays, duplicate labels, no kernel) or
-    when the ``shard.merge`` fault point fires — the caller then falls
-    back to the label-based Python merge, which produces the same table.
+    the native path (missing index arrays, voted nodes sharing a label, no
+    kernel) or when the ``shard.merge`` fault point fires — the caller then
+    falls back to the label-based Python merge, which produces the same
+    table.
     """
     user_votes: Counter = Counter()
     merchant_votes: Counter = Counter()

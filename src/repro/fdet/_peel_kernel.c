@@ -24,6 +24,18 @@
  *     materialising a subgraph object. Members are independent; with OpenMP
  *     the loop runs ``n_threads`` wide (serial otherwise).
  *
+ *     Per-block work scales with the residual graph, not the whole member:
+ *     the alive edge ids live in an ascending list compacted after every
+ *     block (alive degrees are decremented, never recounted), and each
+ *     block's weights, priorities, total and CSR are built from that list
+ *     in the reference's addition order. The peel covers only the nodes
+ *     that still have an alive edge, relabelled in their existing order.
+ *     Dropping the isolated nodes is exact when every residual weight is
+ *     > 0 (NaN fails) and ``total / n`` is a finite, positive, normal
+ *     double (the argument sits at the test in ``run_member``). When that
+ *     test fails the block peels the full member node set, as the
+ *     reference does.
+ *
  * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py):
  *   - ``pairwise_sum`` replicates numpy's scalar pairwise summation
  *     (8 accumulator lanes, 128-element blocks, halved recursion) so
@@ -43,6 +55,7 @@
  * Dependency-free C (no Python.h); compiled on demand via ``_native.py``.
  */
 
+#include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -454,8 +467,10 @@ typedef struct {
     const int64_t *mask_off;
 } batch_args_t;
 
-/* One member's full FDET run (Algorithm 1): node compaction, CSR build,
- * block loop with residual weights, peel, mask bookkeeping. Sets
+/* One member's full FDET run (Algorithm 1): node compaction, then the block
+ * loop on the residual graph — weights, priorities, total and CSR rebuilt
+ * from the ascending list of alive edges, the peel over the nodes that still
+ * have an alive edge, mask bookkeeping, and compaction of both lists. Sets
  * out_status[m] = -1 on allocation failure (the caller re-runs the member
  * through the Python path). */
 static void run_member(const batch_args_t *a, int64_t m)
@@ -471,15 +486,13 @@ static void run_member(const batch_args_t *a, int64_t m)
     if (me == 0)
         return; /* empty sample: no nodes, no blocks (k_hat = 0) */
 
-    uint8_t *present_u = NULL, *present_m = NULL, *edge_alive = NULL, *keep = NULL;
+    uint8_t *present_u = NULL, *present_m = NULL, *keep = NULL;
     int64_t *remap_u = NULL, *remap_m = NULL, *mu = NULL, *mm = NULL;
-    int64_t *indptr = NULL, *flat_edge = NULL, *flat_other = NULL, *fill = NULL;
-    int64_t *sub_indptr = NULL, *sub_other = NULL, *removal_order = NULL;
-    int64_t *deg = NULL, *deg_frozen = NULL;
-    double *mw = NULL, *full_w = NULL, *ew = NULL, *sub_w = NULL, *prio = NULL;
-    peel_scratch_t scratch;
+    int64_t *live_e = NULL, *live_n = NULL, *local = NULL, *deg = NULL, *deg_frozen = NULL;
+    int64_t *indptr = NULL, *fill = NULL, *flat_other = NULL, *removal_order = NULL;
+    double *mw = NULL, *ew = NULL, *flat_w = NULL, *prio = NULL;
+    peel_scratch_t scratch; /* zeroed, so freeing it is safe on every path */
     memset(&scratch, 0, sizeof(scratch));
-    int scratch_ok = 0;
 
     /* ---- node compaction: np.unique(endpoints, return_inverse=True) ---- */
     present_u = (uint8_t *)calloc((size_t)a->pn_users, 1);
@@ -516,7 +529,8 @@ static void run_member(const batch_args_t *a, int64_t m)
     for (int64_t i = 0; i < me; i++) {
         int64_t e = ids[i];
         mu[i] = remap_u[load_idx(a->p_eu, a->idx_width, e)];
-        mm[i] = remap_m[load_idx(a->p_em, a->idx_width, e)];
+        /* merchants live after the users in the joint node index space */
+        mm[i] = nu + remap_m[load_idx(a->p_em, a->idx_width, e)];
         /* weights_or_ones() * weight_scale; x * 1.0 is an exact identity */
         mw[i] = (a->p_w ? load_w(a->p_w, a->w_width, e) : 1.0) * scale;
     }
@@ -527,154 +541,140 @@ static void run_member(const batch_args_t *a, int64_t m)
     present_u = present_m = NULL;
     remap_u = remap_m = NULL;
 
-    /* ---- per-member scratch ---- */
+    /* ---- per-member scratch, sized for block 0 and reused by every block ---- */
     {
         int64_t n = nu + nm;
         int64_t n_flat = 2 * me;
-        indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        fill = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        flat_edge = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        flat_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        sub_indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        sub_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        sub_w = (double *)malloc((size_t)n_flat * sizeof(double));
-        full_w = (double *)malloc((size_t)me * sizeof(double));
+        live_e = (int64_t *)malloc((size_t)me * sizeof(int64_t));
         ew = (double *)malloc((size_t)me * sizeof(double));
+        deg = (int64_t *)calloc((size_t)n, sizeof(int64_t));
+        live_n = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+        local = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+        indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+        fill = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+        flat_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
+        flat_w = (double *)malloc((size_t)n_flat * sizeof(double));
         prio = (double *)malloc((size_t)n * sizeof(double));
-        deg = (int64_t *)malloc((size_t)nm * sizeof(int64_t));
-        edge_alive = (uint8_t *)malloc((size_t)me);
         removal_order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
         keep = (uint8_t *)malloc((size_t)n);
-        if (!indptr || !fill || !flat_edge || !flat_other || !sub_indptr
-            || !sub_other || !sub_w || !full_w || !ew || !prio || !deg
-            || !edge_alive || !removal_order || !keep)
+        if (!live_e || !ew || !deg || !live_n || !local || !indptr || !fill
+            || !flat_other || !flat_w || !prio || !removal_order || !keep)
             goto alloc_failed;
         if (scratch_alloc(&scratch, n, n_flat))
             goto alloc_failed;
-        scratch_ok = 1;
 
-        /* ---- combined CSR: user spans then merchant spans, each span in
-         * edge order (== numpy's stable argsort by endpoint) ---- */
-        memset(indptr, 0, (size_t)(n + 1) * sizeof(int64_t));
-        for (int64_t i = 0; i < me; i++)
-            indptr[mu[i] + 1]++;
-        for (int64_t i = 0; i < me; i++)
-            indptr[nu + mm[i] + 1]++;
+        /* alive degrees, decremented as blocks remove edges; every member
+         * node starts with at least one edge */
+        for (int64_t i = 0; i < me; i++) {
+            live_e[i] = i;
+            deg[mu[i]]++;
+            deg[mm[i]]++;
+        }
         for (int64_t v = 0; v < n; v++)
-            indptr[v + 1] += indptr[v];
-        memcpy(fill, indptr, (size_t)(n + 1) * sizeof(int64_t));
-        for (int64_t i = 0; i < me; i++) {
-            int64_t pos = fill[mu[i]]++;
-            flat_edge[pos] = i;
-            flat_other[pos] = nu + mm[i];
-        }
-        for (int64_t i = 0; i < me; i++) {
-            int64_t pos = fill[nu + mm[i]]++;
-            flat_edge[pos] = i;
-            flat_other[pos] = mu[i];
-        }
+            live_n[v] = v;
+        int64_t n_live_e = me, n_live_n = n;
 
+        /* merchant degree feeding the weight table: the residual degree, or
+         * the input degree under the frozen policy */
+        const int64_t *wdeg = deg;
         if (a->frozen_policy) {
-            deg_frozen = (int64_t *)malloc((size_t)nm * sizeof(int64_t));
+            deg_frozen = (int64_t *)malloc((size_t)n * sizeof(int64_t));
             if (!deg_frozen)
                 goto alloc_failed;
-            memset(deg_frozen, 0, (size_t)nm * sizeof(int64_t));
-            for (int64_t i = 0; i < me; i++)
-                deg_frozen[mm[i]]++;
+            memcpy(deg_frozen, deg, (size_t)n * sizeof(int64_t));
+            wdeg = deg_frozen;
         }
 
         /* ---- the FDET block loop ---- */
-        memset(edge_alive, 1, (size_t)me);
-        int64_t n_alive_edges = me;
         int64_t n_blocks = 0;
         double first_density = 0.0;
         int have_first = 0;
         int64_t row_bytes = (n + 7) / 8;
 
-        for (int64_t b = 0; b < a->max_blocks; b++) {
-            if (n_alive_edges == 0)
-                break;
-
-            const int64_t *deg_cur = deg_frozen;
-            if (!a->frozen_policy) {
-                memset(deg, 0, (size_t)nm * sizeof(int64_t));
-                for (int64_t i = 0; i < me; i++)
-                    if (edge_alive[i])
-                        deg[mm[i]]++;
-                deg_cur = deg;
+        for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
+            /* residual edge weights table[degree] * member weight, in
+             * ascending (residual) edge order; NaN fails the > 0 test */
+            int all_positive = 1;
+            for (int64_t r = 0; r < n_live_e; r++) {
+                int64_t e = live_e[r];
+                double w = a->weight_table[wdeg[mm[e]]] * mw[e];
+                ew[r] = w;
+                all_positive &= w > 0.0;
             }
-
-            /* residual edge weights: table[degree] * member weight, in
-             * residual (compacted) edge order */
-            int64_t r = 0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i]) {
-                    double w = a->weight_table[deg_cur[mm[i]]] * mw[i];
-                    ew[r++] = w;
-                    full_w[i] = w;
-                }
-
-            /* priority = priors.copy() (zeros) + two np.add.at passes */
-            for (int64_t v = 0; v < n; v++)
-                prio[v] = 0.0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i])
-                    prio[mu[i]] += full_w[i];
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i])
-                    prio[nu + mm[i]] += full_w[i];
-
             /* float(priors.sum() + edge_weights.sum()) */
-            double total = 0.0 + pairwise_sum(ew, r);
+            double total = 0.0 + pairwise_sum(ew, n_live_e);
 
-            /* adjacency restricted to alive edges (span order kept) */
-            const int64_t *use_indptr;
-            const int64_t *use_other;
-            if (n_alive_edges == me) {
-                use_indptr = indptr;
-                use_other = flat_other;
-                for (int64_t j = 0; j < n_flat; j++)
-                    sub_w[j] = full_w[flat_edge[j]];
-            } else {
-                int64_t pos = 0;
-                for (int64_t v = 0; v < n; v++) {
-                    sub_indptr[v] = pos;
-                    for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
-                        int64_t e = flat_edge[j];
-                        if (edge_alive[e]) {
-                            sub_other[pos] = flat_other[j];
-                            sub_w[pos] = full_w[e];
-                            pos++;
-                        }
-                    }
-                }
-                sub_indptr[n] = pos;
-                use_indptr = sub_indptr;
-                use_other = sub_other;
+            /* Nodes without an alive edge have priority +0.0. With every
+             * weight > 0 all other nodes rank above them, so the full peel
+             * pops them first, in node order, with no neighbour updates; a
+             * positive normal total/n makes each of those pops raise the
+             * density strictly, so the best prefix always drops them and the
+             * rest of the peel is the peel of the live nodes alone (relabelled
+             * in order, so ties break the same way). Otherwise peel all n. */
+            double density_all = total / (double)n;
+            int residual = all_positive && density_all >= DBL_MIN && density_all <= DBL_MAX;
+            int64_t n_peel = residual ? n_live_n : n;
+            if (residual)
+                for (int64_t p = 0; p < n_peel; p++)
+                    local[live_n[p]] = p;
+            else
+                for (int64_t v = 0; v < n; v++)
+                    local[v] = v;
+
+            /* priority = priors.copy() (zeros) + the two np.add.at passes
+             * (users and merchants are disjoint, so one pass adds to every
+             * node in the same order); CSR spans in edge order (== numpy's
+             * stable argsort by endpoint) */
+            memset(indptr, 0, (size_t)(n_peel + 1) * sizeof(int64_t));
+            for (int64_t r = 0; r < n_live_e; r++) {
+                int64_t e = live_e[r];
+                indptr[local[mu[e]] + 1]++;
+                indptr[local[mm[e]] + 1]++;
+            }
+            for (int64_t p = 0; p < n_peel; p++) {
+                indptr[p + 1] += indptr[p];
+                fill[p] = indptr[p];
+                prio[p] = 0.0;
+            }
+            for (int64_t r = 0; r < n_live_e; r++) {
+                int64_t e = live_e[r];
+                int64_t u = local[mu[e]], v = local[mm[e]];
+                double w = ew[r];
+                prio[u] += w;
+                prio[v] += w;
+                int64_t pos = fill[u]++;
+                flat_other[pos] = v;
+                flat_w[pos] = w;
+                pos = fill[v]++;
+                flat_other[pos] = u;
+                flat_w[pos] = w;
             }
 
             double best_density;
             int64_t best_removed;
             fast_peel_core(
-                n, use_indptr, use_other, sub_w, prio, total, removal_order,
+                n_peel, indptr, flat_other, flat_w, prio, total, removal_order,
                 NULL, &best_density, &best_removed, &scratch);
 
-            memset(keep, 1, (size_t)n);
+            memset(keep, 1, (size_t)n_peel);
             for (int64_t i = 0; i < best_removed; i++)
                 keep[removal_order[i]] = 0;
 
             int64_t count = 0;
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i] && keep[mu[i]] && keep[nu + mm[i]])
-                    count++;
+            for (int64_t r = 0; r < n_live_e; r++) {
+                int64_t e = live_e[r];
+                count += keep[local[mu[e]]] & keep[local[mm[e]]];
+            }
             if (count < a->min_block_edges)
                 break;
 
             uint8_t *row = a->block_masks + a->mask_off[m] + n_blocks * row_bytes;
             memset(row, 0, (size_t)row_bytes);
-            for (int64_t v = 0; v < n; v++)
-                if (keep[v])
+            for (int64_t p = 0; p < n_peel; p++)
+                if (keep[p]) {
+                    int64_t v = residual ? live_n[p] : p;
                     row[v >> 3] |= (uint8_t)(1u << (v & 7));
+                }
             a->block_density[m * a->max_blocks + n_blocks] = best_density;
             a->block_n_edges[m * a->max_blocks + n_blocks] = count;
             n_blocks++;
@@ -687,10 +687,23 @@ static void run_member(const batch_args_t *a, int64_t m)
                 break;
             }
 
-            for (int64_t i = 0; i < me; i++)
-                if (edge_alive[i] && keep[mu[i]] && keep[nu + mm[i]])
-                    edge_alive[i] = 0;
-            n_alive_edges -= count;
+            /* drop the block's edges, then the nodes they left isolated */
+            int64_t kept_e = 0;
+            for (int64_t r = 0; r < n_live_e; r++) {
+                int64_t e = live_e[r];
+                if (keep[local[mu[e]]] && keep[local[mm[e]]]) {
+                    deg[mu[e]]--;
+                    deg[mm[e]]--;
+                } else {
+                    live_e[kept_e++] = e;
+                }
+            }
+            n_live_e = kept_e;
+            int64_t kept_n = 0;
+            for (int64_t p = 0; p < n_live_n; p++)
+                if (deg[live_n[p]] > 0)
+                    live_n[kept_n++] = live_n[p];
+            n_live_n = kept_n;
         }
         a->out_n_blocks[m] = n_blocks;
     }
@@ -708,23 +721,20 @@ cleanup:
     free(mu);
     free(mm);
     free(mw);
-    free(indptr);
-    free(fill);
-    free(flat_edge);
-    free(flat_other);
-    free(sub_indptr);
-    free(sub_other);
-    free(sub_w);
-    free(full_w);
+    free(live_e);
     free(ew);
-    free(prio);
     free(deg);
     free(deg_frozen);
-    free(edge_alive);
+    free(live_n);
+    free(local);
+    free(indptr);
+    free(fill);
+    free(flat_other);
+    free(flat_w);
+    free(prio);
     free(removal_order);
     free(keep);
-    if (scratch_ok)
-        scratch_free(&scratch);
+    scratch_free(&scratch);
 }
 
 int64_t repro_fdet_batch(

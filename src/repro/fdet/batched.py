@@ -363,10 +363,12 @@ def vote_counters(
 
     Equal (as :class:`collections.Counter`) to tallying
     ``result.detected_users()`` labels member by member, provided every
-    detection carries index arrays and the parent's labels are unique
-    (otherwise two distinct node indices could collapse onto one label and
-    index-space counting would double-count it). Returns ``None`` whenever
-    those preconditions — or the kernel itself — are unavailable.
+    detection carries index arrays and no two *voted* node indices share a
+    label (two such indices would collapse onto one label, and a member
+    detecting both counts that label once). Duplicate labels among nodes
+    nobody voted for are harmless, so the check runs on the voted indices
+    only, after the tally. Returns ``None`` whenever those preconditions —
+    or the kernel itself — are unavailable.
     """
     kernels = batch_kernels()
     if kernels is None or not detections:
@@ -377,23 +379,20 @@ def vote_counters(
         for d in detections
     ):
         return None
-    user_labels = graph.user_labels
-    merchant_labels = graph.merchant_labels
-    if (
-        np.unique(user_labels).size != user_labels.size
-        or np.unique(merchant_labels).size != merchant_labels.size
-    ):
-        return None
 
-    def tally(index_arrays: Iterable[np.ndarray], labels: np.ndarray) -> Counter:
+    def tally(index_arrays: Iterable[np.ndarray], labels: np.ndarray) -> Counter | None:
         votes = np.zeros(max(1, labels.size), dtype=np.int64)
         indices = np.ascontiguousarray(np.concatenate(list(index_arrays)), dtype=np.int64)
         if indices.size:
             kernels.accumulate_votes(indices, indices.size, votes)
         hit = np.nonzero(votes[: labels.size])[0]
-        return Counter(dict(zip(labels[hit].tolist(), votes[hit].tolist())))
+        counter = Counter(dict(zip(labels[hit].tolist(), votes[hit].tolist())))
+        return counter if len(counter) == hit.size else None
 
-    return (
-        tally((d.detected_user_indices for d in detections), user_labels),
-        tally((d.detected_merchant_indices for d in detections), merchant_labels),
+    user_votes = tally((d.detected_user_indices for d in detections), graph.user_labels)
+    merchant_votes = tally(
+        (d.detected_merchant_indices for d in detections), graph.merchant_labels
     )
+    if user_votes is None or merchant_votes is None:
+        return None
+    return user_votes, merchant_votes

@@ -12,6 +12,8 @@ shared-memory on / off) and both weight policies.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.fdet import (
 )
 from repro.fdet import batched, peeling_fast
 from repro.fdet._native import native_available
-from repro.graph import WindowConfig
+from repro.graph import BipartiteGraph, WindowConfig
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -56,6 +58,13 @@ SAMPLERS = {
 @pytest.fixture(scope="module")
 def weighted_graph():
     base = chung_lu_bipartite(120, 50, 900, rng=2)
+    return base.with_weights(np.random.default_rng(7).uniform(0.1, 3.0, base.n_edges))
+
+
+@pytest.fixture(scope="module")
+def sparse_graph():
+    """Sparse enough that the vote-merge tests find unvoted nodes on each side."""
+    base = chung_lu_bipartite(200, 120, 900, rng=2)
     return base.with_weights(np.random.default_rng(7).uniform(0.1, 3.0, base.n_edges))
 
 
@@ -172,6 +181,81 @@ class TestDetectManyDirect:
         assert batched.batch_kernels() is None
         plans = RandomEdgeSampler(0.3).plan_many(weighted_graph, 2, resolve_rng(1))
         assert batched.detect_many(weighted_graph, plans, FdetConfig()) is None
+
+
+def unusual_weights(kind, n_edges):
+    """Edge weights outside the positive normal range the peel usually sees.
+
+    ``subnormal``, ``deep-subnormal`` and ``overflow`` replace every weight.
+    ``deep-subnormal`` weights are two to five units in the last place, so
+    each member's ``total / n`` is a handful of units too and successive
+    peel densities can round to the same value; ``overflow`` totals round
+    to +inf. The other kinds replace a tenth of otherwise ordinary weights.
+    """
+    rng = np.random.default_rng(19)
+    weights = rng.uniform(0.1, 3.0, n_edges)
+    some = rng.random(n_edges) < 0.1
+    if kind == "subnormal":
+        return rng.uniform(1e-310, 9e-310, n_edges)
+    if kind == "deep-subnormal":
+        return rng.integers(2, 6, n_edges) * 5e-324
+    if kind == "overflow":
+        return rng.uniform(1e306, 1e307, n_edges)
+    weights[some] = {
+        "zero": lambda k: np.zeros(k),
+        "negative": lambda k: -rng.uniform(0.1, 3.0, k),
+        "huge": lambda k: rng.uniform(1e306, 1e307, k),
+        "inf": lambda k: np.full(k, np.inf),
+        "nan": lambda k: np.full(k, np.nan),
+    }[kind](int(some.sum()))
+    return weights
+
+
+class TestUnusualWeights:
+    """Zero, negative, subnormal, overflowing, infinite and NaN edge weights.
+
+    The kernel peels only the nodes that still have an alive edge when every
+    residual weight is positive and ``total / n`` is a positive normal
+    double, and the full member node set otherwise. These graphs drive
+    both branches; outputs must still match the per-member path bit for
+    bit (densities compared so that NaN equals NaN).
+    """
+
+    KINDS = ("zero", "negative", "subnormal", "deep-subnormal", "overflow", "huge", "inf", "nan")
+
+    @staticmethod
+    def assert_same_result(expected, got):
+        assert expected.k_hat == got.k_hat
+        assert len(expected.all_blocks) == len(got.all_blocks)
+        for eb, gb in zip(expected.all_blocks, got.all_blocks):
+            assert np.array_equal(eb.user_labels, gb.user_labels)
+            assert np.array_equal(eb.merchant_labels, gb.merchant_labels)
+            assert np.array_equal([eb.density], [gb.density], equal_nan=True)
+            assert eb.n_edges == gb.n_edges
+
+    @pytest.mark.parametrize("metric", [LogWeightedDensity(), AverageDegreeDensity()])
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bitwise_with_per_member_path(self, kind, policy, metric):
+        base = chung_lu_bipartite(120, 50, 900, rng=2)
+        graph = base.with_weights(unusual_weights(kind, base.n_edges))
+        config = FdetConfig(max_blocks=8, weight_policy=policy, metric=metric)
+        plans = RandomEdgeSampler(0.4).plan_many(graph, 4, resolve_rng(13))
+        native = batched.detect_many(graph, plans, config)
+        assert native is not None and all(nd is not None for nd in native)
+        # numpy warns about the overflow and inf - inf these weights cause
+        with np.errstate(over="ignore", invalid="ignore"):
+            for engine in PeelEngine.ALL:
+                fdet = Fdet(replace(config, engine=engine))
+                for plan, nd in zip(plans, native):
+                    expected = fdet.detect(materialize_plan(graph, plan))
+                    self.assert_same_result(expected, nd.result)
+            batch, reference = fit_pair(
+                graph, sampler=RandomEdgeSampler(0.4), n_samples=4, fdet=config
+            )
+        assert_tables_equal(batch.vote_table, reference.vote_table)
+        for left, right in zip(batch.sample_detections, reference.sample_detections):
+            self.assert_same_result(right.result, left.result)
 
 
 class TestEligibilityGating:
@@ -360,6 +444,80 @@ class TestNativeVoteMerge:
         )
         assert dict(counters[0]) == dict(expected.user_votes)
         assert dict(counters[1]) == dict(expected.merchant_votes)
+
+    @staticmethod
+    def _label_tally(detections):
+        from repro.ensemble.voting import VoteTable
+
+        return VoteTable.from_detections(
+            [d.result.detected_users().tolist() for d in detections],
+            [d.result.detected_merchants().tolist() for d in detections],
+        )
+
+    @staticmethod
+    def _config(native_batch):
+        return EnsemFDetConfig(
+            sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5, native_batch=native_batch
+        )
+
+    def _fit_with_shared_label(self, graph, side, pick):
+        """Fit ``graph`` with two ``side`` nodes, chosen by ``pick``, sharing a label.
+
+        ``pick(voted, unvoted)`` gets the node indices of that side that the
+        ensemble did / did not vote for; relabelling leaves every member's
+        detection unchanged, since peeling never reads labels.
+        """
+        config = self._config(native_batch=True)
+        attr = f"detected_{side}_indices"
+        first = EnsemFDet(config).fit(graph)
+        n_nodes = graph.n_users if side == "user" else graph.n_merchants
+        voted = np.unique(np.concatenate([getattr(d, attr) for d in first.sample_detections]))
+        unvoted = np.setdiff1d(np.arange(n_nodes), voted)
+        keep, dup = pick(voted, unvoted)
+        labels = {
+            "user_labels": np.arange(graph.n_users, dtype=np.int64) * 3 + 1,
+            "merchant_labels": np.arange(graph.n_merchants, dtype=np.int64) * 3 + 2,
+        }
+        labels[f"{side}_labels"][dup] = labels[f"{side}_labels"][keep]
+        relabelled = BipartiteGraph(
+            graph.n_users,
+            graph.n_merchants,
+            graph.edge_users,
+            graph.edge_merchants,
+            graph.edge_weights,
+            **labels,
+        )
+        return relabelled, EnsemFDet(config).fit(relabelled)
+
+    @pytest.mark.parametrize("side", ["user", "merchant"])
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            pytest.param(lambda voted, unvoted: (unvoted[0], unvoted[-1]), id="two-unvoted"),
+            pytest.param(lambda voted, unvoted: (voted[0], unvoted[0]), id="unvoted-takes-voted"),
+        ],
+    )
+    def test_duplicate_labels_among_unvoted_nodes_keep_native_path(
+        self, sparse_graph, side, pick
+    ):
+        graph, result = self._fit_with_shared_label(sparse_graph, side, pick)
+        counters = batched.vote_counters(result.sample_detections, graph)
+        assert counters is not None
+        expected = self._label_tally(result.sample_detections)
+        assert dict(counters[0]) == dict(expected.user_votes)
+        assert dict(counters[1]) == dict(expected.merchant_votes)
+        assert_tables_equal(result.vote_table, expected)
+
+    @pytest.mark.parametrize("side", ["user", "merchant"])
+    def test_duplicate_labels_among_voted_nodes_fall_back(self, sparse_graph, side):
+        graph, result = self._fit_with_shared_label(
+            sparse_graph, side, lambda voted, unvoted: (voted[0], voted[-1])
+        )
+        assert batched.vote_counters(result.sample_detections, graph) is None
+        expected = self._label_tally(result.sample_detections)
+        assert_tables_equal(result.vote_table, expected)
+        per_member = EnsemFDet(self._config(native_batch=False)).fit(graph)
+        assert_tables_equal(per_member.vote_table, expected)
 
     def test_refuses_detections_without_indices(self, weighted_graph):
         config = EnsemFDetConfig(

@@ -233,11 +233,16 @@ class TestSnapshotIsolation:
 
         def reader():
             try:
-                while not done.is_set():
+                # one last read after ``done``: ingest() returns only once the
+                # writer has published, so that read sees the final snapshot
+                while True:
+                    finished = done.is_set()
                     snapshot = service.snapshot
                     observed.setdefault(snapshot.version, set()).add(
                         snapshot.vote_fingerprint()
                     )
+                    if finished:
+                        break
             except BaseException as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
