@@ -1,19 +1,14 @@
-"""Bench: one-pass batched native ensemble vs the per-member kernel loop.
+"""Bench: one-pass batched native ensemble vs the committed fan-out wall.
 
 Same workload as ``bench_shm_fanout.py`` (jd1 at 5x, ``N = 80`` members,
 10% edge samples, 8 blocks) so the committed fan-out baseline is a direct
-basis for the headline number:
-
-* **batched** — one ``repro_fdet_batch`` call detects all N members against
-  the shared flattened CSR (``EnsemFDetConfig(native_batch=True)``, serial
-  executor: on the reference host the batch replaces the process pool).
-* **per-member** — the same fit with ``native_batch=False``: N subgraph
-  materialisations + N single-member kernel calls.
-* both fits must produce **identical vote fingerprints** (the batch path is
-  bitwise-pinned to the reference engine), and the batched wall is compared
-  against the committed ``baselines/shm_fanout.json`` *plan* fit wall — the
-  pre-batch production pipeline on the same workload — which it must beat
-  by **>=3x** on the baseline host.
+basis for the headline number: one ``repro_fdet_batch`` call detects all N
+members against the shared parent columns (serial executor: on the
+reference host the batch replaces the process pool), and its wall is
+compared against the committed ``baselines/shm_fanout.json`` *plan* fit
+wall — the pre-batch production pipeline on the same workload — which it
+must beat by **>=3x** on the baseline host. Bitwise parity of the batch
+with the reference engine is pinned by ``tests/fdet/test_batched_parity.py``.
 
 Regenerate the committed record with::
 
@@ -53,38 +48,33 @@ from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.fdet import FdetConfig
 from repro.sampling import RandomEdgeSampler
 
-native_batch, n_samples, ratio, dataset_scale, seed, rounds = (
-    sys.argv[1] == "1", int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4]),
-    int(sys.argv[5]), int(sys.argv[6]),
+n_samples, ratio, dataset_scale, seed, rounds = (
+    int(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3]),
+    int(sys.argv[4]), int(sys.argv[5]),
 )
 graph = make_jd_dataset(1, scale=dataset_scale, seed=seed).graph
 config = EnsemFDetConfig(
     sampler=RandomEdgeSampler(ratio), n_samples=n_samples,
     fdet=FdetConfig(max_blocks=8), executor="serial", seed=seed,
-    native_batch=native_batch,
 )
-result = EnsemFDet(config).fit(graph)  # warm: kernel build, dataset caches
+EnsemFDet(config).fit(graph)  # warm: kernel build, dataset caches
 walls = []
 for _ in range(rounds):
     start = time.perf_counter()
-    result = EnsemFDet(config).fit(graph)
+    EnsemFDet(config).fit(graph)
     walls.append(time.perf_counter() - start)
-print(json.dumps({
-    "wall_sec": min(walls),
-    "walls": walls,
-    "vote_fingerprint": sorted(result.vote_table.user_votes.items())[:50],
-}))
+print(json.dumps({"wall_sec": min(walls), "walls": walls}))
 """
 
 
-def run_scenario(native_batch: bool, rounds: int = ROUNDS) -> dict:
+def run_scenario(rounds: int = ROUNDS) -> dict:
     """Best-of-``rounds`` serial fit in a fresh subprocess."""
     env = dict(os.environ)
     src = os.path.join(_HERE, "..", "src")
     env["PYTHONPATH"] = src + os.pathsep * bool(env.get("PYTHONPATH")) + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [
-            sys.executable, "-c", _SCENARIO, "1" if native_batch else "0",
+            sys.executable, "-c", _SCENARIO,
             str(N_SAMPLES), str(SAMPLE_RATIO), str(DATASET_SCALE),
             str(SEED), str(rounds),
         ],
@@ -105,19 +95,13 @@ def committed_fanout_wall() -> float | None:
 
 
 def measure() -> dict:
-    batched = run_scenario(native_batch=True)
-    per_member = run_scenario(native_batch=False)
-    assert batched["vote_fingerprint"] == per_member["vote_fingerprint"], (
-        "batched native fit diverged from the per-member engine"
-    )
+    batched = run_scenario()
     stats = {
         "n_samples": N_SAMPLES,
         "sample_ratio": SAMPLE_RATIO,
         "dataset_scale": DATASET_SCALE,
         "rounds": ROUNDS,
         "batched": {"wall_sec": batched["wall_sec"], "walls": batched["walls"]},
-        "per_member": {"wall_sec": per_member["wall_sec"], "walls": per_member["walls"]},
-        "speedup_vs_per_member": per_member["wall_sec"] / batched["wall_sec"],
     }
     fanout_wall = committed_fanout_wall()
     if fanout_wall is not None:
@@ -136,10 +120,6 @@ def test_native_ensemble(benchmark):
 
     stats = run_once(benchmark, measure)
 
-    # batching the members through one kernel call must beat looping the
-    # same kernel per member (both sides share every other optimisation)
-    assert stats["batched"]["wall_sec"] < stats["per_member"]["wall_sec"], stats
-
     # the headline: >=3x over the committed fan-out pipeline wall, asserted
     # on the host class the basis was recorded on (same cpu count)
     if os.path.exists(FANOUT_BASELINE_PATH):
@@ -149,11 +129,7 @@ def test_native_ensemble(benchmark):
             assert stats["speedup_vs_committed_fanout"] >= TARGET_SPEEDUP, stats
 
     print()
-    print(
-        f"batched={stats['batched']['wall_sec']:.3f}s  "
-        f"per-member={stats['per_member']['wall_sec']:.3f}s  "
-        f"({stats['speedup_vs_per_member']:.2f}x)"
-    )
+    print(f"batched={stats['batched']['wall_sec']:.3f}s")
     if "speedup_vs_committed_fanout" in stats:
         print(
             f"vs committed fan-out wall {stats['fanout_basis_wall_sec']:.3f}s: "

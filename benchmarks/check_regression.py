@@ -2,8 +2,8 @@
 """Perf-regression guard for the peeling microbenchmark.
 
 Times one greedy peel per (engine, size) on the same Chung-Lu graphs as
-``bench_micro_peeling.py``, plus one small batched-vs-per-member ensemble
-fit pair (the ``bench_native_ensemble.py`` workload at guard scale), plus
+``bench_micro_peeling.py``, plus one small batched ensemble fit (the
+``bench_native_ensemble.py`` workload at guard scale), plus
 the scoring-server load case from ``bench_serve_load.py`` (HTTP ingest
 seconds-per-1k-edges and query p99, compared against
 ``baselines/serve_load.json``), plus the out-of-core guard case from
@@ -66,7 +66,7 @@ ENSEMBLE_CASE = {"n_users": 2_000, "n_merchants": 800, "n_edges": 8_000, "n_samp
 
 
 def measure_ensemble() -> dict[str, float]:
-    """Serial batched vs per-member fit seconds on the guard-scale ensemble."""
+    """Serial batched fit seconds on the guard-scale ensemble."""
     from repro.ensemble import EnsemFDet, EnsemFDetConfig
     from repro.fdet import FdetConfig
     from repro.fdet._native import native_available
@@ -77,21 +77,15 @@ def measure_ensemble() -> dict[str, float]:
     graph = chung_lu_bipartite(
         ENSEMBLE_CASE["n_users"], ENSEMBLE_CASE["n_merchants"], ENSEMBLE_CASE["n_edges"], rng=0
     )
-    timings: dict[str, float] = {}
-    for label, native_batch in (("ensemble-batched", True), ("ensemble-permember", False)):
-        config = EnsemFDetConfig(
-            sampler=RandomEdgeSampler(0.3),
-            n_samples=ENSEMBLE_CASE["n_samples"],
-            fdet=FdetConfig(max_blocks=4),
-            executor="serial",
-            seed=0,
-            native_batch=native_batch,
-        )
-        best = min(
-            time_callable(EnsemFDet(config).fit, graph).seconds for _ in range(3)
-        )
-        timings[f"{label}@{ENSEMBLE_CASE['n_edges']}"] = best
-    return timings
+    config = EnsemFDetConfig(
+        sampler=RandomEdgeSampler(0.3),
+        n_samples=ENSEMBLE_CASE["n_samples"],
+        fdet=FdetConfig(max_blocks=4),
+        executor="serial",
+        seed=0,
+    )
+    best = min(time_callable(EnsemFDet(config).fit, graph).seconds for _ in range(3))
+    return {f"ensemble-batched@{ENSEMBLE_CASE['n_edges']}": best}
 
 
 def measure(sizes: list[tuple[int, int, int]] | None = None) -> dict[str, float]:

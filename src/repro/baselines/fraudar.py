@@ -3,7 +3,9 @@
 Greedy densest-block detection on the **full** graph under the log-weighted
 suspiciousness metric, extended (as in the paper's experiments, Table III)
 to extract a fixed number ``K`` of blocks sequentially by removing each
-detected block's edges and re-running the greedy.
+detected block's edges and re-running the greedy. That is FDET's block loop
+with refreshed weights and no truncation, so the blocks are
+``Fdet(...).detect(graph).all_blocks``.
 
 Two properties matter for the reproduction:
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from ..errors import DetectionError
 from ..fdet.density import DensityMetric, LogWeightedDensity
-from ..fdet.fdet import Block
-from ..fdet.peeling import PeelEngine, greedy_peel
+from ..fdet.fdet import Block, Fdet, FdetConfig
+from ..fdet.peeling import PeelEngine
 from ..graph import BipartiteGraph
 
 __all__ = ["FraudarDetector", "FraudarResult"]
@@ -89,39 +91,20 @@ class FraudarDetector:
     ) -> None:
         if n_blocks < 1:
             raise DetectionError(f"n_blocks must be >= 1, got {n_blocks}")
-        if min_block_edges < 1:
-            raise DetectionError(f"min_block_edges must be >= 1, got {min_block_edges}")
         self.n_blocks = n_blocks
         self.metric = metric or LogWeightedDensity()
         self.min_block_edges = min_block_edges
         self.engine = engine
+        # validates min_block_edges and engine at construction
+        self._fdet = Fdet(
+            FdetConfig(
+                metric=self.metric,
+                max_blocks=n_blocks,
+                min_block_edges=min_block_edges,
+                engine=engine,
+            )
+        )
 
     def detect(self, graph: BipartiteGraph) -> FraudarResult:
         """Extract up to ``n_blocks`` dense blocks from the full graph."""
-        blocks: list[Block] = []
-        current = graph
-        for index in range(self.n_blocks):
-            if current.is_empty:
-                break
-            edge_weights = self.metric.edge_weights(current)
-            peel = greedy_peel(
-                current,
-                edge_weights,
-                user_weights=self.metric.user_weights(current),
-                merchant_weights=self.metric.merchant_weights(current),
-                engine=self.engine,
-            )
-            block_edges = peel.edge_indices(current)
-            if block_edges.size < self.min_block_edges:
-                break
-            blocks.append(
-                Block(
-                    index=index,
-                    user_labels=np.sort(current.user_labels[peel.user_mask]),
-                    merchant_labels=np.sort(current.merchant_labels[peel.merchant_mask]),
-                    density=peel.density,
-                    n_edges=int(block_edges.size),
-                )
-            )
-            current = current.remove_edges(block_edges)
-        return FraudarResult(blocks=tuple(blocks))
+        return FraudarResult(blocks=self._fdet.detect(graph).all_blocks)

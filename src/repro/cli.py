@@ -697,7 +697,8 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=PeelEngine.ALL,
         default=PeelEngine.DEFAULT,
-        help="peeling backend: 'fast' (vectorised + native core) or 'reference'",
+        help="peeling backend: 'fast' (native kernel; runs 'reference' on hosts "
+        "without a C compiler) or 'reference' (pure Python)",
     )
     detect.add_argument("--executor", choices=("serial", "thread", "process"), default="process")
     detect.add_argument("--seed", type=int, default=0)

@@ -74,12 +74,6 @@ class EnsemFDetConfig:
         vote table. The default retries twice and accepts a half-strength
         ensemble; :meth:`FaultTolerance.strict` restores fail-fast
         semantics. Zero overhead while nothing fails.
-    native_batch:
-        Batched native backend: peel all eligible members of an attempt in
-        one multi-member kernel call and merge votes natively. ``None``
-        (the default) defers to ``REPRO_NATIVE_BATCH`` (on unless set to
-        0); ``False`` forces the per-member path. Results are bitwise
-        identical either way.
     shards:
         Stripe-shard the fit: members are split into this many contiguous
         groups, each run against a shard store holding only the edges its
@@ -105,7 +99,6 @@ class EnsemFDetConfig:
     track_appearances: bool = False
     shared_memory: bool = True
     tolerance: FaultTolerance = field(default_factory=FaultTolerance)
-    native_batch: bool | None = None
     shards: int = 1
     mmap: bool = False
 
@@ -371,7 +364,6 @@ class EnsemFDet:
                 shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
                 window=window,
-                native_batch=config.native_batch,
                 mmap=config.mmap,
             )
             return run, shard_plan
@@ -386,7 +378,6 @@ class EnsemFDet:
             shared_memory=config.shared_memory,
             tolerance=config.tolerance,
             window=window,
-            native_batch=config.native_batch,
             mmap=config.mmap,
         )
         return run, None
@@ -412,7 +403,7 @@ class EnsemFDet:
         config = self.config
         detections = _enforce_quorum(run, config)
         table = None
-        if graph is not None and _batched.resolve_native_batch(config.native_batch):
+        if graph is not None:
             counters = None
             if shard_plan is not None:
                 # shard-wise tallies summed — exactly the global tally

@@ -355,7 +355,6 @@ class IncrementalEnsemFDet:
                 track_members=True,
                 shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
-                native_batch=config.native_batch,
                 # updates refresh few members, so sharding would be pure
                 # overhead; the mmap transport still applies
                 mmap=config.mmap,
@@ -419,7 +418,6 @@ class IncrementalEnsemFDet:
                 shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
                 window=live.edge_window(),
-                native_batch=config.native_batch,
                 mmap=config.mmap,
             )
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from ..errors import GraphError, InjectedFault, MemberTimeoutError, WorkerCrashError
 from ..faults import fault_point
-from ..fdet import Fdet, FdetConfig, FdetResult
+from ..fdet import Fdet, FdetConfig, FdetResult, PeelEngine
 from ..fdet import batched as _batched
 from ..fdet._native import native_threads
 from ..graph import BipartiteGraph, GraphStore, StoreLayout, attached_store
@@ -247,7 +247,6 @@ def _detect_member_chunk(
         bool,
         int,
         EdgeWindow | None,
-        bool,
         int,
     ]
 ) -> list[tuple[int, SampleDetection]]:
@@ -255,20 +254,16 @@ def _detect_member_chunk(
 
     The per-member injection points fire *inside* the worker, so chaos
     plans exercise the real fan-out path (chunk pickling, segment attach,
-    materialization) unmodified. With the batched native backend enabled,
-    eligible members of the chunk run through one multi-member kernel call
-    (``native_threads`` wide); ineligible plans, ineligible configs and
-    members whose kernel slot reports an allocation failure take the
-    per-member materialize-and-detect path, bitwise identically.
+    materialization) unmodified. Eligible members of the chunk run through
+    one multi-member kernel call (``native_threads`` wide); ineligible
+    plans, ineligible configs and members whose kernel slot reports an
+    allocation failure take the per-member materialize-and-detect path,
+    bitwise identically.
     """
-    source, config, members, track_members, attempt, window, native_batch, threads = args
+    source, config, members, track_members, attempt, window, threads = args
     graph, window = _resolve_parent(source, window)
     fdet = Fdet(config)
-    use_batch = (
-        native_batch
-        and _batched.config_eligible(config)
-        and _batched.batch_kernels() is not None
-    )
+    use_batch = _batched.config_eligible(config) and _batched.batch_kernels() is not None
     out: list[tuple[int, SampleDetection]] = []
     batch_work: list[tuple[int, SamplePlan]] = []
     for index, plan in members:
@@ -345,23 +340,18 @@ def _run_serial(
     track_members: bool,
     attempt: int,
     window: EdgeWindow | None = None,
-    native_batch: bool = False,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
     """In-parent attempt: no pool, no pickling, nothing left to degrade to.
 
-    With ``native_batch``, eligible members run through one multi-member
-    kernel call; each still gets its own ``member.detect`` / ``native.peel``
-    fault points (fired in work order, per-member failure isolation), and
-    anything the kernel cannot take falls back to the per-member path.
+    Eligible members run through one multi-member kernel call; each still
+    gets its own ``member.detect`` / ``native.peel`` fault points (fired in
+    work order, per-member failure isolation), and anything the kernel
+    cannot take falls back to the per-member path.
     """
     fdet = Fdet(config)
     results: dict[int, SampleDetection] = {}
     failures: dict[int, tuple[str, BaseException]] = {}
-    use_batch = (
-        native_batch
-        and _batched.config_eligible(config)
-        and _batched.batch_kernels() is not None
-    )
+    use_batch = _batched.config_eligible(config) and _batched.batch_kernels() is not None
     batch_work: list[tuple[int, SamplePlan]] = []
     for index, plan in work:
         try:
@@ -440,7 +430,6 @@ def _run_pooled(
     attempt: int,
     tolerance: FaultTolerance,
     window: EdgeWindow | None = None,
-    native_batch: bool = False,
     use_mmap: bool = False,
     source_store: GraphStore | None = None,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], str]:
@@ -523,7 +512,7 @@ def _run_pooled(
         # oversubscription guard: workers x in-kernel threads <= cores
         threads = native_threads(workers)
         args = [
-            (source, config, chunk, track_members, attempt, plan_window, native_batch, threads)
+            (source, config, chunk, track_members, attempt, plan_window, threads)
             for chunk in chunks
         ]
 
@@ -587,17 +576,15 @@ def run_members(
     shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
-    native_batch: bool | None = None,
     mmap: bool = False,
 ) -> MemberRun:
     """Fault-tolerant fan-out: every plan either detects or fails *typed*.
 
-    ``native_batch`` selects the batched native backend (eligible members
-    of an attempt peel through one multi-member kernel call on every
-    execution backend); ``None`` defers to ``REPRO_NATIVE_BATCH`` (default
-    on). The switch composes with the degradation ladder: a worker-crash
-    round additionally disables batching for the remaining retries, the
-    way shm failures disable the shared segment.
+    Under the ``fast`` engine the eligible members of an attempt peel
+    through one multi-member kernel call on every execution backend. This
+    composes with the degradation ladder: a worker-crash round switches the
+    remaining retries to ``engine="reference"``, the one path with no
+    native code, the way shm failures disable the shared segment.
 
     ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
     graph — in particular one opened straight from a store file
@@ -662,7 +649,6 @@ def run_members(
         and source_store.layout is not None
         and source_store.layout.kind == "file"
     )
-    use_batch = _batched.resolve_native_batch(native_batch)
 
     for attempt in range(tolerance.max_retries + 1):
         if not pending:
@@ -683,7 +669,7 @@ def run_members(
             in_parent = effective <= 1 or len(work) == 1
         if in_parent:
             results, failures = _run_serial(
-                graph, work, config, track_members, attempt, window, use_batch
+                graph, work, config, track_members, attempt, window
             )
             transport = "local"
         else:
@@ -700,7 +686,6 @@ def run_members(
                 attempt,
                 tolerance,
                 window,
-                use_batch,
                 use_mmap,
                 source_store,
             )
@@ -714,7 +699,7 @@ def run_members(
                 "backend": ExecutorMode.SERIAL if in_parent else backend,
                 "shared_memory": transport == "shm",
                 "transport": transport,
-                "native_batch": bool(use_batch),
+                "engine": config.engine,
                 "members": [int(i) for i in pending],
                 "failed": [int(i) for i in failed],
                 "kinds": {str(i): failures[i][0] for i in failed},
@@ -726,10 +711,10 @@ def run_members(
             # file map failed) — pickled store next
             use_shm = False
             use_mmap = False
-        if use_batch and any(kind == FAIL_CRASH for kind, _ in failures.values()):
-            # a dead worker may mean the native batch itself crashed —
-            # retries degrade to the per-member path, like shm degrades
-            use_batch = False
+        if any(kind == FAIL_CRASH for kind, _ in failures.values()):
+            # a dead worker may mean the native kernel itself crashed —
+            # retries run the pure-Python engine, like shm degrades
+            config = _maybe_override_engine(config, PeelEngine.REFERENCE)
         pending = failed
 
     failures_out = tuple(
@@ -793,7 +778,6 @@ def detect_on_plans(
     shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
-    native_batch: bool | None = None,
     mmap: bool = False,
 ) -> list[SampleDetection]:
     """Materialize every plan against ``graph`` and run FDET on it.
@@ -828,9 +812,6 @@ def detect_on_plans(
         platform refuses the segment.
     tolerance:
         Retry/timeout/degradation policy; defaults to strict (no retries).
-    native_batch:
-        Batched native backend switch (``None`` = ``REPRO_NATIVE_BATCH``,
-        default on); see :func:`run_members`.
     mmap:
         For process backends, ship the parent as an mmap-able store file
         (a path+layout descriptor) instead of a shared segment — the
@@ -850,7 +831,6 @@ def detect_on_plans(
         shared_memory=shared_memory,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
-        native_batch=native_batch,
         mmap=mmap,
     )
     _raise_first_failure(run)

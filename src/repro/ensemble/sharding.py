@@ -141,7 +141,6 @@ def run_sharded(
     shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
-    native_batch: bool | None = None,
     mmap: bool = False,
 ) -> MemberRun:
     """Run every member through its shard store; results in global order.
@@ -214,7 +213,6 @@ def run_sharded(
                 shared_memory=shared_memory,
                 tolerance=tolerance,
                 window=None,  # liveness already folded into the shard rows
-                native_batch=native_batch,
             )
         finally:
             if spill_dir is not None:

@@ -9,7 +9,6 @@ from .density import (
 )
 from .fdet import Block, Fdet, FdetConfig, FdetResult, WeightPolicy
 from .peeling import PeelEngine, PeelResult, greedy_peel
-from .peeling_fast import PeelContext, fast_peel
 from .truncation import (
     FirstDifferenceRule,
     FixedKRule,
@@ -31,9 +30,7 @@ __all__ = [
     "WeightPolicy",
     "PeelEngine",
     "PeelResult",
-    "PeelContext",
     "greedy_peel",
-    "fast_peel",
     "TruncationRule",
     "SecondDifferenceRule",
     "FirstDifferenceRule",

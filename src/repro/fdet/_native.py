@@ -1,6 +1,6 @@
 """On-demand compilation and loading of the C peeling kernels.
 
-The ``fast`` peel engine prefers a small dependency-free C kernel
+The ``fast`` peel engine is a small dependency-free C kernel
 (``_peel_kernel.c``) driven through :mod:`ctypes`. The kernel has no
 Python.h dependency, so any system C compiler can build it; the shared
 object is cached in a stable per-user directory keyed by the source hash
@@ -15,9 +15,10 @@ The shared object exports several entry points, loaded together as a
 :class:`NativeKernels` handle:
 
 ``repro_greedy_peel``
-    One peel of one flattened graph (used by :mod:`.peeling_fast`).
+    One peel of one flattened graph (used by :mod:`.peeling`).
 ``repro_fdet_batch``
-    The batched multi-member FDET loop (used by :mod:`.batched`).
+    The FDET block loop for one or many members (used by :mod:`.batched`
+    for ensemble fits and for ``Fdet.detect``).
 ``repro_accumulate_votes``
     Vote-merge accumulator for ensemble tallies.
 ``repro_pairwise_sum``
@@ -34,7 +35,7 @@ oversubscription when an outer process pool is already fanning out.
 
 Everything here degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NATIVE=0`` in the environment all simply yield ``None``, and the
-fast engine falls back to its pure-Python core (same results, smaller
+``fast`` engine runs the ``reference`` engine instead (same results, no
 speedup). Nothing is ever installed — the toolchain already present on the
 host is all that is used.
 """
@@ -59,7 +60,6 @@ from ..errors import ReproError
 __all__ = [
     "NativeKernels",
     "load_kernels",
-    "load_peel_kernel",
     "native_available",
     "native_threads",
 ]
@@ -246,6 +246,7 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
         ctypes.c_int64,  # min_block_edges
         ctypes.c_double,  # min_density_ratio
         ctypes.c_int64,  # frozen_policy
+        ctypes.c_int64,  # all_nodes
         ctypes.c_int64,  # n_threads
         i64_array,  # out_status
         i64_array,  # out_nu
@@ -304,15 +305,9 @@ def load_kernels() -> NativeKernels | None:
             else:
                 try:
                     _kernels = _compile_and_load() or False
-                except Exception:  # any toolchain hiccup -> python fallback
+                except Exception:  # any toolchain hiccup -> reference engine
                     _kernels = False
         return _kernels or None
-
-
-def load_peel_kernel() -> object | None:
-    """The single-peel kernel function, or ``None`` when unavailable."""
-    kernels = load_kernels()
-    return kernels.greedy_peel if kernels is not None else None
 
 
 def native_available() -> bool:

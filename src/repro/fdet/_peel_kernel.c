@@ -1,36 +1,40 @@
-/* Native peeling kernels: single-graph greedy peel + batched multi-member FDET.
+/* Native peeling kernels: single-graph greedy peel + batched FDET.
  *
  * Everything in this file is an exact replica of the Python reference path —
  * same float64 operations in the same order on the same values — so results
- * are bitwise identical to the pure-Python engines. Two entry points:
+ * are bitwise identical to the reference engine. Two entry points:
  *
  * ``repro_greedy_peel``
- *     One peel of one flattened graph (the historical kernel ABI). The
- *     internals are the ``_python_core`` algorithm of ``peeling_fast.py``: the
- *     initial per-node entries live in a radix-sorted "clean" stream consumed
- *     by a moving pointer, and only re-prioritised nodes enter a small binary
- *     "hot" heap. Under the shared lazy-deletion rule (lexicographic
- *     ``(priority, node)`` order, ``1e-12`` stale tolerance) the accepted pop
- *     sequence is identical to the reference heap's, at a fraction of the
- *     heap traffic.
+ *     One peel of one flattened graph (used by ``peeling.py`` for
+ *     ``greedy_peel`` and the per-block loop of metrics the batch cannot
+ *     take). The initial per-node entries live in a radix-sorted "clean"
+ *     stream consumed by a moving pointer, and only re-prioritised nodes
+ *     enter a small "hot" heap. Under the reference heap's lazy-deletion rule
+ *     (lexicographic ``(priority, node)`` order, ``1e-12`` stale tolerance)
+ *     the accepted pop sequence is identical to the reference's, at a
+ *     fraction of the heap traffic.
  *
  * ``repro_fdet_batch``
- *     The full FDET block loop for MANY ensemble members in one call: the
+ *     The full FDET block loop for one or many members in one call: the
  *     parent edge arrays are shared read-only, each member is described by a
  *     list of parent edge ids (in member order), and the kernel performs node
  *     compaction, CSR construction, per-block degree/weight/priority
- *     preparation, the peel, and block bookkeeping — everything the Python
- *     ``Fdet.detect`` + ``fast_peel`` pair does per member, without
- *     materialising a subgraph object. Members are independent; with OpenMP
- *     the loop runs ``n_threads`` wide (serial otherwise).
+ *     preparation, the peel, and block bookkeeping — everything
+ *     ``materialize_plan`` + the reference ``Fdet.detect`` do per member,
+ *     without materialising a subgraph object. Ensemble members peel over
+ *     the nodes their edges touch; with ``all_nodes`` compaction is skipped
+ *     and the member's node space is the whole parent, nodes without an
+ *     edge included — how ``Fdet.detect`` runs one graph as one member.
+ *     Members are independent; with OpenMP the loop runs ``n_threads`` wide
+ *     (serial otherwise).
  *
  *     Per-block work scales with the residual graph, not the whole member:
  *     the alive edge ids live in an ascending list compacted after every
  *     block (alive degrees are decremented, never recounted), and each
  *     block's weights, priorities, total and CSR are built from that list
  *     in the reference's addition order. The peel covers only the nodes
- *     that still have an alive edge, relabelled in their existing order.
- *     Dropping the isolated nodes is exact when every residual weight is
+ *     that have an alive edge, relabelled in their existing order.
+ *     Dropping the edgeless nodes is exact when every residual weight is
  *     > 0 (NaN fails) and ``total / n`` is a finite, positive, normal
  *     double (the argument sits at the test in ``run_member``). When that
  *     test fails the block peels the full member node set, as the
@@ -384,7 +388,7 @@ static int64_t fast_peel_core(
 }
 
 /* ------------------------------------------------------------------ */
-/* single-peel entry point (historical ABI, new internals)             */
+/* single-peel entry point                                             */
 /* ------------------------------------------------------------------ */
 
 int64_t repro_greedy_peel(
@@ -452,6 +456,7 @@ typedef struct {
     int64_t min_block_edges;
     double min_density_ratio;
     int64_t frozen_policy;
+    int64_t all_nodes; /* skip node compaction: every parent node is kept */
     /* outputs */
     int64_t *out_status;
     int64_t *out_nu;
@@ -469,10 +474,10 @@ typedef struct {
 
 /* One member's full FDET run (Algorithm 1): node compaction, then the block
  * loop on the residual graph — weights, priorities, total and CSR rebuilt
- * from the ascending list of alive edges, the peel over the nodes that still
+ * from the ascending list of alive edges, the peel over the nodes that
  * have an alive edge, mask bookkeeping, and compaction of both lists. Sets
  * out_status[m] = -1 on allocation failure (the caller re-runs the member
- * through the Python path). */
+ * without the batch). */
 static void run_member(const batch_args_t *a, int64_t m)
 {
     int64_t me = a->edge_off[m + 1] - a->edge_off[m];
@@ -494,7 +499,8 @@ static void run_member(const batch_args_t *a, int64_t m)
     peel_scratch_t scratch; /* zeroed, so freeing it is safe on every path */
     memset(&scratch, 0, sizeof(scratch));
 
-    /* ---- node compaction: np.unique(endpoints, return_inverse=True) ---- */
+    /* ---- node compaction: np.unique(endpoints, return_inverse=True), or
+     * the identity map over every parent node under all_nodes ---- */
     present_u = (uint8_t *)calloc((size_t)a->pn_users, 1);
     present_m = (uint8_t *)calloc((size_t)a->pn_merchants, 1);
     remap_u = (int64_t *)malloc((size_t)a->pn_users * sizeof(int64_t));
@@ -505,9 +511,14 @@ static void run_member(const batch_args_t *a, int64_t m)
     if (!present_u || !present_m || !remap_u || !remap_m || !mu || !mm || !mw)
         goto alloc_failed;
 
-    for (int64_t i = 0; i < me; i++) {
-        present_u[load_idx(a->p_eu, a->idx_width, ids[i])] = 1;
-        present_m[load_idx(a->p_em, a->idx_width, ids[i])] = 1;
+    if (a->all_nodes) {
+        memset(present_u, 1, (size_t)a->pn_users);
+        memset(present_m, 1, (size_t)a->pn_merchants);
+    } else {
+        for (int64_t i = 0; i < me; i++) {
+            present_u[load_idx(a->p_eu, a->idx_width, ids[i])] = 1;
+            present_m[load_idx(a->p_em, a->idx_width, ids[i])] = 1;
+        }
     }
     int64_t nu = 0, nm = 0;
     {
@@ -563,16 +574,17 @@ static void run_member(const batch_args_t *a, int64_t m)
         if (scratch_alloc(&scratch, n, n_flat))
             goto alloc_failed;
 
-        /* alive degrees, decremented as blocks remove edges; every member
-         * node starts with at least one edge */
+        /* alive degrees, decremented as blocks remove edges; only an
+         * all_nodes member starts with nodes that have no edge */
         for (int64_t i = 0; i < me; i++) {
             live_e[i] = i;
             deg[mu[i]]++;
             deg[mm[i]]++;
         }
+        int64_t n_live_e = me, n_live_n = 0;
         for (int64_t v = 0; v < n; v++)
-            live_n[v] = v;
-        int64_t n_live_e = me, n_live_n = n;
+            if (deg[v] > 0)
+                live_n[n_live_n++] = v;
 
         /* merchant degree feeding the weight table: the residual degree, or
          * the input degree under the frozen policy */
@@ -755,6 +767,7 @@ int64_t repro_fdet_batch(
     int64_t min_block_edges,
     double min_density_ratio,
     int64_t frozen_policy,
+    int64_t all_nodes,
     int64_t n_threads,
     int64_t *out_status,
     int64_t *out_nu,
@@ -785,6 +798,7 @@ int64_t repro_fdet_batch(
     args.min_block_edges = min_block_edges;
     args.min_density_ratio = min_density_ratio;
     args.frozen_policy = frozen_policy;
+    args.all_nodes = all_nodes;
     args.out_status = out_status;
     args.out_nu = out_nu;
     args.out_nm = out_nm;

@@ -1,37 +1,39 @@
-"""Batched multi-member FDET: many sampled members, one native kernel call.
+"""Batched FDET: many sampled members, or one whole graph, per kernel call.
 
-The ensemble's hot loop used to materialize every member as a fresh
-:class:`~repro.graph.BipartiteGraph` (node compaction, adjacency sort,
-weight gather) and then run FDET block by block through per-peel kernel
-calls. This module drives the ``repro_fdet_batch`` entry point of
-``_peel_kernel.c`` instead: the parent's edge arrays are shared read-only,
-each member is described only by its parent edge-id list (derived straight
-from the :class:`~repro.sampling.SamplePlan`, windowed liveness AND-ed in),
-and the kernel performs compaction, CSR construction, the full block loop
-and the peels for **all members in one call** — OpenMP-parallel across
-members when available.
+This module drives the ``repro_fdet_batch`` entry point of
+``_peel_kernel.c``: the parent's edge arrays are shared read-only, each
+member is described only by its parent edge-id list, and the kernel
+performs node compaction, CSR construction, the full block loop and the
+peels for **all members in one call** — OpenMP-parallel across members
+when available. Two callers:
+
+* :func:`detect_many` — an ensemble fit's members, each derived straight
+  from its :class:`~repro.sampling.SamplePlan` (windowed liveness AND-ed
+  in), without materializing a subgraph;
+* :func:`detect_graph` — ``Fdet.detect`` under the ``fast`` engine: the
+  whole graph as one member, compaction skipped so every node (including
+  nodes with no edge) stays in the peel, as in the reference engine.
 
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
 plan→edge-id expansion, marshalling, truncation, :class:`Block` /
 :class:`FdetResult` assembly, and the native vote-merge helpers. Everything
 the kernel computes is **bitwise identical** to the reference pipeline
-(``materialize_plan`` + ``Fdet.detect``) — enforced by
-``tests/fdet/test_batched_parity.py`` across sampler families, window
-modes and execution backends.
+(``materialize_plan`` + ``Fdet.detect`` with ``engine="reference"``) —
+enforced by ``tests/fdet/test_batched_parity.py`` across sampler families,
+window modes, unusual weights and execution backends.
 
 Gating is conservative: the batch path only engages for the stock density
 metrics (:class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
-implementations, no prior hooks), the ``fast`` engine, and edge-index or
-stripe-row plans. Anything else — node-kind plans, custom metrics, the
-reference engine — falls back to the per-member path, member by member.
-A load-time probe additionally verifies that the kernel's pairwise
-summation reproduces ``np.sum`` bit for bit on this host and disables the
-batch path when it does not.
+implementations, no prior hooks), the ``fast`` engine, and (for ensemble
+members) edge-index or stripe-row plans. Anything else — node-kind plans,
+custom metrics, the reference engine — runs ``materialize_plan`` +
+``Fdet.detect`` member by member. A load-time probe additionally verifies
+that the kernel's pairwise summation reproduces ``np.sum`` bit for bit on
+this host and disables the batch path when it does not.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -41,7 +43,6 @@ import numpy as np
 from ..graph import BipartiteGraph
 from ..graph.window import EdgeWindow
 from ..sampling import SamplePlan
-from . import peeling_fast
 from ._native import NativeKernels, load_kernels
 from .density import AverageDegreeDensity, DensityMetric, LogWeightedDensity
 from .fdet import Block, FdetConfig, FdetResult, WeightPolicy
@@ -51,16 +52,16 @@ __all__ = [
     "NativeDetection",
     "batch_kernels",
     "config_eligible",
+    "detect_graph",
     "detect_many",
     "plan_eligible",
     "plan_edge_ids",
-    "resolve_native_batch",
     "vote_counters",
 ]
 
 #: metric implementations the kernel replicates; a subclass overriding any of
 #: these (or the prior hooks) peels positions-dependently for all we know and
-#: must take the per-member Python path
+#: must take the blockwise Python loop
 _DEGREE_WEIGHT_IMPLS = (
     LogWeightedDensity.merchant_degree_weights,
     AverageDegreeDensity.merchant_degree_weights,
@@ -70,14 +71,6 @@ _DUMMY_F64 = np.zeros(1, dtype=np.float64)
 
 #: None = probe not yet run, else its verdict (per process)
 _probe_verdict: bool | None = None
-
-
-def resolve_native_batch(value: bool | None) -> bool:
-    """Effective batch switch: explicit value, else ``REPRO_NATIVE_BATCH``."""
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get("REPRO_NATIVE_BATCH", "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
 
 
 def _probe(kernels: NativeKernels) -> bool:
@@ -98,8 +91,6 @@ def _probe(kernels: NativeKernels) -> bool:
 
 def batch_kernels() -> NativeKernels | None:
     """The kernel handle iff the batch path may be used on this host."""
-    if peeling_fast._force_python:  # test hook: behave like no-native hosts
-        return None
     kernels = load_kernels()
     if kernels is None:
         return None
@@ -195,15 +186,54 @@ def detect_many(
     Returns ``None`` when the batch path is unavailable; otherwise one
     :class:`NativeDetection` per plan, with ``None`` in a slot whose
     member hit an in-kernel allocation failure (the caller re-runs just
-    that member through the per-member path). The caller is responsible
-    for eligibility (:func:`config_eligible` / :func:`plan_eligible`) and
-    for fault points.
+    that member through ``materialize_plan`` + ``Fdet.detect``). The
+    caller is responsible for eligibility (:func:`config_eligible` /
+    :func:`plan_eligible`) and for fault points.
     """
     kernels = batch_kernels()
     if kernels is None or not plans:
         return None
+    ids_list = [plan_edge_ids(plan, graph.n_edges, window) for plan in plans]
+    scales = np.array(
+        [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
+        dtype=np.float64,
+    )
+    return _run_batch(kernels, graph, ids_list, scales, config, n_threads, all_nodes=False)
 
-    n_members = len(plans)
+
+def detect_graph(graph: BipartiteGraph, config: FdetConfig) -> FdetResult | None:
+    """FDET on the whole of ``graph`` as one kernel member.
+
+    The member keeps every node of ``graph``, edgeless ones included, so it
+    peels exactly the node set the reference engine peels. ``None`` when the
+    kernel cannot take ``config`` (see :func:`config_eligible`), is missing
+    on this host, or ran out of memory.
+    """
+    kernels = batch_kernels() if config_eligible(config) else None
+    if kernels is None:
+        return None
+    ids = np.arange(graph.n_edges, dtype=np.int64)
+    (detection,) = _run_batch(
+        kernels, graph, [ids], np.ones(1), config, n_threads=1, all_nodes=True
+    )
+    return None if detection is None else detection.result
+
+
+def _run_batch(
+    kernels: NativeKernels,
+    graph: BipartiteGraph,
+    ids_list: list[np.ndarray],
+    scales: np.ndarray,
+    config: FdetConfig,
+    n_threads: int,
+    all_nodes: bool,
+) -> list[NativeDetection | None]:
+    """One ``repro_fdet_batch`` call over members given as parent edge ids.
+
+    With ``all_nodes`` the kernel skips node compaction: each member's node
+    space is the whole parent rather than the nodes its edges touch.
+    """
+    n_members = len(ids_list)
     max_blocks = config.max_blocks
     # compact (int32/float32) parent columns — including read-only mmap
     # views — cross the ABI in their storage dtype; the kernel widens each
@@ -229,7 +259,6 @@ def detect_many(
     w_width = p_w.dtype.itemsize
     weight_table = _weight_table(config.metric, graph)
 
-    ids_list = [plan_edge_ids(plan, graph.n_edges, window) for plan in plans]
     counts = np.array([ids.size for ids in ids_list], dtype=np.int64)
     edge_off = np.zeros(n_members + 1, dtype=np.int64)
     np.cumsum(counts, out=edge_off[1:])
@@ -238,15 +267,16 @@ def detect_many(
         if int(edge_off[-1])
         else np.empty(0, dtype=np.int64)
     )
-    scales = np.array(
-        [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
-        dtype=np.float64,
-    )
 
     # output slabs, sized by per-member upper bounds (a member touches at
-    # most min(|edges|, parent side size) nodes per side)
-    nu_bounds = np.minimum(counts, graph.n_users)
-    nm_bounds = np.minimum(counts, graph.n_merchants)
+    # most min(|edges|, parent side size) nodes per side; all of them under
+    # all_nodes)
+    if all_nodes:
+        nu_bounds = np.full(n_members, graph.n_users, dtype=np.int64)
+        nm_bounds = np.full(n_members, graph.n_merchants, dtype=np.int64)
+    else:
+        nu_bounds = np.minimum(counts, graph.n_users)
+        nm_bounds = np.minimum(counts, graph.n_merchants)
     ku_off = np.zeros(n_members + 1, dtype=np.int64)
     np.cumsum(nu_bounds, out=ku_off[1:])
     km_off = np.zeros(n_members + 1, dtype=np.int64)
@@ -283,6 +313,7 @@ def detect_many(
         config.min_block_edges,
         float(config.min_density_ratio),
         int(config.weight_policy == WeightPolicy.FROZEN),
+        int(all_nodes),
         int(n_threads),
         out_status,
         out_nu,

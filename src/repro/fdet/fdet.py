@@ -22,8 +22,7 @@ import numpy as np
 from ..errors import DetectionError, EmptyGraphError
 from ..graph import BipartiteGraph
 from .density import DensityMetric, LogWeightedDensity
-from .peeling import PeelEngine, _build_priors, _reference_peel, greedy_peel
-from .peeling_fast import PeelContext, fast_peel
+from .peeling import PeelEngine, _build_priors, _peel, greedy_peel
 from .truncation import SecondDifferenceRule, TruncationRule
 
 __all__ = ["Block", "FdetConfig", "FdetResult", "Fdet", "WeightPolicy"]
@@ -114,8 +113,8 @@ class FdetConfig:
     engine:
         Peeling backend, one of :class:`repro.fdet.PeelEngine`
         (``"reference"`` or ``"fast"``; default ``"fast"``). Both produce
-        identical detections; ``fast`` additionally lets ``detect`` reuse
-        one flattened adjacency across all blocks instead of re-sorting.
+        identical detections; under ``fast``, ``detect`` runs its whole
+        block loop in the native kernel.
     """
 
     metric: DensityMetric = field(default_factory=LogWeightedDensity)
@@ -204,14 +203,13 @@ class Fdet:
     def detect(self, graph: BipartiteGraph) -> FdetResult:
         """Extract dense blocks from ``graph`` and truncate at ``k̂``.
 
-        The outer loop is *zero-rebuild*: instead of materialising a fresh
-        graph (O(|E|) validation plus an O(|E| log |E|) adjacency re-sort)
-        after every block, it keeps one edge-alive mask over the input
-        graph, recomputes only the degree-dependent weights on the masked
-        residual, and — under the ``fast`` engine — re-peels through a
-        single flattened adjacency built once for all ``max_blocks``
-        iterations. Detections are identical to the rebuild-per-block
-        formulation under both weight policies and both engines.
+        Under the ``fast`` engine the whole graph runs as one member of the
+        batched native kernel (:mod:`repro.fdet.batched`), every node kept,
+        so the block loop never leaves C. Metrics the kernel cannot take
+        (per-node priors, custom weight hooks), the ``reference`` engine and
+        hosts without a kernel run :meth:`_detect_blockwise`. Detections are
+        identical either way, and identical to the rebuild-per-block
+        formulation under both weight policies.
 
         ``graph`` is accepted as a **trusted view**: detection never
         re-validates and never writes into the graph's arrays, so graphs
@@ -219,6 +217,22 @@ class Fdet:
         (whose columns are read-only shared-memory views) run unchanged —
         every derived quantity (priorities, masks, residual views) is
         allocated fresh. Enforced by the shm parity tests.
+        """
+        if self.config.engine == PeelEngine.FAST and graph.n_edges:
+            from . import batched  # deferred: batched builds on this module
+
+            result = batched.detect_graph(graph, self.config)
+            if result is not None:
+                return result
+        return self._detect_blockwise(graph)
+
+    def _detect_blockwise(self, graph: BipartiteGraph) -> FdetResult:
+        """Algorithm 1 in Python, one peel per block.
+
+        The loop is *zero-rebuild*: instead of materialising a fresh graph
+        (O(|E|) validation) after every block, it keeps one edge-alive mask
+        over the input graph and peels a trusted residual view carrying the
+        full node set.
         """
         config = self.config
         metric = config.metric
@@ -231,9 +245,6 @@ class Fdet:
         edge_merchants = graph.edge_merchants
         alive = np.ones(n_edges, dtype=bool)
         n_alive = n_edges
-        context: PeelContext | None = None
-        if config.engine == PeelEngine.FAST and n_edges:
-            context = PeelContext(graph)
 
         blocks: list[Block] = []
         first_density: float | None = None
@@ -248,16 +259,7 @@ class Fdet:
                 metric.user_weights(residual),
                 metric.merchant_weights(residual),
             )
-            if context is not None:
-                peel = fast_peel(
-                    residual,
-                    edge_weights,
-                    priors,
-                    context=context,
-                    edge_alive=None if n_alive == n_edges else alive,
-                )
-            else:
-                peel = _reference_peel(residual, edge_weights, priors)
+            peel = _peel(residual, edge_weights, priors, config.engine)
             block_mask = alive & peel.user_mask[edge_users] & peel.merchant_mask[edge_merchants]
             block_edges = np.nonzero(block_mask)[0]
             if block_edges.size < config.min_block_edges:

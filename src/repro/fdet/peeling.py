@@ -14,20 +14,23 @@ Two interchangeable engines implement the peel (select with the ``engine``
 argument, or per-detector via :attr:`repro.fdet.FdetConfig.engine`):
 
 * ``"reference"`` — the original pure-Python ``heapq`` walk over the
-  graph's CSR adjacency. Easiest to audit; the semantic oracle.
-* ``"fast"`` (default) — flat-array backend (:mod:`.peeling_fast`): numpy
-  preparation plus a compiled C core (pure-Python fallback). Produces
+  graph's CSR adjacency. Easiest to audit; the semantic oracle, and what
+  hosts without a C compiler run.
+* ``"fast"`` (default) — the compiled C kernel (``_peel_kernel.c``, loaded
+  through :mod:`._native`) over a flattened CSR of the graph. Produces
   bitwise-identical :class:`PeelResult`s — same tie-breaking (smallest node
   id first), same float64 operation order — at a large constant-factor
-  speedup, and supports masked re-peels that FDET's no-rebuild outer loop
-  relies on.
+  speedup. With no kernel on the host it runs the reference engine.
 
-Pick ``reference`` when debugging or validating a change to the objective;
-pick ``fast`` everywhere else.
+``Fdet.detect`` runs its whole block loop in the kernel's batched entry
+point (:mod:`.batched`); the single peel here serves :func:`greedy_peel`,
+:meth:`repro.fdet.Fdet.densest_block` and the per-block loop of metrics the
+batch cannot take.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from dataclasses import dataclass
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from ..errors import DetectionError
 from ..graph import BipartiteGraph
+from ._native import load_kernels
 
 __all__ = ["PeelResult", "PeelEngine", "greedy_peel"]
 
@@ -159,34 +163,110 @@ def greedy_peel(
     if graph.n_nodes == 0:
         return _empty_result()
     priors = _build_priors(graph.n_users, graph.n_merchants, user_weights, merchant_weights)
-    if resolve_engine(engine) == PeelEngine.FAST:
-        from .peeling_fast import fast_peel  # deferred to avoid a module cycle
-
-        return fast_peel(graph, edge_weights, priors)
-    return _reference_peel(graph, edge_weights, priors)
+    return _peel(graph, edge_weights, priors, resolve_engine(engine))
 
 
-def _reference_peel(
+def _peel(
     graph: BipartiteGraph,
     edge_weights: np.ndarray,
     priors: np.ndarray,
+    engine: str,
 ) -> PeelResult:
+    """One peel of a graph with at least one node on a resolved ``engine``.
+
+    ``fast`` runs the C kernel, and the reference walk when the host has no
+    kernel or the kernel runs out of memory.
+    """
+    peeled = _native_peel(graph, edge_weights, priors) if engine == PeelEngine.FAST else None
+    if peeled is None:
+        peeled = _reference_peel(graph, edge_weights, priors)
+    removal_order, densities, best_density, best_removed = peeled
+    # the best prefix: every node still alive after `best_removed` pops
+    keep = np.ones(graph.n_nodes, dtype=bool)
+    keep[removal_order[:best_removed]] = False
+    return PeelResult(
+        user_mask=keep[: graph.n_users],
+        merchant_mask=keep[graph.n_users :],
+        density=float(best_density),
+        n_removed=int(best_removed),
+        densities=densities,
+    )
+
+
+def _priorities(
+    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Initial node priorities and the objective's total, in reference order.
+
+    A node's priority is its prior plus the sum of its alive incident edge
+    weights; removing the node lowers the total by exactly this amount.
+    """
+    priority = priors.copy()
+    np.add.at(priority, graph.edge_users, edge_weights)
+    np.add.at(priority, graph.n_users + graph.edge_merchants, edge_weights)
+    return priority, float(priors.sum() + edge_weights.sum())
+
+
+#: ``(removal_order, densities, best_density, best_removed)`` of one peel
+_Peeled = tuple[np.ndarray, np.ndarray, float, int]
+
+
+def _native_peel(
+    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
+) -> _Peeled | None:
+    """The C kernel's peel; ``None`` when there is no kernel or it ran out of memory.
+
+    Flattens the graph into one CSR over the joint node index space (user
+    ``u`` is node ``u``, merchant ``m`` is node ``n_users + m``) with
+    half-edges in the graph's adjacency order, so ties break as in the
+    reference walk.
+    """
+    kernels = load_kernels()
+    if kernels is None:
+        return None
+    n_users = graph.n_users
+    priority, total = _priorities(graph, edge_weights, priors)
+    user_indptr, user_edges = graph.user_adjacency()
+    merchant_indptr, merchant_edges = graph.merchant_adjacency()
+    indptr = np.concatenate([user_indptr, user_indptr[-1] + merchant_indptr[1:]])
+    flat_other = np.concatenate(
+        [n_users + graph.edge_merchants[user_edges], graph.edge_users[merchant_edges]]
+    )
+    flat_w = edge_weights[np.concatenate([user_edges, merchant_edges])]
+    removal_order = np.empty(graph.n_nodes, dtype=np.int64)
+    densities = np.empty(graph.n_nodes, dtype=np.float64)
+    best_density = ctypes.c_double()
+    best_removed = ctypes.c_int64()
+    removed = kernels.greedy_peel(
+        graph.n_nodes,
+        np.ascontiguousarray(indptr, dtype=np.int64),
+        np.ascontiguousarray(flat_other, dtype=np.int64),
+        np.ascontiguousarray(flat_w, dtype=np.float64),
+        priority,
+        total,
+        removal_order,
+        densities,
+        ctypes.byref(best_density),
+        ctypes.byref(best_removed),
+    )
+    if removed < 0:  # allocation failure inside the kernel
+        return None
+    return removal_order, densities[: removed + 1].copy(), best_density.value, best_removed.value
+
+
+def _reference_peel(
+    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
+) -> _Peeled:
     """The original heapq engine — the oracle the fast engine must match."""
     n_users = graph.n_users
     n = n_users + graph.n_merchants
-
-    # current "priority" of a node = prior + sum of alive incident edge weights;
-    # removing the node decreases the total objective by exactly this amount.
-    priority = priors.copy()
-    np.add.at(priority, graph.edge_users, edge_weights)
-    np.add.at(priority, n_users + graph.edge_merchants, edge_weights)
+    priority, total = _priorities(graph, edge_weights, priors)
 
     user_indptr, user_edge_idx = graph.user_adjacency()
     merchant_indptr, merchant_edge_idx = graph.merchant_adjacency()
     edge_users = graph.edge_users
     edge_merchants = graph.edge_merchants
 
-    total = float(priors.sum() + edge_weights.sum())
     alive = np.ones(n, dtype=bool)
     edge_alive = np.ones(graph.n_edges, dtype=bool)
     heap: list[tuple[float, int]] = [(float(priority[node]), node) for node in range(n)]
@@ -236,13 +316,4 @@ def _reference_peel(
             best_density = density
             best_removed = removed
 
-    # reconstruct the best prefix: nodes still alive after `best_removed` pops
-    keep = np.ones(n, dtype=bool)
-    keep[removal_order[:best_removed]] = False
-    return PeelResult(
-        user_mask=keep[:n_users],
-        merchant_mask=keep[n_users:],
-        density=float(best_density),
-        n_removed=int(best_removed),
-        densities=densities[: removed + 1].copy(),
-    )
+    return removal_order, densities[: removed + 1].copy(), best_density, best_removed

@@ -11,8 +11,72 @@ from repro.baselines import (
     FraudarDetector,
     SpokenDetector,
 )
+from repro.datasets import chung_lu_bipartite
 from repro.errors import DetectionError
+from repro.fdet import (
+    AverageDegreeDensity,
+    LogWeightedDensity,
+    PeelEngine,
+    PriorWeightedDensity,
+    greedy_peel,
+)
 from repro.graph import BipartiteGraph
+
+
+def _rebuild_per_block(graph, n_blocks, metric):
+    """Fraudar's block loop on the reference peel, rebuilding the graph per block."""
+    blocks = []
+    current = graph
+    for _ in range(n_blocks):
+        if current.is_empty:
+            break
+        peel = greedy_peel(
+            current,
+            metric.edge_weights(current),
+            user_weights=metric.user_weights(current),
+            merchant_weights=metric.merchant_weights(current),
+            engine=PeelEngine.REFERENCE,
+        )
+        block_edges = peel.edge_indices(current)
+        if block_edges.size < 1:
+            break
+        blocks.append(
+            (
+                np.sort(current.user_labels[peel.user_mask]),
+                np.sort(current.merchant_labels[peel.merchant_mask]),
+                peel.density,
+                int(block_edges.size),
+            )
+        )
+        current = current.remove_edges(block_edges)
+    return blocks
+
+
+@pytest.fixture(scope="module", params=["zero", "negative"])
+def unusual_weight_graph(request):
+    """Weighted, with five users and five merchants that have no edge.
+
+    A quarter of the weights are zero, or a tenth are negative. Either way
+    the peel must keep the edgeless nodes, as the reference does.
+    """
+    base = chung_lu_bipartite(150, 60, 600, rng=4)
+    users = np.setdiff1d(np.arange(base.n_users + 5), [0, 40, 80, 120, 154])
+    merchants = np.setdiff1d(np.arange(base.n_merchants + 5), [0, 15, 30, 45, 64])
+    weights = np.random.default_rng(6).uniform(0.2, 3.0, base.n_edges)
+    if request.param == "zero":
+        weights[::4] = 0.0
+    else:
+        weights[::10] *= -1.0
+    graph = BipartiteGraph(
+        base.n_users + 5,
+        base.n_merchants + 5,
+        users[base.edge_users],
+        merchants[base.edge_merchants],
+        weights,
+    )
+    assert (graph.user_degrees() == 0).sum() >= 5
+    assert (graph.merchant_degrees() == 0).sum() >= 5
+    return graph
 
 
 class TestFraudar:
@@ -21,6 +85,31 @@ class TestFraudar:
             FraudarDetector(n_blocks=0)
         with pytest.raises(DetectionError):
             FraudarDetector(min_block_edges=0)
+        with pytest.raises(DetectionError):
+            FraudarDetector(engine="bogus")
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            LogWeightedDensity(),
+            AverageDegreeDensity(),
+            PriorWeightedDensity({0: 1.5, 7: 0.5}, {3: 2.0}),
+        ],
+        ids=["log-weighted", "average-degree", "prior-weighted"],
+    )
+    @pytest.mark.parametrize("engine", PeelEngine.ALL)
+    def test_matches_rebuild_per_block(self, unusual_weight_graph, engine, metric):
+        graph = unusual_weight_graph
+        result = FraudarDetector(n_blocks=12, metric=metric, engine=engine).detect(graph)
+        expected = _rebuild_per_block(graph, 12, metric)
+        assert len(result.blocks) == len(expected)
+        for block, (user_labels, merchant_labels, density, n_edges) in zip(
+            result.blocks, expected
+        ):
+            assert np.array_equal(block.user_labels, user_labels)
+            assert np.array_equal(block.merchant_labels, merchant_labels)
+            assert block.density == density  # bitwise, no tolerance
+            assert block.n_edges == n_edges
 
     def test_detects_planted_block_first(self, planted_graph):
         graph, injection = planted_graph

@@ -3,8 +3,9 @@
 The point fires per member inside the worker, right before the member is
 enrolled into the multi-member kernel call — so an injected failure takes
 down exactly that member, the retry machinery recovers it bitwise, and a
-worker *crash* during a batched round degrades batching for the remaining
-retries (the way shm failures degrade the shared segment).
+worker *crash* during a batched round moves the remaining retries to the
+``reference`` engine, which runs no native code (the way shm failures
+degrade the shared segment).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from repro.datasets import uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.faults import arm, disarm
-from repro.fdet import FdetConfig
+from repro.fdet import FdetConfig, PeelEngine
 from repro.fdet._native import native_available
 from repro.parallel import FaultTolerance
 from repro.sampling import RandomEdgeSampler
@@ -44,7 +45,6 @@ def _config(executor="serial", n_workers=None, **tolerance_kwargs):
         executor=executor,
         n_workers=n_workers,
         seed=3,
-        native_batch=True,
         tolerance=FaultTolerance(**tolerance_kwargs),
     )
 
@@ -69,10 +69,10 @@ class TestNativePeelFaults:
         assert result.retry_log[0]["kinds"]["2"] == "error"
         assert result.retry_log[1]["members"] == [2]
         assert result.retry_log[1]["failed"] == []
-        # an application-level error does not indict the kernel: the batch
-        # path stays enabled on the retry round
-        assert result.retry_log[0]["native_batch"] is True
-        assert result.retry_log[1]["native_batch"] is True
+        # an application-level error does not indict the kernel: the retry
+        # round stays on the fast engine
+        assert result.retry_log[0]["engine"] == PeelEngine.FAST
+        assert result.retry_log[1]["engine"] == PeelEngine.FAST
 
     def test_fault_isolates_one_member_not_the_batch(self, graph):
         """The other five members of the batched round still detect."""
@@ -81,17 +81,20 @@ class TestNativePeelFaults:
         assert [f.index for f in result.failed_members] == [3]
         assert result.n_samples == 5
 
-    def test_worker_crash_disables_batching_for_retries(self, graph):
+    def test_worker_crash_moves_retries_to_the_reference_engine(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
         arm("crash:point=native.peel,index=1")
         result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         # a dead worker during a batched round is treated as a possible
-        # kernel fault: retries degrade to the per-member path
-        assert result.retry_log[0]["native_batch"] is True
+        # kernel fault: retries run the engine with no native code
+        assert result.retry_log[0]["engine"] == PeelEngine.FAST
         assert "crash" in result.retry_log[0]["kinds"].values()
-        assert result.retry_log[-1]["native_batch"] is False
+        assert len(result.retry_log) > 1
+        assert all(
+            entry["engine"] == PeelEngine.REFERENCE for entry in result.retry_log[1:]
+        )
 
     def test_retry_log_is_deterministic_under_batch(self, graph):
         plan = "raise:point=native.peel,index=1;raise:point=native.peel,index=4"

@@ -1,13 +1,14 @@
-"""Batched native ensemble: bitwise parity with the per-member pipeline.
+"""Batched native FDET: bitwise parity with the reference engine.
 
 The batched backend (``repro.fdet.batched`` + ``repro_fdet_batch`` in the C
 kernel) replaces per-member ``materialize_plan`` + ``Fdet.detect`` with one
-multi-member kernel call, and the native vote merge replaces the Python
-label tally. Everything it produces must be **bitwise identical** to the
-reference pipeline — this suite pins that down across sampler families,
-window modes (append-only and rolling), batch sizes (1 / 4 / N, including
-degenerate empty members), execution backends (serial / thread / process ×
-shared-memory on / off) and both weight policies.
+multi-member kernel call, runs ``Fdet.detect`` itself on a whole graph, and
+the native vote merge replaces the Python label tally. Everything it
+produces must be **bitwise identical** to the ``reference`` engine — this
+suite pins that down across sampler families, window modes (append-only
+and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
+unusual weights, nodes with no edge, execution backends (serial / thread /
+process × shared-memory on / off) and both weight policies.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.fdet import (
     PriorWeightedDensity,
     WeightPolicy,
 )
-from repro.fdet import batched, peeling_fast
+from repro.fdet import batched, peeling
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph, WindowConfig
 from repro.sampling import (
@@ -96,12 +97,12 @@ def assert_tables_equal(a, b):
     assert dict(a.merchant_votes) == dict(b.merchant_votes)
 
 
-def fit_pair(graph, **overrides):
-    """(batched, per-member) fits of the same configuration."""
+def fit_pair(graph, fdet=None, **overrides):
+    """(fast, reference-engine) fits of the same configuration."""
     results = []
-    for native_batch in (True, False):
-        config = EnsemFDetConfig(seed=11, native_batch=native_batch, **overrides)
-        results.append(EnsemFDet(config).fit(graph))
+    for engine in (PeelEngine.FAST, PeelEngine.REFERENCE):
+        config = replace(fdet or FdetConfig(), engine=engine)
+        results.append(EnsemFDet(EnsemFDetConfig(seed=11, fdet=config, **overrides)).fit(graph))
     return results
 
 
@@ -176,11 +177,22 @@ class TestDetectManyDirect:
             b.density for b in expected.all_blocks
         ]
 
-    def test_force_python_hook_disables_batch(self, weighted_graph, monkeypatch):
-        monkeypatch.setattr(peeling_fast, "_force_python", True)
+    def test_no_kernel_runs_the_reference_engine(self, weighted_graph, monkeypatch):
+        """A host without a kernel: no batch, and ``fast`` runs ``reference``."""
+        fast, reference = fit_pair(weighted_graph, sampler=RandomEdgeSampler(0.3), n_samples=4)
+        expected = Fdet(FdetConfig(engine=PeelEngine.REFERENCE)).detect(weighted_graph)
+        monkeypatch.setattr(batched, "load_kernels", lambda: None)
+        monkeypatch.setattr(peeling, "load_kernels", lambda: None)
         assert batched.batch_kernels() is None
         plans = RandomEdgeSampler(0.3).plan_many(weighted_graph, 2, resolve_rng(1))
         assert batched.detect_many(weighted_graph, plans, FdetConfig()) is None
+        assert batched.detect_graph(weighted_graph, FdetConfig()) is None
+        got = Fdet(FdetConfig()).detect(weighted_graph)
+        TestUnusualWeights.assert_same_result(expected, got)
+        config = EnsemFDetConfig(seed=11, sampler=RandomEdgeSampler(0.3), n_samples=4)
+        fallback = EnsemFDet(config).fit(weighted_graph)
+        assert_tables_equal(fallback.vote_table, fast.vote_table)
+        assert_tables_equal(fallback.vote_table, reference.vote_table)
 
 
 def unusual_weights(kind, n_edges):
@@ -214,10 +226,10 @@ def unusual_weights(kind, n_edges):
 class TestUnusualWeights:
     """Zero, negative, subnormal, overflowing, infinite and NaN edge weights.
 
-    The kernel peels only the nodes that still have an alive edge when every
+    The kernel peels only the nodes that have an alive edge when every
     residual weight is positive and ``total / n`` is a positive normal
     double, and the full member node set otherwise. These graphs drive
-    both branches; outputs must still match the per-member path bit for
+    both branches; outputs must still match the reference engine bit for
     bit (densities compared so that NaN equals NaN).
     """
 
@@ -257,6 +269,31 @@ class TestUnusualWeights:
         for left, right in zip(batch.sample_detections, reference.sample_detections):
             self.assert_same_result(right.result, left.result)
 
+    @pytest.mark.parametrize("metric", [LogWeightedDensity(), AverageDegreeDensity()])
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_whole_graph_with_edgeless_nodes(self, kind, policy, metric):
+        """``Fdet.detect`` peels every node of the graph, edgeless ones too."""
+        base = chung_lu_bipartite(120, 50, 900, rng=2)
+        # five users and five merchants with no edge, spread over the id range
+        users = np.setdiff1d(np.arange(base.n_users + 5), [0, 30, 60, 90, 124])
+        merchants = np.setdiff1d(np.arange(base.n_merchants + 5), [0, 12, 24, 36, 54])
+        graph = BipartiteGraph(
+            base.n_users + 5,
+            base.n_merchants + 5,
+            users[base.edge_users],
+            merchants[base.edge_merchants],
+            unusual_weights(kind, base.n_edges),
+        )
+        assert (graph.user_degrees() == 0).sum() >= 5
+        assert (graph.merchant_degrees() == 0).sum() >= 5
+        config = FdetConfig(max_blocks=8, weight_policy=policy, metric=metric)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(graph)
+            got = Fdet(config).detect(graph)
+        assert got.all_blocks
+        self.assert_same_result(expected, got)
+
 
 class TestEligibilityGating:
     def test_config_gating(self):
@@ -275,18 +312,9 @@ class TestEligibilityGating:
         if node_plan.kind == "nodes":
             assert not batched.plan_eligible(node_plan)
 
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_BATCH", raising=False)
-        assert batched.resolve_native_batch(None) is True
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "0")
-        assert batched.resolve_native_batch(None) is False
-        assert batched.resolve_native_batch(True) is True  # explicit wins
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "1")
-        assert batched.resolve_native_batch(False) is False
-
 
 class TestSamplerFamilyParity:
-    """fit() with the batched backend vs the per-member path, per family."""
+    """fit() with the fast engine vs the reference engine, per family."""
 
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_fit_parity(self, weighted_graph, family):
@@ -345,32 +373,32 @@ class TestWindowedParity:
             else:
                 detector.update(users, merchants, timestamp=float(step + 1))
 
-    def _config(self, native_batch):
+    def _config(self, engine):
         return EnsemFDetConfig(
             sampler=StableEdgeSampler(0.3, stripe=64),
             n_samples=8,
-            fdet=FdetConfig(max_blocks=8),
+            fdet=FdetConfig(max_blocks=8, engine=engine),
             seed=23,
-            native_batch=native_batch,
         )
 
     def test_incremental_and_cold_window_parity(self):
         graph = uniform_bipartite(150, 70, 1400, rng=3)
         detectors = {}
-        for native_batch in (True, False):
+        for engine in PeelEngine.ALL:
             detector = IncrementalEnsemFDet(
-                self._config(native_batch), window=WindowConfig(max_batches=3)
+                self._config(engine), window=WindowConfig(max_batches=3)
             )
             detector.fit(graph, timestamp=0.0)
             self._stream(detector, graph)
-            detectors[native_batch] = detector
-        warm_batch, warm_reference = detectors[True], detectors[False]
+            detectors[engine] = detector
+        warm_batch = detectors[PeelEngine.FAST]
+        warm_reference = detectors[PeelEngine.REFERENCE]
         # the 3-batch window really expired edges — the liveness overlay is live
         assert warm_batch.window().watermark > warm_batch.window().n_live
         assert_tables_equal(warm_batch.vote_table, warm_reference.vote_table)
-        # cold window fits, both backends, against the warm reference
-        for native_batch in (True, False):
-            cold = EnsemFDet(self._config(native_batch)).fit_window(
+        # cold window fits, both engines, against the warm reference
+        for engine in PeelEngine.ALL:
+            cold = EnsemFDet(self._config(engine)).fit_window(
                 warm_batch.window(), track_members=True
             )
             assert_tables_equal(cold.vote_table, warm_reference.vote_table)
@@ -378,13 +406,15 @@ class TestWindowedParity:
     def test_append_only_window_parity(self):
         graph = uniform_bipartite(120, 60, 1000, rng=8)
         detectors = {}
-        for native_batch in (True, False):
-            detector = IncrementalEnsemFDet(self._config(native_batch))
+        for engine in PeelEngine.ALL:
+            detector = IncrementalEnsemFDet(self._config(engine))
             detector.fit(graph, timestamp=0.0)
             rng = np.random.default_rng(17)
             detector.update(rng.integers(0, 120, 30), rng.integers(0, 60, 30))
-            detectors[native_batch] = detector
-        assert_tables_equal(detectors[True].vote_table, detectors[False].vote_table)
+            detectors[engine] = detector
+        assert_tables_equal(
+            detectors[PeelEngine.FAST].vote_table, detectors[PeelEngine.REFERENCE].vote_table
+        )
 
 
 class TestBackendMatrix:
@@ -402,7 +432,10 @@ class TestBackendMatrix:
     def test_backend_parity(self, weighted_graph, executor, shared_memory):
         reference = EnsemFDet(
             EnsemFDetConfig(
-                sampler=RandomEdgeSampler(0.3), n_samples=6, seed=11, native_batch=False
+                sampler=RandomEdgeSampler(0.3),
+                n_samples=6,
+                seed=11,
+                fdet=FdetConfig(engine=PeelEngine.REFERENCE),
             )
         ).fit(weighted_graph)
         config = EnsemFDetConfig(
@@ -412,7 +445,6 @@ class TestBackendMatrix:
             executor=executor,
             n_workers=2,
             shared_memory=shared_memory,
-            native_batch=True,
         )
         result = EnsemFDet(config).fit(weighted_graph)
         assert_tables_equal(result.vote_table, reference.vote_table)
@@ -422,17 +454,15 @@ class TestBackendMatrix:
     def test_detect_on_plans_parity(self, plain_graph):
         config = FdetConfig(max_blocks=6)
         plans = RandomEdgeSampler(0.4).plan_many(plain_graph, 5, resolve_rng(2))
-        batch = detect_on_plans(plain_graph, plans, config, native_batch=True)
-        reference = detect_on_plans(plain_graph, plans, config, native_batch=False)
+        batch = detect_on_plans(plain_graph, plans, config)
+        reference = detect_on_plans(plain_graph, plans, config, engine=PeelEngine.REFERENCE)
         for left, right in zip(batch, reference):
             assert_same_detection(left, right)
 
 
 class TestNativeVoteMerge:
     def test_counters_match_python_tally(self, weighted_graph):
-        config = EnsemFDetConfig(
-            sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5, native_batch=True
-        )
+        config = EnsemFDetConfig(sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5)
         result = EnsemFDet(config).fit(weighted_graph)
         counters = batched.vote_counters(result.sample_detections, weighted_graph)
         assert counters is not None
@@ -455,9 +485,12 @@ class TestNativeVoteMerge:
         )
 
     @staticmethod
-    def _config(native_batch):
+    def _config(engine=PeelEngine.FAST):
         return EnsemFDetConfig(
-            sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5, native_batch=native_batch
+            sampler=RandomEdgeSampler(0.35),
+            n_samples=7,
+            seed=5,
+            fdet=FdetConfig(engine=engine),
         )
 
     def _fit_with_shared_label(self, graph, side, pick):
@@ -467,7 +500,7 @@ class TestNativeVoteMerge:
         ensemble did / did not vote for; relabelling leaves every member's
         detection unchanged, since peeling never reads labels.
         """
-        config = self._config(native_batch=True)
+        config = self._config()
         attr = f"detected_{side}_indices"
         first = EnsemFDet(config).fit(graph)
         n_nodes = graph.n_users if side == "user" else graph.n_merchants
@@ -516,12 +549,15 @@ class TestNativeVoteMerge:
         assert batched.vote_counters(result.sample_detections, graph) is None
         expected = self._label_tally(result.sample_detections)
         assert_tables_equal(result.vote_table, expected)
-        per_member = EnsemFDet(self._config(native_batch=False)).fit(graph)
-        assert_tables_equal(per_member.vote_table, expected)
+        reference = EnsemFDet(self._config(PeelEngine.REFERENCE)).fit(graph)
+        assert_tables_equal(reference.vote_table, expected)
 
     def test_refuses_detections_without_indices(self, weighted_graph):
         config = EnsemFDetConfig(
-            sampler=RandomEdgeSampler(0.35), n_samples=4, seed=5, native_batch=False
+            sampler=RandomEdgeSampler(0.35),
+            n_samples=4,
+            seed=5,
+            fdet=FdetConfig(engine=PeelEngine.REFERENCE),
         )
         result = EnsemFDet(config).fit(weighted_graph)
         assert batched.vote_counters(result.sample_detections, weighted_graph) is None

@@ -2,10 +2,10 @@
 
 Sweeps random Chung-Lu graphs, injected-block graphs, tie-heavy complete
 blocks, multigraphs, weighted graphs and prior-carrying peels, asserting
-the ``fast`` engine (native kernel *and* pure-Python fallback) returns
-masks, densities, ``n_removed`` and the full densities series identical to
-``engine="reference"`` — and that the incremental ``Fdet.detect`` matches
-the seed's rebuild-per-block formulation under both weight policies.
+the ``fast`` engine's native kernel returns masks, densities, ``n_removed``
+and the full densities series identical to ``engine="reference"`` — and
+that ``Fdet.detect`` matches the seed's rebuild-per-block formulation
+under both weight policies.
 """
 
 from __future__ import annotations
@@ -23,20 +23,15 @@ from repro.fdet import (
     WeightPolicy,
     greedy_peel,
 )
-from repro.fdet import peeling_fast
+from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph
 
 
-@pytest.fixture(params=["native", "python"])
-def fast_core(request, monkeypatch):
-    """Run each parity case against both fast cores."""
-    if request.param == "python":
-        monkeypatch.setattr(peeling_fast, "_force_python", True)
-    else:
-        from repro.fdet._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable (no C compiler)")
+@pytest.fixture(params=["native"])
+def fast_core(request):
+    """The fast engine's native kernel; skipped on hosts without one."""
+    if not native_available():
+        pytest.skip("native kernel unavailable (no C compiler)")
     return request.param
 
 
@@ -130,39 +125,6 @@ class TestPeelParity:
             BipartiteGraph.from_edges([(0, 0)]),
         ):
             assert_peel_parity(graph, np.ones(graph.n_edges, dtype=np.float64))
-
-
-class TestSubsetViews:
-    def test_all_alive_mask_returns_trusted_views_without_copying(self):
-        from repro.fdet import PeelContext
-
-        graph = chung_lu_bipartite(80, 30, 250, rng=1)
-        context = PeelContext(graph)
-        indptr, flat_other, flat_edge = context.subset(np.ones(graph.n_edges, dtype=bool))
-        # the context's own arrays come back — no gather, no copy
-        assert indptr is context.indptr
-        assert flat_other is context.flat_other
-        assert flat_edge is context.flat_edge
-
-    def test_masked_subset_still_copies_and_peels_identically(self, fast_core):
-        from repro.fdet import PeelContext, fast_peel
-
-        graph = chung_lu_bipartite(80, 30, 250, rng=1)
-        context = PeelContext(graph)
-        alive = np.ones(graph.n_edges, dtype=bool)
-        alive[::5] = False
-        indptr, flat_other, flat_edge = context.subset(alive)
-        assert indptr is not context.indptr
-        assert flat_other is not context.flat_other
-        # the masked peel matches peeling the compacted residual graph
-        residual = graph.remove_edges(np.nonzero(~alive)[0])
-        weights = LogWeightedDensity().edge_weights(residual)
-        priors = np.zeros(graph.n_users + graph.n_merchants)
-        masked = fast_peel(residual, weights, priors, context, alive)
-        fresh = fast_peel(residual, weights, priors)
-        assert np.array_equal(masked.user_mask, fresh.user_mask)
-        assert np.array_equal(masked.merchant_mask, fresh.merchant_mask)
-        assert masked.density == fresh.density
 
 
 def _seed_detect(graph, config):

@@ -71,7 +71,6 @@ class TestBuildCache:
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert _native.load_kernels() is None
-        assert _native.load_peel_kernel() is None
         assert not _native.native_available()
 
     @needs_compiler
