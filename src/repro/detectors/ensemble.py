@@ -21,6 +21,7 @@ from ..ensemble import (
     IncrementalEnsemFDet,
     VoteTable,
 )
+from ..ensemble.voting import vote_scores
 from ..errors import DetectionError
 from ..fdet import FdetConfig
 from ..graph import BipartiteGraph, WindowConfig
@@ -43,27 +44,6 @@ def _ranked_by_votes(table: VoteTable) -> np.ndarray:
     """Voted user labels from most to least voted (ties broken by label)."""
     ordered = sorted(table.user_votes.items(), key=lambda item: (-item[1], item[0]))
     return np.array([label for label, _ in ordered], dtype=np.int64)
-
-
-def _vote_scores(labels: np.ndarray, votes) -> np.ndarray:
-    """Per-local-index vote counts (0 for never-voted nodes).
-
-    Vectorised via a sorted-key lookup — the voted set is usually much
-    smaller than the node set, and a Python loop over every label would
-    dominate small fits.
-    """
-    scores = np.zeros(labels.size, dtype=np.float64)
-    if not votes:
-        return scores
-    keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
-    values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    positions = np.searchsorted(keys, labels)
-    positions = np.clip(positions, 0, keys.size - 1)
-    hits = keys[positions] == labels
-    scores[hits] = values[positions[hits]]
-    return scores
 
 
 def _threshold_sweep(
@@ -120,9 +100,9 @@ def detection_from_votes(
     return Detection(
         spec=spec,
         user_labels=graph.user_labels,
-        user_scores=_vote_scores(graph.user_labels, table.user_votes),
+        user_scores=vote_scores(graph.user_labels, table.user_votes),
         merchant_labels=graph.merchant_labels,
-        merchant_scores=_vote_scores(graph.merchant_labels, table.merchant_votes),
+        merchant_scores=vote_scores(graph.merchant_labels, table.merchant_votes),
         operating_points=points,
         ranked_users=_ranked_by_votes(table),
         seconds=seconds,

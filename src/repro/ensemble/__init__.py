@@ -18,7 +18,7 @@ from .runner import (
     detect_on_samples,
     run_members,
 )
-from .sharding import ShardPlan, merge_shard_votes, plan_shards, run_sharded
+from .sharding import ShardPlan, plan_shards, run_sharded
 from .soft_voting import SoftVoteTable, soft_threshold_sweep, soft_votes_from_detections
 from .voting import VoteTable, majority_vote, normalized_majority_vote
 
@@ -43,7 +43,6 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "run_sharded",
-    "merge_shard_votes",
     "VoteTable",
     "majority_vote",
     "normalized_majority_vote",

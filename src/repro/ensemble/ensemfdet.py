@@ -27,14 +27,13 @@ import numpy as np
 
 from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, FdetResult
-from ..fdet import batched as _batched
 from ..graph import BipartiteGraph, GraphStore, LiveWindow
 from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
 from ..sampling import RandomEdgeSampler, Sampler, StableEdgeSampler, resolve_rng
 from .results import DetectionResult
 from .runner import MemberFailure, MemberRun, SampleDetection, _raise_first_failure, run_members
-from .sharding import ShardPlan, merge_shard_votes, plan_shards, run_sharded
-from .voting import VoteTable, majority_vote
+from .sharding import plan_shards, run_sharded
+from .voting import VoteTable, majority_vote, tally_votes
 
 __all__ = ["EnsemFDetConfig", "EnsemFDetResult", "EnsemFDet"]
 
@@ -77,7 +76,7 @@ class EnsemFDetConfig:
     shards:
         Stripe-shard the fit: members are split into this many contiguous
         groups, each run against a shard store holding only the edges its
-        members sample, and the per-shard vote tables are merged — bitwise
+        members sample, and the survivors are tallied together — bitwise
         identical to the unsharded fit (see
         :mod:`repro.ensemble.sharding`). ``1`` (the default) disables
         sharding. Requires edge-list-reducible plans ("edges"/"stripes").
@@ -299,11 +298,9 @@ class EnsemFDet:
                 plans = config.sampler.plan_many(vote_graph, config.n_samples, rng)
 
         with Timer() as detection_timer:
-            run, shard_plan = self._run(source, plans, track_members, window=None)
+            run = self._run(source, plans, track_members, window=None)
 
-        return self._assemble(
-            run, sampling_timer.elapsed, detection_timer.elapsed, vote_graph, shard_plan
-        )
+        return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, vote_graph)
 
     def fit_window(
         self, window: LiveWindow, track_members: bool | None = None
@@ -333,13 +330,9 @@ class EnsemFDet:
             plans = [sampler.stripe_plan(inclusion[i]) for i in range(config.n_samples)]
 
         with Timer() as detection_timer:
-            run, shard_plan = self._run(
-                window.graph, plans, track_members, window=window.edge_window()
-            )
+            run = self._run(window.graph, plans, track_members, window=window.edge_window())
 
-        return self._assemble(
-            run, sampling_timer.elapsed, detection_timer.elapsed, window.graph, shard_plan
-        )
+        return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, window.graph)
 
     def _run(
         self,
@@ -347,16 +340,15 @@ class EnsemFDet:
         plans: list,
         track_members: bool,
         window,
-    ) -> tuple[MemberRun, ShardPlan | None]:
+    ) -> MemberRun:
         """The detection stage: sharded when ``config.shards > 1``."""
         config = self.config
         if config.shards > 1:
-            shard_plan = plan_shards(config.n_samples, config.shards)
-            run = run_sharded(
+            return run_sharded(
                 source,
                 plans,
                 config.fdet,
-                shard_plan,
+                plan_shards(config.n_samples, config.shards),
                 mode=config.executor,
                 n_workers=config.n_workers,
                 pool=self.pool,
@@ -366,8 +358,7 @@ class EnsemFDet:
                 window=window,
                 mmap=config.mmap,
             )
-            return run, shard_plan
-        run = run_members(
+        return run_members(
             source,
             plans,
             config.fdet,
@@ -380,7 +371,6 @@ class EnsemFDet:
             window=window,
             mmap=config.mmap,
         )
-        return run, None
 
     def _resolve_track_members(self, track_members: bool | None) -> bool:
         if track_members is None:
@@ -397,43 +387,15 @@ class EnsemFDet:
         run: MemberRun,
         sampling_seconds: float,
         detection_seconds: float,
-        graph: BipartiteGraph | None = None,
-        shard_plan: ShardPlan | None = None,
+        graph: BipartiteGraph,
     ) -> EnsemFDetResult:
         config = self.config
         detections = _enforce_quorum(run, config)
-        table = None
-        if graph is not None:
-            counters = None
-            if shard_plan is not None:
-                # shard-wise tallies summed — exactly the global tally
-                # (integer votes); None falls through to the global paths
-                grouped = [
-                    [d for i in members if (d := run.detections[i]) is not None]
-                    for members in shard_plan.members
-                ]
-                counters = merge_shard_votes(grouped, graph)
-            if counters is None:
-                counters = _batched.vote_counters(detections, graph)
-            if counters is not None:
-                table = VoteTable(
-                    n_samples=len(detections),
-                    user_votes=counters[0],
-                    merchant_votes=counters[1],
-                )
-        if table is None:
-            table = VoteTable.from_detections(
-                [d.result.detected_users().tolist() for d in detections],
-                [d.result.detected_merchants().tolist() for d in detections],
-            )
-        if config.track_appearances:
-            table.attach_appearances(
-                [d.sample_users for d in detections],
-                [d.sample_merchants for d in detections],
-            )
+        # shard stores keep the parent's node space, so one tally over every
+        # survivor covers sharded fits too
         return EnsemFDetResult(
             config=config,
-            vote_table=table,
+            vote_table=tally_votes(detections, graph, config.track_appearances),
             sample_detections=tuple(detections),
             sampling_seconds=sampling_seconds,
             detection_seconds=detection_seconds,

@@ -7,13 +7,16 @@ scenario — transactions keep arriving, verdicts must stay fresh —
 :class:`repro.sampling.StableEdgeSampler`: appending a batch of edges
 changes only the ensemble members whose stripe set intersects the delta, so
 only those members' FDET runs (``≈ S·N`` of ``N`` for a stripe-local
-delta) are recomputed and their votes merged back into the stored table.
+delta) are recomputed. The detector keeps every member's detected parent
+node indices and re-tallies all ``N`` members after each update.
 
 The refreshed state is **bit-identical** to a cold re-fit on the grown
 graph with the same seed: untouched members' sampled subgraphs are
 unchanged by construction, refreshed members re-run the same deterministic
-FDET the cold fit would, and vote subtraction/addition reproduces the
-fresh tally exactly.
+FDET the cold fit would, and the re-tally is the cold fit's own
+:func:`~repro.ensemble.voting.tally_votes`. Stored node indices stay valid
+across updates because :class:`~repro.graph.GraphAccumulator` never
+renumbers or drops a node.
 
 State survives restarts through :func:`repro.ensemble.results.save_detection_state`
 (see :meth:`IncrementalEnsemFDet.save` / :meth:`IncrementalEnsemFDet.load`)
@@ -23,7 +26,6 @@ whole loop from edge-list files.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ from .results import (
     save_detection_state,
 )
 from .runner import MemberFailure, SampleDetection, _raise_first_failure, run_members
-from .voting import VoteTable, majority_vote
+from .voting import VoteTable, majority_vote, tally_votes
 
 __all__ = ["IncrementalEnsemFDet", "UpdateReport"]
 
@@ -100,36 +102,55 @@ class UpdateReport:
         return self.sampling_seconds + self.detection_seconds
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SampleState:
-    """One ensemble member's last detection and sample contents (labels)."""
+    """One member's last detection (parent node indices) and sample labels."""
 
-    detected_users: np.ndarray
-    detected_merchants: np.ndarray
+    detected_user_indices: np.ndarray
+    detected_merchant_indices: np.ndarray
     sample_users: np.ndarray
     sample_merchants: np.ndarray
 
-    @classmethod
-    def from_detection(cls, detection: SampleDetection) -> "_SampleState":
-        return cls(
-            detected_users=detection.result.detected_users(),
-            detected_merchants=detection.result.detected_merchants(),
-            sample_users=np.array(detection.sample_users, dtype=np.int64),
-            sample_merchants=np.array(detection.sample_merchants, dtype=np.int64),
+
+_EMPTY = np.empty(0, dtype=np.int64)
+#: a member that has never produced a detection: no votes, no appearances
+_LOST = _SampleState(_EMPTY, _EMPTY, _EMPTY, _EMPTY)
+
+
+def _node_indices(node_labels: np.ndarray, label_sets: list[np.ndarray]) -> list[np.ndarray]:
+    """The node index of every label in each of ``label_sets``; one sort serves all.
+
+    A label shared by several nodes maps to one of them, which the
+    label-keyed vote table cannot tell apart.
+    """
+    labels = np.concatenate([_EMPTY, *label_sets])
+    order = np.argsort(node_labels, kind="stable")
+    positions = np.searchsorted(node_labels, labels, sorter=order)
+    indices = order[np.minimum(positions, order.size - 1)]
+    if not np.array_equal(node_labels[indices], labels):
+        raise DetectionError("a member detection names a node the graph does not have")
+    return np.split(indices, np.cumsum([s.size for s in label_sets])[:-1])
+
+
+def _sample_state(detection: SampleDetection, graph: BipartiteGraph) -> _SampleState:
+    """What the detector stores of one detection.
+
+    A kernel detection carries its node indices; the labels of a
+    reference-engine detection are looked up on ``graph``.
+    """
+    users = detection.detected_user_indices
+    merchants = detection.detected_merchant_indices
+    if users is None or merchants is None:
+        (users,) = _node_indices(graph.user_labels, [detection.result.detected_users()])
+        (merchants,) = _node_indices(
+            graph.merchant_labels, [detection.result.detected_merchants()]
         )
-
-
-def _add_votes(counter: Counter[int], labels: np.ndarray) -> None:
-    counter.update(labels.tolist())
-
-
-def _subtract_votes(counter: Counter[int], labels: np.ndarray) -> None:
-    for label in labels.tolist():
-        remaining = counter[label] - 1
-        if remaining > 0:
-            counter[label] = remaining
-        else:
-            del counter[label]
+    return _SampleState(
+        detected_user_indices=users,
+        detected_merchant_indices=merchants,
+        sample_users=np.array(detection.sample_users, dtype=np.int64),
+        sample_merchants=np.array(detection.sample_merchants, dtype=np.int64),
+    )
 
 
 class IncrementalEnsemFDet:
@@ -195,10 +216,12 @@ class IncrementalEnsemFDet:
         self.meta: dict = {}
         self._graph: BipartiteGraph | None = None
         self._acc: GraphAccumulator | None = None
+        #: one entry per member index ``0..N-1``
         self._samples: list[_SampleState] = []
         self._table: VoteTable | None = None
-        #: members whose last refresh failed permanently — their votes are
-        #: stale until a later update refreshes them successfully
+        #: members whose last detection failed permanently — their votes
+        #: (none, for a member lost in the fit) are stale until a later
+        #: update refreshes them successfully
         self._degraded: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -218,7 +241,7 @@ class IncrementalEnsemFDet:
 
     @property
     def vote_table(self) -> VoteTable:
-        """The live vote table (mutated in place by :meth:`update`)."""
+        """The current vote table; every :meth:`update` replaces it with a new one."""
         self._require_fitted()
         return self._table
 
@@ -246,7 +269,8 @@ class IncrementalEnsemFDet:
         Member tracking is forced on: the persisted state records each
         sample's node labels so appearance counts can be refreshed after
         a restart. A windowed detector records ``graph`` as batch 0 of
-        the rolling window, at ``timestamp``.
+        the rolling window, at ``timestamp``. A member lost in the fit is
+        stale, with no votes, until an update refreshes it.
         """
         if self.window_config is not None:
             self._acc = GraphAccumulator.from_graph(
@@ -262,18 +286,14 @@ class IncrementalEnsemFDet:
                 raise DetectionError("fit timestamps require a windowed detector")
             result = EnsemFDet(self.config, pool=self.pool).fit(graph, track_members=True)
         self._graph = graph
+        lost = {failure.index for failure in result.failed_members}
+        survivors = iter(result.sample_detections)
         self._samples = [
-            _SampleState.from_detection(detection) for detection in result.sample_detections
+            _LOST if index in lost else _sample_state(next(survivors), graph)
+            for index in range(self.config.n_samples)
         ]
-        table = VoteTable(
-            n_samples=result.vote_table.n_samples,
-            user_votes=Counter(result.vote_table.user_votes),
-            merchant_votes=Counter(result.vote_table.merchant_votes),
-        )
-        if result.vote_table.user_appearances is not None:
-            table.user_appearances = Counter(result.vote_table.user_appearances)
-            table.merchant_appearances = Counter(result.vote_table.merchant_appearances)
-        self._table = table
+        self._degraded = lost
+        self._table = self._tally()
         return result
 
     def update(
@@ -308,6 +328,11 @@ class IncrementalEnsemFDet:
         grown edge count — no subgraph is materialized parent-side. All
         refreshed members share one columnar store of the grown graph
         (one shared-memory export per update on the process backend).
+
+        A refresh that fails for good leaves that member stale. If too few
+        members then hold fresh state, the delta and the fresh refreshes
+        are kept all the same, and :class:`~repro.errors.QuorumError` is
+        raised.
         """
         self._require_fitted()
         if users is None:
@@ -361,8 +386,7 @@ class IncrementalEnsemFDet:
             )
 
         stale_indices = stale.tolist()
-        failures = self._merge_refreshed(run, stale_indices)
-        self._graph = new_graph
+        failures = self._store_refreshed(run, stale_indices, new_graph)
         return UpdateReport(
             n_new_edges=stop - start,
             refreshed_samples=tuple(int(i) for i in stale_indices),
@@ -422,8 +446,7 @@ class IncrementalEnsemFDet:
             )
 
         stale_indices = stale.tolist()
-        failures = self._merge_refreshed(run, stale_indices)
-        self._graph = live.graph
+        failures = self._store_refreshed(run, stale_indices, live.graph)
         return UpdateReport(
             n_new_edges=stop - start,
             refreshed_samples=tuple(int(i) for i in stale_indices),
@@ -447,10 +470,10 @@ class IncrementalEnsemFDet:
         delta_stripes = np.unique(changed_ids // stripe)
         return np.nonzero(inclusion[:, delta_stripes].any(axis=1))[0]
 
-    def _merge_refreshed(
-        self, run, stale_indices: list[int]
+    def _store_refreshed(
+        self, run, stale_indices: list[int], graph: BipartiteGraph
     ) -> tuple[MemberFailure, ...]:
-        """Swap refreshed members' votes into the table; enforce the quorum."""
+        """Store the refreshed detections, re-tally every member, enforce the quorum."""
         config = self.config
         if run.failures and config.tolerance.min_quorum >= 1.0:
             _raise_first_failure(run)
@@ -466,27 +489,16 @@ class IncrementalEnsemFDet:
             for failure in run.failures
         )
 
-        table = self._table
-        for position, index in enumerate(stale_indices):
-            detection = run.detections[position]
+        for index, detection in zip(stale_indices, run.detections):
             if detection is None:
                 # refresh failed permanently: keep the member's previous
                 # (now stale) votes rather than silently dropping them
                 self._degraded.add(index)
                 continue
-            old = self._samples[index]
-            fresh = _SampleState.from_detection(detection)
-            _subtract_votes(table.user_votes, old.detected_users)
-            _subtract_votes(table.merchant_votes, old.detected_merchants)
-            _add_votes(table.user_votes, fresh.detected_users)
-            _add_votes(table.merchant_votes, fresh.detected_merchants)
-            if table.user_appearances is not None:
-                _subtract_votes(table.user_appearances, old.sample_users)
-                _subtract_votes(table.merchant_appearances, old.sample_merchants)
-                _add_votes(table.user_appearances, fresh.sample_users)
-                _add_votes(table.merchant_appearances, fresh.sample_merchants)
-            self._samples[index] = fresh
+            self._samples[index] = _sample_state(detection, graph)
             self._degraded.discard(index)
+        self._graph = graph
+        self._table = self._tally()
 
         fresh_members = config.n_samples - len(self._degraded)
         required = config.tolerance.required_survivors(config.n_samples)
@@ -501,6 +513,9 @@ class IncrementalEnsemFDet:
                 f"(min_quorum={config.tolerance.min_quorum:g})"
             )
         return failures
+
+    def _tally(self) -> VoteTable:
+        return tally_votes(self._samples, self._graph, self.config.track_appearances)
 
     def update_edges(self, edges, weights=None) -> UpdateReport:
         """Convenience: :meth:`update` from ``(user, merchant)`` pairs."""
@@ -611,11 +626,15 @@ class IncrementalEnsemFDet:
                 "watermark": ws["watermark"],
                 "batches": ws["batches"],
             }
+        # labels, not node indices, go to disk: from_state maps them back
+        user_labels, merchant_labels = graph.user_labels, graph.merchant_labels
         return DetectionState(
             config=self._config_dict(),
             graph=graph,
-            detected_users=[s.detected_users for s in self._samples],
-            detected_merchants=[s.detected_merchants for s in self._samples],
+            detected_users=[np.unique(user_labels[s.detected_user_indices]) for s in self._samples],
+            detected_merchants=[
+                np.unique(merchant_labels[s.detected_merchant_indices]) for s in self._samples
+            ],
             sample_users=[s.sample_users for s in self._samples],
             sample_merchants=[s.sample_merchants for s in self._samples],
             meta=meta,
@@ -654,31 +673,17 @@ class IncrementalEnsemFDet:
         detector._degraded = set(
             int(i) for i in detector.meta.pop("degraded_members", [])
         )
-        detector._graph = state.graph
+        graph = detector._graph = state.graph
         detector._samples = [
-            _SampleState(
-                detected_users=du,
-                detected_merchants=dm,
-                sample_users=su,
-                sample_merchants=sm,
-            )
-            for du, dm, su, sm in zip(
-                state.detected_users,
-                state.detected_merchants,
+            _SampleState(*member)
+            for member in zip(
+                _node_indices(graph.user_labels, state.detected_users),
+                _node_indices(graph.merchant_labels, state.detected_merchants),
                 state.sample_users,
                 state.sample_merchants,
             )
         ]
-        table = VoteTable.from_detections(
-            [du.tolist() for du in state.detected_users],
-            [dm.tolist() for dm in state.detected_merchants],
-        )
-        if config.track_appearances:
-            table.attach_appearances(
-                [su.tolist() for su in state.sample_users],
-                [sm.tolist() for sm in state.sample_merchants],
-            )
-        detector._table = table
+        detector._table = detector._tally()
         return detector
 
     @classmethod

@@ -1,9 +1,9 @@
-"""Stripe-sharded ensemble execution: K shard stores, one merged vote table.
+"""Stripe-sharded ensemble execution: K shard stores, one vote table.
 
 A fit at ``N`` samples touches the full parent edge set ``N·S`` times; for
 10M+-edge graphs that working set dwarfs RAM even with the mmap transport.
 Sharding exploits the ensemble's own structure: members are independent
-until the vote merge, so they can be partitioned into ``K`` contiguous
+until the vote tally, so they can be partitioned into ``K`` contiguous
 groups and each group run against a **shard store** that contains only the
 edges its members actually sample — the union of their per-member edge
 sets, typically ``(1 - (1-S)^{N/K})·|E|`` rows instead of ``|E|``.
@@ -19,9 +19,9 @@ Bitwise parity is the contract, achieved by construction:
   so adjacency construction and peel tie-breaking are identical;
 * liveness overlays are folded into the shard rows at partition time, so
   windowed fits shard exactly like frozen ones;
-* votes are integer counts: per-shard tallies summed shard by shard
-  (:func:`merge_shard_votes`, reusing the native ``repro_accumulate_votes``
-  path) equal the global tally exactly.
+* the surviving members of all shards are tallied together, over parent
+  node indices, by the :func:`~repro.ensemble.voting.tally_votes` an
+  unsharded fit uses — there is no per-shard tally to merge.
 
 Works for any sampler whose plans reduce to parent edge-id lists ("edges"
 and "stripes" kinds — RES and the stable sampler); node-kind plans depend
@@ -38,14 +38,12 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import DetectionError, InjectedFault
-from ..faults import fault_point
+from ..errors import DetectionError
 from ..fdet import FdetConfig
 from ..fdet import batched as _batched
 from ..graph import BipartiteGraph, GraphStore
@@ -54,7 +52,7 @@ from ..parallel import ExecutorMode, FaultTolerance, ReusablePool
 from ..sampling import SamplePlan, compact_indices
 from .runner import MemberRun, SampleDetection, run_members
 
-__all__ = ["ShardPlan", "merge_shard_votes", "plan_shards", "run_sharded"]
+__all__ = ["ShardPlan", "plan_shards", "run_sharded"]
 
 
 @dataclass(frozen=True)
@@ -251,35 +249,3 @@ def run_sharded(
         retry_log=tuple(retry_log),
         errors=errors or None,
     )
-
-
-def merge_shard_votes(
-    shard_detections: Sequence[Sequence[object]], graph: BipartiteGraph
-) -> tuple[Counter, Counter] | None:
-    """Combine per-shard vote tallies into the global vote counters.
-
-    Each shard's surviving detections are tallied through the native
-    accumulator (:func:`repro.fdet.batched.vote_counters` — parent-index
-    votes, labels applied once) and the per-shard counters are summed.
-    Votes are integers, so the sum is *exactly* the single global tally an
-    unsharded fit computes. Returns ``None`` when any shard cannot take
-    the native path (missing index arrays, voted nodes sharing a label, no
-    kernel) or when the ``shard.merge`` fault point fires — the caller then
-    falls back to the label-based Python merge, which produces the same
-    table.
-    """
-    user_votes: Counter = Counter()
-    merchant_votes: Counter = Counter()
-    for shard_index, detections in enumerate(shard_detections):
-        if not detections:
-            continue
-        try:
-            fault_point("shard.merge", shard=shard_index)
-        except InjectedFault:
-            return None
-        counters = _batched.vote_counters(list(detections), graph)
-        if counters is None:
-            return None
-        user_votes.update(counters[0])
-        merchant_votes.update(counters[1])
-    return user_votes, merchant_votes

@@ -1,8 +1,10 @@
 """Vote aggregation (paper Definition 4: Majority Voting Aggregation).
 
 Each of the ``N`` per-sample FDET runs nominates suspicious user/merchant
-labels; :class:`VoteTable` tallies how often each label was nominated, and
-the aggregators turn tallies into final detections:
+labels; :class:`VoteTable` tallies how often each label was nominated
+(:func:`tally_votes` builds it from member detections for every fit,
+sharded fit and incremental update), and the aggregators turn tallies into
+final detections:
 
 * :func:`majority_vote` — the paper's MVA: accept when votes ≥ ``T``.
 * :func:`normalized_majority_vote` — ablation variant that divides a node's
@@ -21,9 +23,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import AggregationError
+from ..fdet import batched as _batched
+from ..graph import BipartiteGraph
 from .results import DetectionResult
 
-__all__ = ["VoteTable", "majority_vote", "normalized_majority_vote"]
+__all__ = [
+    "VoteTable",
+    "majority_vote",
+    "normalized_majority_vote",
+    "tally_votes",
+    "vote_scores",
+]
 
 
 def _tally(label_sets: Sequence[Iterable[int]]) -> Counter[int]:
@@ -91,6 +101,70 @@ class VoteTable:
         """``votes -> number of users with that many votes`` (diagnostics)."""
         histogram: Counter[int] = Counter(self.user_votes.values())
         return dict(sorted(histogram.items()))
+
+
+def _detected_labels(detection, graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """One member's detected ``(user, merchant)`` labels, for the label tally."""
+    users = detection.detected_user_indices
+    merchants = detection.detected_merchant_indices
+    if users is None or merchants is None:
+        return detection.result.detected_users(), detection.result.detected_merchants()
+    return np.unique(graph.user_labels[users]), np.unique(graph.merchant_labels[merchants])
+
+
+def tally_votes(
+    detections: Sequence, graph: BipartiteGraph, track_appearances: bool = False
+) -> VoteTable:
+    """The vote table of ``detections``, one per ensemble member.
+
+    Each detection carries parent node-index arrays
+    (``detected_user_indices`` / ``detected_merchant_indices``) or, when
+    those are ``None``, an FDET ``result`` naming its detected labels; with
+    ``track_appearances`` it also carries ``sample_users`` /
+    ``sample_merchants``. The native accumulator
+    (:func:`repro.fdet.batched.vote_counters`) tallies the node indices;
+    without the kernel, when a detection has no index arrays, or when two
+    voted nodes share a label, :meth:`VoteTable.from_detections` tallies
+    the labels instead. Both give the same table.
+    """
+    counters = _batched.vote_counters(detections, graph)
+    if counters is not None:
+        table = VoteTable(
+            n_samples=len(detections), user_votes=counters[0], merchant_votes=counters[1]
+        )
+    else:
+        labels = [_detected_labels(d, graph) for d in detections]
+        table = VoteTable.from_detections(
+            [users.tolist() for users, _ in labels],
+            [merchants.tolist() for _, merchants in labels],
+        )
+    if track_appearances:
+        table.attach_appearances(
+            [d.sample_users for d in detections],
+            [d.sample_merchants for d in detections],
+        )
+    return table
+
+
+def vote_scores(labels: np.ndarray, votes) -> np.ndarray:
+    """Per-node vote counts in node-index order (0 for never-voted nodes).
+
+    Vectorised via a sorted-key lookup — the voted set is usually much
+    smaller than the node set, and a Python loop over every label would
+    dominate small fits.
+    """
+    scores = np.zeros(labels.size, dtype=np.float64)
+    if not votes:
+        return scores
+    keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
+    values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    positions = np.searchsorted(keys, labels)
+    positions = np.clip(positions, 0, keys.size - 1)
+    hits = keys[positions] == labels
+    scores[hits] = values[positions[hits]]
+    return scores
 
 
 def _accepted(votes: Counter[int], threshold: int) -> np.ndarray:

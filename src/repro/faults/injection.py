@@ -28,11 +28,6 @@ Registered injection points
     Worker-side open of an mmap-backed graph store file (the out-of-core
     sibling of ``shm.attach``; a fired fault degrades that retry round to
     the pickled transport). Context: ``path``.
-``shard.merge``
-    One shard's vote-tally accumulation during a sharded fit's merge. A
-    fired fault abandons the native shard-wise merge and falls back to the
-    label-based Python merge, which produces the same table. Context:
-    ``shard`` (shard index).
 ``state.write``
     Snapshot persistence, at stages ``tmp_written`` (payload durable in
     the temp file), ``backup_done`` (previous snapshot rotated to

@@ -399,7 +399,8 @@ def vote_counters(
     detecting both counts that label once). Duplicate labels among nodes
     nobody voted for are harmless, so the check runs on the voted indices
     only, after the tally. Returns ``None`` whenever those preconditions —
-    or the kernel itself — are unavailable.
+    or the kernel itself — are unavailable, and raises :class:`ValueError`
+    for an index outside ``graph``.
     """
     kernels = batch_kernels()
     if kernels is None or not detections:
@@ -415,6 +416,9 @@ def vote_counters(
         votes = np.zeros(max(1, labels.size), dtype=np.int64)
         indices = np.ascontiguousarray(np.concatenate(list(index_arrays)), dtype=np.int64)
         if indices.size:
+            # the kernel writes votes[index] unchecked
+            if indices.min() < 0 or indices.max() >= labels.size:
+                raise ValueError("a detected node index lies outside the graph")
             kernels.accumulate_votes(indices, indices.size, votes)
         hit = np.nonzero(votes[: labels.size])[0]
         counter = Counter(dict(zip(labels[hit].tolist(), votes[hit].tolist())))

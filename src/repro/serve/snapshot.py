@@ -1,12 +1,12 @@
 """Immutable score snapshots — the unit of reader/writer isolation.
 
 A :class:`ScoreSnapshot` is captured from a fitted
-:class:`~repro.ensemble.IncrementalEnsemFDet` *after* an update has fully
-merged, and is never mutated afterwards: the vote maps are private copies
+:class:`~repro.ensemble.IncrementalEnsemFDet` *after* an update has
+finished, and is never mutated afterwards: the vote maps are private copies
 and the ranking is precomputed. The service swaps the current snapshot
 reference atomically (a single attribute store), so a reader either sees
 the complete pre-update table or the complete post-update one — never a
-table with some members' votes subtracted but not yet re-added.
+mix of the two.
 
 Scores are the raw MVA vote counts (``0`` for never-voted users), i.e.
 exactly ``Detection.user_scores`` of the registry's ensemble adapters, so
@@ -17,11 +17,11 @@ a snapshot is bit-comparable against a cold
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ensemble.voting import vote_scores
 from ..errors import DetectionError
 
 __all__ = ["ScoreSnapshot"]
@@ -39,7 +39,7 @@ def _ranked(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreSnapshot:
-    """One immutable, fully-merged view of the live vote table.
+    """One immutable, complete view of the detector's vote table.
 
     Attributes
     ----------
@@ -91,28 +91,16 @@ class ScoreSnapshot:
         """Snapshot a fitted :class:`~repro.ensemble.IncrementalEnsemFDet`.
 
         Must be called from the service's single writer thread (or any
-        context where no update is concurrently merging): it reads the
-        live, mutable vote table. Everything it keeps is copied.
+        context where no update is running): it reads the detector's
+        current vote table and graph, which an update replaces. Everything
+        it keeps is copied.
         """
         table = detector.vote_table
         graph = detector.graph
         if default_threshold is None:
             default_threshold = max(1, detector.config.n_samples // 4)
         labels = graph.user_labels.copy()
-        scores = np.zeros(labels.size, dtype=np.float64)
-        if table.user_votes:
-            votes = Counter(table.user_votes)
-            # vectorised sorted-key lookup, same shape as the detector
-            # adapters' _vote_scores (the voted set is usually small)
-            keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
-            values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
-            order = np.argsort(keys)
-            keys, values = keys[order], values[order]
-            positions = np.clip(np.searchsorted(keys, labels), 0, keys.size - 1)
-            hits = keys[positions] == labels
-            scores[hits] = values[positions[hits]]
-        else:
-            votes = Counter()
+        scores = vote_scores(labels, table.user_votes)
         order = _ranked(labels, scores)
         watermark = None
         if detector.window_config is not None:
@@ -121,7 +109,7 @@ class ScoreSnapshot:
             version=version,
             n_samples=detector.config.n_samples,
             default_threshold=int(default_threshold),
-            user_votes={int(k): int(v) for k, v in votes.items()},
+            user_votes={int(k): int(v) for k, v in table.user_votes.items()},
             merchant_votes={int(k): int(v) for k, v in table.merchant_votes.items()},
             user_labels=labels,
             user_scores=scores,

@@ -1,6 +1,8 @@
-"""IncrementalEnsemFDet: update-equals-cold-refit, vote merging, persistence."""
+"""IncrementalEnsemFDet: update-equals-cold-refit, stale members, persistence."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from repro.ensemble import (
     load_detection_state,
     normalized_majority_vote,
 )
-from repro.errors import DetectionError
+from repro.errors import DetectionError, QuorumError
+from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
+from repro.parallel import FaultTolerance
 from repro.sampling import RandomEdgeSampler, StableEdgeSampler
 
 
@@ -112,6 +116,106 @@ class TestUpdateIdentity:
         assert np.array_equal(warm.merchant_labels, fresh.merchant_labels)
 
 
+def label_votes(detections):
+    """Label-keyed vote counters of ``detections``, tallied member by member."""
+    users, merchants = Counter(), Counter()
+    for detection in detections:
+        users.update(detection.result.detected_users().tolist())
+        merchants.update(detection.result.detected_merchants().tolist())
+    return users, merchants
+
+
+def votes_of(detector):
+    return detector.vote_table.user_votes, detector.vote_table.merchant_votes
+
+
+class TestStaleMembers:
+    """A member whose detection failed for good serves stale votes until an
+    update refreshes it; its stale state survives save/load."""
+
+    def wide_delta(self, seed):
+        # 400 edges over 25 stripes of 16: every member's refresh is due
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 250, 400), rng.integers(0, 120, 400)
+
+    def config(self, **overrides):
+        return make_config(sampler=StableEdgeSampler(0.2, stripe=16), n_samples=6, **overrides)
+
+    def test_member_lost_in_cold_fit_is_stale_until_refreshed(self, graph):
+        config = self.config(tolerance=FaultTolerance(max_retries=0, min_quorum=0.5))
+        detector = IncrementalEnsemFDet(config)
+        arm("raise:point=member.detect,index=2,attempt=-1,times=1")
+        try:
+            result = detector.fit(graph)
+        finally:
+            disarm()
+        assert [failure.index for failure in result.failed_members] == [2]
+        assert detector.stale_members == (2,)
+        assert votes_of(detector) == (
+            result.vote_table.user_votes,
+            result.vote_table.merchant_votes,
+        )
+
+        restored = IncrementalEnsemFDet.from_state(detector.state())
+        assert restored.stale_members == (2,)
+        assert votes_of(restored) == votes_of(detector)
+
+        for warm in (detector, restored):
+            report = warm.update(*self.wide_delta(5))
+            assert report.refreshed_samples == tuple(range(config.n_samples))
+            assert report.stale_members == () == warm.stale_members
+            assert_matches_cold_refit(warm, config)
+
+    def test_failed_refresh_keeps_previous_votes(self, graph, tmp_path):
+        config = self.config()
+        detector = IncrementalEnsemFDet(config)
+        before = detector.fit(graph)
+        rng = np.random.default_rng(3)
+        # the first member this update refreshes fails on every retry
+        arm("raise:point=member.detect,index=0,attempt=-1,times=-1")
+        try:
+            report = detector.update(rng.integers(0, 250, 40), rng.integers(0, 120, 40))
+        finally:
+            disarm()
+        (failure,) = report.failed_members
+        stale = failure.index
+        assert stale == report.refreshed_samples[0]
+        assert report.stale_members == (stale,) == detector.stale_members
+        detections = list(EnsemFDet(config).fit(detector.graph).sample_detections)
+        detections[stale] = before.sample_detections[stale]
+        assert votes_of(detector) == label_votes(detections)
+
+        path = tmp_path / "state.npz"
+        detector.save(path)
+        restored = IncrementalEnsemFDet.load(path)
+        assert restored.stale_members == (stale,)
+        assert votes_of(restored) == votes_of(detector)
+
+        for warm in (detector, restored):
+            report = warm.update(*self.wide_delta(6))
+            assert stale in report.refreshed_samples
+            assert warm.stale_members == ()
+            assert_matches_cold_refit(warm, config)
+
+    def test_update_below_quorum_keeps_the_delta(self, graph):
+        config = self.config(tolerance=FaultTolerance(max_retries=0, min_quorum=0.99))
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph)
+        users, merchants = self.wide_delta(7)
+        arm("raise:point=member.detect,index=0,attempt=-1,times=-1")
+        try:
+            with pytest.raises(QuorumError):
+                detector.update(users, merchants)
+        finally:
+            disarm()
+        # the other refreshes landed on the grown graph; member 0 is stale
+        assert detector.graph.n_edges == graph.n_edges + users.size
+        assert detector.stale_members == (0,)
+        detector.update(*self.wide_delta(8))
+        assert detector.stale_members == ()
+        assert_matches_cold_refit(detector, config)
+
+
 class TestUpdateReport:
     def test_refresh_fraction_is_small_for_local_delta(self, graph, delta):
         # one stripe spans the whole delta -> only ≈ S·N members refresh
@@ -178,6 +282,14 @@ class TestPersistence:
         assert state.n_samples == config.n_samples
         assert state.config["sampler"]["stripe"] == 128
         assert state.config["ensemble"]["seed"] == 17
+
+    def test_state_naming_a_foreign_node_is_rejected(self, graph):
+        detector = IncrementalEnsemFDet(make_config())
+        detector.fit(graph)
+        state = detector.state()
+        state.detected_users[0] = np.array([10**12])
+        with pytest.raises(DetectionError, match="does not have"):
+            IncrementalEnsemFDet.from_state(state)
 
     def test_weighted_graph_state_roundtrip(self, graph, tmp_path):
         config = make_config()

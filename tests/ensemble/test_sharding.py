@@ -1,5 +1,5 @@
-"""Stripe-sharded ensemble: bitwise parity with the unsharded fit, shard
-failure degradation through the quorum path, and the merge fault point."""
+"""Stripe-sharded ensemble: bitwise parity with the unsharded fit and shard
+failure degradation through the quorum path."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.datasets import chung_lu_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, plan_shards
-from repro.ensemble.sharding import _member_parent_ids, merge_shard_votes
+from repro.ensemble.sharding import _member_parent_ids
 from repro.errors import DetectionError, QuorumError
 from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
@@ -150,24 +150,5 @@ class TestShardFaults:
                         tolerance=FaultTolerance(max_retries=0, min_quorum=0.5),
                     )
                 ).fit(graph)
-        finally:
-            disarm()
-
-    def test_merge_fault_falls_back_to_python_merge(self, graph):
-        make = lambda: StableEdgeSampler(0.35, stripe=64)
-        reference = _tables(EnsemFDet(_config(make())).fit(graph))
-        arm("raise:point=shard.merge,times=-1")
-        try:
-            sharded = EnsemFDet(_config(make(), shards=3)).fit(graph)
-        finally:
-            disarm()
-        assert _tables(sharded) == reference
-
-    def test_merge_shard_votes_returns_none_on_fault(self, graph):
-        arm("raise:point=shard.merge")
-        try:
-            result = EnsemFDet(_config(StableEdgeSampler(0.35, stripe=64))).fit(graph)
-            grouped = [[d for d in result.sample_detections if d is not None]]
-            assert merge_shard_votes(grouped, graph) is None
         finally:
             disarm()

@@ -5,10 +5,13 @@ cold :meth:`EnsemFDet.fit_window` on the live window after any mix of
 appends, deletion deltas and expiry — across every executor backend, with
 and without the shared-memory fan-out, and for both sampler families
 (stripe-hash, which is id-keyed, and the rest, which fit the live graph).
-Also covers the windowed DetectionState v3 save/load round trip.
+Also covers the windowed DetectionState v3 save/load round trip and stale
+votes after a failed refresh.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.ensemble import (
     load_detection_state,
 )
 from repro.errors import DetectionError
+from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.graph import WindowConfig
 from repro.sampling import RandomEdgeSampler, StableEdgeSampler
@@ -115,6 +119,61 @@ class TestWindowedParityMatrix:
         assert report.n_removed_edges == 5
         assert report.n_refreshed > 0
         assert_matches_cold_window_fit(detector, config)
+
+
+def label_votes(detections):
+    """Label-keyed vote counters of ``detections``, tallied member by member."""
+    users, merchants = Counter(), Counter()
+    for detection in detections:
+        users.update(detection.result.detected_users().tolist())
+        merchants.update(detection.result.detected_merchants().tolist())
+    return users, merchants
+
+
+def votes_of(detector):
+    return detector.vote_table.user_votes, detector.vote_table.merchant_votes
+
+
+class TestStaleMembers:
+    def test_failed_refresh_keeps_previous_votes(self, graph, tmp_path):
+        config = make_config(sampler=StableEdgeSampler(0.3, stripe=16))
+        detector = IncrementalEnsemFDet(config, window=WindowConfig(max_batches=3))
+        before = detector.fit(graph, timestamp=0.0)
+        rng = np.random.default_rng(12)
+        # the first member this update refreshes fails on every retry
+        arm("raise:point=member.detect,index=0,attempt=-1,times=-1")
+        try:
+            report = detector.update(
+                rng.integers(0, 150, 30),
+                rng.integers(0, 70, 30),
+                remove_users=graph.edge_users[:2],
+                remove_merchants=graph.edge_merchants[:2],
+                timestamp=1.0,
+            )
+        finally:
+            disarm()
+        (failure,) = report.failed_members
+        stale = failure.index
+        assert stale == report.refreshed_samples[0]
+        assert report.stale_members == (stale,) == detector.stale_members
+        cold = EnsemFDet(config).fit_window(detector.window(), track_members=True)
+        detections = list(cold.sample_detections)
+        detections[stale] = before.sample_detections[stale]
+        assert votes_of(detector) == label_votes(detections)
+
+        path = tmp_path / "state.npz"
+        detector.save(path)
+        restored = IncrementalEnsemFDet.load(path)
+        assert restored.stale_members == (stale,)
+        assert votes_of(restored) == votes_of(detector)
+
+        # 400 edges over 25 stripes of 16: every member's refresh is due
+        users, merchants = rng.integers(0, 150, 400), rng.integers(0, 70, 400)
+        for warm in (detector, restored):
+            report = warm.update(users, merchants, timestamp=2.0)
+            assert stale in report.refreshed_samples
+            assert warm.stale_members == ()
+            assert_matches_cold_window_fit(warm, config)
 
 
 class TestSamplerFamilies:

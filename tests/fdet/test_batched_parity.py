@@ -552,6 +552,13 @@ class TestNativeVoteMerge:
         reference = EnsemFDet(self._config(PeelEngine.REFERENCE)).fit(graph)
         assert_tables_equal(reference.vote_table, expected)
 
+    @pytest.mark.parametrize("index", [-1, 10**6])
+    def test_rejects_indices_outside_the_graph(self, weighted_graph, index):
+        result = EnsemFDet(self._config()).fit(weighted_graph)
+        stray = replace(result.sample_detections[0], detected_user_indices=np.array([index]))
+        with pytest.raises(ValueError, match="outside the graph"):
+            batched.vote_counters([stray], weighted_graph)
+
     def test_refuses_detections_without_indices(self, weighted_graph):
         config = EnsemFDetConfig(
             sampler=RandomEdgeSampler(0.35),
