@@ -15,10 +15,14 @@ The shared object exports several entry points, loaded together as a
 :class:`NativeKernels` handle:
 
 ``repro_greedy_peel``
-    One peel of one flattened graph (used by :mod:`.peeling`).
+    One peel of one flattened graph given as an int32 CSR (used by
+    :mod:`.peeling`, which runs the reference engine for a graph whose
+    node or half-edge count reaches the int32 limit).
 ``repro_fdet_batch``
     The FDET block loop for one or many members (used by :mod:`.batched`
-    for ensemble fits and for ``Fdet.detect``).
+    for ensemble fits and for ``Fdet.detect``). Both entry points run the
+    same peel core over int32 member-local node ids; a member past the
+    int32 limit reports status -1 and takes the per-member path.
 ``repro_accumulate_votes``
     Vote-merge accumulator for ensemble tallies.
 ``repro_pairwise_sum``
@@ -30,8 +34,9 @@ Compilation prefers ``-fopenmp -march=native`` and silently retries the
 remaining flag combinations, so hosts lacking libgomp (or a compiler that
 rejects ``-march=native``) still get a working kernel. The in-kernel
 thread count is governed by :func:`native_threads`, which mirrors
-``REPRO_WORKERS`` semantics via ``REPRO_NATIVE_THREADS`` and guards against
-oversubscription when an outer process pool is already fanning out.
+``REPRO_WORKERS`` semantics via ``REPRO_NATIVE_THREADS``, counts the cores
+in the process's affinity mask, and guards against oversubscription when
+an outer process pool is already fanning out.
 
 Everything here degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NATIVE=0`` in the environment all simply yield ``None``, and the
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ReproError
+from ..parallel.executor import usable_cores
 
 __all__ = [
     "NativeKernels",
@@ -204,6 +210,7 @@ def _compile(compiler: str, out_dir: str, reusable: bool) -> str:
 
 
 def _configure(lib: ctypes.CDLL) -> NativeKernels:
+    i32_array = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     i64_array = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64_array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     u8_array = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
@@ -215,12 +222,12 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
     peel = lib.repro_greedy_peel
     peel.argtypes = [
         ctypes.c_int64,  # n
-        i64_array,  # indptr
-        i64_array,  # flat_other
+        i32_array,  # indptr
+        i32_array,  # flat_other
         f64_array,  # flat_w
         f64_array,  # prio (in/out)
         ctypes.c_double,  # total
-        i64_array,  # removal_order (out)
+        i32_array,  # removal_order (out)
         f64_array,  # densities (out)
         ctypes.POINTER(ctypes.c_double),  # best_density (out)
         ctypes.POINTER(ctypes.c_int64),  # best_removed (out)
@@ -320,12 +327,13 @@ def native_threads(n_workers: int = 1) -> int:
 
     Mirrors ``REPRO_WORKERS`` semantics: ``REPRO_NATIVE_THREADS`` pins the
     count explicitly (a non-integer raises :class:`ReproError`), otherwise
-    every visible core is used. Either way the result is capped at
+    every usable core (:func:`~repro.parallel.executor.usable_cores`, the
+    affinity mask) is used. Either way the result is capped at
     ``cores // n_workers`` so a process pool that already fans out workers
     never oversubscribes the machine (``workers x threads <= cores``), and
     is floored at 1.
     """
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     cap = max(1, cores // max(1, n_workers))
     raw = os.environ.get("REPRO_NATIVE_THREADS")
     if raw is None or not raw.strip():

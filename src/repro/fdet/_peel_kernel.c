@@ -2,17 +2,13 @@
  *
  * Everything in this file is an exact replica of the Python reference path —
  * same float64 operations in the same order on the same values — so results
- * are bitwise identical to the reference engine. Two entry points:
+ * are bitwise identical to the reference engine. Two entry points share one
+ * peel core, ``fast_peel_core``:
  *
  * ``repro_greedy_peel``
- *     One peel of one flattened graph (used by ``peeling.py`` for
+ *     One peel of one flattened int32 CSR graph (used by ``peeling.py`` for
  *     ``greedy_peel`` and the per-block loop of metrics the batch cannot
- *     take). The initial per-node entries live in a radix-sorted "clean"
- *     stream consumed by a moving pointer, and only re-prioritised nodes
- *     enter a small "hot" heap. Under the reference heap's lazy-deletion rule
- *     (lexicographic ``(priority, node)`` order, ``1e-12`` stale tolerance)
- *     the accepted pop sequence is identical to the reference's, at a
- *     fraction of the heap traffic.
+ *     take).
  *
  * ``repro_fdet_batch``
  *     The full FDET block loop for one or many members in one call: the
@@ -28,19 +24,47 @@
  *     Members are independent; with OpenMP the loop runs ``n_threads`` wide
  *     (serial otherwise).
  *
- *     Per-block work scales with the residual graph, not the whole member:
- *     the alive edge ids live in an ascending list compacted after every
- *     block (alive degrees are decremented, never recounted), and each
- *     block's weights, priorities, total and CSR are built from that list
- *     in the reference's addition order. The peel covers only the nodes
- *     that have an alive edge, relabelled in their existing order.
- *     Dropping the edgeless nodes is exact when every residual weight is
- *     > 0 (NaN fails) and ``total / n`` is a finite, positive, normal
- *     double (the argument sits at the test in ``run_member``). When that
- *     test fails the block peels the full member node set, as the
- *     reference does.
+ * The peel core. The reference pops ``(priority, node)`` entries from a
+ * lazy-deletion heap: every priority change pushes a new entry, and a popped
+ * entry is skipped when its node is dead or its priority exceeds the node's
+ * current one by more than ``1e-12``. The entries of an alive node all stay
+ * in that heap until one is accepted, so the first of them to surface is
+ * its smallest key, and that entry is always accepted: its priority is at
+ * most the current one (which the node has had, so its entry is present),
+ * and ``x <= p`` implies ``!(x > p + 1e-12)`` — adding ``1e-12`` never rounds
+ * below ``p`` (``-inf`` stays ``-inf``), and any NaN makes the comparison
+ * false. So the accepted node is always the alive node with the smallest
+ * ``(smallest key it has had, node)``, and a heap holding exactly that entry,
+ * one per node, pops the same sequence — for zero, negative, infinite and
+ * NaN weights too. ``fast_peel_core`` keeps it in two parts: the initial
+ * keys in a radix-sorted "clean" stream read by a moving pointer, and a
+ * 4-ary decrease-key "hot" heap holding a node only once an update took
+ * its key below its initial one (a node whose priority rises keeps its
+ * smaller key). A node in the hot heap therefore surfaces there before its
+ * clean entry, so the clean stream only skips dead nodes, the hot heap never
+ * pops a stale entry, and the hot heap holds at most n entries instead of
+ * one per priority change.
  *
- * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py):
+ * int32 member layout. Node ids, CSR offsets and half-edge endpoints are
+ * int32, so a graph peels only while its node count and its half-edge count
+ * (2 |E|) stay below ``INT32_MAX``. ``peeling.py`` runs the reference engine
+ * beyond that; ``run_member`` reports status -1 — the per-member fallback
+ * the caller already takes on an allocation failure — for a member whose
+ * node count (its parent's, under ``all_nodes``) or half-edge count reaches
+ * it. Each member keeps its alive edges as two int32 endpoint arrays
+ * already relabelled to live-node ids (the nodes with an alive edge,
+ * numbered in order), compacted in order after every block and renumbered
+ * in place when a block leaves nodes isolated. The alive degrees are
+ * decremented, never recounted, and the next block's CSR offsets are their
+ * running sum. Per-block work therefore scales with the residual graph, not
+ * the whole member. The peel covers only the live nodes. Dropping the
+ * edgeless nodes is exact when every residual weight is > 0 (NaN fails) and
+ * ``total / n`` is a finite, positive, normal double (the argument sits at
+ * the test in ``run_member``). When that test fails the block peels the
+ * full member node set, as the reference does.
+ *
+ * Bitwise-parity notes (enforced by tests/fdet/test_batched_parity.py and
+ * tests/fdet/test_engine_parity.py):
  *   - ``pairwise_sum`` replicates numpy's scalar pairwise summation
  *     (8 accumulator lanes, 128-element blocks, halved recursion) so
  *     ``edge_weights.sum()`` matches ``np.sum`` bit for bit. A Python-side
@@ -50,8 +74,8 @@
  *     priority-init loops below mirror it exactly.
  *   - ``np.unique(x, return_inverse=True)`` on bounded non-negative ints is a
  *     presence scan + running rank — the node-compaction loops below.
- *   - A stable counting sort by endpoint equals numpy's stable argsort used
- *     by ``BipartiteGraph._build_adjacency``.
+ *   - CSR spans filled in edge order equal numpy's stable argsort by
+ *     endpoint, used by ``BipartiteGraph._build_adjacency``.
  *   - The radix sort key normalises ``-0.0`` to ``+0.0``: the comparator
  *     treats them equal (node id breaks the tie) but their raw bit patterns
  *     would order them apart.
@@ -111,18 +135,16 @@ double repro_pairwise_sum(const double *a, int64_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* hot heap: binary min-heap of (priority, node), lexicographic        */
+/* hot heap: 4-ary decrease-key min-heap of (key, node), lexicographic */
 /* ------------------------------------------------------------------ */
 
 /* Entries carry the priority as its monotone uint64 ``sort_key`` image
  * rather than the raw double: key order equals double order (with the
  * two zeros collapsed, exactly like the comparator treats them), so the
- * heap does single integer compares instead of float compare pairs. The
- * original double is recovered with ``key_to_double`` only at the one
- * place that needs it — the stale-entry tolerance check. */
+ * heap does single integer compares instead of float compare pairs. */
 typedef struct {
     uint64_t k;
-    int64_t node;
+    int32_t node;
 } entry_t;
 
 static inline int entry_lt(entry_t a, entry_t b)
@@ -130,42 +152,44 @@ static inline int entry_lt(entry_t a, entry_t b)
     return a.k < b.k || (a.k == b.k && a.node < b.node);
 }
 
-/* The heap is 4-ary: pushes outnumber pops ~3:2 in the peel and both walk
- * half the levels of a binary heap. Arity is a pure layout choice — any
- * min-heap surfaces the same (key, node) minima in the same order (equal
- * duplicates are interchangeable), so the accepted pop sequence, and with
- * it bitwise parity, is unaffected. */
-static inline void sift_down(entry_t *heap, int64_t size, int64_t i)
+/* pos[node] tracks each entry's slot, so a decrease-key sifts the node's
+ * one entry up from where it sits. The heap is 4-ary because decrease-keys
+ * outnumber pops and a sift-up walks half the levels of a binary heap;
+ * arity is a layout choice — any min-heap surfaces the same minima in the
+ * same order. */
+static inline void sift_up(entry_t *heap, int32_t *pos, int32_t i, entry_t v)
 {
-    entry_t v = heap[i];
+    while (i > 0) {
+        int32_t parent = (i - 1) / 4;
+        if (!entry_lt(v, heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        pos[heap[i].node] = i;
+        i = parent;
+    }
+    heap[i] = v;
+    pos[v.node] = i;
+}
+
+static inline void sift_down(entry_t *heap, int32_t *pos, int32_t size, int32_t i, entry_t v)
+{
     for (;;) {
-        int64_t child = 4 * i + 1;
+        int32_t child = 4 * i + 1;
         if (child >= size)
             break;
-        int64_t m = child;
-        int64_t end = child + 4 < size ? child + 4 : size;
-        for (int64_t j = child + 1; j < end; j++)
+        int32_t m = child;
+        int32_t end = child + 4 < size ? child + 4 : size;
+        for (int32_t j = child + 1; j < end; j++)
             if (entry_lt(heap[j], heap[m]))
                 m = j;
         if (!entry_lt(heap[m], v))
             break;
         heap[i] = heap[m];
+        pos[heap[i].node] = i;
         i = m;
     }
     heap[i] = v;
-}
-
-static inline void sift_up(entry_t *heap, int64_t i)
-{
-    entry_t v = heap[i];
-    while (i > 0) {
-        int64_t parent = (i - 1) / 4;
-        if (!entry_lt(v, heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = v;
+    pos[v.node] = i;
 }
 
 /* ------------------------------------------------------------------ */
@@ -185,17 +209,7 @@ static inline uint64_t sort_key(double v)
     return (bits & 0x8000000000000000ULL) ? ~bits : (bits | 0x8000000000000000ULL);
 }
 
-/* Inverse of sort_key up to the -0.0/+0.0 collapse (both map back to +0.0,
- * which compares equal to -0.0 everywhere the value is used). */
-static inline double key_to_double(uint64_t k)
-{
-    uint64_t bits = (k & 0x8000000000000000ULL) ? (k & 0x7FFFFFFFFFFFFFFFULL) : ~k;
-    double v;
-    memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-/* Stable LSD radix sort of keys[] with int64 payload vals[]; both scratch
+/* Stable LSD radix sort of keys[] with int32 payload vals[]; both scratch
  * buffers must hold n entries. Ends with the sorted data back in keys/vals.
  *
  * Six 11-bit digits cover the 64-bit key (the top pass sees 9 real bits),
@@ -206,39 +220,39 @@ static inline double key_to_double(uint64_t k)
  * the histograms stay valid for later passes because a stable pass permutes
  * entries without changing any digit counts. */
 static void radix_sort_pairs(
-    uint64_t *keys, int64_t *vals, uint64_t *keys_tmp, int64_t *vals_tmp, int64_t n)
+    uint64_t *keys, int32_t *vals, uint64_t *keys_tmp, int32_t *vals_tmp, int32_t n)
 {
     enum { RADIX_PASSES = 6, RADIX_BINS = 2048 };
     if (n <= 1)
         return;
-    int64_t counts[RADIX_PASSES][RADIX_BINS];
+    int32_t counts[RADIX_PASSES][RADIX_BINS];
     memset(counts, 0, sizeof(counts));
-    for (int64_t i = 0; i < n; i++) {
+    for (int32_t i = 0; i < n; i++) {
         uint64_t k = keys[i];
         for (int p = 0; p < RADIX_PASSES; p++)
             counts[p][(k >> (11 * p)) & 0x7FF]++;
     }
     uint64_t *ks = keys, *kd = keys_tmp;
-    int64_t *vs = vals, *vd = vals_tmp;
+    int32_t *vs = vals, *vd = vals_tmp;
     for (int p = 0; p < RADIX_PASSES; p++) {
-        int64_t *c = counts[p];
+        int32_t *c = counts[p];
         int shift = 11 * p;
         if (c[(ks[0] >> shift) & 0x7FF] == n)
             continue; /* all entries share this digit: the pass is identity */
-        int64_t pos = 0;
+        int32_t pos = 0;
         for (int b = 0; b < RADIX_BINS; b++) {
-            int64_t t = c[b];
+            int32_t t = c[b];
             c[b] = pos;
             pos += t;
         }
-        for (int64_t i = 0; i < n; i++) {
-            int64_t d = (int64_t)((ks[i] >> shift) & 0x7FF);
+        for (int32_t i = 0; i < n; i++) {
+            int32_t d = (int32_t)((ks[i] >> shift) & 0x7FF);
             kd[c[d]] = ks[i];
             vd[c[d]] = vs[i];
             c[d]++;
         }
         uint64_t *tk = ks;
-        int64_t *tv = vs;
+        int32_t *tv = vs;
         ks = kd;
         vs = vd;
         kd = tk;
@@ -246,112 +260,105 @@ static void radix_sort_pairs(
     }
     if (ks != keys) {
         memcpy(keys, ks, (size_t)n * sizeof(uint64_t));
-        memcpy(vals, vs, (size_t)n * sizeof(int64_t));
+        memcpy(vals, vs, (size_t)n * sizeof(int32_t));
     }
 }
 
 /* ------------------------------------------------------------------ */
-/* peel core: clean stream + hot heap                                  */
+/* peel core: clean stream + decrease-key hot heap                     */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    uint64_t *keys;
-    uint64_t *keys_tmp;
-    int64_t *clean_nodes;
-    int64_t *nodes_tmp;
-    double *clean_values;
+    uint64_t *keys;     /* the clean stream's sorted keys */
+    uint64_t *min_key;  /* radix scratch, then each node's smallest key */
+    int32_t *clean_nodes;
+    int32_t *nodes_tmp;
     entry_t *hot;
+    int32_t *pos;       /* hot-heap slot of each node, -1 while not in it */
     uint8_t *alive;
 } peel_scratch_t;
 
-/* Returns non-zero on allocation failure. n_flat bounds hot-heap pushes. */
-static int scratch_alloc(peel_scratch_t *s, int64_t n, int64_t n_flat)
+/* Returns non-zero on allocation failure. */
+static int scratch_alloc(peel_scratch_t *s, int32_t n)
 {
     memset(s, 0, sizeof(*s));
     s->keys = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    s->keys_tmp = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    s->clean_nodes = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    s->nodes_tmp = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    s->clean_values = (double *)malloc((size_t)n * sizeof(double));
-    s->hot = (entry_t *)malloc((size_t)(n_flat + 1) * sizeof(entry_t));
+    s->min_key = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    s->clean_nodes = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    s->nodes_tmp = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    s->hot = (entry_t *)malloc((size_t)n * sizeof(entry_t));
+    s->pos = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     s->alive = (uint8_t *)malloc((size_t)n);
-    return !(s->keys && s->keys_tmp && s->clean_nodes && s->nodes_tmp
-             && s->clean_values && s->hot && s->alive);
+    return !(s->keys && s->min_key && s->clean_nodes && s->nodes_tmp && s->hot && s->pos
+             && s->alive);
 }
 
 static void scratch_free(peel_scratch_t *s)
 {
     free(s->keys);
-    free(s->keys_tmp);
+    free(s->min_key);
     free(s->clean_nodes);
     free(s->nodes_tmp);
-    free(s->clean_values);
     free(s->hot);
+    free(s->pos);
     free(s->alive);
 }
 
 /* Peel the flattened graph down to one node. Mutates prio in place (left at
  * its final state, like the reference). densities may be NULL when the
  * caller only needs the best prefix. Returns the number of nodes removed. */
-static int64_t fast_peel_core(
-    int64_t n,
-    const int64_t *indptr,
-    const int64_t *flat_other,
+static int32_t fast_peel_core(
+    int32_t n,
+    const int32_t *indptr,
+    const int32_t *flat_other,
     const double *flat_w,
     double *prio,
     double total,
-    int64_t *removal_order,
+    int32_t *removal_order,
     double *densities,
     double *best_density_out,
-    int64_t *best_removed_out,
+    int32_t *best_removed_out,
     peel_scratch_t *s)
 {
     uint8_t *alive = s->alive;
     entry_t *hot = s->hot;
-    double *clean_values = s->clean_values;
-    int64_t *clean_nodes = s->clean_nodes;
+    int32_t *pos = s->pos;
+    uint64_t *min_key = s->min_key;
+    int32_t *clean_nodes = s->clean_nodes;
     const uint64_t *clean_keys = s->keys;
 
-    for (int64_t i = 0; i < n; i++) {
+    for (int32_t i = 0; i < n; i++) {
         s->keys[i] = sort_key(prio[i]);
         clean_nodes[i] = i;
+    }
+    radix_sort_pairs(s->keys, clean_nodes, min_key, s->nodes_tmp, n);
+    for (int32_t i = 0; i < n; i++) {
+        min_key[i] = sort_key(prio[i]);
+        pos[i] = -1;
         alive[i] = 1;
     }
-    radix_sort_pairs(s->keys, clean_nodes, s->keys_tmp, s->nodes_tmp, n);
-    for (int64_t i = 0; i < n; i++)
-        clean_values[i] = prio[clean_nodes[i]];
 
     double best_density = total / (double)n;
     if (densities)
         densities[0] = best_density;
-    int64_t best_removed = 0;
-    int64_t n_alive = n;
-    int64_t removed = 0;
-    int64_t clean_pos = 0;
-    int64_t hot_size = 0;
+    int32_t best_removed = 0;
+    int32_t n_alive = n;
+    int32_t removed = 0;
+    int32_t clean_pos = 0;
+    int32_t hot_size = 0;
 
     while (n_alive > 1) {
-        int64_t node;
-        /* hot-vs-clean on packed keys: key order is double order with the
-         * two zeros collapsed, which is exactly how the lexicographic
-         * comparator ranks them, so this picks the same winner. */
+        int32_t node;
         if (hot_size > 0
             && (clean_pos >= n || hot[0].k < clean_keys[clean_pos]
-                || (hot[0].k == clean_keys[clean_pos]
-                    && hot[0].node < clean_nodes[clean_pos]))) {
-            entry_t top = hot[0];
-            hot[0] = hot[--hot_size];
-            if (hot_size > 0)
-                sift_down(hot, hot_size, 0);
-            node = top.node;
-            if (!alive[node] || key_to_double(top.k) > prio[node] + 1e-12)
-                continue; /* stale hot entry */
+                || (hot[0].k == clean_keys[clean_pos] && hot[0].node < clean_nodes[clean_pos]))) {
+            node = hot[0].node;
+            if (--hot_size > 0)
+                sift_down(hot, pos, hot_size, 0, hot[hot_size]);
         } else if (clean_pos < n) {
-            node = clean_nodes[clean_pos];
-            double value = clean_values[clean_pos];
-            clean_pos++;
-            if (!alive[node] || value > prio[node] + 1e-12)
-                continue; /* node popped or re-prioritised since the sort */
+            node = clean_nodes[clean_pos++];
+            if (!alive[node])
+                continue; /* popped from the hot heap earlier */
         } else {
             break; /* unreachable: every alive node always has an entry */
         }
@@ -361,15 +368,18 @@ static int64_t fast_peel_core(
         n_alive--;
         total -= prio[node];
 
-        for (int64_t j = indptr[node]; j < indptr[node + 1]; j++) {
-            int64_t other = flat_other[j];
+        for (int32_t j = indptr[node]; j < indptr[node + 1]; j++) {
+            int32_t other = flat_other[j];
             if (alive[other]) {
                 double updated = prio[other] - flat_w[j];
                 prio[other] = updated;
-                hot[hot_size].k = sort_key(updated);
-                hot[hot_size].node = other;
-                sift_up(hot, hot_size);
-                hot_size++;
+                uint64_t k = sort_key(updated);
+                if (k < min_key[other]) {
+                    min_key[other] = k;
+                    int32_t slot = pos[other] < 0 ? hot_size++ : pos[other];
+                    entry_t e = {k, other};
+                    sift_up(hot, pos, slot, e);
+                }
             }
         }
 
@@ -391,29 +401,35 @@ static int64_t fast_peel_core(
 /* single-peel entry point                                             */
 /* ------------------------------------------------------------------ */
 
+/* Returns the number of nodes removed, or -1 on allocation failure or when
+ * n reaches the int32 limit (the caller then runs the reference engine). */
 int64_t repro_greedy_peel(
     int64_t n,
-    const int64_t *indptr,
-    const int64_t *flat_other,
+    const int32_t *indptr,
+    const int32_t *flat_other,
     const double *flat_w,
     double *prio,
     double total,
-    int64_t *removal_order,
+    int32_t *removal_order,
     double *densities,
     double *best_density_out,
     int64_t *best_removed_out)
 {
     if (n <= 0)
         return 0;
+    if (n >= INT32_MAX)
+        return -1;
     peel_scratch_t scratch;
-    if (scratch_alloc(&scratch, n, indptr[n])) {
+    if (scratch_alloc(&scratch, (int32_t)n)) {
         scratch_free(&scratch);
         return -1;
     }
-    int64_t removed = fast_peel_core(
-        n, indptr, flat_other, flat_w, prio, total, removal_order, densities,
-        best_density_out, best_removed_out, &scratch);
+    int32_t best_removed;
+    int32_t removed = fast_peel_core(
+        (int32_t)n, indptr, flat_other, flat_w, prio, total, removal_order, densities,
+        best_density_out, &best_removed, &scratch);
     scratch_free(&scratch);
+    *best_removed_out = best_removed;
     return removed;
 }
 
@@ -426,7 +442,8 @@ int64_t repro_greedy_peel(
  * single load site: int32 -> int64 is exact, and (double)w32 reproduces the
  * float64 value exactly because compaction only narrows weights whose
  * round-trip is bit-exact. Everything downstream of these loads is
- * int64/double, so compact and wide parents peel bitwise-identically. */
+ * member-local int32 ids and double weights, so compact and wide parents
+ * peel bitwise-identically. */
 static inline int64_t load_idx(const void *p, int64_t width, int64_t i)
 {
     return width == 4 ? (int64_t)((const int32_t *)p)[i] : ((const int64_t *)p)[i];
@@ -472,12 +489,43 @@ typedef struct {
     const int64_t *mask_off;
 } batch_args_t;
 
+/* Drop the live nodes whose alive degree is zero: compact live_n, deg and
+ * deg_frozen (when given) in order, and renumber the n_e edge endpoints.
+ * newid is scratch of n_live entries. Returns the new live-node count. */
+static int32_t drop_isolated(
+    int32_t n_live,
+    int32_t *live_n,
+    int32_t *deg,
+    int32_t *deg_frozen,
+    int32_t n_e,
+    int32_t *eu,
+    int32_t *ev,
+    int32_t *newid)
+{
+    int32_t kept = 0;
+    for (int32_t p = 0; p < n_live; p++)
+        if (deg[p] > 0) {
+            newid[p] = kept;
+            live_n[kept] = live_n[p];
+            deg[kept] = deg[p];
+            if (deg_frozen)
+                deg_frozen[kept] = deg_frozen[p];
+            kept++;
+        }
+    if (kept < n_live)
+        for (int32_t r = 0; r < n_e; r++) {
+            eu[r] = newid[eu[r]];
+            ev[r] = newid[ev[r]];
+        }
+    return kept;
+}
+
 /* One member's full FDET run (Algorithm 1): node compaction, then the block
- * loop on the residual graph — weights, priorities, total and CSR rebuilt
- * from the ascending list of alive edges, the peel over the nodes that
- * have an alive edge, mask bookkeeping, and compaction of both lists. Sets
- * out_status[m] = -1 on allocation failure (the caller re-runs the member
- * without the batch). */
+ * loop on the residual graph — weights, priorities, total and CSR built
+ * from the alive edges and alive degrees, the peel over the live nodes,
+ * mask bookkeeping, and compaction of the edges and nodes. Sets
+ * out_status[m] = -1 on allocation failure or at the int32 limit (the
+ * caller re-runs the member without the batch). */
 static void run_member(const batch_args_t *a, int64_t m)
 {
     int64_t me = a->edge_off[m + 1] - a->edge_off[m];
@@ -491,46 +539,46 @@ static void run_member(const batch_args_t *a, int64_t m)
     if (me == 0)
         return; /* empty sample: no nodes, no blocks (k_hat = 0) */
 
-    uint8_t *present_u = NULL, *present_m = NULL, *keep = NULL;
-    int64_t *remap_u = NULL, *remap_m = NULL, *mu = NULL, *mm = NULL;
-    int64_t *live_e = NULL, *live_n = NULL, *local = NULL, *deg = NULL, *deg_frozen = NULL;
-    int64_t *indptr = NULL, *fill = NULL, *flat_other = NULL, *removal_order = NULL;
+    uint8_t *keep = NULL;
+    int32_t *remap_u = NULL, *remap_m = NULL, *eu = NULL, *ev = NULL, *live_n = NULL;
+    int32_t *deg = NULL, *deg_frozen = NULL, *indptr = NULL, *fill = NULL, *flat_other = NULL;
+    int32_t *removal_order = NULL;
     double *mw = NULL, *ew = NULL, *flat_w = NULL, *prio = NULL;
     peel_scratch_t scratch; /* zeroed, so freeing it is safe on every path */
     memset(&scratch, 0, sizeof(scratch));
 
-    /* ---- node compaction: np.unique(endpoints, return_inverse=True), or
-     * the identity map over every parent node under all_nodes ---- */
-    present_u = (uint8_t *)calloc((size_t)a->pn_users, 1);
-    present_m = (uint8_t *)calloc((size_t)a->pn_merchants, 1);
-    remap_u = (int64_t *)malloc((size_t)a->pn_users * sizeof(int64_t));
-    remap_m = (int64_t *)malloc((size_t)a->pn_merchants * sizeof(int64_t));
-    mu = (int64_t *)malloc((size_t)me * sizeof(int64_t));
-    mm = (int64_t *)malloc((size_t)me * sizeof(int64_t));
-    mw = (double *)malloc((size_t)me * sizeof(double));
-    if (!present_u || !present_m || !remap_u || !remap_m || !mu || !mm || !mw)
-        goto alloc_failed;
+    /* a compacted member has at most 2 * me nodes; an all_nodes member has
+     * every parent node */
+    if (2 * me >= INT32_MAX || (a->all_nodes && a->pn_users + a->pn_merchants >= INT32_MAX))
+        goto failed;
 
-    if (a->all_nodes) {
-        memset(present_u, 1, (size_t)a->pn_users);
-        memset(present_m, 1, (size_t)a->pn_merchants);
-    } else {
-        for (int64_t i = 0; i < me; i++) {
-            present_u[load_idx(a->p_eu, a->idx_width, ids[i])] = 1;
-            present_m[load_idx(a->p_em, a->idx_width, ids[i])] = 1;
-        }
-    }
-    int64_t nu = 0, nm = 0;
+    /* ---- node compaction: np.unique(endpoints, return_inverse=True) as a
+     * presence scan then a running rank in place, or the identity map over
+     * every parent node under all_nodes ---- */
+    remap_u = (int32_t *)calloc((size_t)a->pn_users, sizeof(int32_t));
+    remap_m = (int32_t *)calloc((size_t)a->pn_merchants, sizeof(int32_t));
+    eu = (int32_t *)malloc((size_t)me * sizeof(int32_t));
+    ev = (int32_t *)malloc((size_t)me * sizeof(int32_t));
+    mw = (double *)malloc((size_t)me * sizeof(double));
+    if (!remap_u || !remap_m || !eu || !ev || !mw)
+        goto failed;
+
+    int32_t nu = 0, nm = 0;
     {
         int64_t *ku = a->kept_users + a->ku_off[m];
+        int64_t *km = a->kept_merchants + a->km_off[m];
+        if (!a->all_nodes)
+            for (int64_t i = 0; i < me; i++) {
+                remap_u[load_idx(a->p_eu, a->idx_width, ids[i])] = 1;
+                remap_m[load_idx(a->p_em, a->idx_width, ids[i])] = 1;
+            }
         for (int64_t u = 0; u < a->pn_users; u++)
-            if (present_u[u]) {
+            if (a->all_nodes || remap_u[u]) {
                 ku[nu] = u;
                 remap_u[u] = nu++;
             }
-        int64_t *km = a->kept_merchants + a->km_off[m];
         for (int64_t v = 0; v < a->pn_merchants; v++)
-            if (present_m[v]) {
+            if (a->all_nodes || remap_m[v]) {
                 km[nm] = v;
                 remap_m[v] = nm++;
             }
@@ -539,77 +587,69 @@ static void run_member(const batch_args_t *a, int64_t m)
     a->out_nm[m] = nm;
     for (int64_t i = 0; i < me; i++) {
         int64_t e = ids[i];
-        mu[i] = remap_u[load_idx(a->p_eu, a->idx_width, e)];
+        eu[i] = remap_u[load_idx(a->p_eu, a->idx_width, e)];
         /* merchants live after the users in the joint node index space */
-        mm[i] = nu + remap_m[load_idx(a->p_em, a->idx_width, e)];
+        ev[i] = nu + remap_m[load_idx(a->p_em, a->idx_width, e)];
         /* weights_or_ones() * weight_scale; x * 1.0 is an exact identity */
         mw[i] = (a->p_w ? load_w(a->p_w, a->w_width, e) : 1.0) * scale;
     }
-    free(present_u);
-    free(present_m);
     free(remap_u);
     free(remap_m);
-    present_u = present_m = NULL;
     remap_u = remap_m = NULL;
 
     /* ---- per-member scratch, sized for block 0 and reused by every block ---- */
     {
-        int64_t n = nu + nm;
-        int64_t n_flat = 2 * me;
-        live_e = (int64_t *)malloc((size_t)me * sizeof(int64_t));
+        int32_t n = nu + nm;
+        int32_t n_live_e = (int32_t)me;
         ew = (double *)malloc((size_t)me * sizeof(double));
-        deg = (int64_t *)calloc((size_t)n, sizeof(int64_t));
-        live_n = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-        local = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-        indptr = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-        fill = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-        flat_other = (int64_t *)malloc((size_t)n_flat * sizeof(int64_t));
-        flat_w = (double *)malloc((size_t)n_flat * sizeof(double));
+        deg = (int32_t *)calloc((size_t)n, sizeof(int32_t));
+        live_n = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+        indptr = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+        fill = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+        flat_other = (int32_t *)malloc((size_t)(2 * me) * sizeof(int32_t));
+        flat_w = (double *)malloc((size_t)(2 * me) * sizeof(double));
         prio = (double *)malloc((size_t)n * sizeof(double));
-        removal_order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+        removal_order = (int32_t *)malloc((size_t)n * sizeof(int32_t));
         keep = (uint8_t *)malloc((size_t)n);
-        if (!live_e || !ew || !deg || !live_n || !local || !indptr || !fill
-            || !flat_other || !flat_w || !prio || !removal_order || !keep)
-            goto alloc_failed;
-        if (scratch_alloc(&scratch, n, n_flat))
-            goto alloc_failed;
+        if (!ew || !deg || !live_n || !indptr || !fill || !flat_other || !flat_w || !prio
+            || !removal_order || !keep)
+            goto failed;
+        if (scratch_alloc(&scratch, n))
+            goto failed;
 
         /* alive degrees, decremented as blocks remove edges; only an
          * all_nodes member starts with nodes that have no edge */
-        for (int64_t i = 0; i < me; i++) {
-            live_e[i] = i;
-            deg[mu[i]]++;
-            deg[mm[i]]++;
+        for (int32_t r = 0; r < n_live_e; r++) {
+            deg[eu[r]]++;
+            deg[ev[r]]++;
         }
-        int64_t n_live_e = me, n_live_n = 0;
-        for (int64_t v = 0; v < n; v++)
-            if (deg[v] > 0)
-                live_n[n_live_n++] = v;
-
+        for (int32_t v = 0; v < n; v++)
+            live_n[v] = v;
         /* merchant degree feeding the weight table: the residual degree, or
-         * the input degree under the frozen policy */
-        const int64_t *wdeg = deg;
+         * the input degree under the frozen policy (both per live node) */
+        const int32_t *wdeg = deg;
         if (a->frozen_policy) {
-            deg_frozen = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+            deg_frozen = (int32_t *)malloc((size_t)n * sizeof(int32_t));
             if (!deg_frozen)
-                goto alloc_failed;
-            memcpy(deg_frozen, deg, (size_t)n * sizeof(int64_t));
+                goto failed;
+            memcpy(deg_frozen, deg, (size_t)n * sizeof(int32_t));
             wdeg = deg_frozen;
         }
+        /* fill doubles as the renumbering scratch outside the CSR build */
+        int32_t n_live_n = drop_isolated(n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
 
         /* ---- the FDET block loop ---- */
         int64_t n_blocks = 0;
         double first_density = 0.0;
         int have_first = 0;
-        int64_t row_bytes = (n + 7) / 8;
+        int64_t row_bytes = ((int64_t)n + 7) / 8;
 
         for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
             /* residual edge weights table[degree] * member weight, in
              * ascending (residual) edge order; NaN fails the > 0 test */
             int all_positive = 1;
-            for (int64_t r = 0; r < n_live_e; r++) {
-                int64_t e = live_e[r];
-                double w = a->weight_table[wdeg[mm[e]]] * mw[e];
+            for (int32_t r = 0; r < n_live_e; r++) {
+                double w = a->weight_table[wdeg[ev[r]]] * mw[r];
                 ew[r] = w;
                 all_positive &= w > 0.0;
             }
@@ -621,70 +661,87 @@ static void run_member(const batch_args_t *a, int64_t m)
              * pops them first, in node order, with no neighbour updates; a
              * positive normal total/n makes each of those pops raise the
              * density strictly, so the best prefix always drops them and the
-             * rest of the peel is the peel of the live nodes alone (relabelled
-             * in order, so ties break the same way). Otherwise peel all n. */
+             * rest of the peel is the peel of the live nodes alone (numbered
+             * in order, so ties break the same way). Otherwise peel all n,
+             * with joint[] mapping live ids to member node ids. */
             double density_all = total / (double)n;
             int residual = all_positive && density_all >= DBL_MIN && density_all <= DBL_MAX;
-            int64_t n_peel = residual ? n_live_n : n;
-            if (residual)
-                for (int64_t p = 0; p < n_peel; p++)
-                    local[live_n[p]] = p;
-            else
-                for (int64_t v = 0; v < n; v++)
-                    local[v] = v;
+            int32_t n_peel = residual ? n_live_n : n;
+            const int32_t *joint = residual ? NULL : live_n;
 
+            /* CSR offsets: the running sum of the alive degrees */
+            if (residual) {
+                indptr[0] = 0;
+                for (int32_t p = 0; p < n_live_n; p++)
+                    indptr[p + 1] = indptr[p] + deg[p];
+            } else {
+                memset(indptr, 0, (size_t)(n + 1) * sizeof(int32_t));
+                for (int32_t p = 0; p < n_live_n; p++)
+                    indptr[live_n[p] + 1] = deg[p];
+                for (int32_t v = 0; v < n; v++)
+                    indptr[v + 1] += indptr[v];
+            }
             /* priority = priors.copy() (zeros) + the two np.add.at passes
              * (users and merchants are disjoint, so one pass adds to every
-             * node in the same order); CSR spans in edge order (== numpy's
-             * stable argsort by endpoint) */
-            memset(indptr, 0, (size_t)(n_peel + 1) * sizeof(int64_t));
-            for (int64_t r = 0; r < n_live_e; r++) {
-                int64_t e = live_e[r];
-                indptr[local[mu[e]] + 1]++;
-                indptr[local[mm[e]] + 1]++;
-            }
-            for (int64_t p = 0; p < n_peel; p++) {
-                indptr[p + 1] += indptr[p];
+             * node in the same order); spans filled in edge order */
+            for (int32_t p = 0; p < n_peel; p++) {
                 fill[p] = indptr[p];
                 prio[p] = 0.0;
             }
-            for (int64_t r = 0; r < n_live_e; r++) {
-                int64_t e = live_e[r];
-                int64_t u = local[mu[e]], v = local[mm[e]];
+            for (int32_t r = 0; r < n_live_e; r++) {
+                int32_t u = eu[r], v = ev[r];
+                if (joint) {
+                    u = joint[u];
+                    v = joint[v];
+                }
                 double w = ew[r];
                 prio[u] += w;
                 prio[v] += w;
-                int64_t pos = fill[u]++;
-                flat_other[pos] = v;
-                flat_w[pos] = w;
-                pos = fill[v]++;
-                flat_other[pos] = u;
-                flat_w[pos] = w;
+                int32_t slot = fill[u]++;
+                flat_other[slot] = v;
+                flat_w[slot] = w;
+                slot = fill[v]++;
+                flat_other[slot] = u;
+                flat_w[slot] = w;
             }
 
             double best_density;
-            int64_t best_removed;
+            int32_t best_removed;
             fast_peel_core(
-                n_peel, indptr, flat_other, flat_w, prio, total, removal_order,
-                NULL, &best_density, &best_removed, &scratch);
+                n_peel, indptr, flat_other, flat_w, prio, total, removal_order, NULL,
+                &best_density, &best_removed, &scratch);
 
             memset(keep, 1, (size_t)n_peel);
-            for (int64_t i = 0; i < best_removed; i++)
+            for (int32_t i = 0; i < best_removed; i++)
                 keep[removal_order[i]] = 0;
 
+            /* count the block's edges and drop them from the alive arrays
+             * in one pass; a rejected block ends the member, so the arrays
+             * are never read again after that */
             int64_t count = 0;
-            for (int64_t r = 0; r < n_live_e; r++) {
-                int64_t e = live_e[r];
-                count += keep[local[mu[e]]] & keep[local[mm[e]]];
+            int32_t kept_e = 0;
+            for (int32_t r = 0; r < n_live_e; r++) {
+                int32_t u = eu[r], v = ev[r];
+                int in_block = joint ? keep[joint[u]] & keep[joint[v]] : keep[u] & keep[v];
+                if (in_block) {
+                    count++;
+                    deg[u]--;
+                    deg[v]--;
+                } else {
+                    eu[kept_e] = u;
+                    ev[kept_e] = v;
+                    mw[kept_e] = mw[r];
+                    kept_e++;
+                }
             }
             if (count < a->min_block_edges)
                 break;
 
             uint8_t *row = a->block_masks + a->mask_off[m] + n_blocks * row_bytes;
             memset(row, 0, (size_t)row_bytes);
-            for (int64_t p = 0; p < n_peel; p++)
+            for (int32_t p = 0; p < n_peel; p++)
                 if (keep[p]) {
-                    int64_t v = residual ? live_n[p] : p;
+                    int32_t v = joint ? p : live_n[p];
                     row[v >> 3] |= (uint8_t)(1u << (v & 7));
                 }
             a->block_density[m * a->max_blocks + n_blocks] = best_density;
@@ -699,46 +756,27 @@ static void run_member(const batch_args_t *a, int64_t m)
                 break;
             }
 
-            /* drop the block's edges, then the nodes they left isolated */
-            int64_t kept_e = 0;
-            for (int64_t r = 0; r < n_live_e; r++) {
-                int64_t e = live_e[r];
-                if (keep[local[mu[e]]] && keep[local[mm[e]]]) {
-                    deg[mu[e]]--;
-                    deg[mm[e]]--;
-                } else {
-                    live_e[kept_e++] = e;
-                }
-            }
             n_live_e = kept_e;
-            int64_t kept_n = 0;
-            for (int64_t p = 0; p < n_live_n; p++)
-                if (deg[live_n[p]] > 0)
-                    live_n[kept_n++] = live_n[p];
-            n_live_n = kept_n;
+            n_live_n = drop_isolated(n_live_n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
         }
         a->out_n_blocks[m] = n_blocks;
     }
     goto cleanup;
 
-alloc_failed:
+failed:
     a->out_status[m] = -1;
     a->out_n_blocks[m] = 0;
 
 cleanup:
-    free(present_u);
-    free(present_m);
     free(remap_u);
     free(remap_m);
-    free(mu);
-    free(mm);
+    free(eu);
+    free(ev);
     free(mw);
-    free(live_e);
     free(ew);
     free(deg);
     free(deg_frozen);
     free(live_n);
-    free(local);
     free(indptr);
     free(fill);
     free(flat_other);

@@ -17,10 +17,14 @@ argument, or per-detector via :attr:`repro.fdet.FdetConfig.engine`):
   graph's CSR adjacency. Easiest to audit; the semantic oracle, and what
   hosts without a C compiler run.
 * ``"fast"`` (default) — the compiled C kernel (``_peel_kernel.c``, loaded
-  through :mod:`._native`) over a flattened CSR of the graph. Produces
-  bitwise-identical :class:`PeelResult`s — same tie-breaking (smallest node
-  id first), same float64 operation order — at a large constant-factor
-  speedup. With no kernel on the host it runs the reference engine.
+  through :mod:`._native`) over a flattened int32 CSR of the graph.
+  Produces bitwise-identical :class:`PeelResult`s — same tie-breaking
+  (smallest node id first), same float64 operation order — at a large
+  constant-factor speedup. Its heap keeps one entry per node, keyed by the
+  smallest priority the node has had, which is exactly the entry the
+  reference's lazy-deletion rule accepts (the kernel header gives the
+  argument). With no kernel on the host, or for a graph whose node or
+  half-edge count reaches the int32 limit, it runs the reference engine.
 
 ``Fdet.detect`` runs its whole block loop in the kernel's batched entry
 point (:mod:`.batched`); the single peel here serves :func:`greedy_peel`,
@@ -175,7 +179,8 @@ def _peel(
     """One peel of a graph with at least one node on a resolved ``engine``.
 
     ``fast`` runs the C kernel, and the reference walk when the host has no
-    kernel or the kernel runs out of memory.
+    kernel, the graph reaches the kernel's int32 limit, or the kernel runs
+    out of memory.
     """
     peeled = _native_peel(graph, edge_weights, priors) if engine == PeelEngine.FAST else None
     if peeled is None:
@@ -210,19 +215,25 @@ def _priorities(
 #: ``(removal_order, densities, best_density, best_removed)`` of one peel
 _Peeled = tuple[np.ndarray, np.ndarray, float, int]
 
+#: The kernel numbers nodes and CSR half-edges with int32: a graph whose node
+#: count or half-edge count (``2 * n_edges``) reaches this runs the reference.
+_INT32_LIMIT = int(np.iinfo(np.int32).max)
+
 
 def _native_peel(
     graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
 ) -> _Peeled | None:
-    """The C kernel's peel; ``None`` when there is no kernel or it ran out of memory.
+    """The C kernel's peel, or ``None`` when the reference must run instead.
 
-    Flattens the graph into one CSR over the joint node index space (user
-    ``u`` is node ``u``, merchant ``m`` is node ``n_users + m``) with
+    ``None`` means there is no kernel, the graph's node or half-edge count
+    reaches the kernel's int32 limit, or the kernel ran out of memory.
+    Flattens the graph into one int32 CSR over the joint node index space
+    (user ``u`` is node ``u``, merchant ``m`` is node ``n_users + m``) with
     half-edges in the graph's adjacency order, so ties break as in the
     reference walk.
     """
     kernels = load_kernels()
-    if kernels is None:
+    if kernels is None or max(graph.n_nodes, 2 * graph.n_edges) >= _INT32_LIMIT:
         return None
     n_users = graph.n_users
     priority, total = _priorities(graph, edge_weights, priors)
@@ -233,14 +244,14 @@ def _native_peel(
         [n_users + graph.edge_merchants[user_edges], graph.edge_users[merchant_edges]]
     )
     flat_w = edge_weights[np.concatenate([user_edges, merchant_edges])]
-    removal_order = np.empty(graph.n_nodes, dtype=np.int64)
+    removal_order = np.empty(graph.n_nodes, dtype=np.int32)
     densities = np.empty(graph.n_nodes, dtype=np.float64)
     best_density = ctypes.c_double()
     best_removed = ctypes.c_int64()
     removed = kernels.greedy_peel(
         graph.n_nodes,
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(flat_other, dtype=np.int64),
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        np.ascontiguousarray(flat_other, dtype=np.int32),
         np.ascontiguousarray(flat_w, dtype=np.float64),
         priority,
         total,

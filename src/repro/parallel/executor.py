@@ -52,6 +52,7 @@ __all__ = [
     "parallel_map",
     "default_workers",
     "kill_executor_workers",
+    "usable_cores",
 ]
 
 T = TypeVar("T")
@@ -67,8 +68,22 @@ class ExecutorMode:
     ALL = (SERIAL, THREAD, PROCESS)
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: the size of its affinity mask.
+
+    ``os.cpu_count()`` counts the machine's CPUs whatever the mask
+    (``taskset``, cgroup cpusets) allows, so sizing by it oversubscribes a
+    pinned process. Falls back to ``os.cpu_count()`` where the platform has
+    no ``sched_getaffinity``; floored at 1.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is None:
+        return os.cpu_count() or 1
+    return max(1, len(getaffinity(0)))
+
+
 def default_workers(n_items: int | None = None) -> int:
-    """Worker count: CPU count, capped by the number of items (if known).
+    """Worker count: usable cores, capped by the number of items (if known).
 
     Set ``REPRO_WORKERS`` to pin the count explicitly (CI, benchmarks);
     values below 1 clamp to 1, non-integers raise :class:`ReproError`.
@@ -81,7 +96,7 @@ def default_workers(n_items: int | None = None) -> int:
             raise ReproError(f"REPRO_WORKERS must be an integer, got {pinned!r}") from None
         workers = max(1, workers)
     else:
-        workers = os.cpu_count() or 1
+        workers = usable_cores()
     if n_items is not None:
         workers = max(1, min(workers, n_items))
     return workers

@@ -28,6 +28,7 @@ from repro.fdet import (
     PeelEngine,
     PriorWeightedDensity,
     WeightPolicy,
+    greedy_peel,
 )
 from repro.fdet import batched, peeling
 from repro.fdet._native import native_available
@@ -268,6 +269,29 @@ class TestUnusualWeights:
         assert_tables_equal(batch.vote_table, reference.vote_table)
         for left, right in zip(batch.sample_detections, reference.sample_detections):
             self.assert_same_result(right.result, left.result)
+
+    @pytest.mark.parametrize("priors", [False, True], ids=["no-priors", "priors"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_peel(self, kind, priors):
+        """``greedy_peel``'s one peel, with and without node priors."""
+        graph = chung_lu_bipartite(120, 50, 900, rng=2)
+        weights = unusual_weights(kind, graph.n_edges)
+        rng = np.random.default_rng(23)
+        node_weights = (
+            (rng.uniform(0.0, 2.0, graph.n_users), rng.uniform(0.0, 2.0, graph.n_merchants))
+            if priors
+            else (None, None)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, got = (
+                greedy_peel(graph, weights, *node_weights, engine=engine)
+                for engine in (PeelEngine.REFERENCE, PeelEngine.FAST)
+            )
+        assert np.array_equal(expected.user_mask, got.user_mask)
+        assert np.array_equal(expected.merchant_mask, got.merchant_mask)
+        assert np.array_equal(expected.densities, got.densities, equal_nan=True)
+        assert np.array_equal([expected.density], [got.density], equal_nan=True)
+        assert expected.n_removed == got.n_removed
 
     @pytest.mark.parametrize("metric", [LogWeightedDensity(), AverageDegreeDensity()])
     @pytest.mark.parametrize("policy", WeightPolicy.ALL)

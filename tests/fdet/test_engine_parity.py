@@ -23,6 +23,7 @@ from repro.fdet import (
     WeightPolicy,
     greedy_peel,
 )
+from repro.fdet import peeling
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph
 
@@ -125,6 +126,31 @@ class TestPeelParity:
             BipartiteGraph.from_edges([(0, 0)]),
         ):
             assert_peel_parity(graph, np.ones(graph.n_edges, dtype=np.float64))
+
+
+class TestInt32Limit:
+    """The kernel numbers nodes and half-edges with int32; past that, reference."""
+
+    @pytest.mark.parametrize(
+        "graph,count",
+        [
+            # many nodes, few edges: the node count reaches the limit first
+            (uniform_bipartite(50, 20, 10, rng=1), lambda g: g.n_nodes),
+            # few nodes, many edges: the half-edge count reaches it first
+            (chung_lu_bipartite(30, 12, 80, rng=0), lambda g: 2 * g.n_edges),
+        ],
+        ids=["nodes", "half-edges"],
+    )
+    def test_reaching_the_limit_runs_the_reference(self, fast_core, monkeypatch, graph, count):
+        weights = LogWeightedDensity().edge_weights(graph)
+        priors = np.zeros(graph.n_nodes)
+        limit = count(graph)
+        assert min(graph.n_nodes, 2 * graph.n_edges) < limit
+        monkeypatch.setattr(peeling, "_INT32_LIMIT", limit + 1)
+        assert peeling._native_peel(graph, weights, priors) is not None
+        monkeypatch.setattr(peeling, "_INT32_LIMIT", limit)
+        assert peeling._native_peel(graph, weights, priors) is None
+        assert_peel_parity(graph, weights)
 
 
 def _seed_detect(graph, config):

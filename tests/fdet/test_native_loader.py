@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.fdet import _native
+from repro.parallel import default_workers
 
 
 @pytest.fixture(autouse=True)
@@ -113,14 +114,14 @@ class TestKernelHandle:
 class TestNativeThreads:
     def test_defaults_to_cores_over_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(_native, "usable_cores", lambda: 8)
         assert _native.native_threads() == 8
         assert _native.native_threads(n_workers=2) == 4
         assert _native.native_threads(n_workers=3) == 2
         assert _native.native_threads(n_workers=16) == 1  # floored at 1
 
     def test_env_pin_is_capped_by_oversubscription_guard(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(_native, "usable_cores", lambda: 8)
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
         assert _native.native_threads() == 3
         # workers x threads <= cores: a 4-worker pool caps the pin at 2
@@ -129,6 +130,19 @@ class TestNativeThreads:
         assert _native.native_threads(n_workers=2) == 4
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "0")
         assert _native.native_threads() == 1
+
+    def test_affinity_mask_bounds_threads_and_workers(self, monkeypatch):
+        """A process pinned to one CPU of a bigger machine runs one thread."""
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _native.native_threads() == 1
+        assert default_workers() == 1
+        # without an affinity call the machine's count is all there is
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _native.native_threads() == 2
+        assert default_workers() == 2
 
     def test_non_integer_pin_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_THREADS", "many")

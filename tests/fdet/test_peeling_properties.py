@@ -10,6 +10,7 @@ from repro.fdet import (
     AverageDegreeDensity,
     FirstDifferenceRule,
     LogWeightedDensity,
+    PeelEngine,
     SecondDifferenceRule,
     greedy_peel,
 )
@@ -37,6 +38,44 @@ def graphs_with_weights(draw):
         dtype=np.float64,
     )
     return graph, weights
+
+
+#: a few repeated values so priorities tie, with both zeros and both signs
+_TIED_WEIGHTS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def graphs_with_signed_weights(draw):
+    """Mixed-sign, zero and tied edge weights, and optional node priors."""
+    graph, _ = draw(graphs_with_weights())
+    value = st.one_of(
+        st.sampled_from(_TIED_WEIGHTS),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+
+    def array(size):
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=np.float64)
+
+    priors = draw(st.booleans())
+    user_weights = array(graph.n_users) if priors else None
+    merchant_weights = array(graph.n_merchants) if priors else None
+    return graph, array(graph.n_edges), user_weights, merchant_weights
+
+
+@given(graphs_with_signed_weights())
+@settings(max_examples=150, deadline=None)
+def test_fast_peel_matches_reference_on_signed_weights(case):
+    """Priorities that rise (negative weights) or tie must pop in reference order."""
+    graph, weights, user_weights, merchant_weights = case
+    expected, got = (
+        greedy_peel(graph, weights, user_weights, merchant_weights, engine=engine)
+        for engine in (PeelEngine.REFERENCE, PeelEngine.FAST)
+    )
+    assert np.array_equal(expected.user_mask, got.user_mask)
+    assert np.array_equal(expected.merchant_mask, got.merchant_mask)
+    assert np.array_equal(expected.densities, got.densities)
+    assert expected.density == got.density
+    assert expected.n_removed == got.n_removed
 
 
 @given(graphs_with_weights())
