@@ -42,8 +42,8 @@ _CLEANUP = "cleanup"
 
 def _ranked_by_votes(table: VoteTable) -> np.ndarray:
     """Voted user labels from most to least voted (ties broken by label)."""
-    ordered = sorted(table.user_votes.items(), key=lambda item: (-item[1], item[0]))
-    return np.array([label for label, _ in ordered], dtype=np.int64)
+    labels, counts = table.user_votes.voted()
+    return labels[np.argsort(-counts, kind="stable")]
 
 
 def _threshold_sweep(
@@ -51,16 +51,12 @@ def _threshold_sweep(
 ) -> tuple[tuple[float, np.ndarray], ...]:
     """Detected user labels at every voting threshold ``T = 1..N``.
 
-    One numpy pass over the vote table instead of ``N``
-    :func:`majority_vote` calls (which would also tally merchants just to
-    discard them); each array is bit-identical to
-    ``majority_vote(table, t).user_labels`` — sorted labels whose vote
-    count reaches ``t``.
+    One sort of the voted users instead of ``N`` :func:`majority_vote`
+    calls (which would also tally merchants just to discard them); each
+    array is bit-identical to ``majority_vote(table, t).user_labels`` —
+    sorted labels whose vote count reaches ``t``.
     """
-    labels = np.array(sorted(table.user_votes), dtype=np.int64)
-    counts = np.array(
-        [table.user_votes[int(label)] for label in labels.tolist()], dtype=np.int64
-    )
+    labels, counts = table.user_votes.voted()
     return tuple(
         (float(threshold), labels[counts >= threshold])
         for threshold in range(1, n_samples + 1)

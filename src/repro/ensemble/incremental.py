@@ -44,7 +44,7 @@ from .results import (
     save_detection_state,
 )
 from .runner import MemberFailure, SampleDetection, _raise_first_failure, run_members
-from .voting import VoteTable, majority_vote, tally_votes
+from .voting import VoteTable, majority_vote, node_indices, tally_votes
 
 __all__ = ["IncrementalEnsemFDet", "UpdateReport"]
 
@@ -117,21 +117,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _LOST = _SampleState(_EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
-def _node_indices(node_labels: np.ndarray, label_sets: list[np.ndarray]) -> list[np.ndarray]:
-    """The node index of every label in each of ``label_sets``; one sort serves all.
-
-    A label shared by several nodes maps to one of them, which the
-    label-keyed vote table cannot tell apart.
-    """
-    labels = np.concatenate([_EMPTY, *label_sets])
-    order = np.argsort(node_labels, kind="stable")
-    positions = np.searchsorted(node_labels, labels, sorter=order)
-    indices = order[np.minimum(positions, order.size - 1)]
-    if not np.array_equal(node_labels[indices], labels):
-        raise DetectionError("a member detection names a node the graph does not have")
-    return np.split(indices, np.cumsum([s.size for s in label_sets])[:-1])
-
-
 def _sample_state(detection: SampleDetection, graph: BipartiteGraph) -> _SampleState:
     """What the detector stores of one detection.
 
@@ -141,15 +126,13 @@ def _sample_state(detection: SampleDetection, graph: BipartiteGraph) -> _SampleS
     users = detection.detected_user_indices
     merchants = detection.detected_merchant_indices
     if users is None or merchants is None:
-        (users,) = _node_indices(graph.user_labels, [detection.result.detected_users()])
-        (merchants,) = _node_indices(
-            graph.merchant_labels, [detection.result.detected_merchants()]
-        )
+        (users,) = node_indices(graph.user_labels, [detection.result.detected_users()])
+        (merchants,) = node_indices(graph.merchant_labels, [detection.result.detected_merchants()])
     return _SampleState(
         detected_user_indices=users,
         detected_merchant_indices=merchants,
-        sample_users=np.array(detection.sample_users, dtype=np.int64),
-        sample_merchants=np.array(detection.sample_merchants, dtype=np.int64),
+        sample_users=np.asarray(detection.sample_users, dtype=np.int64),
+        sample_merchants=np.asarray(detection.sample_merchants, dtype=np.int64),
     )
 
 
@@ -253,6 +236,11 @@ class IncrementalEnsemFDet:
     def stale_members(self) -> tuple[int, ...]:
         """Members currently serving stale votes (degraded mode), sorted."""
         return tuple(sorted(self._degraded))
+
+    @property
+    def watermark(self) -> int | None:
+        """The rolling window's append watermark (``None`` when append-only)."""
+        return None if self._acc is None else self._acc.watermark
 
     def window(self) -> LiveWindow:
         """Snapshot of the rolling window (windowed detectors only)."""
@@ -677,8 +665,8 @@ class IncrementalEnsemFDet:
         detector._samples = [
             _SampleState(*member)
             for member in zip(
-                _node_indices(graph.user_labels, state.detected_users),
-                _node_indices(graph.merchant_labels, state.detected_merchants),
+                node_indices(graph.user_labels, state.detected_users),
+                node_indices(graph.merchant_labels, state.detected_merchants),
                 state.sample_users,
                 state.sample_merchants,
             )

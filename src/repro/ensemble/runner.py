@@ -92,20 +92,20 @@ FAIL_ERROR = "error"  # the member's own code raised
 class SampleDetection:
     """FDET output for one sampled subgraph, plus (optionally) its contents.
 
-    ``sample_users`` / ``sample_merchants`` are only populated when the
-    caller asked for member tracking — a fit at ``N=80`` would otherwise
-    keep every sampled label array alive in the result for nothing.
+    ``sample_users`` / ``sample_merchants`` are the sampled subgraph's
+    node label arrays, only populated when the caller asked for member
+    tracking — a fit at ``N=80`` would otherwise keep every sampled label
+    array alive in the result for nothing.
 
     ``detected_user_indices`` / ``detected_merchant_indices`` are parent
     node-index arrays of the truncated detection, populated only by the
-    batched native backend; they feed the native vote merge and are
-    excluded from equality so detections compare identically across
-    backends.
+    batched native backend; they feed the vote tally and are excluded from
+    equality so detections compare identically across backends.
     """
 
     result: FdetResult
-    sample_users: tuple[int, ...] | None = None
-    sample_merchants: tuple[int, ...] | None = None
+    sample_users: np.ndarray | None = None
+    sample_merchants: np.ndarray | None = None
     detected_user_indices: np.ndarray | None = field(default=None, compare=False, repr=False)
     detected_merchant_indices: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -166,9 +166,7 @@ def _detection(fdet: Fdet, graph: BipartiteGraph, track_members: bool) -> Sample
     if not track_members:
         return SampleDetection(result=result)
     return SampleDetection(
-        result=result,
-        sample_users=tuple(graph.user_labels.tolist()),
-        sample_merchants=tuple(graph.merchant_labels.tolist()),
+        result=result, sample_users=graph.user_labels, sample_merchants=graph.merchant_labels
     )
 
 
@@ -215,8 +213,8 @@ def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> Sa
     """Wrap one batched-kernel output like :func:`_detection` would."""
     return SampleDetection(
         result=nd.result,
-        sample_users=tuple(nd.user_labels.tolist()) if track_members else None,
-        sample_merchants=tuple(nd.merchant_labels.tolist()) if track_members else None,
+        sample_users=nd.user_labels if track_members else None,
+        sample_merchants=nd.merchant_labels if track_members else None,
         detected_user_indices=nd.detected_user_indices,
         detected_merchant_indices=nd.detected_merchant_indices,
     )

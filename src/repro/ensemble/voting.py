@@ -1,10 +1,10 @@
 """Vote aggregation (paper Definition 4: Majority Voting Aggregation).
 
 Each of the ``N`` per-sample FDET runs nominates suspicious user/merchant
-labels; :class:`VoteTable` tallies how often each label was nominated
+nodes; :class:`VoteTable` counts how often each was nominated
 (:func:`tally_votes` builds it from member detections for every fit,
-sharded fit and incremental update), and the aggregators turn tallies into
-final detections:
+sharded fit and incremental update), and the aggregators turn the counts
+into final detections:
 
 * :func:`majority_vote` — the paper's MVA: accept when votes ≥ ``T``.
 * :func:`normalized_majority_vote` — ablation variant that divides a node's
@@ -16,16 +16,15 @@ final detections:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import AggregationError
+from ..errors import AggregationError, DetectionError
 from ..fdet import batched as _batched
 from ..graph import BipartiteGraph
-from .results import DetectionResult
+from .results import DetectionResult, VoteCounts
 
 __all__ = [
     "VoteTable",
@@ -35,12 +34,7 @@ __all__ = [
     "vote_scores",
 ]
 
-
-def _tally(label_sets: Sequence[Iterable[int]]) -> Counter[int]:
-    counter: Counter[int] = Counter()
-    for labels in label_sets:
-        counter.update(int(label) for label in labels)
-    return counter
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -52,17 +46,18 @@ class VoteTable:
     n_samples:
         The ensemble size ``N`` (upper bound for any count).
     user_votes, merchant_votes:
-        ``label -> number of samples that detected it``.
+        ``label -> number of samples that detected it``; a graph tally keeps
+        the graph's node order, :meth:`from_detections` sorted unique labels.
     user_appearances, merchant_appearances:
-        Optional ``label -> number of samples that contained it`` maps,
+        Optional ``label -> number of samples that contained it`` counts,
         needed only by the normalised aggregator.
     """
 
     n_samples: int
-    user_votes: Counter[int] = field(default_factory=Counter)
-    merchant_votes: Counter[int] = field(default_factory=Counter)
-    user_appearances: Counter[int] | None = None
-    merchant_appearances: Counter[int] | None = None
+    user_votes: VoteCounts
+    merchant_votes: VoteCounts
+    user_appearances: VoteCounts | None = None
+    merchant_appearances: VoteCounts | None = None
 
     @classmethod
     def from_detections(
@@ -70,7 +65,7 @@ class VoteTable:
         user_label_sets: Sequence[Iterable[int]],
         merchant_label_sets: Sequence[Iterable[int]],
     ) -> "VoteTable":
-        """Tally one detection (set of labels) per ensemble member."""
+        """Tally one detection (collection of labels) per ensemble member."""
         if len(user_label_sets) != len(merchant_label_sets):
             raise AggregationError(
                 "user and merchant detection lists must have the same length "
@@ -78,8 +73,8 @@ class VoteTable:
             )
         return cls(
             n_samples=len(user_label_sets),
-            user_votes=_tally(user_label_sets),
-            merchant_votes=_tally(merchant_label_sets),
+            user_votes=VoteCounts.tally(user_label_sets),
+            merchant_votes=VoteCounts.tally(merchant_label_sets),
         )
 
     def attach_appearances(
@@ -90,54 +85,67 @@ class VoteTable:
         """Record which labels each sampled subgraph *contained*."""
         if len(user_label_sets) != self.n_samples or len(merchant_label_sets) != self.n_samples:
             raise AggregationError("appearance lists must match n_samples")
-        self.user_appearances = _tally(user_label_sets)
-        self.merchant_appearances = _tally(merchant_label_sets)
+        self.user_appearances = VoteCounts.tally(user_label_sets)
+        self.merchant_appearances = VoteCounts.tally(merchant_label_sets)
 
     def max_user_votes(self) -> int:
         """Highest vote count any user received (0 when nothing was voted)."""
-        return max(self.user_votes.values(), default=0)
+        return int(self.user_votes.counts.max(initial=0))
 
     def vote_histogram(self) -> dict[int, int]:
         """``votes -> number of users with that many votes`` (diagnostics)."""
-        histogram: Counter[int] = Counter(self.user_votes.values())
-        return dict(sorted(histogram.items()))
+        counts = self.user_votes.counts
+        votes, users = np.unique(counts[counts > 0], return_counts=True)
+        return dict(zip(votes.tolist(), users.tolist()))
 
 
-def _detected_labels(detection, graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """One member's detected ``(user, merchant)`` labels, for the label tally."""
-    users = detection.detected_user_indices
-    merchants = detection.detected_merchant_indices
-    if users is None or merchants is None:
-        return detection.result.detected_users(), detection.result.detected_merchants()
-    return np.unique(graph.user_labels[users]), np.unique(graph.merchant_labels[merchants])
+def node_indices(node_labels: np.ndarray, label_sets: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The node index of every label in each of ``label_sets``; one sort serves all.
+
+    A label shared by several nodes maps to the first of them, which the
+    label-keyed vote table cannot tell apart.
+    """
+    if not label_sets:
+        return []
+    labels = np.concatenate([_EMPTY, *label_sets])
+    order = np.argsort(node_labels, kind="stable")
+    positions = np.searchsorted(node_labels, labels, sorter=order)
+    indices = order[np.minimum(positions, order.size - 1)]
+    if not np.array_equal(node_labels[indices], labels):
+        raise DetectionError("a member detection names a node the graph does not have")
+    return np.split(indices, np.cumsum([s.size for s in label_sets])[:-1])
 
 
 def tally_votes(
     detections: Sequence, graph: BipartiteGraph, track_appearances: bool = False
 ) -> VoteTable:
-    """The vote table of ``detections``, one per ensemble member.
+    """The vote table of ``detections``, one per ensemble member, in ``graph``'s node order.
 
-    Each detection carries parent node-index arrays
-    (``detected_user_indices`` / ``detected_merchant_indices``) or, when
-    those are ``None``, an FDET ``result`` naming its detected labels; with
-    ``track_appearances`` it also carries ``sample_users`` /
-    ``sample_merchants``. The native accumulator
-    (:func:`repro.fdet.batched.vote_counters`) tallies the node indices;
-    without the kernel, when a detection has no index arrays, or when two
-    voted nodes share a label, :meth:`VoteTable.from_detections` tallies
-    the labels instead. Both give the same table.
+    A kernel detection carries parent node-index arrays
+    (``detected_user_indices`` / ``detected_merchant_indices``, both or
+    neither); the labels a reference-engine detection's FDET ``result``
+    names are looked up with :func:`node_indices`. :func:`repro.fdet.batched.vote_counters` counts
+    the indices. With ``track_appearances`` the ``sample_users`` /
+    ``sample_merchants`` label arrays are tallied too.
     """
-    counters = _batched.vote_counters(detections, graph)
-    if counters is not None:
-        table = VoteTable(
-            n_samples=len(detections), user_votes=counters[0], merchant_votes=counters[1]
-        )
-    else:
-        labels = [_detected_labels(d, graph) for d in detections]
-        table = VoteTable.from_detections(
-            [users.tolist() for users, _ in labels],
-            [merchants.tolist() for _, merchants in labels],
-        )
+    named = [d.result for d in detections if d.detected_user_indices is None]
+    found = zip(
+        node_indices(graph.user_labels, [result.detected_users() for result in named]),
+        node_indices(graph.merchant_labels, [result.detected_merchants() for result in named]),
+    )
+    indices = [
+        next(found) if d.detected_user_indices is None
+        else (d.detected_user_indices, d.detected_merchant_indices)
+        for d in detections
+    ]
+    user_counts, merchant_counts = _batched.vote_counters(
+        [users for users, _ in indices], [merchants for _, merchants in indices], graph
+    )
+    table = VoteTable(
+        n_samples=len(detections),
+        user_votes=VoteCounts(np.asarray(graph.user_labels, np.int64), user_counts),
+        merchant_votes=VoteCounts(np.asarray(graph.merchant_labels, np.int64), merchant_counts),
+    )
     if track_appearances:
         table.attach_appearances(
             [d.sample_users for d in detections],
@@ -146,30 +154,15 @@ def tally_votes(
     return table
 
 
-def vote_scores(labels: np.ndarray, votes) -> np.ndarray:
-    """Per-node vote counts in node-index order (0 for never-voted nodes).
-
-    Vectorised via a sorted-key lookup — the voted set is usually much
-    smaller than the node set, and a Python loop over every label would
-    dominate small fits.
-    """
+def vote_scores(labels: np.ndarray, votes: VoteCounts) -> np.ndarray:
+    """The vote count of each of ``labels`` as float64 (0 for never-voted labels)."""
+    keys, values = votes.voted()
     scores = np.zeros(labels.size, dtype=np.float64)
-    if not votes:
-        return scores
-    keys = np.fromiter(votes.keys(), dtype=np.int64, count=len(votes))
-    values = np.fromiter(votes.values(), dtype=np.float64, count=len(votes))
-    order = np.argsort(keys)
-    keys, values = keys[order], values[order]
-    positions = np.searchsorted(keys, labels)
-    positions = np.clip(positions, 0, keys.size - 1)
-    hits = keys[positions] == labels
-    scores[hits] = values[positions[hits]]
+    if keys.size:
+        positions = np.minimum(np.searchsorted(keys, labels), keys.size - 1)
+        hits = keys[positions] == labels
+        scores[hits] = values[positions[hits]]
     return scores
-
-
-def _accepted(votes: Counter[int], threshold: int) -> np.ndarray:
-    labels = [label for label, count in votes.items() if count >= threshold]
-    return np.array(sorted(labels), dtype=np.int64)
 
 
 def majority_vote(table: VoteTable, threshold: int) -> DetectionResult:
@@ -177,8 +170,8 @@ def majority_vote(table: VoteTable, threshold: int) -> DetectionResult:
     if threshold < 1:
         raise AggregationError(f"voting threshold T must be >= 1, got {threshold}")
     return DetectionResult(
-        user_labels=_accepted(table.user_votes, threshold),
-        merchant_labels=_accepted(table.merchant_votes, threshold),
+        user_labels=table.user_votes.accepted(threshold),
+        merchant_labels=table.merchant_votes.accepted(threshold),
     )
 
 
@@ -198,14 +191,11 @@ def normalized_majority_vote(
             "normalized vote needs appearance counts; call attach_appearances() first"
         )
 
-    def accept(votes: Counter[int], appearances: Counter[int]) -> np.ndarray:
-        labels = [
-            label
-            for label, count in votes.items()
-            if appearances[label] >= min_appearances
-            and count / appearances[label] >= fraction
-        ]
-        return np.array(sorted(labels), dtype=np.int64)
+    def accept(votes: VoteCounts, appearances: VoteCounts) -> np.ndarray:
+        labels, counts = votes.voted()
+        seen = vote_scores(labels, appearances)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return labels[(seen >= min_appearances) & (counts / seen >= fraction)]
 
     return DetectionResult(
         user_labels=accept(table.user_votes, table.user_appearances),

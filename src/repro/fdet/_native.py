@@ -23,8 +23,6 @@ The shared object exports several entry points, loaded together as a
     for ensemble fits and for ``Fdet.detect``). Both entry points run the
     same peel core over int32 member-local node ids; a member past the
     int32 limit reports status -1 and takes the per-member path.
-``repro_accumulate_votes``
-    Vote-merge accumulator for ensemble tallies.
 ``repro_pairwise_sum``
     numpy-replica pairwise summation, exported so the Python side can
     probe bitwise agreement with ``np.sum`` before trusting the batch
@@ -83,7 +81,6 @@ class NativeKernels:
 
     greedy_peel: object
     fdet_batch: object
-    accumulate_votes: object
     pairwise_sum: object
     has_openmp: bool
 
@@ -270,10 +267,6 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
     ]
     batch.restype = ctypes.c_int64
 
-    votes = lib.repro_accumulate_votes
-    votes.argtypes = [i64_array, ctypes.c_int64, i64_array]
-    votes.restype = ctypes.c_int64
-
     psum = lib.repro_pairwise_sum
     psum.argtypes = [f64_array, ctypes.c_int64]
     psum.restype = ctypes.c_double
@@ -285,7 +278,6 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
     return NativeKernels(
         greedy_peel=peel,
         fdet_batch=batch,
-        accumulate_votes=votes,
         pairwise_sum=psum,
         has_openmp=bool(omp()),
     )

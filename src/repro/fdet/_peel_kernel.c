@@ -864,14 +864,6 @@ int64_t repro_fdet_batch(
     return 0;
 }
 
-/* votes[indices[i]] += 1 — the vote-merge accumulator. */
-int64_t repro_accumulate_votes(const int64_t *indices, int64_t n, int64_t *votes)
-{
-    for (int64_t i = 0; i < n; i++)
-        votes[indices[i]]++;
-    return 0;
-}
-
 /* 1 when this build runs members OpenMP-parallel, 0 for the serial build. */
 int64_t repro_has_openmp(void)
 {

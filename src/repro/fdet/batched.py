@@ -16,7 +16,8 @@ when available. Two callers:
 
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
 plan→edge-id expansion, marshalling, truncation, :class:`Block` /
-:class:`FdetResult` assembly, and the native vote-merge helpers. Everything
+:class:`FdetResult` assembly, and the vote tally over the detected node
+indices (:func:`vote_counters`, one ``np.bincount`` per side). Everything
 the kernel computes is **bitwise identical** to the reference pipeline
 (``materialize_plan`` + ``Fdet.detect`` with ``engine="reference"``) —
 enforced by ``tests/fdet/test_batched_parity.py`` across sampler families,
@@ -34,9 +35,8 @@ this host and disables the batch path when it does not.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +68,7 @@ _DEGREE_WEIGHT_IMPLS = (
 )
 
 _DUMMY_F64 = np.zeros(1, dtype=np.float64)
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: None = probe not yet run, else its verdict (per process)
 _probe_verdict: bool | None = None
@@ -117,22 +118,32 @@ def plan_eligible(plan: SamplePlan) -> bool:
     return plan.kind in ("edges", "stripes")
 
 
+def _live_stripes(window: EdgeWindow, stripe: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window's live rows and the stripe of each (its append id // ``stripe``)."""
+    rows = np.flatnonzero(window.alive)
+    ids = window.edge_ids[rows]
+    return rows, ids if stripe == 1 else ids // stripe
+
+
 def plan_edge_ids(
-    plan: SamplePlan, n_edges: int, window: EdgeWindow | None = None
+    plan: SamplePlan,
+    n_edges: int,
+    window: EdgeWindow | None = None,
+    live: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The parent edge ids ``plan`` keeps — no subgraph construction.
 
     Mirrors :func:`repro.sampling.materialize_plan` exactly: windowed
-    stripe lookup by append id with the liveness overlay AND-ed in,
-    positional stripe expansion otherwise, and the raw index list for
-    edge-kind plans. Order matters — edge-kind ids stay in plan (chosen)
-    order, mask-derived ids come out ascending — because the member's
-    edge order defines its adjacency and peel tie-breaking.
+    stripe lookup by append id over the live rows, positional stripe
+    expansion otherwise, and the raw index list for edge-kind plans. Order
+    matters — edge-kind ids stay in plan (chosen) order, mask-derived ids
+    come out ascending — because the member's edge order defines its
+    adjacency and peel tie-breaking. ``live`` is the window's live rows and
+    their stripe ids for ``plan.stripe``, when a caller shares them across plans.
     """
     if window is not None:
-        ids = window.edge_ids if plan.stripe == 1 else window.edge_ids // plan.stripe
-        mask = plan.stripe_row[ids] & window.alive
-        return np.nonzero(mask)[0]
+        rows, stripes = live if live is not None else _live_stripes(window, plan.stripe)
+        return rows[plan.stripe_row[stripes]]
     if plan.kind == "edges":
         return np.ascontiguousarray(plan.edge_indices, dtype=np.int64)
     if plan.kind == "stripes":
@@ -164,7 +175,7 @@ class NativeDetection:
     ``user_labels`` / ``merchant_labels`` are the member subgraph's node
     labels (parent labels gathered over the member's compacted node set);
     the ``detected_*_indices`` arrays are sorted unique **parent node
-    indices** over the truncated blocks, feeding the native vote merge.
+    indices** over the truncated blocks, feeding the vote tally.
     """
 
     result: FdetResult
@@ -193,7 +204,10 @@ def detect_many(
     kernels = batch_kernels()
     if kernels is None or not plans:
         return None
-    ids_list = [plan_edge_ids(plan, graph.n_edges, window) for plan in plans]
+    # one pass over the window's rows serves every member's stripe lookup
+    stripes = set() if window is None else {plan.stripe for plan in plans}
+    live = {stripe: _live_stripes(window, stripe) for stripe in stripes}
+    ids_list = [plan_edge_ids(plan, graph.n_edges, window, live.get(plan.stripe)) for plan in plans]
     scales = np.array(
         [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
         dtype=np.float64,
@@ -368,66 +382,48 @@ def _run_batch(
         k_hat = config.truncation.truncate([block.density for block in blocks])
         result = FdetResult(all_blocks=tuple(blocks), k_hat=k_hat)
 
-        if k_hat > 0:
-            union = bits[:k_hat].any(axis=0)
-            detected_users = np.ascontiguousarray(ku[union[:nu]])
-            detected_merchants = np.ascontiguousarray(km[union[nu:]])
-        else:
-            detected_users = np.empty(0, dtype=np.int64)
-            detected_merchants = np.empty(0, dtype=np.int64)
+        union = bits[:k_hat].any(axis=0) if k_hat else np.zeros(n, dtype=bool)
         out.append(
             NativeDetection(
                 result=result,
                 user_labels=member_user_labels,
                 merchant_labels=member_merchant_labels,
-                detected_user_indices=detected_users,
-                detected_merchant_indices=detected_merchants,
+                detected_user_indices=ku[union[:nu]],
+                detected_merchant_indices=km[union[nu:]],
             )
         )
     return out
 
 
 def vote_counters(
-    detections: Sequence[object], graph: BipartiteGraph
-) -> tuple[Counter, Counter] | None:
-    """Native vote merge: per-member detected-index arrays → vote counters.
+    user_indices: Sequence[np.ndarray],
+    merchant_indices: Sequence[np.ndarray],
+    graph: BipartiteGraph,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vote merge: each member's detected node indices → one count array per side.
 
-    Equal (as :class:`collections.Counter`) to tallying
-    ``result.detected_users()`` labels member by member, provided every
-    detection carries index arrays and no two *voted* node indices share a
-    label (two such indices would collapse onto one label, and a member
-    detecting both counts that label once). Duplicate labels among nodes
-    nobody voted for are harmless, so the check runs on the voted indices
-    only, after the tally. Returns ``None`` whenever those preconditions —
-    or the kernel itself — are unavailable, and raises :class:`ValueError`
-    for an index outside ``graph``.
+    ``counts[i]`` is how many members detected node ``i`` of ``graph`` —
+    one concatenate plus one ``np.bincount``. When two *voted* nodes share
+    a label, a member counts that label once, on the first voted node
+    carrying it (the others read 0), as a tally over labels would. Raises
+    :class:`ValueError` for an index outside ``graph``.
     """
-    kernels = batch_kernels()
-    if kernels is None or not detections:
-        return None
-    if any(
-        getattr(d, "detected_user_indices", None) is None
-        or getattr(d, "detected_merchant_indices", None) is None
-        for d in detections
-    ):
-        return None
+    users = _counts(user_indices, graph.user_labels)
+    return users, _counts(merchant_indices, graph.merchant_labels)
 
-    def tally(index_arrays: Iterable[np.ndarray], labels: np.ndarray) -> Counter | None:
-        votes = np.zeros(max(1, labels.size), dtype=np.int64)
-        indices = np.ascontiguousarray(np.concatenate(list(index_arrays)), dtype=np.int64)
-        if indices.size:
-            # the kernel writes votes[index] unchecked
-            if indices.min() < 0 or indices.max() >= labels.size:
-                raise ValueError("a detected node index lies outside the graph")
-            kernels.accumulate_votes(indices, indices.size, votes)
-        hit = np.nonzero(votes[: labels.size])[0]
-        counter = Counter(dict(zip(labels[hit].tolist(), votes[hit].tolist())))
-        return counter if len(counter) == hit.size else None
 
-    user_votes = tally((d.detected_user_indices for d in detections), graph.user_labels)
-    merchant_votes = tally(
-        (d.detected_merchant_indices for d in detections), graph.merchant_labels
-    )
-    if user_votes is None or merchant_votes is None:
-        return None
-    return user_votes, merchant_votes
+def _counts(index_arrays: Sequence[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    indices = np.concatenate([_EMPTY_I64, *index_arrays])
+    if indices.size and (indices.min() < 0 or indices.max() >= labels.size):
+        raise ValueError("a detected node index lies outside the graph")
+    counts = np.bincount(indices, minlength=labels.size)
+    hit = np.flatnonzero(counts)
+    voted = np.sort(labels[hit])
+    if not np.any(voted[1:] == voted[:-1]):
+        return counts
+    # voted nodes share a label: each member counts it once, on its first voted node
+    _, first, inverse = np.unique(labels[hit], return_index=True, return_inverse=True)
+    canonical = np.arange(labels.size)
+    canonical[hit] = hit[first][inverse]
+    per_member = [np.unique(canonical[member]) for member in index_arrays]
+    return np.bincount(np.concatenate([_EMPTY_I64, *per_member]), minlength=labels.size)

@@ -2,11 +2,11 @@
 
 A :class:`ScoreSnapshot` is captured from a fitted
 :class:`~repro.ensemble.IncrementalEnsemFDet` *after* an update has
-finished, and is never mutated afterwards: the vote maps are private copies
-and the ranking is precomputed. The service swaps the current snapshot
-reference atomically (a single attribute store), so a reader either sees
-the complete pre-update table or the complete post-update one — never a
-mix of the two.
+finished, and is never mutated afterwards: its count arrays are private
+copies and the ranking is precomputed. The service swaps the current
+snapshot reference atomically (a single attribute store), so a reader
+either sees the complete pre-update table or the complete post-update one
+— never a mix of the two.
 
 Scores are the raw MVA vote counts (``0`` for never-voted users), i.e.
 exactly ``Detection.user_scores`` of the registry's ensemble adapters, so
@@ -16,25 +16,17 @@ a snapshot is bit-comparable against a cold
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ensemble.results import VoteCounts
 from ..ensemble.voting import vote_scores
 from ..errors import DetectionError
 
 __all__ = ["ScoreSnapshot"]
-
-
-def _ranked(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Permutation ordering users by ``(-score, node index)``.
-
-    The explicit index tie-break (the :class:`~repro.baselines.DegreeDetector`
-    convention) keeps equal-score rankings deterministic across runs and
-    independent of numpy's sort algorithm.
-    """
-    return np.lexsort((np.arange(labels.size), -scores))
 
 
 @dataclass(frozen=True)
@@ -51,10 +43,12 @@ class ScoreSnapshot:
     default_threshold:
         The MVA threshold ``T`` used when a request does not name one.
     user_votes, merchant_votes:
-        Private ``label -> votes`` copies of the vote table.
+        Read-only ``label -> votes`` mappings over private array copies.
     user_labels, user_scores:
-        Every user of the snapshot graph in local-index order with its
+        Every user of the snapshot graph in node-index order with its
         vote count (0 when never voted); parallel arrays.
+    label_order:
+        User node indices by ascending label, for ``O(log n)`` lookups.
     ranked_users, ranked_scores:
         All users ordered by ``(-score, node index)`` — the deterministic
         serving ranking behind ``GET /top``.
@@ -71,10 +65,11 @@ class ScoreSnapshot:
     version: int
     n_samples: int
     default_threshold: int
-    user_votes: dict[int, int]
-    merchant_votes: dict[int, int]
+    user_votes: VoteCounts
+    merchant_votes: VoteCounts
     user_labels: np.ndarray
     user_scores: np.ndarray
+    label_order: np.ndarray
     ranked_users: np.ndarray
     ranked_scores: np.ndarray
     stale_members: tuple[int, ...] = ()
@@ -92,61 +87,66 @@ class ScoreSnapshot:
 
         Must be called from the service's single writer thread (or any
         context where no update is running): it reads the detector's
-        current vote table and graph, which an update replaces. Everything
-        it keeps is copied.
+        current vote table — a tally over its graph, in node order — which
+        an update replaces. It copies the table's label and count arrays and
+        ranks users by ``(-score, node index)``: the index tie-break (the
+        :class:`~repro.baselines.DegreeDetector` convention) keeps equal-score
+        rankings deterministic and independent of numpy's sort algorithm.
         """
-        table = detector.vote_table
-        graph = detector.graph
+        graph, table = detector.graph, detector.vote_table
         if default_threshold is None:
             default_threshold = max(1, detector.config.n_samples // 4)
-        labels = graph.user_labels.copy()
-        scores = vote_scores(labels, table.user_votes)
-        order = _ranked(labels, scores)
-        watermark = None
-        if detector.window_config is not None:
-            watermark = int(detector.window().watermark)
+        votes, merchants = table.user_votes, table.merchant_votes
+        labels = votes.labels.copy()
+        order = np.argsort(labels)
+        # a label held by several nodes is counted on one of them: look every holder up
+        shared = np.any(labels[order[1:]] == labels[order[:-1]])
+        scores = vote_scores(labels, votes) if shared else votes.counts.astype(np.float64)
+        ranking = np.lexsort((np.arange(labels.size), -scores))
         return cls(
             version=version,
             n_samples=detector.config.n_samples,
             default_threshold=int(default_threshold),
-            user_votes={int(k): int(v) for k, v in table.user_votes.items()},
-            merchant_votes={int(k): int(v) for k, v in table.merchant_votes.items()},
+            user_votes=VoteCounts(labels, votes.counts.copy()),
+            merchant_votes=VoteCounts(merchants.labels.copy(), merchants.counts.copy()),
             user_labels=labels,
             user_scores=scores,
-            ranked_users=labels[order],
-            ranked_scores=scores[order],
+            label_order=order,
+            ranked_users=labels[ranking],
+            ranked_scores=scores[ranking],
             stale_members=detector.stale_members,
             n_users=graph.n_users,
             n_merchants=graph.n_merchants,
             n_edges=graph.n_edges,
-            watermark=watermark,
+            watermark=detector.watermark,
         )
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
 
+    def _user_index(self, label: int) -> int | None:
+        """The node index of user ``label`` (``None`` when the graph lacks it)."""
+        # bisect keeps the GIL; numpy's searchsorted drops it, and taking it back
+        # can wait out the writer thread's switch interval
+        order, label = self.label_order, int(label)
+        position = bisect.bisect_left(order, label, key=self.user_labels.__getitem__)
+        found = position < order.size and self.user_labels[order[position]] == label
+        return int(order[position]) if found else None
+
     def score_of(self, label: int) -> float:
         """Vote count of one user label (0.0 when never voted)."""
-        return float(self.user_votes.get(int(label), 0))
+        index = self._user_index(label)
+        return 0.0 if index is None else float(self.user_scores[index])
 
     def knows_user(self, label: int) -> bool:
         """Whether ``label`` is a user of the snapshot graph."""
-        return bool(np.any(self.user_labels == int(label)))
+        return self._user_index(label) is not None
 
     def top(self, k: int) -> list[tuple[int, float]]:
-        """The ``k`` most suspicious ``(label, score)`` pairs.
-
-        ``k`` is clamped to ``[0, n_users]``; ties are already broken by
-        node index in the precomputed ranking.
-        """
+        """The ``k`` most suspicious ``(label, score)`` pairs, ``k`` clamped to ``[0, n_users]``."""
         k = max(0, min(int(k), self.ranked_users.size))
-        return [
-            (int(label), float(score))
-            for label, score in zip(
-                self.ranked_users[:k].tolist(), self.ranked_scores[:k].tolist()
-            )
-        ]
+        return list(zip(self.ranked_users[:k].tolist(), self.ranked_scores[:k].tolist()))
 
     def detection(self, threshold: int | None = None) -> tuple[list[int], list[int]]:
         """Sorted ``(users, merchants)`` labels with ``votes >= threshold``.
@@ -159,13 +159,12 @@ class ScoreSnapshot:
         threshold = int(threshold)
         if threshold < 1:
             raise DetectionError(f"voting threshold T must be >= 1, got {threshold}")
-        users = sorted(k for k, v in self.user_votes.items() if v >= threshold)
-        merchants = sorted(k for k, v in self.merchant_votes.items() if v >= threshold)
-        return users, merchants
+        sides = (self.user_votes, self.merchant_votes)
+        return tuple(votes.accepted(threshold).tolist() for votes in sides)
 
     def vote_fingerprint(self) -> tuple:
         """Canonical ``(user, merchant)`` vote tuples for bit-compares."""
-        return (
-            tuple(sorted(self.user_votes.items())),
-            tuple(sorted(self.merchant_votes.items())),
+        return tuple(
+            tuple(zip(*(array.tolist() for array in votes.voted())))
+            for votes in (self.user_votes, self.merchant_votes)
         )

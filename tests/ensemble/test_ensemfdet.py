@@ -72,6 +72,10 @@ class TestFit:
     def test_votes_bounded_by_n_samples(self, toy):
         result = EnsemFDet(small_config()).fit(toy.graph)
         assert result.vote_table.max_user_votes() <= result.n_samples
+        # a graph tally holds a count for every node; only voted users enter the histogram
+        histogram = result.vote_table.vote_histogram()
+        assert sum(histogram.values()) == len(result.vote_table.user_votes) > 0
+        assert min(histogram) >= 1
 
     def test_recovers_planted_fraud_users(self, toy):
         """End-to-end quality gate on the clean-label toy dataset."""
@@ -159,7 +163,7 @@ class TestExecutors:
         chunked = detect_on_samples(samples, config, mode=ExecutorMode.PROCESS, n_workers=3)
         assert len(chunked) == len(serial)
         for a, b in zip(serial, chunked):
-            assert a.sample_users == b.sample_users
+            assert np.array_equal(a.sample_users, b.sample_users)
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 
     def test_engine_override_matches(self, toy):

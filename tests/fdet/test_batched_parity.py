@@ -3,7 +3,7 @@
 The batched backend (``repro.fdet.batched`` + ``repro_fdet_batch`` in the C
 kernel) replaces per-member ``materialize_plan`` + ``Fdet.detect`` with one
 multi-member kernel call, runs ``Fdet.detect`` itself on a whole graph, and
-the native vote merge replaces the Python label tally. Everything it
+the vote tally counts the detected node indices instead of labels. Everything it
 produces must be **bitwise identical** to the ``reference`` engine — this
 suite pins that down across sampler families, window modes (append-only
 and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
@@ -20,6 +20,8 @@ import pytest
 
 from repro.datasets import chung_lu_bipartite, uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet, detect_on_plans
+from repro.ensemble.results import VoteCounts
+from repro.ensemble.voting import VoteTable, tally_votes
 from repro.fdet import (
     AverageDegreeDensity,
     Fdet,
@@ -88,8 +90,8 @@ def assert_same_detection(left, right):
     assert np.array_equal(lres.detected_users(), rres.detected_users())
     assert np.array_equal(lres.detected_merchants(), rres.detected_merchants())
     if left.sample_users is not None or right.sample_users is not None:
-        assert left.sample_users == right.sample_users
-        assert left.sample_merchants == right.sample_merchants
+        assert np.array_equal(left.sample_users, right.sample_users)
+        assert np.array_equal(left.sample_merchants, right.sample_merchants)
 
 
 def assert_tables_equal(a, b):
@@ -485,24 +487,29 @@ class TestBackendMatrix:
 
 
 class TestNativeVoteMerge:
+    @staticmethod
+    def _label_view(detections, graph):
+        """``vote_counters``' count arrays as ``label -> votes`` dicts."""
+        users, merchants = batched.vote_counters(
+            [d.detected_user_indices for d in detections],
+            [d.detected_merchant_indices for d in detections],
+            graph,
+        )
+        return (
+            dict(VoteCounts(graph.user_labels, users)),
+            dict(VoteCounts(graph.merchant_labels, merchants)),
+        )
+
     def test_counters_match_python_tally(self, weighted_graph):
         config = EnsemFDetConfig(sampler=RandomEdgeSampler(0.35), n_samples=7, seed=5)
         result = EnsemFDet(config).fit(weighted_graph)
-        counters = batched.vote_counters(result.sample_detections, weighted_graph)
-        assert counters is not None
-        from repro.ensemble.voting import VoteTable
-
-        expected = VoteTable.from_detections(
-            [d.result.detected_users().tolist() for d in result.sample_detections],
-            [d.result.detected_merchants().tolist() for d in result.sample_detections],
-        )
-        assert dict(counters[0]) == dict(expected.user_votes)
-        assert dict(counters[1]) == dict(expected.merchant_votes)
+        users, merchants = self._label_view(result.sample_detections, weighted_graph)
+        expected = self._label_tally(result.sample_detections)
+        assert users == dict(expected.user_votes)
+        assert merchants == dict(expected.merchant_votes)
 
     @staticmethod
     def _label_tally(detections):
-        from repro.ensemble.voting import VoteTable
-
         return VoteTable.from_detections(
             [d.result.detected_users().tolist() for d in detections],
             [d.result.detected_merchants().tolist() for d in detections],
@@ -554,24 +561,25 @@ class TestNativeVoteMerge:
             pytest.param(lambda voted, unvoted: (voted[0], unvoted[0]), id="unvoted-takes-voted"),
         ],
     )
-    def test_duplicate_labels_among_unvoted_nodes_keep_native_path(
+    def test_duplicate_labels_among_unvoted_nodes_count_per_node(
         self, sparse_graph, side, pick
     ):
         graph, result = self._fit_with_shared_label(sparse_graph, side, pick)
-        counters = batched.vote_counters(result.sample_detections, graph)
-        assert counters is not None
+        users, merchants = self._label_view(result.sample_detections, graph)
         expected = self._label_tally(result.sample_detections)
-        assert dict(counters[0]) == dict(expected.user_votes)
-        assert dict(counters[1]) == dict(expected.merchant_votes)
+        assert users == dict(expected.user_votes)
+        assert merchants == dict(expected.merchant_votes)
         assert_tables_equal(result.vote_table, expected)
 
     @pytest.mark.parametrize("side", ["user", "merchant"])
-    def test_duplicate_labels_among_voted_nodes_fall_back(self, sparse_graph, side):
+    def test_duplicate_labels_among_voted_nodes_count_once_per_member(self, sparse_graph, side):
         graph, result = self._fit_with_shared_label(
             sparse_graph, side, lambda voted, unvoted: (voted[0], voted[-1])
         )
-        assert batched.vote_counters(result.sample_detections, graph) is None
+        users, merchants = self._label_view(result.sample_detections, graph)
         expected = self._label_tally(result.sample_detections)
+        assert users == dict(expected.user_votes)
+        assert merchants == dict(expected.merchant_votes)
         assert_tables_equal(result.vote_table, expected)
         reference = EnsemFDet(self._config(PeelEngine.REFERENCE)).fit(graph)
         assert_tables_equal(reference.vote_table, expected)
@@ -581,9 +589,9 @@ class TestNativeVoteMerge:
         result = EnsemFDet(self._config()).fit(weighted_graph)
         stray = replace(result.sample_detections[0], detected_user_indices=np.array([index]))
         with pytest.raises(ValueError, match="outside the graph"):
-            batched.vote_counters([stray], weighted_graph)
+            self._label_view([stray], weighted_graph)
 
-    def test_refuses_detections_without_indices(self, weighted_graph):
+    def test_reference_detections_tally_through_label_lookup(self, weighted_graph):
         config = EnsemFDetConfig(
             sampler=RandomEdgeSampler(0.35),
             n_samples=4,
@@ -591,4 +599,7 @@ class TestNativeVoteMerge:
             fdet=FdetConfig(engine=PeelEngine.REFERENCE),
         )
         result = EnsemFDet(config).fit(weighted_graph)
-        assert batched.vote_counters(result.sample_detections, weighted_graph) is None
+        assert all(d.detected_user_indices is None for d in result.sample_detections)
+        expected = self._label_tally(result.sample_detections)
+        assert_tables_equal(tally_votes(result.sample_detections, weighted_graph), expected)
+        assert_tables_equal(result.vote_table, expected)

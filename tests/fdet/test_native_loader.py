@@ -90,7 +90,7 @@ class TestKernelHandle:
     def test_kernels_expose_all_entry_points(self):
         kernels = _native.load_kernels()
         assert kernels is not None
-        for name in ("greedy_peel", "fdet_batch", "accumulate_votes", "pairwise_sum"):
+        for name in ("greedy_peel", "fdet_batch", "pairwise_sum"):
             assert getattr(kernels, name) is not None
         assert isinstance(kernels.has_openmp, bool)
 
@@ -101,14 +101,6 @@ class TestKernelHandle:
         for size in (0, 1, 7, 8, 9, 127, 128, 129, 1000, 4097):
             values = np.ascontiguousarray(rng.random(size))
             assert kernels.pairwise_sum(values, size) == float(np.sum(values))
-
-    @needs_compiler
-    def test_accumulate_votes_counts_indices(self):
-        kernels = _native.load_kernels()
-        indices = np.array([0, 2, 2, 5, 0, 2], dtype=np.int64)
-        votes = np.zeros(6, dtype=np.int64)
-        kernels.accumulate_votes(indices, indices.size, votes)
-        assert votes.tolist() == [2, 0, 3, 0, 0, 1]
 
 
 class TestNativeThreads:

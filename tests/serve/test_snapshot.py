@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import uniform_bipartite
-from repro.ensemble import EnsemFDetConfig, IncrementalEnsemFDet
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet
+from repro.ensemble.voting import vote_scores
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
-from repro.graph import WindowConfig
+from repro.graph import BipartiteGraph, WindowConfig
 from repro.sampling import StableEdgeSampler
 from repro.serve import ScoreSnapshot
 
@@ -45,8 +46,32 @@ class TestCapture:
         assert snapshot.merchant_votes == dict(detector.vote_table.merchant_votes)
 
     def test_votes_are_copies(self, detector, snapshot):
-        detector.vote_table.user_votes[999999] = 42
-        assert 999999 not in snapshot.user_votes
+        table = detector.vote_table
+        for captured, live in (
+            (snapshot.user_votes, table.user_votes),
+            (snapshot.merchant_votes, table.merchant_votes),
+        ):
+            for ours in (captured.labels, captured.counts):
+                for theirs in (live.labels, live.counts, detector.graph.user_labels):
+                    assert not np.shares_memory(ours, theirs)
+        assert not np.shares_memory(snapshot.user_scores, table.user_votes.counts)
+
+    def test_ingest_after_capture_leaves_snapshot_unchanged(self, detector, snapshot):
+        votes = dict(snapshot.user_votes), dict(snapshot.merchant_votes)
+        scores = snapshot.user_scores.copy()
+        ranked = snapshot.ranked_users.copy(), snapshot.ranked_scores.copy()
+        fingerprint = snapshot.vote_fingerprint()
+        rng = np.random.default_rng(11)
+        report = detector.update(
+            rng.integers(0, 200, 300), rng.integers(0, 90, 300), timestamp=1.0
+        )
+        assert report.n_refreshed > 0
+        assert ScoreSnapshot.capture(detector, 2).vote_fingerprint() != fingerprint
+        assert (dict(snapshot.user_votes), dict(snapshot.merchant_votes)) == votes
+        assert np.array_equal(snapshot.user_scores, scores)
+        assert np.array_equal(snapshot.ranked_users, ranked[0])
+        assert np.array_equal(snapshot.ranked_scores, ranked[1])
+        assert snapshot.vote_fingerprint() == fingerprint
 
     def test_scores_parallel_to_all_users(self, detector, snapshot):
         assert snapshot.user_labels.size == detector.graph.n_users
@@ -117,3 +142,73 @@ class TestReads:
     def test_fingerprint_equality(self, detector, snapshot):
         again = ScoreSnapshot.capture(detector, version=2)
         assert snapshot.vote_fingerprint() == again.vote_fingerprint()
+
+
+class TestScoreLookups:
+    """``/score/{u}`` answers: a sorted lookup over scrambled, gapped labels."""
+
+    @pytest.fixture
+    def scrambled(self):
+        base = uniform_bipartite(150, 70, 1400, rng=4)
+        rng = np.random.default_rng(8)
+        graph = BipartiteGraph(
+            base.n_users,
+            base.n_merchants,
+            base.edge_users,
+            base.edge_merchants,
+            user_labels=rng.permutation(base.n_users) * 3 + 10,
+            merchant_labels=rng.permutation(base.n_merchants) * 2 + 1,
+        )
+        det = IncrementalEnsemFDet(make_config(), window=WindowConfig(max_batches=4))
+        det.fit(graph, timestamp=0.0)
+        return det
+
+    def test_every_user_scores_its_cold_fit_vote(self, scrambled):
+        snapshot = ScoreSnapshot.capture(scrambled, version=1)
+        cold = EnsemFDet(make_config()).fit_window(scrambled.window()).vote_table
+        assert cold.max_user_votes() > 0
+        for label in scrambled.graph.user_labels.tolist():
+            assert snapshot.score_of(label) == cold.user_votes[label]
+            assert snapshot.knows_user(label)
+
+    def test_labels_outside_the_graph_are_unknown(self, scrambled):
+        snapshot = ScoreSnapshot.capture(scrambled, version=1)
+        labels = scrambled.graph.user_labels
+        unseen = int(labels.min()) + 1  # labels step by 3, so this falls in a gap
+        assert unseen not in set(labels.tolist())
+        for label in (unseen, -5, int(labels.max()) + 1, 2**63, -(2**63) - 1):
+            assert snapshot.score_of(label) == 0.0
+            assert not snapshot.knows_user(label)
+
+    def test_users_added_by_an_ingest_are_known_only_afterwards(self, scrambled):
+        before = ScoreSnapshot.capture(scrambled, version=1)
+        added = [1, 2, 4, 5, 10**12]
+        scrambled.update(added, scrambled.graph.merchant_labels[:5], timestamp=1.0)
+        after = ScoreSnapshot.capture(scrambled, version=2)
+        for label in added:
+            assert not before.knows_user(label)
+            assert after.knows_user(label)
+            assert before.score_of(label) == 0.0
+            assert after.score_of(label) == after.user_votes[label]
+
+    def test_nodes_sharing_a_label_all_score_its_votes(self):
+        base = uniform_bipartite(80, 40, 700, rng=6)
+        labels = np.arange(base.n_users, dtype=np.int64)
+        det = IncrementalEnsemFDet(make_config())
+        first = det.fit(base).vote_table
+        voted = [label for label in labels.tolist() if first.user_votes[label] > 0]
+        labels[voted[-1]] = labels[voted[0]]  # two voted nodes now share a label
+        graph = BipartiteGraph(
+            base.n_users, base.n_merchants, base.edge_users, base.edge_merchants, user_labels=labels
+        )
+        det.fit(graph)
+        snapshot = ScoreSnapshot.capture(det, version=1)
+        shared = int(labels[voted[0]])
+        assert snapshot.user_scores[voted[0]] == snapshot.user_scores[voted[-1]] > 0
+        assert snapshot.score_of(shared) == det.vote_table.user_votes[shared]
+        assert np.array_equal(
+            snapshot.user_scores, vote_scores(graph.user_labels, det.vote_table.user_votes)
+        )
+        assert snapshot.ranked_users.tolist() == graph.user_labels[
+            np.lexsort((np.arange(graph.n_users), -snapshot.user_scores))
+        ].tolist()
