@@ -33,7 +33,7 @@ def test_executor_mode(benchmark, workload, mode):
         rounds=1, iterations=1,
     )
     assert len(results) == len(samples)
-    total_blocks = sum(len(r.result.all_blocks) for r in results)
+    total_blocks = sum(r.result.n_blocks for r in results)
     assert total_blocks >= len(samples)  # every sample yields at least one block
     print()
     print(f"{mode}: {total_blocks} blocks over {len(samples)} samples")

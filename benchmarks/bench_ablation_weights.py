@@ -32,7 +32,7 @@ def test_weight_policy(benchmark, dataset, preset, policy):
     assert confusion.precision > 3 * chance, (policy, confusion.as_row())
 
     print()
-    print(f"{policy}: k_hat={result.k_hat} blocks={len(result.all_blocks)} "
+    print(f"{policy}: k_hat={result.k_hat} blocks={result.n_blocks} "
           f"P={confusion.precision:.3f} R={confusion.recall:.3f} F1={confusion.f1:.3f}")
 
 

@@ -103,7 +103,7 @@ class FdetBlockDetector:
             graph,
             result.blocks,
             seconds=timer.elapsed,
-            meta={"k_hat": result.k_hat, "n_blocks_extracted": len(result.all_blocks)},
+            meta={"k_hat": result.k_hat, "n_blocks_extracted": result.n_blocks},
         )
 
 

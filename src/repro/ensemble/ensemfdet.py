@@ -178,7 +178,12 @@ class EnsemFDetResult:
         return [(t, self.detect(t)) for t in thresholds]
 
     def fdet_results(self) -> list[FdetResult]:
-        """The raw per-sample FDET results (e.g. for Fig.-1 score curves)."""
+        """The raw per-sample FDET results (e.g. for Fig.-1 score curves).
+
+        Each keeps its member's blocks as packed node bitsets; reading
+        ``all_blocks``/``blocks`` builds the :class:`~repro.fdet.Block`
+        objects, while ``densities`` and ``detected_*`` read the arrays.
+        """
         return [detection.result for detection in self.sample_detections]
 
     def block_score_series(self) -> list[np.ndarray]:

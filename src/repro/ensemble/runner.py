@@ -94,8 +94,9 @@ class SampleDetection:
 
     ``sample_users`` / ``sample_merchants`` are the sampled subgraph's
     node label arrays, only populated when the caller asked for member
-    tracking — a fit at ``N=80`` would otherwise keep every sampled label
-    array alive in the result for nothing.
+    tracking. They are the arrays ``result.user_labels`` /
+    ``result.merchant_labels`` hold, since every :class:`FdetResult` keeps
+    its member's labels next to the packed block rows.
 
     ``detected_user_indices`` / ``detected_merchant_indices`` are parent
     node-index arrays of the truncated detection, populated only by the
@@ -213,8 +214,8 @@ def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> Sa
     """Wrap one batched-kernel output like :func:`_detection` would."""
     return SampleDetection(
         result=nd.result,
-        sample_users=nd.user_labels if track_members else None,
-        sample_merchants=nd.merchant_labels if track_members else None,
+        sample_users=nd.result.user_labels if track_members else None,
+        sample_merchants=nd.result.merchant_labels if track_members else None,
         detected_user_indices=nd.detected_user_indices,
         detected_merchant_indices=nd.detected_merchant_indices,
     )

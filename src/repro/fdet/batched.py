@@ -15,9 +15,13 @@ when available. Two callers:
   nodes with no edge) stays in the peel, as in the reference engine.
 
 Python keeps the thin, cold edges of the pipeline: eligibility gating,
-plan→edge-id expansion, marshalling, truncation, :class:`Block` /
-:class:`FdetResult` assembly, and the vote tally over the detected node
-indices (:func:`vote_counters`, one ``np.bincount`` per side). Everything
+plan→edge-id expansion, marshalling, truncation, and the vote tally over
+the detected node indices (:func:`vote_counters`, one ``np.bincount`` per
+side). Each member's :class:`FdetResult` keeps views of the kernel's
+output slabs — node labels, packed block rows, densities, edge counts —
+and builds :class:`~repro.fdet.Block` objects only when they are read;
+the detected node indices come from one OR over the first ``k̂`` packed
+rows (:meth:`FdetResult.node_mask`). Everything
 the kernel computes is **bitwise identical** to the reference pipeline
 (``materialize_plan`` + ``Fdet.detect`` with ``engine="reference"``) —
 enforced by ``tests/fdet/test_batched_parity.py`` across sampler families,
@@ -45,7 +49,7 @@ from ..graph.window import EdgeWindow
 from ..sampling import SamplePlan
 from ._native import NativeKernels, load_kernels
 from .density import AverageDegreeDensity, DensityMetric, LogWeightedDensity
-from .fdet import Block, FdetConfig, FdetResult, WeightPolicy
+from .fdet import FdetConfig, FdetResult, WeightPolicy
 from .peeling import PeelEngine
 
 __all__ = [
@@ -172,15 +176,14 @@ def _weight_table(metric: DensityMetric, graph: BipartiteGraph) -> np.ndarray:
 class NativeDetection:
     """One member's batched output, before runner-level wrapping.
 
-    ``user_labels`` / ``merchant_labels`` are the member subgraph's node
-    labels (parent labels gathered over the member's compacted node set);
-    the ``detected_*_indices`` arrays are sorted unique **parent node
-    indices** over the truncated blocks, feeding the vote tally.
+    ``result`` labels the member subgraph's nodes (parent labels gathered
+    over the member's compacted node set) and keeps the kernel's packed
+    block rows; the ``detected_*_indices`` arrays are sorted unique
+    **parent node indices** over the truncated blocks, feeding the vote
+    tally.
     """
 
     result: FdetResult
-    user_labels: np.ndarray
-    merchant_labels: np.ndarray
     detected_user_indices: np.ndarray
     detected_merchant_indices: np.ndarray
 
@@ -343,8 +346,6 @@ def _run_batch(
         mask_off,
     )
 
-    user_labels_all = graph.user_labels
-    merchant_labels_all = graph.merchant_labels
     out: list[NativeDetection | None] = []
     for m in range(n_members):
         if out_status[m] != 0:
@@ -352,42 +353,26 @@ def _run_batch(
             continue
         nu = int(out_nu[m])
         nm = int(out_nm[m])
-        n = nu + nm
         ku = kept_users[int(ku_off[m]) : int(ku_off[m]) + nu]
         km = kept_merchants[int(km_off[m]) : int(km_off[m]) + nm]
-        member_user_labels = user_labels_all[ku]
-        member_merchant_labels = merchant_labels_all[km]
         n_blocks = int(out_n_blocks[m])
-
-        blocks: list[Block] = []
-        bits = None
-        if n_blocks:
-            row_bytes = (n + 7) // 8
-            base = int(mask_off[m])
-            rows = block_masks[base : base + n_blocks * row_bytes]
-            bits = np.unpackbits(
-                rows.reshape(n_blocks, row_bytes), axis=1, bitorder="little"
-            )[:, :n].astype(bool)
-            for b in range(n_blocks):
-                row = bits[b]
-                blocks.append(
-                    Block(
-                        index=b,
-                        user_labels=np.sort(member_user_labels[row[:nu]]),
-                        merchant_labels=np.sort(member_merchant_labels[row[nu:]]),
-                        density=float(block_density[m * max_blocks + b]),
-                        n_edges=int(block_n_edges[m * max_blocks + b]),
-                    )
-                )
-        k_hat = config.truncation.truncate([block.density for block in blocks])
-        result = FdetResult(all_blocks=tuple(blocks), k_hat=k_hat)
-
-        union = bits[:k_hat].any(axis=0) if k_hat else np.zeros(n, dtype=bool)
+        row_bytes = (nu + nm + 7) // 8
+        base = int(mask_off[m])
+        first = m * max_blocks
+        densities = block_density[first : first + n_blocks]
+        result = FdetResult(
+            # an all-nodes member's node space is the graph's own (ku = 0..n-1)
+            user_labels=graph.user_labels if all_nodes else graph.user_labels[ku],
+            merchant_labels=graph.merchant_labels if all_nodes else graph.merchant_labels[km],
+            block_rows=block_masks[base : base + n_blocks * row_bytes].reshape(n_blocks, row_bytes),
+            densities=densities,
+            edge_counts=block_n_edges[first : first + n_blocks],
+            k_hat=config.truncation.truncate(densities.tolist()),
+        )
+        union = result.node_mask()
         out.append(
             NativeDetection(
                 result=result,
-                user_labels=member_user_labels,
-                merchant_labels=member_merchant_labels,
                 detected_user_indices=ku[union[:nu]],
                 detected_merchant_indices=km[union[nu:]],
             )

@@ -16,6 +16,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,47 +145,114 @@ class FdetConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FdetResult:
-    """Everything FDET found on one graph.
+    """Everything FDET found on one graph, kept as the arrays the peels wrote.
 
-    ``blocks`` holds the ``k̂`` truncated blocks; ``all_blocks`` every block
-    extracted before truncation (needed by fixed-k comparisons and the Fig.-1
-    score plot).
+    ``user_labels`` / ``merchant_labels`` label the peeled graph's nodes.
+    ``block_rows`` holds one packed little-endian node bitset per extracted
+    block (``np.packbits(..., bitorder="little")`` over the users, then the
+    merchants); ``densities`` and ``edge_counts`` give each block's density
+    and edge count, in extraction order. The first ``k_hat`` blocks are the
+    ones the truncating point keeps.
+
+    :attr:`all_blocks` and :attr:`blocks` build :class:`Block` objects on
+    first read (fixed-k comparisons, soft votes, the Fig.-1 score plot) and
+    cache them; the cache is never pickled. The node-set, density and
+    objective reads work on the arrays and never build a block.
     """
 
-    all_blocks: tuple[Block, ...]
+    user_labels: np.ndarray
+    merchant_labels: np.ndarray
+    block_rows: np.ndarray
+    densities: np.ndarray
+    edge_counts: np.ndarray
     k_hat: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.k_hat <= self.n_blocks:
+            raise DetectionError(
+                f"k_hat must lie in [0, {self.n_blocks}] (the blocks extracted), got {self.k_hat}"
+            )
+        densities = self.densities.view()
+        densities.flags.writeable = False
+        object.__setattr__(self, "densities", densities)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__ on load, so the Block cache never ships
+        return type(self), (
+            self.user_labels,
+            self.merchant_labels,
+            self.block_rows,
+            self.densities,
+            self.edge_counts,
+            self.k_hat,
+        )
+
+    @property
+    def n_blocks(self) -> int:
+        """Blocks extracted before truncation."""
+        return len(self.densities)
+
+    @cached_property
+    def all_blocks(self) -> tuple[Block, ...]:
+        """Every extracted block, built from the packed rows on first read."""
+        n_users = self.user_labels.size
+        bits = np.unpackbits(
+            self.block_rows, axis=1, count=n_users + self.merchant_labels.size, bitorder="little"
+        ).view(bool)
+        return tuple(
+            Block(
+                index=index,
+                user_labels=np.sort(self.user_labels[row[:n_users]]),
+                merchant_labels=np.sort(self.merchant_labels[row[n_users:]]),
+                density=density,
+                n_edges=n_edges,
+            )
+            for index, (row, density, n_edges) in enumerate(
+                zip(bits, self.densities.tolist(), self.edge_counts.tolist())
+            )
+        )
 
     @property
     def blocks(self) -> tuple[Block, ...]:
         """The ``k̂`` blocks retained by the truncating point."""
         return self.all_blocks[: self.k_hat]
 
-    @property
-    def densities(self) -> np.ndarray:
-        """Density of every extracted block, in extraction order."""
-        return np.array([b.density for b in self.all_blocks], dtype=np.float64)
+    def node_mask(self, k: int | None = None) -> np.ndarray:
+        """Which nodes (users, then merchants) lie in the first ``k`` blocks (default ``k̂``)."""
+        limit = self._limit(k)
+        n_nodes = self.user_labels.size + self.merchant_labels.size
+        if not limit:
+            return np.zeros(n_nodes, dtype=bool)
+        merged = np.bitwise_or.reduce(self.block_rows[:limit], axis=0)
+        return np.unpackbits(merged, count=n_nodes, bitorder="little").view(bool)
 
     def detected_users(self, k: int | None = None) -> np.ndarray:
         """Union of user labels over the first ``k`` blocks (default ``k̂``)."""
-        return self._union("user_labels", k)
+        return self._union(k, self.user_labels, slice(None, self.user_labels.size))
 
     def detected_merchants(self, k: int | None = None) -> np.ndarray:
         """Union of merchant labels over the first ``k`` blocks (default ``k̂``)."""
-        return self._union("merchant_labels", k)
+        return self._union(k, self.merchant_labels, slice(self.user_labels.size, None))
 
-    def _union(self, attribute: str, k: int | None) -> np.ndarray:
-        limit = self.k_hat if k is None else min(k, len(self.all_blocks))
-        parts = [getattr(block, attribute) for block in self.all_blocks[:limit]]
-        if not parts:
+    def _union(self, k: int | None, labels: np.ndarray, side: slice) -> np.ndarray:
+        limit = self._limit(k)
+        if not limit:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        return np.unique(labels[self.node_mask(limit)[side]])
 
     def total_density(self, k: int | None = None) -> float:
         """The objective of Equ. 1: ``Σ_i φ(G(S_i))`` over kept blocks."""
-        limit = self.k_hat if k is None else min(k, len(self.all_blocks))
-        return float(sum(block.density for block in self.all_blocks[:limit]))
+        return float(sum(self.densities[: self._limit(k)].tolist()))
+
+    def _limit(self, k: int | None) -> int:
+        """Blocks a ``k``-limited read covers: ``k̂`` by default, clipped to the count."""
+        if k is None:
+            return self.k_hat
+        if k < 0:
+            raise DetectionError(f"k must be >= 0, got {k}")
+        return min(k, self.n_blocks)
 
 
 class Fdet:
@@ -209,7 +277,10 @@ class Fdet:
         (per-node priors, custom weight hooks), the ``reference`` engine and
         hosts without a kernel run :meth:`_detect_blockwise`. Detections are
         identical either way, and identical to the rebuild-per-block
-        formulation under both weight policies.
+        formulation under both weight policies. Either way the result keeps
+        each block as a packed node bitset; :class:`Block` objects are built
+        only when :attr:`FdetResult.all_blocks` or :attr:`FdetResult.blocks`
+        is read.
 
         ``graph`` is accepted as a **trusted view**: detection never
         re-validates and never writes into the graph's arrays, so graphs
@@ -246,9 +317,11 @@ class Fdet:
         alive = np.ones(n_edges, dtype=bool)
         n_alive = n_edges
 
-        blocks: list[Block] = []
+        rows: list[np.ndarray] = []
+        densities: list[float] = []
+        edge_counts: list[int] = []
         first_density: float | None = None
-        for index in range(config.max_blocks):
+        for _ in range(config.max_blocks):
             if n_alive == 0:
                 break
             residual = graph if n_alive == n_edges else _residual_view(graph, alive)
@@ -264,15 +337,11 @@ class Fdet:
             block_edges = np.nonzero(block_mask)[0]
             if block_edges.size < config.min_block_edges:
                 break
-            blocks.append(
-                Block(
-                    index=index,
-                    user_labels=np.sort(graph.user_labels[peel.user_mask]),
-                    merchant_labels=np.sort(graph.merchant_labels[peel.merchant_mask]),
-                    density=peel.density,
-                    n_edges=int(block_edges.size),
-                )
+            rows.append(
+                np.packbits(np.concatenate([peel.user_mask, peel.merchant_mask]), bitorder="little")
             )
+            densities.append(peel.density)
+            edge_counts.append(int(block_edges.size))
             if first_density is None:
                 first_density = peel.density
             elif (
@@ -283,8 +352,14 @@ class Fdet:
             alive[block_edges] = False
             n_alive -= int(block_edges.size)
 
-        k_hat = config.truncation.truncate([block.density for block in blocks])
-        return FdetResult(all_blocks=tuple(blocks), k_hat=k_hat)
+        return FdetResult(
+            user_labels=graph.user_labels,
+            merchant_labels=graph.merchant_labels,
+            block_rows=np.array(rows, dtype=np.uint8).reshape(len(rows), (graph.n_nodes + 7) // 8),
+            densities=np.array(densities, dtype=np.float64),
+            edge_counts=np.array(edge_counts, dtype=np.int64),
+            k_hat=config.truncation.truncate(densities),
+        )
 
     def densest_block(self, graph: BipartiteGraph) -> Block:
         """Just the single densest block (no iteration, no truncation)."""

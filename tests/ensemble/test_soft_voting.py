@@ -14,23 +14,32 @@ from repro.ensemble import (
 )
 from repro.ensemble.runner import SampleDetection
 from repro.errors import AggregationError
-from repro.fdet import Block, FdetConfig, FdetResult
+from repro.fdet import FdetConfig, FdetResult
 from repro.sampling import RandomEdgeSampler
 
 
 def _fake_detection(blocks: list[tuple[float, list[int], list[int]]]) -> SampleDetection:
-    """A SampleDetection holding hand-built blocks of (density, users, merchants)."""
-    built = tuple(
-        Block(
-            index=index,
-            user_labels=np.array(users, dtype=np.int64),
-            merchant_labels=np.array(merchants, dtype=np.int64),
-            density=density,
-            n_edges=len(users) * len(merchants),
-        )
-        for index, (density, users, merchants) in enumerate(blocks)
+    """A SampleDetection holding hand-built blocks of (density, users, merchants).
+
+    The member's nodes are the blocks' labels; each block becomes the packed
+    node bitset an FDET result stores.
+    """
+    users = np.unique(np.array([u for _, us, _ in blocks for u in us], dtype=np.int64))
+    merchants = np.unique(np.array([m for _, _, ms in blocks for m in ms], dtype=np.int64))
+    rows = [
+        np.packbits(np.concatenate([np.isin(users, us), np.isin(merchants, ms)]), bitorder="little")
+        for _, us, ms in blocks
+    ]
+    row_bytes = (users.size + merchants.size + 7) // 8
+    result = FdetResult(
+        user_labels=users,
+        merchant_labels=merchants,
+        block_rows=np.array(rows, dtype=np.uint8).reshape(len(rows), row_bytes),
+        densities=np.array([density for density, _, _ in blocks], dtype=np.float64),
+        edge_counts=np.array([len(us) * len(ms) for _, us, ms in blocks], dtype=np.int64),
+        k_hat=len(blocks),
     )
-    return SampleDetection(result=FdetResult(all_blocks=built, k_hat=len(built)))
+    return SampleDetection(result=result)
 
 
 @pytest.fixture(scope="module")
