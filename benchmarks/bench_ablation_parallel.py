@@ -1,8 +1,7 @@
 """Ablation: executor backends for the detection stage (DESIGN.md §5).
 
-Serial vs thread vs process on the same sampled-graph workload. The paper's
-parallelism claim corresponds to the process backend; threads are GIL-bound
-for this pure-Python peeling loop and serve as a control.
+Serial vs process on the same sampled-graph workload. The paper's
+parallelism claim corresponds to the process backend.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ def workload(preset):
     return samples, FdetConfig(max_blocks=preset.max_blocks)
 
 
-@pytest.mark.parametrize("mode", [ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS])
+@pytest.mark.parametrize("mode", ExecutorMode.ALL)
 def test_executor_mode(benchmark, workload, mode):
     samples, config = workload
     results = benchmark.pedantic(

@@ -1,30 +1,30 @@
-"""Bench: out-of-core scale — edges vs wall-clock vs peak RSS, shard sweep.
+"""Bench: out-of-core scale — edges vs wall-clock vs peak RSS.
 
-Exercises the sharded / mmap-backed path end to end at three scales:
+Exercises the file-backed (mmap) store path end to end at three scales:
 
 * **guard** (in-process, seconds): stream-write a store file, fit it
-  unsharded-resident and sharded-mmap, assert the vote tables are
-  **bitwise identical**, and report wall-clock per stage. These timings
-  feed ``check_regression.py --fast`` via :func:`guard_timings`.
+  wide-resident and file-backed, assert the vote tables are **bitwise
+  identical**, and report wall-clock per stage. The write and resident
+  fit timings feed ``check_regression.py --fast`` via
+  :func:`guard_timings`.
 * **smoke** (``--smoke``, CI): a multi-million-edge store fitted in a
   fresh subprocess per configuration so ``ru_maxrss`` is honest. Every
   fit fans members out to a process pool, so ``RUSAGE_SELF`` isolates
   the parent orchestrator and ``RUSAGE_CHILDREN`` the workers. Asserts
-  the sharded+mmap fit beats the wide fit on parent peak RSS and stays
+  the file-backed fit beats the wide fit on parent peak RSS and stays
   **bounded well below** it on worker peak RSS (no process ever holds
-  the full int64 graph), and that all configurations agree bitwise
+  the full int64 graph), and that both configurations agree bitwise
   (vote fingerprints).
 * **full** (``--full``, committed baseline): the 10M-edge / 1M-user
-  headline — store write throughput, then a shard sweep (1, 2, 4, 8)
-  recording seconds and peak RSS per configuration into
-  ``baselines/scale.json``.
+  headline — store write throughput, then both fits, recording seconds
+  and peak RSS per configuration into ``baselines/scale.json``.
 
 Run standalone::
 
     python benchmarks/bench_scale.py             # guard case, print stats
     python benchmarks/bench_scale.py --update    # rewrite baselines/scale.json (guard)
     python benchmarks/bench_scale.py --smoke     # CI: bounded-RSS assertion
-    python benchmarks/bench_scale.py --full --update   # 10M-edge sweep -> baseline
+    python benchmarks/bench_scale.py --full --update   # 10M-edge run -> baseline
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.sampling import StableEdgeSampler
 
 BASELINE = os.path.join(_HERE, "baselines", "scale.json")
 
-#: guard scale — small enough for tier-1, big enough that sharding is real
+#: guard scale — small enough for tier-1
 GUARD = {
     "n_users": 20_000,
     "n_merchants": 5_000,
@@ -61,7 +61,6 @@ GUARD = {
     "n_samples": 8,
     "ratio": 0.2,
     "stripe": 256,
-    "shards": 4,
     "seed": 17,
 }
 
@@ -76,25 +75,21 @@ SMOKE = {
     "seed": 17,
 }
 
-#: headline scale and the shard sweep recorded in the committed baseline
+#: headline scale recorded in the committed baseline
 FULL = dict(SMOKE)
-FULL_SHARDS = (1, 2, 4, 8)
 
-#: --smoke bound: the sharded+mmap workers' peak RSS must stay below this
+#: --smoke bound: the file-backed workers' peak RSS must stay below this
 #: fraction of the wide fit's worker peak. Workers are where the
-#: out-of-core structure shows up sharpest — a wide worker attaches the
-#: full int64 graph segment before materializing its member, a sharded
-#: worker maps one shard file — while both parents share the
-#: Python-Counter vote-table overhead, which scales with detected nodes,
-#: not edges. Observed at 10M edges: ~0.55; the slack absorbs
-#: machine-to-machine noise without letting a full-graph attach sneak back
-#: in (that alone would push the ratio past 1).
+#: out-of-core structure shows up sharpest — a wide worker is forked from
+#: a parent holding the full int64 graph, a file-backed worker from one
+#: that only maps the store file — while both parents share the vote-table
+#: overhead, which scales with detected nodes, not edges. The slack
+#: absorbs machine-to-machine noise without letting a resident full graph
+#: sneak back into the workers (that alone would push the ratio to 1).
 SMOKE_WORKER_RSS_FRACTION = 0.7
 
 
-def _config(
-    case: dict, shards: int, mmap: bool, executor: str = "serial"
-) -> EnsemFDetConfig:
+def _config(case: dict, executor: str = "serial") -> EnsemFDetConfig:
     return EnsemFDetConfig(
         sampler=StableEdgeSampler(case["ratio"], stripe=case["stripe"]),
         n_samples=case["n_samples"],
@@ -102,8 +97,6 @@ def _config(
         executor=executor,
         n_workers=2 if executor == "process" else None,
         seed=case["seed"],
-        shards=shards,
-        mmap=mmap,
     )
 
 
@@ -168,18 +161,12 @@ def _worker(spec: dict) -> dict:
     case = spec["case"]
     started = time.perf_counter()
     if spec["transport"] == "wide":
-        # the legacy path: full int64 graph resident, shm segment export
-        graph = _wide_graph(GraphStore.open(spec["path"], mmap=False))
-        result = EnsemFDet(
-            _config(case, shards=1, mmap=False, executor="process")
-        ).fit(graph)
+        # the legacy path: full int64 graph resident, spilled once for the pool
+        source = _wide_graph(GraphStore.open(spec["path"], mmap=False))
     else:
-        store = GraphStore.open(spec["path"], mmap=True)
-        result = EnsemFDet(
-            _config(
-                case, shards=spec["shards"], mmap=spec["mmap"], executor="process"
-            )
-        ).fit(store)
+        # out of core: workers map the store file itself
+        source = GraphStore.open(spec["path"], mmap=True)
+    result = EnsemFDet(_config(case, executor="process")).fit(source)
     seconds = time.perf_counter() - started
     return {
         "seconds": round(seconds, 3),
@@ -216,21 +203,17 @@ def measure(case: dict = GUARD) -> dict:
 
         store = GraphStore.open(path, mmap=False)
         started = time.perf_counter()
-        resident = EnsemFDet(_config(case, shards=1, mmap=False)).fit(
-            _wide_graph(store)
-        )
+        resident = EnsemFDet(_config(case)).fit(_wide_graph(store))
         resident_seconds = time.perf_counter() - started
 
         opened = GraphStore.open(path, mmap=True)
         started = time.perf_counter()
-        sharded = EnsemFDet(
-            _config(case, shards=case["shards"], mmap=True)
-        ).fit(opened)
-        sharded_seconds = time.perf_counter() - started
+        file_backed = EnsemFDet(_config(case)).fit(opened)
+        file_seconds = time.perf_counter() - started
 
-    if _fingerprint(resident) != _fingerprint(sharded):
+    if _fingerprint(resident) != _fingerprint(file_backed):
         raise AssertionError(
-            "sharded+mmap vote table diverged from the wide resident fit — "
+            "file-backed vote table diverged from the wide resident fit — "
             "bitwise-parity contract broken"
         )
     return {
@@ -238,7 +221,7 @@ def measure(case: dict = GUARD) -> dict:
         "store_bytes": store_bytes,
         "write_seconds": round(write_seconds, 4),
         "resident_fit_seconds": round(resident_seconds, 4),
-        "sharded_fit_seconds": round(sharded_seconds, 4),
+        "file_fit_seconds": round(file_seconds, 4),
         "fingerprint": _fingerprint(resident),
     }
 
@@ -249,16 +232,15 @@ def guard_timings(stats: dict) -> dict[str, float]:
     return {
         f"scale-write@{edges}": stats["write_seconds"],
         f"scale-fit-resident@{edges}": stats["resident_fit_seconds"],
-        f"scale-fit-sharded@{edges}": stats["sharded_fit_seconds"],
     }
 
 
 # ---------------------------------------------------------------------------
-# smoke / full: subprocess sweep with RSS accounting
+# smoke / full: one subprocess per configuration, with RSS accounting
 # ---------------------------------------------------------------------------
 
 
-def sweep(case: dict, shard_counts: tuple[int, ...], keep_dir: str | None = None) -> dict:
+def sweep(case: dict, keep_dir: str | None = None) -> dict:
     tmpdir = keep_dir or tempfile.mkdtemp(prefix="repro_scale_")
     path = os.path.join(tmpdir, "graph.store")
     print(f"writing {case['n_edges']:,}-edge store to {path} ...", flush=True)
@@ -270,10 +252,9 @@ def sweep(case: dict, shard_counts: tuple[int, ...], keep_dir: str | None = None
         flush=True,
     )
 
-    configs = [{"label": "wide-resident", "transport": "wide", "shards": 1, "mmap": False}]
-    configs += [
-        {"label": f"mmap-shards-{k}", "transport": "store", "shards": k, "mmap": True}
-        for k in shard_counts
+    configs = [
+        {"label": "wide-resident", "transport": "wide"},
+        {"label": "file-backed", "transport": "store"},
     ]
     runs = []
     try:
@@ -311,29 +292,29 @@ def sweep(case: dict, shard_counts: tuple[int, ...], keep_dir: str | None = None
 
 
 def smoke(case: dict = SMOKE) -> int:
-    stats = sweep(case, shard_counts=(4,))
+    stats = sweep(case)
     wide = next(r for r in stats["runs"] if r["label"] == "wide-resident")
-    sharded = next(r for r in stats["runs"] if r["label"].startswith("mmap-shards"))
+    file_backed = next(r for r in stats["runs"] if r["label"] == "file-backed")
     worker_bound = wide["workers_maxrss_bytes"] * SMOKE_WORKER_RSS_FRACTION
     print(
         f"\nwide-resident footprint {stats['wide_resident_bytes'] / 1e6:.0f} MB; "
         f"wide fit: parent {wide['maxrss_bytes'] / 1e6:.0f} MB / "
         f"workers {wide['workers_maxrss_bytes'] / 1e6:.0f} MB; "
-        f"sharded+mmap fit: parent {sharded['maxrss_bytes'] / 1e6:.0f} MB / "
-        f"workers {sharded['workers_maxrss_bytes'] / 1e6:.0f} MB "
+        f"file-backed fit: parent {file_backed['maxrss_bytes'] / 1e6:.0f} MB / "
+        f"workers {file_backed['workers_maxrss_bytes'] / 1e6:.0f} MB "
         f"(worker bound {worker_bound / 1e6:.0f} MB)"
     )
     failures = []
-    if sharded["maxrss_bytes"] >= wide["maxrss_bytes"]:
+    if file_backed["maxrss_bytes"] >= wide["maxrss_bytes"]:
         failures.append(
-            f"sharded+mmap parent peak RSS {sharded['maxrss_bytes'] / 1e6:.0f} MB "
+            f"file-backed parent peak RSS {file_backed['maxrss_bytes'] / 1e6:.0f} MB "
             f"is not below the wide fit's parent peak "
             f"({wide['maxrss_bytes'] / 1e6:.0f} MB)"
         )
-    if sharded["workers_maxrss_bytes"] >= worker_bound:
+    if file_backed["workers_maxrss_bytes"] >= worker_bound:
         failures.append(
-            f"sharded+mmap worker peak RSS "
-            f"{sharded['workers_maxrss_bytes'] / 1e6:.0f} MB is not below "
+            f"file-backed worker peak RSS "
+            f"{file_backed['workers_maxrss_bytes'] / 1e6:.0f} MB is not below "
             f"{SMOKE_WORKER_RSS_FRACTION:.0%} of the wide fit's worker peak "
             f"({worker_bound / 1e6:.0f} MB)"
         )
@@ -349,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--update", action="store_true", help="rewrite baselines/scale.json")
     parser.add_argument("--smoke", action="store_true", help="CI smoke: bounded-RSS assertion")
-    parser.add_argument("--full", action="store_true", help="10M-edge shard sweep")
+    parser.add_argument("--full", action="store_true", help="10M-edge headline run")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -365,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         "guard": guard_timings(stats),
     }
     if args.full:
-        full = sweep(FULL, shard_counts=FULL_SHARDS)
+        full = sweep(FULL)
         payload["full"] = full
         print(json.dumps(full, indent=2))
     else:

@@ -3,7 +3,7 @@
 At ``N = 80`` on jd-like data (jd1), measures for the process backend:
 
 * **transfer bytes** — what the parent pickles into the workers: whole
-  sampled subgraphs per chunk (eager) vs one ~100-byte segment layout plus
+  sampled subgraphs per chunk (eager) vs one ~100-byte store-file layout plus
   the compact per-member :class:`~repro.sampling.SamplePlan` arrays
   (zero-copy). The plan path must ship **≥5x** fewer bytes.
 * **peak RSS** — each pipeline runs one full fit in a fresh subprocess so
@@ -11,7 +11,7 @@ At ``N = 80`` on jd-like data (jd1), measures for the process backend:
   zero-copy fit must peak measurably lower (eager materializes all N
   subgraphs in the parent before detection starts).
 * **wall-clock** of the two fits, for the committed record.
-* **hygiene** — no ``repro_gs_*`` shared-memory segment survives the fit.
+* **hygiene** — no ``repro_gs_*`` spill directory survives the fit.
 
 Pass/fail compares plan-vs-eager measured on the *same* host in the same
 run; the committed baseline (``baselines/shm_fanout.json``) records the
@@ -33,6 +33,8 @@ sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 sys.path.insert(0, _HERE)
 
 from conftest import run_once  # noqa: E402 - after the path setup, like check_regression
+
+from repro.faults.chaos import leaked_spills  # noqa: E402
 
 BASELINE_PATH = os.path.join(_HERE, "baselines", "shm_fanout.json")
 
@@ -125,26 +127,17 @@ def measure_transfer_bytes() -> dict:
     )
 
     plans = sampler.plan_many(graph, N_SAMPLES, resolve_rng(SEED))
-    shared = GraphStore.from_graph(graph).export_shared()
-    try:
+    with GraphStore.from_graph(graph).export_shared() as spill:
         plan = sum(
-            len(pickle.dumps((shared.layout, config, chunk, False)))
+            len(pickle.dumps((spill.layout, config, chunk, False)))
             for chunk in _chunked(plans, WORKERS)
         )
-    finally:
-        shared.dispose()
     return {
         "n_edges": graph.n_edges,
         "eager_bytes": eager,
         "plan_bytes": plan,
         "ratio": eager / plan,
     }
-
-
-def leaked_segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith("repro_gs_")]
 
 
 def measure() -> dict:
@@ -177,8 +170,8 @@ def test_shm_fanout(benchmark):
     # N subgraphs before (and keeps them across) the detection stage
     assert stats["plan"]["parent_rss_bytes"] < stats["eager"]["parent_rss_bytes"], stats
 
-    # the fit's shared segment must not survive it
-    assert leaked_segments() == []
+    # the fit's spill directory must not survive it
+    assert leaked_spills() == []
 
     print()
     print(

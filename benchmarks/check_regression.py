@@ -7,9 +7,9 @@ Times one greedy peel per (engine, size) on the same Chung-Lu graphs as
 the scoring-server load case from ``bench_serve_load.py`` (HTTP ingest
 seconds-per-1k-edges and query p99, compared against
 ``baselines/serve_load.json``), plus the out-of-core guard case from
-``bench_scale.py`` (store write + wide-resident vs sharded-mmap fit
-seconds, compared against ``baselines/scale.json``; the measurement
-itself asserts the two fits stay bitwise identical), and compares against
+``bench_scale.py`` (store write + wide-resident fit seconds, compared
+against ``baselines/scale.json``; the measurement itself asserts the
+resident and file-backed fits stay bitwise identical), and compares against
 a committed baseline JSON (``benchmarks/baselines/micro_peeling.json``). Any entry slower than
 ``--threshold`` (default 2x — generous enough for machine-to-machine noise,
 tight enough to catch an accidental de-vectorisation) fails the run.
@@ -104,7 +104,7 @@ def measure(sizes: list[tuple[int, int, int]] | None = None) -> dict[str, float]
             timings[f"{engine}@{n_edges}"] = best
     timings.update(measure_ensemble())
     timings.update(serve_guard_timings(measure_serve()))
-    # parity gate rides along: measure_scale raises if the sharded+mmap
+    # parity gate rides along: measure_scale raises if the file-backed
     # vote table ever diverges from the wide resident fit
     timings.update(scale_guard_timings(measure_scale()))
     return timings

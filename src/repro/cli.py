@@ -84,7 +84,7 @@ from .scenarios import (
 )
 from .scenarios.drift import TEMPORAL_SCENARIOS
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _default_threshold(threshold: int | None, n_samples: int) -> int:
@@ -146,7 +146,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             max_blocks=args.max_blocks,
             engine=args.engine,
             executor=args.executor,
-            shared_memory=not args.no_shm,
         )
         detection = make_detector(args.detector, context).fit(graph)
         _print_ranking(detection, args.top)
@@ -157,9 +156,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         fdet=FdetConfig(max_blocks=args.max_blocks, engine=args.engine),
         executor=args.executor,
         seed=args.seed,
-        shared_memory=not args.no_shm,
-        shards=args.shards,
-        mmap=args.mmap,
     )
     result = EnsemFDet(config).fit(graph)
     threshold = _default_threshold(args.threshold, args.samples)
@@ -342,9 +338,6 @@ def _bootstrap_state(
         fdet=FdetConfig(max_blocks=args.max_blocks, engine=args.engine),
         executor=args.executor,
         seed=args.seed,
-        shared_memory=not args.no_shm,
-        shards=args.shards,
-        mmap=args.mmap,
         tolerance=FaultTolerance(
             member_timeout=args.member_timeout,
             max_retries=args.max_retries,
@@ -661,6 +654,18 @@ def _run_drift(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_executor_flag(command: argparse.ArgumentParser) -> None:
+    """``--executor``: the in-process run unless a killable pool is asked for."""
+    command.add_argument(
+        "--executor",
+        choices=ExecutorMode.ALL,
+        default=ExecutorMode.SERIAL,
+        help="'serial' runs every member in this process, one OpenMP-wide "
+        "kernel call; 'process' runs them on a process pool whose hung or "
+        "crashing members are killed and retried",
+    )
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     graph = load_edge_list(args.edges)
     for key, value in describe(graph).as_row().items():
@@ -668,8 +673,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (also installed as the ``ensemfdet`` script)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``ensemfdet`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(prog="ensemfdet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -700,27 +705,8 @@ def main(argv: list[str] | None = None) -> int:
         help="peeling backend: 'fast' (native kernel; runs 'reference' on hosts "
         "without a C compiler) or 'reference' (pure Python)",
     )
-    detect.add_argument("--executor", choices=("serial", "thread", "process"), default="process")
+    _add_executor_flag(detect)
     detect.add_argument("--seed", type=int, default=0)
-    detect.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="ship the graph store to process workers by pickle instead of "
-        "publishing one shared-memory segment",
-    )
-    detect.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="run the ensemble in K stripe shards, each over a store holding "
-        "only the edges its members sample (vote table is bitwise-identical)",
-    )
-    detect.add_argument(
-        "--mmap",
-        action="store_true",
-        help="spill graph stores to mmap-backed files so workers read columns "
-        "lazily instead of copying them (out-of-core operation)",
-    )
     detect.set_defaults(func=_cmd_detect)
 
     detectors = sub.add_parser(
@@ -755,27 +741,8 @@ def main(argv: list[str] | None = None) -> int:
             default=PeelEngine.DEFAULT,
             help="peeling backend",
         )
-        command.add_argument(
-            "--executor", choices=("serial", "thread", "process"), default="process"
-        )
+        _add_executor_flag(command)
         command.add_argument("--seed", type=int, default=0)
-        command.add_argument(
-            "--no-shm",
-            action="store_true",
-            help="disable the shared-memory graph segment for process workers",
-        )
-        command.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="cold-fit the ensemble in K stripe shards (stored in the state)",
-        )
-        command.add_argument(
-            "--mmap",
-            action="store_true",
-            help="spill graph stores to mmap-backed files for process workers "
-            "(stored in the state; updates reuse it)",
-        )
         command.add_argument(
             "--member-timeout",
             type=float,
@@ -956,11 +923,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario.add_argument(
         "--engine", choices=PeelEngine.ALL, default=PeelEngine.DEFAULT, help="peeling backend"
     )
-    scenario.add_argument(
-        "--executor",
-        choices=(ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS),
-        default=ExecutorMode.SERIAL,
-    )
+    _add_executor_flag(scenario)
     scenario.add_argument("--k", type=int, default=50, help="k of precision@k")
     scenario.add_argument("--outdir", default=None, help="write JSON/CSV artifacts here")
     scenario.add_argument("--max-rows", type=int, default=60, help="rows shown in the table")
@@ -971,8 +934,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     experiments.add_argument("rest", nargs=argparse.REMAINDER)
     experiments.set_defaults(func=lambda a: experiments_main(a.rest))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point (also installed as the ``ensemfdet`` script)."""
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -134,7 +134,6 @@ def _ensemble_config(
         ),
         executor=spec.executor if spec.executor is not None else context.executor,
         seed=spec.seed if spec.seed is not None else context.seed,
-        shared_memory=context.shared_memory,
     )
 
 
@@ -150,7 +149,7 @@ def _parity_fingerprint(config: EnsemFDetConfig) -> tuple:
     """The resolved knobs that determine the vote table bit-for-bit.
 
     Two ensemble detectors are bit-comparable iff these agree (the
-    executor deliberately excluded: serial/thread/process produce
+    executor deliberately excluded: serial/process produce
     identical tables by design). The harness's parity cross-check only
     groups detectors whose fingerprints match, so a spec that overrides
     e.g. the sampler or ``n`` is legitimately allowed to diverge.

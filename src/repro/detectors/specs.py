@@ -60,7 +60,6 @@ class DetectorContext:
     n_components: int = 25
     engine: str = PeelEngine.DEFAULT
     executor: str = ExecutorMode.SERIAL
-    shared_memory: bool = True
 
 
 _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -215,7 +214,7 @@ class EnsembleSpec(DetectorSpec):
     stripe: int | None = None  # stable-sampler stripe size
     max_blocks: int | None = None  # FDET extraction cap per sample
     engine: str | None = None  # peeling backend
-    executor: str | None = None  # serial / thread / process
+    executor: str | None = None  # serial / process
     seed: int | None = None
 
 

@@ -18,7 +18,6 @@ from .runner import (
     detect_on_samples,
     run_members,
 )
-from .sharding import ShardPlan, plan_shards, run_sharded
 from .soft_voting import SoftVoteTable, soft_threshold_sweep, soft_votes_from_detections
 from .voting import VoteTable, majority_vote, normalized_majority_vote
 
@@ -40,9 +39,6 @@ __all__ = [
     "detect_on_plans",
     "detect_on_samples",
     "run_members",
-    "ShardPlan",
-    "plan_shards",
-    "run_sharded",
     "VoteTable",
     "majority_vote",
     "normalized_majority_vote",

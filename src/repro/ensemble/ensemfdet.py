@@ -3,14 +3,15 @@
 Pipeline::
 
     graph --(sampler.plan × N)--> compact plans --(materialize + FDET,
-    parallel, shared-memory parent)--> per-sample detections
-    --(majority vote, threshold T)--> U_final, V_final
+    in-process or on a pool mapping the parent's store file)-->
+    per-sample detections --(majority vote, threshold T)--> U_final, V_final
 
 The sampling stage is plan-only: the parent draws ``N`` compact
 :class:`~repro.sampling.SamplePlan` objects (consuming the RNG exactly as
-the historical eager sampler did) and the subgraphs are materialized inside
-the detection workers against a shared-memory view of the parent graph —
-see :func:`repro.ensemble.runner.detect_on_plans` for the memory model.
+the historical eager sampler did) and the subgraphs are materialized where
+they are detected — in the parent for ``serial``, inside the workers
+against a mapped store file of the parent graph for ``process`` — see
+:func:`repro.ensemble.runner.detect_on_plans` for the memory model.
 
 The expensive middle stage is run once by :meth:`EnsemFDet.fit`; the returned
 :class:`EnsemFDetResult` holds the vote table so callers can evaluate *every*
@@ -32,7 +33,6 @@ from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
 from ..sampling import RandomEdgeSampler, Sampler, StableEdgeSampler, resolve_rng
 from .results import DetectionResult
 from .runner import MemberFailure, MemberRun, SampleDetection, _raise_first_failure, run_members
-from .sharding import plan_shards, run_sharded
 from .voting import VoteTable, majority_vote, tally_votes
 
 __all__ = ["EnsemFDetConfig", "EnsemFDetResult", "EnsemFDet"]
@@ -52,7 +52,11 @@ class EnsemFDetConfig:
     fdet:
         FDET configuration applied to every sampled subgraph.
     executor:
-        Backend for the parallel detection stage.
+        Backend for the parallel detection stage, one of
+        :attr:`ExecutorMode.ALL`: ``"serial"`` runs every member in this
+        process (one OpenMP-wide kernel call); ``"process"`` runs them on a
+        process pool that maps the parent graph as a store file, the one
+        backend whose hung or crashing members can be killed and retried.
     n_workers:
         Pool size (``None`` = CPU count).
     seed:
@@ -60,11 +64,6 @@ class EnsemFDetConfig:
     track_appearances:
         Also record which nodes each sample contained, enabling the
         normalised-vote ablation (slightly more memory).
-    shared_memory:
-        For the process backend, publish the parent graph once through a
-        shared-memory :class:`~repro.graph.GraphStore` segment instead of
-        pickling graph bytes into every worker. Disable to force the
-        pickled-store fallback (debugging, exotic platforms).
     tolerance:
         Degraded-mode policy for the detection stage: per-member timeout,
         bounded deterministic retries with backend degradation, and the
@@ -73,20 +72,6 @@ class EnsemFDetConfig:
         vote table. The default retries twice and accepts a half-strength
         ensemble; :meth:`FaultTolerance.strict` restores fail-fast
         semantics. Zero overhead while nothing fails.
-    shards:
-        Stripe-shard the fit: members are split into this many contiguous
-        groups, each run against a shard store holding only the edges its
-        members sample, and the survivors are tallied together — bitwise
-        identical to the unsharded fit (see
-        :mod:`repro.ensemble.sharding`). ``1`` (the default) disables
-        sharding. Requires edge-list-reducible plans ("edges"/"stripes").
-    mmap:
-        Out-of-core transport: ship the parent (or each shard store) to
-        process workers as an mmap-able store file instead of a shared
-        segment, and — when sharding — keep at most one shard's columns
-        resident in the parent at a time. A fit on a store opened with
-        :meth:`~repro.graph.GraphStore.open` uses the file transport
-        implicitly.
     """
 
     sampler: Sampler = field(default_factory=lambda: RandomEdgeSampler(0.1))
@@ -96,16 +81,15 @@ class EnsemFDetConfig:
     n_workers: int | None = None
     seed: int | None = None
     track_appearances: bool = False
-    shared_memory: bool = True
     tolerance: FaultTolerance = field(default_factory=FaultTolerance)
-    shards: int = 1
-    mmap: bool = False
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise DetectionError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.shards < 1:
-            raise DetectionError(f"shards must be >= 1, got {self.shards}")
+        if self.executor not in ExecutorMode.ALL:
+            raise DetectionError(
+                f"unknown executor {self.executor!r}; expected one of {ExecutorMode.ALL}"
+            )
 
     @property
     def repetition_rate(self) -> float:
@@ -346,23 +330,8 @@ class EnsemFDet:
         track_members: bool,
         window,
     ) -> MemberRun:
-        """The detection stage: sharded when ``config.shards > 1``."""
+        """The detection stage over every member."""
         config = self.config
-        if config.shards > 1:
-            return run_sharded(
-                source,
-                plans,
-                config.fdet,
-                plan_shards(config.n_samples, config.shards),
-                mode=config.executor,
-                n_workers=config.n_workers,
-                pool=self.pool,
-                track_members=track_members,
-                shared_memory=config.shared_memory,
-                tolerance=config.tolerance,
-                window=window,
-                mmap=config.mmap,
-            )
         return run_members(
             source,
             plans,
@@ -371,10 +340,8 @@ class EnsemFDet:
             n_workers=config.n_workers,
             pool=self.pool,
             track_members=track_members,
-            shared_memory=config.shared_memory,
             tolerance=config.tolerance,
             window=window,
-            mmap=config.mmap,
         )
 
     def _resolve_track_members(self, track_members: bool | None) -> bool:
@@ -396,8 +363,6 @@ class EnsemFDet:
     ) -> EnsemFDetResult:
         config = self.config
         detections = _enforce_quorum(run, config)
-        # shard stores keep the parent's node space, so one tally over every
-        # survivor covers sharded fits too
         return EnsemFDetResult(
             config=config,
             vote_table=tally_votes(detections, graph, config.track_appearances),

@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
 from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
-from ..parallel import FaultTolerance, ReusablePool, Timer
+from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
 from ..sampling import StableEdgeSampler, resolve_rng
 from .ensemfdet import EnsemFDet, EnsemFDetConfig, EnsemFDetResult
 from .results import (
@@ -315,7 +315,7 @@ class IncrementalEnsemFDet:
         stale members' plans are just their stripe rows re-hashed on the
         grown edge count — no subgraph is materialized parent-side. All
         refreshed members share one columnar store of the grown graph
-        (one shared-memory export per update on the process backend).
+        (one store-file spill per update on the process backend).
 
         A refresh that fails for good leaves that member stale. If too few
         members then hold fresh state, the delta and the fresh refreshes
@@ -366,11 +366,7 @@ class IncrementalEnsemFDet:
                 n_workers=config.n_workers,
                 pool=self.pool,
                 track_members=True,
-                shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
-                # updates refresh few members, so sharding would be pure
-                # overhead; the mmap transport still applies
-                mmap=config.mmap,
             )
 
         stale_indices = stale.tolist()
@@ -427,10 +423,8 @@ class IncrementalEnsemFDet:
                 n_workers=config.n_workers,
                 pool=self.pool,
                 track_members=True,
-                shared_memory=config.shared_memory,
                 tolerance=config.tolerance,
                 window=live.edge_window(),
-                mmap=config.mmap,
             )
 
         stale_indices = stale.tolist()
@@ -543,9 +537,6 @@ class IncrementalEnsemFDet:
                 "executor": config.executor,
                 "n_workers": config.n_workers,
                 "track_appearances": config.track_appearances,
-                "shared_memory": config.shared_memory,
-                "shards": config.shards,
-                "mmap": config.mmap,
                 "tolerance": config.tolerance.as_dict(),
             },
             "sampler": {"ratio": sampler.ratio, "stripe": sampler.stripe},
@@ -579,15 +570,16 @@ class IncrementalEnsemFDet:
                 min_density_ratio=fdet["min_density_ratio"],
                 engine=fdet["engine"],
             ),
-            executor=ensemble["executor"],
+            # states saved with the thread backend load as serial, the step
+            # it degraded to; their shared_memory/shards/mmap keys are ignored
+            executor=(
+                ExecutorMode.SERIAL
+                if ensemble["executor"] == "thread"
+                else ensemble["executor"]
+            ),
             n_workers=ensemble["n_workers"],
             seed=ensemble["seed"],
             track_appearances=ensemble["track_appearances"],
-            # absent in states saved before the zero-copy fan-out refactor
-            shared_memory=ensemble.get("shared_memory", True),
-            # absent in states saved before the sharded / out-of-core layer
-            shards=ensemble.get("shards", 1),
-            mmap=ensemble.get("mmap", False),
             # absent in states saved before the fault-tolerance layer
             tolerance=FaultTolerance.from_dict(ensemble.get("tolerance")),
         )

@@ -3,20 +3,22 @@
 Two fan-out shapes live here:
 
 * :func:`detect_on_plans` — the **zero-copy** pipeline used by
-  :class:`~repro.ensemble.EnsemFDet`. The parent keeps the graph in one
-  frozen :class:`~repro.graph.GraphStore`; for the process backend the
-  store is exported to a shared-memory segment (or, with ``mmap=True`` /
-  a file-backed store, spilled once to an mmap-able store file), workers
-  attach **once per process** (pool initializer for one-shot pools, a
-  process-local cache for :class:`~repro.parallel.ReusablePool` workers)
-  and each compact :class:`~repro.sampling.SamplePlan` is materialized
-  worker-side through the trusted constructor — zero graph bytes are
-  pickled per ensemble member, only the ~1%-sized plans and a ~100-byte
-  :class:`~repro.graph.StoreLayout` descriptor. A parent opened straight
-  from a store file (:meth:`GraphStore.open`) ships just its path+layout:
-  workers map the same file lazily, so out-of-core graphs never
-  materialize in any process. Serial and thread backends skip the
-  segment and materialize against the in-process graph directly.
+  :class:`~repro.ensemble.EnsemFDet`. It has two execution paths:
+
+  - ``serial`` runs every member in the calling process, as one
+    multi-member native kernel call ``native_threads()`` wide (OpenMP
+    across members), materializing against the in-process graph;
+  - ``process`` ships the parent to a process pool as a **store file**:
+    the parent's own file when it was opened with
+    :meth:`GraphStore.open`, otherwise one spill of the compacted store
+    (:meth:`GraphStore.export_shared`). Workers map the file **once per
+    process** (pool initializer for one-shot pools, a process-local cache
+    for :class:`~repro.parallel.ReusablePool` workers) and materialize
+    each compact :class:`~repro.sampling.SamplePlan` worker-side through
+    the trusted constructor — zero graph bytes are pickled per ensemble
+    member, only the ~1%-sized plans and a ~100-byte
+    :class:`~repro.graph.StoreLayout` descriptor. Out-of-core graphs never
+    materialize in any process.
 * :func:`detect_on_samples` — the historical eager shape, mapping already
   materialized subgraphs. Kept for callers that hold real subgraphs (and
   as the reference the plan pipeline is parity-tested against).
@@ -26,11 +28,11 @@ engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
 policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
 the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → thread → serial) and shared-memory → pickled-store
-fallback — and whatever still fails after the last round comes back as a
-typed :class:`MemberFailure` instead of an exception. The parent-side
-shared segment is unlinked on **every** exit path (normal, crash, timeout,
-KeyboardInterrupt), backstopped by the store's ``weakref.finalize``.
+degradation (process → serial) and store-file → pickled-store fallback —
+and whatever still fails after the last round comes back as a typed
+:class:`MemberFailure` instead of an exception. The spill directory is
+removed on **every** exit path (normal, crash, timeout,
+KeyboardInterrupt), backstopped by its handle's ``weakref.finalize``.
 
 Because plans re-materialize deterministically, a member that fails and
 then succeeds on retry produces a detection bitwise-identical to a
@@ -44,17 +46,20 @@ layer do; plain MVA does not).
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time as _time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import GraphError, InjectedFault, MemberTimeoutError, WorkerCrashError
+from ..errors import (
+    GraphError,
+    InjectedFault,
+    MemberTimeoutError,
+    ReproError,
+    WorkerCrashError,
+)
 from ..faults import fault_point
 from ..fdet import Fdet, FdetConfig, FdetResult, PeelEngine
 from ..fdet import batched as _batched
@@ -84,7 +89,7 @@ __all__ = [
 #: failure classification recorded per member
 FAIL_CRASH = "crash"  # the worker process died under the member
 FAIL_TIMEOUT = "timeout"  # the member (chunk) exceeded its wall-clock budget
-FAIL_SHM = "shm"  # the worker could not attach the shared graph segment
+FAIL_TRANSPORT = "transport"  # the worker could not map the parent's store file
 FAIL_ERROR = "error"  # the member's own code raised
 
 
@@ -116,7 +121,7 @@ class MemberFailure:
     """One ensemble member that still had no detection after every retry."""
 
     index: int
-    kind: str  # one of FAIL_CRASH / FAIL_TIMEOUT / FAIL_SHM / FAIL_ERROR
+    kind: str  # one of FAIL_CRASH / FAIL_TIMEOUT / FAIL_TRANSPORT / FAIL_ERROR
     error: str
     attempts: int
 
@@ -185,28 +190,21 @@ def _detect_chunk(
 
 
 def _resolve_parent(
-    source: BipartiteGraph | GraphStore | StoreLayout,
-    window: EdgeWindow | None,
+    source: GraphStore | StoreLayout,
 ) -> tuple[BipartiteGraph, EdgeWindow | None]:
     """The parent graph (and liveness overlay) a worker materializes against.
 
     A :class:`StoreLayout` resolves through the process-local attachment
-    cache (first touch maps the segment, later chunks and later fits on
-    the same segment are dictionary hits); a pickled :class:`GraphStore`
-    is the no-shared-memory fallback; a :class:`BipartiteGraph` arrives
-    only on in-process backends. Stores carry their window columns in the
-    segment itself, so ``window`` is only consulted for in-process graphs.
+    cache (first touch maps the file, later chunks and later fits on the
+    same file are dictionary hits); a pickled :class:`GraphStore` is the
+    fallback transport. Stores carry their window columns themselves.
     """
-    if isinstance(source, StoreLayout):
-        store = attached_store(source)
-        return store.to_graph(), store.edge_window()
-    if isinstance(source, GraphStore):
-        return source.to_graph(), source.edge_window()
-    return source, window
+    store = attached_store(source) if isinstance(source, StoreLayout) else source
+    return store.to_graph(), store.edge_window()
 
 
 def _attach_worker(layout: StoreLayout) -> None:
-    """Pool initializer: map the shared segment once, at worker spawn."""
+    """Pool initializer: map the parent's store file once, at worker spawn."""
     attached_store(layout)
 
 
@@ -240,27 +238,26 @@ def _batch_detect_many(
 
 def _detect_member_chunk(
     args: tuple[
-        BipartiteGraph | GraphStore | StoreLayout,
+        GraphStore | StoreLayout,
         FdetConfig,
         list[tuple[int, SamplePlan]],
         bool,
         int,
-        EdgeWindow | None,
         int,
     ]
 ) -> list[tuple[int, SampleDetection]]:
-    """Run a chunk of ``(member_index, plan)`` pairs in whatever process.
+    """Run a chunk of ``(member_index, plan)`` pairs in a pool worker.
 
     The per-member injection points fire *inside* the worker, so chaos
-    plans exercise the real fan-out path (chunk pickling, segment attach,
+    plans exercise the real fan-out path (chunk pickling, store-file map,
     materialization) unmodified. Eligible members of the chunk run through
     one multi-member kernel call (``native_threads`` wide); ineligible
     plans, ineligible configs and members whose kernel slot reports an
     allocation failure take the per-member materialize-and-detect path,
     bitwise identically.
     """
-    source, config, members, track_members, attempt, window, threads = args
-    graph, window = _resolve_parent(source, window)
+    source, config, members, track_members, attempt, threads = args
+    graph, window = _resolve_parent(source)
     fdet = Fdet(config)
     use_batch = _batched.config_eligible(config) and _batched.batch_kernels() is not None
     out: list[tuple[int, SampleDetection]] = []
@@ -309,27 +306,22 @@ def _classify(error: BaseException) -> str:
         return FAIL_CRASH
     if isinstance(error, TimeoutError):
         return FAIL_TIMEOUT
-    if isinstance(error, GraphError) and ("segment" in str(error) or "store file" in str(error)):
-        return FAIL_SHM
-    if isinstance(error, InjectedFault) and (
-        "shm.attach" in str(error) or "mmap.open" in str(error)
-    ):
-        return FAIL_SHM
+    if isinstance(error, GraphError) and "store file" in str(error):
+        return FAIL_TRANSPORT
+    if isinstance(error, InjectedFault) and "mmap.open" in str(error):
+        return FAIL_TRANSPORT
     return FAIL_ERROR
 
 
 def _degraded_backend(mode: str, retry_round: int, tolerance: FaultTolerance) -> str:
-    """Backend for retry round ``retry_round`` (0 = first attempt)."""
+    """Backend for retry round ``retry_round`` (0 = first attempt).
+
+    The ladder is process → serial: a degrading policy runs every retry
+    in the parent, where pool infrastructure cannot fail it.
+    """
     if retry_round == 0 or not tolerance.degrade:
         return mode
-    ladder = {
-        ExecutorMode.PROCESS: (ExecutorMode.THREAD, ExecutorMode.SERIAL),
-        ExecutorMode.THREAD: (ExecutorMode.SERIAL,),
-        ExecutorMode.SERIAL: (),
-    }[mode]
-    if not ladder:
-        return ExecutorMode.SERIAL
-    return ladder[min(retry_round - 1, len(ladder) - 1)]
+    return ExecutorMode.SERIAL
 
 
 def _run_serial(
@@ -421,112 +413,67 @@ def _run_pooled(
     graph: BipartiteGraph,
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
-    backend: str,
     n_workers: int | None,
     pool: ReusablePool | None,
     track_members: bool,
-    use_shm: bool,
+    use_file: bool,
     attempt: int,
     tolerance: FaultTolerance,
     window: EdgeWindow | None = None,
-    use_mmap: bool = False,
     source_store: GraphStore | None = None,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], str]:
-    """One thread/process attempt. Returns ``(results, failures, transport)``.
+    """One process-pool attempt. Returns ``(results, failures, transport)``.
 
-    ``transport`` names what actually carried the parent to the workers:
-    ``"file"`` (the parent is already a file-backed store — its path+layout
-    descriptor is shipped and workers map the same file), ``"mmap"`` (the
-    store was spilled once to a temporary store file), ``"shm"`` (shared
-    segment), ``"pickle"`` (the columnar store pickled per worker chunk)
-    or ``"local"`` (thread backend, no transport at all).
+    ``transport`` names what carried the parent to the workers: ``"file"``
+    (the parent is already a file-backed store — its layout is shipped and
+    workers map the same file), ``"mmap"`` (the store was spilled once to a
+    private store file) or ``"pickle"`` (the columnar store pickled per
+    worker chunk: the retry after a transport failure, or a spill that
+    could not be written).
 
-    The shared segment / spill file (process backend) is created before
-    the fan-out and removed in the ``finally`` below no matter how the
-    attempt ends — worker crash, timeout kill, Ctrl-C — so ``/dev/shm``
-    and the spill dir can never accumulate orphans. ``weakref.finalize``
-    on the segment handle backstops even a failure inside this function
-    (on Linux the unlinked spill file stays valid for live worker maps).
+    The spill directory is created before the fan-out and removed in the
+    ``finally`` below no matter how the attempt ends — worker crash,
+    timeout kill, Ctrl-C — so no ``repro_gs_spill_*`` directory outlives
+    the attempt. The handle's ``weakref.finalize`` backstops even a
+    failure inside this function (on Linux the unlinked file stays valid
+    for live worker maps).
     """
-    process = backend == ExecutorMode.PROCESS
-    workers = (
-        pool.n_workers
-        if pool is not None and pool.mode == backend
-        else (n_workers or default_workers(len(work)))
-    )
+    workers = pool.n_workers if pool is not None else (n_workers or default_workers(len(work)))
 
-    source: BipartiteGraph | GraphStore | StoreLayout = graph
-    shared = None
-    spill_dir: str | None = None
-    initializer = None
-    initargs: tuple = ()
-    plan_window = window
-    transport = "local"
-    if process:
-        # the liveness columns ride inside the store/segment/file; workers
-        # rebuild the EdgeWindow from the attached columns
-        store = (
-            source_store
-            if source_store is not None
-            else GraphStore.from_graph(graph, window)
-        )
-        source = store
-        plan_window = None
-        transport = "pickle"
-        if use_mmap and store.layout is not None and store.layout.kind == "file":
-            # already file-backed: ship only the path+layout descriptor
-            source = store.layout
-            initializer, initargs = _attach_worker, (store.layout,)
-            transport = "file"
-        elif use_mmap:
-            spill_dir = tempfile.mkdtemp(prefix="repro_gs_spill_")
-            try:
-                layout = store.save(os.path.join(spill_dir, "graph.store"))
-            except OSError:  # pragma: no cover - spill volume full/unwritable
-                shutil.rmtree(spill_dir, ignore_errors=True)
-                spill_dir = None
-            else:
-                source = layout
-                initializer, initargs = _attach_worker, (layout,)
-                transport = "mmap"
-        if transport == "pickle" and use_shm:
-            try:
-                shared = store.export_shared()
-            except OSError:  # pragma: no cover - no usable /dev/shm on this host
-                shared = None
-            else:
-                source = shared.layout
-                initializer, initargs = _attach_worker, (shared.layout,)
-                transport = "shm"
+    # the liveness columns ride inside the store (or its file); workers
+    # rebuild the EdgeWindow from them
+    store = source_store if source_store is not None else GraphStore.from_graph(graph, window)
+    source: GraphStore | StoreLayout = store
+    spill = None
+    transport = "pickle"
+    if use_file and store.layout is not None:
+        source, transport = store.layout, "file"
+    elif use_file:
+        try:
+            spill = store.export_shared()
+        except OSError:  # spill volume full or unwritable
+            pass
+        else:
+            source, transport = spill.layout, "mmap"
 
     own_executor = None
-    borrowed_pool = pool is not None and pool.mode == backend
     try:
-        if process:
-            chunks = _chunked(work, workers)
-        else:
-            # threads share memory: per-member tasks give the finest retry
-            # granularity at no pickling cost
-            chunks = [[member] for member in work]
+        chunks = _chunked(work, workers)
         # oversubscription guard: workers x in-kernel threads <= cores
         threads = native_threads(workers)
         args = [
-            (source, config, chunk, track_members, attempt, plan_window, threads)
-            for chunk in chunks
+            (source, config, chunk, track_members, attempt, threads) for chunk in chunks
         ]
 
-        if borrowed_pool:
+        if pool is not None:
             submit = pool.submit
-        elif process:
+        else:
             own_executor = ProcessPoolExecutor(
                 max_workers=min(workers, len(chunks)),
                 mp_context=_process_context(),
-                initializer=initializer,
-                initargs=initargs,
+                initializer=None if transport == "pickle" else _attach_worker,
+                initargs=() if transport == "pickle" else (source,),
             )
-            submit = own_executor.submit
-        else:
-            own_executor = ThreadPoolExecutor(max_workers=min(workers, len(chunks)))
             submit = own_executor.submit
 
         futures: list[Future] = []
@@ -546,21 +493,19 @@ def _run_pooled(
                     failures[index] = (FAIL_CRASH, submit_error)
         if timed_out:
             # a hung worker cannot be joined or cancelled — reclaim it
-            if borrowed_pool:
+            if pool is not None:
                 pool.kill_workers()
-            elif own_executor is not None:
+            else:
                 kill_executor_workers(own_executor)
         broken = timed_out or any(kind == FAIL_CRASH for kind, _ in failures.values())
-        if broken and borrowed_pool:
+        if broken and pool is not None:
             pool.respawn()
         return results, failures, transport
     finally:
         if own_executor is not None:
             own_executor.shutdown(wait=False, cancel_futures=True)
-        if shared is not None:
-            shared.dispose()
-        if spill_dir is not None:
-            shutil.rmtree(spill_dir, ignore_errors=True)
+        if spill is not None:
+            spill.dispose()
 
 
 def run_members(
@@ -572,46 +517,43 @@ def run_members(
     engine: str | None = None,
     pool: ReusablePool | None = None,
     track_members: bool = True,
-    shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
-    mmap: bool = False,
 ) -> MemberRun:
     """Fault-tolerant fan-out: every plan either detects or fails *typed*.
 
     Under the ``fast`` engine the eligible members of an attempt peel
-    through one multi-member kernel call on every execution backend. This
+    through one multi-member kernel call on both execution backends. This
     composes with the degradation ladder: a worker-crash round switches the
     remaining retries to ``engine="reference"``, the one path with no
-    native code, the way shm failures disable the shared segment.
+    native code, the way a transport failure switches to the pickled store.
 
     ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
     graph — in particular one opened straight from a store file
     (:meth:`GraphStore.open`), whose windowed columns (if any) become the
     liveness overlay automatically. Process fan-outs then ship only the
     path+layout descriptor: workers map the same file lazily and the
-    parent columns never materialize anywhere. ``mmap=True`` requests the
-    same file transport for a resident parent by spilling the (compacted)
-    store to a temporary file once per attempt instead of exporting a
-    shared segment. Either file transport degrades to the pickled store
-    after an ``mmap.open``/attach failure, exactly like shm does.
+    parent columns never materialize anywhere. A resident parent is
+    spilled once per process attempt to a private store file instead.
+    Either file transport degrades to the pickled store after an
+    ``mmap.open``/map failure.
 
     With ``window`` set, ``graph`` is the full stored graph of a rolling
     window and every member materializes through the liveness overlay
     (see :func:`repro.sampling.materialize_plan`); the overlay travels
-    through the shared segment / store file / pickled store on process
-    backends.
+    inside the store file / pickled store on the process backend.
 
     The engine behind :func:`detect_on_plans` and
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
     requested backend, then re-runs failed members for up to
     ``tolerance.max_retries`` extra rounds with deterministic backoff,
-    degrading the backend (process → thread → serial) and falling back
-    from shared memory to the pickled store when the failure kinds call
-    for it. Members that never succeed come back as
-    :class:`MemberFailure` entries; the caller decides whether that is a
-    quorum violation.
+    degrading the backend (process → serial) and falling back from the
+    store file to the pickled store when the failure kinds call for it.
+    Members that never succeed come back as :class:`MemberFailure`
+    entries; the caller decides whether that is a quorum violation.
     """
+    if mode not in ExecutorMode.ALL:
+        raise ReproError(f"unknown executor mode {mode!r}; expected one of {ExecutorMode.ALL}")
     config = _maybe_override_engine(config, engine)
     tolerance = tolerance or FaultTolerance()
     plans = list(plans)
@@ -639,15 +581,7 @@ def run_members(
     fail_info: dict[int, tuple[str, BaseException]] = {}
     attempts_of: dict[int, int] = {}
     retry_log: list[dict] = []
-    use_shm = shared_memory
-    # a file-backed parent defaults to the file transport even without
-    # mmap=True: its bytes are already on disk, re-exporting them would
-    # defeat the point of opening out-of-core
-    use_mmap = mmap or (
-        source_store is not None
-        and source_store.layout is not None
-        and source_store.layout.kind == "file"
-    )
+    use_file = True
 
     for attempt in range(tolerance.max_retries + 1):
         if not pending:
@@ -672,20 +606,17 @@ def run_members(
             )
             transport = "local"
         else:
-            attempt_pool = pool if (pool is not None and pool.mode == backend) else None
             results, failures, transport = _run_pooled(
                 graph,
                 work,
                 config,
-                backend,
                 n_workers,
-                attempt_pool,
+                pool,
                 track_members,
-                use_shm,
+                use_file,
                 attempt,
                 tolerance,
                 window,
-                use_mmap,
                 source_store,
             )
 
@@ -696,7 +627,6 @@ def run_members(
             {
                 "attempt": attempt,
                 "backend": ExecutorMode.SERIAL if in_parent else backend,
-                "shared_memory": transport == "shm",
                 "transport": transport,
                 "engine": config.engine,
                 "members": [int(i) for i in pending],
@@ -705,14 +635,14 @@ def run_members(
             }
         )
         fail_info.update(failures)
-        if any(kind == FAIL_SHM for kind, _ in failures.values()):
-            # the zero-copy transport itself is suspect (segment attach or
-            # file map failed) — pickled store next
-            use_shm = False
-            use_mmap = False
+        if any(kind == FAIL_TRANSPORT for kind, _ in failures.values()):
+            # the store file itself is suspect (map failed) — pickled
+            # store next
+            use_file = False
         if any(kind == FAIL_CRASH for kind, _ in failures.values()):
             # a dead worker may mean the native kernel itself crashed —
-            # retries run the pure-Python engine, like shm degrades
+            # retries run the pure-Python engine, like a transport
+            # failure switches to the pickled store
             config = _maybe_override_engine(config, PeelEngine.REFERENCE)
         pending = failed
 
@@ -754,7 +684,7 @@ def _raise_first_failure(run: MemberRun) -> None:
             "to isolate the member",
             member_indices=indices,
         )
-    # member/application-level error (including shm-attach): re-raise the
+    # member/application-level error (including a store-file map): re-raise the
     # original exception so strict callers keep fail-fast semantics (e.g.
     # a DetectionError from a misconfigured FdetConfig propagates as-is)
     original = (run.errors or {}).get(first.index)
@@ -774,10 +704,8 @@ def detect_on_plans(
     engine: str | None = None,
     pool: ReusablePool | None = None,
     track_members: bool = True,
-    shared_memory: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
-    mmap: bool = False,
 ) -> list[SampleDetection]:
     """Materialize every plan against ``graph`` and run FDET on it.
 
@@ -790,7 +718,9 @@ def detect_on_plans(
     Parameters
     ----------
     graph:
-        The parent graph all plans refer to.
+        The parent graph all plans refer to, or a
+        :class:`~repro.graph.GraphStore` (a file-backed one ships its own
+        file to process workers; see :func:`run_members`).
     plans:
         Compact per-member sample plans (see :meth:`Sampler.plan_many`).
     config:
@@ -804,19 +734,10 @@ def detect_on_plans(
     track_members:
         Record each sample's node labels on the detections (needed by
         appearance-normalised voting and the incremental layer).
-    shared_memory:
-        For process backends, export the parent once to a shared segment
-        instead of pickling it into every worker. Falls back to shipping
-        the columnar store (pickled once per worker chunk) when the
-        platform refuses the segment.
     tolerance:
         Retry/timeout/degradation policy; defaults to strict (no retries).
-    mmap:
-        For process backends, ship the parent as an mmap-able store file
-        (a path+layout descriptor) instead of a shared segment — the
-        out-of-core transport. A ``graph`` that is already a file-backed
-        :class:`~repro.graph.GraphStore` uses this transport implicitly;
-        see :func:`run_members`.
+    window:
+        Liveness overlay of a rolling window's stored graph.
     """
     run = run_members(
         graph,
@@ -827,10 +748,8 @@ def detect_on_plans(
         engine=engine,
         pool=pool,
         track_members=track_members,
-        shared_memory=shared_memory,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
-        mmap=mmap,
     )
     _raise_first_failure(run)
     return [detection for detection in run.detections if detection is not None]
@@ -856,10 +775,7 @@ def detect_on_samples(
     if not samples:
         return []
 
-    chunked = mode == ExecutorMode.PROCESS or (
-        pool is not None and pool.mode == ExecutorMode.PROCESS
-    )
-    if not chunked:
+    if mode != ExecutorMode.PROCESS and pool is None:
         return parallel_map(
             _detect_one,
             [(sample, config, track_members) for sample in samples],

@@ -1,7 +1,7 @@
 """Process-wide fault-injection runtime.
 
 Production code declares *injection points* by calling :func:`fault_point`
-at interesting places (per-member detection, shared-memory attach,
+at interesting places (per-member detection, store-file map,
 snapshot-write stages). With no plan armed the call is a single module
 global ``None`` check — cheap enough to leave in every hot path, which is
 the whole point: chaos runs exercise the **unmodified** production code.
@@ -21,13 +21,16 @@ Registered injection points
     One member's enrolment into the batched native peel kernel (fires in
     the worker, before the batch runs). Context: ``index`` (global member
     index), ``attempt`` (retry round).
-``shm.attach``
-    Worker-side attach to the shared graph segment. Context: ``attempt``
-    when reached through the fan-out, plus ``segment``.
 ``mmap.open``
-    Worker-side open of an mmap-backed graph store file (the out-of-core
-    sibling of ``shm.attach``; a fired fault degrades that retry round to
-    the pickled transport). Context: ``path``.
+    Worker-side map of the parent's graph store file (its own file, or the
+    spill of a resident parent). A fired fault fails that worker's chunk
+    with kind ``"transport"`` (or breaks a one-shot pool whose initializer
+    maps the file), and later process rounds ship the pickled store.
+    Context: ``path``.
+``window.compact``
+    A rolling window's compaction of tombstoned rows, before any
+    mutation; a fired fault defers the compaction and the window keeps
+    its tombstones. Context: ``watermark``, ``dead``.
 ``state.write``
     Snapshot persistence, at stages ``tmp_written`` (payload durable in
     the temp file), ``backup_done`` (previous snapshot rotated to

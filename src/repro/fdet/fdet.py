@@ -285,9 +285,9 @@ class Fdet:
         ``graph`` is accepted as a **trusted view**: detection never
         re-validates and never writes into the graph's arrays, so graphs
         materialized worker-side from a :class:`~repro.graph.GraphStore`
-        (whose columns are read-only shared-memory views) run unchanged —
-        every derived quantity (priorities, masks, residual views) is
-        allocated fresh. Enforced by the shm parity tests.
+        (whose columns are read-only views of a mapped store file) run
+        unchanged — every derived quantity (priorities, masks, residual
+        views) is allocated fresh. Enforced by the store-file parity tests.
         """
         if self.config.engine == PeelEngine.FAST and graph.n_edges:
             from . import batched  # deferred: batched builds on this module

@@ -17,7 +17,7 @@ from .io import (
 from .projections import co_purchase_counts, project_merchants, project_users
 from .store import (
     GraphStore,
-    SharedGraphStore,
+    SpilledStore,
     StoreFileWriter,
     StoreLayout,
     attached_store,
@@ -31,7 +31,7 @@ from .window import EdgeWindow, LiveWindow, WindowConfig
 __all__ = [
     "BipartiteGraph",
     "GraphStore",
-    "SharedGraphStore",
+    "SpilledStore",
     "StoreFileWriter",
     "StoreLayout",
     "attached_store",

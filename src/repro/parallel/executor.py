@@ -2,24 +2,24 @@
 
 EnsemFDet's selling point (paper §IV-C, Table III) is that the ``N`` FDET
 runs over sampled subgraphs are independent, so they parallelise perfectly.
-This module gives the ensemble one call — :func:`parallel_map` — with three
-interchangeable backends:
+This module gives the ensemble one call — :func:`parallel_map` — with two
+backends:
 
-* ``serial``  — plain loop; reference semantics, easiest to debug.
-* ``thread``  — ``ThreadPoolExecutor``; cheap, useful for IO-bound maps and
-  ablations (the peeling hot loop now runs in a GIL-releasing native kernel
-  under the ``fast`` engine, but per-sample numpy prep still contends).
+* ``serial``  — plain loop in the calling process. The ensemble runner
+  runs its members here as one multi-member native kernel call that
+  spreads them over the cores with OpenMP.
 * ``process`` — ``ProcessPoolExecutor`` (fork context where available);
-  real multi-core speedup, requires picklable functions/arguments.
+  the one backend whose hung or crashing members can be killed and
+  retried. Requires picklable functions/arguments.
 
-For repeated fan-outs, :class:`ReusablePool` keeps one pool of workers
-alive across ``parallel_map`` calls so each ensemble fit stops paying
-process start-up costs.
+For repeated fan-outs, :class:`ReusablePool` keeps one process pool alive
+across ``parallel_map`` calls so each ensemble fit stops paying process
+start-up costs.
 
 Both the one-shot process path and :class:`ReusablePool` accept an
-``initializer`` run once per worker process at spawn — the shared-memory
-fan-out uses it to attach workers to the parent graph's segment exactly
-once instead of per task (see :func:`repro.graph.attached_store`).
+``initializer`` run once per worker process at spawn — the ensemble
+fan-out uses it to map the parent graph's store file exactly once per
+worker instead of per task (see :func:`repro.graph.attached_store`).
 
 All backends preserve input order and propagate the first worker exception.
 Worker counts honour the ``REPRO_WORKERS`` environment variable so CI and
@@ -41,7 +41,7 @@ import multiprocessing
 import os
 import pickle
 import signal
-from concurrent.futures import BrokenExecutor, Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..errors import ParallelError, ReproError, WorkerCrashError
@@ -63,9 +63,8 @@ class ExecutorMode:
     """Names of the available execution backends."""
 
     SERIAL = "serial"
-    THREAD = "thread"
     PROCESS = "process"
-    ALL = (SERIAL, THREAD, PROCESS)
+    ALL = (SERIAL, PROCESS)
 
 
 def usable_cores() -> int:
@@ -116,8 +115,7 @@ def kill_executor_workers(executor: Executor) -> int:
 
     The only way to reclaim a *hung* worker — ``shutdown()`` joins it (and
     hangs with it) and futures of running tasks cannot be cancelled.
-    Returns the number of processes signalled; a no-op for thread pools
-    (threads cannot be killed, but injected hangs are bounded sleeps).
+    Returns the number of processes signalled.
     """
     processes = getattr(executor, "_processes", None)
     if not processes:
@@ -143,21 +141,21 @@ def _incomplete_indices(futures: Sequence[Future]) -> tuple[int, ...]:
 
 
 class ReusablePool:
-    """A worker pool that survives across ``parallel_map`` calls.
+    """A process pool that survives across ``parallel_map`` calls.
 
     ``parallel_map`` tears its pool down after every call; that is correct
     but wasteful when the ensemble fits many times (threshold sweeps, the
     figure experiments, long-running services). A ``ReusablePool`` owns one
-    ``ProcessPoolExecutor``/``ThreadPoolExecutor`` created lazily on first
-    use and keeps it warm until :meth:`close`.
+    ``ProcessPoolExecutor`` created lazily on first use and keeps it warm
+    until :meth:`close`. ``mode`` must be ``"process"``.
 
-    >>> with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+    >>> with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
     ...     pool.map(abs, [-1, -2])
     [1, 2]
 
     ``initializer``/``initargs`` run once in every worker when the pool
-    spawns (both backends). The pool must be told *at construction*, since
-    workers outlive any single ``map`` call.
+    spawns. The pool must be told *at construction*, since workers outlive
+    any single ``map`` call.
     """
 
     def __init__(
@@ -167,10 +165,8 @@ class ReusablePool:
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ) -> None:
-        if mode not in (ExecutorMode.THREAD, ExecutorMode.PROCESS):
-            raise ReproError(
-                f"ReusablePool mode must be 'thread' or 'process', got {mode!r}"
-            )
+        if mode != ExecutorMode.PROCESS:
+            raise ReproError(f"ReusablePool mode must be 'process', got {mode!r}")
         self.mode = mode
         self.n_workers = n_workers or default_workers()
         self.initializer = initializer
@@ -181,19 +177,12 @@ class ReusablePool:
 
     def _ensure(self) -> Executor:
         if self._executor is None:
-            if self.mode == ExecutorMode.THREAD:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=self.initializer,
-                    initargs=self.initargs,
-                )
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=_process_context(),
-                    initializer=self.initializer,
-                    initargs=self.initargs,
-                )
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                mp_context=_process_context(),
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
         return self._executor
 
     def submit(self, func: Callable[[T], R], item: T) -> Future:
@@ -227,7 +216,7 @@ class ReusablePool:
             )
             self.respawn()
             raise WorkerCrashError(
-                f"a {self.mode} pool worker died before finishing its chunk "
+                "a process pool worker died before finishing its chunk "
                 f"(items {list(incomplete)} incomplete); the pool has been "
                 "respawned — retry the failed items, or run with "
                 "executor='serial' to isolate the failing member",
@@ -240,14 +229,14 @@ class ReusablePool:
             if not isinstance(exc, pickle.PicklingError) and "pickle" not in str(exc).lower():
                 raise
             raise ParallelError(
-                f"chunk submission to the {self.mode} pool failed to pickle: "
+                "chunk submission to the process pool failed to pickle: "
                 f"{exc}; task functions and their arguments must be "
                 "module-level picklable for the process backend (use "
-                "executor='thread' or 'serial' for closures)",
+                "executor='serial' for closures)",
             ) from exc
 
     def kill_workers(self) -> int:
-        """SIGKILL live process-backend workers (reclaims hung chunks)."""
+        """SIGKILL live workers (reclaims hung chunks)."""
         if self._executor is None:
             return 0
         return kill_executor_workers(self._executor)
@@ -315,12 +304,6 @@ def parallel_map(
     workers = n_workers or default_workers(len(work))
     if workers <= 1:
         return [func(item) for item in work]
-
-    if mode == ExecutorMode.THREAD:
-        with ThreadPoolExecutor(
-            max_workers=workers, initializer=initializer, initargs=initargs
-        ) as executor:
-            return list(executor.map(func, work))
 
     with ProcessPoolExecutor(
         max_workers=workers,

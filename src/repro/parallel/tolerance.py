@@ -2,7 +2,8 @@
 
 One frozen value object, :class:`FaultTolerance`, holds every degraded-mode
 knob: per-member wall-clock timeout, bounded retry with deterministic
-backoff, the backend-degradation ladder, and the minimum voting quorum.
+backoff, the backend-degradation ladder (process → serial), and the
+minimum voting quorum.
 The runner (:func:`repro.ensemble.runner.run_members`) consumes it; the
 ensemble config embeds it and persists it with detection state.
 """
@@ -37,12 +38,10 @@ class FaultTolerance:
         ``backoff_seconds × 2**(r-1)`` (no jitter — retry schedules must
         reproduce exactly under a fixed fault plan).
     degrade:
-        Walk the backend ladder on retries: the first retry keeps the
-        configured backend (a respawned pool often just works), later
-        retries fall back process → thread → serial so the final round
-        cannot be taken down by pool infrastructure at all. Shared-memory
-        attach failures likewise fall back to the pickled-store transport
-        on the next round.
+        Walk the backend ladder on retries: process → serial, so every
+        retry round runs in the parent, where pool infrastructure cannot
+        take it down. Whatever this flag says, a failed store-file map
+        makes later process rounds ship the pickled store instead.
     min_quorum:
         Minimum surviving fraction of the ensemble (``0 < q ≤ 1``) for a
         vote to be meaningful. With fewer survivors the fit raises

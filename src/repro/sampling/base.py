@@ -10,8 +10,8 @@ sampler is split into two halves:
   typically ~1% the bytes of the subgraph it describes).
 * :func:`materialize_plan` — the deterministic worker-side step that turns
   ``(parent graph, plan)`` into the sampled :class:`BipartiteGraph`,
-  normally against a zero-copy :class:`~repro.graph.GraphStore` view of a
-  shared-memory segment.
+  either in the parent or, on the process backend, against a zero-copy
+  :class:`~repro.graph.GraphStore` view of a mapped store file.
 
 ``sampler.sample(graph, rng)`` is literally
 ``materialize_plan(graph, sampler.plan(graph, rng))``, and ``plan_many``
@@ -134,7 +134,7 @@ def materialize_plan(
 
     This is the worker-side half of sampling: no RNG, pure array work, and
     byte-for-byte the subgraph the eager ``sampler.sample`` call would have
-    produced. ``graph`` may be a read-only shared-memory view.
+    produced. ``graph`` may be a read-only view of a mapped store file.
 
     With a ``window``, ``graph`` is the full *stored* graph of a rolling
     window (tombstoned rows included): stripe membership is looked up by

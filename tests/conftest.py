@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import FraudBlockSpec, inject_fraud_blocks, toy_dataset, uniform_bipartite
-from repro.graph import BipartiteGraph
+from repro.graph import BipartiteGraph, GraphStore
 
 
 @pytest.fixture
@@ -49,3 +49,13 @@ def planted_graph(rng):
 def toy():
     """The shared deterministic toy dataset (session-scoped: it is immutable)."""
     return toy_dataset(seed=0)
+
+
+@pytest.fixture
+def unwritable_spill(monkeypatch):
+    """Process fits ship the pickled store: the spill file cannot be written."""
+
+    def refuse(store):
+        raise OSError("spill volume full")
+
+    monkeypatch.setattr(GraphStore, "export_shared", refuse)

@@ -193,6 +193,13 @@ class TestSpecRoundTrip:
         with pytest.raises(DetectionError, match="not a boolean"):
             parse_detector_spec("degree:weighted=maybe")
 
+    @pytest.mark.parametrize(
+        "spec", ["ensemfdet:executor=thread", "incremental:executor=bogus"]
+    )
+    def test_unknown_executor_rejected(self, spec):
+        with pytest.raises(DetectionError, match="unknown executor"):
+            make_detector(spec, CONTEXT)
+
     def test_stripe_with_non_stable_sampler_rejected(self):
         # regression: an explicit stripe must never be silently dropped
         with pytest.raises(DetectionError, match="stable edge sampler"):

@@ -1,6 +1,7 @@
 """Compact dtypes are storage-only: vote tables must be bitwise identical
 whether the graph travels as int64/float64 or int32/float32, over every
-transport (resident, shared memory, mmap file, pickled) and backend."""
+transport (resident, the parent's own store file, a spilled store file,
+pickled) and backend."""
 
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def test_compact_store_matches_wide_fit(graph, name, tmp_path):
     assert _tables(EnsemFDet(_config(SAMPLERS[name]())).fit(opened)) == reference
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_backends_agree_on_compact_store(graph, executor, tmp_path):
     sampler = StableEdgeSampler(0.35, stripe=64)
     reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
@@ -79,28 +80,20 @@ def test_backends_agree_on_compact_store(graph, executor, tmp_path):
         _config(StableEdgeSampler(0.35, stripe=64), executor=executor, n_workers=2)
     ).fit(opened)
     assert _tables(result) == reference
+    expected = "file" if executor == "process" else "local"
+    assert result.retry_log[0]["transport"] == expected
 
 
-@pytest.mark.parametrize(
-    "transport_kwargs",
-    [
-        {"shared_memory": True},  # shm segment
-        {"shared_memory": True, "mmap": True},  # mmap spill
-        {"shared_memory": False},  # pickled store
-    ],
-    ids=["shm", "mmap", "pickle"],
-)
-def test_process_transports_agree(graph, transport_kwargs):
+@pytest.mark.parametrize("transport", ["mmap", "pickle"])
+def test_process_transports_agree(graph, transport, request):
     sampler = RandomEdgeSampler(0.35)
     reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
+    if transport == "pickle":
+        request.getfixturevalue("unwritable_spill")
     result = EnsemFDet(
-        _config(
-            RandomEdgeSampler(0.35),
-            executor="process",
-            n_workers=2,
-            **transport_kwargs,
-        )
+        _config(RandomEdgeSampler(0.35), executor="process", n_workers=2)
     ).fit(graph)
+    assert result.retry_log[0]["transport"] == transport
     assert _tables(result) == reference
 
 

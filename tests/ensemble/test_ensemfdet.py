@@ -28,6 +28,11 @@ class TestConfig:
         with pytest.raises(DetectionError):
             EnsemFDetConfig(n_samples=0)
 
+    @pytest.mark.parametrize("executor", ["bogus", "thread"])
+    def test_unknown_executor_rejected(self, executor):
+        with pytest.raises(DetectionError, match="unknown executor"):
+            EnsemFDetConfig(executor=executor)
+
     def test_repetition_rate(self):
         config = EnsemFDetConfig(sampler=RandomEdgeSampler(0.1), n_samples=80)
         assert config.repetition_rate == pytest.approx(8.0)
@@ -141,7 +146,7 @@ class TestFit:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("mode", [ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS])
+    @pytest.mark.parametrize("mode", ExecutorMode.ALL)
     def test_executors_agree(self, toy, mode):
         config = small_config(executor=mode, n_samples=6)
         result = EnsemFDet(config).fit(toy.graph)
@@ -151,8 +156,10 @@ class TestExecutors:
     def test_detect_on_samples_order_preserved(self, toy):
         samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 4, rng=0)
         serial = detect_on_samples(samples, FdetConfig(max_blocks=4), mode=ExecutorMode.SERIAL)
-        threaded = detect_on_samples(samples, FdetConfig(max_blocks=4), mode=ExecutorMode.THREAD)
-        for a, b in zip(serial, threaded):
+        pooled = detect_on_samples(
+            samples, FdetConfig(max_blocks=4), mode=ExecutorMode.PROCESS, n_workers=2
+        )
+        for a, b in zip(serial, pooled):
             assert a.result.k_hat == b.result.k_hat
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 

@@ -1,4 +1,4 @@
-"""Bitwise parity of the plan/shared-memory fan-out vs the eager pipeline.
+"""Bitwise parity of the plan/store-file fan-out vs the eager pipeline.
 
 The zero-copy refactor's contract: for every sampler and every executor
 backend, ``EnsemFDet.fit`` driven by ``plan_many`` + worker-side
@@ -9,19 +9,18 @@ same RNG consumption, deterministic materialization, byte-for-byte arrays.
 
 from __future__ import annotations
 
-import os
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 
 from repro.ensemble import (
     EnsemFDet,
     EnsemFDetConfig,
-    detect_on_plans,
     detect_on_samples,
+    run_members,
 )
 from repro.ensemble.voting import VoteTable
+from repro.errors import GraphError
+from repro.faults.chaos import leaked_spills
 from repro.fdet import Fdet, FdetConfig
 from repro.graph import BipartiteGraph, GraphStore, attached_store, detach_all
 from repro.parallel import ExecutorMode, ReusablePool
@@ -45,7 +44,7 @@ SAMPLER_FACTORIES = {
     "ses": lambda: StableEdgeSampler(0.35, stripe=32),
 }
 
-BACKENDS = (ExecutorMode.SERIAL, ExecutorMode.THREAD, ExecutorMode.PROCESS)
+BACKENDS = (ExecutorMode.SERIAL, ExecutorMode.PROCESS)
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +95,6 @@ def eager_reference_fit(parent, config):
     return table, detections
 
 
-def leaked_segments() -> list[str]:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith("repro_gs_")]
-
-
 class TestPlanMaterializeParity:
     """``materialize(plan(...))`` reproduces the eager sample bit for bit."""
 
@@ -131,21 +124,21 @@ class TestPlanMaterializeParity:
         if subgraph_bytes:
             assert plan.nbytes < subgraph_bytes
 
-    def test_plan_materializes_against_shm_view(self, parent):
-        """Materializing against a read-only shared view is still bitwise."""
+    def test_plan_materializes_against_spilled_view(self, parent):
+        """Materializing against a read-only mapped spill is still bitwise."""
         sampler = RandomEdgeSampler(0.35)
         plans = sampler.plan_many(parent, 3, rng=2)
         eager = sampler.sample_many(parent, 3, rng=2)
-        shared = GraphStore.from_graph(parent).export_shared()
+        spill = GraphStore.from_graph(parent).export_shared()
         try:
-            view = attached_store(shared.layout).to_graph()
+            view = attached_store(spill.layout).to_graph()
             assert not view.edge_users.flags.writeable
             for subgraph, plan in zip(eager, plans):
                 assert_graphs_bitwise_equal(subgraph, materialize_plan(view, plan))
         finally:
             detach_all()
-            shared.dispose()
-        assert leaked_segments() == []
+            spill.dispose()
+        assert leaked_spills() == []
 
 
 class TestFitParity:
@@ -169,22 +162,19 @@ class TestFitParity:
         assert_detections_bitwise_equal(
             list(result.sample_detections), reference_detections
         )
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
-    def test_shm_and_pickled_store_agree(self, parent):
+    def test_spill_and_pickled_store_agree(self, parent, request):
         config = FdetConfig(max_blocks=4)
         sampler = RandomEdgeSampler(0.35)
         plans = sampler.plan_many(parent, 6, rng=4)
-        with_shm = detect_on_plans(
-            parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2,
-            shared_memory=True,
-        )
-        without_shm = detect_on_plans(
-            parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2,
-            shared_memory=False,
-        )
-        assert_detections_bitwise_equal(with_shm, without_shm)
-        assert leaked_segments() == []
+        spilled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
+        request.getfixturevalue("unwritable_spill")
+        pickled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
+        assert spilled.retry_log[0]["transport"] == "mmap"
+        assert pickled.retry_log[0]["transport"] == "pickle"
+        assert_detections_bitwise_equal(spilled.survivors(), pickled.survivors())
+        assert leaked_spills() == []
 
     def test_fit_on_reusable_pool_matches(self, parent):
         config = EnsemFDetConfig(
@@ -200,7 +190,7 @@ class TestFitParity:
             second = EnsemFDet(config, pool=pool).fit(parent)
         assert first.vote_table.user_votes == reference_table.user_votes
         assert second.vote_table.user_votes == reference_table.user_votes
-        assert leaked_segments() == []
+        assert leaked_spills() == []
 
     def test_track_appearances_parity_across_backends(self, parent):
         tables = []
@@ -224,22 +214,22 @@ class TestFitParity:
 class TestTrustedViews:
     """FDET accepts read-only store-backed graphs without re-validation."""
 
-    def test_detect_on_shared_view_matches_original(self, parent):
-        shared = GraphStore.from_graph(parent).export_shared()
+    def test_detect_on_spilled_view_matches_original(self, parent):
+        spill = GraphStore.from_graph(parent).export_shared()
         try:
-            view = attached_store(shared.layout).to_graph()
+            view = attached_store(spill.layout).to_graph()
             direct = Fdet(FdetConfig(max_blocks=4)).detect(parent)
             via_view = Fdet(FdetConfig(max_blocks=4)).detect(view)
             assert np.array_equal(direct.densities, via_view.densities)
             assert np.array_equal(direct.detected_users(), via_view.detected_users())
         finally:
             detach_all()
-            shared.dispose()
+            spill.dispose()
 
-    def test_segment_gone_after_dispose(self, parent):
-        shared = GraphStore.from_graph(parent).export_shared()
-        name = shared.layout.segment
-        shared.dispose()
-        shared.dispose()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+    def test_spill_gone_after_dispose(self, parent):
+        spill = GraphStore.from_graph(parent).export_shared()
+        path = spill.layout.path
+        spill.dispose()
+        spill.dispose()  # idempotent
+        with pytest.raises(GraphError, match="does not exist"):
+            GraphStore.open(path)

@@ -112,6 +112,22 @@ def test_legacy_fixture_rebuilds_a_live_detector(fixture):
     assert result.n_users >= 0
 
 
+def test_retired_executor_knobs_load_as_serial():
+    """A state naming the thread backend and the shared_memory, shards and
+    mmap keys loads as a serial detector and saves without those keys."""
+    state = load_detection_state(FIXTURES[-1])
+    state.config["ensemble"].update(
+        executor="thread", shared_memory=False, shards=4, mmap=True
+    )
+    detector = IncrementalEnsemFDet.from_state(state)
+    assert detector.config.executor == "serial"
+    reference = IncrementalEnsemFDet.load(FIXTURES[-1])
+    assert detector.vote_table.user_votes == reference.vote_table.user_votes
+    saved = detector.state().config["ensemble"]
+    assert saved["executor"] == "serial"
+    assert not {"shared_memory", "shards", "mmap"} & set(saved)
+
+
 def test_unsupported_future_version_is_rejected(tmp_path):
     source = FIXTURES[-1]
     target = tmp_path / "future.npz"

@@ -4,8 +4,8 @@ The point fires per member inside the worker, right before the member is
 enrolled into the multi-member kernel call — so an injected failure takes
 down exactly that member, the retry machinery recovers it bitwise, and a
 worker *crash* during a batched round moves the remaining retries to the
-``reference`` engine, which runs no native code (the way shm failures
-degrade the shared segment).
+``reference`` engine, which runs no native code (the way a store-file map
+failure moves them to the pickled store).
 """
 
 from __future__ import annotations

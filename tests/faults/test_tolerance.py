@@ -7,9 +7,10 @@ import pytest
 from repro.datasets import uniform_bipartite
 from repro.errors import InjectedFault, QuorumError, WorkerCrashError
 from repro.faults import arm, disarm
-from repro.faults.chaos import leaked_segments
+from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
 from repro.fdet import FdetConfig
+from repro.graph import GraphStore
 from repro.parallel import FaultTolerance, ReusablePool
 from repro.sampling import RandomEdgeSampler, resolve_rng
 
@@ -116,7 +117,7 @@ class TestTransientRecovery:
 
     def test_fit_identical_under_every_backend_with_faults(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             arm("raise:point=member.detect,index=0;raise:point=member.detect,index=5")
             result = EnsemFDet(_config(executor=executor)).fit(graph)
             assert _tables_equal(result.vote_table, reference.vote_table), executor
@@ -159,17 +160,17 @@ class TestQuorumDegradation:
 class TestProcessBackendFaults:
     def test_worker_crash_recovers_bitwise_identical(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
-        before = leaked_segments()
+        before = leaked_spills()
         arm("crash:point=member.detect,index=1")
         result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         kinds = result.retry_log[0]["kinds"].values()
         assert "crash" in kinds
-        assert leaked_segments() == before
+        assert leaked_spills() == before
 
     def test_strict_worker_crash_raises_typed_error_and_leaks_nothing(self, graph):
-        before = leaked_segments()
+        before = leaked_spills()
         arm("crash:point=member.detect,index=0")
         rng = resolve_rng(3)
         config = _config(executor="process", n_workers=2)
@@ -184,7 +185,7 @@ class TestProcessBackendFaults:
                 tolerance=FaultTolerance.strict(),
             )
         assert excinfo.value.member_indices  # failed members identified
-        assert leaked_segments() == before
+        assert leaked_spills() == before
 
     def test_hung_member_times_out_then_recovers(self, graph):
         reference = EnsemFDet(_config()).fit(graph)
@@ -204,19 +205,40 @@ class TestProcessBackendFaults:
         assert result.vote_table.n_samples == 2
         assert reference is not None
 
-    def test_shm_attach_failure_falls_back_to_pickled_store(self, graph):
-        # a warm ReusablePool attaches at chunk time (no initializer), so
-        # the injected attach failure surfaces as kind "shm", not a broken
+    @pytest.mark.parametrize(
+        "plan,timeout",
+        [
+            ("", None),
+            ("crash:point=member.detect,index=1", None),
+            ("hang:point=member.detect,index=1,seconds=20", 1.5),
+        ],
+        ids=["normal", "worker-crash", "timeout-kill"],
+    )
+    def test_spill_directory_removed_on_every_exit(self, graph, plan, timeout):
+        before = leaked_spills()
+        arm(plan)
+        result = EnsemFDet(
+            _config(executor="process", n_workers=2, member_timeout=timeout)
+        ).fit(graph)
+        assert result.retry_log[0]["transport"] == "mmap"  # a spill was made
+        assert not result.failed_members
+        assert leaked_spills() == before
+
+    def test_store_file_map_failure_falls_back_to_pickled_store(self, graph, tmp_path):
+        # a warm ReusablePool maps at chunk time (no initializer), so the
+        # injected map failure surfaces as kind "transport", not a broken
         # pool — and the next attempt must switch to the pickled store
         reference = EnsemFDet(_config()).fit(graph)
-        arm("raise:point=shm.attach")
+        path = tmp_path / "g.store"
+        GraphStore.from_graph(graph).save(path)
+        arm("raise:point=mmap.open")
         with ReusablePool(mode="process", n_workers=2) as pool:
             result = EnsemFDet(
                 _config(executor="process", n_workers=2, degrade=False), pool=pool
-            ).fit(graph)
+            ).fit(GraphStore.open(path))
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
-        assert result.retry_log[0]["shared_memory"] is True
-        assert "shm" in result.retry_log[0]["kinds"].values()
-        assert result.retry_log[1]["shared_memory"] is False
-        assert leaked_segments() == []
+        assert result.retry_log[0]["transport"] == "file"
+        assert "transport" in result.retry_log[0]["kinds"].values()
+        assert result.retry_log[1]["transport"] == "pickle"
+        assert leaked_spills() == []

@@ -7,8 +7,8 @@ the vote tally counts the detected node indices instead of labels. Everything it
 produces must be **bitwise identical** to the ``reference`` engine — this
 suite pins that down across sampler families, window modes (append-only
 and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
-unusual weights, nodes with no edge, execution backends (serial / thread /
-process × shared-memory on / off) and both weight policies.
+unusual weights, nodes with no edge, execution backends (serial / process
+× spilled or pickled store) and both weight policies.
 """
 
 from __future__ import annotations
@@ -444,18 +444,15 @@ class TestWindowedParity:
 
 
 class TestBackendMatrix:
-    """The batched backend composes with every executor and transport."""
+    """The batched backend composes with both executors and every transport."""
 
     @pytest.mark.parametrize(
-        "executor,shared_memory",
-        [
-            ("serial", False),
-            ("thread", False),
-            ("process", True),
-            ("process", False),
-        ],
+        "executor,transport",
+        [("serial", "local"), ("process", "mmap"), ("process", "pickle")],
     )
-    def test_backend_parity(self, weighted_graph, executor, shared_memory):
+    def test_backend_parity(self, weighted_graph, executor, transport, request):
+        if transport == "pickle":
+            request.getfixturevalue("unwritable_spill")
         reference = EnsemFDet(
             EnsemFDetConfig(
                 sampler=RandomEdgeSampler(0.3),
@@ -470,9 +467,9 @@ class TestBackendMatrix:
             seed=11,
             executor=executor,
             n_workers=2,
-            shared_memory=shared_memory,
         )
         result = EnsemFDet(config).fit(weighted_graph)
+        assert result.retry_log[0]["transport"] == transport
         assert_tables_equal(result.vote_table, reference.vote_table)
         for left, right in zip(result.sample_detections, reference.sample_detections):
             assert_same_detection(left, right)

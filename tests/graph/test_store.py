@@ -1,9 +1,10 @@
-"""Unit tests for the columnar GraphStore and its shared-memory lifecycle."""
+"""Unit tests for the columnar GraphStore and its spill-file lifecycle."""
 
 from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -54,90 +55,86 @@ class TestGraphStore:
         assert store.nbytes == expected
 
     def test_layout_matches_nbytes(self, weighted_graph):
+        # the spill holds the compacted columns
         store = GraphStore.from_graph(weighted_graph)
-        shared = store.export_shared()
-        try:
-            assert shared.layout.nbytes == store.nbytes
-            assert shared.layout.weighted
-        finally:
-            shared.dispose()
+        with store.export_shared() as spill:
+            assert spill.layout.nbytes == store.compact().nbytes
+            assert spill.layout.weighted
 
     def test_layout_is_small_and_picklable(self, weighted_graph):
-        shared = GraphStore.from_graph(weighted_graph).export_shared()
-        try:
-            payload = pickle.dumps(shared.layout)
+        with GraphStore.from_graph(weighted_graph).export_shared() as spill:
+            payload = pickle.dumps(spill.layout)
             assert len(payload) < 512
-            assert pickle.loads(payload) == shared.layout
-        finally:
-            shared.dispose()
+            assert pickle.loads(payload) == spill.layout
 
 
-class TestSharedLifecycle:
+class TestSpillLifecycle:
     def test_export_attach_round_trip(self, weighted_graph):
-        shared = GraphStore.from_graph(weighted_graph).export_shared()
+        spill = GraphStore.from_graph(weighted_graph).export_shared()
         try:
-            view = attached_store(shared.layout)
+            view = attached_store(spill.layout)
             assert_same_columns(weighted_graph, view.to_graph())
             for column in ("edge_users", "edge_merchants", "edge_weights"):
                 assert not getattr(view, column).flags.writeable
         finally:
             detach_all()
-            shared.dispose()
+            spill.dispose()
 
-    def test_attach_is_cached_per_segment(self, weighted_graph):
-        shared = GraphStore.from_graph(weighted_graph).export_shared()
+    def test_attach_is_cached_per_file(self, weighted_graph):
+        spill = GraphStore.from_graph(weighted_graph).export_shared()
         try:
-            first = attached_store(shared.layout)
-            assert attached_store(shared.layout) is first
+            first = attached_store(spill.layout)
+            assert attached_store(spill.layout) is first
         finally:
             detach_all()
-            shared.dispose()
+            spill.dispose()
 
-    def test_new_segment_evicts_previous_attachment(self, weighted_graph):
-        first_shared = GraphStore.from_graph(weighted_graph).export_shared()
-        second_shared = GraphStore.from_graph(weighted_graph).export_shared()
+    def test_new_file_evicts_previous_attachment(self, weighted_graph):
+        first_spill = GraphStore.from_graph(weighted_graph).export_shared()
+        second_spill = GraphStore.from_graph(weighted_graph).export_shared()
         try:
-            attached_store(first_shared.layout)
-            attached_store(second_shared.layout)
+            attached_store(first_spill.layout)
+            attached_store(second_spill.layout)
             from repro.graph.store import _ATTACHED
 
-            assert list(_ATTACHED) == [second_shared.layout.segment]
+            assert list(_ATTACHED) == [second_spill.layout.path]
         finally:
             detach_all()
-            first_shared.dispose()
-            second_shared.dispose()
+            first_spill.dispose()
+            second_spill.dispose()
 
-    def test_attach_missing_segment_raises(self):
+    def test_attach_missing_file_raises(self, tmp_path):
         layout = StoreLayout(
-            segment="repro_gs_definitely_missing", n_users=1, n_merchants=1,
+            path=str(tmp_path / "repro_gs_definitely_missing"), n_users=1, n_merchants=1,
             n_edges=0, weighted=False,
         )
         with pytest.raises(GraphError, match="does not exist"):
-            GraphStore.attach(layout)
+            attached_store(layout)
 
-    def test_dispose_removes_dev_shm_entry(self, weighted_graph):
-        shared = GraphStore.from_graph(weighted_graph).export_shared()
-        path = f"/dev/shm/{shared.layout.segment}"
-        if os.path.isdir("/dev/shm"):
-            assert os.path.exists(path)
-        shared.dispose()
-        assert shared.disposed
-        assert not os.path.exists(path)
+    def test_dispose_removes_spill_directory(self, weighted_graph):
+        spill = GraphStore.from_graph(weighted_graph).export_shared()
+        assert os.path.dirname(spill.directory) == tempfile.gettempdir()
+        assert os.path.basename(spill.directory).startswith("repro_gs_spill_")
+        assert os.path.exists(spill.layout.path)
+        spill.dispose()
+        assert spill.disposed
+        assert not os.path.exists(spill.directory)
+        spill.dispose()  # idempotent
 
     def test_context_manager_disposes(self, weighted_graph):
-        with GraphStore.from_graph(weighted_graph).export_shared() as shared:
-            segment = shared.layout.segment
-        assert not os.path.exists(f"/dev/shm/{segment}")
+        with GraphStore.from_graph(weighted_graph).export_shared() as spill:
+            directory = spill.directory
+        assert not os.path.exists(directory)
 
     def test_unweighted_and_empty_graphs_export(self):
         for graph in (
             BipartiteGraph.from_edges([(0, 0), (1, 1)]),
             BipartiteGraph.empty(3, 2),
         ):
-            shared = GraphStore.from_graph(graph).export_shared()
+            spill = GraphStore.from_graph(graph).export_shared()
             try:
-                view = attached_store(shared.layout)
+                view = attached_store(spill.layout)
                 assert_same_columns(graph, view.to_graph())
             finally:
                 detach_all()
-                shared.dispose()
+                spill.dispose()

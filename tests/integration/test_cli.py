@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets import load_dataset, uniform_bipartite
 from repro.errors import AggregationError
 from repro.graph import save_edge_list
@@ -26,6 +26,25 @@ def edges_file(tmp_path, toy):
     return path
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "edges.tsv"],
+            ["watch", "edges.tsv", "--state", "state.npz"],
+            ["serve", "edges.tsv", "--state", "state.npz"],
+        ],
+        ids=["detect", "watch", "serve"],
+    )
+    def test_executor_defaults_to_serial(self, argv):
+        assert build_parser().parse_args(argv).executor == "serial"
+
+    @pytest.mark.parametrize("flag", ["--no-shm", "--shards=2", "--mmap", "--executor=thread"])
+    def test_retired_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["detect", "edges.tsv", flag])
+
+
 class TestDetectCommand:
     def test_detect_prints_nodes(self, edges_file, capsys):
         code = main(
@@ -35,7 +54,7 @@ class TestDetectCommand:
                 "--ratio", "0.4",
                 "--samples", "8",
                 "--threshold", "3",
-                "--executor", "thread",
+                "--executor", "process",
             ]
         )
         assert code == 0

@@ -54,7 +54,7 @@ class TestSeedSweep:
             sampler=RandomEdgeSampler(0.4),
             n_samples=16,
             fdet=FdetConfig(max_blocks=6),
-            executor="thread",
+            executor="serial",
         )
         summary = seed_sweep_stability(
             toy.graph, toy.blacklist, config, seeds=[1, 2, 3], threshold=6

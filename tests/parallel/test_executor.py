@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import ReproError
+from repro.faults.chaos import leaked_spills
 from repro.parallel import (
     ExecutorMode,
     ReusablePool,
@@ -43,10 +44,9 @@ class TestParallelMap:
         with pytest.raises(ReproError, match="unknown executor"):
             parallel_map(square, [1], mode="gpu")
 
-    @pytest.mark.parametrize("mode", [ExecutorMode.THREAD, ExecutorMode.PROCESS])
-    def test_exceptions_propagate(self, mode):
+    def test_exceptions_propagate(self):
         with pytest.raises(ValueError, match="boom"):
-            parallel_map(failing, [1, 2], mode=mode)
+            parallel_map(failing, [1, 2], mode=ExecutorMode.PROCESS)
 
     def test_n_workers_one_falls_back_to_serial(self):
         assert parallel_map(square, [1, 2, 3], mode=ExecutorMode.PROCESS, n_workers=1) == [1, 4, 9]
@@ -89,11 +89,11 @@ class TestDefaultWorkers:
 
 class TestReusablePool:
     def test_map_preserves_order(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
             assert pool.map(square, range(10)) == [x * x for x in range(10)]
 
     def test_reused_across_calls(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
             pool.map(square, [1])
             executor = pool._executor
             pool.map(square, [2, 3])
@@ -104,7 +104,7 @@ class TestReusablePool:
             assert pool.map(square, [4, 5]) == [16, 25]
 
     def test_parallel_map_routes_through_pool(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
             result = parallel_map(square, [1, 2, 3], mode=ExecutorMode.SERIAL, pool=pool)
             assert result == [1, 4, 9]
             assert pool._executor is not None
@@ -115,12 +115,13 @@ class TestReusablePool:
         assert pool._executor is None
         pool.close()
 
-    def test_serial_mode_rejected(self):
-        with pytest.raises(ReproError, match="thread' or 'process"):
-            ReusablePool(ExecutorMode.SERIAL)
+    @pytest.mark.parametrize("mode", [ExecutorMode.SERIAL, "thread"])
+    def test_non_process_mode_rejected(self, mode):
+        with pytest.raises(ReproError, match="must be 'process'"):
+            ReusablePool(mode)
 
     def test_close_is_idempotent(self):
-        pool = ReusablePool(ExecutorMode.THREAD, n_workers=1)
+        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=1)
         pool.map(square, [1])
         pool.close()
         pool.close()
@@ -177,12 +178,6 @@ class TestReusablePoolEnsembleLifecycle:
         defaults.update(overrides)
         return EnsemFDetConfig(**defaults)
 
-    @staticmethod
-    def _leaked_segments():
-        if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-            return []
-        return [n for n in os.listdir("/dev/shm") if n.startswith("repro_gs_")]
-
     def test_reused_across_multiple_fits(self):
         from repro.ensemble import EnsemFDet
 
@@ -203,21 +198,21 @@ class TestReusablePoolEnsembleLifecycle:
         assert pool.n_workers == 2
         pool.close()
 
-    def test_shared_segments_cleaned_after_fits_and_close(self):
+    def test_spills_cleaned_after_fits_and_close(self):
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
         pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
         try:
             EnsemFDet(self._config(), pool=pool).fit(graph)
-            # the per-fit segment is already unlinked before fit returns
-            assert self._leaked_segments() == []
+            # the per-fit spill directory is already removed before fit returns
+            assert leaked_spills() == []
             EnsemFDet(self._config(seed=10), pool=pool).fit(graph)
-            assert self._leaked_segments() == []
+            assert leaked_spills() == []
         finally:
             pool.close()
         pool.close()  # idempotent after real use
-        assert self._leaked_segments() == []
+        assert leaked_spills() == []
 
 
 class TestTiming:

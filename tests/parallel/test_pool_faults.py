@@ -23,6 +23,10 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _boom(x: int) -> int:
+    raise ValueError(f"bad item {x}")
+
+
 def _die_on_negative(x: int) -> int:
     if x < 0:
         os.kill(os.getpid(), signal.SIGKILL)
@@ -55,18 +59,15 @@ class TestPicklability:
                 pool.map(lambda x: x, [1, 2])
 
     def test_task_exceptions_propagate_unchanged(self):
-        def boom(x):
-            raise ValueError(f"bad item {x}")
-
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
             with pytest.raises(ValueError, match="bad item"):
-                pool.map(boom, [1])
+                pool.map(_boom, [1])
 
 
 class TestInjection:
     def test_pool_map_fault_point_fires(self):
         arm("raise:point=pool.map")
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
+        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
             with pytest.raises(InjectedFault, match="pool.map"):
                 pool.map(_square, [1, 2])
             # the plan's times=1 budget is spent: next map runs clean
@@ -74,11 +75,6 @@ class TestInjection:
 
 
 class TestKillWorkers:
-    def test_thread_pool_has_nothing_to_kill(self):
-        with ReusablePool(ExecutorMode.THREAD, n_workers=2) as pool:
-            pool.map(_square, [1])
-            assert pool.kill_workers() == 0
-
     def test_unspawned_pool_kills_nothing(self):
         pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
         assert pool.kill_workers() == 0

@@ -21,7 +21,7 @@ from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.graph import GraphAccumulator, WindowConfig
 from repro.sampling import StableEdgeSampler
-from repro.serve import DetectionService, ScoreSnapshot
+from repro.serve import DetectionService
 
 
 @pytest.fixture(autouse=True)
