@@ -84,25 +84,51 @@ def test_backends_agree_on_compact_store(graph, executor, tmp_path):
     assert result.retry_log[0]["transport"] == expected
 
 
-@pytest.mark.parametrize("transport", ["mmap", "pickle"])
-def test_process_transports_agree(graph, transport, request):
-    sampler = RandomEdgeSampler(0.35)
-    reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
+def _process_parent(store, transport, tmp_path, request):
+    """``store`` as the process path receives it over ``transport``: its
+    own store file (``"file"``), one spill (``"mmap"``) or pickled."""
+    if transport == "file":
+        path = tmp_path / "parent.store"
+        store.save(path)
+        return GraphStore.open(path)
     if transport == "pickle":
         request.getfixturevalue("unwritable_spill")
+    return store
+
+
+@pytest.mark.parametrize("transport", ["file", "mmap", "pickle"])
+def test_process_transports_agree(graph, transport, request, tmp_path):
+    sampler = RandomEdgeSampler(0.35)
+    reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
+    parent = _process_parent(GraphStore.from_graph(graph), transport, tmp_path, request)
     result = EnsemFDet(
         _config(RandomEdgeSampler(0.35), executor="process", n_workers=2)
-    ).fit(graph)
+    ).fit(parent)
     assert result.retry_log[0]["transport"] == transport
     assert _tables(result) == reference
 
 
-def test_windowed_expiry_on_mmap_store(tmp_path):
-    """A windowed store round-tripped through a file keeps dead edges dead."""
+def test_resident_opened_store_ships_its_file(graph, tmp_path):
+    """A store file opened without mmap still reaches the workers as its
+    file layout, not as pickled columns."""
+    reference = _tables(EnsemFDet(_config(StableEdgeSampler(0.35, stripe=64))).fit(graph))
+    path = tmp_path / "g.store"
+    GraphStore.from_graph(graph).save(path)
+    opened = GraphStore.open(path, mmap=False)
+    assert not isinstance(opened.edge_users, np.memmap)
+    result = EnsemFDet(
+        _config(StableEdgeSampler(0.35, stripe=64), executor="process", n_workers=2)
+    ).fit(opened)
+    assert result.retry_log[0]["transport"] == "file"
+    assert _tables(result) == reference
+
+
+def _windowed_store() -> GraphStore:
+    """A store whose liveness columns mark every fifth edge expired."""
     g = chung_lu_bipartite(300, 120, 2000, rng=2)
     alive = np.ones(g.n_edges, dtype=bool)
     alive[::5] = False
-    store = GraphStore(
+    return GraphStore(
         n_users=g.n_users,
         n_merchants=g.n_merchants,
         edge_users=g.edge_users,
@@ -113,6 +139,25 @@ def test_windowed_expiry_on_mmap_store(tmp_path):
         edge_ids=np.arange(g.n_edges, dtype=np.int64),
         edge_alive=alive,
     )
+
+
+@pytest.mark.parametrize("transport", ["file", "mmap", "pickle"])
+def test_windowed_store_on_process_pool(transport, tmp_path, request):
+    """Whatever carries a windowed store to the workers keeps dead edges dead."""
+    store = _windowed_store()
+    reference = _tables(EnsemFDet(_config(StableEdgeSampler(0.4, stripe=64))).fit(store))
+    parent = _process_parent(store, transport, tmp_path, request)
+    result = EnsemFDet(
+        _config(StableEdgeSampler(0.4, stripe=64), executor="process", n_workers=2)
+    ).fit(parent)
+    assert result.retry_log[0]["transport"] == transport
+    assert _tables(result) == reference
+
+
+def test_windowed_expiry_on_mmap_store(tmp_path):
+    """A windowed store round-tripped through a file keeps dead edges dead."""
+    g = chung_lu_bipartite(300, 120, 2000, rng=2)
+    store = _windowed_store()
     sampler = StableEdgeSampler(0.4, stripe=64)
     reference = _tables(EnsemFDet(_config(sampler)).fit(store))
 

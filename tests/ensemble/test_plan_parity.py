@@ -164,6 +164,30 @@ class TestFitParity:
         )
         assert leaked_spills() == []
 
+    @pytest.mark.parametrize("name", sorted(SAMPLER_FACTORIES))
+    def test_file_backed_parent_matches_eager_reference(self, parent, name, tmp_path):
+        """Workers that map the parent's own store file materialize every
+        sampler's plans bit for bit, and nothing is spilled."""
+        config = EnsemFDetConfig(
+            sampler=SAMPLER_FACTORIES[name](),
+            n_samples=6,
+            fdet=FdetConfig(max_blocks=4),
+            executor=ExecutorMode.PROCESS,
+            n_workers=2,
+            seed=13,
+        )
+        reference_table, reference_detections = eager_reference_fit(parent, config)
+        path = tmp_path / "parent.store"
+        GraphStore.from_graph(parent).save(path)
+        result = EnsemFDet(config).fit(GraphStore.open(path))
+        assert result.retry_log[0]["transport"] == "file"
+        assert result.vote_table.user_votes == reference_table.user_votes
+        assert result.vote_table.merchant_votes == reference_table.merchant_votes
+        assert_detections_bitwise_equal(
+            list(result.sample_detections), reference_detections
+        )
+        assert leaked_spills() == []
+
     def test_spill_and_pickled_store_agree(self, parent, request):
         config = FdetConfig(max_blocks=4)
         sampler = RandomEdgeSampler(0.35)

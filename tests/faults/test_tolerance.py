@@ -39,6 +39,15 @@ def _config(executor="serial", n_workers=None, **tolerance_kwargs):
     )
 
 
+def _process_parent(graph, transport, tmp_path):
+    """A file-backed parent ships its own file; a resident one is spilled."""
+    if transport == "mmap":
+        return graph
+    path = tmp_path / "g.store"
+    GraphStore.from_graph(graph).save(path)
+    return GraphStore.open(path)
+
+
 def _tables_equal(a, b) -> bool:
     return (
         a.n_samples == b.n_samples
@@ -155,6 +164,41 @@ class TestQuorumDegradation:
         arm("raise:point=member.detect,index=3,attempt=-1,times=-1")
         with pytest.raises(InjectedFault):
             EnsemFDet(_config(min_quorum=1.0)).fit(graph)
+
+    @pytest.mark.parametrize("transport", ["file", "mmap"])
+    def test_process_failure_degrades_like_serial(self, graph, transport, tmp_path):
+        """A member failing on the pool is retried in the parent, then
+        dropped: the survivors' table equals the serial fit's."""
+        arm("raise:point=member.detect,index=0,attempt=-1,times=-1")
+        reference = EnsemFDet(_config()).fit(graph)
+        before = leaked_spills()
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(
+            _process_parent(graph, transport, tmp_path)
+        )
+        assert [f.index for f in result.failed_members] == [0]
+        assert result.failed_members[0].attempts == 3
+        assert [entry["backend"] for entry in result.retry_log] == [
+            "process",
+            "serial",
+            "serial",
+        ]
+        assert result.retry_log[0]["transport"] == transport
+        assert _tables_equal(result.vote_table, reference.vote_table)
+        assert leaked_spills() == before
+
+    @pytest.mark.parametrize("transport", ["file", "mmap"])
+    def test_process_below_quorum_raises(self, graph, transport, tmp_path):
+        arm(
+            ";".join(
+                f"raise:point=member.detect,index={i},attempt=-1,times=-1"
+                for i in range(4)
+            )
+        )
+        parent = _process_parent(graph, transport, tmp_path)
+        before = leaked_spills()
+        with pytest.raises(QuorumError, match="2/6"):
+            EnsemFDet(_config(executor="process", n_workers=2)).fit(parent)
+        assert leaked_spills() == before
 
 
 class TestProcessBackendFaults:

@@ -8,7 +8,8 @@ produces must be **bitwise identical** to the ``reference`` engine — this
 suite pins that down across sampler families, window modes (append-only
 and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
 unusual weights, nodes with no edge, execution backends (serial / process
-× spilled or pickled store) and both weight policies.
+× the parent's own store file, a spilled or a pickled store) and both
+weight policies.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.fdet import (
 )
 from repro.fdet import batched, peeling
 from repro.fdet._native import native_available
-from repro.graph import BipartiteGraph, WindowConfig
+from repro.graph import BipartiteGraph, GraphStore, WindowConfig
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -448,9 +449,13 @@ class TestBackendMatrix:
 
     @pytest.mark.parametrize(
         "executor,transport",
-        [("serial", "local"), ("process", "mmap"), ("process", "pickle")],
+        [("serial", "local"), ("process", "file"), ("process", "mmap"), ("process", "pickle")],
     )
-    def test_backend_parity(self, weighted_graph, executor, transport, request):
+    def test_backend_parity(self, weighted_graph, executor, transport, request, tmp_path):
+        parent = weighted_graph
+        if transport == "file":
+            GraphStore.from_graph(weighted_graph).save(tmp_path / "g.store")
+            parent = GraphStore.open(tmp_path / "g.store")
         if transport == "pickle":
             request.getfixturevalue("unwritable_spill")
         reference = EnsemFDet(
@@ -468,7 +473,7 @@ class TestBackendMatrix:
             executor=executor,
             n_workers=2,
         )
-        result = EnsemFDet(config).fit(weighted_graph)
+        result = EnsemFDet(config).fit(parent)
         assert result.retry_log[0]["transport"] == transport
         assert_tables_equal(result.vote_table, reference.vote_table)
         for left, right in zip(result.sample_detections, reference.sample_detections):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.faults.chaos import leaked_spills
 from repro.graph import (
     BipartiteGraph,
     GraphStore,
@@ -125,6 +126,43 @@ class TestSpillLifecycle:
         with GraphStore.from_graph(weighted_graph).export_shared() as spill:
             directory = spill.directory
         assert not os.path.exists(directory)
+
+    def test_failed_write_removes_spill_directory(self, weighted_graph, monkeypatch):
+        # the columns are written, then the flush to disk fails
+        def full(fd):
+            raise OSError("spill volume full")
+
+        before = leaked_spills()
+        monkeypatch.setattr(os, "fsync", full)
+        with pytest.raises(OSError, match="volume full"):
+            GraphStore.from_graph(weighted_graph).export_shared()
+        monkeypatch.undo()
+        assert leaked_spills() == before
+
+    def test_spill_is_compacted_and_keeps_window_columns(self):
+        alive = np.array([True, False, True, True])
+        store = GraphStore(
+            n_users=3,
+            n_merchants=2,
+            edge_users=np.array([0, 1, 2, 2]),
+            edge_merchants=np.array([0, 1, 0, 1]),
+            edge_weights=np.array([0.5, 1.0, 2.0, 4.0]),
+            user_labels=np.array([10, 11, 12]),
+            merchant_labels=np.array([20, 21]),
+            edge_ids=np.array([3, 4, 5, 6]),
+            edge_alive=alive,
+        )
+        with store.export_shared() as spill:
+            layout = spill.layout
+            assert (layout.id_dtype, layout.weight_dtype) == ("int32", "float32")
+            assert layout.windowed
+            view = attached_store(layout)
+            try:
+                assert np.array_equal(view.edge_alive, alive)
+                assert np.array_equal(view.edge_ids, store.edge_ids)
+                assert np.array_equal(view.edge_weights, store.edge_weights)
+            finally:
+                detach_all()
 
     def test_unweighted_and_empty_graphs_export(self):
         for graph in (

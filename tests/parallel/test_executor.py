@@ -44,9 +44,10 @@ class TestParallelMap:
         with pytest.raises(ReproError, match="unknown executor"):
             parallel_map(square, [1], mode="gpu")
 
-    def test_exceptions_propagate(self):
+    @pytest.mark.parametrize("mode", ExecutorMode.ALL)
+    def test_exceptions_propagate(self, mode):
         with pytest.raises(ValueError, match="boom"):
-            parallel_map(failing, [1, 2], mode=ExecutorMode.PROCESS)
+            parallel_map(failing, [1, 2], mode=mode)
 
     def test_n_workers_one_falls_back_to_serial(self):
         assert parallel_map(square, [1, 2, 3], mode=ExecutorMode.PROCESS, n_workers=1) == [1, 4, 9]
