@@ -11,7 +11,7 @@ At ``N = 80`` on jd-like data (jd1), measures for the process backend:
   zero-copy fit must peak measurably lower (eager materializes all N
   subgraphs in the parent before detection starts).
 * **wall-clock** of the two fits, for the committed record.
-* **hygiene** — no ``repro_gs_*`` spill directory survives the fit.
+* **hygiene** — no ``repro_gs_spill_*`` directory survives the fit.
 
 Pass/fail compares plan-vs-eager measured on the *same* host in the same
 run; the committed baseline (``baselines/shm_fanout.json``) records the

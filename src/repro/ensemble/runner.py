@@ -28,7 +28,9 @@ engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
 policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
 the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → serial) and store-file → pickled-store fallback —
+degradation (process → serial; timed-out members retry on the pool, the
+one backend that can time them out again) and store-file → pickled-store
+fallback —
 and whatever still fails after the last round comes back as a typed
 :class:`MemberFailure` instead of an exception. The spill directory is
 removed on **every** exit path (normal, crash, timeout,
@@ -313,13 +315,18 @@ def _classify(error: BaseException) -> str:
     return FAIL_ERROR
 
 
-def _degraded_backend(mode: str, retry_round: int, tolerance: FaultTolerance) -> str:
+def _degraded_backend(
+    mode: str, retry_round: int, tolerance: FaultTolerance, timed_out: bool
+) -> str:
     """Backend for retry round ``retry_round`` (0 = first attempt).
 
-    The ladder is process → serial: a degrading policy runs every retry
-    in the parent, where pool infrastructure cannot fail it.
+    The ladder is process → serial: a degrading policy runs retries in
+    the parent, where pool infrastructure cannot fail them. A round that
+    retries a timed-out member stays on ``mode`` instead: the process pool
+    is the one backend that enforces ``member_timeout``, and a member that
+    hangs again in the parent would hang the fit.
     """
-    if retry_round == 0 or not tolerance.degrade:
+    if retry_round == 0 or not tolerance.degrade or timed_out:
         return mode
     return ExecutorMode.SERIAL
 
@@ -547,8 +554,9 @@ def run_members(
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
     requested backend, then re-runs failed members for up to
     ``tolerance.max_retries`` extra rounds with deterministic backoff,
-    degrading the backend (process → serial) and falling back from the
-    store file to the pickled store when the failure kinds call for it.
+    degrading the backend (process → serial, except for rounds that retry
+    a timed-out member) and falling back from the store file to the
+    pickled store when the failure kinds call for it.
     Members that never succeed come back as :class:`MemberFailure`
     entries; the caller decides whether that is a quorum violation.
     """
@@ -589,15 +597,17 @@ def run_members(
         backoff = tolerance.backoff_for(attempt)
         if backoff:
             _time.sleep(backoff)
-        backend = _degraded_backend(mode, attempt, tolerance)
+        timed_out = attempt > 0 and any(fail_info[i][0] == FAIL_TIMEOUT for i in pending)
+        backend = _degraded_backend(mode, attempt, tolerance, timed_out)
         work = [(index, plans[index]) for index in pending]
         for index in pending:
             attempts_of[index] = attempt + 1
 
         # mirror parallel_map's fast path: one worker or one item never
-        # pays pool overhead (REPRO_WORKERS=1 pins CI to this path)
+        # pays pool overhead (REPRO_WORKERS=1 pins CI to this path) —
+        # except a timed-out retry, which only a pool can time out again
         in_parent = backend == ExecutorMode.SERIAL
-        if not in_parent and pool is None:
+        if not in_parent and pool is None and not timed_out:
             effective = n_workers or default_workers(len(work))
             in_parent = effective <= 1 or len(work) == 1
         if in_parent:

@@ -12,8 +12,8 @@ layer (atomic commit, rolling ``.bak``, consumed-row offsets).
 The invariant the chaos suite pins down with this harness: for any plan of
 worker kills, store-file map failures, mid-write crashes and snapshot byte
 corruption, the final vote table is **bitwise identical** to the
-fault-free run's, and the temp directory holds zero leaked ``repro_gs_*``
-spill directories afterwards.
+fault-free run's, and the temp directory holds zero leaked
+``repro_gs_spill_*`` directories afterwards.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from ..ensemble import IncrementalEnsemFDet, load_detection_state_with_recovery
 from ..graph import BipartiteGraph, save_edge_list
+from ..graph.store import SPILL_PREFIX
 from .injection import ENV_VAR
 
 __all__ = [
@@ -40,13 +41,9 @@ __all__ = [
     "vote_fingerprint",
 ]
 
-#: prefix of the spill directories the graph store creates
-_SPILL_PREFIX = "repro_gs_"
-
-
 def leaked_spills() -> list[str]:
     """Names of graph-store spill directories left in the temp directory."""
-    return sorted(p.name for p in Path(tempfile.gettempdir()).glob(f"{_SPILL_PREFIX}*"))
+    return sorted(p.name for p in Path(tempfile.gettempdir()).glob(f"{SPILL_PREFIX}*"))
 
 
 def vote_fingerprint(state_path: str | os.PathLike[str]) -> str:

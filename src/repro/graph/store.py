@@ -21,9 +21,10 @@ reads. Workers receive the picklable :class:`StoreLayout` (the file's path
 plus its sizes and dtypes) and map it through :func:`attached_store`.
 
 A parent opened from a store file ships that file. A resident parent is
-spilled once per process fan-out: :meth:`GraphStore.export_shared` saves
-the compacted store into a private temporary directory and returns the
-:class:`SpilledStore` handle that owns it.
+spilled once per process fan-out: :meth:`GraphStore.export_shared` writes
+the compacted store, without an fsync, into a private
+``repro_gs_spill_<pid>_*`` temporary directory (:data:`SPILL_PREFIX`) and
+returns the :class:`SpilledStore` handle that owns it.
 
 Compact dtypes
 --------------
@@ -46,9 +47,12 @@ Lifecycle contract
   :class:`~repro.parallel.ReusablePool` worker holds at most one stale
   mapping,
 * removing the spill directory unlinks the file at once (Linux keeps live
-  mappings valid), so no ``repro_gs_*`` entry under
+  mappings valid), so no ``repro_gs_spill_*`` entry under
   :func:`tempfile.gettempdir` outlives the fit; file-backed stores are
-  plain files owned by whoever created them.
+  plain files owned by whoever created them,
+* a parent that is SIGKILLed or OOM-killed mid fan-out runs neither
+  ``dispose()`` nor the finalizer; the owner pid in the directory name
+  lets the next :meth:`GraphStore.export_shared` remove what it left.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .bipartite import BipartiteGraph
 from .window import EdgeWindow
 
 __all__ = [
+    "SPILL_PREFIX",
     "GraphStore",
     "SpilledStore",
     "StoreFileWriter",
@@ -76,6 +81,10 @@ __all__ = [
     "detach_all",
     "read_file_layout",
 ]
+
+#: name prefix of the spill directories under :func:`tempfile.gettempdir`;
+#: the owner's pid and ``_`` follow it
+SPILL_PREFIX = "repro_gs_spill_"
 
 _INT = np.dtype(np.int64)
 _INT32 = np.dtype(np.int32)
@@ -418,16 +427,20 @@ class GraphStore:
     def export_shared(self) -> "SpilledStore":
         """Spill the compacted store to a private file for process workers.
 
-        :meth:`save` writes the file into a fresh
-        ``repro_gs_spill_*`` directory under :func:`tempfile.gettempdir`.
-        The returned handle owns that directory; dispose it (explicitly or
-        via ``with``) once the fan-out that maps the file has completed.
-        Raises :class:`OSError` when the file cannot be written; the
-        directory is removed first.
+        The file is written as by :meth:`save`, without the fsync, into a
+        fresh ``repro_gs_spill_<pid>_*`` directory under
+        :func:`tempfile.gettempdir`, after removing the spill directories
+        of processes that no longer exist. The returned handle owns that
+        directory; dispose it (explicitly or via ``with``) once the
+        fan-out that maps the file has completed. Raises :class:`OSError`
+        when the file cannot be written; the directory is removed first.
         """
-        directory = tempfile.mkdtemp(prefix="repro_gs_spill_")
+        _remove_orphaned_spills()
+        directory = tempfile.mkdtemp(prefix=f"{SPILL_PREFIX}{os.getpid()}_")
         try:
-            layout = self.save(os.path.join(directory, "graph.store"))
+            # workers read the file through the page cache and it is gone
+            # once the fan-out ends: durability would only cost an fsync
+            layout = self._write(os.path.join(directory, "graph.store"), durable=False)
         except BaseException:
             shutil.rmtree(directory, ignore_errors=True)
             raise
@@ -451,6 +464,11 @@ class GraphStore:
         is what :func:`~repro.ensemble.runner.detect_on_plans` ships to
         workers instead of copying columns.
         """
+        return self._write(path, compact=compact, durable=True)
+
+    def _write(
+        self, path: str | os.PathLike[str], compact: bool = True, durable: bool = True
+    ) -> StoreLayout:
         store = self.compact() if compact else self
         path = os.path.abspath(os.fspath(path))
         layout = store._layout_for(path)
@@ -466,8 +484,9 @@ class GraphStore:
                 handle.seek(_DATA_OFFSET + offset)
                 np.ascontiguousarray(getattr(store, name), dtype=dtype).tofile(handle)
             handle.truncate(_DATA_OFFSET + layout.nbytes)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         return layout
 
     @classmethod
@@ -775,6 +794,31 @@ class StoreFileWriter:
             self.close()
         else:
             self.abort()
+
+
+def _remove_orphaned_spills() -> None:
+    """Remove the spill directories whose owner process is gone."""
+    if os.name != "posix":  # pragma: no cover - os.kill(pid, 0) probes liveness on POSIX only
+        return
+    root = tempfile.gettempdir()
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return
+    for name in names:
+        owner = name[len(SPILL_PREFIX) :].partition("_")[0]
+        if name.startswith(SPILL_PREFIX) and owner.isdigit() and not _pid_alive(int(owner)):
+            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):  # another user's process, or not a pid
+        pass
+    return True
 
 
 class SpilledStore:

@@ -147,9 +147,9 @@ class ReusablePool:
     but wasteful when the ensemble fits many times (threshold sweeps, the
     figure experiments, long-running services). A ``ReusablePool`` owns one
     ``ProcessPoolExecutor`` created lazily on first use and keeps it warm
-    until :meth:`close`. ``mode`` must be ``"process"``.
+    until :meth:`close`.
 
-    >>> with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+    >>> with ReusablePool(n_workers=2) as pool:
     ...     pool.map(abs, [-1, -2])
     [1, 2]
 
@@ -160,14 +160,10 @@ class ReusablePool:
 
     def __init__(
         self,
-        mode: str = ExecutorMode.PROCESS,
         n_workers: int | None = None,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ) -> None:
-        if mode != ExecutorMode.PROCESS:
-            raise ReproError(f"ReusablePool mode must be 'process', got {mode!r}")
-        self.mode = mode
         self.n_workers = n_workers or default_workers()
         self.initializer = initializer
         self.initargs = initargs

@@ -38,9 +38,12 @@ class FaultTolerance:
         ``backoff_seconds × 2**(r-1)`` (no jitter — retry schedules must
         reproduce exactly under a fixed fault plan).
     degrade:
-        Walk the backend ladder on retries: process → serial, so every
-        retry round runs in the parent, where pool infrastructure cannot
-        take it down. Whatever this flag says, a failed store-file map
+        Walk the backend ladder on retries: process → serial, so retry
+        rounds run in the parent, where pool infrastructure cannot take
+        them down. A round that retries a timed-out member stays on the
+        process pool, the one backend that enforces ``member_timeout``,
+        so a member that hangs on every attempt still ends as a typed
+        timeout failure. Whatever this flag says, a failed store-file map
         makes later process rounds ship the pickled store instead.
     min_quorum:
         Minimum surviving fraction of the ensemble (``0 < q ≤ 1``) for a

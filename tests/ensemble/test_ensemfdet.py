@@ -187,7 +187,7 @@ class TestExecutors:
     def test_reusable_pool_fit(self, toy):
         from repro.parallel import ReusablePool
 
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             config = small_config(executor=ExecutorMode.PROCESS, n_samples=6)
             pooled = EnsemFDet(config, pool=pool).fit(toy.graph)
             again = EnsemFDet(config, pool=pool).fit(toy.graph)  # warm workers reused

@@ -209,7 +209,7 @@ class TestFitParity:
             seed=13,
         )
         reference_table, _ = eager_reference_fit(parent, config)
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             first = EnsemFDet(config, pool=pool).fit(parent)
             second = EnsemFDet(config, pool=pool).fit(parent)
         assert first.vote_table.user_votes == reference_table.user_votes

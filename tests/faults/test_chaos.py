@@ -3,7 +3,7 @@
 The headline invariant of the fault-tolerance layer: a watch lifecycle
 driven through worker crashes, store-file map failures, a mid-write
 SIGKILL and snapshot corruption ends with a vote table **bitwise
-identical** to the fault-free run's, and zero leaked ``repro_gs_*`` spill
+identical** to the fault-free run's, and zero leaked ``repro_gs_spill_*``
 directories. Rounds run the real CLI in subprocesses (the only honest way to
 exercise SIGKILL faults); crashed rounds are re-run fault-free, emulating
 an operator restart.
@@ -11,16 +11,26 @@ an operator restart.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+
 import pytest
 
 from repro.datasets import uniform_bipartite
 from repro.faults.chaos import (
     ChaosRound,
+    _cli_env,
     delta_batches,
     leaked_spills,
     run_chaos_cycle,
     vote_fingerprint,
 )
+from repro.graph import save_edge_list
+from repro.graph.store import SPILL_PREFIX
 
 WATCH_FLAGS = (
     "--ratio",
@@ -88,6 +98,47 @@ def test_chaos_cycle_converges_bitwise(tmp_path, graph, batches):
     assert chaos.fingerprint == reference.fingerprint, "\n".join(chaos.logs[-3:])
     assert chaos.leaked == []
     assert reference.leaked == []
+
+
+def test_parent_killed_mid_fit_leaves_no_spill_after_next_run(tmp_path, monkeypatch, graph):
+    # a SIGKILLed (or OOM-killed) parent runs neither its finally nor the
+    # spill's finalizer; the next run's spill removes the dead owner's
+    # directory
+    spill_root = tmp_path / "tmp"
+    spill_root.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spill_root))
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_root))
+    monkeypatch.setenv("REPRO_WORKERS", "2")  # a real pool, also where CI pins one worker
+    stream = tmp_path / "stream.tsv"
+    save_edge_list(graph, stream)
+    env = _cli_env("hang:point=member.detect,attempt=-1,times=-1,seconds=60")
+    argv = [
+        sys.executable, "-m", "repro.cli", "watch", str(stream),
+        "--state", str(tmp_path / "state.npz"), "--interval", "0", "--iterations", "0",
+        *WATCH_FLAGS,
+    ]
+    parent = subprocess.Popen(
+        argv, env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not leaked_spills() and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert parent.poll() is None, "the fit ended before it could be killed"
+        os.kill(parent.pid, signal.SIGKILL)  # the parent only, mid fan-out
+        parent.wait()
+    finally:
+        try:
+            os.killpg(parent.pid, signal.SIGKILL)  # its orphaned, hung workers
+        except ProcessLookupError:
+            pass
+        parent.wait()
+    orphaned = leaked_spills()
+    assert len(orphaned) == 1 and orphaned[0].startswith(f"{SPILL_PREFIX}{parent.pid}_")
+
+    report = run_chaos_cycle(tmp_path / "next", graph, [ChaosRound()], watch_flags=WATCH_FLAGS)
+    assert report.leaked == []
 
 
 def test_fingerprint_is_stable_and_content_sensitive(tmp_path, graph):

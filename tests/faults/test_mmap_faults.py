@@ -49,7 +49,7 @@ def _tables_equal(a, b) -> bool:
 def test_mmap_open_failure_falls_back_to_pickled_store(graph):
     reference = EnsemFDet(_config()).fit(graph)
     arm("raise:point=mmap.open")
-    with ReusablePool(mode="process", n_workers=2) as pool:
+    with ReusablePool(n_workers=2) as pool:
         result = EnsemFDet(
             _config(executor="process", n_workers=2, degrade=False),
             pool=pool,

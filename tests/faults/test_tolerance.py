@@ -249,6 +249,28 @@ class TestProcessBackendFaults:
         assert result.vote_table.n_samples == 2
         assert reference is not None
 
+    def test_member_hanging_on_every_attempt_ends_as_timeout(self, graph):
+        # retries of a timed-out member stay on the pool: in the parent the
+        # member would sleep through its budget and the fit would hang
+        arm("hang:point=member.detect,index=1,attempt=-1,times=-1,seconds=30")
+        config = EnsemFDetConfig(
+            sampler=RandomEdgeSampler(0.4),
+            n_samples=2,
+            fdet=FdetConfig(max_blocks=6),
+            executor="process",
+            n_workers=2,
+            seed=3,
+            tolerance=FaultTolerance(member_timeout=1.5, max_retries=1),
+        )
+        before = leaked_spills()
+        result = EnsemFDet(config).fit(graph)
+        assert [(f.index, f.kind, f.attempts) for f in result.failed_members] == [
+            (1, "timeout", 2)
+        ]
+        assert [entry["backend"] for entry in result.retry_log] == ["process", "process"]
+        assert result.retry_log[1]["kinds"] == {"1": "timeout"}
+        assert leaked_spills() == before
+
     @pytest.mark.parametrize(
         "plan,timeout",
         [
@@ -276,7 +298,7 @@ class TestProcessBackendFaults:
         path = tmp_path / "g.store"
         GraphStore.from_graph(graph).save(path)
         arm("raise:point=mmap.open")
-        with ReusablePool(mode="process", n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             result = EnsemFDet(
                 _config(executor="process", n_workers=2, degrade=False), pool=pool
             ).fit(GraphStore.open(path))

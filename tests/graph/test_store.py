@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.graph import (
     attached_store,
     detach_all,
 )
+from repro.graph.store import SPILL_PREFIX
 
 
 @pytest.fixture
@@ -115,7 +118,7 @@ class TestSpillLifecycle:
     def test_dispose_removes_spill_directory(self, weighted_graph):
         spill = GraphStore.from_graph(weighted_graph).export_shared()
         assert os.path.dirname(spill.directory) == tempfile.gettempdir()
-        assert os.path.basename(spill.directory).startswith("repro_gs_spill_")
+        assert os.path.basename(spill.directory).startswith(f"{SPILL_PREFIX}{os.getpid()}_")
         assert os.path.exists(spill.layout.path)
         spill.dispose()
         assert spill.disposed
@@ -128,16 +131,43 @@ class TestSpillLifecycle:
         assert not os.path.exists(directory)
 
     def test_failed_write_removes_spill_directory(self, weighted_graph, monkeypatch):
-        # the columns are written, then the flush to disk fails
-        def full(fd):
+        # part of the file is written, then the volume fills up
+        def full(store, path, compact=True, durable=True):
+            with open(path, "wb") as handle:
+                handle.write(b"partial")
             raise OSError("spill volume full")
 
         before = leaked_spills()
-        monkeypatch.setattr(os, "fsync", full)
+        monkeypatch.setattr(GraphStore, "_write", full)
         with pytest.raises(OSError, match="volume full"):
             GraphStore.from_graph(weighted_graph).export_shared()
         monkeypatch.undo()
         assert leaked_spills() == before
+
+    def test_spill_removes_directories_of_dead_owners(self, weighted_graph, monkeypatch, tmp_path):
+        # a SIGKILLed parent leaves its spill behind; the next spill reclaims it
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()
+        dead = tmp_path / f"{SPILL_PREFIX}{exited.pid}_orphan"
+        live = tmp_path / f"{SPILL_PREFIX}{os.getpid()}_sibling"
+        foreign = tmp_path / "repro_unrelated_1"
+        for directory in (dead, live, foreign):
+            directory.mkdir()
+            (directory / "graph.store").write_bytes(b"x")
+        with GraphStore.from_graph(weighted_graph).export_shared():
+            assert not dead.exists()
+            assert live.exists() and foreign.exists()
+        assert leaked_spills() == [live.name]
+
+    def test_spill_skips_fsync_and_save_keeps_it(self, weighted_graph, monkeypatch, tmp_path):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        store = GraphStore.from_graph(weighted_graph)
+        with store.export_shared():
+            assert synced == []  # a throwaway file read through the page cache
+        store.save(tmp_path / "g.store")
+        assert len(synced) == 1
 
     def test_spill_is_compacted_and_keeps_window_columns(self):
         alive = np.array([True, False, True, True])

@@ -90,51 +90,45 @@ class TestDefaultWorkers:
 
 class TestReusablePool:
     def test_map_preserves_order(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             assert pool.map(square, range(10)) == [x * x for x in range(10)]
 
     def test_reused_across_calls(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             pool.map(square, [1])
             executor = pool._executor
             pool.map(square, [2, 3])
             assert pool._executor is executor  # same warm workers
 
     def test_process_pool_map(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             assert pool.map(square, [4, 5]) == [16, 25]
 
     def test_parallel_map_routes_through_pool(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             result = parallel_map(square, [1, 2, 3], mode=ExecutorMode.SERIAL, pool=pool)
             assert result == [1, 4, 9]
             assert pool._executor is not None
 
     def test_empty_map_does_not_spawn(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
+        pool = ReusablePool(n_workers=2)
         assert pool.map(square, []) == []
         assert pool._executor is None
         pool.close()
 
-    @pytest.mark.parametrize("mode", [ExecutorMode.SERIAL, "thread"])
-    def test_non_process_mode_rejected(self, mode):
-        with pytest.raises(ReproError, match="must be 'process'"):
-            ReusablePool(mode)
-
     def test_close_is_idempotent(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=1)
+        pool = ReusablePool(n_workers=1)
         pool.map(square, [1])
         pool.close()
         pool.close()
 
     def test_close_before_use_is_noop(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=1)
+        pool = ReusablePool(n_workers=1)
         pool.close()
         pool.close()
 
     def test_initializer_runs_once_per_worker(self):
         with ReusablePool(
-            ExecutorMode.PROCESS,
             n_workers=2,
             initializer=_set_init_mark,
             initargs=("yes",),
@@ -183,7 +177,7 @@ class TestReusablePoolEnsembleLifecycle:
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             detector = EnsemFDet(self._config(), pool=pool)
             first = detector.fit(graph)
             executor = pool._executor
@@ -195,7 +189,7 @@ class TestReusablePoolEnsembleLifecycle:
 
     def test_repro_workers_pins_pool_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        pool = ReusablePool(ExecutorMode.PROCESS)
+        pool = ReusablePool()
         assert pool.n_workers == 2
         pool.close()
 
@@ -203,7 +197,7 @@ class TestReusablePoolEnsembleLifecycle:
         from repro.ensemble import EnsemFDet
 
         graph = self._graph()
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
+        pool = ReusablePool(n_workers=2)
         try:
             EnsemFDet(self._config(), pool=pool).fit(graph)
             # the per-fit spill directory is already removed before fit returns

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import InjectedFault, ParallelError, WorkerCrashError
 from repro.faults import arm, disarm
-from repro.parallel import ExecutorMode, ReusablePool, kill_executor_workers
+from repro.parallel import ReusablePool, kill_executor_workers
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +35,7 @@ def _die_on_negative(x: int) -> int:
 
 class TestWorkerCrash:
     def test_dead_worker_raises_typed_error_and_respawns(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             with pytest.raises(WorkerCrashError) as excinfo:
                 pool.map(_die_on_negative, [1, -2, 3, 4])
             error = excinfo.value
@@ -47,19 +47,19 @@ class TestWorkerCrash:
             assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_message_carries_remediation_hint(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             with pytest.raises(WorkerCrashError, match="respawned"):
                 pool.map(_die_on_negative, [-1, -1])
 
 
 class TestPicklability:
     def test_unpicklable_task_is_a_parallel_error(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             with pytest.raises(ParallelError, match="pickle"):
                 pool.map(lambda x: x, [1, 2])
 
     def test_task_exceptions_propagate_unchanged(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             with pytest.raises(ValueError, match="bad item"):
                 pool.map(_boom, [1])
 
@@ -67,7 +67,7 @@ class TestPicklability:
 class TestInjection:
     def test_pool_map_fault_point_fires(self):
         arm("raise:point=pool.map")
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             with pytest.raises(InjectedFault, match="pool.map"):
                 pool.map(_square, [1, 2])
             # the plan's times=1 budget is spent: next map runs clean
@@ -76,11 +76,11 @@ class TestInjection:
 
 class TestKillWorkers:
     def test_unspawned_pool_kills_nothing(self):
-        pool = ReusablePool(ExecutorMode.PROCESS, n_workers=2)
+        pool = ReusablePool(n_workers=2)
         assert pool.kill_workers() == 0
 
     def test_kill_executor_workers_counts_processes(self):
-        with ReusablePool(ExecutorMode.PROCESS, n_workers=2) as pool:
+        with ReusablePool(n_workers=2) as pool:
             pool.map(_square, [1, 2, 3, 4])
             killed = kill_executor_workers(pool._executor)
             assert killed >= 1
