@@ -438,7 +438,7 @@ int64_t repro_greedy_peel(
 /* ------------------------------------------------------------------ */
 
 /* The parent columns arrive in their *storage* dtype (compact stores keep
- * int32 ids / float32 weights on disk and in shm) and are widened at the
+ * int32 ids / float32 weights in their store files) and are widened at the
  * single load site: int32 -> int64 is exact, and (double)w32 reproduces the
  * float64 value exactly because compaction only narrows weights whose
  * round-trip is bit-exact. Everything downstream of these loads is
