@@ -15,7 +15,6 @@ from .runner import (
     MemberRun,
     SampleDetection,
     detect_on_plans,
-    detect_on_samples,
     run_members,
 )
 from .soft_voting import SoftVoteTable, soft_threshold_sweep, soft_votes_from_detections
@@ -37,7 +36,6 @@ __all__ = [
     "MemberRun",
     "SampleDetection",
     "detect_on_plans",
-    "detect_on_samples",
     "run_members",
     "VoteTable",
     "majority_vote",

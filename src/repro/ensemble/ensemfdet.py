@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, FdetResult
 from ..graph import BipartiteGraph, GraphStore, LiveWindow
-from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
+from ..parallel import ExecutorMode, FaultTolerance, Timer
 from ..sampling import RandomEdgeSampler, Sampler, StableEdgeSampler, resolve_rng
 from .results import DetectionResult
 from .runner import MemberFailure, MemberRun, SampleDetection, _raise_first_failure, run_members
@@ -221,18 +221,10 @@ class EnsemFDet:
     config:
         Ensemble configuration (sampling, FDET incl. peeling engine,
         executor backend).
-    pool:
-        Optional :class:`repro.parallel.ReusablePool`; when given, every
-        :meth:`fit` runs its detection stage on these warm workers instead
-        of starting a fresh pool (worth it when fitting many ensembles —
-        threshold sweeps, figure experiments, services).
     """
 
-    def __init__(
-        self, config: EnsemFDetConfig | None = None, pool: ReusablePool | None = None
-    ) -> None:
+    def __init__(self, config: EnsemFDetConfig | None = None) -> None:
         self.config = config or EnsemFDetConfig()
-        self.pool = pool
 
     def fit(
         self, graph: BipartiteGraph | GraphStore, track_members: bool | None = None
@@ -338,7 +330,6 @@ class EnsemFDet:
             config.fdet,
             mode=config.executor,
             n_workers=config.n_workers,
-            pool=self.pool,
             track_members=track_members,
             tolerance=config.tolerance,
             window=window,

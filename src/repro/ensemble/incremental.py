@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import DetectionError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
 from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
-from ..parallel import ExecutorMode, FaultTolerance, ReusablePool, Timer
+from ..parallel import ExecutorMode, FaultTolerance, Timer
 from ..sampling import StableEdgeSampler, resolve_rng
 from .ensemfdet import EnsemFDet, EnsemFDetConfig, EnsemFDetResult
 from .results import (
@@ -160,9 +160,6 @@ class IncrementalEnsemFDet:
         :class:`StableEdgeSampler` (prefix stability is what makes partial
         refresh sound) and ``seed`` must be set (the sampling key has to be
         re-derivable on every update).
-    pool:
-        Optional :class:`ReusablePool`; both the initial fit and every
-        update run their detection stage on these warm workers.
     window:
         Optional :class:`~repro.graph.WindowConfig`. When set, the
         detector operates on a rolling window: each :meth:`update` may
@@ -175,7 +172,6 @@ class IncrementalEnsemFDet:
     def __init__(
         self,
         config: EnsemFDetConfig | None = None,
-        pool: ReusablePool | None = None,
         window: WindowConfig | None = None,
     ) -> None:
         if config is None:
@@ -192,7 +188,6 @@ class IncrementalEnsemFDet:
                 "re-derive the sampling key"
             )
         self.config = config
-        self.pool = pool
         self.window_config = window
         #: free-form JSON-able annotations persisted with the state (e.g.
         #: the watch CLI's source-file row offset)
@@ -265,14 +260,14 @@ class IncrementalEnsemFDet:
                 graph, window=self.window_config, timestamp=timestamp
             )
             live = self._acc.window()
-            result = EnsemFDet(self.config, pool=self.pool).fit_window(
+            result = EnsemFDet(self.config).fit_window(
                 live, track_members=True
             )
             graph = live.graph
         else:
             if timestamp:
                 raise DetectionError("fit timestamps require a windowed detector")
-            result = EnsemFDet(self.config, pool=self.pool).fit(graph, track_members=True)
+            result = EnsemFDet(self.config).fit(graph, track_members=True)
         self._graph = graph
         lost = {failure.index for failure in result.failed_members}
         survivors = iter(result.sample_detections)
@@ -364,7 +359,6 @@ class IncrementalEnsemFDet:
                 config.fdet,
                 mode=config.executor,
                 n_workers=config.n_workers,
-                pool=self.pool,
                 track_members=True,
                 tolerance=config.tolerance,
             )
@@ -421,7 +415,6 @@ class IncrementalEnsemFDet:
                 config.fdet,
                 mode=config.executor,
                 n_workers=config.n_workers,
-                pool=self.pool,
                 track_members=True,
                 tolerance=config.tolerance,
                 window=live.edge_window(),
@@ -627,9 +620,7 @@ class IncrementalEnsemFDet:
         save_detection_state(self.state(), path)
 
     @classmethod
-    def from_state(
-        cls, state: DetectionState, pool: ReusablePool | None = None
-    ) -> "IncrementalEnsemFDet":
+    def from_state(cls, state: DetectionState) -> "IncrementalEnsemFDet":
         """Rebuild a live detector from a :class:`DetectionState`."""
         config = cls._config_from_dict(state.config)
         if state.n_samples != config.n_samples:
@@ -640,7 +631,7 @@ class IncrementalEnsemFDet:
         window_config = None
         if state.window is not None:
             window_config = WindowConfig.from_dict(state.window["config"])
-        detector = cls(config, pool=pool, window=window_config)
+        detector = cls(config, window=window_config)
         if window_config is not None:
             detector._acc = GraphAccumulator.restore_window(
                 state.graph,
@@ -667,14 +658,12 @@ class IncrementalEnsemFDet:
         return detector
 
     @classmethod
-    def load(cls, path, pool: ReusablePool | None = None) -> "IncrementalEnsemFDet":
+    def load(cls, path) -> "IncrementalEnsemFDet":
         """Rebuild a live detector from a saved state archive."""
-        return cls.from_state(load_detection_state(path), pool=pool)
+        return cls.from_state(load_detection_state(path))
 
     @classmethod
-    def load_with_recovery(
-        cls, path, pool: ReusablePool | None = None
-    ) -> tuple["IncrementalEnsemFDet", str | None]:
+    def load_with_recovery(cls, path) -> tuple["IncrementalEnsemFDet", str | None]:
         """Like :meth:`load`, falling back to the ``.bak`` snapshot.
 
         When the primary archive is corrupt (checksum mismatch, truncated
@@ -685,4 +674,4 @@ class IncrementalEnsemFDet:
         when both copies are unreadable.
         """
         state, recovered_from = load_detection_state_with_recovery(path)
-        return cls.from_state(state, pool=pool), recovered_from
+        return cls.from_state(state), recovered_from

@@ -1,39 +1,35 @@
 """Parallel execution of FDET across sampled subgraphs (paper Fig. 2).
 
-Two fan-out shapes live here:
+:func:`detect_on_plans` is the **zero-copy** fan-out behind
+:class:`~repro.ensemble.EnsemFDet`. It has two execution paths, and both
+run the same member loop (:func:`_run_serial`):
 
-* :func:`detect_on_plans` — the **zero-copy** pipeline used by
-  :class:`~repro.ensemble.EnsemFDet`. It has two execution paths:
+* ``serial`` runs every member in the calling process, as one
+  multi-member native kernel call ``native_threads()`` wide (OpenMP
+  across members), materializing against the in-process graph;
+* ``process`` starts one process pool per attempt and sends each worker
+  one chunk of members plus the parent as a **store file**: the parent's
+  own file when it was opened with :meth:`GraphStore.open`, otherwise one
+  spill of the compacted store (:meth:`GraphStore.export_shared`). The
+  worker maps the file inside the chunk and materializes each compact
+  :class:`~repro.sampling.SamplePlan` through the trusted constructor —
+  zero graph bytes are pickled per ensemble member, only the ~1%-sized
+  plans and a ~100-byte :class:`~repro.graph.StoreLayout` descriptor.
+  Out-of-core graphs never materialize in any process.
 
-  - ``serial`` runs every member in the calling process, as one
-    multi-member native kernel call ``native_threads()`` wide (OpenMP
-    across members), materializing against the in-process graph;
-  - ``process`` ships the parent to a process pool as a **store file**:
-    the parent's own file when it was opened with
-    :meth:`GraphStore.open`, otherwise one spill of the compacted store
-    (:meth:`GraphStore.export_shared`). Workers map the file **once per
-    process** (pool initializer for one-shot pools, a process-local cache
-    for :class:`~repro.parallel.ReusablePool` workers) and materialize
-    each compact :class:`~repro.sampling.SamplePlan` worker-side through
-    the trusted constructor — zero graph bytes are pickled per ensemble
-    member, only the ~1%-sized plans and a ~100-byte
-    :class:`~repro.graph.StoreLayout` descriptor. Out-of-core graphs never
-    materialize in any process.
-* :func:`detect_on_samples` — the historical eager shape, mapping already
-  materialized subgraphs. Kept for callers that hold real subgraphs (and
-  as the reference the plan pipeline is parity-tested against).
-
-Both are thin shells over :func:`run_members`, the fault-tolerant member
+It is a thin shell over :func:`run_members`, the fault-tolerant member
 engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
-policy — per-member wall-clock timeouts (hung workers are SIGKILLed and
-the pool respawned), bounded deterministic backoff, automatic backend
-degradation (process → serial; timed-out members retry on the pool, the
-one backend that can time them out again) and store-file → pickled-store
-fallback —
-and whatever still fails after the last round comes back as a typed
-:class:`MemberFailure` instead of an exception. The spill directory is
-removed on **every** exit path (normal, crash, timeout,
+policy — per-member wall-clock timeouts (hung workers are SIGKILLed),
+bounded deterministic backoff, automatic backend degradation (process →
+serial; timed-out members retry on the pool, the one backend that can
+time them out again) and store-file → pickled-store fallback — and
+whatever still fails after the last round comes back as a typed
+:class:`MemberFailure` instead of an exception. A member's own error
+fails only that member, on either backend; a failed map fails its chunk
+(``transport``), a dead worker every chunk not yet finished (``crash``)
+and a passed deadline the chunks still running (``timeout``). The spill
+directory is removed on **every** exit path (normal, crash, timeout,
 KeyboardInterrupt), backstopped by its handle's ``weakref.finalize``.
 
 Because plans re-materialize deterministically, a member that fails and
@@ -55,32 +51,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import (
-    GraphError,
-    InjectedFault,
-    MemberTimeoutError,
-    ReproError,
-    WorkerCrashError,
-)
+from ..errors import MemberTimeoutError, ReproError, WorkerCrashError
 from ..faults import fault_point
 from ..fdet import Fdet, FdetConfig, FdetResult, PeelEngine
 from ..fdet import batched as _batched
 from ..fdet._native import native_threads
-from ..graph import BipartiteGraph, GraphStore, StoreLayout, attached_store
-from ..parallel import (
-    ExecutorMode,
-    FaultTolerance,
-    ReusablePool,
-    default_workers,
-    kill_executor_workers,
-    parallel_map,
-)
+from ..graph import BipartiteGraph, GraphStore, StoreLayout
+from ..parallel import ExecutorMode, FaultTolerance, default_workers, kill_executor_workers
 from ..graph.window import EdgeWindow
 from ..parallel.executor import _process_context
 from ..sampling import SamplePlan, materialize_plan
 
 __all__ = [
-    "detect_on_samples",
     "detect_on_plans",
     "run_members",
     "SampleDetection",
@@ -178,38 +160,6 @@ def _detection(fdet: Fdet, graph: BipartiteGraph, track_members: bool) -> Sample
     )
 
 
-def _detect_one(args: tuple[BipartiteGraph, FdetConfig, bool]) -> SampleDetection:
-    graph, config, track_members = args
-    return _detection(Fdet(config), graph, track_members)
-
-
-def _detect_chunk(
-    args: tuple[FdetConfig, list[BipartiteGraph], bool]
-) -> list[SampleDetection]:
-    config, graphs, track_members = args
-    fdet = Fdet(config)
-    return [_detection(fdet, graph, track_members) for graph in graphs]
-
-
-def _resolve_parent(
-    source: GraphStore | StoreLayout,
-) -> tuple[BipartiteGraph, EdgeWindow | None]:
-    """The parent graph (and liveness overlay) a worker materializes against.
-
-    A :class:`StoreLayout` resolves through the process-local attachment
-    cache (first touch maps the file, later chunks and later fits on the
-    same file are dictionary hits); a pickled :class:`GraphStore` is the
-    fallback transport. Stores carry their window columns themselves.
-    """
-    store = attached_store(source) if isinstance(source, StoreLayout) else source
-    return store.to_graph(), store.edge_window()
-
-
-def _attach_worker(layout: StoreLayout) -> None:
-    """Pool initializer: map the parent's store file once, at worker spawn."""
-    attached_store(layout)
-
-
 def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> SampleDetection:
     """Wrap one batched-kernel output like :func:`_detection` would."""
     return SampleDetection(
@@ -238,51 +188,6 @@ def _batch_detect_many(
     return native if native is not None else [None] * len(batch_work)
 
 
-def _detect_member_chunk(
-    args: tuple[
-        GraphStore | StoreLayout,
-        FdetConfig,
-        list[tuple[int, SamplePlan]],
-        bool,
-        int,
-        int,
-    ]
-) -> list[tuple[int, SampleDetection]]:
-    """Run a chunk of ``(member_index, plan)`` pairs in a pool worker.
-
-    The per-member injection points fire *inside* the worker, so chaos
-    plans exercise the real fan-out path (chunk pickling, store-file map,
-    materialization) unmodified. Eligible members of the chunk run through
-    one multi-member kernel call (``native_threads`` wide); ineligible
-    plans, ineligible configs and members whose kernel slot reports an
-    allocation failure take the per-member materialize-and-detect path,
-    bitwise identically.
-    """
-    source, config, members, track_members, attempt, threads = args
-    graph, window = _resolve_parent(source)
-    fdet = Fdet(config)
-    use_batch = _batched.config_eligible(config) and _batched.batch_kernels() is not None
-    out: list[tuple[int, SampleDetection]] = []
-    batch_work: list[tuple[int, SamplePlan]] = []
-    for index, plan in members:
-        fault_point("member.detect", index=index, attempt=attempt)
-        if use_batch and _batched.plan_eligible(plan):
-            fault_point("native.peel", index=index, attempt=attempt)
-            batch_work.append((index, plan))
-            continue
-        subgraph = materialize_plan(graph, plan, window)
-        out.append((index, _detection(fdet, subgraph, track_members)))
-    if batch_work:
-        native = _batch_detect_many(graph, batch_work, config, window, threads)
-        for (index, plan), nd in zip(batch_work, native):
-            if nd is None:
-                subgraph = materialize_plan(graph, plan, window)
-                out.append((index, _detection(fdet, subgraph, track_members)))
-            else:
-                out.append((index, _native_detection(nd, track_members)))
-    return out
-
-
 def _chunked(items: list, n_chunks: int) -> list[list]:
     """Split into at most ``n_chunks`` contiguous, near-equal chunks."""
     n_chunks = max(1, min(n_chunks, len(items)))
@@ -304,14 +209,10 @@ def _maybe_override_engine(config: FdetConfig, engine: str | None) -> FdetConfig
 
 def _classify(error: BaseException) -> str:
     """Map one member/chunk exception to a failure kind."""
-    if isinstance(error, BrokenExecutor) or isinstance(error, WorkerCrashError):
+    if isinstance(error, BrokenExecutor):
         return FAIL_CRASH
     if isinstance(error, TimeoutError):
         return FAIL_TIMEOUT
-    if isinstance(error, GraphError) and "store file" in str(error):
-        return FAIL_TRANSPORT
-    if isinstance(error, InjectedFault) and "mmap.open" in str(error):
-        return FAIL_TRANSPORT
     return FAIL_ERROR
 
 
@@ -337,14 +238,16 @@ def _run_serial(
     config: FdetConfig,
     track_members: bool,
     attempt: int,
-    window: EdgeWindow | None = None,
+    window: EdgeWindow | None,
+    threads: int,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
-    """In-parent attempt: no pool, no pickling, nothing left to degrade to.
+    """Run ``work`` in this process: the in-parent attempt and a worker's chunk.
 
-    Eligible members run through one multi-member kernel call; each still
-    gets its own ``member.detect`` / ``native.peel`` fault points (fired in
-    work order, per-member failure isolation), and anything the kernel
-    cannot take falls back to the per-member path.
+    Eligible members run through one multi-member kernel call ``threads``
+    wide; each still gets its own ``member.detect`` / ``native.peel`` fault
+    points (fired in work order, per-member failure isolation), and
+    anything the kernel cannot take falls back to the per-member path.
+    Returns ``(results, failures)`` keyed by member index.
     """
     fdet = Fdet(config)
     results: dict[int, SampleDetection] = {}
@@ -364,7 +267,7 @@ def _run_serial(
         except Exception as exc:  # noqa: BLE001 - recorded, retried, re-raised by strict callers
             failures[index] = (_classify(exc), exc)
     if batch_work:
-        native = _batch_detect_many(graph, batch_work, config, window, native_threads(1))
+        native = _batch_detect_many(graph, batch_work, config, window, threads)
         for (index, plan), nd in zip(batch_work, native):
             if nd is not None:
                 results[index] = _native_detection(nd, track_members)
@@ -378,6 +281,36 @@ def _run_serial(
     return results, failures
 
 
+def _detect_member_chunk(
+    args: tuple[
+        GraphStore | StoreLayout,
+        FdetConfig,
+        list[tuple[int, SamplePlan]],
+        bool,
+        int,
+        int,
+    ]
+) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
+    """Run a chunk of ``(member_index, plan)`` pairs in a pool worker.
+
+    The worker maps the parent's store file (or takes the pickled store),
+    then runs the chunk through :func:`_run_serial`, so the per-member
+    injection points fire *inside* the worker and chaos plans exercise the
+    real fan-out path (chunk pickling, store-file map, materialization)
+    unmodified. A failed map fails every member of the chunk with kind
+    ``transport``.
+    """
+    source, config, members, track_members, attempt, threads = args
+    try:
+        if isinstance(source, StoreLayout):
+            fault_point("mmap.open", path=source.path)
+            source = GraphStore.open(source.path)
+        graph, window = source.to_graph(), source.edge_window()
+    except Exception as exc:  # noqa: BLE001 - typed per member, retried on the pickled store
+        return {}, {index: (FAIL_TRANSPORT, exc) for index, _ in members}
+    return _run_serial(graph, members, config, track_members, attempt, window, threads)
+
+
 def _gather_chunk_futures(
     futures: list[Future],
     chunks: list[list[tuple[int, SamplePlan]]],
@@ -385,10 +318,12 @@ def _gather_chunk_futures(
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], bool]:
     """Collect per-chunk futures with one shared wall-clock deadline.
 
-    Returns ``(results, failures, timed_out)``. The deadline is
-    ``member_timeout × largest chunk`` — chunks run concurrently, so any
-    chunk still unfinished then has spent more than its own budget.
-    Completed futures keep their results even if the pool broke later.
+    Returns ``(results, failures, timed_out)``: each finished chunk's own
+    results and failures, and a chunk-wide failure for every chunk whose
+    future raised or timed out. The deadline is ``member_timeout × largest
+    chunk`` — chunks run concurrently, so any chunk still unfinished then
+    has spent more than its own budget. Completed futures keep their
+    results even if the pool broke later.
     """
     results: dict[int, SampleDetection] = {}
     failures: dict[int, tuple[str, BaseException]] = {}
@@ -401,8 +336,7 @@ def _gather_chunk_futures(
         if deadline is not None:
             remaining = max(0.001, deadline - _time.monotonic())
         try:
-            for index, detection in future.result(timeout=remaining):
-                results[index] = detection
+            chunk_results, chunk_failures = future.result(timeout=remaining)
         except TimeoutError as exc:
             timed_out = True
             for index, _ in chunk:
@@ -413,6 +347,9 @@ def _gather_chunk_futures(
             kind = _classify(exc)
             for index, _ in chunk:
                 failures[index] = (kind, exc)
+        else:
+            results.update(chunk_results)
+            failures.update(chunk_failures)
     return results, failures, timed_out
 
 
@@ -421,7 +358,6 @@ def _run_pooled(
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
     n_workers: int | None,
-    pool: ReusablePool | None,
     track_members: bool,
     use_file: bool,
     attempt: int,
@@ -430,6 +366,9 @@ def _run_pooled(
     source_store: GraphStore | None = None,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]], str]:
     """One process-pool attempt. Returns ``(results, failures, transport)``.
+
+    The attempt starts its own pool with one worker per chunk and sends
+    each chunk to :func:`_detect_member_chunk` together with the parent.
 
     ``transport`` names what carried the parent to the workers: ``"file"``
     (the parent is already a file-backed store — its layout is shipped and
@@ -445,7 +384,7 @@ def _run_pooled(
     failure inside this function (on Linux the unlinked file stays valid
     for live worker maps).
     """
-    workers = pool.n_workers if pool is not None else (n_workers or default_workers(len(work)))
+    workers = n_workers or default_workers(len(work))
 
     # the liveness columns ride inside the store (or its file); workers
     # rebuild the EdgeWindow from them
@@ -463,31 +402,18 @@ def _run_pooled(
         else:
             source, transport = spill.layout, "mmap"
 
-    own_executor = None
+    executor = None
     try:
         chunks = _chunked(work, workers)
         # oversubscription guard: workers x in-kernel threads <= cores
         threads = native_threads(workers)
-        args = [
-            (source, config, chunk, track_members, attempt, threads) for chunk in chunks
-        ]
-
-        if pool is not None:
-            submit = pool.submit
-        else:
-            own_executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)),
-                mp_context=_process_context(),
-                initializer=None if transport == "pickle" else _attach_worker,
-                initargs=() if transport == "pickle" else (source,),
-            )
-            submit = own_executor.submit
-
+        executor = ProcessPoolExecutor(max_workers=len(chunks), mp_context=_process_context())
         futures: list[Future] = []
         submit_error: BrokenExecutor | None = None
         try:
-            for arg in args:
-                futures.append(submit(_detect_member_chunk, arg))
+            for chunk in chunks:
+                args = (source, config, chunk, track_members, attempt, threads)
+                futures.append(executor.submit(_detect_member_chunk, args))
         except BrokenExecutor as exc:
             submit_error = exc
 
@@ -500,17 +426,11 @@ def _run_pooled(
                     failures[index] = (FAIL_CRASH, submit_error)
         if timed_out:
             # a hung worker cannot be joined or cancelled — reclaim it
-            if pool is not None:
-                pool.kill_workers()
-            else:
-                kill_executor_workers(own_executor)
-        broken = timed_out or any(kind == FAIL_CRASH for kind, _ in failures.values())
-        if broken and pool is not None:
-            pool.respawn()
+            kill_executor_workers(executor)
         return results, failures, transport
     finally:
-        if own_executor is not None:
-            own_executor.shutdown(wait=False, cancel_futures=True)
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
         if spill is not None:
             spill.dispose()
 
@@ -522,7 +442,6 @@ def run_members(
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
     engine: str | None = None,
-    pool: ReusablePool | None = None,
     track_members: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
@@ -603,16 +522,16 @@ def run_members(
         for index in pending:
             attempts_of[index] = attempt + 1
 
-        # mirror parallel_map's fast path: one worker or one item never
-        # pays pool overhead (REPRO_WORKERS=1 pins CI to this path) —
-        # except a timed-out retry, which only a pool can time out again
+        # one worker or one item never pays pool overhead (REPRO_WORKERS=1
+        # pins CI to this path) — except a timed-out retry, which only a
+        # pool can time out again
         in_parent = backend == ExecutorMode.SERIAL
-        if not in_parent and pool is None and not timed_out:
+        if not in_parent and not timed_out:
             effective = n_workers or default_workers(len(work))
             in_parent = effective <= 1 or len(work) == 1
         if in_parent:
             results, failures = _run_serial(
-                graph, work, config, track_members, attempt, window
+                graph, work, config, track_members, attempt, window, native_threads(1)
             )
             transport = "local"
         else:
@@ -621,7 +540,6 @@ def run_members(
                 work,
                 config,
                 n_workers,
-                pool,
                 track_members,
                 use_file,
                 attempt,
@@ -689,9 +607,9 @@ def _raise_first_failure(run: MemberRun) -> None:
     if first.kind == FAIL_CRASH:
         raise WorkerCrashError(
             f"worker died while running ensemble members {list(indices)} "
-            f"({first.error}); the pool was respawned — re-run, enable "
-            "retries (FaultTolerance.max_retries), or use executor='serial' "
-            "to isolate the member",
+            f"({first.error}); re-run, enable retries "
+            "(FaultTolerance.max_retries), or use executor='serial' to "
+            "isolate the member",
             member_indices=indices,
         )
     # member/application-level error (including a store-file map): re-raise the
@@ -712,7 +630,6 @@ def detect_on_plans(
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
     engine: str | None = None,
-    pool: ReusablePool | None = None,
     track_members: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
@@ -736,11 +653,10 @@ def detect_on_plans(
     config:
         FDET configuration applied to every member.
     mode, n_workers:
-        Executor backend and pool size (see :func:`repro.parallel.parallel_map`).
+        Executor backend (one of :attr:`ExecutorMode.ALL`) and pool size
+        (default :func:`repro.parallel.default_workers`).
     engine:
         Optional peeling-engine override applied on top of ``config.engine``.
-    pool:
-        Optional :class:`ReusablePool` of warm workers to run on.
     track_members:
         Record each sample's node labels on the detections (needed by
         appearance-normalised voting and the incremental layer).
@@ -756,51 +672,9 @@ def detect_on_plans(
         mode=mode,
         n_workers=n_workers,
         engine=engine,
-        pool=pool,
         track_members=track_members,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
     )
     _raise_first_failure(run)
     return [detection for detection in run.detections if detection is not None]
-
-
-def detect_on_samples(
-    samples: list[BipartiteGraph],
-    config: FdetConfig,
-    mode: str = ExecutorMode.SERIAL,
-    n_workers: int | None = None,
-    engine: str | None = None,
-    pool: ReusablePool | None = None,
-    track_members: bool = True,
-) -> list[SampleDetection]:
-    """Run FDET over already-materialized subgraphs (the eager shape).
-
-    Prefer :func:`detect_on_plans` when the samples came from a
-    :class:`~repro.sampling.Sampler` — it ships ~1% of the bytes. This
-    entry point remains for callers holding real subgraphs and as the
-    reference semantics the plan pipeline is tested against.
-    """
-    config = _maybe_override_engine(config, engine)
-    if not samples:
-        return []
-
-    if mode != ExecutorMode.PROCESS and pool is None:
-        return parallel_map(
-            _detect_one,
-            [(sample, config, track_members) for sample in samples],
-            mode=mode,
-            n_workers=n_workers,
-            pool=pool,
-        )
-
-    workers = pool.n_workers if pool is not None else (n_workers or default_workers(len(samples)))
-    chunks = _chunked(samples, workers)
-    chunk_results = parallel_map(
-        _detect_chunk,
-        [(config, chunk, track_members) for chunk in chunks],
-        mode=mode,
-        n_workers=min(workers, len(chunks)),
-        pool=pool,
-    )
-    return [detection for chunk in chunk_results for detection in chunk]

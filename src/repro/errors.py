@@ -36,9 +36,9 @@ class DetectionError(ReproError):
 class ParallelError(ReproError):
     """Base class for failures of the parallel execution substrate.
 
-    Raised *instead of* the raw ``concurrent.futures`` / ``pickle``
-    exceptions so callers see which ensemble members were in flight and
-    what to do about it, not an opaque pool traceback.
+    Raised *instead of* the raw ``concurrent.futures`` exceptions so
+    callers see which ensemble members were in flight and what to do about
+    it, not an opaque pool traceback.
     """
 
     def __init__(self, message: str, member_indices: tuple[int, ...] = ()) -> None:

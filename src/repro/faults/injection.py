@@ -22,11 +22,11 @@ Registered injection points
     the worker, before the batch runs). Context: ``index`` (global member
     index), ``attempt`` (retry round).
 ``mmap.open``
-    Worker-side map of the parent's graph store file (its own file, or the
-    spill of a resident parent). A fired fault fails that worker's chunk
-    with kind ``"transport"`` (or breaks a one-shot pool whose initializer
-    maps the file), and later process rounds ship the pickled store.
-    Context: ``path``.
+    A pool worker's map of the parent's graph store file (its own file, or
+    the spill of a resident parent), once per chunk of members. A fired
+    fault fails that chunk's members with kind ``"transport"``, and later
+    process rounds ship the pickled store. Opens in the parent
+    (:meth:`repro.graph.GraphStore.open`) never fire it. Context: ``path``.
 ``window.compact``
     A rolling window's compaction of tombstoned rows, before any
     mutation; a fired fault defers the compaction and the window keeps
@@ -36,8 +36,6 @@ Registered injection points
     the temp file), ``backup_done`` (previous snapshot rotated to
     ``.bak``) and ``committed`` (rename done). Context: ``stage``,
     ``path``.
-``pool.map``
-    Entry of a :class:`repro.parallel.ReusablePool` chunk submission.
 """
 
 from __future__ import annotations

@@ -20,8 +20,6 @@ from .store import (
     SpilledStore,
     StoreFileWriter,
     StoreLayout,
-    attached_store,
-    detach_all,
     read_file_layout,
 )
 from .stats import GraphStats, degree_gini, degree_histogram, describe, edge_density
@@ -34,8 +32,6 @@ __all__ = [
     "SpilledStore",
     "StoreFileWriter",
     "StoreLayout",
-    "attached_store",
-    "detach_all",
     "read_file_layout",
     "GraphBuilder",
     "BuiltGraph",

@@ -6,8 +6,8 @@ exactly the O(N·S·|E|) serialization wall the paper's "perfectly parallel"
 claim ignores. A :class:`GraphStore` is the flat-array alternative: the
 columns of a graph (edge endpoints, optional weights, node labels, and the
 rolling-window overlay when present) packed back to back in one flat,
-mmap-able **store file**. Workers map the file **once per process**, wrap
-it zero-copy as read-only numpy views, and materialize each compact
+mmap-able **store file**. Each worker maps the file, wraps it zero-copy
+as read-only numpy views, and materializes each compact
 :class:`~repro.sampling.SamplePlan` locally — no graph bytes cross the
 process boundary.
 
@@ -18,7 +18,7 @@ Store files
 with :class:`numpy.memmap`, so graphs larger than RAM never fully
 materialize: fancy indexing on a mapped column touches only the pages it
 reads. Workers receive the picklable :class:`StoreLayout` (the file's path
-plus its sizes and dtypes) and map it through :func:`attached_store`.
+plus its sizes and dtypes) and map its file with :meth:`GraphStore.open`.
 
 A parent opened from a store file ships that file. A resident parent is
 spilled once per process fan-out: :meth:`GraphStore.export_shared` writes
@@ -41,11 +41,9 @@ Lifecycle contract
 * the parent calls :meth:`GraphStore.export_shared` and owns the returned
   :class:`SpilledStore`; its :meth:`~SpilledStore.dispose` (or ``with``
   exit, or the ``weakref.finalize`` backstop) removes the spill directory,
-* workers call :func:`attached_store` with the picklable
-  :class:`StoreLayout`; attachments are cached per process and the previous
-  file's mapping is dropped whenever a new file arrives, so a long-lived
-  :class:`~repro.parallel.ReusablePool` worker holds at most one stale
-  mapping,
+* each worker opens the file named by the picklable :class:`StoreLayout`
+  for its chunk of members; the mapping goes when the chunk's views are
+  collected,
 * removing the spill directory unlinks the file at once (Linux keeps live
   mappings valid), so no ``repro_gs_spill_*`` entry under
   :func:`tempfile.gettempdir` outlives the fit; file-backed stores are
@@ -67,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GraphError
-from ..faults import fault_point
 from .bipartite import BipartiteGraph
 from .window import EdgeWindow
 
@@ -77,8 +74,6 @@ __all__ = [
     "SpilledStore",
     "StoreFileWriter",
     "StoreLayout",
-    "attached_store",
-    "detach_all",
     "read_file_layout",
 ]
 
@@ -460,9 +455,9 @@ class GraphStore:
         and labels when they fit, float32 weights when bit-exact.
 
         Returns the file's :class:`StoreLayout` — the picklable
-        descriptor :func:`attached_store` maps the file back from, which
-        is what :func:`~repro.ensemble.runner.detect_on_plans` ships to
-        workers instead of copying columns.
+        descriptor :func:`~repro.ensemble.runner.detect_on_plans` ships to
+        workers instead of copying columns; each worker maps the file back
+        with :meth:`open`.
         """
         return self._write(path, compact=compact, durable=True)
 
@@ -854,38 +849,3 @@ class SpilledStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "disposed" if self.disposed else f"{self.layout.nbytes} bytes"
         return f"SpilledStore({self.layout.path}, {state})"
-
-
-# ------------------------------------------------------------------
-# worker-side attachment cache (one mapped store file per process)
-# ------------------------------------------------------------------
-
-_ATTACHED: dict[str, GraphStore] = {}
-
-
-def attached_store(layout: StoreLayout) -> GraphStore:
-    """The process-local :class:`GraphStore` for ``layout``, mapped once.
-
-    The first call in a worker maps the store file lazily via
-    :class:`numpy.memmap`; subsequent calls for the same file (later
-    chunks of the same fit, later fits on the same store) are dictionary
-    hits. Mapping a *different* file drops the previous mapping first —
-    fits are sequential, so a worker never needs two parents at once and
-    stale mappings would otherwise accumulate in a long-lived pool.
-    """
-    cached = _ATTACHED.get(layout.path)
-    if cached is not None:
-        return cached
-    fault_point("mmap.open", path=layout.path)
-    detach_all()
-    store = GraphStore._from_file(read_file_layout(layout.path), mmap=True)
-    _ATTACHED[layout.path] = store
-    return store
-
-
-def detach_all() -> None:
-    """Drop every cached mapping (worker shutdown / test hygiene).
-
-    The pages are released once the last view of a column is collected.
-    """
-    _ATTACHED.clear()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_samples
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
 from repro.parallel import ExecutorMode
@@ -153,44 +153,36 @@ class TestExecutors:
         serial = EnsemFDet(small_config(executor=ExecutorMode.SERIAL, n_samples=6)).fit(toy.graph)
         assert result.vote_table.user_votes == serial.vote_table.user_votes
 
-    def test_detect_on_samples_order_preserved(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 4, rng=0)
-        serial = detect_on_samples(samples, FdetConfig(max_blocks=4), mode=ExecutorMode.SERIAL)
-        pooled = detect_on_samples(
-            samples, FdetConfig(max_blocks=4), mode=ExecutorMode.PROCESS, n_workers=2
+    def test_detect_on_plans_order_preserved(self, toy):
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 4, rng=0)
+        config = FdetConfig(max_blocks=4)
+        serial = detect_on_plans(toy.graph, plans, config, mode=ExecutorMode.SERIAL)
+        pooled = detect_on_plans(
+            toy.graph, plans, config, mode=ExecutorMode.PROCESS, n_workers=2
         )
         for a, b in zip(serial, pooled):
             assert a.result.k_hat == b.result.k_hat
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 
     def test_chunked_process_matches_serial(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 7, rng=1)
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 7, rng=1)
         config = FdetConfig(max_blocks=4)
-        serial = detect_on_samples(samples, config, mode=ExecutorMode.SERIAL)
-        chunked = detect_on_samples(samples, config, mode=ExecutorMode.PROCESS, n_workers=3)
+        serial = detect_on_plans(toy.graph, plans, config, mode=ExecutorMode.SERIAL)
+        chunked = detect_on_plans(
+            toy.graph, plans, config, mode=ExecutorMode.PROCESS, n_workers=3
+        )
         assert len(chunked) == len(serial)
         for a, b in zip(serial, chunked):
             assert np.array_equal(a.sample_users, b.sample_users)
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 
     def test_engine_override_matches(self, toy):
-        samples = RandomEdgeSampler(0.3).sample_many(toy.graph, 3, rng=2)
+        plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 3, rng=2)
         config = FdetConfig(max_blocks=4, engine="fast")
-        fast = detect_on_samples(samples, config, mode=ExecutorMode.SERIAL)
-        reference = detect_on_samples(
-            samples, config, mode=ExecutorMode.SERIAL, engine="reference"
+        fast = detect_on_plans(toy.graph, plans, config, mode=ExecutorMode.SERIAL)
+        reference = detect_on_plans(
+            toy.graph, plans, config, mode=ExecutorMode.SERIAL, engine="reference"
         )
         for a, b in zip(fast, reference):
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
             assert np.array_equal(a.result.detected_merchants(), b.result.detected_merchants())
-
-    def test_reusable_pool_fit(self, toy):
-        from repro.parallel import ReusablePool
-
-        with ReusablePool(n_workers=2) as pool:
-            config = small_config(executor=ExecutorMode.PROCESS, n_samples=6)
-            pooled = EnsemFDet(config, pool=pool).fit(toy.graph)
-            again = EnsemFDet(config, pool=pool).fit(toy.graph)  # warm workers reused
-        serial = EnsemFDet(small_config(executor=ExecutorMode.SERIAL, n_samples=6)).fit(toy.graph)
-        assert pooled.vote_table.user_votes == serial.vote_table.user_votes
-        assert again.vote_table.user_votes == serial.vote_table.user_votes

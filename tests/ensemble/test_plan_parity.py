@@ -12,18 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ensemble import (
-    EnsemFDet,
-    EnsemFDetConfig,
-    detect_on_samples,
-    run_members,
-)
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, run_members
 from repro.ensemble.voting import VoteTable
 from repro.errors import GraphError
 from repro.faults.chaos import leaked_spills
 from repro.fdet import Fdet, FdetConfig
-from repro.graph import BipartiteGraph, GraphStore, attached_store, detach_all
-from repro.parallel import ExecutorMode, ReusablePool
+from repro.graph import BipartiteGraph, GraphStore
+from repro.parallel import ExecutorMode
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
@@ -72,27 +67,31 @@ def assert_graphs_bitwise_equal(a: BipartiteGraph, b: BipartiteGraph) -> None:
     assert np.array_equal(a.merchant_labels, b.merchant_labels)
 
 
-def assert_detections_bitwise_equal(plan_based, eager) -> None:
+def assert_results_bitwise_equal(plan_based, eager) -> None:
+    """Two lists of :class:`FdetResult` agree block for block."""
     assert len(plan_based) == len(eager)
     for p, e in zip(plan_based, eager):
-        assert p.result.k_hat == e.result.k_hat
-        assert np.array_equal(p.result.densities, e.result.densities)
-        assert np.array_equal(p.result.detected_users(), e.result.detected_users())
-        assert np.array_equal(
-            p.result.detected_merchants(), e.result.detected_merchants()
-        )
+        assert p.k_hat == e.k_hat
+        assert np.array_equal(p.densities, e.densities)
+        assert np.array_equal(p.detected_users(), e.detected_users())
+        assert np.array_equal(p.detected_merchants(), e.detected_merchants())
+
+
+def results_of(detections) -> list:
+    return [detection.result for detection in detections]
 
 
 def eager_reference_fit(parent, config):
     """The historical pipeline: materialize everything, then detect."""
     rng = resolve_rng(config.seed)
     samples = config.sampler.sample_many(parent, config.n_samples, rng)
-    detections = detect_on_samples(samples, config.fdet, mode=ExecutorMode.SERIAL)
+    fdet = Fdet(config.fdet)
+    results = [fdet.detect(sample) for sample in samples]
     table = VoteTable.from_detections(
-        [d.result.detected_users().tolist() for d in detections],
-        [d.result.detected_merchants().tolist() for d in detections],
+        [r.detected_users().tolist() for r in results],
+        [r.detected_merchants().tolist() for r in results],
     )
-    return table, detections
+    return table, results
 
 
 class TestPlanMaterializeParity:
@@ -129,15 +128,11 @@ class TestPlanMaterializeParity:
         sampler = RandomEdgeSampler(0.35)
         plans = sampler.plan_many(parent, 3, rng=2)
         eager = sampler.sample_many(parent, 3, rng=2)
-        spill = GraphStore.from_graph(parent).export_shared()
-        try:
-            view = attached_store(spill.layout).to_graph()
+        with GraphStore.from_graph(parent).export_shared() as spill:
+            view = GraphStore.open(spill.layout.path).to_graph()
             assert not view.edge_users.flags.writeable
             for subgraph, plan in zip(eager, plans):
                 assert_graphs_bitwise_equal(subgraph, materialize_plan(view, plan))
-        finally:
-            detach_all()
-            spill.dispose()
         assert leaked_spills() == []
 
 
@@ -155,13 +150,11 @@ class TestFitParity:
             n_workers=2,
             seed=13,
         )
-        reference_table, reference_detections = eager_reference_fit(parent, config)
+        reference_table, reference_results = eager_reference_fit(parent, config)
         result = EnsemFDet(config).fit(parent)
         assert result.vote_table.user_votes == reference_table.user_votes
         assert result.vote_table.merchant_votes == reference_table.merchant_votes
-        assert_detections_bitwise_equal(
-            list(result.sample_detections), reference_detections
-        )
+        assert_results_bitwise_equal(results_of(result.sample_detections), reference_results)
         assert leaked_spills() == []
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_FACTORIES))
@@ -176,16 +169,14 @@ class TestFitParity:
             n_workers=2,
             seed=13,
         )
-        reference_table, reference_detections = eager_reference_fit(parent, config)
+        reference_table, reference_results = eager_reference_fit(parent, config)
         path = tmp_path / "parent.store"
         GraphStore.from_graph(parent).save(path)
         result = EnsemFDet(config).fit(GraphStore.open(path))
         assert result.retry_log[0]["transport"] == "file"
         assert result.vote_table.user_votes == reference_table.user_votes
         assert result.vote_table.merchant_votes == reference_table.merchant_votes
-        assert_detections_bitwise_equal(
-            list(result.sample_detections), reference_detections
-        )
+        assert_results_bitwise_equal(results_of(result.sample_detections), reference_results)
         assert leaked_spills() == []
 
     def test_spill_and_pickled_store_agree(self, parent, request):
@@ -197,23 +188,9 @@ class TestFitParity:
         pickled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
         assert spilled.retry_log[0]["transport"] == "mmap"
         assert pickled.retry_log[0]["transport"] == "pickle"
-        assert_detections_bitwise_equal(spilled.survivors(), pickled.survivors())
-        assert leaked_spills() == []
-
-    def test_fit_on_reusable_pool_matches(self, parent):
-        config = EnsemFDetConfig(
-            sampler=StableEdgeSampler(0.35, stripe=32),
-            n_samples=6,
-            fdet=FdetConfig(max_blocks=4),
-            executor=ExecutorMode.PROCESS,
-            seed=13,
+        assert_results_bitwise_equal(
+            results_of(spilled.survivors()), results_of(pickled.survivors())
         )
-        reference_table, _ = eager_reference_fit(parent, config)
-        with ReusablePool(n_workers=2) as pool:
-            first = EnsemFDet(config, pool=pool).fit(parent)
-            second = EnsemFDet(config, pool=pool).fit(parent)
-        assert first.vote_table.user_votes == reference_table.user_votes
-        assert second.vote_table.user_votes == reference_table.user_votes
         assert leaked_spills() == []
 
     def test_track_appearances_parity_across_backends(self, parent):
@@ -239,16 +216,12 @@ class TestTrustedViews:
     """FDET accepts read-only store-backed graphs without re-validation."""
 
     def test_detect_on_spilled_view_matches_original(self, parent):
-        spill = GraphStore.from_graph(parent).export_shared()
-        try:
-            view = attached_store(spill.layout).to_graph()
+        with GraphStore.from_graph(parent).export_shared() as spill:
+            view = GraphStore.open(spill.layout.path).to_graph()
             direct = Fdet(FdetConfig(max_blocks=4)).detect(parent)
             via_view = Fdet(FdetConfig(max_blocks=4)).detect(view)
             assert np.array_equal(direct.densities, via_view.densities)
             assert np.array_equal(direct.detected_users(), via_view.detected_users())
-        finally:
-            detach_all()
-            spill.dispose()
 
     def test_spill_gone_after_dispose(self, parent):
         spill = GraphStore.from_graph(parent).export_shared()

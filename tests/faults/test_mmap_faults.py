@@ -1,17 +1,22 @@
 """The spilled store file degrades to the pickled store: an injected
-``mmap.open`` failure falls back, bitwise-identically."""
+``mmap.open`` failure in a pool worker fails its chunk with kind
+``transport`` and falls back, bitwise-identically."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets import uniform_bipartite
-from repro.ensemble import EnsemFDet, EnsemFDetConfig
-from repro.faults import arm, disarm
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
+from repro.ensemble.runner import _detect_member_chunk
+from repro.errors import GraphError, InjectedFault
+from repro.faults import arm, disarm, fired_log
 from repro.faults.chaos import leaked_spills
-from repro.fdet import FdetConfig
-from repro.parallel import FaultTolerance, ReusablePool
-from repro.sampling import RandomEdgeSampler
+from repro.fdet import FdetConfig, PeelEngine
+from repro.graph import GraphStore, StoreLayout
+from repro.parallel import FaultTolerance
+from repro.sampling import RandomEdgeSampler, resolve_rng
 
 
 @pytest.fixture(autouse=True)
@@ -46,14 +51,17 @@ def _tables_equal(a, b) -> bool:
     )
 
 
+def _chunk(graph, layout):
+    """Worker-chunk arguments for members 0-2, with ``layout`` as the parent."""
+    config = _config()
+    plans = config.sampler.plan_many(graph, 3, resolve_rng(config.seed))
+    return (layout, config.fdet, list(enumerate(plans)), False, 0, 1)
+
+
 def test_mmap_open_failure_falls_back_to_pickled_store(graph):
     reference = EnsemFDet(_config()).fit(graph)
     arm("raise:point=mmap.open")
-    with ReusablePool(n_workers=2) as pool:
-        result = EnsemFDet(
-            _config(executor="process", n_workers=2, degrade=False),
-            pool=pool,
-        ).fit(graph)
+    result = EnsemFDet(_config(executor="process", n_workers=2, degrade=False)).fit(graph)
     assert not result.failed_members
     assert _tables_equal(result.vote_table, reference.vote_table)
     # first attempt went out over the spilled store file…
@@ -62,3 +70,56 @@ def test_mmap_open_failure_falls_back_to_pickled_store(graph):
     # …and the retry shipped the pickled store instead
     assert result.retry_log[1]["transport"] == "pickle"
     assert leaked_spills() == []
+
+
+def test_mmap_open_failure_degrades_on_the_fast_engine(graph):
+    reference = EnsemFDet(_config()).fit(graph)
+    # every worker's map fails, whichever chunks it takes
+    arm("raise:point=mmap.open,times=-1")
+    result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
+    assert not result.failed_members
+    assert _tables_equal(result.vote_table, reference.vote_table)
+    first, retry = result.retry_log[:2]
+    assert (first["backend"], first["transport"]) == ("process", "mmap")
+    assert first["kinds"] == {str(i): "transport" for i in range(6)}
+    # a failed map does not indict the kernel: the parent retries on it
+    assert (retry["backend"], retry["engine"]) == ("serial", PeelEngine.FAST)
+    assert retry["failed"] == []
+    assert leaked_spills() == []
+
+
+def test_worker_chunk_labels_a_failed_map_transport(graph, tmp_path):
+    layout = GraphStore.from_graph(graph).save(tmp_path / "g.store")
+    arm("raise:point=mmap.open")
+    results, failures = _detect_member_chunk(_chunk(graph, layout))
+    assert results == {}
+    assert sorted(failures) == [0, 1, 2]
+    assert all(kind == "transport" for kind, _ in failures.values())
+    assert all(isinstance(error, InjectedFault) for _, error in failures.values())
+    assert [point for _, point, _ in fired_log()] == ["mmap.open"]
+
+
+def test_worker_chunk_of_missing_store_file_is_a_transport_failure(graph, tmp_path):
+    layout = StoreLayout(
+        path=str(tmp_path / "gone.store"), n_users=60, n_merchants=30,
+        n_edges=300, weighted=False,
+    )
+    results, failures = _detect_member_chunk(_chunk(graph, layout))
+    assert results == {}
+    assert {kind for kind, _ in failures.values()} == {"transport"}
+    assert all(isinstance(error, GraphError) for _, error in failures.values())
+
+
+def test_worker_chunk_maps_the_file_and_matches_serial(graph, tmp_path):
+    layout = GraphStore.from_graph(graph).save(tmp_path / "g.store")
+    chunk = _chunk(graph, layout)
+    results, failures = _detect_member_chunk(chunk)
+    assert failures == {}
+    _, fdet_config, members, *_ = chunk
+    serial = detect_on_plans(graph, [plan for _, plan in members], fdet_config)
+    assert sorted(results) == [0, 1, 2]
+    for index, expected in enumerate(serial):
+        got = results[index].result
+        assert np.array_equal(got.densities, expected.result.densities)
+        assert np.array_equal(got.detected_users(), expected.result.detected_users())
+        assert np.array_equal(got.detected_merchants(), expected.result.detected_merchants())

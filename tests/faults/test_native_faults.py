@@ -1,11 +1,12 @@
 """Faults at the batched native backend: the ``native.peel`` point.
 
-The point fires per member inside the worker, right before the member is
+The point fires per member in whatever process runs it (the parent, or
+the pool worker running the member's chunk), right before the member is
 enrolled into the multi-member kernel call — so an injected failure takes
-down exactly that member, the retry machinery recovers it bitwise, and a
-worker *crash* during a batched round moves the remaining retries to the
-``reference`` engine, which runs no native code (the way a store-file map
-failure moves them to the pickled store).
+down exactly that member on either backend, the retry machinery recovers
+it bitwise, and a worker *crash* during a batched round moves the
+remaining retries to the ``reference`` engine, which runs no native code
+(the way a store-file map failure moves them to the pickled store).
 """
 
 from __future__ import annotations
@@ -57,11 +58,19 @@ def _tables_equal(a, b) -> bool:
     )
 
 
+#: both backends run the same member loop, so a member's own fault fails
+#: that member alone on either of them
+BACKENDS = pytest.mark.parametrize(
+    "executor,n_workers", [("serial", None), ("process", 2)], ids=["serial", "process"]
+)
+
+
 class TestNativePeelFaults:
-    def test_raise_recovers_bitwise_with_batch_still_on(self, graph):
+    @BACKENDS
+    def test_raise_recovers_bitwise_with_batch_still_on(self, graph, executor, n_workers):
         reference = EnsemFDet(_config()).fit(graph)
         arm("raise:point=native.peel,index=2")
-        result = EnsemFDet(_config()).fit(graph)
+        result = EnsemFDet(_config(executor=executor, n_workers=n_workers)).fit(graph)
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         # the faulted member failed round 0 and recovered in round 1
@@ -74,10 +83,13 @@ class TestNativePeelFaults:
         assert result.retry_log[0]["engine"] == PeelEngine.FAST
         assert result.retry_log[1]["engine"] == PeelEngine.FAST
 
-    def test_fault_isolates_one_member_not_the_batch(self, graph):
+    @BACKENDS
+    def test_fault_isolates_one_member_not_the_batch(self, graph, executor, n_workers):
         """The other five members of the batched round still detect."""
         arm("raise:point=native.peel,index=3,attempt=-1,times=-1")
-        result = EnsemFDet(_config()).fit(graph)
+        result = EnsemFDet(_config(executor=executor, n_workers=n_workers)).fit(graph)
+        assert result.retry_log[0]["backend"] == executor
+        assert result.retry_log[0]["failed"] == [3]
         assert [f.index for f in result.failed_members] == [3]
         assert result.n_samples == 5
 

@@ -11,7 +11,7 @@ from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
 from repro.fdet import FdetConfig
 from repro.graph import GraphStore
-from repro.parallel import FaultTolerance, ReusablePool
+from repro.parallel import FaultTolerance
 from repro.sampling import RandomEdgeSampler, resolve_rng
 
 
@@ -291,17 +291,16 @@ class TestProcessBackendFaults:
         assert leaked_spills() == before
 
     def test_store_file_map_failure_falls_back_to_pickled_store(self, graph, tmp_path):
-        # a warm ReusablePool maps at chunk time (no initializer), so the
-        # injected map failure surfaces as kind "transport", not a broken
-        # pool — and the next attempt must switch to the pickled store
+        # workers map the file inside their chunk, so the injected map
+        # failure surfaces as kind "transport", not a broken pool — and the
+        # next attempt must switch to the pickled store
         reference = EnsemFDet(_config()).fit(graph)
         path = tmp_path / "g.store"
         GraphStore.from_graph(graph).save(path)
         arm("raise:point=mmap.open")
-        with ReusablePool(n_workers=2) as pool:
-            result = EnsemFDet(
-                _config(executor="process", n_workers=2, degrade=False), pool=pool
-            ).fit(GraphStore.open(path))
+        result = EnsemFDet(_config(executor="process", n_workers=2, degrade=False)).fit(
+            GraphStore.open(path)
+        )
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         assert result.retry_log[0]["transport"] == "file"

@@ -11,15 +11,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
 from repro.faults.chaos import leaked_spills
-from repro.graph import (
-    BipartiteGraph,
-    GraphStore,
-    StoreLayout,
-    attached_store,
-    detach_all,
-)
+from repro.graph import BipartiteGraph, GraphStore
 from repro.graph.store import SPILL_PREFIX
 
 
@@ -73,47 +66,12 @@ class TestGraphStore:
 
 
 class TestSpillLifecycle:
-    def test_export_attach_round_trip(self, weighted_graph):
-        spill = GraphStore.from_graph(weighted_graph).export_shared()
-        try:
-            view = attached_store(spill.layout)
+    def test_export_open_round_trip(self, weighted_graph):
+        with GraphStore.from_graph(weighted_graph).export_shared() as spill:
+            view = GraphStore.open(spill.layout.path)
             assert_same_columns(weighted_graph, view.to_graph())
             for column in ("edge_users", "edge_merchants", "edge_weights"):
                 assert not getattr(view, column).flags.writeable
-        finally:
-            detach_all()
-            spill.dispose()
-
-    def test_attach_is_cached_per_file(self, weighted_graph):
-        spill = GraphStore.from_graph(weighted_graph).export_shared()
-        try:
-            first = attached_store(spill.layout)
-            assert attached_store(spill.layout) is first
-        finally:
-            detach_all()
-            spill.dispose()
-
-    def test_new_file_evicts_previous_attachment(self, weighted_graph):
-        first_spill = GraphStore.from_graph(weighted_graph).export_shared()
-        second_spill = GraphStore.from_graph(weighted_graph).export_shared()
-        try:
-            attached_store(first_spill.layout)
-            attached_store(second_spill.layout)
-            from repro.graph.store import _ATTACHED
-
-            assert list(_ATTACHED) == [second_spill.layout.path]
-        finally:
-            detach_all()
-            first_spill.dispose()
-            second_spill.dispose()
-
-    def test_attach_missing_file_raises(self, tmp_path):
-        layout = StoreLayout(
-            path=str(tmp_path / "repro_gs_definitely_missing"), n_users=1, n_merchants=1,
-            n_edges=0, weighted=False,
-        )
-        with pytest.raises(GraphError, match="does not exist"):
-            attached_store(layout)
 
     def test_dispose_removes_spill_directory(self, weighted_graph):
         spill = GraphStore.from_graph(weighted_graph).export_shared()
@@ -186,23 +144,16 @@ class TestSpillLifecycle:
             layout = spill.layout
             assert (layout.id_dtype, layout.weight_dtype) == ("int32", "float32")
             assert layout.windowed
-            view = attached_store(layout)
-            try:
-                assert np.array_equal(view.edge_alive, alive)
-                assert np.array_equal(view.edge_ids, store.edge_ids)
-                assert np.array_equal(view.edge_weights, store.edge_weights)
-            finally:
-                detach_all()
+            view = GraphStore.open(layout.path)
+            assert np.array_equal(view.edge_alive, alive)
+            assert np.array_equal(view.edge_ids, store.edge_ids)
+            assert np.array_equal(view.edge_weights, store.edge_weights)
 
     def test_unweighted_and_empty_graphs_export(self):
         for graph in (
             BipartiteGraph.from_edges([(0, 0), (1, 1)]),
             BipartiteGraph.empty(3, 2),
         ):
-            spill = GraphStore.from_graph(graph).export_shared()
-            try:
-                view = attached_store(spill.layout)
+            with GraphStore.from_graph(graph).export_shared() as spill:
+                view = GraphStore.open(spill.layout.path)
                 assert_same_columns(graph, view.to_graph())
-            finally:
-                detach_all()
-                spill.dispose()

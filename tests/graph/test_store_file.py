@@ -6,15 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GraphError, InjectedFault
-from repro.faults import arm, disarm
+from repro.errors import GraphError
+from repro.faults import arm, disarm, fired_log
 from repro.graph import (
     BipartiteGraph,
     GraphStore,
     StoreFileWriter,
     StoreLayout,
-    attached_store,
-    detach_all,
     read_file_layout,
 )
 from repro.graph.store import INT32_MAX, _DATA_OFFSET
@@ -109,17 +107,6 @@ class TestSaveOpen:
         assert layout.weight_dtype == "float64"
         assert np.array_equal(GraphStore.open(path).edge_weights, [0.1, 0.2])
 
-    def test_attached_store_caches_file_layouts(self, tmp_path, weighted_graph):
-        path = tmp_path / "g.store"
-        layout = GraphStore.from_graph(weighted_graph).save(path)
-        try:
-            first = attached_store(layout)
-            second = attached_store(layout)
-            assert first is second
-            assert_same_columns(weighted_graph, first.to_graph())
-        finally:
-            detach_all()
-
 
 class TestFileErrors:
     def test_missing_file(self, tmp_path):
@@ -146,16 +133,17 @@ class TestFileErrors:
         with pytest.raises(GraphError):
             read_file_layout(path)
 
-    def test_mmap_open_fault_point(self, tmp_path, weighted_graph):
+    def test_parent_open_never_fires_mmap_open(self, tmp_path, weighted_graph):
+        # the point belongs to a pool worker's map (see tests/faults/
+        # test_mmap_faults.py); a store opened in the parent is not shipped
         path = tmp_path / "g.store"
-        layout = GraphStore.from_graph(weighted_graph).save(path)
+        GraphStore.from_graph(weighted_graph).save(path)
         arm("raise:point=mmap.open")
         try:
-            with pytest.raises(InjectedFault):
-                attached_store(layout)
+            assert_same_columns(weighted_graph, GraphStore.open(path).to_graph())
+            assert fired_log() == []
         finally:
             disarm()
-            detach_all()
 
 
 class TestInt32Boundaries:

@@ -1,15 +1,14 @@
-"""ReusablePool failure semantics: typed errors, respawn, injection hooks."""
+"""Reclaiming hung workers: SIGKILL every live worker of a process pool."""
 
 from __future__ import annotations
 
-import os
-import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.errors import InjectedFault, ParallelError, WorkerCrashError
-from repro.faults import arm, disarm
-from repro.parallel import ReusablePool, kill_executor_workers
+from repro.faults import disarm
+from repro.parallel import kill_executor_workers
+from repro.parallel.executor import _process_context
 
 
 @pytest.fixture(autouse=True)
@@ -23,66 +22,23 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _boom(x: int) -> int:
-    raise ValueError(f"bad item {x}")
-
-
-def _die_on_negative(x: int) -> int:
-    if x < 0:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return x * x
-
-
-class TestWorkerCrash:
-    def test_dead_worker_raises_typed_error_and_respawns(self):
-        with ReusablePool(n_workers=2) as pool:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                pool.map(_die_on_negative, [1, -2, 3, 4])
-            error = excinfo.value
-            assert isinstance(error, ParallelError)
-            assert error.member_indices  # the unfinished items are named
-            assert all(0 <= i < 4 for i in error.member_indices)
-            assert pool.restarts == 1
-            # the respawned pool is immediately usable
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_message_carries_remediation_hint(self):
-        with ReusablePool(n_workers=2) as pool:
-            with pytest.raises(WorkerCrashError, match="respawned"):
-                pool.map(_die_on_negative, [-1, -1])
-
-
-class TestPicklability:
-    def test_unpicklable_task_is_a_parallel_error(self):
-        with ReusablePool(n_workers=2) as pool:
-            with pytest.raises(ParallelError, match="pickle"):
-                pool.map(lambda x: x, [1, 2])
-
-    def test_task_exceptions_propagate_unchanged(self):
-        with ReusablePool(n_workers=2) as pool:
-            with pytest.raises(ValueError, match="bad item"):
-                pool.map(_boom, [1])
-
-
-class TestInjection:
-    def test_pool_map_fault_point_fires(self):
-        arm("raise:point=pool.map")
-        with ReusablePool(n_workers=2) as pool:
-            with pytest.raises(InjectedFault, match="pool.map"):
-                pool.map(_square, [1, 2])
-            # the plan's times=1 budget is spent: next map runs clean
-            assert pool.map(_square, [3]) == [9]
-
-
 class TestKillWorkers:
     def test_unspawned_pool_kills_nothing(self):
-        pool = ReusablePool(n_workers=2)
-        assert pool.kill_workers() == 0
+        executor = ProcessPoolExecutor(max_workers=2, mp_context=_process_context())
+        try:
+            assert kill_executor_workers(executor) == 0
+        finally:
+            executor.shutdown()
 
     def test_kill_executor_workers_counts_processes(self):
-        with ReusablePool(n_workers=2) as pool:
-            pool.map(_square, [1, 2, 3, 4])
-            killed = kill_executor_workers(pool._executor)
+        executor = ProcessPoolExecutor(max_workers=2, mp_context=_process_context())
+        try:
+            assert list(executor.map(_square, [1, 2, 3, 4])) == [1, 4, 9, 16]
+            processes = list(executor._processes.values())
+            killed = kill_executor_workers(executor)
             assert killed >= 1
-            pool.respawn()
-            assert pool.map(_square, [5]) == [25]
+            for process in processes:
+                process.join(timeout=10)
+            assert not any(process.is_alive() for process in processes)
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
