@@ -11,6 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.errors import GraphError
 from repro.faults.chaos import leaked_spills
 from repro.graph import BipartiteGraph, GraphStore
 from repro.graph.store import SPILL_PREFIX
@@ -72,6 +73,23 @@ class TestSpillLifecycle:
             assert_same_columns(weighted_graph, view.to_graph())
             for column in ("edge_users", "edge_merchants", "edge_weights"):
                 assert not getattr(view, column).flags.writeable
+
+    def test_open_store_outlives_its_spill(self, weighted_graph):
+        # a worker that mapped the spill keeps reading it after the parent
+        # has disposed of the file
+        spill = GraphStore.from_graph(weighted_graph).export_shared()
+        view = GraphStore.open(spill.layout.path)
+        spill.dispose()
+        assert not os.path.exists(spill.layout.path)
+        assert_same_columns(weighted_graph, view.to_graph())
+
+    def test_open_after_dispose_is_a_graph_error(self, weighted_graph):
+        # what a worker that starts its chunk too late meets: a typed error,
+        # which the runner records as a transport failure
+        spill = GraphStore.from_graph(weighted_graph).export_shared()
+        spill.dispose()
+        with pytest.raises(GraphError):
+            GraphStore.open(spill.layout.path)
 
     def test_dispose_removes_spill_directory(self, weighted_graph):
         spill = GraphStore.from_graph(weighted_graph).export_shared()
