@@ -47,7 +47,7 @@ WORKERS = 2
 SEED = 0
 
 _SCENARIO = r"""
-import json, multiprocessing, resource, sys
+import json, multiprocessing, resource, sys, time
 from concurrent.futures import ProcessPoolExecutor
 from repro.datasets import make_jd_dataset
 from repro.ensemble import EnsemFDet, EnsemFDetConfig
@@ -90,6 +90,11 @@ with Timer() as timer:
             [r.detected_users().tolist() for r in results],
             [r.detected_merchants().tolist() for r in results],
         ).user_votes
+# the plan fit shuts its pool down without waiting for the workers; reap
+# them first, or RUSAGE_CHILDREN may not cover them yet
+deadline = time.monotonic() + 30.0
+while multiprocessing.active_children() and time.monotonic() < deadline:
+    time.sleep(0.01)
 print(json.dumps({
     "wall_sec": timer.elapsed,
     "parent_rss_bytes": peak_rss_bytes(),
@@ -180,6 +185,8 @@ def test_shm_fanout(benchmark):
     # the parent must peak measurably lower: it no longer materializes all
     # N subgraphs before (and keeps them across) the detection stage
     assert stats["plan"]["parent_rss_bytes"] < stats["eager"]["parent_rss_bytes"], stats
+    # the plan fit's workers were reaped before the children's peak was read
+    assert stats["plan"]["worker_rss_bytes"] > 0, stats
 
     # the fit's spill directory must not survive it
     assert leaked_spills() == []

@@ -37,13 +37,26 @@
  * ``(smallest key it has had, node)``, and a heap holding exactly that entry,
  * one per node, pops the same sequence — for zero, negative, infinite and
  * NaN weights too. ``fast_peel_core`` keeps it in two parts: the initial
- * keys in a radix-sorted "clean" stream read by a moving pointer, and a
- * 4-ary decrease-key "hot" heap holding a node only once an update took
- * its key below its initial one (a node whose priority rises keeps its
- * smaller key). A node in the hot heap therefore surfaces there before its
- * clean entry, so the clean stream only skips dead nodes, the hot heap never
- * pops a stale entry, and the hot heap holds at most n entries instead of
- * one per priority change.
+ * keys in a sorted "clean" stream read by a moving pointer, and a 4-ary
+ * decrease-key "hot" heap holding a node only once an update took its key
+ * below its initial one (a node whose priority rises keeps its smaller
+ * key). A node in the hot heap therefore surfaces there before its clean
+ * entry, so the clean stream only skips dead nodes, the hot heap never pops
+ * a stale entry, and the hot heap holds at most n entries instead of one
+ * per priority change. A hot entry is one ``unsigned __int128``,
+ * ``key << 32 | node``, so each heap test and each clean-versus-hot test is
+ * one integer compare.
+ *
+ * The clean stream is carried from block to block. Block 0, a block that
+ * peels the full node set, and the block after one radix-sort every key.
+ * Between two live-node peels the stream is renumbered past the nodes the
+ * block left isolated (``carry_stream``); the next block keeps the entries
+ * whose key is unchanged in place, radix-sorts only the nodes whose key
+ * changed, and merges the two (``build_clean_stream``). Node order breaks
+ * key ties in both lists — the renumbering keeps node order, and the
+ * changed nodes enter their stable sort in node order — so the stream is
+ * the one a full sort would build. It lives in the peel scratch, which
+ * each member allocates once for all its blocks.
  *
  * int32 member layout. Node ids, CSR offsets and half-edge endpoints are
  * int32, so a graph peels only while its node count and its half-edge count
@@ -138,18 +151,21 @@ double repro_pairwise_sum(const double *a, int64_t n)
 /* hot heap: 4-ary decrease-key min-heap of (key, node), lexicographic */
 /* ------------------------------------------------------------------ */
 
-/* Entries carry the priority as its monotone uint64 ``sort_key`` image
- * rather than the raw double: key order equals double order (with the
- * two zeros collapsed, exactly like the comparator treats them), so the
- * heap does single integer compares instead of float compare pairs. */
-typedef struct {
-    uint64_t k;
-    int32_t node;
-} entry_t;
+/* An entry packs the priority's monotone uint64 ``sort_key`` image above
+ * the node id: ``key << 32 | node``. Key order equals double order (with
+ * the two zeros collapsed, exactly like the comparator treats them) and
+ * node ids are non-negative int32, so integer order on the packed value is
+ * the lexicographic ``(priority, node)`` order, one compare per test. */
+typedef unsigned __int128 entry_t;
 
-static inline int entry_lt(entry_t a, entry_t b)
+static inline entry_t entry_pack(uint64_t k, int32_t node)
 {
-    return a.k < b.k || (a.k == b.k && a.node < b.node);
+    return (entry_t)k << 32 | (uint32_t)node;
+}
+
+static inline int32_t entry_node(entry_t e)
+{
+    return (int32_t)(uint32_t)e;
 }
 
 /* pos[node] tracks each entry's slot, so a decrease-key sifts the node's
@@ -161,35 +177,43 @@ static inline void sift_up(entry_t *heap, int32_t *pos, int32_t i, entry_t v)
 {
     while (i > 0) {
         int32_t parent = (i - 1) / 4;
-        if (!entry_lt(v, heap[parent]))
+        if (!(v < heap[parent]))
             break;
         heap[i] = heap[parent];
-        pos[heap[i].node] = i;
+        pos[entry_node(heap[i])] = i;
         i = parent;
     }
     heap[i] = v;
-    pos[v.node] = i;
+    pos[entry_node(v)] = i;
 }
 
+/* A full set of 4 children is reduced as a tournament of selects (two
+ * pairs, then their winners) so the pick has no data-dependent branch;
+ * entries are distinct, so the smallest is unique whatever the order. */
 static inline void sift_down(entry_t *heap, int32_t *pos, int32_t size, int32_t i, entry_t v)
 {
     for (;;) {
         int32_t child = 4 * i + 1;
         if (child >= size)
             break;
-        int32_t m = child;
-        int32_t end = child + 4 < size ? child + 4 : size;
-        for (int32_t j = child + 1; j < end; j++)
-            if (entry_lt(heap[j], heap[m]))
-                m = j;
-        if (!entry_lt(heap[m], v))
+        int32_t m;
+        if (child + 4 <= size) {
+            int32_t a = child + (heap[child + 1] < heap[child]);
+            int32_t b = child + 2 + (heap[child + 3] < heap[child + 2]);
+            m = heap[b] < heap[a] ? b : a;
+        } else {
+            m = child;
+            for (int32_t j = child + 1; j < size; j++)
+                m = heap[j] < heap[m] ? j : m;
+        }
+        if (!(heap[m] < v))
             break;
         heap[i] = heap[m];
-        pos[heap[i].node] = i;
+        pos[entry_node(heap[i])] = i;
         i = m;
     }
     heap[i] = v;
-    pos[v.node] = i;
+    pos[entry_node(v)] = i;
 }
 
 /* ------------------------------------------------------------------ */
@@ -269,13 +293,13 @@ static void radix_sort_pairs(
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    uint64_t *keys;     /* the clean stream's sorted keys */
-    uint64_t *min_key;  /* radix scratch, then each node's smallest key */
-    int32_t *clean_nodes;
-    int32_t *nodes_tmp;
+    uint64_t *keys;     /* the clean stream, kept from one peel to the next: */
+    int32_t *clean_nodes; /* its sorted keys and their nodes */
+    uint64_t *min_key;  /* sort scratch, then each node's smallest key */
+    int32_t *nodes_tmp; /* sort scratch */
     entry_t *hot;
     int32_t *pos;       /* hot-heap slot of each node, -1 while not in it */
-    uint8_t *alive;
+    uint8_t *alive;     /* changed-key marks while the stream is built */
 } peel_scratch_t;
 
 /* Returns non-zero on allocation failure. */
@@ -304,9 +328,81 @@ static void scratch_free(peel_scratch_t *s)
     free(s->alive);
 }
 
+/* Sort the n initial keys into the clean stream, by (key, node). With
+ * ``carried`` the stream already holds the previous peel's stream over the
+ * same n nodes (see carry_stream): an entry whose key is unchanged keeps
+ * its place, so only the changed nodes are sorted, then merged in. */
+static void build_clean_stream(int32_t n, const double *prio, int carried, peel_scratch_t *s)
+{
+    uint64_t *keys = s->keys;
+    int32_t *nodes = s->clean_nodes;
+    if (!carried) {
+        for (int32_t i = 0; i < n; i++) {
+            keys[i] = sort_key(prio[i]);
+            nodes[i] = i;
+        }
+        radix_sort_pairs(keys, nodes, s->min_key, s->nodes_tmp, n);
+        return;
+    }
+    /* keep the unchanged entries, in order, at the front of the stream
+     * and mark every node (each is in the stream once) changed or not */
+    uint8_t *changed = s->alive;
+    uint64_t *ck = s->min_key;
+    int32_t *cn = s->nodes_tmp;
+    int32_t kept = 0;
+    for (int32_t i = 0; i < n; i++) {
+        int32_t v = nodes[i];
+        uint64_t k = sort_key(prio[v]);
+        int same = k == keys[i];
+        keys[kept] = k; /* kept <= i: only slots already read are written */
+        nodes[kept] = v;
+        kept += same;
+        changed[v] = (uint8_t)!same;
+    }
+    /* the changed nodes in node order — the stable sort then breaks key
+     * ties by node id — sorted with the stream's free tail as scratch */
+    int32_t n_changed = 0;
+    for (int32_t v = 0; v < n; v++)
+        if (changed[v]) {
+            ck[n_changed] = sort_key(prio[v]);
+            cn[n_changed++] = v;
+        }
+    radix_sort_pairs(ck, cn, keys + kept, nodes + kept, n_changed);
+    /* merge from the back, so the kept entries move up in place (the
+     * write slot stays above every kept entry not yet read) */
+    int32_t i = kept - 1, j = n_changed - 1;
+    for (int32_t w = n - 1; j >= 0; w--) {
+        if (i >= 0 && entry_pack(keys[i], nodes[i]) > entry_pack(ck[j], cn[j])) {
+            keys[w] = keys[i];
+            nodes[w] = nodes[i--];
+        } else {
+            keys[w] = ck[j];
+            nodes[w] = cn[j--];
+        }
+    }
+}
+
+/* Carry the clean stream past drop_isolated: drop the nodes it removed
+ * (newid -1) and renumber the rest. The renumbering keeps node order, so
+ * the stream stays sorted by (key, node). */
+static void carry_stream(peel_scratch_t *s, int32_t n_old, const int32_t *newid)
+{
+    int32_t kept = 0;
+    for (int32_t i = 0; i < n_old; i++) {
+        int32_t v = newid[s->clean_nodes[i]];
+        if (v >= 0) {
+            s->keys[kept] = s->keys[i];
+            s->clean_nodes[kept++] = v;
+        }
+    }
+}
+
 /* Peel the flattened graph down to one node. Mutates prio in place (left at
  * its final state, like the reference). densities may be NULL when the
- * caller only needs the best prefix. Returns the number of nodes removed. */
+ * caller only needs the best prefix. ``carried`` says the scratch holds the
+ * previous peel's clean stream over these nodes (build_clean_stream); the
+ * stream is left in the scratch for the next peel. Returns the number of
+ * nodes removed. */
 static int32_t fast_peel_core(
     int32_t n,
     const int32_t *indptr,
@@ -318,20 +414,17 @@ static int32_t fast_peel_core(
     double *densities,
     double *best_density_out,
     int32_t *best_removed_out,
+    int carried,
     peel_scratch_t *s)
 {
     uint8_t *alive = s->alive;
     entry_t *hot = s->hot;
     int32_t *pos = s->pos;
     uint64_t *min_key = s->min_key;
-    int32_t *clean_nodes = s->clean_nodes;
+    const int32_t *clean_nodes = s->clean_nodes;
     const uint64_t *clean_keys = s->keys;
 
-    for (int32_t i = 0; i < n; i++) {
-        s->keys[i] = sort_key(prio[i]);
-        clean_nodes[i] = i;
-    }
-    radix_sort_pairs(s->keys, clean_nodes, min_key, s->nodes_tmp, n);
+    build_clean_stream(n, prio, carried, s);
     for (int32_t i = 0; i < n; i++) {
         min_key[i] = sort_key(prio[i]);
         pos[i] = -1;
@@ -350,9 +443,9 @@ static int32_t fast_peel_core(
     while (n_alive > 1) {
         int32_t node;
         if (hot_size > 0
-            && (clean_pos >= n || hot[0].k < clean_keys[clean_pos]
-                || (hot[0].k == clean_keys[clean_pos] && hot[0].node < clean_nodes[clean_pos]))) {
-            node = hot[0].node;
+            && (clean_pos >= n
+                || hot[0] < entry_pack(clean_keys[clean_pos], clean_nodes[clean_pos]))) {
+            node = entry_node(hot[0]);
             if (--hot_size > 0)
                 sift_down(hot, pos, hot_size, 0, hot[hot_size]);
         } else if (clean_pos < n) {
@@ -377,8 +470,7 @@ static int32_t fast_peel_core(
                 if (k < min_key[other]) {
                     min_key[other] = k;
                     int32_t slot = pos[other] < 0 ? hot_size++ : pos[other];
-                    entry_t e = {k, other};
-                    sift_up(hot, pos, slot, e);
+                    sift_up(hot, pos, slot, entry_pack(k, other));
                 }
             }
         }
@@ -427,7 +519,7 @@ int64_t repro_greedy_peel(
     int32_t best_removed;
     int32_t removed = fast_peel_core(
         (int32_t)n, indptr, flat_other, flat_w, prio, total, removal_order, densities,
-        best_density_out, &best_removed, &scratch);
+        best_density_out, &best_removed, 0, &scratch);
     scratch_free(&scratch);
     *best_removed_out = best_removed;
     return removed;
@@ -491,7 +583,8 @@ typedef struct {
 
 /* Drop the live nodes whose alive degree is zero: compact live_n, deg and
  * deg_frozen (when given) in order, and renumber the n_e edge endpoints.
- * newid is scratch of n_live entries. Returns the new live-node count. */
+ * newid (n_live entries) receives each node's new id, -1 when dropped.
+ * Returns the new live-node count. */
 static int32_t drop_isolated(
     int32_t n_live,
     int32_t *live_n,
@@ -503,7 +596,8 @@ static int32_t drop_isolated(
     int32_t *newid)
 {
     int32_t kept = 0;
-    for (int32_t p = 0; p < n_live; p++)
+    for (int32_t p = 0; p < n_live; p++) {
+        newid[p] = -1;
         if (deg[p] > 0) {
             newid[p] = kept;
             live_n[kept] = live_n[p];
@@ -512,6 +606,7 @@ static int32_t drop_isolated(
                 deg_frozen[kept] = deg_frozen[p];
             kept++;
         }
+    }
     if (kept < n_live)
         for (int32_t r = 0; r < n_e; r++) {
             eu[r] = newid[eu[r]];
@@ -643,6 +738,10 @@ static void run_member(const batch_args_t *a, int64_t m)
         double first_density = 0.0;
         int have_first = 0;
         int64_t row_bytes = ((int64_t)n + 7) / 8;
+        /* the scratch holds the previous block's clean stream over the
+         * current live nodes: set after a live-node peel, so a full-node
+         * block and the block after one sort from scratch */
+        int carried = 0;
 
         for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
             /* residual edge weights table[degree] * member weight, in
@@ -709,7 +808,7 @@ static void run_member(const batch_args_t *a, int64_t m)
             int32_t best_removed;
             fast_peel_core(
                 n_peel, indptr, flat_other, flat_w, prio, total, removal_order, NULL,
-                &best_density, &best_removed, &scratch);
+                &best_density, &best_removed, residual && carried, &scratch);
 
             memset(keep, 1, (size_t)n_peel);
             for (int32_t i = 0; i < best_removed; i++)
@@ -757,7 +856,11 @@ static void run_member(const batch_args_t *a, int64_t m)
             }
 
             n_live_e = kept_e;
+            int32_t n_before = n_live_n;
             n_live_n = drop_isolated(n_live_n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
+            carried = residual;
+            if (residual && n_live_n < n_before)
+                carry_stream(&scratch, n_before, fill);
         }
         a->out_n_blocks[m] = n_blocks;
     }
