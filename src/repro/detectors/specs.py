@@ -1,9 +1,10 @@
-"""Detector spec dataclasses and the shared spec-string grammar.
+"""Detector spec dataclasses and their typed parameters.
 
 A detector spec is ``name`` or ``name:key=value,key=value,...`` — the same
 terse grammar the sampler registry uses for names, extended with typed
-parameters. Each registered detector owns a frozen config dataclass here;
-parameters left unset (``None``) inherit from the caller's
+parameters; fault specs share its splitter (:func:`split_spec`). Each
+registered detector owns a frozen config dataclass here; parameters left
+unset (``None``) inherit from the caller's
 :class:`DetectorContext`, so one grid/experiment/CLI invocation can share
 its knobs (seed, ensemble size, engine, ...) across every detector it runs
 while any individual spec can still override them.
@@ -22,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..errors import DetectionError
+from ..faults.plan import split_spec as _split_spec
 from ..fdet import PeelEngine
 from ..parallel import ExecutorMode
 
@@ -121,31 +123,10 @@ def format_param(value: object) -> str:
 def split_spec(spec: str) -> tuple[str, dict[str, str]]:
     """Split ``"name:key=val,key=val"`` into ``(name, raw params)``.
 
-    Names and keys are case-insensitive; a bare ``"name"`` (or a trailing
-    colon with nothing after it) yields empty params.
+    The fault grammar's splitter (:func:`repro.faults.plan.split_spec`),
+    raising :class:`DetectionError` and calling the spec a detector spec.
     """
-    if not isinstance(spec, str) or not spec.strip():
-        raise DetectionError(f"empty detector spec {spec!r}")
-    name, _, rest = spec.partition(":")
-    name = name.strip().lower()
-    if not name:
-        raise DetectionError(f"detector spec {spec!r} has no name")
-    params: dict[str, str] = {}
-    for item in rest.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        key, value = key.strip().lower(), value.strip()
-        if not eq or not key or not value:
-            raise DetectionError(
-                f"malformed parameter {item!r} in detector spec {spec!r} "
-                "(expected key=value)"
-            )
-        if key in params:
-            raise DetectionError(f"duplicate parameter {key!r} in detector spec {spec!r}")
-        params[key] = value
-    return name, params
+    return _split_spec(spec, noun="detector", error=DetectionError)
 
 
 @dataclass(frozen=True)

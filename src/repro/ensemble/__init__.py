@@ -17,7 +17,6 @@ from .runner import (
     detect_on_plans,
     run_members,
 )
-from .soft_voting import SoftVoteTable, soft_threshold_sweep, soft_votes_from_detections
 from .voting import VoteTable, majority_vote, normalized_majority_vote
 
 __all__ = [
@@ -40,7 +39,4 @@ __all__ = [
     "VoteTable",
     "majority_vote",
     "normalized_majority_vote",
-    "SoftVoteTable",
-    "soft_votes_from_detections",
-    "soft_threshold_sweep",
 ]

@@ -1,8 +1,8 @@
 """Deterministic fault plans: what to break, where, and when.
 
-A fault spec uses the same terse ``name:key=value,key=value`` grammar as
-the detector registry (:mod:`repro.detectors.specs`) with the *kind* of
-fault as the name::
+A fault spec uses the terse ``name:key=value,key=value`` grammar that
+:func:`split_spec` parses for the detector registry too
+(:mod:`repro.detectors.specs`), with the *kind* of fault as the name::
 
     raise:point=member.detect,index=3        # member 3 raises once
     crash:point=member.detect,index=1        # SIGKILL the worker running it
@@ -50,7 +50,40 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 
-__all__ = ["FaultSpec", "FaultPlan", "FaultKind"]
+__all__ = ["FaultSpec", "FaultPlan", "FaultKind", "split_spec"]
+
+
+def split_spec(
+    spec: str, noun: str = "fault", error: type[ReproError] = ReproError
+) -> tuple[str, dict[str, str]]:
+    """Split ``"name:key=val,key=val"`` into ``(name, raw params)``.
+
+    Names and keys are case-insensitive; a bare ``"name"`` (or a trailing
+    colon with nothing after it) yields empty params. An empty spec, a
+    missing name, an item that is not ``key=value`` and a repeated key
+    raise ``error``, with messages that call the spec a ``noun`` spec.
+    """
+    if not isinstance(spec, str) or not spec.strip():
+        raise error(f"empty {noun} spec {spec!r}")
+    name, _, rest = spec.partition(":")
+    name = name.strip().lower()
+    if not name:
+        raise error(f"{noun} spec {spec!r} has no name")
+    params: dict[str, str] = {}
+    for item in rest.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, eq, value = item.partition("=")
+        key, value = key.strip().lower(), value.strip()
+        if not eq or not key or not value:
+            raise error(
+                f"malformed parameter {item!r} in {noun} spec {spec!r} (expected key=value)"
+            )
+        if key in params:
+            raise error(f"duplicate parameter {key!r} in {noun} spec {spec!r}")
+        params[key] = value
+    return name, params
 
 
 class FaultKind:
@@ -127,30 +160,15 @@ class FaultSpec:
     @classmethod
     def parse(cls, spec: str) -> "FaultSpec":
         """Parse one ``kind:key=value,...`` fault spec."""
-        if not isinstance(spec, str) or not spec.strip():
-            raise ReproError(f"empty fault spec {spec!r}")
-        kind, _, rest = spec.partition(":")
-        kind = kind.strip().lower()
+        kind, params = split_spec(spec)
         kwargs: dict[str, object] = {}
-        for item in rest.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, eq, value = item.partition("=")
-            key, value = key.strip().lower(), value.strip()
-            if not eq or not key or not value:
-                raise ReproError(
-                    f"malformed parameter {item!r} in fault spec {spec!r} "
-                    "(expected key=value)"
-                )
+        for key, value in params.items():
             target = _TYPES.get(key)
             if target is None:
                 raise ReproError(
                     f"unknown parameter {key!r} in fault spec {spec!r}; "
                     f"valid parameters: {', '.join(_TYPES)}"
                 )
-            if key in kwargs:
-                raise ReproError(f"duplicate parameter {key!r} in fault spec {spec!r}")
             try:
                 kwargs[key] = target(value)
             except ValueError as exc:

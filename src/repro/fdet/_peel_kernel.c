@@ -752,7 +752,7 @@ static void run_member(const batch_args_t *a, int64_t m)
                 ew[r] = w;
                 all_positive &= w > 0.0;
             }
-            /* float(priors.sum() + edge_weights.sum()) */
+            /* float(0.0 + edge_weights.sum()) */
             double total = 0.0 + pairwise_sum(ew, n_live_e);
 
             /* Nodes without an alive edge have priority +0.0. With every
@@ -780,7 +780,7 @@ static void run_member(const batch_args_t *a, int64_t m)
                 for (int32_t v = 0; v < n; v++)
                     indptr[v + 1] += indptr[v];
             }
-            /* priority = priors.copy() (zeros) + the two np.add.at passes
+            /* priority = np.zeros(n) + the two np.add.at passes
              * (users and merchants are disjoint, so one pass adds to every
              * node in the same order); spans filled in edge order */
             for (int32_t p = 0; p < n_peel; p++) {

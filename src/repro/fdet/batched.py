@@ -28,13 +28,14 @@ enforced by ``tests/fdet/test_batched_parity.py`` across sampler families,
 window modes, unusual weights and execution backends.
 
 Gating is conservative: the batch path only engages for the stock density
-metrics (:class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
-implementations, no prior hooks), the ``fast`` engine, and (for ensemble
+metrics (the :class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
+weight methods, not overridden), the ``fast`` engine, and (for ensemble
 members) edge-index or stripe-row plans. Anything else — node-kind plans,
-custom metrics, the reference engine — runs ``materialize_plan`` +
-``Fdet.detect`` member by member. A load-time probe additionally verifies
-that the kernel's pairwise summation reproduces ``np.sum`` bit for bit on
-this host and disables the batch path when it does not.
+metric subclasses with their own weights, the reference engine — runs
+``materialize_plan`` + ``Fdet.detect`` member by member. A load-time probe
+additionally verifies that the kernel's pairwise summation reproduces
+``np.sum`` bit for bit on this host and disables the batch path when it
+does not.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ __all__ = [
     "vote_counters",
 ]
 
-#: metric implementations the kernel replicates; a subclass overriding any of
-#: these (or the prior hooks) peels positions-dependently for all we know and
-#: must take the blockwise Python loop
+#: the degree-weight methods the kernel replicates through its degree table;
+#: a metric with any other ``merchant_degree_weights``, or its own
+#: ``edge_weights``, may weigh edges in ways the table cannot hold and takes
+#: the blockwise Python loop
 _DEGREE_WEIGHT_IMPLS = (
     LogWeightedDensity.merchant_degree_weights,
     AverageDegreeDensity.merchant_degree_weights,
@@ -111,8 +113,6 @@ def config_eligible(config: FdetConfig) -> bool:
     return (
         config.engine == PeelEngine.FAST
         and metric_cls.edge_weights is DensityMetric.edge_weights
-        and metric_cls.user_weights is DensityMetric.user_weights
-        and metric_cls.merchant_weights is DensityMetric.merchant_weights
         and any(metric_cls.merchant_degree_weights is impl for impl in _DEGREE_WEIGHT_IMPLS)
     )
 

@@ -12,18 +12,14 @@ the logarithm positive. Penalising edges into globally busy merchants makes
 camouflage (fraudsters also buying from popular shops) ineffective, per
 Hooi et al.'s Fraudar analysis.
 
-A metric decomposes into
-
-* per-edge weights ``w_e`` (possibly derived from merchant degrees), and
-* optional per-node prior weights (Fraudar's side information hook),
-
-so that ``density(S) = (Σ_{nodes} a + Σ_{edges} w) / |S|``. The greedy
-peeling engine only ever consumes this decomposition.
+A metric maps each merchant's degree to a multiplier, and an edge weighs
+``w_e``, its merchant's multiplier times the edge's own weight, so that
+``density(S) = Σ_{e ∈ E(S)} w_e / |S|``. The greedy peeling engine only
+ever consumes these edge weights.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -35,7 +31,6 @@ __all__ = [
     "DensityMetric",
     "LogWeightedDensity",
     "AverageDegreeDensity",
-    "PAPER_DENSITY",
 ]
 
 
@@ -69,14 +64,6 @@ class DensityMetric(ABC):
         multipliers = self.merchant_degree_weights(np.asarray(merchant_degrees))
         return multipliers[graph.edge_merchants] * graph.weights_or_ones()
 
-    def user_weights(self, graph: BipartiteGraph) -> np.ndarray | None:
-        """Optional per-user prior suspiciousness (default: none)."""
-        return None
-
-    def merchant_weights(self, graph: BipartiteGraph) -> np.ndarray | None:
-        """Optional per-merchant prior suspiciousness (default: none)."""
-        return None
-
     def density(
         self,
         graph: BipartiteGraph,
@@ -85,11 +72,7 @@ class DensityMetric(ABC):
         """``φ`` of the whole graph: total weight over total node count."""
         if graph.n_nodes == 0:
             return 0.0
-        total = float(self.edge_weights(graph, merchant_degrees).sum())
-        for weights in (self.user_weights(graph), self.merchant_weights(graph)):
-            if weights is not None:
-                total += float(weights.sum())
-        return total / graph.n_nodes
+        return float(self.edge_weights(graph, merchant_degrees).sum()) / graph.n_nodes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -131,58 +114,3 @@ class AverageDegreeDensity(DensityMetric):
 
     def merchant_degree_weights(self, degrees: np.ndarray) -> np.ndarray:
         return np.ones(degrees.shape[0], dtype=np.float64)
-
-
-class PriorWeightedDensity(LogWeightedDensity):
-    """Log-weighted density plus per-node prior suspiciousness.
-
-    Hooi et al.'s full Fraudar objective carries an ``a_i`` term for side
-    information (rule-engine scores, device fingerprints, account age...).
-    This metric injects such priors: ``density(S) = (Σ_{i∈S} a_i +
-    Σ_{(i,j)∈E(S)} 1/log(d_j + c)) / |S|``. Priors are looked up by the
-    graph's node *labels*, so they survive sampling and FDET's internal
-    subgraphing.
-
-    Parameters
-    ----------
-    user_priors, merchant_priors:
-        ``label -> non-negative prior`` mappings; missing labels get 0.
-    c:
-        The log-weight constant (see :class:`LogWeightedDensity`).
-    """
-
-    name = "prior_weighted"
-
-    def __init__(
-        self,
-        user_priors: dict[int, float] | None = None,
-        merchant_priors: dict[int, float] | None = None,
-        c: float = 5.0,
-    ) -> None:
-        super().__init__(c=c)
-        for priors, side in ((user_priors, "user"), (merchant_priors, "merchant")):
-            if priors and any(value < 0 for value in priors.values()):
-                raise DetectionError(f"{side} priors must be non-negative")
-        self._user_priors = dict(user_priors or {})
-        self._merchant_priors = dict(merchant_priors or {})
-
-    def _lookup(self, labels: np.ndarray, priors: dict[int, float]) -> np.ndarray | None:
-        if not priors:
-            return None
-        return np.array([priors.get(int(label), 0.0) for label in labels], dtype=np.float64)
-
-    def user_weights(self, graph: BipartiteGraph) -> np.ndarray | None:
-        return self._lookup(graph.user_labels, self._user_priors)
-
-    def merchant_weights(self, graph: BipartiteGraph) -> np.ndarray | None:
-        return self._lookup(graph.merchant_labels, self._merchant_priors)
-
-
-def PAPER_DENSITY() -> LogWeightedDensity:
-    """Fresh instance of the paper's default metric (``c = 5``)."""
-    return LogWeightedDensity(c=5.0)
-
-
-def log_weight(degree: float, c: float = 5.0) -> float:
-    """Scalar convenience: ``1 / log(degree + c)``."""
-    return 1.0 / math.log(degree + c)

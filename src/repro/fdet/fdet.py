@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import DetectionError, EmptyGraphError
+from ..errors import DetectionError
 from ..graph import BipartiteGraph
 from .density import DensityMetric, LogWeightedDensity
-from .peeling import PeelEngine, _build_priors, _peel, greedy_peel
+from .peeling import PeelEngine, _peel
 from .truncation import SecondDifferenceRule, TruncationRule
 
 __all__ = ["Block", "FdetConfig", "FdetResult", "Fdet", "WeightPolicy"]
@@ -157,7 +157,7 @@ class FdetResult:
     ones the truncating point keeps.
 
     :attr:`all_blocks` and :attr:`blocks` build :class:`Block` objects on
-    first read (fixed-k comparisons, soft votes, the Fig.-1 score plot) and
+    first read (fixed-k comparisons, the Fig.-1 score plot) and
     cache them; the cache is never pickled. The node-set, density and
     objective reads work on the arrays and never build a block.
     """
@@ -273,9 +273,12 @@ class Fdet:
 
         Under the ``fast`` engine the whole graph runs as one member of the
         batched native kernel (:mod:`repro.fdet.batched`), every node kept,
-        so the block loop never leaves C. Metrics the kernel cannot take
-        (per-node priors, custom weight hooks), the ``reference`` engine and
-        hosts without a kernel run :meth:`_detect_blockwise`. Detections are
+        so the block loop never leaves C. The Python block loop,
+        :meth:`_detect_blockwise`, runs instead under the ``reference``
+        engine, on a host with no kernel or whose summation probe failed,
+        when the kernel cannot allocate the member, and for a metric
+        subclass that overrides the weight methods; under ``fast`` each of
+        its peels still runs in the kernel when one loads. Detections are
         identical either way, and identical to the rebuild-per-block
         formulation under both weight policies. Either way the result keeps
         each block as a packed node bitset; :class:`Block` objects are built
@@ -326,13 +329,7 @@ class Fdet:
                 break
             residual = graph if n_alive == n_edges else _residual_view(graph, alive)
             edge_weights = metric.edge_weights(residual, frozen_degrees)
-            priors = _build_priors(
-                graph.n_users,
-                graph.n_merchants,
-                metric.user_weights(residual),
-                metric.merchant_weights(residual),
-            )
-            peel = _peel(residual, edge_weights, priors, config.engine)
+            peel = _peel(residual, edge_weights, config.engine)
             block_mask = alive & peel.user_mask[edge_users] & peel.merchant_mask[edge_merchants]
             block_edges = np.nonzero(block_mask)[0]
             if block_edges.size < config.min_block_edges:
@@ -359,25 +356,4 @@ class Fdet:
             densities=np.array(densities, dtype=np.float64),
             edge_counts=np.array(edge_counts, dtype=np.int64),
             k_hat=config.truncation.truncate(densities),
-        )
-
-    def densest_block(self, graph: BipartiteGraph) -> Block:
-        """Just the single densest block (no iteration, no truncation)."""
-        if graph.is_empty:
-            raise EmptyGraphError("cannot extract a block from an edgeless graph")
-        edge_weights = self.config.metric.edge_weights(graph)
-        peel = greedy_peel(
-            graph,
-            edge_weights,
-            user_weights=self.config.metric.user_weights(graph),
-            merchant_weights=self.config.metric.merchant_weights(graph),
-            engine=self.config.engine,
-        )
-        block_edges = peel.edge_indices(graph)
-        return Block(
-            index=0,
-            user_labels=np.sort(graph.user_labels[peel.user_mask]),
-            merchant_labels=np.sort(graph.merchant_labels[peel.merchant_mask]),
-            density=peel.density,
-            n_edges=int(block_edges.size),
         )

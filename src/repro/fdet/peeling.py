@@ -1,8 +1,8 @@
 """Greedy min-degree peeling — the inner loop of FDET (Algorithm 1, l.3–8).
 
-Given per-edge weights (and optional per-node priors), repeatedly remove the
-node whose removal loses the least total weight, score every intermediate
-graph ``H_n ⊃ H_{n-1} ⊃ … ⊃ H_1`` with ``density = weight / |nodes|``, and
+Given per-edge weights, repeatedly remove the node whose removal loses the
+least total weight, score every intermediate graph
+``H_n ⊃ H_{n-1} ⊃ … ⊃ H_1`` with ``density = weight / |nodes|``, and
 return the best prefix. With a lazy-deletion binary heap each removal costs
 ``O(log(|U|+|V|))``, giving the paper's ``O(|E| log(|U|+|V|))`` bound per
 block.
@@ -27,9 +27,9 @@ argument, or per-detector via :attr:`repro.fdet.FdetConfig.engine`):
   half-edge count reaches the int32 limit, it runs the reference engine.
 
 ``Fdet.detect`` runs its whole block loop in the kernel's batched entry
-point (:mod:`.batched`); the single peel here serves :func:`greedy_peel`,
-:meth:`repro.fdet.Fdet.densest_block` and the per-block loop of metrics the
-batch cannot take.
+point (:mod:`.batched`); the single peel here serves :func:`greedy_peel`
+and ``Fdet``'s Python block loop (see :meth:`repro.fdet.Fdet.detect` for
+when that loop runs).
 """
 
 from __future__ import annotations
@@ -111,21 +111,6 @@ def _empty_result() -> PeelResult:
     )
 
 
-def _build_priors(
-    n_users: int,
-    n_merchants: int,
-    user_weights: np.ndarray | None,
-    merchant_weights: np.ndarray | None,
-) -> np.ndarray:
-    """Dense per-node prior array over the combined index space."""
-    priors = np.zeros(n_users + n_merchants, dtype=np.float64)
-    if user_weights is not None:
-        priors[:n_users] = user_weights
-    if merchant_weights is not None:
-        priors[n_users:] = merchant_weights
-    return priors
-
-
 def resolve_engine(engine: str | None) -> str:
     """Validate an engine name, mapping ``None`` to the default."""
     if engine is None:
@@ -138,8 +123,6 @@ def resolve_engine(engine: str | None) -> str:
 def greedy_peel(
     graph: BipartiteGraph,
     edge_weights: np.ndarray,
-    user_weights: np.ndarray | None = None,
-    merchant_weights: np.ndarray | None = None,
     engine: str | None = None,
 ) -> PeelResult:
     """Peel ``graph`` greedily and return its densest prefix.
@@ -151,8 +134,6 @@ def greedy_peel(
     edge_weights:
         One non-negative weight per edge (see
         :meth:`repro.fdet.density.DensityMetric.edge_weights`).
-    user_weights, merchant_weights:
-        Optional non-negative per-node priors added to the objective.
     engine:
         One of :class:`PeelEngine` (default ``"fast"``). Both engines return
         identical results; see the module docstring.
@@ -166,25 +147,19 @@ def greedy_peel(
         raise DetectionError("edge_weights length does not match graph edge count")
     if graph.n_nodes == 0:
         return _empty_result()
-    priors = _build_priors(graph.n_users, graph.n_merchants, user_weights, merchant_weights)
-    return _peel(graph, edge_weights, priors, resolve_engine(engine))
+    return _peel(graph, edge_weights, resolve_engine(engine))
 
 
-def _peel(
-    graph: BipartiteGraph,
-    edge_weights: np.ndarray,
-    priors: np.ndarray,
-    engine: str,
-) -> PeelResult:
+def _peel(graph: BipartiteGraph, edge_weights: np.ndarray, engine: str) -> PeelResult:
     """One peel of a graph with at least one node on a resolved ``engine``.
 
     ``fast`` runs the C kernel, and the reference walk when the host has no
     kernel, the graph reaches the kernel's int32 limit, or the kernel runs
     out of memory.
     """
-    peeled = _native_peel(graph, edge_weights, priors) if engine == PeelEngine.FAST else None
+    peeled = _native_peel(graph, edge_weights) if engine == PeelEngine.FAST else None
     if peeled is None:
-        peeled = _reference_peel(graph, edge_weights, priors)
+        peeled = _reference_peel(graph, edge_weights)
     removal_order, densities, best_density, best_removed = peeled
     # the best prefix: every node still alive after `best_removed` pops
     keep = np.ones(graph.n_nodes, dtype=bool)
@@ -198,18 +173,18 @@ def _peel(
     )
 
 
-def _priorities(
-    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _priorities(graph: BipartiteGraph, edge_weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Initial node priorities and the objective's total, in reference order.
 
-    A node's priority is its prior plus the sum of its alive incident edge
-    weights; removing the node lowers the total by exactly this amount.
+    A node's priority is the sum of its alive incident edge weights;
+    removing the node lowers the total by exactly this amount. The total is
+    ``0.0 + edge_weights.sum()`` (so a ``-0.0`` sum reads ``+0.0``), which
+    the kernel's batched block loop mirrors.
     """
-    priority = priors.copy()
+    priority = np.zeros(graph.n_nodes, dtype=np.float64)
     np.add.at(priority, graph.edge_users, edge_weights)
     np.add.at(priority, graph.n_users + graph.edge_merchants, edge_weights)
-    return priority, float(priors.sum() + edge_weights.sum())
+    return priority, float(0.0 + edge_weights.sum())
 
 
 #: ``(removal_order, densities, best_density, best_removed)`` of one peel
@@ -220,9 +195,7 @@ _Peeled = tuple[np.ndarray, np.ndarray, float, int]
 _INT32_LIMIT = int(np.iinfo(np.int32).max)
 
 
-def _native_peel(
-    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
-) -> _Peeled | None:
+def _native_peel(graph: BipartiteGraph, edge_weights: np.ndarray) -> _Peeled | None:
     """The C kernel's peel, or ``None`` when the reference must run instead.
 
     ``None`` means there is no kernel, the graph's node or half-edge count
@@ -236,7 +209,7 @@ def _native_peel(
     if kernels is None or max(graph.n_nodes, 2 * graph.n_edges) >= _INT32_LIMIT:
         return None
     n_users = graph.n_users
-    priority, total = _priorities(graph, edge_weights, priors)
+    priority, total = _priorities(graph, edge_weights)
     user_indptr, user_edges = graph.user_adjacency()
     merchant_indptr, merchant_edges = graph.merchant_adjacency()
     indptr = np.concatenate([user_indptr, user_indptr[-1] + merchant_indptr[1:]])
@@ -265,13 +238,11 @@ def _native_peel(
     return removal_order, densities[: removed + 1].copy(), best_density.value, best_removed.value
 
 
-def _reference_peel(
-    graph: BipartiteGraph, edge_weights: np.ndarray, priors: np.ndarray
-) -> _Peeled:
+def _reference_peel(graph: BipartiteGraph, edge_weights: np.ndarray) -> _Peeled:
     """The original heapq engine — the oracle the fast engine must match."""
     n_users = graph.n_users
     n = n_users + graph.n_merchants
-    priority, total = _priorities(graph, edge_weights, priors)
+    priority, total = _priorities(graph, edge_weights)
 
     user_indptr, user_edge_idx = graph.user_adjacency()
     merchant_indptr, merchant_edge_idx = graph.merchant_adjacency()

@@ -11,9 +11,8 @@ function of the block index and put the cut at
 
 — the block with the most negative second-order finite difference, i.e. the
 last block before the density series falls off its cliff.
-
-Alternative rules (largest single drop, fixed ``k``) are provided for the
-Fig.-6 ablation.
+:class:`FixedKRule` keeps a fixed number of blocks instead (the
+ENSEMFDET-FIX-K baseline).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from ..errors import DetectionError
 __all__ = [
     "TruncationRule",
     "SecondDifferenceRule",
-    "FirstDifferenceRule",
     "FixedKRule",
     "second_differences",
 ]
@@ -87,26 +85,6 @@ class SecondDifferenceRule(TruncationRule):
             return n
         interior = int(np.argmin(deltas))  # 0-based offset into interior points
         return interior + 2  # interior j ↦ block index j+1 ↦ keep j+2 blocks
-
-
-class FirstDifferenceRule(TruncationRule):
-    """Cut before the largest single drop: ``k̂ = argmin_i Δφ(i)``.
-
-    Simpler alternative used in the truncation ablation; keeps every block up
-    to and including the one after which density falls the most.
-    """
-
-    name = "first_difference"
-
-    def truncate(self, densities: Sequence[float]) -> int:
-        n = len(densities)
-        if n == 0:
-            return 0
-        if n == 1:
-            return 1
-        series = np.asarray(densities, dtype=np.float64)
-        drops = series[1:] - series[:-1]
-        return int(np.argmin(drops)) + 1
 
 
 class FixedKRule(TruncationRule):

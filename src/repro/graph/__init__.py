@@ -2,8 +2,7 @@
 
 from .bipartite import BipartiteGraph
 from .builder import BuiltGraph, GraphAccumulator, GraphBuilder
-from .algorithms import connected_components, core_numbers, k_core, largest_component
-from .matrix import from_scipy, to_dense, to_scipy
+from .matrix import to_scipy
 from .io import (
     EdgeBatch,
     iter_edge_batches,
@@ -14,7 +13,6 @@ from .io import (
     save_edge_list,
     save_npz,
 )
-from .projections import co_purchase_counts, project_merchants, project_users
 from .store import (
     GraphStore,
     SpilledStore,
@@ -43,13 +41,7 @@ __all__ = [
     "iter_edge_batches",
     "iter_npz_batches",
     "load_edge_list_chunked",
-    "connected_components",
-    "largest_component",
-    "core_numbers",
-    "k_core",
     "to_scipy",
-    "from_scipy",
-    "to_dense",
     "save_edge_list",
     "load_edge_list",
     "save_npz",
@@ -62,7 +54,4 @@ __all__ = [
     "validate_graph",
     "assert_subgraph_of",
     "has_duplicate_edges",
-    "project_users",
-    "project_merchants",
-    "co_purchase_counts",
 ]

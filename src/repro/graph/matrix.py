@@ -1,4 +1,4 @@
-"""Conversions between :class:`BipartiteGraph` and scipy sparse matrices.
+"""A :class:`BipartiteGraph` as a scipy sparse matrix.
 
 The adjacency-matrix view ``W ∈ R^{|U|×|V|}`` is the representation the paper
 uses to describe one-side / two-side node sampling, and it is what the
@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import GraphValidationError
 from .bipartite import BipartiteGraph
 
-__all__ = ["to_scipy", "from_scipy", "to_dense"]
+__all__ = ["to_scipy"]
 
 
 def to_scipy(graph: BipartiteGraph, binary: bool = False) -> sp.csr_matrix:
@@ -31,33 +30,3 @@ def to_scipy(graph: BipartiteGraph, binary: bool = False) -> sp.csr_matrix:
         matrix.data = np.ones_like(matrix.data)
     matrix.sum_duplicates()
     return matrix
-
-
-def from_scipy(matrix: sp.spmatrix) -> BipartiteGraph:
-    """Build a graph from any scipy sparse matrix (rows=users, cols=merchants).
-
-    Entry values become edge weights; explicit zeros are dropped.
-    """
-    coo = sp.coo_matrix(matrix)
-    coo.eliminate_zeros()
-    n_users, n_merchants = coo.shape
-    weights: np.ndarray | None = np.asarray(coo.data, dtype=np.float64)
-    if weights is not None and np.all(weights == 1.0):
-        weights = None
-    return BipartiteGraph(
-        n_users=n_users,
-        n_merchants=n_merchants,
-        edge_users=np.asarray(coo.row, dtype=np.int64),
-        edge_merchants=np.asarray(coo.col, dtype=np.int64),
-        edge_weights=weights,
-    )
-
-
-def to_dense(graph: BipartiteGraph, max_cells: int = 10_000_000) -> np.ndarray:
-    """Dense users×merchants array — guarded against accidental blow-ups."""
-    cells = graph.n_users * graph.n_merchants
-    if cells > max_cells:
-        raise GraphValidationError(
-            f"dense matrix would have {cells} cells, above the max_cells={max_cells} guard"
-        )
-    return to_scipy(graph).toarray()

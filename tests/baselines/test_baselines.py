@@ -13,13 +13,7 @@ from repro.baselines import (
 )
 from repro.datasets import chung_lu_bipartite
 from repro.errors import DetectionError
-from repro.fdet import (
-    AverageDegreeDensity,
-    LogWeightedDensity,
-    PeelEngine,
-    PriorWeightedDensity,
-    greedy_peel,
-)
+from repro.fdet import AverageDegreeDensity, LogWeightedDensity, PeelEngine, greedy_peel
 from repro.graph import BipartiteGraph
 
 
@@ -30,13 +24,7 @@ def _rebuild_per_block(graph, n_blocks, metric):
     for _ in range(n_blocks):
         if current.is_empty:
             break
-        peel = greedy_peel(
-            current,
-            metric.edge_weights(current),
-            user_weights=metric.user_weights(current),
-            merchant_weights=metric.merchant_weights(current),
-            engine=PeelEngine.REFERENCE,
-        )
+        peel = greedy_peel(current, metric.edge_weights(current), engine=PeelEngine.REFERENCE)
         block_edges = peel.edge_indices(current)
         if block_edges.size < 1:
             break
@@ -90,12 +78,8 @@ class TestFraudar:
 
     @pytest.mark.parametrize(
         "metric",
-        [
-            LogWeightedDensity(),
-            AverageDegreeDensity(),
-            PriorWeightedDensity({0: 1.5, 7: 0.5}, {3: 2.0}),
-        ],
-        ids=["log-weighted", "average-degree", "prior-weighted"],
+        [LogWeightedDensity(), AverageDegreeDensity()],
+        ids=["log-weighted", "average-degree"],
     )
     @pytest.mark.parametrize("engine", PeelEngine.ALL)
     def test_matches_rebuild_per_block(self, unusual_weight_graph, engine, metric):

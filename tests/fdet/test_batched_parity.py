@@ -8,8 +8,9 @@ produces must be **bitwise identical** to the ``reference`` engine — this
 suite pins that down across sampler families, window modes (append-only
 and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
 unusual weights, nodes with no edge, execution backends (serial / process
-× the parent's own store file, a spilled or a pickled store) and both
-weight policies.
+× the parent's own store file, a spilled or a pickled store), both
+weight policies, and ``Fdet.detect``'s per-block native peels when
+batching is off.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from repro.ensemble.results import VoteCounts
 from repro.ensemble.voting import VoteTable, tally_votes
 from repro.fdet import (
     AverageDegreeDensity,
+    DensityMetric,
     Fdet,
     FdetConfig,
     LogWeightedDensity,
     PeelEngine,
-    PriorWeightedDensity,
     WeightPolicy,
     greedy_peel,
 )
@@ -273,21 +274,14 @@ class TestUnusualWeights:
         for left, right in zip(batch.sample_detections, reference.sample_detections):
             self.assert_same_result(right.result, left.result)
 
-    @pytest.mark.parametrize("priors", [False, True], ids=["no-priors", "priors"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_single_peel(self, kind, priors):
-        """``greedy_peel``'s one peel, with and without node priors."""
+    def test_single_peel(self, kind):
+        """``greedy_peel``'s one peel."""
         graph = chung_lu_bipartite(120, 50, 900, rng=2)
         weights = unusual_weights(kind, graph.n_edges)
-        rng = np.random.default_rng(23)
-        node_weights = (
-            (rng.uniform(0.0, 2.0, graph.n_users), rng.uniform(0.0, 2.0, graph.n_merchants))
-            if priors
-            else (None, None)
-        )
         with np.errstate(over="ignore", invalid="ignore"):
             expected, got = (
-                greedy_peel(graph, weights, *node_weights, engine=engine)
+                greedy_peel(graph, weights, engine=engine)
                 for engine in (PeelEngine.REFERENCE, PeelEngine.FAST)
             )
         assert np.array_equal(expected.user_mask, got.user_mask)
@@ -326,10 +320,14 @@ class TestEligibilityGating:
     def test_config_gating(self):
         assert batched.config_eligible(FdetConfig())
         assert batched.config_eligible(FdetConfig(metric=AverageDegreeDensity()))
-        # prior-carrying metric overrides the node-weight hooks
-        assert not batched.config_eligible(
-            FdetConfig(metric=PriorWeightedDensity(np.zeros(1), np.zeros(1)))
-        )
+
+        class HalfWeight(DensityMetric):
+            """Weights the kernel's stock degree tables do not hold."""
+
+            def merchant_degree_weights(self, degrees):
+                return np.full(degrees.shape[0], 0.5)
+
+        assert not batched.config_eligible(FdetConfig(metric=HalfWeight()))
         assert not batched.config_eligible(FdetConfig(engine=PeelEngine.REFERENCE))
 
     def test_plan_gating(self, weighted_graph):
@@ -338,6 +336,43 @@ class TestEligibilityGating:
         assert batched.plan_eligible(edge_plan)
         if node_plan.kind == "nodes":
             assert not batched.plan_eligible(node_plan)
+
+
+class TestBlockwiseFastEngine:
+    """``Fdet.detect`` under ``fast`` with batching off: one native peel per block.
+
+    Production takes this loop when the summation probe fails on a host
+    that still loads the kernel, or when the kernel cannot allocate a
+    whole-graph member.
+    """
+
+    @pytest.mark.parametrize(
+        "metric",
+        [LogWeightedDensity(), AverageDegreeDensity()],
+        ids=["log-weighted", "average-degree"],
+    )
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    def test_bitwise_with_reference(self, weighted_graph, monkeypatch, policy, metric):
+        config = FdetConfig(max_blocks=8, weight_policy=policy, metric=metric)
+        expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(weighted_graph)
+        native_peel = peeling._native_peel
+        ran = []
+
+        def spy(graph, edge_weights):
+            peeled = native_peel(graph, edge_weights)
+            ran.append(peeled is not None)
+            return peeled
+
+        monkeypatch.setattr(batched, "_probe_verdict", False)
+        monkeypatch.setattr(peeling, "_native_peel", spy)
+        assert batched.batch_kernels() is None
+        got = Fdet(config).detect(weighted_graph)
+        # every block's peel ran in the kernel, none fell back to the reference
+        assert got.n_blocks > 1 and len(ran) >= got.n_blocks and all(ran)
+        assert got.k_hat == expected.k_hat
+        assert np.array_equal(got.densities.view(np.int64), expected.densities.view(np.int64))
+        assert np.array_equal(got.block_rows, expected.block_rows)
+        assert np.array_equal(got.edge_counts, expected.edge_counts)
 
 
 class TestSamplerFamilyParity:

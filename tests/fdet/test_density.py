@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DetectionError
-from repro.fdet import AverageDegreeDensity, LogWeightedDensity, PAPER_DENSITY
+from repro.fdet import AverageDegreeDensity, LogWeightedDensity
 from repro.graph import BipartiteGraph
 
 
@@ -65,11 +65,6 @@ class TestLogWeightedDensity:
         metric = LogWeightedDensity(c=5.0)
         assert metric.edge_weights(graph)[0] == pytest.approx(2.0 / math.log(6.0))
 
-    def test_paper_density_factory(self):
-        metric = PAPER_DENSITY()
-        assert isinstance(metric, LogWeightedDensity)
-        assert metric.c == 5.0
-
 
 class TestAverageDegreeDensity:
     def test_all_edges_weigh_one(self, tiny_graph):
@@ -79,8 +74,3 @@ class TestAverageDegreeDensity:
     def test_density_is_edges_over_nodes(self, clique_graph):
         metric = AverageDegreeDensity()
         assert metric.density(clique_graph) == pytest.approx(20.0 / 9.0)
-
-    def test_node_weights_default_none(self, tiny_graph):
-        metric = AverageDegreeDensity()
-        assert metric.user_weights(tiny_graph) is None
-        assert metric.merchant_weights(tiny_graph) is None

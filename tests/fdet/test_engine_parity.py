@@ -1,7 +1,7 @@
 """Engine parity: the fast backend must match the reference bit for bit.
 
 Sweeps random Chung-Lu graphs, injected-block graphs, tie-heavy complete
-blocks, multigraphs, weighted graphs and prior-carrying peels, asserting
+blocks, multigraphs and weighted graphs, asserting
 the ``fast`` engine's native kernel returns masks, densities, ``n_removed``
 and the full densities series identical to ``engine="reference"`` — and
 that ``Fdet.detect`` matches the seed's rebuild-per-block formulation
@@ -36,13 +36,9 @@ def fast_core(request):
     return request.param
 
 
-def assert_peel_parity(graph, edge_weights, user_weights=None, merchant_weights=None):
-    reference = greedy_peel(
-        graph, edge_weights, user_weights, merchant_weights, engine=PeelEngine.REFERENCE
-    )
-    fast = greedy_peel(
-        graph, edge_weights, user_weights, merchant_weights, engine=PeelEngine.FAST
-    )
+def assert_peel_parity(graph, edge_weights):
+    reference = greedy_peel(graph, edge_weights, engine=PeelEngine.REFERENCE)
+    fast = greedy_peel(graph, edge_weights, engine=PeelEngine.FAST)
     assert np.array_equal(reference.user_mask, fast.user_mask)
     assert np.array_equal(reference.merchant_mask, fast.merchant_mask)
     assert reference.density == fast.density  # bitwise, no tolerance
@@ -109,16 +105,6 @@ class TestPeelParity:
         weights[::3] = 0.0  # zero-weight decrements exercise equal-entry ties
         assert_peel_parity(graph, weights)
 
-    def test_node_priors(self, fast_core):
-        graph = chung_lu_bipartite(80, 30, 200, rng=11)
-        rng = np.random.default_rng(13)
-        assert_peel_parity(
-            graph,
-            LogWeightedDensity().edge_weights(graph),
-            user_weights=rng.uniform(0.0, 2.0, size=graph.n_users),
-            merchant_weights=rng.uniform(0.0, 2.0, size=graph.n_merchants),
-        )
-
     def test_edgeless_and_tiny_graphs(self, fast_core):
         for graph in (
             BipartiteGraph.empty(3, 2),
@@ -143,13 +129,12 @@ class TestInt32Limit:
     )
     def test_reaching_the_limit_runs_the_reference(self, fast_core, monkeypatch, graph, count):
         weights = LogWeightedDensity().edge_weights(graph)
-        priors = np.zeros(graph.n_nodes)
         limit = count(graph)
         assert min(graph.n_nodes, 2 * graph.n_edges) < limit
         monkeypatch.setattr(peeling, "_INT32_LIMIT", limit + 1)
-        assert peeling._native_peel(graph, weights, priors) is not None
+        assert peeling._native_peel(graph, weights) is not None
         monkeypatch.setattr(peeling, "_INT32_LIMIT", limit)
-        assert peeling._native_peel(graph, weights, priors) is None
+        assert peeling._native_peel(graph, weights) is None
         assert_peel_parity(graph, weights)
 
 
@@ -165,13 +150,7 @@ def _seed_detect(graph, config):
         if current.is_empty:
             break
         edge_weights = config.metric.edge_weights(current, frozen)
-        peel = greedy_peel(
-            current,
-            edge_weights,
-            user_weights=config.metric.user_weights(current),
-            merchant_weights=config.metric.merchant_weights(current),
-            engine=PeelEngine.REFERENCE,
-        )
+        peel = greedy_peel(current, edge_weights, engine=PeelEngine.REFERENCE)
         block_edges = peel.edge_indices(current)
         if block_edges.size < config.min_block_edges:
             break

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import FraudBlockSpec, inject_fraud_blocks, uniform_bipartite
-from repro.errors import DetectionError, EmptyGraphError
+from repro.errors import DetectionError
 from repro.fdet import (
     AverageDegreeDensity,
     Fdet,
@@ -137,15 +137,6 @@ class TestFdetDetect:
         precision = len(detected & truth) / max(len(detected), 1)
         assert recall >= 0.85
         assert precision >= 0.7
-
-    def test_densest_block_single(self, clique_graph):
-        block = Fdet().densest_block(clique_graph)
-        assert block.n_users == 5
-        assert block.n_edges == 20
-
-    def test_densest_block_empty_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            Fdet().densest_block(BipartiteGraph.empty(2, 2))
 
     def test_block_labels_sorted(self, planted_graph):
         graph, _ = planted_graph

@@ -81,21 +81,6 @@ class TestGreedyPeel:
         with pytest.raises(DetectionError):
             greedy_peel(tiny_graph, np.ones(99))
 
-    def test_node_priors_steer_the_prefix(self):
-        """Heavy user priors pull the densest prefix onto those users."""
-        # two stars: merchant 0 with 3 users, merchant 1 with 2 users
-        edges = [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)]
-        graph = BipartiteGraph.from_edges(edges, n_users=5, n_merchants=2)
-        metric = AverageDegreeDensity()
-        plain = greedy_peel(graph, metric.edge_weights(graph))
-        assert plain.merchant_mask[0]  # whole graph (incl. the big star) kept
-
-        priors = np.array([0.0, 0.0, 0.0, 10.0, 10.0])
-        boosted = greedy_peel(graph, metric.edge_weights(graph), user_weights=priors)
-        assert boosted.user_mask[3] and boosted.user_mask[4]
-        assert not boosted.user_mask[0]
-        assert boosted.density > plain.density
-
     def test_deterministic(self, planted_graph):
         graph, _ = planted_graph
         metric = LogWeightedDensity()

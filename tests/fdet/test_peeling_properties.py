@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.fdet import (
     AverageDegreeDensity,
-    FirstDifferenceRule,
     LogWeightedDensity,
     PeelEngine,
     SecondDifferenceRule,
@@ -46,29 +45,23 @@ _TIED_WEIGHTS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
 
 @st.composite
 def graphs_with_signed_weights(draw):
-    """Mixed-sign, zero and tied edge weights, and optional node priors."""
+    """Mixed-sign, zero and tied edge weights."""
     graph, _ = draw(graphs_with_weights())
     value = st.one_of(
         st.sampled_from(_TIED_WEIGHTS),
         st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
     )
-
-    def array(size):
-        return np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=np.float64)
-
-    priors = draw(st.booleans())
-    user_weights = array(graph.n_users) if priors else None
-    merchant_weights = array(graph.n_merchants) if priors else None
-    return graph, array(graph.n_edges), user_weights, merchant_weights
+    weights = draw(st.lists(value, min_size=graph.n_edges, max_size=graph.n_edges))
+    return graph, np.array(weights, dtype=np.float64)
 
 
 @given(graphs_with_signed_weights())
 @settings(max_examples=150, deadline=None)
 def test_fast_peel_matches_reference_on_signed_weights(case):
     """Priorities that rise (negative weights) or tie must pop in reference order."""
-    graph, weights, user_weights, merchant_weights = case
+    graph, weights = case
     expected, got = (
-        greedy_peel(graph, weights, user_weights, merchant_weights, engine=engine)
+        greedy_peel(graph, weights, engine=engine)
         for engine in (PeelEngine.REFERENCE, PeelEngine.FAST)
     )
     assert np.array_equal(expected.user_mask, got.user_mask)
@@ -152,9 +145,8 @@ def test_peel_invariant_under_node_relabelling(case):
 )
 @settings(max_examples=100, deadline=None)
 def test_truncation_rules_stay_in_bounds(series):
-    for rule in (SecondDifferenceRule(), FirstDifferenceRule()):
-        k = rule.truncate(series)
-        assert 1 <= k <= len(series)
+    k = SecondDifferenceRule().truncate(series)
+    assert 1 <= k <= len(series)
 
 
 @given(graphs_with_weights())

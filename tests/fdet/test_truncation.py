@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DetectionError
-from repro.fdet import (
-    FirstDifferenceRule,
-    FixedKRule,
-    SecondDifferenceRule,
-    second_differences,
-)
+from repro.fdet import FixedKRule, SecondDifferenceRule, second_differences
 
 
 class TestSecondDifferences:
@@ -52,26 +47,6 @@ class TestSecondDifferenceRule:
             series = np.sort(rng.random(n))[::-1].tolist()
             k = rule.truncate(series)
             assert 1 <= k <= n
-
-
-class TestFirstDifferenceRule:
-    def test_largest_drop(self):
-        series = [1.0, 0.95, 0.4, 0.39]
-        assert FirstDifferenceRule().truncate(series) == 2
-
-    def test_single_block(self):
-        assert FirstDifferenceRule().truncate([1.0]) == 1
-
-    def test_empty(self):
-        assert FirstDifferenceRule().truncate([]) == 0
-
-    def test_bounds(self):
-        rng = np.random.default_rng(1)
-        rule = FirstDifferenceRule()
-        for _ in range(50):
-            n = int(rng.integers(1, 15))
-            series = rng.random(n).tolist()
-            assert 1 <= rule.truncate(series) <= n
 
 
 class TestFixedKRule:

@@ -1,83 +1,10 @@
-"""Unit tests for graph algorithms and statistics."""
+"""Unit tests for graph statistics."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph import (
-    BipartiteGraph,
-    connected_components,
-    core_numbers,
-    degree_gini,
-    degree_histogram,
-    describe,
-    edge_density,
-    k_core,
-    largest_component,
-)
-
-
-class TestConnectedComponents:
-    def test_single_component(self, clique_graph):
-        user_comp, merchant_comp, n = connected_components(clique_graph)
-        assert n == 1
-        assert set(user_comp.tolist()) == {0}
-        assert set(merchant_comp.tolist()) == {0}
-
-    def test_two_components(self):
-        graph = BipartiteGraph.from_edges([(0, 0), (1, 1)], n_users=2, n_merchants=2)
-        _, _, n = connected_components(graph)
-        assert n == 2
-
-    def test_isolated_nodes_are_own_components(self):
-        graph = BipartiteGraph.from_edges([(0, 0)], n_users=2, n_merchants=2)
-        _, _, n = connected_components(graph)
-        assert n == 3  # the edge pair + isolated user + isolated merchant
-
-    def test_empty_graph(self):
-        graph = BipartiteGraph.empty(0, 0)
-        user_comp, merchant_comp, n = connected_components(graph)
-        assert n == 0
-        assert user_comp.size == 0
-
-    def test_largest_component_picks_most_edges(self):
-        edges = [(0, 0), (0, 1), (1, 0), (1, 1)] + [(2, 2)]
-        graph = BipartiteGraph.from_edges(edges, n_users=3, n_merchants=3)
-        largest = largest_component(graph)
-        assert largest.n_edges == 4
-        assert set(largest.user_labels.tolist()) == {0, 1}
-
-    def test_largest_component_empty_graph(self):
-        graph = BipartiteGraph.empty(2, 2)
-        assert largest_component(graph) is graph
-
-
-class TestCoreNumbers:
-    def test_clique_core(self, clique_graph):
-        user_core, merchant_core = core_numbers(clique_graph)
-        # 5x4 biclique: users have degree 4, merchants 5 -> core number 4
-        assert user_core.tolist() == [4] * 5
-        assert merchant_core.tolist() == [4] * 4
-
-    def test_path_core_is_one(self):
-        graph = BipartiteGraph.from_edges([(0, 0), (1, 0), (1, 1)], n_users=2, n_merchants=2)
-        user_core, merchant_core = core_numbers(graph)
-        assert max(user_core.max(), merchant_core.max()) == 1
-
-    def test_k_core_extraction(self, clique_graph):
-        core = k_core(clique_graph, 4)
-        assert core.n_edges == clique_graph.n_edges
-        empty = k_core(clique_graph, 5)
-        assert empty.is_empty
-
-    def test_core_with_pendant(self):
-        # clique plus a pendant user
-        edges = [(u, v) for u in range(3) for v in range(3)] + [(3, 0)]
-        graph = BipartiteGraph.from_edges(edges, n_users=4, n_merchants=3)
-        user_core, _ = core_numbers(graph)
-        assert user_core[3] == 1
-        assert user_core[0] == 3
-        assert k_core(graph, 2).n_users == 3
+from repro.graph import BipartiteGraph, degree_gini, degree_histogram, describe, edge_density
 
 
 class TestStats:

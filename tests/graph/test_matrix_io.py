@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.errors import GraphError, GraphValidationError
+from repro.errors import GraphError
 from repro.graph import (
     BipartiteGraph,
-    from_scipy,
     load_edge_list,
     load_npz,
     save_edge_list,
     save_npz,
-    to_dense,
     to_scipy,
 )
 
@@ -33,32 +29,6 @@ class TestMatrixConversion:
     def test_parallel_edges_sum_weights(self):
         graph = BipartiteGraph(1, 1, [0, 0], [0, 0], edge_weights=[2.0, 3.0])
         assert to_scipy(graph).toarray().tolist() == [[5.0]]
-
-    def test_from_scipy_roundtrip_structure(self, tiny_graph):
-        back = from_scipy(to_scipy(tiny_graph))
-        assert back.n_users == tiny_graph.n_users
-        assert back.n_merchants == tiny_graph.n_merchants
-        assert back.n_edges == tiny_graph.n_edges
-
-    def test_from_scipy_drops_explicit_zeros(self):
-        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        graph = from_scipy(matrix)
-        assert graph.n_edges == 1
-
-    def test_from_scipy_keeps_nonunit_weights(self):
-        matrix = sp.csr_matrix(np.array([[2.5]]))
-        graph = from_scipy(matrix)
-        assert graph.edge_weights.tolist() == [2.5]
-
-    def test_to_dense_guard(self):
-        graph = BipartiteGraph.empty(5000, 5000)
-        with pytest.raises(GraphValidationError):
-            to_dense(graph, max_cells=1000)
-
-    def test_to_dense_small(self, tiny_graph):
-        dense = to_dense(tiny_graph)
-        assert dense.shape == (4, 3)
-        assert dense[0, 0] == 1.0
 
 
 class TestEdgeListIO:

@@ -6,15 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    BipartiteGraph,
-    assert_subgraph_of,
-    connected_components,
-    core_numbers,
-    from_scipy,
-    to_scipy,
-    validate_graph,
-)
+from repro.graph import BipartiteGraph, assert_subgraph_of, to_scipy, validate_graph
 
 
 @st.composite
@@ -70,27 +62,11 @@ def test_remove_edges_complements_edge_subgraph(graph):
 
 @given(bipartite_graphs())
 @settings(max_examples=40, deadline=None)
-def test_scipy_roundtrip_preserves_degree_multiset(graph):
-    back = from_scipy(to_scipy(graph))
-    # parallel edges collapse into weights, so compare weighted degrees
-    assert np.allclose(
-        np.sort(back.weighted_user_degrees()), np.sort(graph.weighted_user_degrees())
+def test_to_scipy_sums_to_weighted_degrees(graph):
+    matrix = to_scipy(graph)
+    assert matrix.shape == (graph.n_users, graph.n_merchants)
+    # parallel edges sum into one entry, so the margins are the weighted degrees
+    assert np.array_equal(np.asarray(matrix.sum(axis=1)).ravel(), graph.weighted_user_degrees())
+    assert np.array_equal(
+        np.asarray(matrix.sum(axis=0)).ravel(), graph.weighted_merchant_degrees()
     )
-
-
-@given(bipartite_graphs())
-@settings(max_examples=40, deadline=None)
-def test_component_labels_consistent_across_edges(graph):
-    user_comp, merchant_comp, n = connected_components(graph)
-    for u, v in graph.iter_edges():
-        assert user_comp[u] == merchant_comp[v]
-    if graph.n_nodes:
-        assert n >= 1
-
-
-@given(bipartite_graphs())
-@settings(max_examples=40, deadline=None)
-def test_core_numbers_bounded_by_degree(graph):
-    user_core, merchant_core = core_numbers(graph)
-    assert np.all(user_core <= graph.user_degrees())
-    assert np.all(merchant_core <= graph.merchant_degrees())
