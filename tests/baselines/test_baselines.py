@@ -13,8 +13,21 @@ from repro.baselines import (
 )
 from repro.datasets import chung_lu_bipartite
 from repro.errors import DetectionError
-from repro.fdet import AverageDegreeDensity, LogWeightedDensity, PeelEngine, greedy_peel
+from repro.fdet import (
+    AverageDegreeDensity,
+    DensityMetric,
+    LogWeightedDensity,
+    PeelEngine,
+    greedy_peel,
+)
 from repro.graph import BipartiteGraph
+
+
+class InverseSqrtDensity(DensityMetric):
+    """Edge weight ``1/sqrt(d + 1)``: the batch gate refuses it, so each block peels alone."""
+
+    def merchant_degree_weights(self, degrees):
+        return 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
 
 
 def _rebuild_per_block(graph, n_blocks, metric):
@@ -78,8 +91,8 @@ class TestFraudar:
 
     @pytest.mark.parametrize(
         "metric",
-        [LogWeightedDensity(), AverageDegreeDensity()],
-        ids=["log-weighted", "average-degree"],
+        [LogWeightedDensity(), AverageDegreeDensity(), InverseSqrtDensity()],
+        ids=["log-weighted", "average-degree", "inverse-sqrt"],
     )
     @pytest.mark.parametrize("engine", PeelEngine.ALL)
     def test_matches_rebuild_per_block(self, unusual_weight_graph, engine, metric):

@@ -79,6 +79,68 @@ class TestMajorityVote:
         assert majority_vote(table, 1).user_labels.tolist() == [1, 5, 9]
 
 
+class TestVoteEdgeCases:
+    """Hand-built vote tables: no members, abstaining members, exact thresholds."""
+
+    def test_empty_table_detects_nothing(self):
+        table = table_from([])
+        assert table.n_samples == 0
+        assert table.max_user_votes() == 0
+        assert table.vote_histogram() == {}
+        result = majority_vote(table, 1)
+        assert result.n_users == 0
+        assert result.n_merchants == 0
+
+    def test_all_abstain_members(self):
+        """Members whose FDET kept zero blocks contribute nothing, not crashes."""
+        table = table_from([[] for _ in range(5)])
+        assert table.n_samples == 5
+        assert len(table.user_votes) == 0
+        assert len(table.merchant_votes) == 0
+        assert majority_vote(table, 1).n_users == 0
+
+    def test_mixed_abstain_and_voting_members(self):
+        table = table_from([[], [1, 2], []], [[], [10], []])
+        assert table.n_samples == 3
+        assert dict(table.user_votes) == {1: 1, 2: 1}
+        assert dict(table.merchant_votes) == {10: 1}
+        result = majority_vote(table, 1)
+        assert result.user_labels.tolist() == [1, 2]
+        assert result.merchant_labels.tolist() == [10]
+
+    def test_threshold_boundary_is_inclusive(self):
+        """A count exactly equal to ``T`` is detected (>=, not >)."""
+        table = table_from([[7, 8], [7], [7, 8]], [[3], [3], [4]])
+        result = majority_vote(table, 2)
+        assert result.user_labels.tolist() == [7, 8]
+        assert result.merchant_labels.tolist() == [3]
+        # one past the boundary count drops the node
+        assert majority_vote(table, 3).user_labels.tolist() == [7]
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(AggregationError):
+            majority_vote(table_from([[1]]), -1)
+
+    def test_normalized_fraction_boundary_is_inclusive(self):
+        # node 1: 2 votes in 4 appearances; node 2: 1 vote in 4
+        table = table_from([[1, 2], [1], [], []])
+        table.attach_appearances([[1, 2]] * 4, [[]] * 4)
+        assert normalized_majority_vote(table, 0.5).user_labels.tolist() == [1]
+        assert normalized_majority_vote(table, 0.25).user_labels.tolist() == [1, 2]
+
+    def test_normalized_vote_covers_merchants(self):
+        table = VoteTable.from_detections([[], []], [[5, 6], [5]])
+        table.attach_appearances([[], []], [[5, 6], [5, 6]])
+        assert normalized_majority_vote(table, 1.0).merchant_labels.tolist() == [5]
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        table = table_from([[1]])
+        table.attach_appearances([[1]], [[]])
+        with pytest.raises(AggregationError):
+            normalized_majority_vote(table, fraction)
+
+
 class TestNormalizedVote:
     def test_requires_appearances(self):
         table = table_from([[1]])

@@ -10,7 +10,7 @@ and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
 unusual weights, nodes with no edge, execution backends (serial / process
 × the parent's own store file, a spilled or a pickled store), both
 weight policies, and ``Fdet.detect``'s per-block native peels when
-batching is off.
+batching is off or refuses the metric.
 """
 
 from __future__ import annotations
@@ -109,6 +109,31 @@ def fit_pair(graph, fdet=None, **overrides):
         config = replace(fdet or FdetConfig(), engine=engine)
         results.append(EnsemFDet(EnsemFDetConfig(seed=11, fdet=config, **overrides)).fit(graph))
     return results
+
+
+class InverseSqrtDensity(DensityMetric):
+    """Edge weight ``1/sqrt(d + 1)``: a metric the batched kernel refuses.
+
+    ``Fdet.detect`` runs it through the Python block loop, whose peels
+    under ``fast`` still run in the kernel, one per block.
+    """
+
+    def merchant_degree_weights(self, degrees):
+        return 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
+
+
+def spy_native_peel(monkeypatch):
+    """Record, per ``peeling._native_peel`` call, whether the kernel ran it."""
+    native_peel = peeling._native_peel
+    ran = []
+
+    def spy(graph, edge_weights):
+        peeled = native_peel(graph, edge_weights)
+        ran.append(peeled is not None)
+        return peeled
+
+    monkeypatch.setattr(peeling, "_native_peel", spy)
+    return ran
 
 
 class TestDetectManyDirect:
@@ -228,6 +253,24 @@ def unusual_weights(kind, n_edges):
     return weights
 
 
+def unusual_graph_with_edgeless_nodes(kind):
+    """The unusual-weight graph plus five users and five merchants with no edge."""
+    base = chung_lu_bipartite(120, 50, 900, rng=2)
+    # the edgeless nodes are spread over the id range
+    users = np.setdiff1d(np.arange(base.n_users + 5), [0, 30, 60, 90, 124])
+    merchants = np.setdiff1d(np.arange(base.n_merchants + 5), [0, 12, 24, 36, 54])
+    graph = BipartiteGraph(
+        base.n_users + 5,
+        base.n_merchants + 5,
+        users[base.edge_users],
+        merchants[base.edge_merchants],
+        unusual_weights(kind, base.n_edges),
+    )
+    assert (graph.user_degrees() == 0).sum() >= 5
+    assert (graph.merchant_degrees() == 0).sum() >= 5
+    return graph
+
+
 class TestUnusualWeights:
     """Zero, negative, subnormal, overflowing, infinite and NaN edge weights.
 
@@ -274,11 +317,8 @@ class TestUnusualWeights:
         for left, right in zip(batch.sample_detections, reference.sample_detections):
             self.assert_same_result(right.result, left.result)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_single_peel(self, kind):
-        """``greedy_peel``'s one peel."""
-        graph = chung_lu_bipartite(120, 50, 900, rng=2)
-        weights = unusual_weights(kind, graph.n_edges)
+    @staticmethod
+    def assert_same_peel(graph, weights):
         with np.errstate(over="ignore", invalid="ignore"):
             expected, got = (
                 greedy_peel(graph, weights, engine=engine)
@@ -290,24 +330,39 @@ class TestUnusualWeights:
         assert np.array_equal([expected.density], [got.density], equal_nan=True)
         assert expected.n_removed == got.n_removed
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_peel(self, kind):
+        """``greedy_peel``'s one peel."""
+        graph = chung_lu_bipartite(120, 50, 900, rng=2)
+        self.assert_same_peel(graph, unusual_weights(kind, graph.n_edges))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_peel_with_edgeless_nodes(self, kind):
+        """``greedy_peel``'s one peel when some nodes have no edge."""
+        graph = unusual_graph_with_edgeless_nodes(kind)
+        self.assert_same_peel(graph, graph.edge_weights)
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blockwise_fast_engine(self, kind, policy, monkeypatch):
+        """``Fdet.detect``'s Python block loop with one native peel per block."""
+        base = chung_lu_bipartite(120, 50, 900, rng=2)
+        graph = base.with_weights(unusual_weights(kind, base.n_edges))
+        config = FdetConfig(max_blocks=8, weight_policy=policy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(graph)
+            monkeypatch.setattr(batched, "_probe_verdict", False)
+            ran = spy_native_peel(monkeypatch)
+            got = Fdet(config).detect(graph)
+        assert ran and all(ran)
+        self.assert_same_result(expected, got)
+
     @pytest.mark.parametrize("metric", [LogWeightedDensity(), AverageDegreeDensity()])
     @pytest.mark.parametrize("policy", WeightPolicy.ALL)
     @pytest.mark.parametrize("kind", KINDS)
     def test_whole_graph_with_edgeless_nodes(self, kind, policy, metric):
         """``Fdet.detect`` peels every node of the graph, edgeless ones too."""
-        base = chung_lu_bipartite(120, 50, 900, rng=2)
-        # five users and five merchants with no edge, spread over the id range
-        users = np.setdiff1d(np.arange(base.n_users + 5), [0, 30, 60, 90, 124])
-        merchants = np.setdiff1d(np.arange(base.n_merchants + 5), [0, 12, 24, 36, 54])
-        graph = BipartiteGraph(
-            base.n_users + 5,
-            base.n_merchants + 5,
-            users[base.edge_users],
-            merchants[base.edge_merchants],
-            unusual_weights(kind, base.n_edges),
-        )
-        assert (graph.user_degrees() == 0).sum() >= 5
-        assert (graph.merchant_degrees() == 0).sum() >= 5
+        graph = unusual_graph_with_edgeless_nodes(kind)
         config = FdetConfig(max_blocks=8, weight_policy=policy, metric=metric)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(graph)
@@ -339,40 +394,48 @@ class TestEligibilityGating:
 
 
 class TestBlockwiseFastEngine:
-    """``Fdet.detect`` under ``fast`` with batching off: one native peel per block.
+    """``Fdet.detect`` under ``fast`` in the Python block loop: one native peel per block.
 
     Production takes this loop when the summation probe fails on a host
-    that still loads the kernel, or when the kernel cannot allocate a
-    whole-graph member.
+    that still loads the kernel, when the kernel cannot allocate a
+    whole-graph member, and for a metric the batch gate refuses.
     """
+
+    @staticmethod
+    def assert_bitwise(got, expected):
+        assert got.k_hat == expected.k_hat
+        assert np.array_equal(got.densities.view(np.int64), expected.densities.view(np.int64))
+        assert np.array_equal(got.block_rows, expected.block_rows)
+        assert np.array_equal(got.edge_counts, expected.edge_counts)
 
     @pytest.mark.parametrize(
         "metric",
-        [LogWeightedDensity(), AverageDegreeDensity()],
-        ids=["log-weighted", "average-degree"],
+        [LogWeightedDensity(), AverageDegreeDensity(), InverseSqrtDensity()],
+        ids=["log-weighted", "average-degree", "inverse-sqrt"],
     )
     @pytest.mark.parametrize("policy", WeightPolicy.ALL)
     def test_bitwise_with_reference(self, weighted_graph, monkeypatch, policy, metric):
         config = FdetConfig(max_blocks=8, weight_policy=policy, metric=metric)
         expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(weighted_graph)
-        native_peel = peeling._native_peel
-        ran = []
-
-        def spy(graph, edge_weights):
-            peeled = native_peel(graph, edge_weights)
-            ran.append(peeled is not None)
-            return peeled
-
         monkeypatch.setattr(batched, "_probe_verdict", False)
-        monkeypatch.setattr(peeling, "_native_peel", spy)
+        ran = spy_native_peel(monkeypatch)
         assert batched.batch_kernels() is None
         got = Fdet(config).detect(weighted_graph)
         # every block's peel ran in the kernel, none fell back to the reference
         assert got.n_blocks > 1 and len(ran) >= got.n_blocks and all(ran)
-        assert got.k_hat == expected.k_hat
-        assert np.array_equal(got.densities.view(np.int64), expected.densities.view(np.int64))
-        assert np.array_equal(got.block_rows, expected.block_rows)
-        assert np.array_equal(got.edge_counts, expected.edge_counts)
+        self.assert_bitwise(got, expected)
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    def test_refused_metric_takes_the_block_loop(self, weighted_graph, monkeypatch, policy):
+        """Batching on, but the gate refuses the metric: the per-block peels run."""
+        config = FdetConfig(max_blocks=8, weight_policy=policy, metric=InverseSqrtDensity())
+        assert batched.batch_kernels() is not None
+        assert not batched.config_eligible(config)
+        expected = Fdet(replace(config, engine=PeelEngine.REFERENCE)).detect(weighted_graph)
+        ran = spy_native_peel(monkeypatch)
+        got = Fdet(config).detect(weighted_graph)
+        assert got.n_blocks > 1 and len(ran) >= got.n_blocks and all(ran)
+        self.assert_bitwise(got, expected)
 
 
 class TestSamplerFamilyParity:

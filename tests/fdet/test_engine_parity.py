@@ -1,7 +1,7 @@
 """Engine parity: the fast backend must match the reference bit for bit.
 
 Sweeps random Chung-Lu graphs, injected-block graphs, tie-heavy complete
-blocks, multigraphs and weighted graphs, asserting
+blocks, multigraphs, weighted graphs and a non-stock metric, asserting
 the ``fast`` engine's native kernel returns masks, densities, ``n_removed``
 and the full densities series identical to ``engine="reference"`` — and
 that ``Fdet.detect`` matches the seed's rebuild-per-block formulation
@@ -16,6 +16,7 @@ import pytest
 from repro.datasets import FraudBlockSpec, chung_lu_bipartite, inject_fraud_blocks, uniform_bipartite
 from repro.fdet import (
     AverageDegreeDensity,
+    DensityMetric,
     Fdet,
     FdetConfig,
     LogWeightedDensity,
@@ -26,6 +27,13 @@ from repro.fdet import (
 from repro.fdet import peeling
 from repro.fdet._native import native_available
 from repro.graph import BipartiteGraph
+
+
+class InverseSqrtDensity(DensityMetric):
+    """Edge weight ``1/sqrt(d + 1)``: a metric of neither stock kind."""
+
+    def merchant_degree_weights(self, degrees):
+        return 1.0 / np.sqrt(degrees.astype(np.float64) + 1.0)
 
 
 @pytest.fixture(params=["native"])
@@ -104,6 +112,10 @@ class TestPeelParity:
         weights = LogWeightedDensity().edge_weights(graph)
         weights[::3] = 0.0  # zero-weight decrements exercise equal-entry ties
         assert_peel_parity(graph, weights)
+
+    def test_non_stock_metric_weights(self, fast_core):
+        graph = chung_lu_bipartite(80, 30, 200, rng=11)
+        assert_peel_parity(graph, InverseSqrtDensity().edge_weights(graph))
 
     def test_edgeless_and_tiny_graphs(self, fast_core):
         for graph in (
@@ -189,6 +201,22 @@ class TestIncrementalDetectParity:
             assert np.array_equal(block.merchant_labels, merchant_labels)
             assert block.density == density
             assert block.n_edges == n_edges
+
+    @pytest.mark.parametrize("policy", WeightPolicy.ALL)
+    @pytest.mark.parametrize("engine", PeelEngine.ALL)
+    def test_non_stock_metric_matches_seed_behaviour(self, fast_core, policy, engine):
+        """A metric the batch gate refuses runs the block loop, per-block peels and all."""
+        graph = chung_lu_bipartite(400, 160, 1_500, rng=2)
+        config = FdetConfig(
+            max_blocks=10, weight_policy=policy, engine=engine, metric=InverseSqrtDensity()
+        )
+        expected = _seed_detect(graph, config)
+        result = Fdet(config).detect(graph)
+        assert [b.density for b in result.all_blocks] == [row[2] for row in expected]
+        assert [b.n_edges for b in result.all_blocks] == [row[3] for row in expected]
+        for block, (user_labels, merchant_labels, _, _) in zip(result.all_blocks, expected):
+            assert np.array_equal(block.user_labels, user_labels)
+            assert np.array_equal(block.merchant_labels, merchant_labels)
 
     @pytest.mark.parametrize("policy", WeightPolicy.ALL)
     def test_weighted_graph_detect(self, fast_core, policy):

@@ -12,7 +12,10 @@ from repro.fdet import (
     Fdet,
     FdetConfig,
     FixedKRule,
+    LogWeightedDensity,
+    PeelEngine,
     WeightPolicy,
+    greedy_peel,
 )
 from repro.graph import BipartiteGraph
 
@@ -137,6 +140,20 @@ class TestFdetDetect:
         precision = len(detected & truth) / max(len(detected), 1)
         assert recall >= 0.85
         assert precision >= 0.7
+
+    @pytest.mark.parametrize("engine", PeelEngine.ALL)
+    def test_first_block_is_the_whole_graph_peel(self, planted_graph, engine):
+        """Block 1 is the best prefix of one peel over the whole graph."""
+        graph, _ = planted_graph
+        metric = LogWeightedDensity()
+        peel = greedy_peel(graph, metric.edge_weights(graph), engine=PeelEngine.REFERENCE)
+        first = Fdet(FdetConfig(max_blocks=3, engine=engine)).detect(graph).all_blocks[0]
+        assert np.array_equal(first.user_labels, np.sort(graph.user_labels[peel.user_mask]))
+        assert np.array_equal(
+            first.merchant_labels, np.sort(graph.merchant_labels[peel.merchant_mask])
+        )
+        assert first.density == peel.density  # bitwise, no tolerance
+        assert first.n_edges == peel.edge_indices(graph).size
 
     def test_block_labels_sorted(self, planted_graph):
         graph, _ = planted_graph

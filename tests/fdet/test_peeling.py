@@ -81,6 +81,21 @@ class TestGreedyPeel:
         with pytest.raises(DetectionError):
             greedy_peel(tiny_graph, np.ones(99))
 
+    def test_two_stars_keep_the_whole_graph(self):
+        """The greedy is a 2-approximation: it can miss the densest subgraph."""
+        # merchant 0 with 3 users (3/4 on its own), merchant 1 with 2 users
+        edges = [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)]
+        graph = BipartiteGraph.from_edges(edges, n_users=5, n_merchants=2)
+        result = peel(graph, AverageDegreeDensity())
+        assert result.n_removed == 0
+        assert result.density == pytest.approx(5.0 / 7.0)
+
+    def test_result_is_the_first_best_prefix(self, planted_graph):
+        graph, _ = planted_graph
+        result = peel(graph)
+        assert result.density == result.densities.max()
+        assert result.n_removed == int(np.argmax(result.densities))
+
     def test_deterministic(self, planted_graph):
         graph, _ = planted_graph
         metric = LogWeightedDensity()

@@ -48,6 +48,16 @@ class TestSecondDifferenceRule:
             k = rule.truncate(series)
             assert 1 <= k <= n
 
+    def test_tied_elbows_keep_the_first(self):
+        # second differences [-1, 1, -1]: the first minimum wins, so the cut
+        # does not depend on anything but the series
+        assert SecondDifferenceRule().truncate([3.0, 3.0, 2.0, 2.0, 1.0]) == 2
+
+    def test_array_and_list_agree(self):
+        series = [1.20, 1.15, 1.10, 1.05, 0.40, 0.38, 0.36]
+        rule = SecondDifferenceRule()
+        assert rule.truncate(np.array(series)) == rule.truncate(series) == 4
+
 
 class TestFixedKRule:
     def test_truncates_to_k(self):
@@ -59,3 +69,9 @@ class TestFixedKRule:
     def test_invalid_k(self):
         with pytest.raises(DetectionError):
             FixedKRule(0)
+
+    def test_empty_series_keeps_nothing(self):
+        assert FixedKRule(3).truncate([]) == 0
+
+    def test_k_one_keeps_the_first_block(self):
+        assert FixedKRule(1).truncate([1.0, 0.9, 0.8]) == 1

@@ -30,6 +30,28 @@ class TestMatrixConversion:
         graph = BipartiteGraph(1, 1, [0, 0], [0, 0], edge_weights=[2.0, 3.0])
         assert to_scipy(graph).toarray().tolist() == [[5.0]]
 
+    def test_to_scipy_keeps_nonunit_weights(self):
+        graph = BipartiteGraph(2, 2, [0, 1], [1, 0], edge_weights=[0.5, 2.5])
+        assert to_scipy(graph).toarray().tolist() == [[0.0, 0.5], [2.5, 0.0]]
+
+    def test_to_scipy_binary_ignores_weights(self):
+        graph = BipartiteGraph(2, 1, [0, 0, 1], [0, 0, 0], edge_weights=[2.5, 0.25, 4.0])
+        assert to_scipy(graph, binary=True).toarray().tolist() == [[1.0], [1.0]]
+
+    def test_to_scipy_empty_graph(self):
+        matrix = to_scipy(BipartiteGraph.empty(3, 2))
+        assert matrix.shape == (3, 2)
+        assert matrix.nnz == 0
+
+    def test_to_scipy_is_canonical_csr(self):
+        # unsorted, with a parallel pair: one stored entry per (user, merchant)
+        graph = BipartiteGraph(2, 3, [1, 0, 1, 0], [2, 1, 0, 1])
+        matrix = to_scipy(graph)
+        assert matrix.format == "csr"
+        assert matrix.has_canonical_format
+        assert matrix.nnz == 3
+        assert matrix.indices.tolist() == [1, 0, 2]
+
 
 class TestEdgeListIO:
     def test_roundtrip_unweighted(self, tiny_graph, tmp_path):
