@@ -3,12 +3,12 @@
  * Everything in this file is an exact replica of the Python reference path —
  * same float64 operations in the same order on the same values — so results
  * are bitwise identical to the reference engine. Two entry points share one
- * peel core, ``fast_peel_core``:
+ * peel core, ``peel_order``, and one density pass, ``merge_orders``:
  *
  * ``repro_greedy_peel``
  *     One peel of one flattened int32 CSR graph (used by ``peeling.py`` for
  *     ``greedy_peel`` and the per-block loop of metrics the batch cannot
- *     take).
+ *     take): the merge of its own removal order with an empty kept order.
  *
  * ``repro_fdet_batch``
  *     The full FDET block loop for one or many members in one call: the
@@ -36,7 +36,7 @@
  * false. So the accepted node is always the alive node with the smallest
  * ``(smallest key it has had, node)``, and a heap holding exactly that entry,
  * one per node, pops the same sequence — for zero, negative, infinite and
- * NaN weights too. ``fast_peel_core`` keeps it in two parts: the initial
+ * NaN weights too. ``peel_order`` keeps it in two parts: the initial
  * keys in a sorted "clean" stream read by a moving pointer, and a 4-ary
  * decrease-key "hot" heap holding a node only once an update took its key
  * below its initial one (a node whose priority rises keeps its smaller
@@ -47,16 +47,32 @@
  * ``key << 32 | node``, so each heap test and each clean-versus-hot test is
  * one integer compare.
  *
- * The clean stream is carried from block to block. Block 0, a block that
- * peels the full node set, and the block after one radix-sort every key.
- * Between two live-node peels the stream is renumbered past the nodes the
- * block left isolated (``carry_stream``); the next block keeps the entries
- * whose key is unchanged in place, radix-sorts only the nodes whose key
- * changed, and merges the two (``build_clean_stream``). Node order breaks
- * key ties in both lists — the renumbering keeps node order, and the
- * changed nodes enter their stable sort in node order — so the stream is
- * the one a full sort would build. It lives in the peel scratch, which
- * each member allocates once for all its blocks.
+ * The removal order is kept from block to block. ``peel_order`` runs to
+ * the last node and records every pop: its entry (the key it was taken
+ * with, and the node) and the node's priority then. A pop changes keys only
+ * inside its own connected component, so each component's pops, taken
+ * alone, are the peel of that component, and the peel of the whole graph
+ * takes, at every step, the smallest next pop of any component: its
+ * removal order is the merge of the components' orders that always takes
+ * the smaller head entry, and so is the merge of the orders of any split of
+ * the components into two groups (``merge_orders``; the orders need not be
+ * sorted, since keys drop as neighbours leave). A block's edges lie in a
+ * few components. Every other component keeps its nodes, edges, edge order
+ * and weights — none of its merchants changes degree, so both weight
+ * policies agree — and the renumbering past isolated nodes keeps node
+ * order, so the next block would peel it into the same entries and
+ * priorities, bit for bit. So after a live-node block the kernel drops the
+ * pops of the components that held the block's edges (``drop_dirty``;
+ * those components are "dirty"), peels only the dirty nodes in the next
+ * block — numbered in live order, with the priorities, CSR and sort over
+ * them alone — and merges the kept order back in. The density pass runs
+ * over the merged order exactly as the peel loop would: ``total -=
+ * priority at pop``, then ``total / n_alive``, with a strict ``>``,
+ * stopping one pop short of the last node. Components are found by a
+ * union-find over the edges of each peel. If the block's edges made up
+ * whole components nothing is dirty, and the next block is the merge
+ * alone. Block 0, a block that peels the full member node set, and the
+ * block after one peel every node.
  *
  * int32 member layout. Node ids, CSR offsets and half-edge endpoints are
  * int32, so a graph peels only while its node count and its half-edge count
@@ -70,7 +86,7 @@
  * in place when a block leaves nodes isolated. The alive degrees are
  * decremented, never recounted, and the next block's CSR offsets are their
  * running sum. Per-block work therefore scales with the residual graph, not
- * the whole member. The peel covers only the live nodes. Dropping the
+ * the whole member. The peel covers only the dirty live nodes. Dropping the
  * edgeless nodes is exact when every residual weight is > 0 (NaN fails) and
  * ``total / n`` is a finite, positive, normal double (the argument sits at
  * the test in ``run_member``). When that test fails the block peels the
@@ -293,13 +309,13 @@ static void radix_sort_pairs(
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    uint64_t *keys;     /* the clean stream, kept from one peel to the next: */
-    int32_t *clean_nodes; /* its sorted keys and their nodes */
-    uint64_t *min_key;  /* sort scratch, then each node's smallest key */
-    int32_t *nodes_tmp; /* sort scratch */
+    uint64_t *keys;       /* the clean stream: the initial keys, sorted, */
+    int32_t *clean_nodes; /* and their nodes */
+    uint64_t *min_key;    /* sort scratch, then each node's smallest key */
+    int32_t *nodes_tmp;   /* sort scratch; run_member's union-find before it */
     entry_t *hot;
-    int32_t *pos;       /* hot-heap slot of each node, -1 while not in it */
-    uint8_t *alive;     /* changed-key marks while the stream is built */
+    int32_t *pos;         /* hot-heap slot of each node, -1 while not in it */
+    uint8_t *alive;       /* run_member's dirty marks after the peel */
 } peel_scratch_t;
 
 /* Returns non-zero on allocation failure. */
@@ -328,138 +344,87 @@ static void scratch_free(peel_scratch_t *s)
     free(s->alive);
 }
 
-/* Sort the n initial keys into the clean stream, by (key, node). With
- * ``carried`` the stream already holds the previous peel's stream over the
- * same n nodes (see carry_stream): an entry whose key is unchanged keeps
- * its place, so only the changed nodes are sorted, then merged in. */
-static void build_clean_stream(int32_t n, const double *prio, int carried, peel_scratch_t *s)
+/* A removal order: per pop, the packed (key, node) entry the pop took and
+ * the node's priority at the pop. Room for n + 1 entries: a run of entries
+ * ends in a sentinel above every entry (node ids are < 2^31). */
+typedef struct {
+    entry_t *entry;
+    double *prio;
+} order_t;
+
+static const entry_t ORDER_END = ~(entry_t)0;
+
+/* Returns non-zero on allocation failure. */
+static int order_alloc(order_t *o, int32_t n)
 {
-    uint64_t *keys = s->keys;
-    int32_t *nodes = s->clean_nodes;
-    if (!carried) {
-        for (int32_t i = 0; i < n; i++) {
-            keys[i] = sort_key(prio[i]);
-            nodes[i] = i;
-        }
-        radix_sort_pairs(keys, nodes, s->min_key, s->nodes_tmp, n);
-        return;
-    }
-    /* keep the unchanged entries, in order, at the front of the stream
-     * and mark every node (each is in the stream once) changed or not */
-    uint8_t *changed = s->alive;
-    uint64_t *ck = s->min_key;
-    int32_t *cn = s->nodes_tmp;
-    int32_t kept = 0;
-    for (int32_t i = 0; i < n; i++) {
-        int32_t v = nodes[i];
-        uint64_t k = sort_key(prio[v]);
-        int same = k == keys[i];
-        keys[kept] = k; /* kept <= i: only slots already read are written */
-        nodes[kept] = v;
-        kept += same;
-        changed[v] = (uint8_t)!same;
-    }
-    /* the changed nodes in node order — the stable sort then breaks key
-     * ties by node id — sorted with the stream's free tail as scratch */
-    int32_t n_changed = 0;
-    for (int32_t v = 0; v < n; v++)
-        if (changed[v]) {
-            ck[n_changed] = sort_key(prio[v]);
-            cn[n_changed++] = v;
-        }
-    radix_sort_pairs(ck, cn, keys + kept, nodes + kept, n_changed);
-    /* merge from the back, so the kept entries move up in place (the
-     * write slot stays above every kept entry not yet read) */
-    int32_t i = kept - 1, j = n_changed - 1;
-    for (int32_t w = n - 1; j >= 0; w--) {
-        if (i >= 0 && entry_pack(keys[i], nodes[i]) > entry_pack(ck[j], cn[j])) {
-            keys[w] = keys[i];
-            nodes[w] = nodes[i--];
-        } else {
-            keys[w] = ck[j];
-            nodes[w] = cn[j--];
-        }
-    }
+    o->entry = (entry_t *)malloc(((size_t)n + 1) * sizeof(entry_t));
+    o->prio = (double *)malloc(((size_t)n + 1) * sizeof(double));
+    return !(o->entry && o->prio);
 }
 
-/* Carry the clean stream past drop_isolated: drop the nodes it removed
- * (newid -1) and renumber the rest. The renumbering keeps node order, so
- * the stream stays sorted by (key, node). */
-static void carry_stream(peel_scratch_t *s, int32_t n_old, const int32_t *newid)
+static void order_free(order_t *o)
 {
-    int32_t kept = 0;
-    for (int32_t i = 0; i < n_old; i++) {
-        int32_t v = newid[s->clean_nodes[i]];
-        if (v >= 0) {
-            s->keys[kept] = s->keys[i];
-            s->clean_nodes[kept++] = v;
-        }
-    }
+    free(o->entry);
+    free(o->prio);
 }
 
-/* Peel the flattened graph down to one node. Mutates prio in place (left at
- * its final state, like the reference). densities may be NULL when the
- * caller only needs the best prefix. ``carried`` says the scratch holds the
- * previous peel's clean stream over these nodes (build_clean_stream); the
- * stream is left in the scratch for the next peel. Returns the number of
- * nodes removed. */
-static int32_t fast_peel_core(
+/* Peel the flattened graph to its last node. Each pop appends to pops the
+ * packed (key, node) it was taken with — the smallest key the node had,
+ * and its id through node_of (NULL: as is) — and its priority then; the
+ * run ends in a sentinel. Mutates prio in place. */
+static void peel_order(
     int32_t n,
     const int32_t *indptr,
     const int32_t *flat_other,
     const double *flat_w,
     double *prio,
-    double total,
-    int32_t *removal_order,
-    double *densities,
-    double *best_density_out,
-    int32_t *best_removed_out,
-    int carried,
+    const int32_t *node_of,
+    order_t *pops,
     peel_scratch_t *s)
 {
     uint8_t *alive = s->alive;
     entry_t *hot = s->hot;
     int32_t *pos = s->pos;
     uint64_t *min_key = s->min_key;
-    const int32_t *clean_nodes = s->clean_nodes;
-    const uint64_t *clean_keys = s->keys;
+    uint64_t *clean_keys = s->keys;
+    int32_t *clean_nodes = s->clean_nodes;
 
-    build_clean_stream(n, prio, carried, s);
+    for (int32_t i = 0; i < n; i++) {
+        clean_keys[i] = sort_key(prio[i]);
+        clean_nodes[i] = i;
+    }
+    radix_sort_pairs(clean_keys, clean_nodes, min_key, s->nodes_tmp, n);
     for (int32_t i = 0; i < n; i++) {
         min_key[i] = sort_key(prio[i]);
         pos[i] = -1;
         alive[i] = 1;
     }
 
-    double best_density = total / (double)n;
-    if (densities)
-        densities[0] = best_density;
-    int32_t best_removed = 0;
-    int32_t n_alive = n;
     int32_t removed = 0;
     int32_t clean_pos = 0;
     int32_t hot_size = 0;
 
-    while (n_alive > 1) {
-        int32_t node;
+    while (removed < n) {
+        entry_t e;
         if (hot_size > 0
             && (clean_pos >= n
                 || hot[0] < entry_pack(clean_keys[clean_pos], clean_nodes[clean_pos]))) {
-            node = entry_node(hot[0]);
+            e = hot[0];
             if (--hot_size > 0)
                 sift_down(hot, pos, hot_size, 0, hot[hot_size]);
         } else if (clean_pos < n) {
-            node = clean_nodes[clean_pos++];
-            if (!alive[node])
+            e = entry_pack(clean_keys[clean_pos], clean_nodes[clean_pos]);
+            clean_pos++;
+            if (!alive[entry_node(e)])
                 continue; /* popped from the hot heap earlier */
         } else {
             break; /* unreachable: every alive node always has an entry */
         }
 
+        int32_t node = entry_node(e);
         alive[node] = 0;
-        removal_order[removed++] = node;
-        n_alive--;
-        total -= prio[node];
+        pops->entry[removed] = node_of ? e >> 32 << 32 | (uint32_t)node_of[node] : e;
+        pops->prio[removed++] = prio[node];
 
         for (int32_t j = indptr[node]; j < indptr[node + 1]; j++) {
             int32_t other = flat_other[j];
@@ -474,27 +439,86 @@ static int32_t fast_peel_core(
                 }
             }
         }
+    }
+    pops->entry[n] = ORDER_END;
+    pops->prio[n] = 0.0;
+}
 
-        double density = total / (double)n_alive;
-        if (densities)
-            densities[removed] = density;
-        if (density > best_density) {
-            best_density = density;
-            best_removed = removed;
+/* ------------------------------------------------------------------ */
+/* removal orders: merge and density pass                              */
+/* ------------------------------------------------------------------ */
+
+/* Merge the kept order (n_kept entries of o from slot kept_at) with a
+ * peel's pops, always taking the smaller head entry. The merged order goes
+ * to o from slot 0 — with n_kept > 0, kept_at >= the pop count, so a write
+ * never reaches a kept entry not yet read, nor the sentinel this puts after
+ * them — and the density pass runs over it as the peel loop would:
+ * ``total -= priority at pop``, then ``total / n_alive``, stopping one pop
+ * short of the last node, with the first strict maximum as the best
+ * prefix. densities may be NULL. o and pops may be one order when n_kept
+ * is 0. */
+static void merge_orders(
+    order_t *o,
+    int32_t n_kept,
+    int32_t kept_at,
+    const order_t *pops,
+    int32_t n_new,
+    double total,
+    double *densities,
+    double *best_density_out,
+    int32_t *best_removed_out)
+{
+    entry_t end = ORDER_END;
+    double end_prio = 0.0;
+    const entry_t *kept = &end;
+    const double *kept_prio = &end_prio;
+    if (n_kept > 0) {
+        kept = o->entry + kept_at;
+        kept_prio = o->prio + kept_at;
+        o->entry[kept_at + n_kept] = ORDER_END;
+        o->prio[kept_at + n_kept] = 0.0;
+    }
+    int32_t n = n_kept + n_new;
+    double best_density = total / (double)n;
+    if (densities)
+        densities[0] = best_density;
+    int32_t best_removed = 0;
+    int32_t i = 0, j = 0;
+
+    for (int32_t w = 0; w < n; w++) {
+        double p;
+        if (kept[i] < pops->entry[j]) {
+            o->entry[w] = kept[i];
+            p = kept_prio[i++];
+        } else {
+            o->entry[w] = pops->entry[j];
+            p = pops->prio[j++];
+        }
+        o->prio[w] = p;
+        if (w + 1 < n) {
+            total -= p;
+            double density = total / (double)(n - 1 - w);
+            if (densities)
+                densities[w + 1] = density;
+            if (density > best_density) {
+                best_density = density;
+                best_removed = w + 1;
+            }
         }
     }
-
     *best_density_out = best_density;
     *best_removed_out = best_removed;
-    return removed;
 }
 
 /* ------------------------------------------------------------------ */
 /* single-peel entry point                                             */
 /* ------------------------------------------------------------------ */
 
-/* Returns the number of nodes removed, or -1 on allocation failure or when
- * n reaches the int32 limit (the caller then runs the reference engine). */
+/* Peel the flattened graph down to one node. Mutates prio in place (left at
+ * its final state, like the reference); removal_order and densities hold n
+ * entries. Returns the number of nodes removed (n - 1), or -1 on allocation
+ * failure or when n reaches the int32 limit (the caller then runs the
+ * reference engine). */
 int64_t repro_greedy_peel(
     int64_t n,
     const int32_t *indptr,
@@ -512,17 +536,20 @@ int64_t repro_greedy_peel(
     if (n >= INT32_MAX)
         return -1;
     peel_scratch_t scratch;
-    if (scratch_alloc(&scratch, (int32_t)n)) {
-        scratch_free(&scratch);
-        return -1;
+    order_t order;
+    int failed = scratch_alloc(&scratch, (int32_t)n) | order_alloc(&order, (int32_t)n);
+    if (!failed) {
+        int32_t best_removed;
+        peel_order((int32_t)n, indptr, flat_other, flat_w, prio, NULL, &order, &scratch);
+        merge_orders(
+            &order, 0, 0, &order, (int32_t)n, total, densities, best_density_out, &best_removed);
+        for (int64_t i = 0; i < n; i++)
+            removal_order[i] = entry_node(order.entry[i]);
+        *best_removed_out = best_removed;
     }
-    int32_t best_removed;
-    int32_t removed = fast_peel_core(
-        (int32_t)n, indptr, flat_other, flat_w, prio, total, removal_order, densities,
-        best_density_out, &best_removed, 0, &scratch);
     scratch_free(&scratch);
-    *best_removed_out = best_removed;
-    return removed;
+    order_free(&order);
+    return failed ? -1 : n - 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -615,10 +642,62 @@ static int32_t drop_isolated(
     return kept;
 }
 
+/* Union-find over a peel's node ids, for the components of its graph:
+ * parent links with path halving, each root the smallest id in its set. */
+static inline int32_t uf_find(int32_t *parent, int32_t x)
+{
+    while (parent[x] != x) {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    return x;
+}
+
+static inline void uf_union(int32_t *parent, int32_t u, int32_t v)
+{
+    u = uf_find(parent, u);
+    v = uf_find(parent, v);
+    int32_t root = u < v ? u : v;
+    parent[u ^ v ^ root] = root; /* a no-op when u == v */
+}
+
+/* Carry a live-node block's removal order past drop_isolated. First move
+ * comp to the new ids — -1 for a node of a component marked in dirty (by
+ * label), which the next block re-peels — and turn newid into the kept
+ * nodes' new ids (-1 for the dirty ones too). Then drop the dirty entries
+ * from the order's n_old entries, renumber the rest, and pack them at the
+ * top of those slots: the renumbering keeps node order, so the entries
+ * still merge by (key, node). Returns the slot of the first kept entry. */
+static int32_t drop_dirty(
+    order_t *o, int32_t n_old, int32_t *comp, const uint8_t *dirty, int32_t *newid)
+{
+    /* a clean label keeps its new id in newid whether rewritten yet or
+     * not; newid[p] <= p, so comp[p] is read before any write reaches it */
+    for (int32_t p = 0; p < n_old; p++) {
+        int32_t c = comp[p], q = newid[p];
+        if (q >= 0)
+            comp[q] = dirty[c] ? -1 : newid[c];
+        newid[p] = dirty[c] ? -1 : q;
+    }
+    /* a backward pass writes every entry to slot w - 1 >= i, but moves w
+     * down only past a kept one, so no entry is overwritten before it is
+     * read and a dropped entry's slot is taken by the next kept one */
+    int32_t w = n_old;
+    for (int32_t i = n_old - 1; i >= 0; i--) {
+        entry_t e = o->entry[i];
+        int32_t q = newid[entry_node(e)];
+        o->prio[w - 1] = o->prio[i];
+        o->entry[w - 1] = e >> 32 << 32 | (uint32_t)q;
+        w -= q >= 0;
+    }
+    return w;
+}
+
 /* One member's full FDET run (Algorithm 1): node compaction, then the block
  * loop on the residual graph — weights, priorities, total and CSR built
- * from the alive edges and alive degrees, the peel over the live nodes,
- * mask bookkeeping, and compaction of the edges and nodes. Sets
+ * from the alive edges and alive degrees, the peel of the live nodes whose
+ * component the last block touched, the merge with the kept order, mask
+ * bookkeeping, and compaction of the edges, nodes and order. Sets
  * out_status[m] = -1 on allocation failure or at the int32 limit (the
  * caller re-runs the member without the batch). */
 static void run_member(const batch_args_t *a, int64_t m)
@@ -637,10 +716,14 @@ static void run_member(const batch_args_t *a, int64_t m)
     uint8_t *keep = NULL;
     int32_t *remap_u = NULL, *remap_m = NULL, *eu = NULL, *ev = NULL, *live_n = NULL;
     int32_t *deg = NULL, *deg_frozen = NULL, *indptr = NULL, *fill = NULL, *flat_other = NULL;
-    int32_t *removal_order = NULL;
+    int32_t *comp = NULL;
     double *mw = NULL, *ew = NULL, *flat_w = NULL, *prio = NULL;
-    peel_scratch_t scratch; /* zeroed, so freeing it is safe on every path */
+    /* zeroed, so freeing them is safe on every path */
+    peel_scratch_t scratch;
+    order_t order, pops;
     memset(&scratch, 0, sizeof(scratch));
+    memset(&order, 0, sizeof(order));
+    memset(&pops, 0, sizeof(pops));
 
     /* a compacted member has at most 2 * me nodes; an all_nodes member has
      * every parent node */
@@ -704,12 +787,12 @@ static void run_member(const batch_args_t *a, int64_t m)
         flat_other = (int32_t *)malloc((size_t)(2 * me) * sizeof(int32_t));
         flat_w = (double *)malloc((size_t)(2 * me) * sizeof(double));
         prio = (double *)malloc((size_t)n * sizeof(double));
-        removal_order = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+        comp = (int32_t *)malloc((size_t)n * sizeof(int32_t));
         keep = (uint8_t *)malloc((size_t)n);
         if (!ew || !deg || !live_n || !indptr || !fill || !flat_other || !flat_w || !prio
-            || !removal_order || !keep)
+            || !comp || !keep)
             goto failed;
-        if (scratch_alloc(&scratch, n))
+        if (scratch_alloc(&scratch, n) || order_alloc(&order, n) || order_alloc(&pops, n))
             goto failed;
 
         /* alive degrees, decremented as blocks remove edges; only an
@@ -738,10 +821,14 @@ static void run_member(const batch_args_t *a, int64_t m)
         double first_density = 0.0;
         int have_first = 0;
         int64_t row_bytes = ((int64_t)n + 7) / 8;
-        /* the scratch holds the previous block's clean stream over the
-         * current live nodes: set after a live-node peel, so a full-node
-         * block and the block after one sort from scratch */
-        int carried = 0;
+        /* comp[p] is live node p's component, or negative while p is dirty:
+         * in a component the last block touched, so its kept pops are gone
+         * and the next block re-peels it. The order keeps the pops of the
+         * other live nodes, n_kept entries from slot kept_at. Block 0 and
+         * the block after a full-node block start with every node dirty. */
+        for (int32_t p = 0; p < n_live_n; p++)
+            comp[p] = -1;
+        int32_t n_kept = 0, kept_at = 0;
 
         for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
             /* residual edge weights table[degree] * member weight, in
@@ -761,37 +848,62 @@ static void run_member(const batch_args_t *a, int64_t m)
              * positive normal total/n makes each of those pops raise the
              * density strictly, so the best prefix always drops them and the
              * rest of the peel is the peel of the live nodes alone (numbered
-             * in order, so ties break the same way). Otherwise peel all n,
-             * with joint[] mapping live ids to member node ids. */
+             * in order, so ties break the same way). Of those, only the
+             * dirty ones are peeled: the merge with the kept order supplies
+             * the rest. Otherwise peel all n, with joint[] mapping live ids
+             * to member node ids. */
             double density_all = total / (double)n;
             int residual = all_positive && density_all >= DBL_MIN && density_all <= DBL_MAX;
-            int32_t n_peel = residual ? n_live_n : n;
             const int32_t *joint = residual ? NULL : live_n;
+            int32_t n_peel, n_order; /* nodes peeled; nodes in the merged order */
 
-            /* CSR offsets: the running sum of the alive degrees */
+            /* CSR offsets: the running sum of the alive degrees. A dirty
+             * node's comp becomes -1 - its peel id, numbered in live order */
             if (residual) {
+                n_peel = 0;
                 indptr[0] = 0;
-                for (int32_t p = 0; p < n_live_n; p++)
-                    indptr[p + 1] = indptr[p] + deg[p];
+                for (int32_t p = 0; p < n_live_n; p++) {
+                    /* the slot past the last dirty node is scratch */
+                    int is_dirty = comp[p] < 0;
+                    comp[p] = is_dirty ? -1 - n_peel : comp[p];
+                    indptr[n_peel + 1] = indptr[n_peel] + deg[p];
+                    n_peel += is_dirty;
+                }
+                n_order = n_live_n;
             } else {
+                /* a full-node peel keeps nothing of the order before it */
+                n_peel = n_order = n;
+                kept_at = n_kept = 0;
                 memset(indptr, 0, (size_t)(n + 1) * sizeof(int32_t));
                 for (int32_t p = 0; p < n_live_n; p++)
                     indptr[live_n[p] + 1] = deg[p];
                 for (int32_t v = 0; v < n; v++)
                     indptr[v + 1] += indptr[v];
             }
+            /* some live nodes keep their pops: peel ids are not live ids */
+            int partial = n_peel < n_order;
             /* priority = np.zeros(n) + the two np.add.at passes
              * (users and merchants are disjoint, so one pass adds to every
-             * node in the same order); spans filled in edge order */
+             * node in the same order); spans filled in edge order. A
+             * live-node peel also joins its edges' endpoints in a union-find
+             * over the peel scratch, which is free until the peel sorts */
+            int32_t *parent = residual ? scratch.nodes_tmp : NULL;
             for (int32_t p = 0; p < n_peel; p++) {
                 fill[p] = indptr[p];
                 prio[p] = 0.0;
+                if (parent)
+                    parent[p] = p;
             }
             for (int32_t r = 0; r < n_live_e; r++) {
                 int32_t u = eu[r], v = ev[r];
                 if (joint) {
                     u = joint[u];
                     v = joint[v];
+                } else if (partial) {
+                    if (comp[u] >= 0)
+                        continue; /* an edge of a clean component */
+                    u = -1 - comp[u];
+                    v = -1 - comp[v];
                 }
                 double w = ew[r];
                 prio[u] += w;
@@ -802,21 +914,46 @@ static void run_member(const batch_args_t *a, int64_t m)
                 slot = fill[v]++;
                 flat_other[slot] = u;
                 flat_w[slot] = w;
+                if (parent)
+                    uf_union(parent, u, v);
             }
 
+            /* fill: the live id of each peeled node, when they differ */
+            const int32_t *node_of = NULL;
+            if (partial) {
+                for (int32_t p = 0, k = 0; p < n_live_n; p++) {
+                    fill[k] = p; /* a clean node's write lands past the end */
+                    k += comp[p] < 0;
+                }
+                node_of = fill;
+            }
+            /* label each peeled node's component by its root's live id */
+            if (parent)
+                for (int32_t v = 0; v < n_peel; v++) {
+                    int32_t root = uf_find(parent, v);
+                    comp[node_of ? node_of[v] : v] = node_of ? node_of[root] : root;
+                }
+            /* with nothing kept, the peel writes the order itself and the
+             * merge runs in place */
+            order_t *popped = n_kept > 0 ? &pops : &order;
+            peel_order(n_peel, indptr, flat_other, flat_w, prio, node_of, popped, &scratch);
             double best_density;
             int32_t best_removed;
-            fast_peel_core(
-                n_peel, indptr, flat_other, flat_w, prio, total, removal_order, NULL,
-                &best_density, &best_removed, residual && carried, &scratch);
+            merge_orders(
+                &order, n_kept, kept_at, popped, n_peel, total, NULL, &best_density,
+                &best_removed);
 
-            memset(keep, 1, (size_t)n_peel);
+            memset(keep, 1, (size_t)n_order);
             for (int32_t i = 0; i < best_removed; i++)
-                keep[removal_order[i]] = 0;
+                keep[entry_node(order.entry[i])] = 0;
 
             /* count the block's edges and drop them from the alive arrays
-             * in one pass; a rejected block ends the member, so the arrays
-             * are never read again after that */
+             * in one pass, marking the components that held them dirty; a
+             * rejected block ends the member, so the arrays are never read
+             * again after that */
+            uint8_t *dirty = residual ? scratch.alive : NULL;
+            if (dirty)
+                memset(dirty, 0, (size_t)n_live_n);
             int64_t count = 0;
             int32_t kept_e = 0;
             for (int32_t r = 0; r < n_live_e; r++) {
@@ -826,6 +963,8 @@ static void run_member(const batch_args_t *a, int64_t m)
                     count++;
                     deg[u]--;
                     deg[v]--;
+                    if (dirty)
+                        dirty[comp[u]] = 1;
                 } else {
                     eu[kept_e] = u;
                     ev[kept_e] = v;
@@ -838,7 +977,7 @@ static void run_member(const batch_args_t *a, int64_t m)
 
             uint8_t *row = a->block_masks + a->mask_off[m] + n_blocks * row_bytes;
             memset(row, 0, (size_t)row_bytes);
-            for (int32_t p = 0; p < n_peel; p++)
+            for (int32_t p = 0; p < n_order; p++)
                 if (keep[p]) {
                     int32_t v = joint ? p : live_n[p];
                     row[v >> 3] |= (uint8_t)(1u << (v & 7));
@@ -858,9 +997,13 @@ static void run_member(const batch_args_t *a, int64_t m)
             n_live_e = kept_e;
             int32_t n_before = n_live_n;
             n_live_n = drop_isolated(n_live_n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
-            carried = residual;
-            if (residual && n_live_n < n_before)
-                carry_stream(&scratch, n_before, fill);
+            if (residual) {
+                kept_at = drop_dirty(&order, n_before, comp, dirty, fill);
+                n_kept = n_before - kept_at;
+            } else {
+                for (int32_t p = 0; p < n_live_n; p++)
+                    comp[p] = -1;
+            }
         }
         a->out_n_blocks[m] = n_blocks;
     }
@@ -885,9 +1028,11 @@ cleanup:
     free(flat_other);
     free(flat_w);
     free(prio);
-    free(removal_order);
+    free(comp);
     free(keep);
     scratch_free(&scratch);
+    order_free(&order);
+    order_free(&pops);
 }
 
 int64_t repro_fdet_batch(

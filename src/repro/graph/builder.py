@@ -15,6 +15,7 @@ constructor — the already-validated prefix is never re-scanned.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -378,6 +379,9 @@ class GraphAccumulator:
                 raise GraphError("batch weights length does not match batch edge count")
         if timestamp is not None and self._window is None:
             raise GraphError("append timestamps are only meaningful in windowed mode")
+        if timestamp is not None and not math.isfinite(timestamp):
+            # a NaN would pass the non-decreasing check and expire the window
+            raise GraphError(f"batch timestamps must be finite, got {timestamp}")
 
         start = self._watermark if self._window is not None else self.n_edges
         if batch_weights is not None:

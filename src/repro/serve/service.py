@@ -23,6 +23,7 @@ through the HTTP path of a live server.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -67,14 +68,28 @@ class ServiceStats:
 
 
 def _as_delta_array(values, name: str) -> np.ndarray | None:
-    """Validate one parallel delta column into an int64 array."""
+    """Validate one parallel delta column into an int64 array.
+
+    A label must be a whole number inside int64: a cast would silently turn
+    ``1.5`` into label 1, and ``NaN``, ``inf`` or ``1e30`` into -2**63.
+    """
     if values is None:
         return None
     array = np.asarray(values)
     if array.ndim != 1:
         raise DetectionError(f"ingest field {name!r} must be a flat array")
-    if array.size and not np.issubdtype(array.dtype, np.number):
+    if not array.size:
+        return array.astype(np.int64)
+    if np.issubdtype(array.dtype, np.floating):
+        valid = (array == np.trunc(array)) & (array >= -(2.0**63)) & (array < 2.0**63)
+    elif np.issubdtype(array.dtype, np.integer):
+        valid = array <= np.iinfo(np.int64).max  # a uint64 column may not fit
+    else:
         raise DetectionError(f"ingest field {name!r} must be numeric labels")
+    if not valid.all():
+        raise DetectionError(
+            f"ingest field {name!r} must hold whole int64 labels, got {array[~valid][0]!r}"
+        )
     return array.astype(np.int64, copy=False)
 
 
@@ -205,6 +220,10 @@ class DetectionService:
             weights = np.asarray(weights, dtype=np.float64)
             if users is None or weights.shape != users.shape:
                 raise DetectionError("weights must parallel users/merchants")
+        if timestamp is not None:
+            timestamp = float(timestamp)
+            if not math.isfinite(timestamp):
+                raise DetectionError(f"ingest timestamp must be finite, got {timestamp}")
         remove_users = _as_delta_array(remove_users, "remove_users")
         remove_merchants = _as_delta_array(remove_merchants, "remove_merchants")
         if (remove_users is None) != (remove_merchants is None):

@@ -1,12 +1,14 @@
 """Property-based parity of the kernel's FDET block loop with the reference.
 
-From one block to the next the kernel keeps each member's clean stream
-(its live nodes sorted by initial key): nodes whose key did not change
-keep their place, and only the changed ones are sorted and merged in. A
-block that peels the full member node set, and the block after one, sort
-from scratch. These tests run random small members through up to 30
-blocks, on both entry points of the batched kernel, and require every
-block to match the reference engine bit for bit.
+From one live-node block to the next the kernel keeps each member's
+removal order: it re-peels only the connected components that held the
+last block's edges, and merges the kept order of the others back in by
+(key, node id). A block that peels the full member node set, and the block
+after one, peel every node. These tests run random small members through up
+to 30 blocks, on both entry points of the batched kernel, and require every
+block to match the reference engine bit for bit. Their graphs are mostly
+one component or a few; ``test_component_merge.py`` builds members as
+disjoint unions, so that the merge does real work.
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ def full_then_live_graph() -> tuple[BipartiteGraph, tuple[int, int]]:
 
     While the zero-weight edge is alive a block peels the full node set;
     the first block carves it out, so the blocks after it peel the live
-    nodes — the second from scratch, the later ones on a carried stream.
-    Returns the graph and the zero-weight edge's (user, merchant).
+    nodes — the second all of them, the later ones only the components
+    the block before touched. Returns the graph and the zero-weight edge's
+    (user, merchant).
     """
     rng = np.random.default_rng(5)
     edges = [(u, m) for u in range(6) for m in range(5)]  # the 6 x 5 dense block

@@ -91,6 +91,18 @@ class TestWindowedAppend:
         with pytest.raises(GraphError):
             _append_batch(acc, 5, timestamp=2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected(self, bad):
+        acc = _windowed(WindowConfig(horizon=5.0))
+        _append_batch(acc, 0, timestamp=3.0)
+        with pytest.raises(GraphError, match="finite"):
+            _append_batch(acc, 5, timestamp=bad)
+        # nothing was recorded: the window and its clock are as they were
+        window = acc.window()
+        assert (window.watermark, window.n_live) == (5, 5)
+        with pytest.raises(GraphError):
+            _append_batch(acc, 5, timestamp=2.0)
+
     def test_timestamp_rejected_without_window(self):
         acc = GraphAccumulator()
         with pytest.raises(GraphError):

@@ -237,6 +237,69 @@ class TestErrorMapping:
             handle.stop()
 
 
+class TestIngestValidation:
+    """Deltas that a cast would corrupt are 400s that change nothing.
+
+    On a horizon window a ``NaN`` timestamp would expire every live edge and
+    then let any later timestamp through the non-decreasing check; a float
+    label would be cast to another label, or to -2**63.
+    """
+
+    @pytest.fixture(scope="class")
+    def horizon_served(self):
+        detector = IncrementalEnsemFDet(make_config(), window=WindowConfig(horizon=10.0))
+        detector.fit(uniform_bipartite(150, 70, 1400, rng=3), timestamp=0.0)
+        handle = start_server_in_thread(DetectionService(detector))
+        yield handle
+        handle.stop()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"users": [1, 1.5], "merchants": [2, 3]},
+            {"users": [1], "merchants": [float("nan")]},
+            {"users": [float("inf")], "merchants": [2]},
+            {"users": [1e30], "merchants": [2]},
+            {"users": [2**64 - 1], "merchants": [2]},
+            {"remove_users": [0.5], "remove_merchants": [0]},
+            {"users": [1], "merchants": [2], "timestamp": float("nan")},
+            {"users": [1], "merchants": [2], "timestamp": float("-inf")},
+        ],
+        ids=[
+            "fraction",
+            "nan-label",
+            "inf-label",
+            "huge-label",
+            "uint64-label",
+            "fractional-deletion",
+            "nan-timestamp",
+            "inf-timestamp",
+        ],
+    )
+    def test_rejected_ingest_changes_nothing(self, horizon_served, payload):
+        handle = horizon_served
+        snapshot = handle.server.service.snapshot
+        _, top = request(f"{handle.url}/top?k={snapshot.user_labels.size}")
+        status, body = request(f"{handle.url}/ingest", method="POST", payload=payload)
+        assert status == 400
+        assert body["type"] == "DetectionError"
+        assert handle.server.service.snapshot is snapshot
+        assert request(f"{handle.url}/health")[1]["snapshot_version"] == snapshot.version
+        assert request(f"{handle.url}/top?k={snapshot.user_labels.size}")[1] == top
+        assert request(f"{handle.url}/stats")[1]["updates_failed"] == 0
+
+    def test_whole_float_labels_are_accepted(self, horizon_served):
+        handle = horizon_served
+        version = handle.server.service.snapshot.version
+        status, report = request(
+            f"{handle.url}/ingest",
+            method="POST",
+            payload={"users": [1.0, 2.0], "merchants": [3.0, 4.0], "timestamp": 1.0},
+        )
+        assert status == 200
+        assert report["snapshot_version"] == version + 1
+
+
 class TestKeepAlive:
     def test_many_requests_share_one_connection(self, served):
         handle, _ = served
