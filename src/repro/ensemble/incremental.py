@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DetectionError, QuorumError
+from ..errors import DetectionError, GraphError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
 from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
 from ..parallel import ExecutorMode, FaultTolerance, Timer
@@ -389,6 +389,12 @@ class IncrementalEnsemFDet:
                 raise DetectionError(
                     "remove_users and remove_merchants must be given together"
                 )
+            # the retraction lands first, so a batch the append would reject
+            # (a timestamp before the newest batch's) must fail before it
+            try:
+                acc.check_append(users, merchants, weights, timestamp=timestamp)
+            except GraphError as exc:
+                raise DetectionError(f"rejected ingest batch: {exc}") from exc
             removed = (
                 acc.retract(remove_users, remove_merchants)
                 if remove_users is not None

@@ -57,22 +57,38 @@
  * the smaller head entry, and so is the merge of the orders of any split of
  * the components into two groups (``merge_orders``; the orders need not be
  * sorted, since keys drop as neighbours leave). A block's edges lie in a
- * few components. Every other component keeps its nodes, edges, edge order
- * and weights — none of its merchants changes degree, so both weight
- * policies agree — and the renumbering past isolated nodes keeps node
- * order, so the next block would peel it into the same entries and
- * priorities, bit for bit. So after a live-node block the kernel drops the
- * pops of the components that held the block's edges (``drop_dirty``;
- * those components are "dirty"), peels only the dirty nodes in the next
- * block — numbered in live order, with the priorities, CSR and sort over
- * them alone — and merges the kept order back in. The density pass runs
- * over the merged order exactly as the peel loop would: ``total -=
- * priority at pop``, then ``total / n_alive``, with a strict ``>``,
- * stopping one pop short of the last node. Components are found by a
- * union-find over the edges of each peel. If the block's edges made up
- * whole components nothing is dirty, and the next block is the merge
- * alone. Block 0, a block that peels the full member node set, and the
- * block after one peel every node.
+ * few components, the "touched" ones. Every other component keeps its
+ * nodes, edges, edge order and weights — none of its merchants changes
+ * degree, so both weight policies agree — so the next block would peel it
+ * into the same entries and priorities, bit for bit. So after a live-node
+ * block the kernel walks the touched components' nodes into a bitset, and
+ * the next block peels the ones still live — numbered in member order, with
+ * the priorities, CSR and sort over them alone — and merges the kept order
+ * back in, dropping the walked nodes' kept entries as it reads them. A
+ * node whose last edge leaves in a block lies in a touched component, so
+ * its entry goes with the component's. The density pass runs over the
+ * merged order exactly as the peel loop would: ``total -= priority at
+ * pop``, then ``total / n_alive``, with a strict ``>``, stopping one pop
+ * short of the last node; the block is the merged order's tail from the
+ * best prefix on. Components are found by a union-find over the edges of
+ * each peel, and each is kept as a list of its nodes in member order,
+ * headed by its label. If the block's edges made up whole components no
+ * live node is walked, and the next block is the merge alone. Block 0, a
+ * block that peels the full member node set, and the block after one peel
+ * every node.
+ *
+ * Fixed member ids. A member's nodes keep the ids node compaction gives
+ * them (users, then merchants, each in parent order) for the whole run:
+ * the alive edges are two int32 endpoint arrays in those ids, compacted in
+ * order after every block, and the alive degrees are decremented, never
+ * recounted. Nothing is renumbered when nodes fall isolated. Per-node work
+ * after block 0 follows the walked nodes and the block's own nodes. Two
+ * passes per block still touch the whole live member, because bitwise
+ * parity needs them: the stream over the alive edges, whose weights feed
+ * ``total`` through ``pairwise_sum`` in edge order (the same stream adds
+ * the walked components' edges to the peel, and a second one drops the
+ * block's edges), and the merge-and-density pass over the removal order,
+ * since ``total`` changes every pop's density.
  *
  * int32 member layout. Node ids, CSR offsets and half-edge endpoints are
  * int32, so a graph peels only while its node count and its half-edge count
@@ -80,13 +96,7 @@
  * beyond that; ``run_member`` reports status -1 — the per-member fallback
  * the caller already takes on an allocation failure — for a member whose
  * node count (its parent's, under ``all_nodes``) or half-edge count reaches
- * it. Each member keeps its alive edges as two int32 endpoint arrays
- * already relabelled to live-node ids (the nodes with an alive edge,
- * numbered in order), compacted in order after every block and renumbered
- * in place when a block leaves nodes isolated. The alive degrees are
- * decremented, never recounted, and the next block's CSR offsets are their
- * running sum. Per-block work therefore scales with the residual graph, not
- * the whole member. The peel covers only the dirty live nodes. Dropping the
+ * it. Parent ids stay int64 until compaction ranks them. Dropping the
  * edgeless nodes is exact when every residual weight is > 0 (NaN fails) and
  * ``total / n`` is a finite, positive, normal double (the argument sits at
  * the test in ``run_member``). When that test fails the block peels the
@@ -102,7 +112,8 @@
  *   - ``np.add.at`` is unbuffered sequential addition in index order — the
  *     priority-init loops below mirror it exactly.
  *   - ``np.unique(x, return_inverse=True)`` on bounded non-negative ints is a
- *     presence scan + running rank — the node-compaction loops below.
+ *     presence bitset: its set bits in order are the unique values, and a
+ *     value's inverse is its rank, a popcount below it — node compaction.
  *   - CSR spans filled in edge order equal numpy's stable argsort by
  *     endpoint, used by ``BipartiteGraph._build_adjacency``.
  *   - The radix sort key normalises ``-0.0`` to ``+0.0``: the comparator
@@ -314,8 +325,9 @@ typedef struct {
     uint64_t *min_key;    /* sort scratch, then each node's smallest key */
     int32_t *nodes_tmp;   /* sort scratch; run_member's union-find before it */
     entry_t *hot;
-    int32_t *pos;         /* hot-heap slot of each node, -1 while not in it */
-    uint8_t *alive;       /* run_member's dirty marks after the peel */
+    int32_t *pos;         /* hot-heap slot of each node, -1 while not in it;
+                           * run_member's component list tails before it */
+    uint8_t *alive;       /* 1 until the node pops */
 } peel_scratch_t;
 
 /* Returns non-zero on allocation failure. */
@@ -448,64 +460,80 @@ static void peel_order(
 /* removal orders: merge and density pass                              */
 /* ------------------------------------------------------------------ */
 
-/* Merge the kept order (n_kept entries of o from slot kept_at) with a
- * peel's pops, always taking the smaller head entry. The merged order goes
- * to o from slot 0 — with n_kept > 0, kept_at >= the pop count, so a write
- * never reaches a kept entry not yet read, nor the sentinel this puts after
- * them — and the density pass runs over it as the peel loop would:
- * ``total -= priority at pop``, then ``total / n_alive``, stopping one pop
- * short of the last node, with the first strict maximum as the best
- * prefix. densities may be NULL. o and pops may be one order when n_kept
- * is 0. */
+/* Set node v's bit in a bitset of uint64 words; returns whether it was set. */
+static inline int bit_put(uint64_t *bits, int32_t v)
+{
+    uint64_t mask = (uint64_t)1 << (v & 63), word = bits[v >> 6];
+    bits[v >> 6] = word | mask;
+    return (word & mask) != 0;
+}
+
+/* Merge the kept order, n_kept entries of kept, with a peel's pops into
+ * the n entries of out, always taking the smaller head entry, and run the
+ * density pass over them as the peel loop would: ``total -= priority at
+ * pop``, then ``total / n_alive``, stopping one pop short of the last node,
+ * with the first strict maximum as the best prefix. The merge drops the
+ * kept entries of the nodes set in walked, and clears their bits: every
+ * set bit must be the node of one kept entry, so walked ends all clear.
+ * The pops may lie in out itself from slot n minus their count on: a write
+ * never reaches a pop not yet read. densities may be NULL. */
 static void merge_orders(
-    order_t *o,
+    order_t *out,
+    order_t *kept,
     int32_t n_kept,
-    int32_t kept_at,
+    uint64_t *walked,
     const order_t *pops,
-    int32_t n_new,
+    int32_t n,
     double total,
     double *densities,
     double *best_density_out,
     int32_t *best_removed_out)
 {
     entry_t end = ORDER_END;
-    double end_prio = 0.0;
-    const entry_t *kept = &end;
-    const double *kept_prio = &end_prio;
+    const entry_t *kept_e = &end;
+    const double *kept_p = NULL; /* read only below the sentinel */
     if (n_kept > 0) {
-        kept = o->entry + kept_at;
-        kept_prio = o->prio + kept_at;
-        o->entry[kept_at + n_kept] = ORDER_END;
-        o->prio[kept_at + n_kept] = 0.0;
+        kept->entry[n_kept] = ORDER_END;
+        kept_e = kept->entry;
+        kept_p = kept->prio;
     }
-    int32_t n = n_kept + n_new;
     double best_density = total / (double)n;
     if (densities)
         densities[0] = best_density;
     int32_t best_removed = 0;
     int32_t i = 0, j = 0;
 
-    for (int32_t w = 0; w < n; w++) {
+    for (int32_t w = 0; w < n;) {
+        entry_t e;
         double p;
-        if (kept[i] < pops->entry[j]) {
-            o->entry[w] = kept[i];
-            p = kept_prio[i++];
+        if (kept_e[i] < pops->entry[j]) {
+            e = kept_e[i];
+            p = kept_p[i++];
+            int32_t v = entry_node(e);
+            uint64_t mask = (uint64_t)1 << (v & 63);
+            if (walked[v >> 6] & mask) {
+                walked[v >> 6] &= ~mask;
+                continue; /* re-peeled, or left without an edge */
+            }
         } else {
-            o->entry[w] = pops->entry[j];
+            e = pops->entry[j];
             p = pops->prio[j++];
         }
-        o->prio[w] = p;
-        if (w + 1 < n) {
+        out->entry[w] = e;
+        out->prio[w] = p;
+        if (++w < n) {
             total -= p;
-            double density = total / (double)(n - 1 - w);
+            double density = total / (double)(n - w);
             if (densities)
-                densities[w + 1] = density;
+                densities[w] = density;
             if (density > best_density) {
                 best_density = density;
-                best_removed = w + 1;
+                best_removed = w;
             }
         }
     }
+    for (; i < n_kept; i++) /* dropped entries after the last kept one */
+        walked[entry_node(kept_e[i]) >> 6] &= ~((uint64_t)1 << (entry_node(kept_e[i]) & 63));
     *best_density_out = best_density;
     *best_removed_out = best_removed;
 }
@@ -542,7 +570,8 @@ int64_t repro_greedy_peel(
         int32_t best_removed;
         peel_order((int32_t)n, indptr, flat_other, flat_w, prio, NULL, &order, &scratch);
         merge_orders(
-            &order, 0, 0, &order, (int32_t)n, total, densities, best_density_out, &best_removed);
+            &order, NULL, 0, NULL, &order, (int32_t)n, total, densities, best_density_out,
+            &best_removed);
         for (int64_t i = 0; i < n; i++)
             removal_order[i] = entry_node(order.entry[i]);
         *best_removed_out = best_removed;
@@ -608,38 +637,33 @@ typedef struct {
     const int64_t *mask_off;
 } batch_args_t;
 
-/* Drop the live nodes whose alive degree is zero: compact live_n, deg and
- * deg_frozen (when given) in order, and renumber the n_e edge endpoints.
- * newid (n_live entries) receives each node's new id, -1 when dropped.
- * Returns the new live-node count. */
-static int32_t drop_isolated(
-    int32_t n_live,
-    int32_t *live_n,
-    int32_t *deg,
-    int32_t *deg_frozen,
-    int32_t n_e,
-    int32_t *eu,
-    int32_t *ev,
-    int32_t *newid)
+/* np.unique over the ids set in a presence bitset of n_words words: the
+ * set ids go to ids in ascending order, and rank[w] counts the ids set
+ * below word w. Returns the number of ids set. */
+static int32_t rank_bits(const uint64_t *bits, int64_t n_words, int32_t *rank, int64_t *ids)
 {
-    int32_t kept = 0;
-    for (int32_t p = 0; p < n_live; p++) {
-        newid[p] = -1;
-        if (deg[p] > 0) {
-            newid[p] = kept;
-            live_n[kept] = live_n[p];
-            deg[kept] = deg[p];
-            if (deg_frozen)
-                deg_frozen[kept] = deg_frozen[p];
-            kept++;
-        }
+    int32_t k = 0;
+    for (int64_t w = 0; w < n_words; w++) {
+        rank[w] = k;
+        for (uint64_t b = bits[w]; b; b &= b - 1)
+            ids[k++] = w * 64 + __builtin_ctzll(b);
     }
-    if (kept < n_live)
-        for (int32_t r = 0; r < n_e; r++) {
-            eu[r] = newid[eu[r]];
-            ev[r] = newid[ev[r]];
-        }
-    return kept;
+    return k;
+}
+
+/* np.unique's inverse: the rank of set id x among the ids set. */
+static inline int32_t bit_rank(const uint64_t *bits, const int32_t *rank, int64_t x)
+{
+    uint64_t below = bits[x >> 6] & (((uint64_t)1 << (x & 63)) - 1);
+    return rank[x >> 6] + __builtin_popcountll(below);
+}
+
+/* Set the first n bits of a bitset of (n + 63) / 64 words, and no other. */
+static void bits_fill(uint64_t *bits, int32_t n)
+{
+    memset(bits, 0xFF, (size_t)(n / 64) * sizeof(uint64_t));
+    if (n % 64)
+        bits[n / 64] = ((uint64_t)1 << (n % 64)) - 1;
 }
 
 /* Union-find over a peel's node ids, for the components of its graph:
@@ -661,45 +685,30 @@ static inline void uf_union(int32_t *parent, int32_t u, int32_t v)
     parent[u ^ v ^ root] = root; /* a no-op when u == v */
 }
 
-/* Carry a live-node block's removal order past drop_isolated. First move
- * comp to the new ids — -1 for a node of a component marked in dirty (by
- * label), which the next block re-peels — and turn newid into the kept
- * nodes' new ids (-1 for the dirty ones too). Then drop the dirty entries
- * from the order's n_old entries, renumber the rest, and pack them at the
- * top of those slots: the renumbering keeps node order, so the entries
- * still merge by (key, node). Returns the slot of the first kept entry. */
-static int32_t drop_dirty(
-    order_t *o, int32_t n_old, int32_t *comp, const uint8_t *dirty, int32_t *newid)
+/* Add edge (u, v) of weight w to a peel: both priorities (np.add.at, so in
+ * edge order) and both CSR spans, where slot[x] is x's next free slot. */
+static inline void add_edge(
+    int32_t u, int32_t v, double w, double *prio, int32_t *slot, int32_t *flat_other,
+    double *flat_w)
 {
-    /* a clean label keeps its new id in newid whether rewritten yet or
-     * not; newid[p] <= p, so comp[p] is read before any write reaches it */
-    for (int32_t p = 0; p < n_old; p++) {
-        int32_t c = comp[p], q = newid[p];
-        if (q >= 0)
-            comp[q] = dirty[c] ? -1 : newid[c];
-        newid[p] = dirty[c] ? -1 : q;
-    }
-    /* a backward pass writes every entry to slot w - 1 >= i, but moves w
-     * down only past a kept one, so no entry is overwritten before it is
-     * read and a dropped entry's slot is taken by the next kept one */
-    int32_t w = n_old;
-    for (int32_t i = n_old - 1; i >= 0; i--) {
-        entry_t e = o->entry[i];
-        int32_t q = newid[entry_node(e)];
-        o->prio[w - 1] = o->prio[i];
-        o->entry[w - 1] = e >> 32 << 32 | (uint32_t)q;
-        w -= q >= 0;
-    }
-    return w;
+    prio[u] += w;
+    prio[v] += w;
+    int32_t k = slot[u]++;
+    flat_other[k] = v;
+    flat_w[k] = w;
+    k = slot[v]++;
+    flat_other[k] = u;
+    flat_w[k] = w;
 }
 
 /* One member's full FDET run (Algorithm 1): node compaction, then the block
- * loop on the residual graph — weights, priorities, total and CSR built
- * from the alive edges and alive degrees, the peel of the live nodes whose
- * component the last block touched, the merge with the kept order, mask
- * bookkeeping, and compaction of the edges, nodes and order. Sets
- * out_status[m] = -1 on allocation failure or at the int32 limit (the
- * caller re-runs the member without the batch). */
+ * loop on the residual graph — weights, total, and the priorities, CSR and
+ * union-find of the nodes the last block's components hold, in one stream
+ * over the alive edges; the peel of those nodes; the merge with the kept
+ * order; the block's edges counted and dropped in one more stream; and the
+ * walk of the components they touched. Sets out_status[m] = -1 on
+ * allocation failure or at the int32 limit (the caller re-runs the member
+ * without the batch). */
 static void run_member(const batch_args_t *a, int64_t m)
 {
     int64_t me = a->edge_off[m + 1] - a->edge_off[m];
@@ -714,16 +723,17 @@ static void run_member(const batch_args_t *a, int64_t m)
         return; /* empty sample: no nodes, no blocks (k_hat = 0) */
 
     uint8_t *keep = NULL;
-    int32_t *remap_u = NULL, *remap_m = NULL, *eu = NULL, *ev = NULL, *live_n = NULL;
-    int32_t *deg = NULL, *deg_frozen = NULL, *indptr = NULL, *fill = NULL, *flat_other = NULL;
-    int32_t *comp = NULL;
+    uint64_t *present = NULL, *walked = NULL;
+    int64_t *ends = NULL;
+    int32_t *rank = NULL, *eu = NULL, *ev = NULL, *deg = NULL, *deg_frozen = NULL;
+    int32_t *indptr = NULL, *node_of = NULL, *flat_other = NULL, *comp = NULL, *next = NULL;
     double *mw = NULL, *ew = NULL, *flat_w = NULL, *prio = NULL;
     /* zeroed, so freeing them is safe on every path */
     peel_scratch_t scratch;
-    order_t order, pops;
+    order_t order, spare;
     memset(&scratch, 0, sizeof(scratch));
     memset(&order, 0, sizeof(order));
-    memset(&pops, 0, sizeof(pops));
+    memset(&spare, 0, sizeof(spare));
 
     /* a compacted member has at most 2 * me nodes; an all_nodes member has
      * every parent node */
@@ -731,68 +741,90 @@ static void run_member(const batch_args_t *a, int64_t m)
         goto failed;
 
     /* ---- node compaction: np.unique(endpoints, return_inverse=True) as a
-     * presence scan then a running rank in place, or the identity map over
-     * every parent node under all_nodes ---- */
-    remap_u = (int32_t *)calloc((size_t)a->pn_users, sizeof(int32_t));
-    remap_m = (int32_t *)calloc((size_t)a->pn_merchants, sizeof(int32_t));
+     * presence bitset per side, whose set bits are the sorted ids and give
+     * each id's rank by a popcount, or the identity over every parent node
+     * under all_nodes. One gather reads each edge's parent endpoints. ---- */
     eu = (int32_t *)malloc((size_t)me * sizeof(int32_t));
     ev = (int32_t *)malloc((size_t)me * sizeof(int32_t));
     mw = (double *)malloc((size_t)me * sizeof(double));
-    if (!remap_u || !remap_m || !eu || !ev || !mw)
+    if (!eu || !ev || !mw)
         goto failed;
 
     int32_t nu = 0, nm = 0;
     {
         int64_t *ku = a->kept_users + a->ku_off[m];
         int64_t *km = a->kept_merchants + a->km_off[m];
-        if (!a->all_nodes)
+        int64_t wu = (a->pn_users + 63) / 64, wm = (a->pn_merchants + 63) / 64;
+        if (a->all_nodes) {
+            nu = (int32_t)a->pn_users;
+            nm = (int32_t)a->pn_merchants;
+            for (int32_t u = 0; u < nu; u++)
+                ku[u] = u;
+            for (int32_t v = 0; v < nm; v++)
+                km[v] = v;
+        } else {
+            present = (uint64_t *)calloc((size_t)(wu + wm), sizeof(uint64_t));
+            rank = (int32_t *)malloc((size_t)(wu + wm) * sizeof(int32_t));
+            ends = (int64_t *)malloc((size_t)(2 * me) * sizeof(int64_t));
+            if (!present || !rank || !ends)
+                goto failed;
+        }
+        for (int64_t i = 0; i < me; i++) {
+            int64_t e = ids[i];
+            int64_t u = load_idx(a->p_eu, a->idx_width, e);
+            int64_t v = load_idx(a->p_em, a->idx_width, e);
+            /* weights_or_ones() * weight_scale; x * 1.0 is an exact identity */
+            mw[i] = (a->p_w ? load_w(a->p_w, a->w_width, e) : 1.0) * scale;
+            if (a->all_nodes) {
+                /* merchants live after the users in the joint node index space */
+                eu[i] = (int32_t)u;
+                ev[i] = nu + (int32_t)v;
+            } else {
+                ends[2 * i] = u;
+                ends[2 * i + 1] = v;
+            }
+        }
+        if (!a->all_nodes) {
+            /* a pass of its own: marked in the gather loop, the bitset's
+             * read-modify-writes wait on the parent loads */
             for (int64_t i = 0; i < me; i++) {
-                remap_u[load_idx(a->p_eu, a->idx_width, ids[i])] = 1;
-                remap_m[load_idx(a->p_em, a->idx_width, ids[i])] = 1;
+                int64_t u = ends[2 * i], v = ends[2 * i + 1];
+                present[u >> 6] |= (uint64_t)1 << (u & 63);
+                present[wu + (v >> 6)] |= (uint64_t)1 << (v & 63);
             }
-        for (int64_t u = 0; u < a->pn_users; u++)
-            if (a->all_nodes || remap_u[u]) {
-                ku[nu] = u;
-                remap_u[u] = nu++;
+            nu = rank_bits(present, wu, rank, ku);
+            nm = rank_bits(present + wu, wm, rank + wu, km);
+            for (int64_t i = 0; i < me; i++) {
+                eu[i] = bit_rank(present, rank, ends[2 * i]);
+                ev[i] = nu + bit_rank(present + wu, rank + wu, ends[2 * i + 1]);
             }
-        for (int64_t v = 0; v < a->pn_merchants; v++)
-            if (a->all_nodes || remap_m[v]) {
-                km[nm] = v;
-                remap_m[v] = nm++;
-            }
+            free(ends);
+            ends = NULL;
+        }
     }
     a->out_nu[m] = nu;
     a->out_nm[m] = nm;
-    for (int64_t i = 0; i < me; i++) {
-        int64_t e = ids[i];
-        eu[i] = remap_u[load_idx(a->p_eu, a->idx_width, e)];
-        /* merchants live after the users in the joint node index space */
-        ev[i] = nu + remap_m[load_idx(a->p_em, a->idx_width, e)];
-        /* weights_or_ones() * weight_scale; x * 1.0 is an exact identity */
-        mw[i] = (a->p_w ? load_w(a->p_w, a->w_width, e) : 1.0) * scale;
-    }
-    free(remap_u);
-    free(remap_m);
-    remap_u = remap_m = NULL;
 
     /* ---- per-member scratch, sized for block 0 and reused by every block ---- */
     {
         int32_t n = nu + nm;
+        int64_t n_words = ((int64_t)n + 63) / 64;
         int32_t n_live_e = (int32_t)me;
         ew = (double *)malloc((size_t)me * sizeof(double));
         deg = (int32_t *)calloc((size_t)n, sizeof(int32_t));
-        live_n = (int32_t *)malloc((size_t)n * sizeof(int32_t));
         indptr = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
-        fill = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+        node_of = (int32_t *)malloc((size_t)n * sizeof(int32_t));
         flat_other = (int32_t *)malloc((size_t)(2 * me) * sizeof(int32_t));
         flat_w = (double *)malloc((size_t)(2 * me) * sizeof(double));
         prio = (double *)malloc((size_t)n * sizeof(double));
         comp = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-        keep = (uint8_t *)malloc((size_t)n);
-        if (!ew || !deg || !live_n || !indptr || !fill || !flat_other || !flat_w || !prio
-            || !comp || !keep)
+        next = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+        walked = (uint64_t *)malloc((size_t)n_words * sizeof(uint64_t));
+        keep = (uint8_t *)calloc((size_t)n, 1);
+        if (!ew || !deg || !indptr || !node_of || !flat_other || !flat_w || !prio || !comp
+            || !next || !walked || !keep)
             goto failed;
-        if (scratch_alloc(&scratch, n) || order_alloc(&order, n) || order_alloc(&pops, n))
+        if (scratch_alloc(&scratch, n) || order_alloc(&order, n) || order_alloc(&spare, n))
             goto failed;
 
         /* alive degrees, decremented as blocks remove edges; only an
@@ -801,10 +833,8 @@ static void run_member(const batch_args_t *a, int64_t m)
             deg[eu[r]]++;
             deg[ev[r]]++;
         }
-        for (int32_t v = 0; v < n; v++)
-            live_n[v] = v;
         /* merchant degree feeding the weight table: the residual degree, or
-         * the input degree under the frozen policy (both per live node) */
+         * the input degree under the frozen policy */
         const int32_t *wdeg = deg;
         if (a->frozen_policy) {
             deg_frozen = (int32_t *)malloc((size_t)n * sizeof(int32_t));
@@ -813,31 +843,64 @@ static void run_member(const batch_args_t *a, int64_t m)
             memcpy(deg_frozen, deg, (size_t)n * sizeof(int32_t));
             wdeg = deg_frozen;
         }
-        /* fill doubles as the renumbering scratch outside the CSR build */
-        int32_t n_live_n = drop_isolated(n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
 
         /* ---- the FDET block loop ---- */
         int64_t n_blocks = 0;
         double first_density = 0.0;
         int have_first = 0;
         int64_t row_bytes = ((int64_t)n + 7) / 8;
-        /* comp[p] is live node p's component, or negative while p is dirty:
-         * in a component the last block touched, so its kept pops are gone
-         * and the next block re-peels it. The order keeps the pops of the
-         * other live nodes, n_kept entries from slot kept_at. Block 0 and
-         * the block after a full-node block start with every node dirty. */
-        for (int32_t p = 0; p < n_live_n; p++)
-            comp[p] = -1;
-        int32_t n_kept = 0, kept_at = 0;
+        int32_t *parent = scratch.nodes_tmp;
+        /* The kept order is the last block's merged order, n_kept entries
+         * in order. walked marks the nodes of the components that held the
+         * last block's edges, n_walked of them: the merge drops their kept
+         * entries, and the block re-peels those of them still live. comp[v]
+         * is the component of a live node v, labelled by its smallest
+         * member id, whose next[] links thread the component's nodes in
+         * member order; while v is re-peeled it is -1 - v's peel id. Block 0
+         * and the block after a full-node block keep nothing and re-peel
+         * every live node. */
+        int32_t n_kept = 0, n_walked = 0;
+        bits_fill(walked, n);
 
         for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
+            /* number the walked live nodes in member order; indptr[p + 1]
+             * starts as node p's CSR offset and ends as the next one's */
+            int32_t n_peel = 0, n_slots = 0;
+            indptr[0] = 0;
+            for (int64_t w = 0; w < n_words; w++) {
+                uint64_t bits = walked[w];
+                if (n_kept == 0)
+                    walked[w] = 0; /* no kept entry for the merge to drop */
+                for (; bits; bits &= bits - 1) {
+                    int32_t v = (int32_t)(w * 64 + __builtin_ctzll(bits));
+                    if (deg[v] > 0) {
+                        comp[v] = -1 - n_peel;
+                        node_of[n_peel] = v;
+                        prio[n_peel] = 0.0;
+                        parent[n_peel] = n_peel;
+                        indptr[++n_peel] = n_slots;
+                        n_slots += deg[v];
+                    }
+                }
+            }
+
             /* residual edge weights table[degree] * member weight, in
-             * ascending (residual) edge order; NaN fails the > 0 test */
+             * ascending (residual) edge order, NaN failing the > 0 test;
+             * priority = np.zeros(n) + the two np.add.at passes (users and
+             * merchants are disjoint, so one pass adds to every node in the
+             * same order), CSR spans filled in edge order, and the
+             * union-find, for the edges of the re-peeled components */
             int all_positive = 1;
             for (int32_t r = 0; r < n_live_e; r++) {
-                double w = a->weight_table[wdeg[ev[r]]] * mw[r];
+                int32_t u = eu[r], v = ev[r];
+                double w = a->weight_table[wdeg[v]] * mw[r];
                 ew[r] = w;
                 all_positive &= w > 0.0;
+                if (comp[u] < 0) {
+                    int32_t pu = -1 - comp[u], pv = -1 - comp[v];
+                    add_edge(pu, pv, w, prio, indptr + 1, flat_other, flat_w);
+                    uf_union(parent, pu, pv);
+                }
             }
             /* float(0.0 + edge_weights.sum()) */
             double total = 0.0 + pairwise_sum(ew, n_live_e);
@@ -849,122 +912,76 @@ static void run_member(const batch_args_t *a, int64_t m)
              * density strictly, so the best prefix always drops them and the
              * rest of the peel is the peel of the live nodes alone (numbered
              * in order, so ties break the same way). Of those, only the
-             * dirty ones are peeled: the merge with the kept order supplies
-             * the rest. Otherwise peel all n, with joint[] mapping live ids
-             * to member node ids. */
+             * walked ones are peeled: the merge with the kept order supplies
+             * the rest. Otherwise peel all n, by member id, keeping nothing
+             * of the order before. */
             double density_all = total / (double)n;
             int residual = all_positive && density_all >= DBL_MIN && density_all <= DBL_MAX;
-            const int32_t *joint = residual ? NULL : live_n;
-            int32_t n_peel, n_order; /* nodes peeled; nodes in the merged order */
-
-            /* CSR offsets: the running sum of the alive degrees. A dirty
-             * node's comp becomes -1 - its peel id, numbered in live order */
-            if (residual) {
-                n_peel = 0;
-                indptr[0] = 0;
-                for (int32_t p = 0; p < n_live_n; p++) {
-                    /* the slot past the last dirty node is scratch */
-                    int is_dirty = comp[p] < 0;
-                    comp[p] = is_dirty ? -1 - n_peel : comp[p];
-                    indptr[n_peel + 1] = indptr[n_peel] + deg[p];
-                    n_peel += is_dirty;
-                }
-                n_order = n_live_n;
-            } else {
-                /* a full-node peel keeps nothing of the order before it */
+            const int32_t *peeled = node_of; /* peel id -> member id */
+            int32_t n_order = n_kept - n_walked + n_peel; /* nodes in the merged order */
+            if (!residual) {
                 n_peel = n_order = n;
-                kept_at = n_kept = 0;
-                memset(indptr, 0, (size_t)(n + 1) * sizeof(int32_t));
-                for (int32_t p = 0; p < n_live_n; p++)
-                    indptr[live_n[p] + 1] = deg[p];
-                for (int32_t v = 0; v < n; v++)
-                    indptr[v + 1] += indptr[v];
-            }
-            /* some live nodes keep their pops: peel ids are not live ids */
-            int partial = n_peel < n_order;
-            /* priority = np.zeros(n) + the two np.add.at passes
-             * (users and merchants are disjoint, so one pass adds to every
-             * node in the same order); spans filled in edge order. A
-             * live-node peel also joins its edges' endpoints in a union-find
-             * over the peel scratch, which is free until the peel sorts */
-            int32_t *parent = residual ? scratch.nodes_tmp : NULL;
-            for (int32_t p = 0; p < n_peel; p++) {
-                fill[p] = indptr[p];
-                prio[p] = 0.0;
-                if (parent)
-                    parent[p] = p;
-            }
-            for (int32_t r = 0; r < n_live_e; r++) {
-                int32_t u = eu[r], v = ev[r];
-                if (joint) {
-                    u = joint[u];
-                    v = joint[v];
-                } else if (partial) {
-                    if (comp[u] >= 0)
-                        continue; /* an edge of a clean component */
-                    u = -1 - comp[u];
-                    v = -1 - comp[v];
+                n_kept = 0;
+                peeled = NULL;
+                n_slots = 0;
+                for (int32_t v = 0; v < n; v++) {
+                    prio[v] = 0.0;
+                    indptr[v + 1] = n_slots;
+                    n_slots += deg[v];
                 }
-                double w = ew[r];
-                prio[u] += w;
-                prio[v] += w;
-                int32_t slot = fill[u]++;
-                flat_other[slot] = v;
-                flat_w[slot] = w;
-                slot = fill[v]++;
-                flat_other[slot] = u;
-                flat_w[slot] = w;
-                if (parent)
-                    uf_union(parent, u, v);
+                for (int32_t r = 0; r < n_live_e; r++)
+                    add_edge(eu[r], ev[r], ew[r], prio, indptr + 1, flat_other, flat_w);
+            } else {
+                /* label each peeled node's component, and link it after the
+                 * component's last node so far (its tail, kept in the hot
+                 * heap's slots, which are free until the peel) */
+                int32_t *tail = scratch.pos;
+                for (int32_t p = 0; p < n_peel; p++) {
+                    int32_t root = uf_find(parent, p), v = node_of[p];
+                    comp[v] = node_of[root];
+                    next[v] = -1;
+                    if (root < p)
+                        next[tail[root]] = v;
+                    tail[root] = v;
+                }
             }
 
-            /* fill: the live id of each peeled node, when they differ */
-            const int32_t *node_of = NULL;
-            if (partial) {
-                for (int32_t p = 0, k = 0; p < n_live_n; p++) {
-                    fill[k] = p; /* a clean node's write lands past the end */
-                    k += comp[p] < 0;
-                }
-                node_of = fill;
-            }
-            /* label each peeled node's component by its root's live id */
-            if (parent)
-                for (int32_t v = 0; v < n_peel; v++) {
-                    int32_t root = uf_find(parent, v);
-                    comp[node_of ? node_of[v] : v] = node_of ? node_of[root] : root;
-                }
-            /* with nothing kept, the peel writes the order itself and the
-             * merge runs in place */
-            order_t *popped = n_kept > 0 ? &pops : &order;
-            peel_order(n_peel, indptr, flat_other, flat_w, prio, node_of, popped, &scratch);
+            /* the pops go to the top of the merged order's slots, which
+             * the merge fills from slot 0 */
+            order_t pops = {spare.entry + (n_order - n_peel), spare.prio + (n_order - n_peel)};
+            peel_order(n_peel, indptr, flat_other, flat_w, prio, peeled, &pops, &scratch);
             double best_density;
             int32_t best_removed;
             merge_orders(
-                &order, n_kept, kept_at, popped, n_peel, total, NULL, &best_density,
+                &spare, &order, n_kept, walked, &pops, n_order, total, NULL, &best_density,
                 &best_removed);
+            order_t merged = spare;
+            spare = order;
+            order = merged;
 
-            memset(keep, 1, (size_t)n_order);
-            for (int32_t i = 0; i < best_removed; i++)
-                keep[entry_node(order.entry[i])] = 0;
+            /* the block: the merged order from best_removed on */
+            const entry_t *block = order.entry + best_removed;
+            int32_t n_block = n_order - best_removed;
+            for (int32_t i = 0; i < n_block; i++)
+                keep[entry_node(block[i])] = 1;
 
             /* count the block's edges and drop them from the alive arrays
-             * in one pass, marking the components that held them dirty; a
+             * in one pass. After a live-node peel, each component that held
+             * them gets its label's bit in walked (clear since the merge)
+             * and its label on a stack in node_of (free since the peel). A
              * rejected block ends the member, so the arrays are never read
              * again after that */
-            uint8_t *dirty = residual ? scratch.alive : NULL;
-            if (dirty)
-                memset(dirty, 0, (size_t)n_live_n);
+            int32_t n_touched = 0;
             int64_t count = 0;
             int32_t kept_e = 0;
             for (int32_t r = 0; r < n_live_e; r++) {
                 int32_t u = eu[r], v = ev[r];
-                int in_block = joint ? keep[joint[u]] & keep[joint[v]] : keep[u] & keep[v];
-                if (in_block) {
+                if (keep[u] & keep[v]) {
                     count++;
                     deg[u]--;
                     deg[v]--;
-                    if (dirty)
-                        dirty[comp[u]] = 1;
+                    if (residual && !bit_put(walked, comp[u]))
+                        node_of[n_touched++] = comp[u];
                 } else {
                     eu[kept_e] = u;
                     ev[kept_e] = v;
@@ -977,11 +994,11 @@ static void run_member(const batch_args_t *a, int64_t m)
 
             uint8_t *row = a->block_masks + a->mask_off[m] + n_blocks * row_bytes;
             memset(row, 0, (size_t)row_bytes);
-            for (int32_t p = 0; p < n_order; p++)
-                if (keep[p]) {
-                    int32_t v = joint ? p : live_n[p];
-                    row[v >> 3] |= (uint8_t)(1u << (v & 7));
-                }
+            for (int32_t i = 0; i < n_block; i++) {
+                int32_t v = entry_node(block[i]);
+                row[v >> 3] |= (uint8_t)(1u << (v & 7));
+                keep[v] = 0;
+            }
             a->block_density[m * a->max_blocks + n_blocks] = best_density;
             a->block_n_edges[m * a->max_blocks + n_blocks] = count;
             n_blocks++;
@@ -995,14 +1012,20 @@ static void run_member(const batch_args_t *a, int64_t m)
             }
 
             n_live_e = kept_e;
-            int32_t n_before = n_live_n;
-            n_live_n = drop_isolated(n_live_n, live_n, deg, deg_frozen, n_live_e, eu, ev, fill);
             if (residual) {
-                kept_at = drop_dirty(&order, n_before, comp, dirty, fill);
-                n_kept = n_before - kept_at;
+                /* every node of a touched component leaves the kept order at
+                 * the next merge: its neighbours' keys changed, or it has no
+                 * edge left */
+                n_kept = n_order;
+                n_walked = 0;
+                for (int32_t t = 0; t < n_touched; t++)
+                    for (int32_t v = node_of[t]; v >= 0; v = next[v]) {
+                        bit_put(walked, v);
+                        n_walked++;
+                    }
             } else {
-                for (int32_t p = 0; p < n_live_n; p++)
-                    comp[p] = -1;
+                n_kept = n_walked = 0;
+                bits_fill(walked, n);
             }
         }
         a->out_n_blocks[m] = n_blocks;
@@ -1014,25 +1037,27 @@ failed:
     a->out_n_blocks[m] = 0;
 
 cleanup:
-    free(remap_u);
-    free(remap_m);
+    free(present);
+    free(rank);
+    free(ends);
     free(eu);
     free(ev);
     free(mw);
     free(ew);
     free(deg);
     free(deg_frozen);
-    free(live_n);
     free(indptr);
-    free(fill);
+    free(node_of);
     free(flat_other);
     free(flat_w);
     free(prio);
     free(comp);
+    free(next);
+    free(walked);
     free(keep);
     scratch_free(&scratch);
     order_free(&order);
-    order_free(&pops);
+    order_free(&spare);
 }
 
 int64_t repro_fdet_batch(

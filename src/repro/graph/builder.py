@@ -362,27 +362,12 @@ class GraphAccumulator:
         batch is also recorded at ``timestamp`` (defaults to the previous
         batch's timestamp + 1, i.e. ordinal time; explicit timestamps must
         be non-decreasing). ``timestamp`` is rejected outside windowed
-        mode, where there is no clock to attach it to.
+        mode, where there is no clock to attach it to. A rejected batch
+        raises :class:`GraphError` and changes nothing.
         """
-        raw_users = np.asarray(users, dtype=np.int64)
-        raw_merchants = np.asarray(merchants, dtype=np.int64)
-        if raw_users.ndim != 1 or raw_merchants.ndim != 1:
-            raise GraphError("edge batches must be one-dimensional label arrays")
-        if raw_users.shape != raw_merchants.shape:
-            raise GraphError(
-                f"batch endpoint arrays differ in length: {raw_users.size} vs {raw_merchants.size}"
-            )
-        batch_weights: np.ndarray | None = None
-        if weights is not None:
-            batch_weights = np.asarray(weights, dtype=np.float64)
-            if batch_weights.shape != raw_users.shape:
-                raise GraphError("batch weights length does not match batch edge count")
-        if timestamp is not None and self._window is None:
-            raise GraphError("append timestamps are only meaningful in windowed mode")
-        if timestamp is not None and not math.isfinite(timestamp):
-            # a NaN would pass the non-decreasing check and expire the window
-            raise GraphError(f"batch timestamps must be finite, got {timestamp}")
-
+        raw_users, raw_merchants, batch_weights, ts = self.check_append(
+            users, merchants, weights, timestamp
+        )
         start = self._watermark if self._window is not None else self.n_edges
         if batch_weights is not None:
             self._any_weighted = True
@@ -403,14 +388,6 @@ class GraphAccumulator:
 
         # windowed bookkeeping: eager consolidation keeps the liveness
         # columns aligned with the physical rows at all times
-        if self._batches:
-            ts = self._batches[-1][2] + 1.0 if timestamp is None else float(timestamp)
-            if ts < self._batches[-1][2]:
-                raise GraphError(
-                    f"batch timestamps must be non-decreasing: {ts} after {self._batches[-1][2]}"
-                )
-        else:
-            ts = 0.0 if timestamp is None else float(timestamp)
         self._consolidate()
         stop = start + int(raw_users.size)
         if raw_users.size:
@@ -421,6 +398,54 @@ class GraphAccumulator:
         self._watermark = stop
         self._batches.append([start, stop, ts])
         return start, stop
+
+    def check_append(
+        self,
+        users: Sequence[int] | np.ndarray,
+        merchants: Sequence[int] | np.ndarray,
+        weights: Sequence[float] | np.ndarray | None = None,
+        timestamp: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float | None]:
+        """Check a batch as :meth:`append` does, changing nothing.
+
+        Raises :class:`GraphError` where :meth:`append` would; returns the
+        batch's label arrays, weights and timestamp. :meth:`append` runs
+        every check before it changes anything (a batch queued before its
+        timestamp failed would reach the edge columns at the next
+        consolidation but never the liveness columns), and a caller that
+        edits the window before it appends (a retraction first) checks the
+        batch here, so a rejected batch leaves no edit either.
+        """
+        raw_users = np.asarray(users, dtype=np.int64)
+        raw_merchants = np.asarray(merchants, dtype=np.int64)
+        if raw_users.ndim != 1 or raw_merchants.ndim != 1:
+            raise GraphError("edge batches must be one-dimensional label arrays")
+        if raw_users.shape != raw_merchants.shape:
+            raise GraphError(
+                f"batch endpoint arrays differ in length: {raw_users.size} vs {raw_merchants.size}"
+            )
+        batch_weights: np.ndarray | None = None
+        if weights is not None:
+            batch_weights = np.asarray(weights, dtype=np.float64)
+            if batch_weights.shape != raw_users.shape:
+                raise GraphError("batch weights length does not match batch edge count")
+        if self._window is None:
+            if timestamp is not None:
+                raise GraphError("append timestamps are only meaningful in windowed mode")
+            return raw_users, raw_merchants, batch_weights, None
+        newest = self._batches[-1][2] if self._batches else None
+        if timestamp is None:
+            return raw_users, raw_merchants, batch_weights, 0.0 if newest is None else newest + 1.0
+        try:
+            ts = float(timestamp)
+        except (TypeError, ValueError):
+            raise GraphError(f"batch timestamps must be numbers, got {timestamp!r}") from None
+        if not math.isfinite(ts):
+            # a NaN would pass the non-decreasing check and expire the window
+            raise GraphError(f"batch timestamps must be finite, got {timestamp}")
+        if newest is not None and ts < newest:
+            raise GraphError(f"batch timestamps must be non-decreasing: {ts} after {newest}")
+        return raw_users, raw_merchants, batch_weights, ts
 
     def _consolidate(self) -> None:
         if self._any_weighted and self._weights is None:

@@ -344,16 +344,13 @@ class ScoringServer:
         unknown = set(payload) - known
         if unknown:
             raise _HttpError(400, f"unknown ingest fields {sorted(unknown)}")
-        timestamp = payload.get("timestamp")
-        if timestamp is not None:
-            timestamp = float(timestamp)
         future = self.service.submit_ingest(
             payload.get("users"),
             payload.get("merchants"),
             payload.get("weights"),
             remove_users=payload.get("remove_users"),
             remove_merchants=payload.get("remove_merchants"),
-            timestamp=timestamp,
+            timestamp=payload.get("timestamp"),
         )
         return await asyncio.wrap_future(future)
 

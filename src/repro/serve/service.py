@@ -24,6 +24,7 @@ through the HTTP path of a live server.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -221,6 +222,9 @@ class DetectionService:
             if users is None or weights.shape != users.shape:
                 raise DetectionError("weights must parallel users/merchants")
         if timestamp is not None:
+            # a JSON number only: float() would take "2.5" and True too
+            if isinstance(timestamp, bool) or not isinstance(timestamp, numbers.Real):
+                raise DetectionError(f"ingest timestamp must be a number, got {timestamp!r}")
             timestamp = float(timestamp)
             if not math.isfinite(timestamp):
                 raise DetectionError(f"ingest timestamp must be finite, got {timestamp}")

@@ -117,6 +117,29 @@ class TestWindowedParityMatrix:
         assert report.n_refreshed > 0
         assert_matches_cold_window_fit(detector, config)
 
+    @pytest.mark.parametrize("with_deletions", [False, True], ids=["append", "retract"])
+    def test_out_of_order_timestamp_changes_nothing(self, graph, with_deletions):
+        config = make_config()
+        detector = IncrementalEnsemFDet(config, window=WindowConfig(horizon=10.0))
+        detector.fit(graph, timestamp=0.0)
+        detector.update([1, 2], [3, 4], timestamp=5.0)
+        before = detector.window()
+        deletions = (
+            dict(remove_users=graph.edge_users[:20], remove_merchants=graph.edge_merchants[:20])
+            if with_deletions
+            else {}
+        )
+        with pytest.raises(DetectionError, match="non-decreasing"):
+            detector.update([7], [8], timestamp=2.0, **deletions)
+        after = detector.window()
+        assert (after.watermark, after.n_live) == (before.watermark, before.n_live)
+        assert np.array_equal(after.alive, before.alive)
+        assert_matches_cold_window_fit(detector, config)
+        # the window still takes the next in-order batch, deletions included
+        detector.update([7], [8], timestamp=6.0, **deletions)
+        assert detector.window().n_live == before.n_live + 1 - (20 if with_deletions else 0)
+        assert_matches_cold_window_fit(detector, config)
+
 
 def label_votes(detections):
     """Label-keyed vote counters of ``detections``, tallied member by member."""

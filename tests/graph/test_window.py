@@ -88,8 +88,27 @@ class TestWindowedAppend:
     def test_timestamps_must_not_decrease(self):
         acc = _windowed(WindowConfig(horizon=5.0))
         _append_batch(acc, 0, timestamp=3.0)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="non-decreasing"):
             _append_batch(acc, 5, timestamp=2.0)
+        # the rejected batch left nothing behind: no label, edge or batch
+        window = acc.window()
+        assert (window.watermark, window.n_live, acc.n_edges) == (5, 5, 5)
+        assert (acc.n_users, acc.n_merchants) == (5, 3)
+        assert acc.window_state()["batches"] == [[0, 5, 3.0]]
+        # and the next in-order batch lands whole, its rows live
+        assert _append_batch(acc, 5, timestamp=3.0) == (5, 10)
+        window = acc.window()
+        assert (window.watermark, window.n_live, window.graph.n_edges) == (10, 10, 10)
+        assert window.alive.size == window.graph.n_edges
+
+    @pytest.mark.parametrize("bad", [[1], {}, "later", None])
+    def test_check_append_changes_nothing(self, bad):
+        acc = _windowed(WindowConfig(horizon=5.0))
+        _append_batch(acc, 0, timestamp=3.0)
+        with pytest.raises(GraphError):
+            acc.check_append([9], [9], timestamp=2.0 if bad is None else bad)
+        acc.check_append([9], [9], timestamp=3.0)
+        assert (acc.n_users, acc.n_edges, acc.window().watermark) == (5, 5, 5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamp_rejected(self, bad):

@@ -288,6 +288,63 @@ class TestIngestValidation:
         assert request(f"{handle.url}/top?k={snapshot.user_labels.size}")[1] == top
         assert request(f"{handle.url}/stats")[1]["updates_failed"] == 0
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"users": [7], "merchants": [8], "timestamp": 2.0},
+            {"users": [7], "merchants": [8], "remove_users": [0], "timestamp": 2.0},
+            {"remove_users": [0], "timestamp": 2.0},
+            {"users": [7], "merchants": [8], "timestamp": [1]},
+            {"users": [7], "merchants": [8], "timestamp": {}},
+            {"users": [7], "merchants": [8], "timestamp": "2.5"},
+            {"users": [7], "merchants": [8], "timestamp": True},
+        ],
+        ids=["backwards", "backwards-retract", "backwards-retract-only", "list", "object",
+             "string", "bool"],
+    )
+    def test_rejected_timestamp_leaves_the_window_whole(self, payload):
+        """A timestamp before the newest batch's, or not a JSON number, is a
+        400 that changes nothing, and the next in-order ingest still matches
+        a cold window fit."""
+        graph = uniform_bipartite(150, 70, 1400, rng=3)
+        window = WindowConfig(horizon=10.0)
+        detector = IncrementalEnsemFDet(make_config(), window=window)
+        detector.fit(graph, timestamp=0.0)
+        handle = start_server_in_thread(DetectionService(detector))
+        accumulator = GraphAccumulator.from_graph(graph, window=window, timestamp=0.0)
+        try:
+            ingest = {"users": [1, 2], "merchants": [3, 4], "timestamp": 5.0}
+            assert request(f"{handle.url}/ingest", method="POST", payload=ingest)[0] == 200
+            accumulator.append([1, 2], [3, 4], timestamp=5.0)
+            version = handle.server.service.snapshot.version
+            live = detector.window().n_live
+
+            if "remove_users" in payload:
+                # the oldest background edge: a deletion that would succeed
+                payload = dict(
+                    payload,
+                    remove_users=graph.edge_users[:1].tolist(),
+                    remove_merchants=graph.edge_merchants[:1].tolist(),
+                )
+            status, body = request(f"{handle.url}/ingest", method="POST", payload=payload)
+            assert (status, body["type"]) == (400, "DetectionError")
+            assert request(f"{handle.url}/health")[1]["snapshot_version"] == version
+            assert detector.window().n_live == live
+
+            ingest = {"users": [5, 6], "merchants": [7, 8], "timestamp": 6.0}
+            status, report = request(f"{handle.url}/ingest", method="POST", payload=ingest)
+            assert (status, report["snapshot_version"]) == (200, version + 1)
+            accumulator.append([5, 6], [7, 8], timestamp=6.0)
+            accumulator.expire()
+            cold = EnsemFDet(make_config()).fit_window(accumulator.window()).vote_table
+            labels = handle.server.service.snapshot.user_labels
+            scores = np.array([cold.user_votes.get(int(u), 0) for u in labels], dtype=np.float64)
+            order = np.lexsort((np.arange(labels.size), -scores))
+            expected = [{"user": int(labels[i]), "score": float(scores[i])} for i in order]
+            assert request(f"{handle.url}/top?k={labels.size}")[1]["users"] == expected
+        finally:
+            handle.stop()
+
     def test_whole_float_labels_are_accepted(self, horizon_served):
         handle = horizon_served
         version = handle.server.service.snapshot.version
