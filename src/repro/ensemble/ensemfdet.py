@@ -261,25 +261,14 @@ class EnsemFDet:
                         "(stripe membership is keyed by append id); compact "
                         "the window into a live graph for other samplers"
                     )
-                # the id space in play: stripe membership is prefix-stable,
-                # so planning over max-id+1 matches any larger watermark
-                watermark = (
-                    int(np.asarray(window.edge_ids).max()) + 1
-                    if window.edge_ids.size
-                    else 0
-                )
-                key = sampler.derive_key(rng)
-                inclusion = sampler.stripe_inclusion(
-                    sampler.n_stripes(watermark), config.n_samples, key
-                )
-                plans = [
-                    sampler.stripe_plan(inclusion[i]) for i in range(config.n_samples)
-                ]
+                # the live rows, found once for the plans and every member
+                window = window._replace(rows=window.live_rows())
+                plans = sampler.window_plans(window, config.n_samples, rng)
             else:
                 plans = config.sampler.plan_many(vote_graph, config.n_samples, rng)
 
         with Timer() as detection_timer:
-            run = self._run(source, plans, track_members, window=None)
+            run = self._run(source, plans, track_members, window=window)
 
         return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, vote_graph)
 
@@ -292,26 +281,23 @@ class EnsemFDet:
         membership is keyed by each edge's original *append id*, so this
         fit is the bitwise cold reference that windowed
         :meth:`~repro.ensemble.IncrementalEnsemFDet.update` calls must
-        match: same key, stripe-inclusion matrix over the id space
-        (``window.watermark``), and fan-out through the liveness overlay.
-        Every other sampler family has no id-keyed structure to preserve
-        and simply fits the compacted live graph.
+        match: same key, stripe-inclusion rows over the stripes of the live
+        edges, and fan-out through the liveness overlay. Every other
+        sampler family has no id-keyed structure to preserve and simply
+        fits the compacted live graph.
         """
         config = self.config
         sampler = config.sampler
         if not isinstance(sampler, StableEdgeSampler):
             return self.fit(window.live_graph(), track_members)
         track_members = self._resolve_track_members(track_members)
+        edges = window.edge_window()
 
         with Timer() as sampling_timer:
-            key = sampler.derive_key(resolve_rng(config.seed))
-            inclusion = sampler.stripe_inclusion(
-                sampler.n_stripes(window.watermark), config.n_samples, key
-            )
-            plans = [sampler.stripe_plan(inclusion[i]) for i in range(config.n_samples)]
+            plans = sampler.window_plans(edges, config.n_samples, resolve_rng(config.seed))
 
         with Timer() as detection_timer:
-            run = self._run(window.graph, plans, track_members, window=window.edge_window())
+            run = self._run(window.graph, plans, track_members, window=edges)
 
         return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, window.graph)
 

@@ -8,15 +8,22 @@ scenario — transactions keep arriving, verdicts must stay fresh —
 changes only the ensemble members whose stripe set intersects the delta, so
 only those members' FDET runs (``≈ S·N`` of ``N`` for a stripe-local
 delta) are recomputed. The detector keeps every member's detected parent
-node indices and re-tallies all ``N`` members after each update.
+node indices and the per-node vote counts: an update subtracts each
+refreshed member's previous indices and adds its new ones.
 
 The refreshed state is **bit-identical** to a cold re-fit on the grown
 graph with the same seed: untouched members' sampled subgraphs are
 unchanged by construction, refreshed members re-run the same deterministic
-FDET the cold fit would, and the re-tally is the cold fit's own
-:func:`~repro.ensemble.voting.tally_votes`. Stored node indices stay valid
-across updates because :class:`~repro.graph.GraphAccumulator` never
-renumbers or drops a node.
+FDET the cold fit would, and integer counts make the delta tally equal
+the cold fit's own :func:`~repro.ensemble.voting.tally_votes`. Stored node
+indices stay valid across updates because
+:class:`~repro.graph.GraphAccumulator` never renumbers or drops a node,
+and gives every label one node.
+
+A windowed update touches what its delta changes: the accumulator's
+columns grow in place, the stripe-inclusion rows cover only the stripes
+of the live edges and of the delta, and refreshed members read their
+edge ids from the window's :class:`~repro.graph.StripeIndex`.
 
 State survives restarts through :func:`repro.ensemble.results.save_detection_state`
 (see :meth:`IncrementalEnsemFDet.save` / :meth:`IncrementalEnsemFDet.load`)
@@ -32,7 +39,7 @@ import numpy as np
 
 from ..errors import DetectionError, GraphError, QuorumError
 from ..fdet import FdetConfig, LogWeightedDensity, SecondDifferenceRule
-from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, WindowConfig
+from ..graph import BipartiteGraph, GraphAccumulator, LiveWindow, StripeIndex, WindowConfig
 from ..parallel import ExecutorMode, FaultTolerance, Timer
 from ..sampling import StableEdgeSampler, resolve_rng
 from .ensemfdet import EnsemFDet, EnsemFDetConfig, EnsemFDetResult
@@ -44,7 +51,7 @@ from .results import (
     save_detection_state,
 )
 from .runner import MemberFailure, SampleDetection, _raise_first_failure, run_members
-from .voting import VoteTable, majority_vote, node_indices, tally_votes
+from .voting import VoteTable, counts_table, majority_vote, node_indices, tally_votes
 
 __all__ = ["IncrementalEnsemFDet", "UpdateReport"]
 
@@ -136,6 +143,20 @@ def _sample_state(detection: SampleDetection, graph: BipartiteGraph) -> _SampleS
     )
 
 
+def _recount(
+    counts: np.ndarray, n_nodes: int, removed: list[np.ndarray], added: list[np.ndarray]
+) -> np.ndarray:
+    """``counts`` over ``n_nodes`` nodes (newly interned ones at 0), one vote
+    less per index in ``removed`` and one more per index in ``added``.
+
+    Always a fresh array, so a published table never changes.
+    """
+    out = np.bincount(np.concatenate([_EMPTY, *added]), minlength=n_nodes)
+    out[: counts.size] += counts
+    out -= np.bincount(np.concatenate([_EMPTY, *removed]), minlength=n_nodes)
+    return out
+
+
 class IncrementalEnsemFDet:
     """EnsemFDet with warm state and delta-scoped re-detection.
 
@@ -189,6 +210,8 @@ class IncrementalEnsemFDet:
             )
         self.config = config
         self.window_config = window
+        #: the stripe-hash key every plan of this detector is drawn with
+        self._key = config.sampler.derive_key(resolve_rng(config.seed))
         #: free-form JSON-able annotations persisted with the state (e.g.
         #: the watch CLI's source-file row offset)
         self.meta: dict = {}
@@ -343,14 +366,9 @@ class IncrementalEnsemFDet:
             accumulator = GraphAccumulator.from_graph(self._graph)
             start, stop = accumulator.append(users, merchants, weights)
             new_graph = accumulator.graph()
-            key = sampler.derive_key(resolve_rng(config.seed))
-            inclusion = sampler.stripe_inclusion(
-                sampler.n_stripes(new_graph.n_edges), config.n_samples, key
+            stale, plans = self._refresh_plans(
+                np.arange(start, stop, dtype=np.int64), 0, sampler.n_stripes(new_graph.n_edges)
             )
-            stale = self._stale_members(
-                inclusion, np.arange(start, stop, dtype=np.int64), sampler.stripe
-            )
-            plans = [sampler.stripe_plan(inclusion[index]) for index in stale.tolist()]
 
         with Timer() as detection_timer:
             run = run_members(
@@ -379,9 +397,13 @@ class IncrementalEnsemFDet:
     def _update_windowed(
         self, users, merchants, weights, remove_users, remove_merchants, timestamp
     ) -> UpdateReport:
-        """Windowed delta: retract, append, expire, then refresh stale members."""
+        """Windowed delta: retract, append, expire, then refresh stale members.
+
+        A batch or a deletion the window rejects (a timestamp before the
+        newest batch's, an unknown label, a pair with no live edge left)
+        raises :class:`~repro.errors.DetectionError` and changes nothing.
+        """
         config = self.config
-        sampler: StableEdgeSampler = config.sampler
         acc = self._acc
 
         with Timer() as sampling_timer:
@@ -395,24 +417,21 @@ class IncrementalEnsemFDet:
                 acc.check_append(users, merchants, weights, timestamp=timestamp)
             except GraphError as exc:
                 raise DetectionError(f"rejected ingest batch: {exc}") from exc
-            removed = (
-                acc.retract(remove_users, remove_merchants)
-                if remove_users is not None
-                else np.empty(0, dtype=np.int64)
-            )
+            removed = np.empty(0, dtype=np.int64)
+            if remove_users is not None:
+                try:
+                    removed = acc.retract(remove_users, remove_merchants)
+                except GraphError as exc:
+                    raise DetectionError(f"rejected deletion: {exc}") from exc
             start, stop = acc.append(users, merchants, weights, timestamp=timestamp)
             expired = acc.expire()
             acc.maybe_compact()
             live = acc.window()
-            key = sampler.derive_key(resolve_rng(config.seed))
-            inclusion = sampler.stripe_inclusion(
-                sampler.n_stripes(live.watermark), config.n_samples, key
-            )
+            span = StripeIndex(live.edge_window(), config.sampler.stripe)
             changed = np.concatenate(
                 [np.arange(start, stop, dtype=np.int64), removed, expired]
             )
-            stale = self._stale_members(inclusion, changed, sampler.stripe)
-            plans = [sampler.stripe_plan(inclusion[index]) for index in stale.tolist()]
+            stale, plans = self._refresh_plans(changed, span.start, span.stop)
 
         with Timer() as detection_timer:
             run = run_members(
@@ -441,15 +460,28 @@ class IncrementalEnsemFDet:
             n_expired_edges=int(expired.size),
         )
 
-    @staticmethod
-    def _stale_members(
-        inclusion: np.ndarray, changed_ids: np.ndarray, stripe: int
-    ) -> np.ndarray:
-        """Members whose stripe set intersects the changed append ids."""
+    def _refresh_plans(
+        self, changed_ids: np.ndarray, first: int, stop: int
+    ) -> tuple[np.ndarray, list]:
+        """The members whose stripes hold a changed append id, with their plans.
+
+        Plans cover stripes ``first..stop-1`` (the window's live edges, or
+        every edge of an append-only graph). One inclusion matrix is hashed
+        over those stripes and the delta's, and nothing older.
+        """
+        config = self.config
+        sampler: StableEdgeSampler = config.sampler
         if not changed_ids.size:
-            return np.empty(0, dtype=np.int64)
-        delta_stripes = np.unique(changed_ids // stripe)
-        return np.nonzero(inclusion[:, delta_stripes].any(axis=1))[0]
+            return np.empty(0, dtype=np.int64), []
+        stripes = changed_ids // sampler.stripe
+        lo = int(stripes.min()) if first == stop else min(first, int(stripes.min()))
+        hi = max(stop, int(stripes.max()) + 1)
+        touched = np.zeros(hi - lo, dtype=bool)
+        touched[stripes - lo] = True
+        inclusion = sampler.stripe_inclusion(hi - lo, config.n_samples, self._key, lo)
+        stale = np.flatnonzero(inclusion[:, touched].any(axis=1))
+        rows = inclusion[:, first - lo : stop - lo] if first < stop else inclusion[:, :0]
+        return stale, [sampler.stripe_plan(rows[index], first) for index in stale.tolist()]
 
     def _store_refreshed(
         self, run, stale_indices: list[int], graph: BipartiteGraph
@@ -470,16 +502,37 @@ class IncrementalEnsemFDet:
             for failure in run.failures
         )
 
+        replaced: list[tuple[_SampleState, _SampleState]] = []
         for index, detection in zip(stale_indices, run.detections):
             if detection is None:
                 # refresh failed permanently: keep the member's previous
                 # (now stale) votes rather than silently dropping them
                 self._degraded.add(index)
                 continue
-            self._samples[index] = _sample_state(detection, graph)
+            fresh = _sample_state(detection, graph)
+            replaced.append((self._samples[index], fresh))
+            self._samples[index] = fresh
             self._degraded.discard(index)
+        # the delta tally: each refreshed member's previous votes out, its new ones in
+        table = self._table
         self._graph = graph
-        self._table = self._tally()
+        self._table = counts_table(
+            graph,
+            _recount(
+                table.user_votes.counts,
+                graph.n_users,
+                [old.detected_user_indices for old, _ in replaced],
+                [new.detected_user_indices for _, new in replaced],
+            ),
+            _recount(
+                table.merchant_votes.counts,
+                graph.n_merchants,
+                [old.detected_merchant_indices for old, _ in replaced],
+                [new.detected_merchant_indices for _, new in replaced],
+            ),
+            self._samples,
+            config.track_appearances,
+        )
 
         fresh_members = config.n_samples - len(self._degraded)
         required = config.tolerance.required_survivors(config.n_samples)
@@ -496,6 +549,7 @@ class IncrementalEnsemFDet:
         return failures
 
     def _tally(self) -> VoteTable:
+        """The cold tally of every member (a fit or a restored state)."""
         return tally_votes(self._samples, self._graph, self.config.track_appearances)
 
     def update_edges(self, edges, weights=None) -> UpdateReport:

@@ -28,6 +28,7 @@ from .results import DetectionResult, VoteCounts
 
 __all__ = [
     "VoteTable",
+    "counts_table",
     "majority_vote",
     "normalized_majority_vote",
     "tally_votes",
@@ -141,15 +142,30 @@ def tally_votes(
     user_counts, merchant_counts = _batched.vote_counters(
         [users for users, _ in indices], [merchants for _, merchants in indices], graph
     )
+    return counts_table(graph, user_counts, merchant_counts, detections, track_appearances)
+
+
+def counts_table(
+    graph: BipartiteGraph,
+    user_counts: np.ndarray,
+    merchant_counts: np.ndarray,
+    members: Sequence,
+    track_appearances: bool = False,
+) -> VoteTable:
+    """The vote table of per-node counts over ``graph``, one entry of ``members`` per member.
+
+    With ``track_appearances`` the members' ``sample_users`` /
+    ``sample_merchants`` label arrays are tallied too.
+    """
     table = VoteTable(
-        n_samples=len(detections),
+        n_samples=len(members),
         user_votes=VoteCounts(np.asarray(graph.user_labels, np.int64), user_counts),
         merchant_votes=VoteCounts(np.asarray(graph.merchant_labels, np.int64), merchant_counts),
     )
     if track_appearances:
         table.attach_appearances(
-            [d.sample_users for d in detections],
-            [d.sample_merchants for d in detections],
+            [m.sample_users for m in members],
+            [m.sample_merchants for m in members],
         )
     return table
 

@@ -8,8 +8,9 @@ peels for **all members in one call** — OpenMP-parallel across members
 when available. Two callers:
 
 * :func:`detect_many` — an ensemble fit's members, each derived straight
-  from its :class:`~repro.sampling.SamplePlan` (windowed liveness AND-ed
-  in), without materializing a subgraph;
+  from its :class:`~repro.sampling.SamplePlan` (a window's members read
+  from its :class:`~repro.graph.StripeIndex`), without materializing a
+  subgraph;
 * :func:`detect_graph` — ``Fdet.detect`` under the ``fast`` engine: the
   whole graph as one member, compaction skipped so every node (including
   nodes with no edge) stays in the peel, as in the reference engine.
@@ -46,8 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from ..graph import BipartiteGraph
-from ..graph.window import EdgeWindow
+from ..graph.window import EdgeWindow, StripeIndex
 from ..sampling import SamplePlan
+from ..sampling.base import stripe_edge_ids
 from ._native import NativeKernels, load_kernels
 from .density import AverageDegreeDensity, DensityMetric, LogWeightedDensity
 from .fdet import FdetConfig, FdetResult, WeightPolicy
@@ -122,52 +124,40 @@ def plan_eligible(plan: SamplePlan) -> bool:
     return plan.kind in ("edges", "stripes")
 
 
-def _live_stripes(window: EdgeWindow, stripe: int) -> tuple[np.ndarray, np.ndarray]:
-    """The window's live rows and the stripe of each (its append id // ``stripe``)."""
-    rows = np.flatnonzero(window.alive)
-    ids = window.edge_ids[rows]
-    return rows, ids if stripe == 1 else ids // stripe
-
-
 def plan_edge_ids(
     plan: SamplePlan,
     n_edges: int,
     window: EdgeWindow | None = None,
-    live: tuple[np.ndarray, np.ndarray] | None = None,
+    index: StripeIndex | None = None,
 ) -> np.ndarray:
     """The parent edge ids ``plan`` keeps — no subgraph construction.
 
-    Mirrors :func:`repro.sampling.materialize_plan` exactly: windowed
-    stripe lookup by append id over the live rows, positional stripe
-    expansion otherwise, and the raw index list for edge-kind plans. Order
-    matters — edge-kind ids stay in plan (chosen) order, mask-derived ids
-    come out ascending — because the member's edge order defines its
-    adjacency and peel tie-breaking. ``live`` is the window's live rows and
-    their stripe ids for ``plan.stripe``, when a caller shares them across plans.
+    Mirrors :func:`repro.sampling.materialize_plan` exactly: both read
+    stripe plans through :func:`~repro.sampling.base.stripe_edge_ids` (a
+    window's live rows by stripe of append id, positional stripes
+    otherwise), and edge-kind plans keep their raw index list. Order
+    matters — edge-kind ids stay in plan (chosen) order, stripe ids come
+    out ascending — because the member's edge order defines its adjacency
+    and peel tie-breaking. ``index`` is the window's
+    :class:`~repro.graph.StripeIndex` for ``plan.stripe``, when a caller
+    shares it across plans.
     """
-    if window is not None:
-        rows, stripes = live if live is not None else _live_stripes(window, plan.stripe)
-        return rows[plan.stripe_row[stripes]]
+    if window is not None or plan.kind == "stripes":
+        return stripe_edge_ids(plan, n_edges, window, index)
     if plan.kind == "edges":
         return np.ascontiguousarray(plan.edge_indices, dtype=np.int64)
-    if plan.kind == "stripes":
-        row = plan.stripe_row
-        mask = row[:n_edges] if plan.stripe == 1 else np.repeat(row, plan.stripe)[:n_edges]
-        return np.nonzero(mask)[0]
     raise ValueError(f"plan kind {plan.kind!r} has no native edge-id path")
 
 
-def _weight_table(metric: DensityMetric, graph: BipartiteGraph) -> np.ndarray:
-    """``degree -> edge multiplier`` lookup covering every possible degree.
+def _weight_table(metric: DensityMetric, max_degree: int) -> np.ndarray:
+    """``degree -> edge multiplier`` lookup for degrees ``0..max_degree``.
 
-    A member's merchant degrees never exceed the parent's (member edges are
-    a subset), so a table over ``0..max_parent_degree`` covers every value
-    the kernel can look up. ``np.log`` is elementwise position-independent,
-    making ``table[d]`` bitwise equal to evaluating the metric on the
-    member's own degree array.
+    The caller bounds every merchant degree a member can have: a member's
+    degree never exceeds its edge count, nor the parent's degree.
+    ``np.log`` is elementwise position-independent, making ``table[d]``
+    bitwise equal to evaluating the metric on the member's own degree
+    array, whatever the table's length.
     """
-    degrees = graph.merchant_degrees()
-    max_degree = int(degrees.max()) if degrees.size else 0
     table = metric.merchant_degree_weights(np.arange(max_degree + 1, dtype=np.int64))
     return np.ascontiguousarray(table, dtype=np.float64)
 
@@ -207,10 +197,12 @@ def detect_many(
     kernels = batch_kernels()
     if kernels is None or not plans:
         return None
-    # one pass over the window's rows serves every member's stripe lookup
+    # one stripe index of the window's live rows serves every member
     stripes = set() if window is None else {plan.stripe for plan in plans}
-    live = {stripe: _live_stripes(window, stripe) for stripe in stripes}
-    ids_list = [plan_edge_ids(plan, graph.n_edges, window, live.get(plan.stripe)) for plan in plans]
+    indexes = {stripe: StripeIndex(window, stripe) for stripe in stripes}
+    ids_list = [
+        plan_edge_ids(plan, graph.n_edges, window, indexes.get(plan.stripe)) for plan in plans
+    ]
     scales = np.array(
         [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
         dtype=np.float64,
@@ -274,9 +266,14 @@ def _run_batch(
     else:
         p_w = _DUMMY_F64
     w_width = p_w.dtype.itemsize
-    weight_table = _weight_table(config.metric, graph)
 
     counts = np.array([ids.size for ids in ids_list], dtype=np.int64)
+    if all_nodes:
+        degrees = graph.merchant_degrees()
+        max_degree = int(degrees.max()) if degrees.size else 0
+    else:
+        max_degree = int(counts.max(initial=0))
+    weight_table = _weight_table(config.metric, max_degree)
     edge_off = np.zeros(n_members + 1, dtype=np.int64)
     np.cumsum(counts, out=edge_off[1:])
     edge_ids = (

@@ -22,7 +22,7 @@ from .store import (
 )
 from .stats import GraphStats, degree_gini, degree_histogram, describe, edge_density
 from .validation import assert_subgraph_of, has_duplicate_edges, validate_graph
-from .window import EdgeWindow, LiveWindow, WindowConfig
+from .window import EdgeWindow, LiveWindow, StripeIndex, WindowConfig
 
 __all__ = [
     "BipartiteGraph",
@@ -37,6 +37,7 @@ __all__ = [
     "WindowConfig",
     "LiveWindow",
     "EdgeWindow",
+    "StripeIndex",
     "EdgeBatch",
     "iter_edge_batches",
     "iter_npz_batches",

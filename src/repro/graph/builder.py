@@ -170,6 +170,100 @@ class GraphBuilder:
         )
 
 
+class _Growable:
+    """An array that grows at its end by amortized doubling.
+
+    ``buffer[lo:hi]`` is the filled part. Growth copies it into a new
+    buffer, and :meth:`extend` writes only past ``hi``, so a view of the
+    filled part handed out earlier never changes under later appends;
+    :meth:`drop` forgets leading entries without touching them.
+    """
+
+    __slots__ = ("buffer", "lo", "hi")
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.buffer, self.lo, self.hi = array, 0, int(array.shape[0])
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def view(self) -> np.ndarray:
+        return self.buffer[self.lo : self.hi]
+
+    def extend(self, values: np.ndarray) -> None:
+        count = int(values.shape[0])
+        if not count:
+            return
+        if self.hi + count > self.buffer.shape[0]:
+            size = len(self)
+            grown = np.empty(max(2 * (size + count), 16), np.result_type(self.buffer, values))
+            grown[:size] = self.view()
+            self.buffer, self.lo, self.hi = grown, 0, size
+        self.buffer[self.hi : self.hi + count] = values
+        self.hi += count
+
+    def drop(self, count: int) -> None:
+        self.lo += count
+
+
+class _Labels:
+    """Dense node indices for one side's integer labels, in first-seen order.
+
+    Lookups binary-search a sorted copy of the labels. A batch's unseen
+    labels get the next indices in ascending label order.
+    """
+
+    __slots__ = ("side", "_by_node", "_sorted", "_nodes")
+
+    def __init__(self, side: str, labels: np.ndarray | None = None) -> None:
+        labels = np.empty(0, np.int64) if labels is None else np.asarray(labels, np.int64)
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        if bool(np.any(ordered[1:] == ordered[:-1])):
+            raise GraphError(f"graph has duplicate {side} labels; cannot accumulate onto it")
+        self.side = side
+        self._by_node = _Growable(labels)
+        self._sorted = ordered
+        self._nodes = order
+
+    def __len__(self) -> int:
+        return len(self._by_node)
+
+    def labels(self) -> np.ndarray:
+        """``node index -> label``; a view later interning leaves unchanged."""
+        return self._by_node.view()
+
+    def _find(self, unique: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the ascending ``unique`` labels sorts, and whether it is known."""
+        positions = np.searchsorted(self._sorted, unique)
+        if not self._sorted.size:
+            return positions, np.zeros(unique.size, dtype=bool)
+        return positions, self._sorted[np.minimum(positions, self._sorted.size - 1)] == unique
+
+    def intern(self, raw: np.ndarray) -> np.ndarray:
+        """The node index of every label of ``raw``, interning unseen ones."""
+        # binary searches run fastest on sorted keys
+        unique, inverse = np.unique(raw, return_inverse=True)
+        positions, found = self._find(unique)
+        if not found.all():
+            fresh = unique[~found]
+            added = np.arange(len(self), len(self) + fresh.size, dtype=np.int64)
+            self._by_node.extend(fresh)
+            self._sorted = np.insert(self._sorted, positions[~found], fresh)
+            self._nodes = np.insert(self._nodes, positions[~found], added)
+            positions = np.searchsorted(self._sorted, unique)
+        return self._nodes[positions][inverse]
+
+    def lookup(self, raw: np.ndarray) -> np.ndarray:
+        """The node index of every label of ``raw``; an unknown label raises."""
+        unique, inverse = np.unique(raw, return_inverse=True)
+        positions, found = self._find(unique)
+        if not found.all():
+            label = int(unique[~found][0])
+            raise GraphError(f"cannot retract edge of unknown {self.side} label {label}")
+        return self._nodes[positions][inverse]
+
+
 class GraphAccumulator:
     """Grow a bipartite graph by appending edge batches, out-of-core style.
 
@@ -193,6 +287,10 @@ class GraphAccumulator:
     ``append`` returns the ``(start, stop)`` edge-index range of the batch,
     which is what incremental detectors use to locate the delta.
 
+    Every column grows by amortized doubling and is only ever written past
+    its filled part, so a snapshot is a set of views, and an append costs
+    its own batch.
+
     Windowed mode
     -------------
     Constructed with a :class:`~repro.graph.window.WindowConfig`, the
@@ -202,30 +300,28 @@ class GraphAccumulator:
     horizon), :meth:`retract` tombstones explicitly deleted edges, and
     :meth:`compact` reclaims tombstoned rows once :attr:`dead_fraction`
     crosses the configured threshold — ids survive compaction, physical
-    rows do not. :meth:`window` snapshots the state as a
-    :class:`~repro.graph.window.LiveWindow`. In windowed mode ``append``
-    returns the batch's *id* range, which equals the physical range only
-    until the first compaction.
+    rows do not. It keeps the ascending list of live rows up to date with
+    each of these, so :meth:`window` snapshots the state as a
+    :class:`~repro.graph.window.LiveWindow` whose live rows index the
+    stripes (:class:`~repro.graph.window.StripeIndex`) without a pass over
+    the window. In windowed mode ``append`` returns the batch's *id*
+    range, which equals the physical range only until the first
+    compaction.
     """
 
     def __init__(self, window: WindowConfig | None = None) -> None:
-        self._user_index: dict[int, int] = {}
-        self._merchant_index: dict[int, int] = {}
-        self._user_labels: list[int] = []
-        self._merchant_labels: list[int] = []
-        # consolidated prefix + pending (not yet concatenated) batches
-        self._edge_users = np.empty(0, dtype=np.int64)
-        self._edge_merchants = np.empty(0, dtype=np.int64)
-        self._weights: np.ndarray | None = None
-        self._pending_users: list[np.ndarray] = []
-        self._pending_merchants: list[np.ndarray] = []
-        self._pending_weights: list[np.ndarray | None] = []
-        self._pending_edges = 0
-        self._any_weighted = False
+        self._user_labels = _Labels("user")
+        self._merchant_labels = _Labels("merchant")
+        self._edge_users = _Growable(np.empty(0, dtype=np.int64))
+        self._edge_merchants = _Growable(np.empty(0, dtype=np.int64))
+        #: ``None`` until a batch carries weights (the prefix then gets unit weights)
+        self._weights: _Growable | None = None
         # windowed-mode state (maintained only when _window is set)
         self._window = window
-        self._alive = np.empty(0, dtype=bool)
-        self._edge_ids = np.empty(0, dtype=np.int64)
+        self._alive = _Growable(np.empty(0, dtype=bool))
+        self._edge_ids = _Growable(np.empty(0, dtype=np.int64))
+        #: the live physical rows, ascending
+        self._live = _Growable(np.empty(0, dtype=np.int64))
         self._watermark = 0
         self._batches: list[list[float]] = []  # [start_id, stop_id, timestamp]
 
@@ -245,21 +341,16 @@ class GraphAccumulator:
         window (all edges live, ids ``0..n_edges``) at ``timestamp``.
         """
         acc = cls(window=window)
-        acc._user_labels = graph.user_labels.tolist()
-        acc._merchant_labels = graph.merchant_labels.tolist()
-        acc._user_index = {label: i for i, label in enumerate(acc._user_labels)}
-        acc._merchant_index = {label: i for i, label in enumerate(acc._merchant_labels)}
-        if len(acc._user_index) != len(acc._user_labels):
-            raise GraphError("graph has duplicate user labels; cannot accumulate onto it")
-        if len(acc._merchant_index) != len(acc._merchant_labels):
-            raise GraphError("graph has duplicate merchant labels; cannot accumulate onto it")
-        acc._edge_users = graph.edge_users
-        acc._edge_merchants = graph.edge_merchants
-        acc._weights = graph.edge_weights
-        acc._any_weighted = graph.edge_weights is not None
+        acc._user_labels = _Labels("user", graph.user_labels)
+        acc._merchant_labels = _Labels("merchant", graph.merchant_labels)
+        acc._edge_users = _Growable(graph.edge_users)
+        acc._edge_merchants = _Growable(graph.edge_merchants)
+        if graph.edge_weights is not None:
+            acc._weights = _Growable(graph.edge_weights)
         if window is not None:
-            acc._alive = np.ones(graph.n_edges, dtype=bool)
-            acc._edge_ids = np.arange(graph.n_edges, dtype=np.int64)
+            acc._alive = _Growable(np.ones(graph.n_edges, dtype=bool))
+            acc._edge_ids = _Growable(np.arange(graph.n_edges, dtype=np.int64))
+            acc._live = _Growable(np.arange(graph.n_edges, dtype=np.int64))
             acc._watermark = graph.n_edges
             acc._batches = [[0, graph.n_edges, float(timestamp)]]
         return acc
@@ -301,8 +392,7 @@ class GraphAccumulator:
                 raise GraphError("window batch records must be ordered and non-overlapping")
         if records and records[-1][1] > watermark:
             raise GraphError("window batch records extend past the watermark")
-        acc._edge_ids = ids
-        acc._alive = np.ones(ids.size, dtype=bool)
+        acc._edge_ids = _Growable(ids)
         acc._watermark = watermark
         acc._batches = records
         return acc
@@ -319,33 +409,13 @@ class GraphAccumulator:
 
     @property
     def n_edges(self) -> int:
-        """Edges appended so far."""
-        return int(self._edge_users.size) + self._pending_edges
+        """Edge rows stored (all edges appended, until a compaction)."""
+        return len(self._edge_users)
 
     @property
     def is_weighted(self) -> bool:
         """``True`` once any batch carried an explicit weight column."""
-        return self._any_weighted
-
-    def _intern_batch(
-        self, raw: np.ndarray, index: dict[int, int], labels: list[int]
-    ) -> np.ndarray:
-        """Map raw labels to dense indices, interning unseen labels.
-
-        Vectorised through the batch's unique values: the python dict is
-        consulted once per *distinct* label, not once per edge.
-        """
-        unique, inverse = np.unique(raw, return_inverse=True)
-        lut = np.empty(unique.size, dtype=np.int64)
-        get = index.get
-        for position, label in enumerate(unique.tolist()):
-            node = get(label)
-            if node is None:
-                node = len(labels)
-                index[label] = node
-                labels.append(label)
-            lut[position] = node
-        return lut[inverse]
+        return self._weights is not None
 
     def append(
         self,
@@ -368,33 +438,26 @@ class GraphAccumulator:
         raw_users, raw_merchants, batch_weights, ts = self.check_append(
             users, merchants, weights, timestamp
         )
-        start = self._watermark if self._window is not None else self.n_edges
-        if batch_weights is not None:
-            self._any_weighted = True
-        if raw_users.size:
-            self._pending_users.append(
-                self._intern_batch(raw_users, self._user_index, self._user_labels)
-            )
-            self._pending_merchants.append(
-                self._intern_batch(raw_merchants, self._merchant_index, self._merchant_labels)
-            )
-            # None placeholder for unweighted batches — unit weights are only
-            # materialised at consolidation, and only if the stream ever
-            # turns weighted
-            self._pending_weights.append(batch_weights)
-            self._pending_edges += int(raw_users.size)
+        rows = self.n_edges
+        count = int(raw_users.size)
+        start = self._watermark if self._window is not None else rows
+        if batch_weights is not None and self._weights is None:
+            self._weights = _Growable(np.ones(rows, dtype=np.float64))
+        if count:
+            self._edge_users.extend(self._user_labels.intern(raw_users))
+            self._edge_merchants.extend(self._merchant_labels.intern(raw_merchants))
+            if self._weights is not None:
+                self._weights.extend(
+                    batch_weights if batch_weights is not None else np.ones(count)
+                )
         if self._window is None:
             return start, self.n_edges
 
-        # windowed bookkeeping: eager consolidation keeps the liveness
-        # columns aligned with the physical rows at all times
-        self._consolidate()
-        stop = start + int(raw_users.size)
-        if raw_users.size:
-            self._alive = np.concatenate([self._alive, np.ones(raw_users.size, dtype=bool)])
-            self._edge_ids = np.concatenate(
-                [self._edge_ids, np.arange(start, stop, dtype=np.int64)]
-            )
+        stop = start + count
+        if count:
+            self._alive.extend(np.ones(count, dtype=bool))
+            self._edge_ids.extend(np.arange(start, stop, dtype=np.int64))
+            self._live.extend(np.arange(rows, rows + count, dtype=np.int64))
         self._watermark = stop
         self._batches.append([start, stop, ts])
         return start, stop
@@ -410,11 +473,11 @@ class GraphAccumulator:
 
         Raises :class:`GraphError` where :meth:`append` would; returns the
         batch's label arrays, weights and timestamp. :meth:`append` runs
-        every check before it changes anything (a batch queued before its
-        timestamp failed would reach the edge columns at the next
-        consolidation but never the liveness columns), and a caller that
-        edits the window before it appends (a retraction first) checks the
-        batch here, so a rejected batch leaves no edit either.
+        every check before it changes anything (a batch written to the edge
+        columns before its timestamp failed would never reach the liveness
+        columns), and a caller that edits the window before it appends (a
+        retraction first) checks the batch here, so a rejected batch leaves
+        no edit either.
         """
         raw_users = np.asarray(users, dtype=np.int64)
         raw_merchants = np.asarray(merchants, dtype=np.int64)
@@ -447,45 +510,22 @@ class GraphAccumulator:
             raise GraphError(f"batch timestamps must be non-decreasing: {ts} after {newest}")
         return raw_users, raw_merchants, batch_weights, ts
 
-    def _consolidate(self) -> None:
-        if self._any_weighted and self._weights is None:
-            # a weighted batch arrived after an unweighted prefix: give the
-            # prefix explicit unit weights so the arrays stay parallel
-            self._weights = np.ones(self._edge_users.size, dtype=np.float64)
-        if not self._pending_edges:
-            return
-        self._edge_users = np.concatenate([self._edge_users, *self._pending_users])
-        self._edge_merchants = np.concatenate(
-            [self._edge_merchants, *self._pending_merchants]
-        )
-        if self._any_weighted:
-            filled = [
-                weights if weights is not None else np.ones(users.size, dtype=np.float64)
-                for weights, users in zip(self._pending_weights, self._pending_users)
-            ]
-            self._weights = np.concatenate([self._weights, *filled])
-        self._pending_users.clear()
-        self._pending_merchants.clear()
-        self._pending_weights.clear()
-        self._pending_edges = 0
-
     def graph(self) -> BipartiteGraph:
         """Snapshot the accumulated state as an immutable graph.
 
         Uses the trusted constructor: interning guarantees every endpoint
-        index is in range, so the O(|E|) validation scan is skipped — the
-        cost of a snapshot is one concatenation of the batches appended
-        since the previous snapshot.
+        index is in range, so the O(|E|) validation scan is skipped. The
+        snapshot's columns and labels are views of the accumulator's, which
+        later appends never write into.
         """
-        self._consolidate()
         return BipartiteGraph._from_trusted(
             n_users=len(self._user_labels),
             n_merchants=len(self._merchant_labels),
-            edge_users=self._edge_users,
-            edge_merchants=self._edge_merchants,
-            edge_weights=self._weights,
-            user_labels=np.array(self._user_labels, dtype=np.int64),
-            merchant_labels=np.array(self._merchant_labels, dtype=np.int64),
+            edge_users=self._edge_users.view(),
+            edge_merchants=self._edge_merchants.view(),
+            edge_weights=None if self._weights is None else self._weights.view(),
+            user_labels=self._user_labels.labels(),
+            merchant_labels=self._merchant_labels.labels(),
         )
 
     # ------------------------------------------------------------------
@@ -515,26 +555,14 @@ class GraphAccumulator:
         """Edges currently inside the window (all of them when append-only)."""
         if self._window is None:
             return self.n_edges
-        return int(np.count_nonzero(self._alive))
+        return len(self._live)
 
     @property
     def dead_fraction(self) -> float:
         """Fraction of physical rows that are tombstones awaiting compaction."""
-        if self._window is None or not self._alive.size:
+        if self._window is None or not self.n_edges:
             return 0.0
-        return 1.0 - int(np.count_nonzero(self._alive)) / int(self._alive.size)
-
-    def _lookup_batch(self, raw: np.ndarray, index: dict[int, int], side: str) -> np.ndarray:
-        """Map raw labels to dense indices without interning; unknown raises."""
-        unique, inverse = np.unique(raw, return_inverse=True)
-        lut = np.empty(unique.size, dtype=np.int64)
-        get = index.get
-        for position, label in enumerate(unique.tolist()):
-            node = get(label)
-            if node is None:
-                raise GraphError(f"cannot retract edge of unknown {side} label {label}")
-            lut[position] = node
-        return lut[inverse]
+        return 1.0 - len(self._live) / self.n_edges
 
     def retract(
         self,
@@ -546,8 +574,8 @@ class GraphAccumulator:
         Deletion deltas name edges by endpoint labels, not append ids; each
         occurrence retracts the *oldest* still-live matching edge (so a
         delta listing a pair twice retracts the two oldest copies). Raises
-        :class:`GraphError` if any pair has no live edge left. Returns the
-        retracted append ids, ascending.
+        :class:`GraphError` if any pair has no live edge left, and then
+        changes nothing. Returns the retracted append ids, ascending.
         """
         self._require_window()
         raw_users = np.asarray(users, dtype=np.int64)
@@ -561,16 +589,22 @@ class GraphAccumulator:
             )
         if not raw_users.size:
             return np.empty(0, dtype=np.int64)
-        u_idx = self._lookup_batch(raw_users, self._user_index, "user")
-        m_idx = self._lookup_batch(raw_merchants, self._merchant_index, "merchant")
+        u_idx = self._user_labels.lookup(raw_users)
+        m_idx = self._merchant_labels.lookup(raw_merchants)
 
+        # only the live rows of a listed user can match; they stay ascending,
+        # i.e. oldest first within every pair
+        live = self._live.view()
+        edge_users = self._edge_users.view()
+        listed = np.zeros(len(self._user_labels), dtype=bool)
+        listed[u_idx] = True
+        candidates = live[listed[edge_users[live]]]
         span = np.int64(max(len(self._merchant_labels), 1))
         delta_keys = u_idx * span + m_idx
-        rows = np.nonzero(self._alive)[0]
-        live_keys = self._edge_users[rows] * span + self._edge_merchants[rows]
-        # stable sort: within a key, live rows stay in id order (oldest first)
-        order = np.argsort(live_keys, kind="stable")
-        sorted_keys = live_keys[order]
+        cand_keys = edge_users[candidates] * span + self._edge_merchants.view()[candidates]
+        # stable sort: within a key, candidate rows stay in id order (oldest first)
+        order = np.argsort(cand_keys, kind="stable")
+        sorted_keys = cand_keys[order]
         # rank each delta occurrence among its equal-key run, so the k-th
         # occurrence of a pair matches the k-th oldest live copy
         delta_order = np.argsort(delta_keys, kind="stable")
@@ -588,9 +622,13 @@ class GraphAccumulator:
                 "no live edge to retract for "
                 f"({int(raw_users[offender])}, {int(raw_merchants[offender])})"
             )
-        hit_rows = rows[order[positions]]
-        self._alive[hit_rows] = False
-        return np.sort(self._edge_ids[hit_rows])
+        hit_rows = candidates[order[positions]]
+        self._alive.view()[hit_rows] = False
+        # a fresh live list: a snapshot keeps the one it holds
+        keep = np.ones(live.size, dtype=bool)
+        keep[np.searchsorted(live, hit_rows)] = False
+        self._live = _Growable(live[keep])
+        return np.sort(self._edge_ids.view()[hit_rows])
 
     def expire(self, now: float | None = None) -> np.ndarray:
         """Tombstone every live edge that has fallen out of the window.
@@ -602,7 +640,6 @@ class GraphAccumulator:
         append ids, ascending.
         """
         window = self._require_window()
-        self._consolidate()
         cutoff = 0
         if window.max_batches is not None and len(self._batches) > window.max_batches:
             cutoff = max(cutoff, int(self._batches[-window.max_batches][0]))
@@ -617,15 +654,18 @@ class GraphAccumulator:
             cutoff = max(cutoff, stale_stop)
         if not cutoff:
             return np.empty(0, dtype=np.int64)
-        newly = self._alive & (self._edge_ids < cutoff)
-        expired = self._edge_ids[newly]
-        self._alive[newly] = False
+        # ids increase along the rows, so the expiring live rows lead the list
+        edge_ids = self._edge_ids.view()
+        live = self._live.view()
+        gone = live[: int(np.searchsorted(live, np.searchsorted(edge_ids, cutoff)))]
+        self._alive.view()[gone] = False
+        self._live.drop(gone.size)
         # drop fully-expired records; an empty batch at the cutoff is the
         # newest tick of the clock and must survive
         self._batches = [
             record for record in self._batches if record[0] >= cutoff or record[1] > cutoff
         ]
-        return expired
+        return edge_ids[gone]
 
     def compact(self) -> int:
         """Drop tombstoned physical rows; append ids are preserved.
@@ -635,18 +675,19 @@ class GraphAccumulator:
         leaves the accumulator consistent (just uncompacted).
         """
         self._require_window()
-        self._consolidate()
-        dead = int(self._alive.size) - int(np.count_nonzero(self._alive))
+        live = self._live.view()
+        dead = self.n_edges - int(live.size)
         fault_point("window.compact", watermark=self._watermark, dead=dead)
         if not dead:
             return 0
-        keep = self._alive
-        self._edge_users = self._edge_users[keep]
-        self._edge_merchants = self._edge_merchants[keep]
+        # fresh columns: snapshots keep viewing the old ones
+        self._edge_users = _Growable(self._edge_users.view()[live])
+        self._edge_merchants = _Growable(self._edge_merchants.view()[live])
         if self._weights is not None:
-            self._weights = self._weights[keep]
-        self._edge_ids = self._edge_ids[keep]
-        self._alive = np.ones(self._edge_ids.size, dtype=bool)
+            self._weights = _Growable(self._weights.view()[live])
+        self._edge_ids = _Growable(self._edge_ids.view()[live])
+        self._alive = _Growable(np.ones(live.size, dtype=bool))
+        self._live = _Growable(np.arange(live.size, dtype=np.int64))
         return dead
 
     def maybe_compact(self) -> bool:
@@ -669,15 +710,17 @@ class GraphAccumulator:
         """Snapshot the windowed state (graph + liveness overlay).
 
         The snapshot is immutable: later retract/expire calls mutate the
-        accumulator's own mask, never a previously returned window, and
-        compaction swaps in fresh arrays rather than editing shared ones.
+        accumulator's own mask, never a previously returned window (which
+        holds a copy), and every other column it views is only appended
+        to past the snapshot, or swapped for a fresh one.
         """
         self._require_window()
         return LiveWindow(
             graph=self.graph(),
-            alive=self._alive.copy(),
-            edge_ids=self._edge_ids.copy(),
+            alive=self._alive.view().copy(),
+            edge_ids=self._edge_ids.view(),
             watermark=self._watermark,
+            rows=self._live.view(),
         )
 
     def live_graph(self) -> BipartiteGraph:
@@ -691,22 +734,20 @@ class GraphAccumulator:
         mutation), so saving never interacts with compaction chaos plans.
         """
         window = self._require_window()
-        self._consolidate()
-        keep = self._alive
-        weights = self._weights[keep] if self._weights is not None else None
+        live = self._live.view()
         graph = BipartiteGraph._from_trusted(
             n_users=len(self._user_labels),
             n_merchants=len(self._merchant_labels),
-            edge_users=self._edge_users[keep],
-            edge_merchants=self._edge_merchants[keep],
-            edge_weights=weights,
-            user_labels=np.array(self._user_labels, dtype=np.int64),
-            merchant_labels=np.array(self._merchant_labels, dtype=np.int64),
+            edge_users=self._edge_users.view()[live],
+            edge_merchants=self._edge_merchants.view()[live],
+            edge_weights=None if self._weights is None else self._weights.view()[live],
+            user_labels=self._user_labels.labels(),
+            merchant_labels=self._merchant_labels.labels(),
         )
         return {
             "config": window.as_dict(),
             "watermark": int(self._watermark),
             "batches": [[int(s), int(e), float(t)] for s, e, t in self._batches],
             "graph": graph,
-            "edge_ids": self._edge_ids[keep].copy(),
+            "edge_ids": self._edge_ids.view()[live],
         }

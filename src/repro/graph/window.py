@@ -21,6 +21,9 @@ edges only:
   a picklable form, shipped to workers next to a
   :class:`~repro.graph.store.StoreLayout` so the zero-copy fan-out stays
   zero-copy.
+* :class:`StripeIndex` — the live rows grouped by stripe of append ids,
+  from which a stripe-sampled member's edge ids are read without a pass
+  over the whole window.
 
 The watermark is the total number of edges ever appended — the exclusive
 upper bound of the id space. It only grows; compaction reclaims physical
@@ -37,7 +40,7 @@ import numpy as np
 from ..errors import GraphError
 from .bipartite import BipartiteGraph
 
-__all__ = ["WindowConfig", "EdgeWindow", "LiveWindow"]
+__all__ = ["WindowConfig", "EdgeWindow", "LiveWindow", "StripeIndex"]
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,63 @@ class EdgeWindow(NamedTuple):
     """Per-physical-row liveness columns, in picklable/shippable form.
 
     ``alive[i]`` says whether stored edge row ``i`` is inside the window;
-    ``edge_ids[i]`` is its original append id (monotone along the rows —
-    appends are sequential and compaction preserves order).
+    ``edge_ids[i]`` is its original append id (strictly increasing along
+    the rows — appends are sequential and compaction preserves order).
+    ``rows`` is ``np.flatnonzero(alive)`` when the producer keeps it (a
+    :class:`~repro.graph.GraphAccumulator` does), else ``None``.
     """
 
     alive: np.ndarray
     edge_ids: np.ndarray
+    rows: np.ndarray | None = None
+
+    def live_rows(self) -> np.ndarray:
+        """The live physical rows, ascending."""
+        return np.flatnonzero(self.alive) if self.rows is None else self.rows
+
+
+class StripeIndex:
+    """The live rows of a window, grouped by stripe of ``stripe`` append ids.
+
+    Append ids increase along the physical rows, so the live rows of one
+    stripe are one run of the ascending live-row list: stripe ``start + k``
+    holds ``rows[offsets[k]:offsets[k + 1]]``, for the stripes
+    ``start..stop-1`` that span the live edges. Given the live rows, the
+    index costs two binary searches per stripe, and a member's edge ids
+    cost what the member holds (:meth:`member_rows`).
+    """
+
+    __slots__ = ("rows", "start", "stop", "offsets")
+
+    def __init__(self, window: EdgeWindow, stripe: int) -> None:
+        rows = window.live_rows()
+        self.rows = rows
+        if rows.size:
+            self.start = int(window.edge_ids[rows[0]]) // stripe
+            self.stop = int(window.edge_ids[rows[-1]]) // stripe + 1
+        else:
+            self.start = self.stop = 0
+        bounds = np.arange(self.start, self.stop + 1, dtype=np.int64) * stripe
+        # first physical row of each stripe, then its place among the live rows
+        self.offsets = np.searchsorted(rows, np.searchsorted(window.edge_ids, bounds))
+
+    def member_rows(self, stripe_row: np.ndarray, first: int = 0) -> np.ndarray:
+        """The live rows of the stripes a member holds, ascending.
+
+        ``stripe_row[k]`` says whether stripe ``first + k`` belongs to the
+        member; a stripe outside the row does not.
+        """
+        lo = max(self.start, first)
+        hi = min(self.stop, first + stripe_row.size)
+        if hi <= lo:
+            return self.rows[:0]
+        picked = np.flatnonzero(stripe_row[lo - first : hi - first]) + (lo - self.start)
+        starts = self.offsets[picked]
+        lengths = self.offsets[picked + 1] - starts
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        # one arange over the picked runs, shifted run by run onto the live list
+        return self.rows[np.arange(total) + np.repeat(starts - ends + lengths, lengths)]
 
 
 @dataclass(frozen=True)
@@ -115,6 +169,8 @@ class LiveWindow:
     alive: np.ndarray
     edge_ids: np.ndarray
     watermark: int
+    #: the live rows, ascending (``np.flatnonzero(alive)``, computed when not given)
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.alive.shape != (self.graph.n_edges,) or self.alive.dtype != np.bool_:
@@ -123,15 +179,17 @@ class LiveWindow:
             raise GraphError("window edge_ids must be int64 of length n_edges")
         if self.graph.n_edges and int(self.edge_ids[-1]) >= int(self.watermark):
             raise GraphError("window watermark below the newest edge id")
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.flatnonzero(self.alive))
 
     @property
     def n_live(self) -> int:
         """Number of live edges in the window."""
-        return int(np.count_nonzero(self.alive))
+        return int(self.rows.size)
 
     def edge_window(self) -> EdgeWindow:
-        """The picklable ``(alive, edge_ids)`` column pair."""
-        return EdgeWindow(alive=self.alive, edge_ids=self.edge_ids)
+        """The picklable liveness columns, with the live rows."""
+        return EdgeWindow(alive=self.alive, edge_ids=self.edge_ids, rows=self.rows)
 
     def live_graph(self) -> BipartiteGraph:
         """The live edges only, keeping the full node set and labels.
@@ -141,6 +199,6 @@ class LiveWindow:
         over the stored graph — this is what makes a cold fit on
         ``live_graph()`` comparable bit-for-bit with windowed updates.
         """
-        if bool(self.alive.all()):
+        if self.rows.size == self.graph.n_edges:
             return self.graph
         return self.graph.remove_edges(np.nonzero(~self.alive)[0])

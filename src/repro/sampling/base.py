@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import SamplingError
 from ..graph import BipartiteGraph
-from ..graph.window import EdgeWindow
+from ..graph.window import EdgeWindow, StripeIndex
 
 __all__ = [
     "SamplePlan",
@@ -42,6 +42,7 @@ __all__ = [
     "compact_indices",
     "materialize_plan",
     "resolve_rng",
+    "stripe_edge_ids",
 ]
 
 
@@ -95,8 +96,11 @@ class SamplePlan:
     * ``"nodes"`` — keep the edges induced by ``users`` and/or
       ``merchants`` (ONS samples one side, TNS both),
     * ``"stripes"`` — keep the edges of the stripes flagged in
-      ``stripe_row`` (:class:`~repro.sampling.StableEdgeSampler`; the row
-      is |E|/stripe bits, independent of the delta history).
+      ``stripe_row`` (:class:`~repro.sampling.StableEdgeSampler`):
+      ``stripe_row[k]`` flags stripe ``stripe_start + k``, and a stripe
+      outside the row is not sampled. A cold plan's row covers every
+      stripe from 0; a window's covers only the stripes of its live
+      edges, so its size does not grow with the append history.
 
     ``weight_scale`` optionally rescales the surviving edges' weights
     (Theorem 1's ``1/S`` Horvitz–Thompson correction).
@@ -110,6 +114,7 @@ class SamplePlan:
     weight_scale: float | None = None
     stripe_row: np.ndarray | None = None
     stripe: int = 1
+    stripe_start: int = 0
 
     KINDS = ("edges", "nodes", "stripes")
 
@@ -143,23 +148,14 @@ def materialize_plan(
     masked out. Only stripe plans support windows; the positional kinds
     ("edges", "nodes") have no id-stable meaning over a mutating log.
     """
-    if window is not None:
-        if plan.kind != "stripes":
-            raise SamplingError(
-                f"windowed materialization requires stripe plans, got {plan.kind!r}"
-            )
-        ids = window.edge_ids if plan.stripe == 1 else window.edge_ids // plan.stripe
-        mask = plan.stripe_row[ids] & window.alive
-        subgraph = graph.edge_subgraph(np.nonzero(mask)[0])
+    if window is not None and plan.kind != "stripes":
+        raise SamplingError(
+            f"windowed materialization requires stripe plans, got {plan.kind!r}"
+        )
+    if plan.kind == "stripes":
+        subgraph = graph.edge_subgraph(stripe_edge_ids(plan, graph.n_edges, window))
     elif plan.kind == "edges":
         subgraph = graph.edge_subgraph(plan.edge_indices)
-    elif plan.kind == "stripes":
-        row = plan.stripe_row
-        if plan.stripe == 1:
-            mask = row[: graph.n_edges]
-        else:
-            mask = np.repeat(row, plan.stripe)[: graph.n_edges]
-        subgraph = graph.edge_subgraph(np.nonzero(mask)[0])
     else:
         subgraph = graph.induced_subgraph(
             users=plan.users,
@@ -171,6 +167,30 @@ def materialize_plan(
             subgraph.weights_or_ones() * plan.weight_scale, trusted=True
         )
     return subgraph
+
+
+def stripe_edge_ids(
+    plan: SamplePlan,
+    n_edges: int,
+    window: EdgeWindow | None = None,
+    index: StripeIndex | None = None,
+) -> np.ndarray:
+    """The parent edge ids a stripe plan keeps, ascending.
+
+    Without a window, stripe ``s`` is the edge positions
+    ``s·stripe .. (s+1)·stripe - 1`` below ``n_edges``. With one, it is the
+    live rows whose append id falls in that range, read from the window's
+    :class:`~repro.graph.StripeIndex` (``index``, when a caller shares one
+    across plans of the same stripe width).
+    """
+    if window is not None:
+        if index is None:
+            index = StripeIndex(window, plan.stripe)
+        return index.member_rows(plan.stripe_row, plan.stripe_start)
+    row = plan.stripe_row
+    mask = row if plan.stripe == 1 else np.repeat(row, plan.stripe)
+    first = plan.stripe_start * plan.stripe
+    return np.flatnonzero(mask[: max(0, n_edges - first)]) + first
 
 
 class Sampler(ABC):

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..errors import SamplingError
 from ..graph import BipartiteGraph
+from ..graph.window import EdgeWindow, StripeIndex
 from .base import SamplePlan, Sampler, resolve_rng
 
 __all__ = ["StableEdgeSampler"]
@@ -106,15 +107,22 @@ class StableEdgeSampler(Sampler):
         """Stripes covering ``n_edges`` edges (at least 1)."""
         return max(1, -(-int(n_edges) // self.stripe))
 
-    def stripe_inclusion(self, n_stripes: int, n_samples: int, key: int) -> np.ndarray:
-        """Boolean matrix ``(n_samples, n_stripes)``: stripe ∈ sample?"""
+    def stripe_inclusion(
+        self, n_stripes: int, n_samples: int, key: int, start: int = 0
+    ) -> np.ndarray:
+        """Boolean matrix ``(n_samples, n_stripes)``: stripe ``start + k`` ∈ sample?
+
+        Each entry hashes ``(key, sample, stripe)`` alone, so a window of
+        stripes reads the same bits as the matching columns of the full
+        matrix.
+        """
         if self.ratio >= 1.0:
             return np.ones((n_samples, n_stripes), dtype=bool)
         samples = _splitmix64(
             np.arange(n_samples, dtype=np.uint64)[:, None] * _SAMPLE_SALT
             + np.uint64(key)
         )
-        stripes = np.arange(n_stripes, dtype=np.uint64)[None, :] * _STRIPE_SALT
+        stripes = np.arange(start, start + n_stripes, dtype=np.uint64)[None, :] * _STRIPE_SALT
         hashes = _splitmix64(samples + stripes)
         threshold = np.uint64(int(self.ratio * float(2**64)))
         return hashes < threshold
@@ -141,18 +149,34 @@ class StableEdgeSampler(Sampler):
             return stripe_row[:n_edges]
         return np.repeat(stripe_row, self.stripe)[:n_edges]
 
-    def _subgraph(self, graph: BipartiteGraph, mask: np.ndarray) -> BipartiteGraph:
-        return graph.edge_subgraph(np.nonzero(mask)[0])
-
-    def stripe_plan(self, stripe_row: np.ndarray) -> SamplePlan:
+    def stripe_plan(self, stripe_row: np.ndarray, start: int = 0) -> SamplePlan:
         """Wrap one member's stripe-inclusion row as a :class:`SamplePlan`.
 
-        The row is the natural *native* plan of this sampler: |E|/stripe
-        booleans that identify the member's edge set on any prefix-extended
-        graph, which is what lets the incremental layer ship plans for a
-        grown graph without recomputing them from scratch.
+        The row is the natural *native* plan of this sampler: one boolean
+        per stripe from stripe ``start`` on, which identifies the member's
+        edge set on any prefix-extended graph, and on a window whose live
+        edges lie in those stripes. That is what lets the incremental
+        layer ship plans without recomputing them from scratch.
         """
-        return SamplePlan(kind="stripes", stripe_row=stripe_row, stripe=self.stripe)
+        return SamplePlan(
+            kind="stripes", stripe_row=stripe_row, stripe=self.stripe, stripe_start=start
+        )
+
+    def window_plans(
+        self,
+        window: EdgeWindow,
+        n_samples: int,
+        rng: np.random.Generator | int | None = None,
+    ) -> list[SamplePlan]:
+        """Plan all ``N`` members over the stripes that hold a window's live edges.
+
+        Membership is keyed by append id, so the rows hash only the span
+        from the oldest to the newest live edge, whatever the watermark.
+        """
+        key = self.derive_key(rng)
+        index = StripeIndex(window, self.stripe)
+        inclusion = self.stripe_inclusion(index.stop - index.start, n_samples, key, index.start)
+        return [self.stripe_plan(inclusion[i], index.start) for i in range(n_samples)]
 
     # ------------------------------------------------------------------
     # Sampler interface

@@ -23,7 +23,8 @@ POST    ``/snapshot``   persist DetectionState via the crash-safe commit
 ======  =============== ====================================================
 
 Error mapping: malformed requests and semantic misuse (append-only state
-given deletions, bad thresholds) are 400 with a JSON ``error``; unknown
+given deletions, a deletion of an edge the window does not hold, bad
+thresholds) are 400 with a JSON ``error``; unknown
 paths 404; wrong methods 405; anything that escapes the update path —
 injected faults included — is a 500 whose body names the exception type,
 and the pre-failure snapshot keeps serving.

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ensemble import IncrementalEnsemFDet, UpdateReport
-from ..errors import DetectionError
+from ..errors import DetectionError, QuorumError, StateError
 from .snapshot import ScoreSnapshot
 
 __all__ = ["DetectionService", "ServiceStats"]
@@ -333,9 +333,15 @@ class DetectionService:
                 )
             else:
                 report = detector.update(users, merchants, weights)
-        except BaseException:
-            with self._counter_lock:
-                self._updates_failed += 1
+        except BaseException as exc:
+            # a delta the detector rejects is caller misuse (a 400), like one
+            # rejected before it was queued; a quorum loss is a failed update
+            rejected = isinstance(exc, DetectionError) and not isinstance(
+                exc, (QuorumError, StateError)
+            )
+            if not rejected:
+                with self._counter_lock:
+                    self._updates_failed += 1
             raise
         # the swap is the isolation point: everything before this line is
         # invisible to readers, everything after is the complete new table

@@ -11,6 +11,7 @@ votes after a failed refresh.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.ensemble import (
 from repro.errors import DetectionError
 from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
-from repro.graph import WindowConfig
+from repro.graph import GraphAccumulator, WindowConfig
 from repro.sampling import RandomEdgeSampler, StableEdgeSampler
 
 
@@ -299,3 +300,82 @@ class TestWindowedPersistence:
         state = load_detection_state(path)
         assert state.window is None
         assert state.edge_ids is None
+
+
+class TestHistoryCost:
+    """An update costs what its delta changes, not what the stream appended before."""
+
+    def test_update_hashes_only_the_window_and_delta_stripes(self, monkeypatch):
+        stripe = 1024
+        config = make_config(
+            sampler=StableEdgeSampler(0.1, stripe=stripe),
+            n_samples=40,
+            fdet=FdetConfig(max_blocks=4),
+        )
+        window = WindowConfig(max_batches=3)
+        graph = uniform_bipartite(300, 120, 3 * stripe, rng=8)
+        # a state whose window starts 65,536 stripes into the id space, as
+        # after a long run: its members are a cold fit on that window
+        base = 2**26 - 3 * stripe
+        ids = base + np.arange(graph.n_edges, dtype=np.int64)
+        records = [[base, base + graph.n_edges, 0.0]]
+        fitted = IncrementalEnsemFDet(config, window=window)
+        fitted.fit(graph)
+        state = fitted.state()
+        restored = GraphAccumulator.restore_window(
+            state.graph, window, edge_ids=ids, watermark=base + graph.n_edges, batches=records
+        )
+        cold = EnsemFDet(config).fit_window(restored.window(), track_members=True)
+        assert not cold.failed_members
+        detector = IncrementalEnsemFDet.from_state(
+            dataclasses.replace(
+                state,
+                window={
+                    "config": window.as_dict(),
+                    "watermark": base + graph.n_edges,
+                    "batches": records,
+                },
+                edge_ids=ids,
+                detected_users=[d.result.detected_users() for d in cold.sample_detections],
+                detected_merchants=[d.result.detected_merchants() for d in cold.sample_detections],
+                sample_users=[d.sample_users for d in cold.sample_detections],
+                sample_merchants=[d.sample_merchants for d in cold.sample_detections],
+            )
+        )
+        assert_matches_cold_window_fit(detector, config)
+
+        hashed = []
+        inclusion = StableEdgeSampler.stripe_inclusion
+
+        def spy(sampler, n_stripes, *args, **kwargs):
+            hashed.append(n_stripes)
+            return inclusion(sampler, n_stripes, *args, **kwargs)
+
+        monkeypatch.setattr(StableEdgeSampler, "stripe_inclusion", spy)
+        rng = np.random.default_rng(9)
+        for step in range(1, 5):
+            before = detector.window()
+            live_before = before.edge_ids[before.alive]
+            users, merchants = rng.integers(0, 300, stripe), rng.integers(0, 120, stripe)
+            removal = {}
+            if step == 2:  # one deletion of a live pair
+                live = before.live_graph()
+                removal = dict(
+                    remove_users=live.user_labels[live.edge_users[-2:]],
+                    remove_merchants=live.merchant_labels[live.edge_merchants[-2:]],
+                )
+            hashed.clear()
+            detector.update(users, merchants, timestamp=float(step), **removal)
+
+            after = detector.window()
+            live_ids = after.edge_ids[after.alive]
+            changed = np.concatenate(
+                [
+                    np.arange(before.watermark, after.watermark),
+                    np.setdiff1d(live_before, live_ids),
+                ]
+            )
+            window_stripes = int(live_ids.max()) // stripe - int(live_ids.min()) // stripe + 1
+            delta_stripes = np.unique(changed // stripe).size
+            assert 0 < sum(hashed) <= window_stripes + delta_stripes
+            assert_matches_cold_window_fit(detector, config)

@@ -260,6 +260,35 @@ class TestLiveWindow:
         assert snapshot.n_live == 4
         assert snapshot.watermark == 4
 
+    def test_snapshot_arrays_survive_later_edits(self):
+        """A snapshot shares the accumulator's append-only columns; no later
+        append (growing them or not), retraction, expiry, weighting or
+        compaction may write into what it holds."""
+        acc = _windowed(WindowConfig(max_batches=2, compact_threshold=0.3))
+        offset, size = 0, 3
+        _append_batch(acc, offset, size=size)
+        snapshots = []
+        for step in range(1, 6):
+            window = acc.window()
+            graph = window.graph
+            arrays = (window.alive, window.edge_ids, window.rows, graph.edge_users,
+                      graph.edge_merchants, graph.user_labels, graph.merchant_labels)
+            snapshots.append((window, [a.copy() for a in arrays]))
+            acc.retract([offset], [offset % 3])  # the newest batch's first edge
+            offset, size = offset + size, step + 1
+            _append_batch(acc, offset, size=size, timestamp=float(step))
+            if step == 3:
+                acc.append([1], [1], weights=[2.0], timestamp=float(step))
+            acc.expire()
+            acc.maybe_compact()
+        for window, copies in snapshots:
+            graph = window.graph
+            arrays = (window.alive, window.edge_ids, window.rows, graph.edge_users,
+                      graph.edge_merchants, graph.user_labels, graph.merchant_labels)
+            for array, copy in zip(arrays, copies):
+                assert np.array_equal(array, copy)
+            assert np.array_equal(window.rows, np.flatnonzero(window.alive))
+
     def test_mask_validation(self):
         graph = BipartiteGraph(2, 2, [0, 1], [0, 1])
         with pytest.raises(GraphError, match="alive mask"):

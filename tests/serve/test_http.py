@@ -264,6 +264,7 @@ class TestIngestValidation:
             {"remove_users": [0.5], "remove_merchants": [0]},
             {"users": [1], "merchants": [2], "timestamp": float("nan")},
             {"users": [1], "merchants": [2], "timestamp": float("-inf")},
+            {"remove_users": [999_999], "remove_merchants": [0]},
         ],
         ids=[
             "fraction",
@@ -274,6 +275,7 @@ class TestIngestValidation:
             "fractional-deletion",
             "nan-timestamp",
             "inf-timestamp",
+            "unknown-deletion-label",
         ],
     )
     def test_rejected_ingest_changes_nothing(self, horizon_served, payload):

@@ -153,6 +153,56 @@ class TestIngestValidation:
         finally:
             service.close(save=False)
 
+    @pytest.mark.parametrize(
+        "deletion",
+        ["unknown-user", "unknown-merchant", "no-live-edge", "one-copy-too-many"],
+    )
+    def test_rejected_deletion_changes_nothing(self, deletion):
+        """A deletion the window cannot apply is the caller's 400, not a
+        failed update: nothing changes, and the next in-order ingest still
+        matches a cold window fit."""
+        graph = uniform_bipartite(150, 70, 1400, rng=3)
+        detector = IncrementalEnsemFDet(make_config(), window=WINDOW)
+        detector.fit(graph, timestamp=0.0)
+        service = DetectionService(detector)
+        users = graph.user_labels[graph.edge_users]
+        merchants = graph.merchant_labels[graph.edge_merchants]
+        pairs, copies = np.unique(np.stack([users, merchants], axis=1), axis=0, return_counts=True)
+        if deletion == "unknown-user":
+            remove = [999_999], [int(merchants[0])]
+        elif deletion == "unknown-merchant":
+            remove = [int(users[0])], [999_999]
+        elif deletion == "no-live-edge":
+            edges = set(map(tuple, pairs.tolist()))
+            user, merchant = next(
+                (int(u), int(m))
+                for u in graph.user_labels
+                for m in graph.merchant_labels
+                if (int(u), int(m)) not in edges
+            )
+            remove = [user], [merchant]
+        else:
+            user, merchant = pairs[np.argmax(copies)].tolist()
+            remove = [user] * (int(copies.max()) + 1), [merchant] * (int(copies.max()) + 1)
+        try:
+            version, live = service.snapshot.version, detector.window().n_live
+            table = detector.vote_table
+            with pytest.raises(DetectionError, match="rejected deletion"):
+                service.ingest(
+                    [1], [2], remove_users=remove[0], remove_merchants=remove[1], timestamp=1.0
+                )
+            assert service.snapshot.version == version
+            assert detector.window().n_live == live
+            assert detector.vote_table is table
+            assert service.stats().updates_failed == 0
+
+            batch = _batches(1)[0]
+            report = service.ingest(*batch, timestamp=1.0)
+            assert report["snapshot_version"] == version + 1
+            assert service.snapshot.vote_fingerprint() == _cold_fingerprints(graph, [batch])[1]
+        finally:
+            service.close(save=False)
+
     def test_rejected_delta_occupies_no_writer_slot(self):
         service, _ = _fresh_service()
         try:
