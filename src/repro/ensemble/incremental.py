@@ -338,7 +338,10 @@ class IncrementalEnsemFDet:
         A refresh that fails for good leaves that member stale. If too few
         members then hold fresh state, the delta and the fresh refreshes
         are kept all the same, and :class:`~repro.errors.QuorumError` is
-        raised.
+        raised. Under a full quorum (``min_quorum == 1.0``) the first
+        failure is raised instead and no refresh is kept; a windowed
+        detector keeps the delta all the same, so every member the update
+        should have refreshed is left stale.
         """
         self._require_fitted()
         if users is None:
@@ -489,6 +492,10 @@ class IncrementalEnsemFDet:
         """Store the refreshed detections, re-tally every member, enforce the quorum."""
         config = self.config
         if run.failures and config.tolerance.min_quorum >= 1.0:
+            if self.window_config is not None:
+                # the window already holds the delta, so every member it
+                # should have refreshed still votes on the window before it
+                self._degraded.update(stale_indices)
             _raise_first_failure(run)
 
         # remap positional failure indices back to global member indices

@@ -73,9 +73,27 @@
  * best prefix on. Components are found by a union-find over the edges of
  * each peel, and each is kept as a list of its nodes in member order,
  * headed by its label. If the block's edges made up whole components no
- * live node is walked, and the next block is the merge alone. Block 0, a
- * block that peels the full member node set, and the block after one peel
- * every node.
+ * live node is walked, and the next block is the merge alone. Block 0 and
+ * the block after one that peels the full member node set keep nothing:
+ * they peel every live node but their single-edge components.
+ *
+ * Single-edge components. Edge sampling leaves many nodes in pairs: a user
+ * and a merchant of degree 1 joined by one edge of weight w. Their peel is
+ * known in closed form. With every weight finite and > 0 (which the test
+ * that drops the edgeless nodes requires), both ends start at priority
+ * 0.0 + w == w. The user pops first, at key(w), since users are numbered
+ * before merchants, and takes its merchant to w - w == +0.0, below key(w),
+ * so the merchant pops next, at key(+0.0) with priority +0.0. The merge of
+ * the pairs' two-entry orders therefore takes the pairs by (key(w), user),
+ * each user followed at once by its merchant: one stable sort of one key
+ * per pair (``pair_order``), where the peel would sort both ends into the
+ * clean stream and push each merchant through the hot heap. So a block
+ * that keeps nothing finds every alive edge whose two ends have degree 1
+ * (from each user's last edge) and writes those pairs straight into the
+ * kept order, which the merge interleaves with the peel of the rest. Each
+ * pair is labelled by its user and linked user then merchant, so a later
+ * block that takes one walks it like any other component. A block that
+ * peels the full member node set peels its pairs too.
  *
  * Fixed member ids. A member's nodes keep the ids node compaction gives
  * them (users, then merchants, each in parent order) for the whole run:
@@ -321,12 +339,13 @@ static void radix_sort_pairs(
 
 typedef struct {
     uint64_t *keys;       /* the clean stream: the initial keys, sorted, */
-    int32_t *clean_nodes; /* and their nodes */
+    int32_t *clean_nodes; /* and their nodes; run_member's pair edges before it */
     uint64_t *min_key;    /* sort scratch, then each node's smallest key */
     int32_t *nodes_tmp;   /* sort scratch; run_member's union-find before it */
     entry_t *hot;
     int32_t *pos;         /* hot-heap slot of each node, -1 while not in it;
-                           * run_member's component list tails before it */
+                           * run_member's component list tails before it,
+                           * and its users' last edges before those */
     uint8_t *alive;       /* 1 until the node pops */
 } peel_scratch_t;
 
@@ -468,6 +487,11 @@ static inline int bit_put(uint64_t *bits, int32_t v)
     return (word & mask) != 0;
 }
 
+static inline void bit_clear(uint64_t *bits, int32_t v)
+{
+    bits[v >> 6] &= ~((uint64_t)1 << (v & 63));
+}
+
 /* Merge the kept order, n_kept entries of kept, with a peel's pops into
  * the n entries of out, always taking the smaller head entry, and run the
  * density pass over them as the peel loop would: ``total -= priority at
@@ -533,9 +557,39 @@ static void merge_orders(
         }
     }
     for (; i < n_kept; i++) /* dropped entries after the last kept one */
-        walked[entry_node(kept_e[i]) >> 6] &= ~((uint64_t)1 << (entry_node(kept_e[i]) & 63));
+        bit_clear(walked, entry_node(kept_e[i]));
     *best_density_out = best_density;
     *best_removed_out = best_removed;
+}
+
+/* The removal order of single-edge components, written into out without a
+ * peel: n_pairs edges (eu[r], ev[r]) of finite weight ew[r] > 0, listed by
+ * ascending user in s->clean_nodes. Both ends start at priority
+ * 0.0 + w == w. The user pops first, at key(w), since users are numbered
+ * before merchants, and takes its merchant to w - w == +0.0, below key(w),
+ * so the merchant pops next, at key(+0.0). Merged, these two-entry orders
+ * take the pairs by (key(w), user), each followed by its merchant: a
+ * stable sort by key(w). The sort uses the rest of s as scratch. */
+static void pair_order(
+    order_t *out,
+    int32_t n_pairs,
+    const int32_t *eu,
+    const int32_t *ev,
+    const double *ew,
+    peel_scratch_t *s)
+{
+    uint64_t *keys = s->keys;
+    int32_t *edges = s->clean_nodes;
+    for (int32_t i = 0; i < n_pairs; i++)
+        keys[i] = sort_key(ew[edges[i]]);
+    radix_sort_pairs(keys, edges, s->min_key, s->nodes_tmp, n_pairs);
+    for (int32_t i = 0; i < n_pairs; i++) {
+        int32_t r = edges[i];
+        out->entry[2 * i] = entry_pack(keys[i], eu[r]);
+        out->prio[2 * i] = ew[r];
+        out->entry[2 * i + 1] = entry_pack(sort_key(0.0), ev[r]);
+        out->prio[2 * i + 1] = 0.0;
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -702,13 +756,14 @@ static inline void add_edge(
 }
 
 /* One member's full FDET run (Algorithm 1): node compaction, then the block
- * loop on the residual graph — weights, total, and the priorities, CSR and
+ * loop on the residual graph — in a block that keeps nothing, its pairs
+ * taken out of the peel; weights, total, and the priorities, CSR and
  * union-find of the nodes the last block's components hold, in one stream
- * over the alive edges; the peel of those nodes; the merge with the kept
- * order; the block's edges counted and dropped in one more stream; and the
- * walk of the components they touched. Sets out_status[m] = -1 on
- * allocation failure or at the int32 limit (the caller re-runs the member
- * without the batch). */
+ * over the alive edges; the peel of those nodes, and the pairs written into
+ * the kept order; the merge with the kept order; the block's edges counted
+ * and dropped in one more stream; and the walk of the components they
+ * touched. Sets out_status[m] = -1 on allocation failure or at the int32
+ * limit (the caller re-runs the member without the batch). */
 static void run_member(const batch_args_t *a, int64_t m)
 {
     int64_t me = a->edge_off[m + 1] - a->edge_off[m];
@@ -857,19 +912,52 @@ static void run_member(const batch_args_t *a, int64_t m)
          * is the component of a live node v, labelled by its smallest
          * member id, whose next[] links thread the component's nodes in
          * member order; while v is re-peeled it is -1 - v's peel id. Block 0
-         * and the block after a full-node block keep nothing and re-peel
-         * every live node. */
+         * and the block after a full-node block keep nothing of the order
+         * before: they re-peel every live node but their pairs. */
         int32_t n_kept = 0, n_walked = 0;
         bits_fill(walked, n);
 
         for (int64_t b = 0; b < a->max_blocks && n_live_e > 0; b++) {
+            /* A block that keeps nothing takes its pairs (single-edge
+             * components: a user of degree 1 whose one edge, last[u], ends
+             * at a merchant of degree 1) out of the peel; pair_order writes
+             * them into the kept order once their weights are known.
+             * last[u] is user u's last alive edge, its only one when
+             * deg[u] == 1; zeroed first, it names some merchant for every
+             * user, so the scan appends without a branch (the degree tests
+             * predict poorly). Then each pair is labelled by its user,
+             * linked user then merchant, and has its walked bits cleared,
+             * so the numbering skips it */
+            int fresh = n_kept == 0;
+            int32_t n_pairs = 0;
+            int32_t *pair_edge = scratch.clean_nodes, *last = scratch.pos;
+            if (fresh) {
+                memset(last, 0, (size_t)nu * sizeof(int32_t));
+                for (int32_t r = 0; r < n_live_e; r++)
+                    last[eu[r]] = r;
+                for (int32_t u = 0; u < nu; u++) {
+                    int32_t r = last[u];
+                    pair_edge[n_pairs] = r;
+                    n_pairs += (deg[u] == 1) & (deg[ev[r]] == 1);
+                }
+                for (int32_t i = 0; i < n_pairs; i++) {
+                    int32_t r = pair_edge[i], u = eu[r], v = ev[r];
+                    bit_clear(walked, u);
+                    bit_clear(walked, v);
+                    comp[u] = comp[v] = u;
+                    next[u] = v;
+                    next[v] = -1;
+                }
+                n_kept = 2 * n_pairs;
+            }
+
             /* number the walked live nodes in member order; indptr[p + 1]
              * starts as node p's CSR offset and ends as the next one's */
             int32_t n_peel = 0, n_slots = 0;
             indptr[0] = 0;
             for (int64_t w = 0; w < n_words; w++) {
                 uint64_t bits = walked[w];
-                if (n_kept == 0)
+                if (fresh)
                     walked[w] = 0; /* no kept entry for the merge to drop */
                 for (; bits; bits &= bits - 1) {
                     int32_t v = (int32_t)(w * 64 + __builtin_ctzll(bits));
@@ -913,8 +1001,8 @@ static void run_member(const batch_args_t *a, int64_t m)
              * rest of the peel is the peel of the live nodes alone (numbered
              * in order, so ties break the same way). Of those, only the
              * walked ones are peeled: the merge with the kept order supplies
-             * the rest. Otherwise peel all n, by member id, keeping nothing
-             * of the order before. */
+             * the rest. Otherwise peel all n, by member id, pairs included,
+             * keeping nothing of the order before. */
             double density_all = total / (double)n;
             int residual = all_positive && density_all >= DBL_MIN && density_all <= DBL_MAX;
             const int32_t *peeled = node_of; /* peel id -> member id */
@@ -944,6 +1032,7 @@ static void run_member(const batch_args_t *a, int64_t m)
                         next[tail[root]] = v;
                     tail[root] = v;
                 }
+                pair_order(&order, n_pairs, eu, ev, ew, &scratch);
             }
 
             /* the pops go to the top of the merged order's slots, which

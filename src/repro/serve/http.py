@@ -25,7 +25,10 @@ POST    ``/snapshot``   persist DetectionState via the crash-safe commit
 Error mapping: malformed requests and semantic misuse (append-only state
 given deletions, a deletion of an edge the window does not hold, bad
 thresholds) are 400 with a JSON ``error``; unknown
-paths 404; wrong methods 405; anything that escapes the update path —
+paths 404; wrong methods 405; a request head or body over its limit 413.
+A request that cannot be framed (a malformed request line, a bad
+``Content-Length``, an oversized head or body) is answered and its
+connection closed. Anything that escapes the update path —
 injected faults included — is a 500 whose body names the exception type,
 and the pre-failure snapshot keeps serving.
 """
@@ -122,6 +125,11 @@ class ScoringServer:
                     request = await self._read_request(reader)
                 except asyncio.IncompleteReadError:
                     break
+                except _HttpError as exc:
+                    # the request's framing is lost: answer, then close
+                    self._write_response(writer, exc.status, {"error": str(exc)}, False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -190,7 +198,10 @@ class ScoringServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(400, f"Content-Length must be a non-negative integer, got {length!r}")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body of {length} bytes exceeds the limit")
         body = await reader.readexactly(length) if length else b""

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
+import socket
 import urllib.error
 import urllib.request
 
@@ -23,6 +25,7 @@ from repro.fdet import FdetConfig
 from repro.graph import GraphAccumulator, WindowConfig
 from repro.sampling import StableEdgeSampler
 from repro.serve import DetectionService, start_server_in_thread
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -384,6 +387,59 @@ class TestKeepAlive:
             assert response.getheader("Connection") == "close"
         finally:
             connection.close()
+
+
+def raw_exchange(handle, data: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything read until the server closes it."""
+    with socket.create_connection((handle.host, handle.port), timeout=60) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with part of the request unread
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestFraming:
+    """A request the server cannot frame is answered, then its connection closed."""
+
+    @pytest.mark.parametrize(
+        "data, status, needle",
+        [
+            (
+                b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (MAX_HEADER_BYTES + 10) + b"\r\n\r\n",
+                413,
+                "head too large",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+                413,
+                "exceeds the limit",
+            ),
+            (b"HELLO\r\n\r\n", 400, "malformed request line"),
+            (b"POST /ingest HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, "Content-Length"),
+            (b"POST /ingest HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "Content-Length"),
+        ],
+        ids=["oversized-head", "oversized-body", "malformed-line", "non-numeric-length",
+             "negative-length"],
+    )
+    def test_answered_then_closed(self, served, caplog, data, status, needle):
+        handle, _ = served
+        with caplog.at_level(logging.ERROR):
+            reply = raw_exchange(handle, data)
+            # the server keeps serving other connections
+            assert request(f"{handle.url}/health")[0] == 200
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines[1:]
+        assert needle in json.loads(body)["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestHttpParity:

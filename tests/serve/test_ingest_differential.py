@@ -12,6 +12,10 @@ After every step:
 * the window's live edges, and its kept live rows, equal a from-scratch
   replay of the stream on a plain list of ``(append id, user, merchant)``.
 
+Labels include the int32 and int64 edges. When every refresh of an
+update fails, under either quorum policy, nothing is published and no vote
+moves, and the next clean update matches a cold fit again.
+
 Under ``REPRO_NATIVE=0`` the same streams run on reference-engine
 detections, which carry no node indices.
 """
@@ -26,13 +30,17 @@ from hypothesis import strategies as st
 from repro.datasets import uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet
 from repro.ensemble.voting import tally_votes
+from repro.errors import InjectedFault, QuorumError
 from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.graph import LiveWindow, WindowConfig
+from repro.parallel.tolerance import FaultTolerance
 from repro.sampling import StableEdgeSampler
 from repro.serve import DetectionService
 
 N_USERS, N_MERCHANTS = 14, 8
+#: labels at the int32 and int64 edges
+EDGE_LABELS = (2**31 - 1, 2**31, -(2**63), 2**63 - 1)
 
 
 @pytest.fixture(autouse=True)
@@ -42,7 +50,9 @@ def _clean_faults():
     disarm()
 
 
-def make_config(n_samples: int = 4, track_appearances: bool = False) -> EnsemFDetConfig:
+def make_config(
+    n_samples: int = 4, track_appearances: bool = False, min_quorum: float = 0.5
+) -> EnsemFDetConfig:
     return EnsemFDetConfig(
         sampler=StableEdgeSampler(0.5, stripe=3),
         n_samples=n_samples,
@@ -50,6 +60,7 @@ def make_config(n_samples: int = 4, track_appearances: bool = False) -> EnsemFDe
         executor="serial",
         seed=11,
         track_appearances=track_appearances,
+        tolerance=FaultTolerance(min_quorum=min_quorum),
     )
 
 
@@ -159,7 +170,10 @@ def test_random_streams_match_cold_fits(data, window, n_samples, track_appearanc
     detector, service, model = start(
         window, n_samples=n_samples, track_appearances=track_appearances
     )
-    labels = st.tuples(st.integers(0, N_USERS + 6), st.integers(0, N_MERCHANTS + 4))
+    labels = st.tuples(
+        st.one_of(st.integers(0, N_USERS + 6), st.sampled_from(EDGE_LABELS)),
+        st.one_of(st.integers(0, N_MERCHANTS + 4), st.sampled_from(EDGE_LABELS)),
+    )
     try:
         timestamp = 0.0
         for _ in range(data.draw(st.integers(1, 7), label="steps")):
@@ -249,6 +263,61 @@ def test_compaction_deferred_by_a_fault():
         disarm()
         ingest(service, model, [4], [4], [], 4.0)
         assert detector.window().graph.n_edges == detector.window().n_live
+        check_step(detector, service, model)
+    finally:
+        service.close(save=False)
+
+
+def test_labels_at_the_integer_edges():
+    detector, service, model = start(WindowConfig(max_batches=3))
+    top, low = EDGE_LABELS[-1], EDGE_LABELS[2]
+    try:
+        ingest(service, model, list(EDGE_LABELS), list(reversed(EDGE_LABELS)), [], 1.0)
+        check_step(detector, service, model)
+        # the extremes again, beside the graph's own labels, and one retracted
+        ingest(service, model, [top, low, 3, top], [low, 2, top, top], [(2**31, low)], 2.0)
+        check_step(detector, service, model)
+        assert {top, low} <= set(detector.window().graph.user_labels.tolist())
+        ingest(service, model, [1], [low], [(low, 2)], 3.0)
+        check_step(detector, service, model)
+    finally:
+        service.close(save=False)
+
+
+@pytest.mark.parametrize("min_quorum", [0.5, 1.0], ids=["quorum-error", "first-failure"])
+def test_update_whose_every_refresh_fails(min_quorum):
+    """Every member's refresh fails: nothing is merged, and a clean update heals it.
+
+    Under ``min_quorum`` 0.5 the update ends in a :class:`QuorumError`;
+    under 1.0 the first failure is raised as it is. Either way the window
+    keeps the delta and every member is stale, the snapshot stays as it
+    was, and no vote moves. The next clean update, whose delta reaches
+    every member's stripes, refreshes them all.
+    """
+    n_samples = 5
+    detector, service, model = start(
+        WindowConfig(max_batches=3), n_samples=n_samples, min_quorum=min_quorum
+    )
+    # 30 edges, ten stripes: every member samples some of them
+    wide = ([u % (N_USERS + 4) for u in range(30)], [(3 * m) % N_MERCHANTS for m in range(30)])
+    try:
+        ingest(service, model, [1, 2, 3], [4, 5, 6], [], 1.0)
+        check_step(detector, service, model)
+        snapshot, table = service.snapshot, detector.vote_table
+        arm("raise:point=member.detect,attempt=-1,times=-1")
+        expected = QuorumError if min_quorum < 1.0 else InjectedFault
+        with pytest.raises(expected):
+            service.ingest(users=wide[0], merchants=wide[1], timestamp=2.0)
+        disarm()
+        model.apply(*wide, [], 2.0)
+        assert detector.stale_members == tuple(range(n_samples))
+        assert service.snapshot is snapshot
+        assert detector.vote_table.user_votes == table.user_votes
+        assert detector.vote_table.merchant_votes == table.merchant_votes
+        check_step(detector, service, model, fresh=False)
+
+        ingest(service, model, *wide, [], 3.0)
+        assert detector.stale_members == ()
         check_step(detector, service, model)
     finally:
         service.close(save=False)
