@@ -18,17 +18,18 @@ registry spec (``fraudar:n_blocks=8``, ``spoken``, ``degree:weighted=1``,
 ``detectors`` lists the registry. ``watch`` keeps warm detection state in
 a ``.npz`` archive and tails a growing edge-list file, re-detecting only
 the ensemble members a new batch of edges invalidates; ``--window N`` /
-``--horizon H`` switch the cold fit to a rolling window (old batches
-expire instead of accumulating forever). ``update`` applies one explicit
-delta file and/or a ``--remove`` deletion file to the same state. Both
+``--horizon H`` bound the cold fit's window (old batches expire instead
+of accumulating forever). ``update`` applies one explicit delta file
+and/or a ``--remove`` deletion file to the same state. Both
 print the refreshed detection in the ``detect`` format. ``serve`` exposes
 the same warm state as a long-running HTTP scoring service (ingest edge
 deltas over ``POST /ingest``, read scores from ``GET /score``/``/top``/
 ``/blocks`` without blocking behind a re-fit; see :mod:`repro.serve`). ``scenario``
 sweeps the adversarial-attack robustness grid (detector × attack shape ×
 intensity) over any set of registry specs; ``scenario --drift`` replays
-the temporal scenarios batch-by-batch against windowed and append-only
-detectors and reports detection latency. Artifacts go to ``--outdir``.
+the temporal scenarios batch-by-batch against a detector whose window has
+a bound and one whose window has none, and reports detection latency.
+Artifacts go to ``--outdir``.
 """
 
 from __future__ import annotations
@@ -283,17 +284,15 @@ def _report_degradation(report) -> None:
         )
 
 
-def _window_config(args: argparse.Namespace) -> WindowConfig | None:
-    """Build the rolling-window config from ``--window`` / ``--horizon``."""
-    if args.window is None and args.horizon is None:
-        return None
+def _window_config(args: argparse.Namespace) -> WindowConfig:
+    """Build the window config from ``--window`` / ``--horizon`` (neither: no bound)."""
     return WindowConfig(max_batches=args.window, horizon=args.horizon)
 
 
 def _describe_window(detector: IncrementalEnsemFDet) -> str:
     window = detector.window_config
-    if window is None:
-        return "append-only"
+    if not window.bounded:
+        return "window with no bound"
     parts = []
     if window.max_batches is not None:
         parts.append(f"last {window.max_batches} batches")
@@ -346,11 +345,8 @@ def _bootstrap_state(
     )
     window = _window_config(args)
     detector = IncrementalEnsemFDet(config, window=window)
-    if window is not None and window.horizon is not None:
-        # horizon windows expire by clock; stamp batch 0 with real time
-        detector.fit(graph, timestamp=time.time())
-    else:
-        detector.fit(graph)
+    # horizon windows expire by clock; stamp batch 0 with real time
+    detector.fit(graph, timestamp=time.time() if window.horizon is not None else 0.0)
     consumed = graph.n_edges
     detector.meta["watch_rows"] = consumed
     detector.save(state_path)
@@ -429,20 +425,17 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             users, merchants, weights = _read_rows(args.edges, skip=consumed)
             if not users.size:
                 continue
-            window = detector.window_config
-            if window is not None and window.horizon is not None:
-                report = detector.update(users, merchants, weights, timestamp=time.time())
-            else:
-                # batch-count windows tick in ordinal time (the accumulator's
-                # default); append-only detectors reject timestamps outright
-                report = detector.update(users, merchants, weights)
+            # horizon windows expire by clock; the others tick in ordinal
+            # time (the accumulator's default)
+            clock = time.time() if detector.window_config.horizon is not None else None
+            report = detector.update(users, merchants, weights, timestamp=clock)
             _report_degradation(report)
             consumed += report.n_new_edges
             detector.meta["watch_rows"] = consumed
             detector.save(state_path)
-            expired = f", expired {report.n_expired_edges}" if window is not None else ""
             print(
-                f"# update: +{report.n_new_edges} edges{expired}, refreshed "
+                f"# update: +{report.n_new_edges} edges, expired "
+                f"{report.n_expired_edges}, refreshed "
                 f"{report.n_refreshed}/{report.n_samples} samples in "
                 f"{report.total_seconds:.3f}s"
             )
@@ -512,14 +505,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         print("nothing to apply: give a delta file and/or --remove", file=sys.stderr)
         return 2
     detector = _load_state(state_path)
-    windowed = detector.window_config is not None
-    if not windowed and (args.remove is not None or args.timestamp is not None):
-        print(
-            "--remove/--timestamp need windowed state; refit with "
-            "'ensemfdet watch --window N' (or --horizon H) first",
-            file=sys.stderr,
-        )
-        return 2
     if args.delta is not None:
         users, merchants, weights = _read_rows(args.delta, headerless_ok=True)
     else:
@@ -527,25 +512,20 @@ def _cmd_update(args: argparse.Namespace) -> int:
     remove_users = remove_merchants = None
     if args.remove is not None:
         remove_users, remove_merchants, _ = _read_rows(args.remove, headerless_ok=True)
-    if windowed:
-        report = detector.update(
-            users,
-            merchants,
-            weights,
-            remove_users=remove_users,
-            remove_merchants=remove_merchants,
-            timestamp=args.timestamp,
-        )
-    else:
-        report = detector.update(users, merchants, weights)
+    report = detector.update(
+        users,
+        merchants,
+        weights,
+        remove_users=remove_users,
+        remove_merchants=remove_merchants,
+        timestamp=args.timestamp,
+    )
     _report_degradation(report)
     detector.save(state_path)
     threshold = _default_threshold(args.threshold, detector.config.n_samples)
-    churn = ""
-    if windowed:
-        churn = f", -{report.n_removed_edges} retracted, {report.n_expired_edges} expired"
     print(
-        f"# update: +{report.n_new_edges} edges{churn}, refreshed "
+        f"# update: +{report.n_new_edges} edges, -{report.n_removed_edges} retracted, "
+        f"{report.n_expired_edges} expired, refreshed "
         f"{report.n_refreshed}/{report.n_samples} samples in {report.total_seconds:.3f}s"
     )
     _print_detection(detector.detect(threshold), f"# EnsemFDet[warm] T={threshold}")
@@ -803,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the warm detection state over HTTP (scores, ingest, snapshots)",
         description="Long-running scoring service over the same DetectionState "
         "the watch/update commands maintain. Edge deltas arrive as POST "
-        "/ingest requests (JSON; deletions and timestamps on windowed "
-        "state); GET /score/{user}, /top, /blocks, /health and /stats "
+        "/ingest requests (JSON, with optional deletions and a batch "
+        "timestamp); GET /score/{user}, /top, /blocks, /health and /stats "
         "answer from an immutable snapshot of the vote table, so reads "
         "never block behind a re-fit; POST /snapshot persists the state "
         "through the crash-safe commit path. SIGINT/SIGTERM drain the "
@@ -842,14 +822,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TSV",
         help="deletion delta: each (user, merchant) row retracts that "
-        "pair's oldest live edge (windowed state only)",
+        "pair's oldest live edge",
     )
     update.add_argument(
         "--timestamp",
         type=float,
         default=None,
         help="batch timestamp for horizon windows (default: previous "
-        "batch's timestamp + 1; windowed state only)",
+        "batch's timestamp + 1)",
     )
     update.set_defaults(func=_cmd_update)
 
@@ -879,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift",
         action="store_true",
         help="run the temporal drift grid instead: replay each scenario "
-        "batch by batch through append-only and windowed detectors, "
+        "batch by batch through detectors with and without a window bound, "
         "reporting detection latency (batches until F1 reaches the "
         "target) and post-cleanup decay",
     )

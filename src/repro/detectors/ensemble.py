@@ -206,29 +206,27 @@ class IncrementalDetector:
     stream — fit on the background batch, one ``update()`` per attack
     batch — exercising the incremental layer end to end.
 
-    With ``window=W`` the detector rolls a ``W``-batch window: streamed
-    batches get ordinal timestamps, old edges expire, and
-    :data:`~repro.scenarios.BatchKind.CLEANUP` batches are applied as
-    retractions. Windowed specs extend their parity fingerprint, so the
-    harness never bit-compares them against append-only detectors —
-    forgetting edges is *supposed* to change the verdict.
+    With ``window=W`` the detector rolls a ``W``-batch window: old edges
+    expire, and :data:`~repro.scenarios.BatchKind.CLEANUP` batches are
+    applied as retractions. Without it the window has no bound and a
+    replay skips cleanup batches. Windowed specs extend their parity
+    fingerprint, so the harness never bit-compares them against detectors
+    without a bound — forgetting edges is *supposed* to change the verdict.
     """
 
     def __init__(self, spec: str, config: IncrementalSpec, context: DetectorContext) -> None:
         self.spec = spec
         self.config = _ensemble_config(config, context, "ses")
-        self.window = None
-        if config.window is not None:
-            if config.window < 1:
-                raise DetectionError(
-                    f"detector {spec!r}: window must be >= 1, got {config.window}"
-                )
-            self.window = WindowConfig(max_batches=config.window)
+        if config.window is not None and config.window < 1:
+            raise DetectionError(
+                f"detector {spec!r}: window must be >= 1, got {config.window}"
+            )
+        self.window = WindowConfig(max_batches=config.window)
 
     def parity_fingerprint(self) -> tuple:
         """See :func:`_parity_fingerprint`; windowed specs are their own group."""
         fingerprint = _parity_fingerprint(self.config)
-        if self.window is not None:
+        if self.window.bounded:
             fingerprint += ("window", self.window.max_batches)
         return fingerprint
 
@@ -257,9 +255,9 @@ class IncrementalDetector:
 
         ``kinds`` (parallel to ``batches``, :class:`BatchKind` strings)
         routes :data:`BatchKind.CLEANUP` batches: a windowed detector
-        applies them as retractions; an append-only one skips them — it
-        has no way to un-ingest an edge, which is exactly the asymmetry
-        the temporal scenarios measure.
+        applies them as retractions; one whose window has no bound skips
+        them and never forgets an edge, which is exactly the asymmetry the
+        temporal scenarios measure.
         """
         batches = list(batches)
         if kinds is not None and len(kinds) != len(batches):
@@ -268,22 +266,17 @@ class IncrementalDetector:
             )
         with Timer() as timer:
             detector = IncrementalEnsemFDet(self.config, window=self.window)
-            if self.window is not None:
-                detector.fit(background, timestamp=0.0)
-            else:
-                detector.fit(background)
+            detector.fit(background, timestamp=0.0)
             refreshed = 0
             skipped = 0
             failed: list[dict] = []
             stale: tuple[int, ...] = ()
             for index, batch in enumerate(batches):
                 cleanup = kinds is not None and kinds[index] == _CLEANUP
-                if self.window is None:
-                    if cleanup:
-                        skipped += 1
-                        continue
-                    report = detector.update(batch.users, batch.merchants, batch.weights)
-                elif cleanup:
+                if cleanup and not self.window.bounded:
+                    skipped += 1
+                    continue
+                if cleanup:
                     report = detector.update(
                         remove_users=batch.users,
                         remove_merchants=batch.merchants,

@@ -18,9 +18,13 @@ FDET the cold fit would, and integer counts make the delta tally equal
 the cold fit's own :func:`~repro.ensemble.voting.tally_votes`. Stored node
 indices stay valid across updates because
 :class:`~repro.graph.GraphAccumulator` never renumbers or drops a node,
-and gives every label one node.
+and gives every label one node (a graph whose labels repeat on a side is
+refused).
 
-A windowed update touches what its delta changes: the accumulator's
+Every detector keeps its graph in a windowed accumulator. Without a
+``window`` it is a :class:`~repro.graph.WindowConfig` with no bound:
+nothing expires, so the live edges are every edge appended and not
+retracted. An update touches what its delta changes: the accumulator's
 columns grow in place, the stripe-inclusion rows cover only the stripes
 of the live edges and of the delta, and refreshed members read their
 edge ids from the window's :class:`~repro.graph.StripeIndex`.
@@ -82,7 +86,7 @@ class UpdateReport:
     retry_log:
         Per-attempt history of this update's detection stage.
     n_removed_edges:
-        Edges retracted by an explicit deletion delta (windowed mode).
+        Edges retracted by an explicit deletion delta.
     n_expired_edges:
         Edges that fell out of the rolling window this update.
     """
@@ -182,12 +186,12 @@ class IncrementalEnsemFDet:
         refresh sound) and ``seed`` must be set (the sampling key has to be
         re-derivable on every update).
     window:
-        Optional :class:`~repro.graph.WindowConfig`. When set, the
-        detector operates on a rolling window: each :meth:`update` may
-        carry deletion deltas (``remove_users`` / ``remove_merchants``),
-        expired edges leave the window automatically, and the refreshed
-        state stays bit-identical to a cold
-        :meth:`EnsemFDet.fit_window` on the live window.
+        Optional :class:`~repro.graph.WindowConfig` (default: one with no
+        bound, which expires nothing). Edges that fall out of a bounded
+        window leave it automatically. Every :meth:`update` may carry a
+        deletion delta (``remove_users`` / ``remove_merchants``) and a
+        batch timestamp, and the refreshed state stays bit-identical to a
+        cold :meth:`EnsemFDet.fit_window` on the live window.
     """
 
     def __init__(
@@ -209,12 +213,13 @@ class IncrementalEnsemFDet:
                 "re-derive the sampling key"
             )
         self.config = config
-        self.window_config = window
+        self.window_config = WindowConfig() if window is None else window
         #: the stripe-hash key every plan of this detector is drawn with
         self._key = config.sampler.derive_key(resolve_rng(config.seed))
         #: free-form JSON-able annotations persisted with the state (e.g.
         #: the watch CLI's source-file row offset)
         self.meta: dict = {}
+        #: the graph the vote table speaks about (the window's stored graph)
         self._graph: BipartiteGraph | None = None
         self._acc: GraphAccumulator | None = None
         #: one entry per member index ``0..N-1``
@@ -256,17 +261,14 @@ class IncrementalEnsemFDet:
         return tuple(sorted(self._degraded))
 
     @property
-    def watermark(self) -> int | None:
-        """The rolling window's append watermark (``None`` when append-only)."""
-        return None if self._acc is None else self._acc.watermark
+    def watermark(self) -> int:
+        """The window's append watermark: every edge appended so far."""
+        self._require_fitted()
+        return self._acc.watermark
 
     def window(self) -> LiveWindow:
-        """Snapshot of the rolling window (windowed detectors only)."""
+        """Snapshot of the window."""
         self._require_fitted()
-        if self._acc is None:
-            raise DetectionError(
-                "this detector is append-only; construct with window=WindowConfig(...)"
-            )
         return self._acc.window()
 
     def fit(self, graph: BipartiteGraph, timestamp: float = 0.0) -> EnsemFDetResult:
@@ -274,24 +276,23 @@ class IncrementalEnsemFDet:
 
         Member tracking is forced on: the persisted state records each
         sample's node labels so appearance counts can be refreshed after
-        a restart. A windowed detector records ``graph`` as batch 0 of
-        the rolling window, at ``timestamp``. A member lost in the fit is
-        stale, with no votes, until an update refreshes it.
+        a restart. ``graph`` becomes batch 0 of the window, at
+        ``timestamp``. A graph whose labels repeat on a side, or a
+        timestamp that is not a finite number, raises
+        :class:`~repro.errors.DetectionError` and changes nothing. A member
+        lost in the fit is stale, with no votes, until an update refreshes
+        it.
         """
-        if self.window_config is not None:
-            self._acc = GraphAccumulator.from_graph(
+        try:
+            acc = GraphAccumulator.from_graph(
                 graph, window=self.window_config, timestamp=timestamp
             )
-            live = self._acc.window()
-            result = EnsemFDet(self.config).fit_window(
-                live, track_members=True
-            )
-            graph = live.graph
-        else:
-            if timestamp:
-                raise DetectionError("fit timestamps require a windowed detector")
-            result = EnsemFDet(self.config).fit(graph, track_members=True)
-        self._graph = graph
+        except GraphError as exc:
+            raise DetectionError(f"cannot fit: {exc}") from exc
+        live = acc.window()
+        result = EnsemFDet(self.config).fit_window(live, track_members=True)
+        self._acc = acc
+        graph = self._graph = live.graph
         lost = {failure.index for failure in result.failed_members}
         survivors = iter(result.sample_detections)
         self._samples = [
@@ -316,96 +317,39 @@ class IncrementalEnsemFDet:
 
         ``users`` / ``merchants`` are parallel arrays of **global labels**
         (unseen labels grow the partitions); ``weights`` is an optional
-        parallel weight column. Returns an :class:`UpdateReport`; the
-        refreshed detections are available through :meth:`detect`.
+        parallel weight column. A *deletion delta* (``remove_users`` /
+        ``remove_merchants``) retracts each pair's oldest live edge, and
+        ``timestamp`` stamps the batch (default: the previous batch's + 1).
+        Edges that fall out of a bounded window expire. Returns an
+        :class:`UpdateReport`; the refreshed detections are available
+        through :meth:`detect`.
 
-        Windowed detectors additionally accept a *deletion delta*
-        (``remove_users`` / ``remove_merchants``: each pair retracts its
-        oldest live edge) and a batch ``timestamp``; edges falling out of
-        the rolling window expire automatically. A member is re-run
-        exactly when its stripe set intersects the appended, retracted or
-        expired ids, which keeps the state bit-identical to a cold
-        :meth:`EnsemFDet.fit_window` on the live window. On an
-        append-only detector the deletion/timestamp parameters raise
-        :class:`~repro.errors.DetectionError`.
+        A member is re-run exactly when its stripe set intersects the
+        appended, retracted or expired ids, which keeps the state
+        bit-identical to a cold :meth:`EnsemFDet.fit_window` on the live
+        window. Because :class:`StableEdgeSampler` plans are prefix-stable,
+        the stale members' plans are just their stripe rows over the live
+        stripes — no subgraph is materialized parent-side. All refreshed
+        members share one columnar store of the window's graph (one
+        store-file spill per update on the process backend).
 
-        Because :class:`StableEdgeSampler` plans are prefix-stable, the
-        stale members' plans are just their stripe rows re-hashed on the
-        grown edge count — no subgraph is materialized parent-side. All
-        refreshed members share one columnar store of the grown graph
-        (one store-file spill per update on the process backend).
+        A batch or a deletion the window rejects (a timestamp before the
+        newest batch's, an unknown label, a pair with no live edge left)
+        raises :class:`~repro.errors.DetectionError` and changes nothing.
 
         A refresh that fails for good leaves that member stale. If too few
         members then hold fresh state, the delta and the fresh refreshes
         are kept all the same, and :class:`~repro.errors.QuorumError` is
         raised. Under a full quorum (``min_quorum == 1.0``) the first
-        failure is raised instead and no refresh is kept; a windowed
-        detector keeps the delta all the same, so every member the update
-        should have refreshed is left stale.
+        failure is raised instead and no refresh is kept; the window keeps
+        the delta all the same, so every member the update should have
+        refreshed is left stale.
         """
         self._require_fitted()
         if users is None:
             users = np.empty(0, dtype=np.int64)
         if merchants is None:
             merchants = np.empty(0, dtype=np.int64)
-        if self.window_config is not None:
-            return self._update_windowed(
-                users, merchants, weights, remove_users, remove_merchants, timestamp
-            )
-        if remove_users is not None or remove_merchants is not None:
-            raise DetectionError(
-                "deletion deltas require a windowed detector "
-                "(construct with window=WindowConfig(...))"
-            )
-        if timestamp is not None:
-            raise DetectionError(
-                "batch timestamps require a windowed detector "
-                "(construct with window=WindowConfig(...))"
-            )
-        config = self.config
-        sampler: StableEdgeSampler = config.sampler
-
-        with Timer() as sampling_timer:
-            accumulator = GraphAccumulator.from_graph(self._graph)
-            start, stop = accumulator.append(users, merchants, weights)
-            new_graph = accumulator.graph()
-            stale, plans = self._refresh_plans(
-                np.arange(start, stop, dtype=np.int64), 0, sampler.n_stripes(new_graph.n_edges)
-            )
-
-        with Timer() as detection_timer:
-            run = run_members(
-                new_graph,
-                plans,
-                config.fdet,
-                mode=config.executor,
-                n_workers=config.n_workers,
-                track_members=True,
-                tolerance=config.tolerance,
-            )
-
-        stale_indices = stale.tolist()
-        failures = self._store_refreshed(run, stale_indices, new_graph)
-        return UpdateReport(
-            n_new_edges=stop - start,
-            refreshed_samples=tuple(int(i) for i in stale_indices),
-            n_samples=config.n_samples,
-            sampling_seconds=sampling_timer.elapsed,
-            detection_seconds=detection_timer.elapsed,
-            failed_members=failures,
-            stale_members=tuple(sorted(self._degraded)),
-            retry_log=run.retry_log,
-        )
-
-    def _update_windowed(
-        self, users, merchants, weights, remove_users, remove_merchants, timestamp
-    ) -> UpdateReport:
-        """Windowed delta: retract, append, expire, then refresh stale members.
-
-        A batch or a deletion the window rejects (a timestamp before the
-        newest batch's, an unknown label, a pair with no live edge left)
-        raises :class:`~repro.errors.DetectionError` and changes nothing.
-        """
         config = self.config
         acc = self._acc
 
@@ -468,9 +412,9 @@ class IncrementalEnsemFDet:
     ) -> tuple[np.ndarray, list]:
         """The members whose stripes hold a changed append id, with their plans.
 
-        Plans cover stripes ``first..stop-1`` (the window's live edges, or
-        every edge of an append-only graph). One inclusion matrix is hashed
-        over those stripes and the delta's, and nothing older.
+        Plans cover stripes ``first..stop-1``, the window's live edges. One
+        inclusion matrix is hashed over those stripes and the delta's, and
+        nothing older.
         """
         config = self.config
         sampler: StableEdgeSampler = config.sampler
@@ -492,10 +436,9 @@ class IncrementalEnsemFDet:
         """Store the refreshed detections, re-tally every member, enforce the quorum."""
         config = self.config
         if run.failures and config.tolerance.min_quorum >= 1.0:
-            if self.window_config is not None:
-                # the window already holds the delta, so every member it
-                # should have refreshed still votes on the window before it
-                self._degraded.update(stale_indices)
+            # the window already holds the delta, so every member it
+            # should have refreshed still votes on the window before it
+            self._degraded.update(stale_indices)
             _raise_first_failure(run)
 
         # remap positional failure indices back to global member indices
@@ -652,20 +595,10 @@ class IncrementalEnsemFDet:
             meta["degraded_members"] = sorted(self._degraded)
         else:
             meta.pop("degraded_members", None)
-        graph = self._graph
-        window = None
-        edge_ids = None
-        if self._acc is not None:
-            # persist only the live rows; original append ids keep stripe
-            # membership stable when the window resumes
-            ws = self._acc.window_state()
-            graph = ws["graph"]
-            edge_ids = ws["edge_ids"]
-            window = {
-                "config": ws["config"],
-                "watermark": ws["watermark"],
-                "batches": ws["batches"],
-            }
+        # persist only the live rows; original append ids keep stripe
+        # membership stable when the window resumes
+        ws = self._acc.window_state()
+        graph = ws["graph"]
         # labels, not node indices, go to disk: from_state maps them back
         user_labels, merchant_labels = graph.user_labels, graph.merchant_labels
         return DetectionState(
@@ -678,8 +611,8 @@ class IncrementalEnsemFDet:
             sample_users=[s.sample_users for s in self._samples],
             sample_merchants=[s.sample_merchants for s in self._samples],
             meta=meta,
-            window=window,
-            edge_ids=edge_ids,
+            window={key: ws[key] for key in ("config", "watermark", "batches")},
+            edge_ids=ws["edge_ids"],
         )
 
     def save(self, path) -> None:
@@ -688,25 +621,38 @@ class IncrementalEnsemFDet:
 
     @classmethod
     def from_state(cls, state: DetectionState) -> "IncrementalEnsemFDet":
-        """Rebuild a live detector from a :class:`DetectionState`."""
+        """Rebuild a live detector from a :class:`DetectionState`.
+
+        A state saved without a window loads as a window with no bound, its
+        edges appended as ids ``0..|E|-1`` in one batch at time 0. A graph
+        whose labels repeat on a side, or a window the accumulator cannot
+        restore, raises :class:`~repro.errors.DetectionError`.
+        """
         config = cls._config_from_dict(state.config)
         if state.n_samples != config.n_samples:
             raise DetectionError(
                 f"state holds {state.n_samples} samples but config says "
                 f"{config.n_samples}"
             )
-        window_config = None
-        if state.window is not None:
-            window_config = WindowConfig.from_dict(state.window["config"])
-        detector = cls(config, window=window_config)
-        if window_config is not None:
-            detector._acc = GraphAccumulator.restore_window(
+        n_edges = state.graph.n_edges
+        window = state.window or {
+            "config": {},  # no bound
+            "watermark": n_edges,
+            "batches": [[0, n_edges, 0.0]],
+        }
+        try:
+            window_config = WindowConfig.from_dict(window["config"])
+            acc = GraphAccumulator.restore_window(
                 state.graph,
                 window_config,
-                edge_ids=state.edge_ids,
-                watermark=int(state.window["watermark"]),
-                batches=state.window["batches"],
+                edge_ids=np.arange(n_edges) if state.edge_ids is None else state.edge_ids,
+                watermark=int(window["watermark"]),
+                batches=window["batches"],
             )
+        except GraphError as exc:
+            raise DetectionError(f"cannot restore the detection state: {exc}") from exc
+        detector = cls(config, window=window_config)
+        detector._acc = acc
         detector.meta = dict(state.meta)
         detector._degraded = set(
             int(i) for i in detector.meta.pop("degraded_members", [])

@@ -24,10 +24,13 @@ Persistence is crash-safe:
   the manifest and surfaces as :class:`~repro.errors.StateChecksumError`,
   never as a silently-wrong vote table. v1 archives (pre-checksum) still
   load.
-* **Windowing** — format v3 optionally records a rolling-window
-  configuration, the live-edge watermark/batch records, and each live
-  edge's original append id, so a windowed detector resumes with stable
-  stripe membership. v1/v2 archives (append-only, no window) still load.
+* **Windowing** — format v3 records a window configuration, the
+  live-edge watermark/batch records, and each live edge's original append
+  id, so a detector resumes with stable stripe membership. Archives saved
+  without a window (v1, v2, and v4 archives of append-only detectors)
+  still load; :meth:`~repro.ensemble.IncrementalEnsemFDet.from_state`
+  resumes them as a window with no bound over append ids ``0..|E|-1``,
+  and they save back with window arrays.
 * **Compact dtypes** — format v4 stores index arrays (edge endpoints,
   per-sample node lists, edge ids) as ``int32`` when their values fit, and
   weights as ``float32`` when the ``float64`` round-trip is bit-exact —
@@ -194,11 +197,11 @@ class DetectionState:
         the ``watch`` CLI records how many rows of its source file are
         already ingested). Preserved verbatim across save/load.
     window:
-        ``None`` for append-only detectors. For windowed detectors, a
-        JSON-able dict ``{"config": ..., "watermark": ..., "batches": ...}``
-        describing the rolling window (see
+        A JSON-able dict ``{"config": ..., "watermark": ..., "batches": ...}``
+        describing the detector's window (see
         :meth:`repro.graph.GraphAccumulator.window_state`); ``graph`` then
-        holds only the *live* edges.
+        holds only the *live* edges. ``None`` in archives saved without a
+        window, whose edges are all live.
     edge_ids:
         Original append ids of ``graph``'s rows (int64, strictly
         increasing) when ``window`` is set; ``None`` otherwise. These keep

@@ -264,6 +264,18 @@ class _Labels:
         return self._nodes[positions][inverse]
 
 
+def _batch_timestamp(timestamp) -> float:
+    """A batch timestamp as a float; anything but a finite number raises."""
+    try:
+        ts = float(timestamp)
+    except (TypeError, ValueError):
+        raise GraphError(f"batch timestamps must be numbers, got {timestamp!r}") from None
+    if not math.isfinite(ts):
+        # a NaN would pass the non-decreasing check and expire the window
+        raise GraphError(f"batch timestamps must be finite, got {timestamp}")
+    return ts
+
+
 class GraphAccumulator:
     """Grow a bipartite graph by appending edge batches, out-of-core style.
 
@@ -306,7 +318,8 @@ class GraphAccumulator:
     stripes (:class:`~repro.graph.window.StripeIndex`) without a pass over
     the window. In windowed mode ``append`` returns the batch's *id*
     range, which equals the physical range only until the first
-    compaction.
+    compaction. A window with no bound keeps only its newest batch record,
+    the clock the next batch's timestamp is checked against.
     """
 
     def __init__(self, window: WindowConfig | None = None) -> None:
@@ -338,7 +351,8 @@ class GraphAccumulator:
         ``graph.n_edges`` onwards) and intern against its labels, so a
         detector state fitted on ``graph`` can keep growing it in place.
         With ``window`` set, the graph becomes batch 0 of the rolling
-        window (all edges live, ids ``0..n_edges``) at ``timestamp``.
+        window (all edges live, ids ``0..n_edges``) at ``timestamp``, which
+        must be a finite number.
         """
         acc = cls(window=window)
         acc._user_labels = _Labels("user", graph.user_labels)
@@ -352,7 +366,7 @@ class GraphAccumulator:
             acc._edge_ids = _Growable(np.arange(graph.n_edges, dtype=np.int64))
             acc._live = _Growable(np.arange(graph.n_edges, dtype=np.int64))
             acc._watermark = graph.n_edges
-            acc._batches = [[0, graph.n_edges, float(timestamp)]]
+            acc._batches = [[0, graph.n_edges, _batch_timestamp(timestamp)]]
         return acc
 
     @classmethod
@@ -370,7 +384,8 @@ class GraphAccumulator:
         ``graph`` must hold only live edges (states are compacted before
         saving), ``edge_ids`` their original append ids (strictly
         increasing), ``watermark`` the id-space bound, and ``batches`` the
-        surviving ``[start_id, stop_id, timestamp]`` records.
+        surviving ``[start_id, stop_id, timestamp]`` records, whose
+        timestamps must be finite numbers.
         """
         if window is None:
             raise GraphError("restore_window requires a WindowConfig")
@@ -386,7 +401,7 @@ class GraphAccumulator:
         floor = int(ids[-1]) + 1 if ids.size else 0
         if watermark < floor:
             raise GraphError(f"window watermark {watermark} below newest edge id {floor - 1}")
-        records = [[int(b[0]), int(b[1]), float(b[2])] for b in batches]
+        records = [[int(b[0]), int(b[1]), _batch_timestamp(b[2])] for b in batches]
         for prev, cur in zip(records, records[1:]):
             if cur[0] < prev[1] or cur[2] < prev[2]:
                 raise GraphError("window batch records must be ordered and non-overlapping")
@@ -459,6 +474,8 @@ class GraphAccumulator:
             self._edge_ids.extend(np.arange(start, stop, dtype=np.int64))
             self._live.extend(np.arange(rows, rows + count, dtype=np.int64))
         self._watermark = stop
+        if not self._window.bounded:
+            self._batches.clear()
         self._batches.append([start, stop, ts])
         return start, stop
 
@@ -499,13 +516,7 @@ class GraphAccumulator:
         newest = self._batches[-1][2] if self._batches else None
         if timestamp is None:
             return raw_users, raw_merchants, batch_weights, 0.0 if newest is None else newest + 1.0
-        try:
-            ts = float(timestamp)
-        except (TypeError, ValueError):
-            raise GraphError(f"batch timestamps must be numbers, got {timestamp!r}") from None
-        if not math.isfinite(ts):
-            # a NaN would pass the non-decreasing check and expire the window
-            raise GraphError(f"batch timestamps must be finite, got {timestamp}")
+        ts = _batch_timestamp(timestamp)
         if newest is not None and ts < newest:
             raise GraphError(f"batch timestamps must be non-decreasing: {ts} after {newest}")
         return raw_users, raw_merchants, batch_weights, ts

@@ -4,13 +4,14 @@ The append-only :class:`~repro.graph.builder.GraphAccumulator` treats the
 transaction log as immortal: every edge ever appended votes forever. Real
 fraud moves in time — attacks ramp up, go dormant, and sometimes delete
 their own traces — and stale honest history dilutes the vote scores of
-everything that follows. The windowed mode bounds the graph to *live*
-edges only:
+everything that follows. The windowed mode tracks which edges are *live*:
 
 * :class:`WindowConfig` — the retention policy: keep the last
   ``max_batches`` appended batches, or every batch within a ``horizon``
   of the newest timestamp (or both; an edge must satisfy every configured
-  bound to stay live).
+  bound to stay live). A window with neither bound expires nothing: its
+  edges leave only by retraction, which is how an incremental detector
+  runs without a window.
 * :class:`LiveWindow` — an immutable snapshot of the windowed state: the
   full *stored* graph (which may still contain tombstoned rows awaiting
   compaction), the liveness mask over its physical rows, and the
@@ -47,11 +48,12 @@ __all__ = ["WindowConfig", "EdgeWindow", "LiveWindow", "StripeIndex"]
 class WindowConfig:
     """Retention policy of a rolling edge window.
 
-    At least one of ``max_batches`` / ``horizon`` must be set. When both
-    are, the *tighter* cutoff wins (an edge must be within the last
-    ``max_batches`` batches **and** within ``horizon`` of the newest
-    timestamp to stay live). ``compact_threshold`` is the dead-row
-    fraction above which the accumulator compacts its physical arrays.
+    When both ``max_batches`` and ``horizon`` are set, the *tighter* cutoff
+    wins (an edge must be within the last ``max_batches`` batches **and**
+    within ``horizon`` of the newest timestamp to stay live). With neither,
+    the window has no bound and nothing expires. ``compact_threshold`` is
+    the dead-row fraction above which the accumulator compacts its
+    physical arrays.
     """
 
     max_batches: int | None = None
@@ -59,8 +61,6 @@ class WindowConfig:
     compact_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_batches is None and self.horizon is None:
-            raise GraphError("WindowConfig needs max_batches and/or horizon")
         if self.max_batches is not None and int(self.max_batches) < 1:
             raise GraphError(f"max_batches must be >= 1, got {self.max_batches}")
         if self.horizon is not None and not float(self.horizon) > 0.0:
@@ -69,6 +69,11 @@ class WindowConfig:
             raise GraphError(
                 f"compact_threshold must be in (0, 1], got {self.compact_threshold}"
             )
+
+    @property
+    def bounded(self) -> bool:
+        """Whether any edge can expire (``max_batches`` or ``horizon`` is set)."""
+        return self.max_batches is not None or self.horizon is not None
 
     def as_dict(self) -> dict:
         """JSON-able form (DetectionState v3 ``window_json``)."""

@@ -55,8 +55,8 @@ class BatchKind:
     BACKGROUND = "background"
     ATTACK = "attack"
     WAVE = "wave"
-    #: edges to *retract* (attacker covering their tracks) — only windowed
-    #: detectors can honour it; append-only replays skip the batch
+    #: edges to *retract* (attacker covering their tracks) — replays on a
+    #: bounded window honour it; replays on a window with no bound skip it
     CLEANUP = "cleanup"
 
 
@@ -66,9 +66,8 @@ def accumulate_batches(
 ) -> BipartiteGraph:
     """Replay a scenario's batches through a fresh accumulator.
 
-    This is exactly what the append-only streaming layer does with the
-    stream; the returned graph is bitwise-equal to
-    ``ScenarioResult.dataset.graph``. With ``kinds``,
+    This is what a replay that never forgets ends with; the returned graph
+    is bitwise-equal to ``ScenarioResult.dataset.graph``. With ``kinds``,
     :data:`BatchKind.CLEANUP` batches are skipped — they list edges to
     *remove*, which an append-only accumulator cannot express.
     """

@@ -10,8 +10,9 @@ traffic at the end — unless the detector never forgets.
 This grid replays each temporal scenario step by step through the
 incremental detector in two modes:
 
-* ``append`` — the classic append-only detector: every edge it ever saw
-  keeps voting, cleanup batches are skipped (inexpressible);
+* ``append`` — a window with no bound: every edge it ever saw keeps
+  voting, and the replay skips cleanup batches, so the detector never
+  forgets;
 * ``window`` — a rolling ``window_batches``-batch window: old edges
   expire, cleanup batches are honoured as retractions.
 
@@ -25,11 +26,11 @@ golden fixture. Reported per cell:
 * ``final_f1`` / ``peak_f1`` — end-state versus best-ever detection;
 * ``f1_series`` — the full per-step curve (comma-joined).
 
-In windowed mode every step optionally cross-checks the incremental vote
+In both modes every step optionally cross-checks the incremental vote
 table against a cold :meth:`~repro.ensemble.EnsemFDet.fit_window` on the
-same live window — the bitwise-parity guarantee of the windowed
-incremental layer, enforced live here just like the append-only parity is
-in the robustness grid.
+same live window — the bitwise-parity guarantee of the incremental layer,
+enforced live here just like the parity against cold fits is in the
+robustness grid.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class DriftGridConfig:
     executor: str = ExecutorMode.SERIAL
     #: best-F1 level that counts as "detected" for the latency metric
     f1_target: float = 0.6
-    #: cross-check windowed steps against a cold fit on the live window
+    #: cross-check every step against a cold fit on the live window
     check_parity: bool = True
 
     def __post_init__(self) -> None:
@@ -136,9 +137,9 @@ def _assert_window_parity(
         or detector.vote_table.merchant_votes != cold.vote_table.merchant_votes
     ):
         raise ScenarioError(
-            f"drift cell {cell} step {step}: windowed incremental vote table "
-            "diverged from a cold fit on the live window — the windowed "
-            "incremental layer no longer reproduces EnsemFDet.fit_window"
+            f"drift cell {cell} step {step}: incremental vote table diverged "
+            "from a cold fit on the live window — the incremental layer no "
+            "longer reproduces EnsemFDet.fit_window"
         )
 
 
@@ -149,25 +150,20 @@ def _replay_cell(
     ensemble = config.ensemble_config()
     fraud = set(instance.fraud_users.tolist())
     cell = f"{instance.scenario}/{mode}"
-    window = (
-        WindowConfig(max_batches=config.window_batches) if mode == "window" else None
-    )
+    window = WindowConfig(max_batches=config.window_batches if mode == "window" else None)
     background = accumulate_batches(instance.batches[:1])
 
     with Timer() as timer:
         detector = IncrementalEnsemFDet(ensemble, window=window)
-        if window is not None:
-            detector.fit(background, timestamp=0.0)
-        else:
-            detector.fit(background)
+        detector.fit(background, timestamp=0.0)
         series: list[float] = []
         refreshed = 0
         for index, batch in enumerate(instance.attack_batches):
             kind = instance.batch_kinds[index + 1]
-            if kind == BatchKind.CLEANUP and window is None:
-                # inexpressible for an append-only detector: the step
-                # happens (the series stays aligned across modes) but the
-                # vote table cannot change
+            if kind == BatchKind.CLEANUP and not window.bounded:
+                # a window with no bound never forgets: the step happens
+                # (the series stays aligned across modes) but the vote
+                # table does not change
                 series.append(_best_f1(detector.vote_table, fraud, ensemble.n_samples))
                 continue
             if kind == BatchKind.CLEANUP:
@@ -176,15 +172,13 @@ def _replay_cell(
                     remove_merchants=batch.merchants,
                     timestamp=float(index + 1),
                 )
-            elif window is not None:
+            else:
                 report = detector.update(
                     batch.users, batch.merchants, batch.weights,
                     timestamp=float(index + 1),
                 )
-            else:
-                report = detector.update(batch.users, batch.merchants, batch.weights)
             refreshed += report.n_refreshed
-            if window is not None and config.check_parity:
+            if config.check_parity:
                 _assert_window_parity(detector, ensemble, cell, index + 1)
             series.append(_best_f1(detector.vote_table, fraud, ensemble.n_samples))
 
@@ -194,7 +188,7 @@ def _replay_cell(
     return {
         "scenario": instance.scenario,
         "mode": mode,
-        "window_batches": config.window_batches if window is not None else 0,
+        "window_batches": config.window_batches if window.bounded else 0,
         "n_steps": len(series),
         "n_fraud": len(fraud),
         "latency": latency,
@@ -262,7 +256,7 @@ def cleanup_decay_summary(result) -> dict:
     Returns ``{"append_final": ..., "window_final": ..., "append_peak":
     ..., "window_peak": ...}`` for the ``attack_cleanup`` rows. The
     windowed detector's final F1 collapsing below its peak while the
-    append-only one stays at peak is the whole point of windowing.
+    ``append`` replay stays at peak is the whole point of windowing.
     """
     rows = {
         row["mode"]: row for row in result.rows if row["scenario"] == "attack_cleanup"

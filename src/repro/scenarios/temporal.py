@@ -20,8 +20,9 @@ structure; these vary its arrival pattern, which is what windowed
 
 Like every scenario, each instance carries an ordered replay stream;
 ``attack_cleanup`` is the one shape whose stream is *not* append-only —
-its final batch lists edges to remove, and only windowed streaming
-detectors (``incremental:window=...``) can honour it.
+its final batch lists edges to remove, which windowed streaming
+detectors (``incremental:window=...``) honour and replays on a window with
+no bound skip.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class BurstDormantScenario(Scenario):
 
     The full dense block fires twice, separated by ``dormant_batches`` of
     pure honest traffic. A rolling window shorter than the dormant gap
-    forgets the first burst entirely; an append-only detector carries it
+    forgets the first burst entirely; a window with no bound carries it
     forever. The second burst re-uses the same users and merchants, so the
     two regimes converge again at the end of the stream.
     """
@@ -171,10 +172,10 @@ class CleanupScenario(Scenario):
     follow; the final :data:`BatchKind.CLEANUP` batch lists *exactly* the
     attack's edges as retractions (the attacker cancelling orders or
     purging records). The dataset graph keeps the attack edges — that is
-    the append-only end state — while windowed replays, which honour the
-    cleanup, end with no fraud evidence at all. The drift grid asserts the
-    asymmetry: append-only keeps flagging the ghost block, windowed scores
-    decay after cleanup.
+    the end state of a replay that skips the cleanup — while windowed
+    replays, which honour the cleanup, end with no fraud evidence at all.
+    The drift grid asserts the asymmetry: its ``append`` rows keep flagging
+    the ghost block, windowed scores decay after cleanup.
     """
 
     name = "attack_cleanup"
@@ -210,7 +211,7 @@ class CleanupScenario(Scenario):
             _batch(attack_u, attack_m),
             *post,
             # the cleanup batch repeats the attack's exact edge pairs — a
-            # windowed replay retracts them, an append-only one skips it
+            # windowed replay retracts them, one with no bound skips it
             _batch(attack_u, attack_m),
         )
         kinds = (

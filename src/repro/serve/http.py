@@ -22,8 +22,8 @@ GET     ``/stats``      counters, window state, queue depth
 POST    ``/snapshot``   persist DetectionState via the crash-safe commit
 ======  =============== ====================================================
 
-Error mapping: malformed requests and semantic misuse (append-only state
-given deletions, a deletion of an edge the window does not hold, bad
+Error mapping: malformed requests and semantic misuse (a deletion of an
+edge the window does not hold, a timestamp before the newest batch's, bad
 thresholds) are 400 with a JSON ``error``; unknown
 paths 404; wrong methods 405; a request head or body over its limit 413.
 A request that cannot be framed (a malformed request line, a bad
@@ -334,10 +334,9 @@ class ScoringServer:
                 "default_threshold": snapshot.default_threshold,
                 "stale_members": list(snapshot.stale_members),
                 "windowed": self.service.windowed,
+                "watermark": snapshot.watermark,
             }
         )
-        if snapshot.watermark is not None:
-            payload["watermark"] = snapshot.watermark
         return payload
 
     # ------------------------------------------------------------------

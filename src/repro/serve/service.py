@@ -158,7 +158,8 @@ class DetectionService:
 
     @property
     def windowed(self) -> bool:
-        return self._detector.window_config is not None
+        """Whether the detector's window has a bound (edges can expire)."""
+        return self._detector.window_config.bounded
 
     def stats(self) -> ServiceStats:
         with self._counter_lock:
@@ -244,15 +245,6 @@ class DetectionService:
             )
         if users is None and remove_users is None:
             raise DetectionError("nothing to apply: give edges and/or deletions")
-        if not self.windowed:
-            if remove_users is not None:
-                raise DetectionError(
-                    "deletion deltas need windowed state (serve with --window/--horizon)"
-                )
-            if timestamp is not None:
-                raise DetectionError(
-                    "batch timestamps need windowed state (serve with --window/--horizon)"
-                )
         return self._submit(
             self._apply_ingest,
             users,
@@ -322,17 +314,14 @@ class DetectionService:
     ) -> dict:
         detector = self._detector
         try:
-            if self.windowed:
-                report = detector.update(
-                    users,
-                    merchants,
-                    weights,
-                    remove_users=remove_users,
-                    remove_merchants=remove_merchants,
-                    timestamp=timestamp,
-                )
-            else:
-                report = detector.update(users, merchants, weights)
+            report = detector.update(
+                users,
+                merchants,
+                weights,
+                remove_users=remove_users,
+                remove_merchants=remove_merchants,
+                timestamp=timestamp,
+            )
         except BaseException as exc:
             # a delta the detector rejects is caller misuse (a 400), like one
             # rejected before it was queued; a quorum loss is a failed update

@@ -11,7 +11,9 @@ either sees the complete pre-update table or the complete post-update one
 Scores are the raw MVA vote counts (``0`` for never-voted users), i.e.
 exactly ``Detection.user_scores`` of the registry's ensemble adapters, so
 a snapshot is bit-comparable against a cold
-:meth:`~repro.ensemble.EnsemFDet.fit_window` on the same live graph.
+:meth:`~repro.ensemble.EnsemFDet.fit_window` on the same live graph. A
+detector gives every label one node, so each user's score is its own
+node's count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ensemble.results import VoteCounts
-from ..ensemble.voting import vote_scores
 from ..errors import DetectionError
 
 __all__ = ["ScoreSnapshot"]
@@ -57,7 +58,7 @@ class ScoreSnapshot:
     n_users, n_merchants, n_edges:
         Shape of the graph the table is synchronised with.
     watermark:
-        Rolling-window append watermark (``None`` for append-only state).
+        The window's append watermark (every edge appended so far).
     captured_at:
         ``time.time()`` at capture (stats/diagnostics only).
     """
@@ -76,7 +77,7 @@ class ScoreSnapshot:
     n_users: int = 0
     n_merchants: int = 0
     n_edges: int = 0
-    watermark: int | None = None
+    watermark: int = 0
     captured_at: float = field(default_factory=time.time)
 
     @classmethod
@@ -99,9 +100,7 @@ class ScoreSnapshot:
         votes, merchants = table.user_votes, table.merchant_votes
         labels = votes.labels.copy()
         order = np.argsort(labels)
-        # a label held by several nodes is counted on one of them: look every holder up
-        shared = np.any(labels[order[1:]] == labels[order[:-1]])
-        scores = vote_scores(labels, votes) if shared else votes.counts.astype(np.float64)
+        scores = votes.counts.astype(np.float64)
         ranking = np.lexsort((np.arange(labels.size), -scores))
         return cls(
             version=version,

@@ -15,7 +15,7 @@ from repro.ensemble import (
     load_detection_state,
     normalized_majority_vote,
 )
-from repro.errors import DetectionError, QuorumError
+from repro.errors import DetectionError, InjectedFault, QuorumError
 from repro.faults import arm, disarm
 from repro.fdet import FdetConfig
 from repro.parallel import FaultTolerance
@@ -215,6 +215,28 @@ class TestStaleMembers:
         assert detector.stale_members == ()
         assert_matches_cold_refit(detector, config)
 
+    def test_full_quorum_failure_keeps_the_delta_and_marks_due_members_stale(self, graph):
+        config = self.config(tolerance=FaultTolerance(max_retries=0, min_quorum=1.0))
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph)
+        table = detector.vote_table
+        users, merchants = self.wide_delta(9)
+        arm("raise:point=member.detect,index=0,attempt=-1,times=-1")
+        try:
+            with pytest.raises(InjectedFault):
+                detector.update(users, merchants)
+        finally:
+            disarm()
+        # the delta stays in the window; no refresh was kept, so every member
+        # the delta was due to refresh (here all of them) votes stale
+        assert detector.window().n_live == graph.n_edges + users.size
+        assert detector.stale_members == tuple(range(config.n_samples))
+        assert detector.vote_table is table
+        report = detector.update(*self.wide_delta(10))
+        assert report.refreshed_samples == tuple(range(config.n_samples))
+        assert detector.stale_members == ()
+        assert_matches_cold_refit(detector, config)
+
 
 class TestUpdateReport:
     def test_refresh_fraction_is_small_for_local_delta(self, graph, delta):
@@ -225,6 +247,22 @@ class TestUpdateReport:
         report = detector.update(*delta)
         assert report.n_refreshed <= config.n_samples // 2
         assert report.total_seconds >= 0
+
+
+class TestBatchRecords:
+    def test_many_updates_keep_one_batch_record(self, graph):
+        """Nothing expires from a window with no bound, so the state it
+        saves after every update does not grow with the update count."""
+        config = make_config()
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph)
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            detector.update(rng.integers(0, 250, 3), rng.integers(0, 120, 3))
+            assert len(detector.state().window["batches"]) == 1
+        stop = graph.n_edges + 40 * 3
+        assert detector.state().window["batches"] == [[stop - 3, stop, 40.0]]
+        assert_matches_cold_refit(detector, config)
 
 
 class TestValidation:

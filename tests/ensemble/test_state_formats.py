@@ -4,12 +4,15 @@
 historical format writers (v1: pre-checksum, v2: checksummed but
 append-only, v3: windowed but wide-dtype-only). Each must load with the
 current build, re-save as the current format, and reload
-bitwise-identical — including through the ``.bak`` recovery path.
+bitwise-identical — including through the ``.bak`` recovery path. A
+detector resumed from one votes as it did when the fixture was written, and
+its next update matches a cold fit on its window.
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
 import os
 import shutil
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.ensemble import (
+    EnsemFDet,
     IncrementalEnsemFDet,
     load_detection_state,
     load_detection_state_with_recovery,
@@ -25,6 +29,7 @@ from repro.ensemble import (
 )
 from repro.ensemble.results import STATE_FORMAT_VERSION, _LEGACY_FORMAT_VERSIONS
 from repro.errors import StateError
+from repro.graph import WindowConfig
 
 FIXTURES = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "fixtures", "state_v*.npz"))
@@ -101,15 +106,103 @@ def test_legacy_fixture_recovers_from_backup(fixture, tmp_path):
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=os.path.basename)
-def test_legacy_fixture_rebuilds_a_live_detector(fixture):
+def test_legacy_fixture_rebuilds_a_live_detector(fixture, tmp_path):
     detector = IncrementalEnsemFDet.load(fixture)
     if _fixture_version(fixture) < 3:
-        assert detector.window_config is None
+        # saved without a window: resumed as one with no bound over ids 0..|E|-1
+        assert detector.window_config == WindowConfig()
+        window = detector.window()
+        assert window.watermark == window.n_live == detector.graph.n_edges
+        assert np.array_equal(window.edge_ids, np.arange(detector.graph.n_edges))
     else:
-        assert detector.window_config is not None
-    # the rebuilt detector scores without error and stays consistent
-    result = detector.detect(threshold=2)
-    assert result.n_users >= 0
+        assert detector.window_config.bounded
+    assert_matches_cold_window_fit(detector)
+    # it saves back as the current format, window arrays included
+    detector.save(tmp_path / "resaved.npz")
+    with np.load(tmp_path / "resaved.npz") as data:
+        assert int(data["format_version"][0]) == STATE_FORMAT_VERSION
+        assert {"window_json", "edge_ids"} <= set(data.files)
+    resumed = IncrementalEnsemFDet.load(tmp_path / "resaved.npz")
+    assert resumed.window_config == detector.window_config
+    assert table_fingerprint(resumed.vote_table) == table_fingerprint(detector.vote_table)
+
+
+def table_fingerprint(table) -> str:
+    """A digest of every vote and appearance count of ``table``."""
+    digest = hashlib.sha256()
+    for votes in (
+        table.user_votes,
+        table.merchant_votes,
+        table.user_appearances,
+        table.merchant_appearances,
+    ):
+        if votes is not None:
+            for array in votes.voted():
+                digest.update(np.asarray(array, dtype="<i8").tobytes())
+        digest.update(b"|")
+    return digest.hexdigest()[:16]
+
+
+def assert_matches_cold_window_fit(detector) -> None:
+    cold = EnsemFDet(detector.config).fit_window(detector.window(), track_members=True)
+    assert cold.vote_table.user_votes == detector.vote_table.user_votes
+    assert cold.vote_table.merchant_votes == detector.vote_table.merchant_votes
+    if detector.config.track_appearances:
+        assert cold.vote_table.user_appearances == detector.vote_table.user_appearances
+        assert cold.vote_table.merchant_appearances == detector.vote_table.merchant_appearances
+
+
+#: each fixture's vote table as the state formats' writer left it, recorded
+#: before detectors without a window kept their graph in one
+RESUMED_FINGERPRINTS = {
+    "state_v1.npz": "5493088f5edb7e5f",
+    "state_v2.npz": "5493088f5edb7e5f",
+    "state_v3.npz": "e31ac32ab64d4bf9",
+}
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=os.path.basename)
+def test_legacy_fixture_resumes_and_updates_like_a_cold_fit(fixture):
+    detector = IncrementalEnsemFDet.load(fixture)
+    assert table_fingerprint(detector.vote_table) == RESUMED_FINGERPRINTS[
+        os.path.basename(fixture)
+    ]
+
+    # one append-and-delete update: new pairs, and two live pairs retracted
+    window = detector.window()
+    live = window.live_graph()
+    rng = np.random.default_rng(5)
+    users = live.user_labels[rng.integers(0, live.n_users, 40)]
+    merchants = live.merchant_labels[rng.integers(0, live.n_merchants, 40)]
+    newest = detector.state().window["batches"][-1][2]
+    report = detector.update(
+        np.append(users, 10**9),  # and one unseen user
+        np.append(merchants, live.merchant_labels[0]),
+        remove_users=live.user_labels[live.edge_users[:2]],
+        remove_merchants=live.merchant_labels[live.edge_merchants[:2]],
+        timestamp=newest + 1.0,
+    )
+    assert (report.n_new_edges, report.n_removed_edges) == (41, 2)
+    assert report.n_refreshed > 0
+    assert_matches_cold_window_fit(detector)
+
+
+@pytest.mark.parametrize(
+    "fixture", [f for f in FIXTURES if _fixture_version(f) < 3], ids=os.path.basename
+)
+def test_state_saved_without_a_window_grows_like_a_cold_fit(fixture):
+    """An append-only delta keeps the ids positional: a cold fit of the
+    grown graph over positional stripes gives the same table."""
+    detector = IncrementalEnsemFDet.load(fixture)
+    graph = detector.graph
+    rng = np.random.default_rng(9)
+    report = detector.update(
+        graph.user_labels[rng.integers(0, graph.n_users, 60)],
+        graph.merchant_labels[rng.integers(0, graph.n_merchants, 60)],
+    )
+    assert report.n_refreshed > 0
+    cold = EnsemFDet(detector.config).fit(detector.graph, track_members=True)
+    assert table_fingerprint(cold.vote_table) == table_fingerprint(detector.vote_table)
 
 
 def test_retired_executor_knobs_load_as_serial():

@@ -215,27 +215,87 @@ class TestSamplerFamilies:
         )
 
 
-class TestAppendOnlyGuards:
-    def test_window_accessor_requires_windowed_detector(self, graph):
-        detector = IncrementalEnsemFDet(make_config())
+class TestWindowWithNoBound:
+    """A detector built without a window holds one with no bound."""
+
+    def test_window_accessor_shows_every_edge_live(self, graph):
+        config = make_config()
+        detector = IncrementalEnsemFDet(config)
         detector.fit(graph)
-        with pytest.raises(DetectionError, match="append-only"):
+        assert detector.window_config == WindowConfig()
+        window = detector.window()
+        assert window.watermark == window.n_live == graph.n_edges
+        assert np.array_equal(window.edge_ids, np.arange(graph.n_edges))
+        assert_matches_cold_window_fit(detector, config)
+
+    def test_deletions_apply_and_match_a_cold_fit(self, graph):
+        config = make_config()
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph)
+        report = detector.update(
+            remove_users=graph.edge_users[:1],
+            remove_merchants=graph.edge_merchants[:1],
+        )
+        assert (report.n_removed_edges, report.n_expired_edges) == (1, 0)
+        assert detector.window().n_live == graph.n_edges - 1
+        assert_matches_cold_window_fit(detector, config)
+
+    def test_timestamps_apply_and_expire_nothing(self, graph):
+        config = make_config()
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph, timestamp=5.0)
+        for step, timestamp in enumerate((6.0, 1e9, 1e9)):
+            report = detector.update(np.array([step]), np.array([step]), timestamp=timestamp)
+            assert report.n_expired_edges == 0
+        assert detector.window().n_live == graph.n_edges + 3
+        assert_matches_cold_window_fit(detector, config)
+        with pytest.raises(DetectionError, match="non-decreasing"):
+            detector.update(np.array([0]), np.array([0]), timestamp=6.0)
+
+
+class TestFitTimestamps:
+    """A seed batch stamped with anything but a finite number is refused."""
+
+    @pytest.mark.parametrize(
+        "window",
+        [None, WindowConfig(horizon=2.5), WindowConfig(max_batches=3)],
+        ids=["no-bound", "horizon", "batches"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), "noon"], ids=repr
+    )
+    def test_bad_fit_timestamp_leaves_the_detector_unfitted(self, graph, window, bad):
+        detector = IncrementalEnsemFDet(make_config(), window=window)
+        with pytest.raises(DetectionError, match="timestamps must be"):
+            detector.fit(graph, timestamp=bad)
+        assert not detector.is_fitted
+        with pytest.raises(DetectionError, match="fit"):
             detector.window()
 
-    def test_deletions_require_windowed_detector(self, graph):
-        detector = IncrementalEnsemFDet(make_config())
-        detector.fit(graph)
-        with pytest.raises(DetectionError, match="windowed"):
-            detector.update(
-                remove_users=graph.edge_users[:1],
-                remove_merchants=graph.edge_merchants[:1],
-            )
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), "noon"], ids=repr
+    )
+    def test_state_with_a_bad_batch_record_is_refused(self, graph, bad):
+        detector = IncrementalEnsemFDet(make_config(), window=WindowConfig(horizon=2.5))
+        detector.fit(graph, timestamp=3.0)
+        state = detector.state()
+        state.window["batches"][-1][2] = bad
+        with pytest.raises(DetectionError, match="timestamps must be"):
+            IncrementalEnsemFDet.from_state(state)
 
-    def test_timestamps_require_windowed_detector(self, graph):
-        detector = IncrementalEnsemFDet(make_config())
-        detector.fit(graph)
-        with pytest.raises(DetectionError, match="windowed"):
-            detector.update(np.array([0]), np.array([0]), timestamp=1.0)
+    def test_bad_fit_timestamp_keeps_the_previous_fit(self, graph):
+        config = make_config()
+        detector = IncrementalEnsemFDet(config, window=WindowConfig(horizon=2.5))
+        detector.fit(graph, timestamp=3.0)
+        table = detector.vote_table
+        with pytest.raises(DetectionError, match="finite"):
+            detector.fit(graph, timestamp=float("nan"))
+        assert detector.vote_table is table
+        # the clock is still the seed's: an append at 1.0 is refused
+        with pytest.raises(DetectionError, match="non-decreasing"):
+            detector.update([1], [2], timestamp=1.0)
+        detector.update([1], [2], timestamp=4.0)
+        assert_matches_cold_window_fit(detector, config)
 
 
 class TestWindowedPersistence:
@@ -291,15 +351,31 @@ class TestWindowedPersistence:
         )
         assert_matches_cold_window_fit(restored, config)
 
-    def test_append_only_state_stays_v2_shaped(self, graph, tmp_path):
-        """An unwindowed detector's archive carries no window arrays."""
-        detector = IncrementalEnsemFDet(make_config())
+    def test_state_without_a_bound_saves_its_window(self, graph, tmp_path):
+        """A detector built without a window saves one with no bound, and
+        resumes where it left off."""
+        config = make_config()
+        detector = IncrementalEnsemFDet(config)
         detector.fit(graph)
+        _stream(detector, graph)
         path = tmp_path / "state.npz"
         detector.save(path)
         state = load_detection_state(path)
-        assert state.window is None
-        assert state.edge_ids is None
+        assert state.window["config"] == WindowConfig().as_dict()
+        assert state.window["watermark"] == graph.n_edges + 4 * 25
+        # nothing expires, so the newest batch record is all it keeps
+        assert state.window["batches"] == [[graph.n_edges + 75, graph.n_edges + 100, 4.0]]
+        assert np.array_equal(state.edge_ids, detector.window().edge_ids[detector.window().rows])
+
+        restored = IncrementalEnsemFDet.load(path)
+        assert restored.window_config == WindowConfig()
+        pair = dict(
+            remove_users=graph.edge_users[10:11], remove_merchants=graph.edge_merchants[10:11]
+        )
+        for det in (detector, restored):
+            det.update([3, 4], [5, 6], timestamp=9.0, **pair)
+            assert_matches_cold_window_fit(det, config)
+        assert restored.vote_table.user_votes == detector.vote_table.user_votes
 
 
 class TestHistoryCost:

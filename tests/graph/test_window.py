@@ -26,10 +26,26 @@ def _append_batch(acc, offset: int, size: int = 5, timestamp=None):
     return acc.append(users, merchants, timestamp=timestamp)
 
 
+BAD_TIMESTAMPS = [float("nan"), float("inf"), float("-inf"), "noon"]
+
+
 class TestWindowConfig:
-    def test_requires_a_bound(self):
-        with pytest.raises(GraphError, match="max_batches and/or horizon"):
-            WindowConfig()
+    def test_window_with_no_bound_expires_nothing(self):
+        config = WindowConfig()
+        assert not config.bounded
+        assert WindowConfig(max_batches=1).bounded and WindowConfig(horizon=1.0).bounded
+        assert WindowConfig.from_dict(config.as_dict()) == config
+        acc = _windowed(WindowConfig(compact_threshold=0.3))
+        for i in range(4):
+            _append_batch(acc, 5 * i, timestamp=10.0**i)
+            assert acc.expire().size == 0
+        assert acc.window().n_live == 20
+        # retraction and compaction still work, and ids survive compaction
+        assert np.array_equal(acc.retract(np.arange(7), np.arange(7) % 3), np.arange(7))
+        assert acc.maybe_compact() is True
+        window = acc.window()
+        assert (window.watermark, window.n_live, window.graph.n_edges) == (20, 13, 13)
+        assert np.array_equal(window.edge_ids, np.arange(7, 20))
 
     def test_rejects_nonpositive_batches(self):
         with pytest.raises(GraphError, match="max_batches"):
@@ -110,6 +126,15 @@ class TestWindowedAppend:
         acc.check_append([9], [9], timestamp=3.0)
         assert (acc.n_users, acc.n_edges, acc.window().watermark) == (5, 5, 5)
 
+    def test_window_with_no_bound_keeps_its_newest_batch_record(self):
+        acc = _windowed(WindowConfig())
+        for i in range(6):
+            _append_batch(acc, 5 * i)
+        assert acc.window_state()["batches"] == [[25, 30, 5.0]]
+        # the record is the clock the next batch is checked against
+        with pytest.raises(GraphError, match="non-decreasing"):
+            _append_batch(acc, 30, timestamp=4.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamp_rejected(self, bad):
         acc = _windowed(WindowConfig(horizon=5.0))
@@ -126,6 +151,15 @@ class TestWindowedAppend:
         acc = GraphAccumulator()
         with pytest.raises(GraphError):
             _append_batch(acc, 0, timestamp=1.0)
+
+    @pytest.mark.parametrize("config", [WindowConfig(), WindowConfig(horizon=2.0)])
+    @pytest.mark.parametrize("bad", BAD_TIMESTAMPS, ids=repr)
+    def test_seed_timestamp_must_be_a_finite_number(self, config, bad):
+        """A NaN seed would let any later batch through and then expire the
+        seed; an infinite one would refuse every later finite batch."""
+        graph = BipartiteGraph.from_edges([(0, 0), (1, 0), (1, 1)])
+        with pytest.raises(GraphError, match="timestamps must be"):
+            GraphAccumulator.from_graph(graph, window=config, timestamp=bad)
 
 
 class TestExpire:
@@ -371,6 +405,21 @@ class TestRestoreWindow:
                 edge_ids=state["edge_ids"],
                 watermark=int(state["edge_ids"][-1]),
                 batches=state["batches"],
+            )
+
+    @pytest.mark.parametrize("bad", BAD_TIMESTAMPS, ids=repr)
+    def test_rejects_a_batch_record_that_is_not_a_finite_time(self, bad):
+        state = self._state()
+        config = WindowConfig.from_dict(state["config"])
+        batches = [list(b) for b in state["batches"]]
+        batches[-1][2] = bad
+        with pytest.raises(GraphError, match="timestamps must be"):
+            GraphAccumulator.restore_window(
+                state["graph"],
+                config,
+                edge_ids=state["edge_ids"],
+                watermark=state["watermark"],
+                batches=batches,
             )
 
     def test_rejects_disordered_batch_records(self):

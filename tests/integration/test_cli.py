@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.datasets import load_dataset, uniform_bipartite
+from repro.ensemble import EnsemFDet, IncrementalEnsemFDet
 from repro.errors import AggregationError
 from repro.graph import save_edge_list
 
@@ -519,17 +520,25 @@ class TestWindowedUpdate:
         assert code == 0
         assert "# update: +2 edges, -1 retracted" in capsys.readouterr().out
 
-    def test_remove_on_append_only_state_is_refused(
+    def test_remove_on_state_without_a_window_bound_applies(
         self, stream_file, tmp_path, capsys
     ):
         state = tmp_path / "state.npz"
         assert main(_watch_args(stream_file, state, ["--iterations", "0"])) == 0
+        assert "window with no bound" in capsys.readouterr().out
+        graph = uniform_bipartite(120, 60, 900, rng=0)
         removals = tmp_path / "remove.tsv"
-        removals.write_text("0\t0\n")
-        capsys.readouterr()
-        code = main(["update", "--remove", str(removals), "--state", str(state)])
-        assert code == 2
-        assert "windowed state" in capsys.readouterr().err
+        removals.write_text(f"{graph.edge_users[0]}\t{graph.edge_merchants[0]}\n")
+        code = main(
+            ["update", "--remove", str(removals), "--timestamp", "7", "--state", str(state)]
+        )
+        assert code == 0
+        assert "# update: +0 edges, -1 retracted, 0 expired" in capsys.readouterr().out
+        detector = IncrementalEnsemFDet.load(state)
+        assert detector.window().n_live == graph.n_edges - 1
+        cold = EnsemFDet(detector.config).fit_window(detector.window(), track_members=True)
+        assert detector.vote_table.user_votes == cold.vote_table.user_votes
+        assert detector.vote_table.merchant_votes == cold.vote_table.merchant_votes
 
     def test_no_delta_and_no_remove_is_refused(self, stream_file, tmp_path, capsys):
         state = self._windowed_state(stream_file, tmp_path)

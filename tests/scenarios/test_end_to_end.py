@@ -39,8 +39,9 @@ def test_cold_fit_equals_staged_replay(name):
     warm.fit(accumulate_batches(instance.batches[:1]))
     for batch, kind in zip(instance.attack_batches, instance.batch_kinds[1:]):
         if kind == BatchKind.CLEANUP:
-            # append-only replay: retractions are inexpressible, skipped —
-            # which is exactly why the cold fit uses the kinds-aware graph
+            # the replay skips cleanup batches, as the drift grid's window
+            # with no bound does — which is why the cold fit uses the
+            # kinds-aware graph
             continue
         report = warm.update(batch.users, batch.merchants, batch.weights)
         assert report.n_new_edges == batch.n_edges

@@ -218,7 +218,7 @@ class TestErrorMapping:
         assert status == 400
         assert "mismatch" in body["error"]
 
-    def test_append_only_rejects_deletions_over_http(self):
+    def test_deletions_apply_over_http_without_a_window_bound(self):
         graph = uniform_bipartite(60, 30, 400, rng=1)
         detector = IncrementalEnsemFDet(make_config())
         detector.fit(graph)
@@ -230,12 +230,22 @@ class TestErrorMapping:
                 payload={
                     "users": [1],
                     "merchants": [2],
-                    "remove_users": [0],
-                    "remove_merchants": [0],
+                    "remove_users": [int(graph.edge_users[0])],
+                    "remove_merchants": [int(graph.edge_merchants[0])],
+                    "timestamp": 3.5,
                 },
             )
-            assert status == 400
-            assert "windowed" in body["error"]
+            assert status == 200
+            assert (body["n_new_edges"], body["n_removed_edges"]) == (1, 1)
+            stats = request(f"{handle.url}/stats")[1]
+            assert stats["windowed"] is False
+            assert stats["watermark"] == graph.n_edges + 1
+            assert request(f"{handle.url}/health")[1]["windowed"] is False
+            cold = EnsemFDet(make_config()).fit_window(detector.window(), track_members=True)
+            status, top = request(f"{handle.url}/top?k={graph.n_users + 1}")
+            assert status == 200
+            served = {e["user"]: e["score"] for e in top["users"] if e["score"]}
+            assert served == dict(cold.vote_table.user_votes)
         finally:
             handle.stop()
 

@@ -2,7 +2,8 @@
 
 Streams of appends (unseen labels, repeated pairs), deletions (a pair
 listed twice included), expiry by batch count and by horizon, and
-compaction go through :meth:`DetectionService.ingest` on small graphs.
+compaction go through :meth:`DetectionService.ingest` on small graphs,
+and so do streams on a window with no bound, which expires nothing.
 After every step:
 
 * the published vote table equals :func:`tally_votes` over the detector's
@@ -156,6 +157,7 @@ WINDOWS = [
     WindowConfig(max_batches=3, compact_threshold=0.3),
     WindowConfig(horizon=2.5, compact_threshold=0.3),
     WindowConfig(max_batches=4, horizon=3.0, compact_threshold=0.6),
+    WindowConfig(),
 ]
 
 
@@ -207,6 +209,23 @@ def test_step_that_empties_the_window():
         assert detector.window().n_live == 0
         check_step(detector, service, model)
         ingest(service, model, [5], [6], [], 4.0)
+        check_step(detector, service, model)
+    finally:
+        service.close(save=False)
+
+
+def test_window_with_no_bound_compacts_and_keeps_its_ids():
+    detector, service, model = start(WindowConfig())
+    try:
+        ingest(service, model, [1, 2, 3], [4, 5, 6], [], 1.0)
+        check_step(detector, service, model)
+        # past half the rows dead, the window compacts; ids stay as appended
+        removals = [edge[1:] for edge in model.live[:15]]
+        ingest(service, model, [], [], removals, 1.0)
+        window = detector.window()
+        assert window.graph.n_edges == window.n_live == 12
+        check_step(detector, service, model)
+        ingest(service, model, [7, 1], [8, 4], [(1, 4)], 5.0)
         check_step(detector, service, model)
     finally:
         service.close(save=False)

@@ -138,18 +138,25 @@ class TestIngestValidation:
         finally:
             service.close(save=False)
 
-    def test_deletions_on_append_only_state_rejected(self):
+    def test_deletions_and_timestamps_apply_without_a_window_bound(self):
         graph = uniform_bipartite(60, 30, 400, rng=1)
         detector = IncrementalEnsemFDet(make_config())
         detector.fit(graph)
         service = DetectionService(detector)
+        pair = [int(graph.user_labels[graph.edge_users[0]])], [
+            int(graph.merchant_labels[graph.edge_merchants[0]])
+        ]
         try:
-            with pytest.raises(DetectionError, match="windowed"):
-                service.ingest(
-                    [1], [2], remove_users=[0], remove_merchants=[0]
-                )
-            with pytest.raises(DetectionError, match="windowed"):
-                service.ingest([1], [2], timestamp=5.0)
+            assert not service.windowed
+            report = service.ingest([1], [2], remove_users=pair[0], remove_merchants=pair[1])
+            assert (report["n_new_edges"], report["n_removed_edges"]) == (1, 1)
+            report = service.ingest([1], [2], timestamp=5.0)
+            assert report["n_expired_edges"] == 0
+            assert service.stats().updates_applied == 2
+            assert service.snapshot.watermark == graph.n_edges + 2
+            cold = EnsemFDet(make_config()).fit_window(detector.window(), track_members=True)
+            assert service.snapshot.user_votes == cold.vote_table.user_votes
+            assert service.snapshot.merchant_votes == cold.vote_table.merchant_votes
         finally:
             service.close(save=False)
 

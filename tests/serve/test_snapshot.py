@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.datasets import uniform_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet
-from repro.ensemble.voting import vote_scores
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
 from repro.graph import BipartiteGraph, WindowConfig
@@ -87,11 +88,17 @@ class TestCapture:
         assert snapshot.n_edges == detector.graph.n_edges
         assert snapshot.watermark == detector.window().watermark
 
-    def test_append_only_detector_has_no_watermark(self):
+    def test_detector_without_a_window_bound_has_a_watermark(self):
         graph = uniform_bipartite(60, 30, 400, rng=1)
         det = IncrementalEnsemFDet(make_config())
         det.fit(graph)
-        assert ScoreSnapshot.capture(det, version=1).watermark is None
+        det.update([1, 2], [3, 4], remove_users=graph.edge_users[:1],
+                   remove_merchants=graph.edge_merchants[:1])
+        snapshot = ScoreSnapshot.capture(det, version=1)
+        assert snapshot.watermark == graph.n_edges + 2
+        cold = EnsemFDet(make_config()).fit_window(det.window()).vote_table
+        assert snapshot.user_votes == cold.user_votes
+        assert snapshot.merchant_votes == cold.merchant_votes
 
     def test_default_threshold_is_quarter_of_n(self, detector):
         assert ScoreSnapshot.capture(detector, version=1).default_threshold == 2
@@ -191,24 +198,40 @@ class TestScoreLookups:
             assert before.score_of(label) == 0.0
             assert after.score_of(label) == after.user_votes[label]
 
-    def test_nodes_sharing_a_label_all_score_its_votes(self):
+    def test_a_graph_whose_labels_repeat_is_refused(self):
+        """A detector gives every label one node, so a snapshot scores each
+        user by its own node; a graph that repeats a label is refused at
+        fit and at resume, before any snapshot exists."""
         base = uniform_bipartite(80, 40, 700, rng=6)
-        labels = np.arange(base.n_users, dtype=np.int64)
         det = IncrementalEnsemFDet(make_config())
-        first = det.fit(base).vote_table
-        voted = [label for label in labels.tolist() if first.user_votes[label] > 0]
-        labels[voted[-1]] = labels[voted[0]]  # two voted nodes now share a label
-        graph = BipartiteGraph(
-            base.n_users, base.n_merchants, base.edge_users, base.edge_merchants, user_labels=labels
-        )
-        det.fit(graph)
-        snapshot = ScoreSnapshot.capture(det, version=1)
-        shared = int(labels[voted[0]])
-        assert snapshot.user_scores[voted[0]] == snapshot.user_scores[voted[-1]] > 0
-        assert snapshot.score_of(shared) == det.vote_table.user_votes[shared]
-        assert np.array_equal(
-            snapshot.user_scores, vote_scores(graph.user_labels, det.vote_table.user_votes)
-        )
-        assert snapshot.ranked_users.tolist() == graph.user_labels[
-            np.lexsort((np.arange(graph.n_users), -snapshot.user_scores))
-        ].tolist()
+        det.fit(base)
+        before = ScoreSnapshot.capture(det, version=1).vote_fingerprint()
+        state = det.state()
+        for side in ("user", "merchant"):
+            labels = np.arange(getattr(base, f"n_{side}s"), dtype=np.int64)
+            labels[-1] = labels[0]
+            graph = BipartiteGraph(
+                base.n_users,
+                base.n_merchants,
+                base.edge_users,
+                base.edge_merchants,
+                **{f"{side}_labels": labels},
+            )
+            with pytest.raises(DetectionError, match=f"duplicate {side} labels"):
+                det.fit(graph)
+            assert ScoreSnapshot.capture(det, version=2).vote_fingerprint() == before
+            assert det.graph is not graph
+            with pytest.raises(DetectionError, match=f"duplicate {side} labels"):
+                IncrementalEnsemFDet.from_state(dataclasses.replace(state, graph=graph))
+        fresh = IncrementalEnsemFDet(make_config())
+        with pytest.raises(DetectionError, match="duplicate user labels"):
+            fresh.fit(
+                BipartiteGraph(
+                    base.n_users,
+                    base.n_merchants,
+                    base.edge_users,
+                    base.edge_merchants,
+                    user_labels=np.zeros(base.n_users, dtype=np.int64),
+                )
+            )
+        assert not fresh.is_fitted
