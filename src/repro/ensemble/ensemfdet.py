@@ -226,15 +226,8 @@ class EnsemFDet:
     def __init__(self, config: EnsemFDetConfig | None = None) -> None:
         self.config = config or EnsemFDetConfig()
 
-    def fit(
-        self, graph: BipartiteGraph | GraphStore, track_members: bool | None = None
-    ) -> EnsemFDetResult:
+    def fit(self, graph: BipartiteGraph | GraphStore) -> EnsemFDetResult:
         """Plan, materialize + detect in parallel, and tally votes.
-
-        ``track_members`` forces recording each sample's node labels on the
-        returned detections; by default they are kept only when
-        ``track_appearances`` needs them (the incremental layer passes
-        ``True`` because its persistent state stores sample membership).
 
         ``graph`` may also be a :class:`~repro.graph.GraphStore` — in
         particular one opened from an mmap-backed store file — in which
@@ -246,7 +239,6 @@ class EnsemFDet:
         """
         config = self.config
         rng = resolve_rng(config.seed)
-        track_members = self._resolve_track_members(track_members)
 
         source: BipartiteGraph | GraphStore = graph
         vote_graph = graph.to_graph() if isinstance(graph, GraphStore) else graph
@@ -268,13 +260,11 @@ class EnsemFDet:
                 plans = config.sampler.plan_many(vote_graph, config.n_samples, rng)
 
         with Timer() as detection_timer:
-            run = self._run(source, plans, track_members, window=window)
+            run = self._run(source, plans, window=window)
 
         return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, vote_graph)
 
-    def fit_window(
-        self, window: LiveWindow, track_members: bool | None = None
-    ) -> EnsemFDetResult:
+    def fit_window(self, window: LiveWindow) -> EnsemFDetResult:
         """Fit on the live edges of a rolling window.
 
         For the stripe-hash :class:`~repro.sampling.StableEdgeSampler`,
@@ -289,25 +279,18 @@ class EnsemFDet:
         config = self.config
         sampler = config.sampler
         if not isinstance(sampler, StableEdgeSampler):
-            return self.fit(window.live_graph(), track_members)
-        track_members = self._resolve_track_members(track_members)
+            return self.fit(window.live_graph())
         edges = window.edge_window()
 
         with Timer() as sampling_timer:
             plans = sampler.window_plans(edges, config.n_samples, resolve_rng(config.seed))
 
         with Timer() as detection_timer:
-            run = self._run(window.graph, plans, track_members, window=edges)
+            run = self._run(window.graph, plans, window=edges)
 
         return self._assemble(run, sampling_timer.elapsed, detection_timer.elapsed, window.graph)
 
-    def _run(
-        self,
-        source: BipartiteGraph | GraphStore,
-        plans: list,
-        track_members: bool,
-        window,
-    ) -> MemberRun:
+    def _run(self, source: BipartiteGraph | GraphStore, plans: list, window) -> MemberRun:
         """The detection stage over every member."""
         config = self.config
         return run_members(
@@ -316,20 +299,9 @@ class EnsemFDet:
             config.fdet,
             mode=config.executor,
             n_workers=config.n_workers,
-            track_members=track_members,
             tolerance=config.tolerance,
             window=window,
         )
-
-    def _resolve_track_members(self, track_members: bool | None) -> bool:
-        if track_members is None:
-            return self.config.track_appearances
-        if self.config.track_appearances and not track_members:
-            raise DetectionError(
-                "track_members=False contradicts track_appearances=True: "
-                "appearance counts need each sample's membership"
-            )
-        return track_members
 
     def _assemble(
         self,

@@ -128,20 +128,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _LOST = _SampleState(_EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
-def _sample_state(detection: SampleDetection, graph: BipartiteGraph) -> _SampleState:
-    """What the detector stores of one detection.
-
-    A kernel detection carries its node indices; the labels of a
-    reference-engine detection are looked up on ``graph``.
-    """
-    users = detection.detected_user_indices
-    merchants = detection.detected_merchant_indices
-    if users is None or merchants is None:
-        (users,) = node_indices(graph.user_labels, [detection.result.detected_users()])
-        (merchants,) = node_indices(graph.merchant_labels, [detection.result.detected_merchants()])
+def _sample_state(detection: SampleDetection) -> _SampleState:
+    """What the detector stores of one detection."""
     return _SampleState(
-        detected_user_indices=users,
-        detected_merchant_indices=merchants,
+        detected_user_indices=detection.detected_user_indices,
+        detected_merchant_indices=detection.detected_merchant_indices,
         sample_users=np.asarray(detection.sample_users, dtype=np.int64),
         sample_merchants=np.asarray(detection.sample_merchants, dtype=np.int64),
     )
@@ -274,14 +265,13 @@ class IncrementalEnsemFDet:
     def fit(self, graph: BipartiteGraph, timestamp: float = 0.0) -> EnsemFDetResult:
         """Cold fit on ``graph``; initialises the warm state.
 
-        Member tracking is forced on: the persisted state records each
-        sample's node labels so appearance counts can be refreshed after
-        a restart. ``graph`` becomes batch 0 of the window, at
-        ``timestamp``. A graph whose labels repeat on a side, or a
-        timestamp that is not a finite number, raises
-        :class:`~repro.errors.DetectionError` and changes nothing. A member
-        lost in the fit is stale, with no votes, until an update refreshes
-        it.
+        The persisted state records each sample's node labels, so
+        appearance counts can be refreshed after a restart. ``graph``
+        becomes batch 0 of the window, at ``timestamp``. A graph whose
+        labels repeat on a side, or a timestamp that is not a finite
+        number, raises :class:`~repro.errors.DetectionError` and changes
+        nothing. A member lost in the fit is stale, with no votes, until an
+        update refreshes it.
         """
         try:
             acc = GraphAccumulator.from_graph(
@@ -290,13 +280,13 @@ class IncrementalEnsemFDet:
         except GraphError as exc:
             raise DetectionError(f"cannot fit: {exc}") from exc
         live = acc.window()
-        result = EnsemFDet(self.config).fit_window(live, track_members=True)
+        result = EnsemFDet(self.config).fit_window(live)
         self._acc = acc
-        graph = self._graph = live.graph
+        self._graph = live.graph
         lost = {failure.index for failure in result.failed_members}
         survivors = iter(result.sample_detections)
         self._samples = [
-            _LOST if index in lost else _sample_state(next(survivors), graph)
+            _LOST if index in lost else _sample_state(next(survivors))
             for index in range(self.config.n_samples)
         ]
         self._degraded = lost
@@ -387,7 +377,6 @@ class IncrementalEnsemFDet:
                 config.fdet,
                 mode=config.executor,
                 n_workers=config.n_workers,
-                track_members=True,
                 tolerance=config.tolerance,
                 window=live.edge_window(),
             )
@@ -459,7 +448,7 @@ class IncrementalEnsemFDet:
                 # (now stale) votes rather than silently dropping them
                 self._degraded.add(index)
                 continue
-            fresh = _sample_state(detection, graph)
+            fresh = _sample_state(detection)
             replaced.append((self._samples[index], fresh))
             self._samples[index] = fresh
             self._degraded.discard(index)

@@ -36,10 +36,10 @@ Because plans re-materialize deterministically, a member that fails and
 then succeeds on retry produces a detection bitwise-identical to a
 fault-free run — the invariant the chaos suite pins down.
 
-Results come back in sample order regardless of backend, and
-``track_members=False`` skips recording each sample's node labels when no
-aggregator needs them (appearance-normalised voting and the incremental
-layer do; plain MVA does not).
+Results come back in sample order regardless of backend. Every member has
+one shape: a parent edge-id list (:func:`~repro.sampling.base.plan_edge_ids`)
+in, and out a :class:`SampleDetection` that carries its FDET result and
+the parent node ids it detected, whichever path ran it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from ..parallel import ExecutorMode, FaultTolerance, default_workers, kill_execu
 from ..graph.window import EdgeWindow
 from ..parallel.executor import _process_context
 from ..sampling import SamplePlan, materialize_plan
+from ..sampling.base import plan_edge_ids
 
 __all__ = [
     "detect_on_plans",
@@ -79,25 +80,29 @@ FAIL_ERROR = "error"  # the member's own code raised
 
 @dataclass(frozen=True)
 class SampleDetection:
-    """FDET output for one sampled subgraph, plus (optionally) its contents.
+    """FDET output for one sampled subgraph, and the parent nodes it detected.
 
-    ``sample_users`` / ``sample_merchants`` are the sampled subgraph's
-    node label arrays, only populated when the caller asked for member
-    tracking. They are the arrays ``result.user_labels`` /
-    ``result.merchant_labels`` hold, since every :class:`FdetResult` keeps
-    its member's labels next to the packed block rows.
-
-    ``detected_user_indices`` / ``detected_merchant_indices`` are parent
-    node-index arrays of the truncated detection, populated only by the
-    batched native backend; they feed the vote tally and are excluded from
-    equality so detections compare identically across backends.
+    ``detected_user_indices`` / ``detected_merchant_indices`` are the sorted
+    parent node indices of the truncated detection: the member's nodes (the
+    parent nodes its edges touch, ascending) masked by
+    :meth:`FdetResult.node_mask`. Every path sets them, and they feed the
+    vote tally. ``sample_users`` / ``sample_merchants`` are the sampled
+    subgraph's node labels, which the result already holds.
     """
 
     result: FdetResult
-    sample_users: np.ndarray | None = None
-    sample_merchants: np.ndarray | None = None
-    detected_user_indices: np.ndarray | None = field(default=None, compare=False, repr=False)
-    detected_merchant_indices: np.ndarray | None = field(default=None, compare=False, repr=False)
+    detected_user_indices: np.ndarray = field(compare=False, repr=False)
+    detected_merchant_indices: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def sample_users(self) -> np.ndarray:
+        """The sampled subgraph's user labels (``result.user_labels``)."""
+        return self.result.user_labels
+
+    @property
+    def sample_merchants(self) -> np.ndarray:
+        """The sampled subgraph's merchant labels (``result.merchant_labels``)."""
+        return self.result.merchant_labels
 
 
 @dataclass(frozen=True)
@@ -151,24 +156,23 @@ class MemberRun:
         return [d for d in self.detections if d is not None]
 
 
-def _detection(fdet: Fdet, graph: BipartiteGraph, track_members: bool) -> SampleDetection:
-    result = fdet.detect(graph)
-    if not track_members:
-        return SampleDetection(result=result)
-    return SampleDetection(
-        result=result, sample_users=graph.user_labels, sample_merchants=graph.merchant_labels
-    )
+def _member_detection(
+    fdet: Fdet, graph: BipartiteGraph, plan: SamplePlan, window: EdgeWindow | None
+) -> SampleDetection:
+    """One member through ``materialize_plan`` + ``Fdet.detect``.
 
-
-def _native_detection(nd: "_batched.NativeDetection", track_members: bool) -> SampleDetection:
-    """Wrap one batched-kernel output like :func:`_detection` would."""
-    return SampleDetection(
-        result=nd.result,
-        sample_users=nd.result.user_labels if track_members else None,
-        sample_merchants=nd.result.merchant_labels if track_members else None,
-        detected_user_indices=nd.detected_user_indices,
-        detected_merchant_indices=nd.detected_merchant_indices,
-    )
+    The member's nodes are the parent nodes its edges touch, ascending, so
+    the detection's parent node ids are those masked by its result (int64,
+    as the kernel writes them, whatever the width of the parent's columns).
+    """
+    ids = plan_edge_ids(plan, graph, window)
+    member = SamplePlan(kind="edges", edge_indices=ids, weight_scale=plan.weight_scale)
+    result = fdet.detect(materialize_plan(graph, member))
+    mask = result.node_mask()
+    n_users = result.user_labels.size
+    users = np.unique(graph.edge_users[ids]).astype(np.int64, copy=False)
+    merchants = np.unique(graph.edge_merchants[ids]).astype(np.int64, copy=False)
+    return SampleDetection(result, users[mask[:n_users]], merchants[mask[n_users:]])
 
 
 def _batch_detect_many(
@@ -236,48 +240,47 @@ def _run_serial(
     graph: BipartiteGraph,
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
-    track_members: bool,
     attempt: int,
     window: EdgeWindow | None,
     threads: int,
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
     """Run ``work`` in this process: the in-parent attempt and a worker's chunk.
 
-    Eligible members run through one multi-member kernel call ``threads``
-    wide; each still gets its own ``member.detect`` / ``native.peel`` fault
-    points (fired in work order, per-member failure isolation), and
-    anything the kernel cannot take falls back to the per-member path.
+    Under an eligible config every member runs through one multi-member
+    kernel call ``threads`` wide; each still gets its own ``member.detect``
+    / ``native.peel`` fault points (fired in work order, per-member failure
+    isolation), and a member the kernel cannot take (or every member, when
+    the call is refused or raises) falls back to the per-member path.
     Returns ``(results, failures)`` keyed by member index.
     """
     fdet = Fdet(config)
     results: dict[int, SampleDetection] = {}
     failures: dict[int, tuple[str, BaseException]] = {}
     use_batch = _batched.config_eligible(config) and _batched.batch_kernels() is not None
-    batch_work: list[tuple[int, SamplePlan]] = []
+    admitted: list[tuple[int, SamplePlan]] = []
     for index, plan in work:
         try:
             fault_point("member.detect", index=index, attempt=attempt)
-            if use_batch and _batched.plan_eligible(plan):
+            if use_batch:
                 fault_point("native.peel", index=index, attempt=attempt)
-                batch_work.append((index, plan))
-                continue
-            results[index] = _detection(
-                fdet, materialize_plan(graph, plan, window), track_members
-            )
+            admitted.append((index, plan))
         except Exception as exc:  # noqa: BLE001 - recorded, retried, re-raised by strict callers
             failures[index] = (_classify(exc), exc)
-    if batch_work:
-        native = _batch_detect_many(graph, batch_work, config, window, threads)
-        for (index, plan), nd in zip(batch_work, native):
-            if nd is not None:
-                results[index] = _native_detection(nd, track_members)
-                continue
-            try:
-                results[index] = _detection(
-                    fdet, materialize_plan(graph, plan, window), track_members
-                )
-            except Exception as exc:  # noqa: BLE001 - same contract as above
-                failures[index] = (_classify(exc), exc)
+    native = (
+        _batch_detect_many(graph, admitted, config, window, threads)
+        if use_batch
+        else [None] * len(admitted)
+    )
+    for (index, plan), nd in zip(admitted, native):
+        if nd is not None:
+            results[index] = SampleDetection(
+                nd.result, nd.detected_user_indices, nd.detected_merchant_indices
+            )
+            continue
+        try:
+            results[index] = _member_detection(fdet, graph, plan, window)
+        except Exception as exc:  # noqa: BLE001 - same contract as above
+            failures[index] = (_classify(exc), exc)
     return results, failures
 
 
@@ -286,7 +289,6 @@ def _detect_member_chunk(
         GraphStore | StoreLayout,
         FdetConfig,
         list[tuple[int, SamplePlan]],
-        bool,
         int,
         int,
     ]
@@ -300,7 +302,7 @@ def _detect_member_chunk(
     unmodified. A failed map fails every member of the chunk with kind
     ``transport``.
     """
-    source, config, members, track_members, attempt, threads = args
+    source, config, members, attempt, threads = args
     try:
         if isinstance(source, StoreLayout):
             fault_point("mmap.open", path=source.path)
@@ -308,7 +310,7 @@ def _detect_member_chunk(
         graph, window = source.to_graph(), source.edge_window()
     except Exception as exc:  # noqa: BLE001 - typed per member, retried on the pickled store
         return {}, {index: (FAIL_TRANSPORT, exc) for index, _ in members}
-    return _run_serial(graph, members, config, track_members, attempt, window, threads)
+    return _run_serial(graph, members, config, attempt, window, threads)
 
 
 def _gather_chunk_futures(
@@ -358,7 +360,6 @@ def _run_pooled(
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
     n_workers: int | None,
-    track_members: bool,
     use_file: bool,
     attempt: int,
     tolerance: FaultTolerance,
@@ -412,7 +413,7 @@ def _run_pooled(
         submit_error: BrokenExecutor | None = None
         try:
             for chunk in chunks:
-                args = (source, config, chunk, track_members, attempt, threads)
+                args = (source, config, chunk, attempt, threads)
                 futures.append(executor.submit(_detect_member_chunk, args))
         except BrokenExecutor as exc:
             submit_error = exc
@@ -442,7 +443,6 @@ def run_members(
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
     engine: str | None = None,
-    track_members: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
 ) -> MemberRun:
@@ -531,7 +531,7 @@ def run_members(
             in_parent = effective <= 1 or len(work) == 1
         if in_parent:
             results, failures = _run_serial(
-                graph, work, config, track_members, attempt, window, native_threads(1)
+                graph, work, config, attempt, window, native_threads(1)
             )
             transport = "local"
         else:
@@ -540,7 +540,6 @@ def run_members(
                 work,
                 config,
                 n_workers,
-                track_members,
                 use_file,
                 attempt,
                 tolerance,
@@ -630,7 +629,6 @@ def detect_on_plans(
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
     engine: str | None = None,
-    track_members: bool = True,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
 ) -> list[SampleDetection]:
@@ -657,9 +655,6 @@ def detect_on_plans(
         (default :func:`repro.parallel.default_workers`).
     engine:
         Optional peeling-engine override applied on top of ``config.engine``.
-    track_members:
-        Record each sample's node labels on the detections (needed by
-        appearance-normalised voting and the incremental layer).
     tolerance:
         Retry/timeout/degradation policy; defaults to strict (no retries).
     window:
@@ -672,7 +667,6 @@ def detect_on_plans(
         mode=mode,
         n_workers=n_workers,
         engine=engine,
-        track_members=track_members,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
     )

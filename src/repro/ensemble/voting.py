@@ -103,8 +103,9 @@ class VoteTable:
 def node_indices(node_labels: np.ndarray, label_sets: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The node index of every label in each of ``label_sets``; one sort serves all.
 
-    A label shared by several nodes maps to the first of them, which the
-    label-keyed vote table cannot tell apart.
+    Saved detection states store labels; this maps them back to node
+    indices when a detector resumes. A label shared by several nodes maps to
+    the first of them, which the label-keyed vote table cannot tell apart.
     """
     if not label_sets:
         return []
@@ -122,25 +123,16 @@ def tally_votes(
 ) -> VoteTable:
     """The vote table of ``detections``, one per ensemble member, in ``graph``'s node order.
 
-    A kernel detection carries parent node-index arrays
-    (``detected_user_indices`` / ``detected_merchant_indices``, both or
-    neither); the labels a reference-engine detection's FDET ``result``
-    names are looked up with :func:`node_indices`. :func:`repro.fdet.batched.vote_counters` counts
-    the indices. With ``track_appearances`` the ``sample_users`` /
-    ``sample_merchants`` label arrays are tallied too.
+    Every detection carries the parent node indices it detected
+    (``detected_user_indices`` / ``detected_merchant_indices``), which
+    :func:`repro.fdet.batched.vote_counters` counts. With
+    ``track_appearances`` the ``sample_users`` / ``sample_merchants`` label
+    arrays are tallied too.
     """
-    named = [d.result for d in detections if d.detected_user_indices is None]
-    found = zip(
-        node_indices(graph.user_labels, [result.detected_users() for result in named]),
-        node_indices(graph.merchant_labels, [result.detected_merchants() for result in named]),
-    )
-    indices = [
-        next(found) if d.detected_user_indices is None
-        else (d.detected_user_indices, d.detected_merchant_indices)
-        for d in detections
-    ]
     user_counts, merchant_counts = _batched.vote_counters(
-        [users for users, _ in indices], [merchants for _, merchants in indices], graph
+        [d.detected_user_indices for d in detections],
+        [d.detected_merchant_indices for d in detections],
+        graph,
     )
     return counts_table(graph, user_counts, merchant_counts, detections, track_appearances)
 

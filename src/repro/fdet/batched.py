@@ -8,9 +8,10 @@ peels for **all members in one call** — OpenMP-parallel across members
 when available. Two callers:
 
 * :func:`detect_many` — an ensemble fit's members, each derived straight
-  from its :class:`~repro.sampling.SamplePlan` (a window's members read
-  from its :class:`~repro.graph.StripeIndex`), without materializing a
-  subgraph;
+  from its :class:`~repro.sampling.SamplePlan` by
+  :func:`~repro.sampling.base.plan_edge_ids` (edge, node and stripe plans
+  alike; a window's members read from its
+  :class:`~repro.graph.StripeIndex`), without materializing a subgraph;
 * :func:`detect_graph` — ``Fdet.detect`` under the ``fast`` engine: the
   whole graph as one member, compaction skipped so every node (including
   nodes with no edge) stays in the peel, as in the reference engine.
@@ -30,10 +31,10 @@ window modes, unusual weights and execution backends.
 
 Gating is conservative: the batch path only engages for the stock density
 metrics (the :class:`LogWeightedDensity` / :class:`AverageDegreeDensity`
-weight methods, not overridden), the ``fast`` engine, and (for ensemble
-members) edge-index or stripe-row plans. Anything else — node-kind plans,
+weight methods, not overridden) and the ``fast`` engine. Anything else —
 metric subclasses with their own weights, the reference engine — runs
-``materialize_plan`` + ``Fdet.detect`` member by member. A load-time probe
+``materialize_plan`` + ``Fdet.detect`` member by member, as does a member
+the kernel could not allocate. A load-time probe
 additionally verifies that the kernel's pairwise summation reproduces
 ``np.sum`` bit for bit on this host and disables the batch path when it
 does not.
@@ -49,7 +50,7 @@ import numpy as np
 from ..graph import BipartiteGraph
 from ..graph.window import EdgeWindow, StripeIndex
 from ..sampling import SamplePlan
-from ..sampling.base import stripe_edge_ids
+from ..sampling.base import plan_edge_ids
 from ._native import NativeKernels, load_kernels
 from .density import AverageDegreeDensity, DensityMetric, LogWeightedDensity
 from .fdet import FdetConfig, FdetResult, WeightPolicy
@@ -61,7 +62,6 @@ __all__ = [
     "config_eligible",
     "detect_graph",
     "detect_many",
-    "plan_eligible",
     "plan_edge_ids",
     "vote_counters",
 ]
@@ -119,36 +119,6 @@ def config_eligible(config: FdetConfig) -> bool:
     )
 
 
-def plan_eligible(plan: SamplePlan) -> bool:
-    """Edge-index and stripe-row plans reduce to parent edge-id lists."""
-    return plan.kind in ("edges", "stripes")
-
-
-def plan_edge_ids(
-    plan: SamplePlan,
-    n_edges: int,
-    window: EdgeWindow | None = None,
-    index: StripeIndex | None = None,
-) -> np.ndarray:
-    """The parent edge ids ``plan`` keeps — no subgraph construction.
-
-    Mirrors :func:`repro.sampling.materialize_plan` exactly: both read
-    stripe plans through :func:`~repro.sampling.base.stripe_edge_ids` (a
-    window's live rows by stripe of append id, positional stripes
-    otherwise), and edge-kind plans keep their raw index list. Order
-    matters — edge-kind ids stay in plan (chosen) order, stripe ids come
-    out ascending — because the member's edge order defines its adjacency
-    and peel tie-breaking. ``index`` is the window's
-    :class:`~repro.graph.StripeIndex` for ``plan.stripe``, when a caller
-    shares it across plans.
-    """
-    if window is not None or plan.kind == "stripes":
-        return stripe_edge_ids(plan, n_edges, window, index)
-    if plan.kind == "edges":
-        return np.ascontiguousarray(plan.edge_indices, dtype=np.int64)
-    raise ValueError(f"plan kind {plan.kind!r} has no native edge-id path")
-
-
 def _weight_table(metric: DensityMetric, max_degree: int) -> np.ndarray:
     """``degree -> edge multiplier`` lookup for degrees ``0..max_degree``.
 
@@ -191,8 +161,8 @@ def detect_many(
     :class:`NativeDetection` per plan, with ``None`` in a slot whose
     member hit an in-kernel allocation failure (the caller re-runs just
     that member through ``materialize_plan`` + ``Fdet.detect``). The
-    caller is responsible for eligibility (:func:`config_eligible` /
-    :func:`plan_eligible`) and for fault points.
+    caller is responsible for eligibility (:func:`config_eligible`) and
+    for fault points.
     """
     kernels = batch_kernels()
     if kernels is None or not plans:
@@ -200,9 +170,7 @@ def detect_many(
     # one stripe index of the window's live rows serves every member
     stripes = set() if window is None else {plan.stripe for plan in plans}
     indexes = {stripe: StripeIndex(window, stripe) for stripe in stripes}
-    ids_list = [
-        plan_edge_ids(plan, graph.n_edges, window, indexes.get(plan.stripe)) for plan in plans
-    ]
+    ids_list = [plan_edge_ids(plan, graph, window, indexes.get(plan.stripe)) for plan in plans]
     scales = np.array(
         [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
         dtype=np.float64,

@@ -119,9 +119,8 @@ class BipartiteGraph:
         Skips ``_validate`` (the O(|E|) bounds scan) and the label re-checks:
         the caller guarantees the arrays are already consistent — correct
         dtypes, matching lengths, in-range endpoints. This is the hot
-        constructor behind :meth:`edge_subgraph`, :meth:`induced_subgraph`
-        and :meth:`remove_edges`, which FDET's outer loop and the samplers
-        call once per block/sample.
+        constructor behind :meth:`edge_subgraph` and :meth:`remove_edges`,
+        which FDET's outer loop and the samplers call once per block/sample.
         """
         graph = cls.__new__(cls)
         graph.n_users = n_users
@@ -350,54 +349,6 @@ class BipartiteGraph:
             n_merchants=int(kept_merchants.size),
             edge_users=new_users.astype(np.int64, copy=False),
             edge_merchants=new_merchants.astype(np.int64, copy=False),
-            edge_weights=weights,
-            user_labels=self.user_labels[kept_users],
-            merchant_labels=self.merchant_labels[kept_merchants],
-        )
-
-    def induced_subgraph(
-        self,
-        users: Sequence[int] | np.ndarray | None = None,
-        merchants: Sequence[int] | np.ndarray | None = None,
-        keep_isolated: bool = False,
-    ) -> "BipartiteGraph":
-        """Subgraph induced by node subsets (``None`` keeps the whole side).
-
-        Keeps every edge whose two endpoints are selected. By default nodes
-        that end up isolated are dropped (compacted); ``keep_isolated=True``
-        retains all selected nodes, matching the adjacency-matrix
-        cross-section view used by one/two-side node sampling.
-        """
-        user_mask = np.zeros(self.n_users, dtype=bool)
-        merchant_mask = np.zeros(self.n_merchants, dtype=bool)
-        if users is None:
-            user_mask[:] = True
-        else:
-            user_mask[_as_int_array(users, "users")] = True
-        if merchants is None:
-            merchant_mask[:] = True
-        else:
-            merchant_mask[_as_int_array(merchants, "merchants")] = True
-
-        edge_mask = user_mask[self.edge_users] & merchant_mask[self.edge_merchants]
-        edge_indices = np.nonzero(edge_mask)[0]
-        if not keep_isolated:
-            return self.edge_subgraph(edge_indices)
-
-        kept_users = np.nonzero(user_mask)[0]
-        kept_merchants = np.nonzero(merchant_mask)[0]
-        user_remap = np.full(self.n_users, -1, dtype=np.int64)
-        merchant_remap = np.full(self.n_merchants, -1, dtype=np.int64)
-        user_remap[kept_users] = np.arange(kept_users.size)
-        merchant_remap[kept_merchants] = np.arange(kept_merchants.size)
-        weights = None
-        if self.edge_weights is not None:
-            weights = self.edge_weights[edge_indices].astype(np.float64, copy=False)
-        return BipartiteGraph._from_trusted(
-            n_users=int(kept_users.size),
-            n_merchants=int(kept_merchants.size),
-            edge_users=user_remap[self.edge_users[edge_indices]],
-            edge_merchants=merchant_remap[self.edge_merchants[edge_indices]],
             edge_weights=weights,
             user_labels=self.user_labels[kept_users],
             merchant_labels=self.merchant_labels[kept_merchants],

@@ -8,10 +8,14 @@ sampler is split into two halves:
   looks only at the graph's *sizes* and returns a compact
   :class:`SamplePlan` (an edge-index array, a node pick, or a stripe row —
   typically ~1% the bytes of the subgraph it describes).
-* :func:`materialize_plan` — the deterministic worker-side step that turns
-  ``(parent graph, plan)`` into the sampled :class:`BipartiteGraph`,
-  either in the parent or, on the process backend, against a zero-copy
-  :class:`~repro.graph.GraphStore` view of a mapped store file.
+* :func:`plan_edge_ids` — the deterministic worker-side step that turns
+  ``(parent graph, plan)`` into the parent edge ids the member keeps,
+  whatever the plan's kind. The batched kernel peels members given as
+  these lists; :func:`materialize_plan` builds the sampled
+  :class:`BipartiteGraph` from them (``graph.edge_subgraph`` plus the
+  plan's weight scale), either in the parent or, on the process backend,
+  against a zero-copy :class:`~repro.graph.GraphStore` view of a mapped
+  store file.
 
 ``sampler.sample(graph, rng)`` is literally
 ``materialize_plan(graph, sampler.plan(graph, rng))``, and ``plan_many``
@@ -20,8 +24,9 @@ consumes the RNG in the same sequential order the historical eager
 eager ones (enforced by ``tests/ensemble/test_plan_parity.py``).
 
 Materialized subgraphs keep ``user_labels`` / ``merchant_labels`` that
-reference the parent graph, so ensemble votes can be tallied per original
-node.
+reference the parent graph, and their nodes are the parent nodes the
+member's edges touch, in ascending order, so ensemble votes can be tallied
+per parent node.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SamplingError
+from ..errors import GraphValidationError, SamplingError
 from ..graph import BipartiteGraph
 from ..graph.window import EdgeWindow, StripeIndex
 
@@ -41,8 +46,8 @@ __all__ = [
     "check_ratio",
     "compact_indices",
     "materialize_plan",
+    "plan_edge_ids",
     "resolve_rng",
-    "stripe_edge_ids",
 ]
 
 
@@ -93,8 +98,9 @@ class SamplePlan:
 
     * ``"edges"`` — keep ``edge_indices`` of the parent (RES, and the
       empty-sample degenerate case of the node samplers),
-    * ``"nodes"`` — keep the edges induced by ``users`` and/or
-      ``merchants`` (ONS samples one side, TNS both),
+    * ``"nodes"`` — keep the edges whose two ends were picked, where
+      ``users`` / ``merchants`` name the picked nodes of a side (``None``
+      picks the whole side; ONS samples one side, TNS both),
     * ``"stripes"`` — keep the edges of the stripes flagged in
       ``stripe_row`` (:class:`~repro.sampling.StableEdgeSampler`):
       ``stripe_row[k]`` flags stripe ``stripe_start + k``, and a stripe
@@ -110,7 +116,6 @@ class SamplePlan:
     edge_indices: np.ndarray | None = None
     users: np.ndarray | None = None
     merchants: np.ndarray | None = None
-    keep_isolated: bool = False
     weight_scale: float | None = None
     stripe_row: np.ndarray | None = None
     stripe: int = 1
@@ -132,6 +137,63 @@ class SamplePlan:
         return total
 
 
+def plan_edge_ids(
+    plan: SamplePlan,
+    graph: BipartiteGraph,
+    window: EdgeWindow | None = None,
+    index: StripeIndex | None = None,
+) -> np.ndarray:
+    """The parent edge ids of ``plan``'s member, as int64, whatever the plan's kind.
+
+    * ``"edges"`` — the plan's own ids, in plan (chosen) order;
+    * ``"nodes"`` — the edges whose two ends were picked, ascending;
+    * ``"stripes"`` — without a window, stripe ``s`` is the edge positions
+      ``s·stripe .. (s+1)·stripe - 1`` of ``graph``; with one, it is the
+      live rows whose append id falls in that range, read from the
+      window's :class:`~repro.graph.StripeIndex` (``index``, when a caller
+      shares one across plans of the same stripe width). Ascending.
+
+    Order matters: the member's edge order defines its adjacency and its
+    peel's tie-breaking. An edge or node id outside ``graph`` raises
+    :class:`~repro.errors.GraphValidationError`; stripe ids come from the
+    graph's own rows. With a ``window``, ``graph`` is the full *stored*
+    graph of a rolling window (tombstoned rows included), and only stripe
+    plans are accepted: the positional kinds have no id-stable meaning
+    over a mutating log.
+    """
+    if plan.kind == "stripes":
+        if window is not None:
+            if index is None:
+                index = StripeIndex(window, plan.stripe)
+            return index.member_rows(plan.stripe_row, plan.stripe_start)
+        row = plan.stripe_row
+        mask = row if plan.stripe == 1 else np.repeat(row, plan.stripe)
+        first = plan.stripe_start * plan.stripe
+        return np.flatnonzero(mask[: max(0, graph.n_edges - first)]) + first
+    if window is not None:
+        raise SamplingError(f"windowed materialization requires stripe plans, got {plan.kind!r}")
+    if plan.kind == "edges":
+        ids = np.ascontiguousarray(plan.edge_indices, dtype=np.int64)
+        _check_range(ids, graph.n_edges, "an edge")
+        return ids
+    keep = np.ones(graph.n_edges, dtype=bool)
+    for picked, n_nodes, ends, side in (
+        (plan.users, graph.n_users, graph.edge_users, "a user"),
+        (plan.merchants, graph.n_merchants, graph.edge_merchants, "a merchant"),
+    ):
+        if picked is not None:
+            _check_range(picked, n_nodes, side)
+            chosen = np.zeros(n_nodes, dtype=bool)
+            chosen[picked] = True
+            keep &= chosen[ends]
+    return np.flatnonzero(keep)
+
+
+def _check_range(ids: np.ndarray, bound: int, what: str) -> None:
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= bound):
+        raise GraphValidationError(f"sample plan names {what} index outside the graph")
+
+
 def materialize_plan(
     graph: BipartiteGraph, plan: SamplePlan, window: EdgeWindow | None = None
 ) -> BipartiteGraph:
@@ -139,58 +201,19 @@ def materialize_plan(
 
     This is the worker-side half of sampling: no RNG, pure array work, and
     byte-for-byte the subgraph the eager ``sampler.sample`` call would have
-    produced. ``graph`` may be a read-only view of a mapped store file.
-
-    With a ``window``, ``graph`` is the full *stored* graph of a rolling
-    window (tombstoned rows included): stripe membership is looked up by
-    each row's original append id — so expiring or compacting *other*
-    edges never moves a surviving edge between samples — and dead rows are
-    masked out. Only stripe plans support windows; the positional kinds
-    ("edges", "nodes") have no id-stable meaning over a mutating log.
+    produced — ``graph.edge_subgraph`` of :func:`plan_edge_ids`, with the
+    plan's weight scale applied. ``graph`` may be a read-only view of a
+    mapped store file. With a ``window``, stripe membership is looked up by
+    each row's original append id, so expiring or compacting *other* edges
+    never moves a surviving edge between samples, and dead rows are left
+    out.
     """
-    if window is not None and plan.kind != "stripes":
-        raise SamplingError(
-            f"windowed materialization requires stripe plans, got {plan.kind!r}"
-        )
-    if plan.kind == "stripes":
-        subgraph = graph.edge_subgraph(stripe_edge_ids(plan, graph.n_edges, window))
-    elif plan.kind == "edges":
-        subgraph = graph.edge_subgraph(plan.edge_indices)
-    else:
-        subgraph = graph.induced_subgraph(
-            users=plan.users,
-            merchants=plan.merchants,
-            keep_isolated=plan.keep_isolated,
-        )
+    subgraph = graph.edge_subgraph(plan_edge_ids(plan, graph, window))
     if plan.weight_scale is not None:
         subgraph = subgraph.with_weights(
             subgraph.weights_or_ones() * plan.weight_scale, trusted=True
         )
     return subgraph
-
-
-def stripe_edge_ids(
-    plan: SamplePlan,
-    n_edges: int,
-    window: EdgeWindow | None = None,
-    index: StripeIndex | None = None,
-) -> np.ndarray:
-    """The parent edge ids a stripe plan keeps, ascending.
-
-    Without a window, stripe ``s`` is the edge positions
-    ``s·stripe .. (s+1)·stripe - 1`` below ``n_edges``. With one, it is the
-    live rows whose append id falls in that range, read from the window's
-    :class:`~repro.graph.StripeIndex` (``index``, when a caller shares one
-    across plans of the same stripe width).
-    """
-    if window is not None:
-        if index is None:
-            index = StripeIndex(window, plan.stripe)
-        return index.member_rows(plan.stripe_row, plan.stripe_start)
-    row = plan.stripe_row
-    mask = row if plan.stripe == 1 else np.repeat(row, plan.stripe)
-    first = plan.stripe_start * plan.stripe
-    return np.flatnonzero(mask[: max(0, n_edges - first)]) + first
 
 
 class Sampler(ABC):

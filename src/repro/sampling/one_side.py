@@ -50,20 +50,18 @@ class OneSideNodeSampler(Sampler):
         Sample ratio ``S = |U_s| / |U|`` (or over ``V``).
     side:
         ``"user"`` or ``"merchant"`` — which partition to sample.
-    keep_isolated:
-        Retain sampled nodes that end up with no edges (the strict
-        matrix-row-slice semantics). Defaults to ``False``: isolated nodes
-        can never join a dense block, so detectors ignore them anyway.
+
+    A sampled node left with no edge is not part of the member: isolated
+    nodes can never join a dense block.
     """
 
     name = "ons"
 
-    def __init__(self, ratio: float, side: str, keep_isolated: bool = False) -> None:
+    def __init__(self, ratio: float, side: str) -> None:
         super().__init__(ratio)
         if side not in Side.ALL:
             raise SamplingError(f"side must be one of {Side.ALL}, got {side!r}")
         self.side = side
-        self.keep_isolated = bool(keep_isolated)
         self.name = f"ons_{side}"
 
     def plan(
@@ -81,5 +79,5 @@ class OneSideNodeSampler(Sampler):
             generator.choice(population, size=n_pick, replace=False), population
         )
         if self.side == Side.USER:
-            return SamplePlan(kind="nodes", users=chosen, keep_isolated=self.keep_isolated)
-        return SamplePlan(kind="nodes", merchants=chosen, keep_isolated=self.keep_isolated)
+            return SamplePlan(kind="nodes", users=chosen)
+        return SamplePlan(kind="nodes", merchants=chosen)

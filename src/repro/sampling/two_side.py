@@ -27,22 +27,15 @@ class TwoSideNodeSampler(Sampler):
         unless ``merchant_ratio`` is given).
     merchant_ratio:
         Optional distinct ratio for the merchant side.
-    keep_isolated:
-        Retain sampled nodes that end up without edges (strict cross-section
-        semantics); default drops them.
+
+    A sampled node left with no edge is not part of the member.
     """
 
     name = "tns"
 
-    def __init__(
-        self,
-        ratio: float,
-        merchant_ratio: float | None = None,
-        keep_isolated: bool = False,
-    ) -> None:
+    def __init__(self, ratio: float, merchant_ratio: float | None = None) -> None:
         super().__init__(ratio)
         self.merchant_ratio = check_ratio(merchant_ratio) if merchant_ratio is not None else self.ratio
-        self.keep_isolated = bool(keep_isolated)
 
     def expected_edge_fraction(self) -> float:
         """Expected fraction of original edges surviving: ``S_u · S_v``."""
@@ -64,5 +57,4 @@ class TwoSideNodeSampler(Sampler):
             kind="nodes",
             users=compact_indices(users, graph.n_users),
             merchants=compact_indices(merchants, graph.n_merchants),
-            keep_isolated=self.keep_isolated,
         )

@@ -131,7 +131,7 @@ def _assert_window_parity(
     detector: IncrementalEnsemFDet, config: EnsemFDetConfig, cell: str, step: int
 ) -> None:
     live = detector.window()
-    cold = EnsemFDet(config).fit_window(live, track_members=True)
+    cold = EnsemFDet(config).fit_window(live)
     if (
         detector.vote_table.user_votes != cold.vote_table.user_votes
         or detector.vote_table.merchant_votes != cold.vote_table.merchant_votes

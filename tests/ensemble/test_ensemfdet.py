@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
+from repro.ensemble.voting import VoteTable
 from repro.errors import DetectionError
 from repro.fdet import FdetConfig
 from repro.parallel import ExecutorMode
@@ -112,24 +113,24 @@ class TestFit:
         for label, votes in result.vote_table.user_votes.items():
             assert votes <= result.vote_table.user_appearances[label]
 
-    def test_memberships_not_kept_by_default(self, toy):
-        """With track_appearances=False nothing reads the sampled label
-        arrays, so the fit must not keep them alive in its result."""
-        result = EnsemFDet(small_config()).fit(toy.graph)
+    @pytest.mark.parametrize("track_appearances", [False, True])
+    def test_sample_labels_are_the_results_own(self, toy, track_appearances):
+        """A detection holds no second copy of its member's labels: the
+        sample label arrays are the ones its FDET result keeps."""
+        result = EnsemFDet(small_config(track_appearances=track_appearances)).fit(toy.graph)
         for detection in result.sample_detections:
-            assert detection.sample_users is None
-            assert detection.sample_merchants is None
+            assert detection.sample_users is detection.result.user_labels
+            assert detection.sample_merchants is detection.result.merchant_labels
 
-    def test_memberships_kept_when_appearances_tracked(self, toy):
+    def test_appearances_tally_each_results_own_labels(self, toy):
         result = EnsemFDet(small_config(track_appearances=True)).fit(toy.graph)
-        for detection in result.sample_detections:
-            assert detection.sample_users is not None
-            assert detection.sample_merchants is not None
-
-    def test_contradictory_member_tracking_rejected(self, toy):
-        detector = EnsemFDet(small_config(track_appearances=True))
-        with pytest.raises(DetectionError, match="track_members"):
-            detector.fit(toy.graph, track_members=False)
+        detections = result.sample_detections
+        expected = VoteTable.from_detections(
+            [d.result.user_labels for d in detections],
+            [d.result.merchant_labels for d in detections],
+        )
+        assert dict(result.vote_table.user_appearances) == dict(expected.user_votes)
+        assert dict(result.vote_table.merchant_appearances) == dict(expected.merchant_votes)
 
     def test_timings_populated(self, toy):
         result = EnsemFDet(small_config()).fit(toy.graph)

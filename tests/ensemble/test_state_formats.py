@@ -144,7 +144,7 @@ def table_fingerprint(table) -> str:
 
 
 def assert_matches_cold_window_fit(detector) -> None:
-    cold = EnsemFDet(detector.config).fit_window(detector.window(), track_members=True)
+    cold = EnsemFDet(detector.config).fit_window(detector.window())
     assert cold.vote_table.user_votes == detector.vote_table.user_votes
     assert cold.vote_table.merchant_votes == detector.vote_table.merchant_votes
     if detector.config.track_appearances:
@@ -201,7 +201,7 @@ def test_state_saved_without_a_window_grows_like_a_cold_fit(fixture):
         graph.merchant_labels[rng.integers(0, graph.n_merchants, 60)],
     )
     assert report.n_refreshed > 0
-    cold = EnsemFDet(detector.config).fit(detector.graph, track_members=True)
+    cold = EnsemFDet(detector.config).fit(detector.graph)
     assert table_fingerprint(cold.vote_table) == table_fingerprint(detector.vote_table)
 
 

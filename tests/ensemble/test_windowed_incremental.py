@@ -68,7 +68,7 @@ def _stream(detector, graph, n_updates=4, retract_at=2):
 
 
 def assert_matches_cold_window_fit(detector, config):
-    cold = EnsemFDet(config).fit_window(detector.window(), track_members=True)
+    cold = EnsemFDet(config).fit_window(detector.window())
     assert cold.vote_table.user_votes == detector.vote_table.user_votes
     assert cold.vote_table.merchant_votes == detector.vote_table.merchant_votes
     for threshold in range(1, config.n_samples + 1):
@@ -177,7 +177,7 @@ class TestStaleMembers:
         stale = failure.index
         assert stale == report.refreshed_samples[0]
         assert report.stale_members == (stale,) == detector.stale_members
-        cold = EnsemFDet(config).fit_window(detector.window(), track_members=True)
+        cold = EnsemFDet(config).fit_window(detector.window())
         detections = list(cold.sample_detections)
         detections[stale] = before.sample_detections[stale]
         assert votes_of(detector) == label_votes(detections)
@@ -401,7 +401,7 @@ class TestHistoryCost:
         restored = GraphAccumulator.restore_window(
             state.graph, window, edge_ids=ids, watermark=base + graph.n_edges, batches=records
         )
-        cold = EnsemFDet(config).fit_window(restored.window(), track_members=True)
+        cold = EnsemFDet(config).fit_window(restored.window())
         assert not cold.failed_members
         detector = IncrementalEnsemFDet.from_state(
             dataclasses.replace(

@@ -55,7 +55,7 @@ def _chunk(graph, layout):
     """Worker-chunk arguments for members 0-2, with ``layout`` as the parent."""
     config = _config()
     plans = config.sampler.plan_many(graph, 3, resolve_rng(config.seed))
-    return (layout, config.fdet, list(enumerate(plans)), False, 0, 1)
+    return (layout, config.fdet, list(enumerate(plans)), 0, 1)
 
 
 def test_mmap_open_failure_falls_back_to_pickled_store(graph):

@@ -109,7 +109,7 @@ class TestWindowedDetectionUnderChaos:
         assert chaotic.vote_table.user_votes == calm.vote_table.user_votes
         assert chaotic.vote_table.merchant_votes == calm.vote_table.merchant_votes
 
-        cold = EnsemFDet(config).fit_window(snapshot, track_members=True)
+        cold = EnsemFDet(config).fit_window(snapshot)
         assert cold.vote_table.user_votes == chaotic.vote_table.user_votes
 
     def test_v3_save_survives_compaction_chaos(self, tmp_path):

@@ -385,12 +385,24 @@ class TestEligibilityGating:
         assert not batched.config_eligible(FdetConfig(metric=HalfWeight()))
         assert not batched.config_eligible(FdetConfig(engine=PeelEngine.REFERENCE))
 
-    def test_plan_gating(self, weighted_graph):
-        edge_plan = RandomEdgeSampler(0.3).plan_many(weighted_graph, 1, resolve_rng(0))[0]
-        node_plan = TwoSideNodeSampler(0.3).plan_many(weighted_graph, 1, resolve_rng(0))[0]
-        assert batched.plan_eligible(edge_plan)
-        if node_plan.kind == "nodes":
-            assert not batched.plan_eligible(node_plan)
+    def test_every_plan_kind_joins_the_batch(self, weighted_graph):
+        """Edge, node and stripe plans are all parent edge-id lists the kernel peels."""
+        config = FdetConfig(max_blocks=8)
+        plans = [
+            SAMPLERS[family]().plan_many(weighted_graph, 1, resolve_rng(0))[0]
+            for family in sorted(SAMPLERS)
+        ]
+        assert {plan.kind for plan in plans} == set(SamplePlan.KINDS)
+        native = batched.detect_many(weighted_graph, plans, config)
+        reference = detect_on_plans(weighted_graph, plans, config, engine=PeelEngine.REFERENCE)
+        for got, expected in zip(native, reference):
+            assert np.array_equal(got.result.block_rows, expected.result.block_rows)
+            assert np.array_equal(got.result.user_labels, expected.result.user_labels)
+            assert got.result.densities.tobytes() == expected.result.densities.tobytes()
+            assert np.array_equal(got.detected_user_indices, expected.detected_user_indices)
+            assert np.array_equal(
+                got.detected_merchant_indices, expected.detected_merchant_indices
+            )
 
 
 class TestBlockwiseFastEngine:
@@ -523,9 +535,7 @@ class TestWindowedParity:
         assert_tables_equal(warm_batch.vote_table, warm_reference.vote_table)
         # cold window fits, both engines, against the warm reference
         for engine in PeelEngine.ALL:
-            cold = EnsemFDet(self._config(engine)).fit_window(
-                warm_batch.window(), track_members=True
-            )
+            cold = EnsemFDet(self._config(engine)).fit_window(warm_batch.window())
             assert_tables_equal(cold.vote_table, warm_reference.vote_table)
 
     def test_append_only_window_parity(self):
@@ -691,15 +701,16 @@ class TestNativeVoteMerge:
         with pytest.raises(ValueError, match="outside the graph"):
             self._label_view([stray], weighted_graph)
 
-    def test_reference_detections_tally_through_label_lookup(self, weighted_graph):
-        config = EnsemFDetConfig(
-            sampler=RandomEdgeSampler(0.35),
-            n_samples=4,
-            seed=5,
-            fdet=FdetConfig(engine=PeelEngine.REFERENCE),
+    def test_reference_detections_carry_the_kernels_parent_node_ids(self, weighted_graph):
+        kernel, reference = (
+            EnsemFDet(self._config(engine)).fit(weighted_graph)
+            for engine in (PeelEngine.FAST, PeelEngine.REFERENCE)
         )
-        result = EnsemFDet(config).fit(weighted_graph)
-        assert all(d.detected_user_indices is None for d in result.sample_detections)
-        expected = self._label_tally(result.sample_detections)
-        assert_tables_equal(tally_votes(result.sample_detections, weighted_graph), expected)
-        assert_tables_equal(result.vote_table, expected)
+        for got, expected in zip(reference.sample_detections, kernel.sample_detections):
+            assert np.array_equal(got.detected_user_indices, expected.detected_user_indices)
+            assert np.array_equal(
+                got.detected_merchant_indices, expected.detected_merchant_indices
+            )
+        expected = self._label_tally(reference.sample_detections)
+        assert_tables_equal(tally_votes(reference.sample_detections, weighted_graph), expected)
+        assert_tables_equal(reference.vote_table, kernel.vote_table)

@@ -150,32 +150,6 @@ class TestSubgraphs:
         sub = graph.edge_subgraph([1])
         assert sub.edge_weights.tolist() == [4.0]
 
-    def test_induced_subgraph_both_sides(self, tiny_graph):
-        sub = tiny_graph.induced_subgraph(users=[0, 1], merchants=[0])
-        # edges (0,0) and (1,0) survive
-        assert sub.n_edges == 2
-        assert set(sub.user_labels.tolist()) == {0, 1}
-        assert set(sub.merchant_labels.tolist()) == {0}
-
-    def test_induced_subgraph_none_keeps_side(self, tiny_graph):
-        sub = tiny_graph.induced_subgraph(users=[0])
-        assert sub.n_edges == 2  # both of user 0's edges
-        assert set(sub.merchant_labels.tolist()) == {0, 1}
-
-    def test_induced_keep_isolated(self, tiny_graph):
-        sub = tiny_graph.induced_subgraph(
-            users=[0, 2], merchants=[0, 1], keep_isolated=True
-        )
-        # user 2 only buys at merchant 2, so it is isolated here but kept
-        assert sub.n_users == 2
-        assert sub.n_merchants == 2
-        assert sub.n_edges == 2
-
-    def test_induced_drop_isolated(self, tiny_graph):
-        sub = tiny_graph.induced_subgraph(users=[0, 2], merchants=[0, 1])
-        assert sub.n_users == 1  # user 2 dropped
-        assert set(sub.user_labels.tolist()) == {0}
-
     def test_label_propagation_through_two_levels(self, tiny_graph):
         first = tiny_graph.edge_subgraph([0, 1, 5])  # users {0, 3}
         second = first.edge_subgraph([2])  # the (3, 2) edge

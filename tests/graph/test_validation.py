@@ -55,8 +55,8 @@ class TestSubgraphAssertion:
         sub = tiny_graph.edge_subgraph([0, 3])
         assert_subgraph_of(sub, tiny_graph)
 
-    def test_induced_subgraph_is_subgraph(self, tiny_graph):
-        sub = tiny_graph.induced_subgraph(users=[0, 1])
+    def test_remove_edges_is_subgraph(self, tiny_graph):
+        sub = tiny_graph.remove_edges([1, 4])
         assert_subgraph_of(sub, tiny_graph)
 
     def test_foreign_nodes_rejected(self, tiny_graph):

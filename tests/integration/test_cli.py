@@ -536,7 +536,7 @@ class TestWindowedUpdate:
         assert "# update: +0 edges, -1 retracted, 0 expired" in capsys.readouterr().out
         detector = IncrementalEnsemFDet.load(state)
         assert detector.window().n_live == graph.n_edges - 1
-        cold = EnsemFDet(detector.config).fit_window(detector.window(), track_members=True)
+        cold = EnsemFDet(detector.config).fit_window(detector.window())
         assert detector.vote_table.user_votes == cold.vote_table.user_votes
         assert detector.vote_table.merchant_votes == cold.vote_table.merchant_votes
 

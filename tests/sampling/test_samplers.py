@@ -5,17 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SamplingError
+from repro.errors import GraphValidationError, SamplingError
 from repro.graph import BipartiteGraph, assert_subgraph_of
 from repro.sampling import (
     OneSideNodeSampler,
     RandomEdgeSampler,
     SamplePlan,
     Side,
+    StableEdgeSampler,
     TwoSideNodeSampler,
+    materialize_plan,
     recommend_side,
     resolve_rng,
 )
+from repro.sampling.base import plan_edge_ids
 
 
 class TestRatioValidation:
@@ -132,11 +135,12 @@ class TestOneSideNodeSampler:
         sub = OneSideNodeSampler(0.3, Side.MERCHANT).sample(graph, rng)
         assert_subgraph_of(sub, graph)
 
-    def test_keep_isolated_retains_nodes(self, rng):
-        # merchant 1 has no edges; strict matrix-slice keeps the sampled row set
+    def test_isolated_picks_are_dropped(self, rng):
+        # merchant 1 has no edges: picked, but not part of the member
         graph = BipartiteGraph.from_edges([(0, 0)], n_users=1, n_merchants=2)
-        sub = OneSideNodeSampler(1.0, Side.MERCHANT, keep_isolated=True).sample(graph, rng)
-        assert sub.n_merchants == 2
+        sub = OneSideNodeSampler(1.0, Side.MERCHANT).sample(graph, rng)
+        assert sub.n_merchants == 1
+        assert sub.merchant_labels.tolist() == [0]
 
     def test_name_reflects_side(self):
         assert OneSideNodeSampler(0.5, Side.USER).name == "ons_user"
@@ -173,6 +177,89 @@ class TestTwoSideNodeSampler:
         sub = TwoSideNodeSampler(1.0, merchant_ratio=0.25).sample(clique_graph, rng)
         assert sub.n_merchants == 1
         assert sub.n_users == 5  # every user buys at the surviving merchant
+
+
+def node_plan(users=None, merchants=None):
+    """A node plan picking ``users`` / ``merchants`` (``None`` picks the whole side)."""
+
+    def ids(values):
+        return None if values is None else np.array(values, dtype=np.int64)
+
+    return SamplePlan(kind="nodes", users=ids(users), merchants=ids(merchants))
+
+
+class TestNodePlans:
+    """A node plan's member: the edges whose two ends were picked, ascending."""
+
+    def test_both_sides(self, tiny_graph):
+        plan = node_plan(users=[1, 0], merchants=[0])
+        assert plan_edge_ids(plan, tiny_graph).tolist() == [0, 2]  # (0,0) and (1,0)
+        sub = materialize_plan(tiny_graph, plan)
+        assert sub.n_edges == 2
+        assert sub.user_labels.tolist() == [0, 1]
+        assert sub.merchant_labels.tolist() == [0]
+
+    def test_none_keeps_the_side(self, tiny_graph):
+        plan = node_plan(users=[0])
+        assert plan_edge_ids(plan, tiny_graph).tolist() == [0, 1]  # both of user 0's edges
+        assert materialize_plan(tiny_graph, plan).merchant_labels.tolist() == [0, 1]
+        every = plan_edge_ids(node_plan(), tiny_graph)
+        assert every.tolist() == list(range(tiny_graph.n_edges))
+
+    def test_drops_isolated_picks(self, tiny_graph):
+        # user 2 only buys at merchant 2, so it has no edge here
+        sub = materialize_plan(tiny_graph, node_plan(users=[0, 2], merchants=[0, 1]))
+        assert sub.user_labels.tolist() == [0]
+        assert sub.n_edges == 2
+
+    def test_member_is_the_edge_subgraph_of_its_ids(self, planted_graph, rng):
+        graph, _ = planted_graph
+        for sampler in (OneSideNodeSampler(0.3, Side.USER), TwoSideNodeSampler(0.5)):
+            plan = sampler.plan(graph, rng)
+            ids = plan_edge_ids(plan, graph)
+            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0)
+            picked = np.ones(graph.n_edges, dtype=bool)
+            if plan.users is not None:
+                picked &= np.isin(graph.edge_users, plan.users)
+            if plan.merchants is not None:
+                picked &= np.isin(graph.edge_merchants, plan.merchants)
+            assert np.array_equal(ids, np.flatnonzero(picked))
+            member = materialize_plan(graph, plan)
+            assert member == graph.edge_subgraph(ids)
+            assert_subgraph_of(member, graph)
+
+
+class TestPlanIdsOutsideTheGraph:
+    """Edge and node ids are range-checked before anything reads them."""
+
+    @pytest.mark.parametrize("ids", [[0, 6], [-1, 2], [5_000_000]], ids=["end", "negative", "far"])
+    def test_edge_ids(self, tiny_graph, ids):
+        plan = SamplePlan(kind="edges", edge_indices=np.array(ids, dtype=np.int64))
+        with pytest.raises(GraphValidationError, match="edge index outside the graph"):
+            plan_edge_ids(plan, tiny_graph)
+        with pytest.raises(GraphValidationError):
+            materialize_plan(tiny_graph, plan)
+
+    @pytest.mark.parametrize(
+        "plan,side",
+        [
+            (node_plan(users=[-1]), "user"),
+            (node_plan(users=[0, 4]), "user"),
+            (node_plan(users=[0], merchants=[-1]), "merchant"),
+            (node_plan(merchants=[3]), "merchant"),
+        ],
+        ids=["user-negative", "user-too-large", "merchant-negative", "merchant-too-large"],
+    )
+    def test_node_ids(self, tiny_graph, plan, side):
+        # a negative id must not wrap round to the last node
+        with pytest.raises(GraphValidationError, match=f"{side} index outside the graph"):
+            plan_edge_ids(plan, tiny_graph)
+
+    def test_stripe_and_empty_plans_need_no_check(self, tiny_graph):
+        plan = StableEdgeSampler(1.0, stripe=4).plan(tiny_graph, 0)
+        assert plan_edge_ids(plan, tiny_graph).tolist() == list(range(tiny_graph.n_edges))
+        empty = SamplePlan(kind="edges", edge_indices=np.empty(0, dtype=np.int64))
+        assert plan_edge_ids(empty, tiny_graph).size == 0
 
 
 class TestRecommendSide:

@@ -241,7 +241,7 @@ class TestErrorMapping:
             assert stats["windowed"] is False
             assert stats["watermark"] == graph.n_edges + 1
             assert request(f"{handle.url}/health")[1]["windowed"] is False
-            cold = EnsemFDet(make_config()).fit_window(detector.window(), track_members=True)
+            cold = EnsemFDet(make_config()).fit_window(detector.window())
             status, top = request(f"{handle.url}/top?k={graph.n_users + 1}")
             assert status == 200
             served = {e["user"]: e["score"] for e in top["users"] if e["score"]}

@@ -125,7 +125,7 @@ def check_step(detector, service, model, fresh: bool = True) -> None:
         rebuilt = LiveWindow(
             graph=graph, alive=window.alive, edge_ids=window.edge_ids, watermark=window.watermark
         )
-        cold = EnsemFDet(config).fit_window(rebuilt, track_members=True).vote_table
+        cold = EnsemFDet(config).fit_window(rebuilt).vote_table
         assert cold.user_votes == detector.vote_table.user_votes
         assert cold.merchant_votes == detector.vote_table.merchant_votes
         if config.track_appearances:

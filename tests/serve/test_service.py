@@ -74,9 +74,7 @@ def _cold_fingerprints(graph, batches) -> list[tuple]:
             users, merchants = batches[k - 1]
             accumulator.append(users, merchants, timestamp=float(k))
             accumulator.expire()  # the detector's update path expires per batch
-        cold = EnsemFDet(make_config()).fit_window(
-            accumulator.window(), track_members=True
-        )
+        cold = EnsemFDet(make_config()).fit_window(accumulator.window())
         fingerprints.append(
             (
                 tuple(sorted((int(k), int(v)) for k, v in cold.vote_table.user_votes.items())),
@@ -154,7 +152,7 @@ class TestIngestValidation:
             assert report["n_expired_edges"] == 0
             assert service.stats().updates_applied == 2
             assert service.snapshot.watermark == graph.n_edges + 2
-            cold = EnsemFDet(make_config()).fit_window(detector.window(), track_members=True)
+            cold = EnsemFDet(make_config()).fit_window(detector.window())
             assert service.snapshot.user_votes == cold.vote_table.user_votes
             assert service.snapshot.merchant_votes == cold.vote_table.merchant_votes
         finally:
