@@ -9,9 +9,10 @@ Two claims of the windowed refactor, measured on the same world size as
   (stripe-locality is preserved through the liveness overlay);
 * **sliding steady state** — streaming ≥20 window steps through a full
   rolling window keeps the stored physical rows bounded (expiry +
-  threshold compaction: never more than ``1/(1-compact_threshold)``
-  times the live edges), while the vote table keeps matching the cold
-  window fit.
+  compaction once more than ``repro.graph.window.COMPACT_DEAD_FRACTION``
+  (one half) of the rows are dead: never more than
+  ``1/(1-COMPACT_DEAD_FRACTION)`` times the live edges), while the vote
+  table keeps matching the cold window fit.
 
 Run standalone to (re)record the committed baseline::
 
@@ -36,6 +37,7 @@ from repro.datasets import chung_lu_bipartite
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, IncrementalEnsemFDet
 from repro.fdet import FdetConfig
 from repro.graph import GraphAccumulator, WindowConfig
+from repro.graph.window import COMPACT_DEAD_FRACTION
 from repro.parallel import Timer, time_callable
 from repro.sampling import StableEdgeSampler
 
@@ -53,7 +55,6 @@ MIN_SPEEDUP = 5.0
 WINDOW_BATCHES = 20
 STEP_EDGES = 2_048
 N_STEPS = 25
-COMPACT_THRESHOLD = 0.5
 
 
 def build_config() -> EnsemFDetConfig:
@@ -108,9 +109,7 @@ def measure_sliding() -> dict:
     merchants = pool.merchant_labels[pool.edge_merchants]
 
     config = build_config()
-    window = WindowConfig(
-        max_batches=WINDOW_BATCHES, compact_threshold=COMPACT_THRESHOLD
-    )
+    window = WindowConfig(max_batches=WINDOW_BATCHES)
     detector = IncrementalEnsemFDet(config, window=window)
     seed_acc = GraphAccumulator()
     seed_acc.append(users[:STEP_EDGES], merchants[:STEP_EDGES])
@@ -127,9 +126,9 @@ def measure_sliding() -> dict:
             snapshot = detector.window()
             stored, live = snapshot.graph.n_edges, snapshot.n_live
             stored_over_live.append(round(stored / max(live, 1), 3))
-            # the maybe_compact invariant: dead fraction never exceeds the
-            # threshold once an update completes
-            if stored > live / (1.0 - COMPACT_THRESHOLD) + 1:
+            # the maybe_compact invariant: dead fraction never exceeds
+            # COMPACT_DEAD_FRACTION once an update completes
+            if stored > live / (1.0 - COMPACT_DEAD_FRACTION) + 1:
                 memory_bounded = False
 
     cold = EnsemFDet(config).fit_window(detector.window())

@@ -41,6 +41,10 @@ import signal
 import sys
 import threading
 import time
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +76,7 @@ from .graph import (
     iter_edge_batches,
     load_edge_list,
 )
-from .graph.io import _iter_rows
+from .graph.io import _edge_batches, _iter_rows, _parse_header, _weighted_flag
 from .parallel import ExecutorMode, FaultTolerance
 from .sampling import RandomEdgeSampler, StableEdgeSampler
 from .scenarios import (
@@ -167,7 +171,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _headerless_batch(path: str) -> EdgeBatch:
+def _headerless_batches(path: str) -> Iterator[EdgeBatch]:
     """Parse a bare ``u<TAB>v[<TAB>w]`` file (no ``# bipartite`` header).
 
     Weightedness is decided by the first data row's column count; row
@@ -182,68 +186,87 @@ def _headerless_batch(path: str) -> EdgeBatch:
                 continue
             weighted = len(line.split("\t")) >= 3
             break
-    users: list[int] = []
-    merchants: list[int] = []
-    weights: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for user, merchant, weight in _iter_rows(fh, Path(path), weighted, start_line=1):
-            users.append(user)
-            merchants.append(merchant)
-            weights.append(weight)
-    return EdgeBatch(
-        users=np.array(users, dtype=np.int64),
-        merchants=np.array(merchants, dtype=np.int64),
-        weights=np.array(weights, dtype=np.float64) if weighted else None,
-    )
+        rows = _iter_rows(fh, Path(path), weighted, start_line=1)
+        yield from _edge_batches(rows, weighted)
 
 
-def _read_rows(
-    path: str, skip: int = 0, headerless_ok: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Data rows of an edge-list TSV after the first ``skip`` rows.
-
-    Streams in chunks (constant memory beyond the returned delta) and never
-    trusts the header's ``edges=`` count — the file may legitimately be
-    mid-append. With ``headerless_ok``, a bare ``u<TAB>v[<TAB>w]`` file
-    (no ``# bipartite`` header) is accepted too, as produced by ad-hoc
-    delta exports.
-    """
+def _stack(batches: Iterable[EdgeBatch]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The rows of ``batches`` as one array per column (weights only if they carry any)."""
     users: list[np.ndarray] = []
     merchants: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    weighted = False
-
-    def _batches():
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        if headerless_ok and not first.startswith("# bipartite"):
-            yield _headerless_batch(path)
-            return
-        # missing headers fail here with the reader's usual error
-        yield from iter_edge_batches(path, strict=False)
-
-    seen = 0
-    for batch in _batches():
-        size = batch.n_edges
-        if seen + size <= skip:
-            seen += size
-            continue
-        offset = max(0, skip - seen)
-        users.append(batch.users[offset:])
-        merchants.append(batch.merchants[offset:])
+    for batch in batches:
+        users.append(batch.users)
+        merchants.append(batch.merchants)
         if batch.weights is not None:
-            weighted = True
-            weights.append(batch.weights[offset:])
-        seen += size
-
+            weights.append(batch.weights)
     if not users:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), None
     return (
         np.concatenate(users),
         np.concatenate(merchants),
-        np.concatenate(weights) if weighted else None,
+        np.concatenate(weights) if weights else None,
     )
+
+
+def _read_rows(
+    path: str, headerless_ok: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every data row of an edge-list TSV.
+
+    Streams in chunks (constant memory beyond the returned rows) and never
+    trusts the header's ``edges=`` count — the file may legitimately be
+    mid-append. With ``headerless_ok``, a bare ``u<TAB>v[<TAB>w]`` file
+    (no ``# bipartite`` header) is accepted too, as produced by ad-hoc
+    delta exports.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if headerless_ok and not first.startswith("# bipartite"):
+        return _stack(_headerless_batches(path))
+    # missing headers fail here with the reader's usual error
+    return _stack(iter_edge_batches(path, strict=False))
+
+
+class _SourceTail:
+    """``watch``'s source file, read on from where the last read stopped.
+
+    ``offset`` is the byte just past the last line read. Each :meth:`read`
+    seeks there and parses, in chunks, only the lines after it that a
+    newline ends: a poll costs its own delta, and a row cut mid-write
+    waits for its newline instead of being ingested as the wrong edge. On
+    resume, the first read passes over the rows the saved state holds.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = Path(path)
+        with self.path.open("r", encoding="utf-8") as fh:
+            self.weighted = _weighted_flag(_parse_header(fh.readline(), self.path), self.path)
+        self.offset = 0
+        self.line_no = 0  # lines before offset
+        self.rows = 0  # data rows before offset
+
+    def _lines(self) -> Iterator[str]:
+        """The newline-ended lines after ``offset``, which moves past each one."""
+        with self.path.open("rb") as fh:
+            fh.seek(self.offset)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    return
+                self.offset += len(line)
+                self.line_no += 1
+                yield line.decode("utf-8")
+
+    def read(self, consumed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The complete data rows after the first ``consumed`` of the file."""
+        with closing(self._lines()) as lines:
+            rows = _iter_rows(lines, self.path, self.weighted, start_line=self.line_no + 1)
+            self.rows += sum(1 for _ in islice(rows, max(0, consumed - self.rows)))
+            users, merchants, weights = _stack(_edge_batches(rows, self.weighted))
+        self.rows += users.size
+        return users, merchants, weights
 
 
 def _state_exists(state_path: Path) -> bool:
@@ -302,10 +325,13 @@ def _describe_window(detector: IncrementalEnsemFDet) -> str:
 
 
 def _bootstrap_state(
-    args: argparse.Namespace, state_path: Path
+    args: argparse.Namespace,
+    state_path: Path,
+    read_source: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray | None]],
 ) -> tuple[IncrementalEnsemFDet, int]:
     """Load saved state or cold-fit from the edge file (watch/serve shared).
 
+    ``read_source`` returns the source rows a cold fit starts from.
     Returns the warm detector and the number of source-file rows already
     folded into it (the resume offset for incremental polling).
     """
@@ -327,7 +353,7 @@ def _bootstrap_state(
             "the stored configuration governs; delete the state file to refit"
         )
         return detector, consumed
-    users, merchants, weights = _read_rows(args.edges)
+    users, merchants, weights = read_source()
     accumulator = GraphAccumulator()
     accumulator.append(users, merchants, weights)
     graph = accumulator.graph()
@@ -408,7 +434,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # the guard covers the bootstrap too: a signal during the cold fit
     # still drains into a clean commit instead of a traceback
     with _ShutdownGuard() as guard:
-        detector, consumed = _bootstrap_state(args, state_path)
+        source = _SourceTail(args.edges)
+        detector, consumed = _bootstrap_state(args, state_path, partial(source.read, 0))
 
         threshold = _default_threshold(args.threshold, detector.config.n_samples)
         _print_detection(detector.detect(threshold), f"# EnsemFDet[warm] T={threshold}")
@@ -422,7 +449,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 break
             if guard.stop_requested:
                 break
-            users, merchants, weights = _read_rows(args.edges, skip=consumed)
+            users, merchants, weights = source.read(consumed)
             if not users.size:
                 continue
             # horizon windows expire by clock; the others tick in ordinal
@@ -476,7 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DetectionService, ScoringServer
 
     state_path = Path(args.state)
-    detector, consumed = _bootstrap_state(args, state_path)
+    detector, consumed = _bootstrap_state(args, state_path, partial(_read_rows, args.edges))
     detector.meta["watch_rows"] = consumed
     threshold = _default_threshold(args.threshold, detector.config.n_samples)
     service = DetectionService(

@@ -59,7 +59,9 @@ from .voting import VoteTable, counts_table, majority_vote, node_indices, tally_
 
 __all__ = ["IncrementalEnsemFDet", "UpdateReport"]
 
-_CONFIG_FORMAT = 1
+#: format 2 dropped ``min_density_ratio``, ``backoff_seconds``, ``degrade``
+#: and the window's ``compact_threshold``; format 1 configs still load
+_CONFIG_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -537,18 +539,24 @@ class IncrementalEnsemFDet:
                 "max_blocks": fdet.max_blocks,
                 "weight_policy": fdet.weight_policy,
                 "min_block_edges": fdet.min_block_edges,
-                "min_density_ratio": fdet.min_density_ratio,
                 "engine": fdet.engine,
             },
         }
 
     @staticmethod
     def _config_from_dict(payload: dict) -> EnsemFDetConfig:
-        if payload.get("format") != _CONFIG_FORMAT:
+        if payload.get("format") not in (1, _CONFIG_FORMAT):
             raise DetectionError(
                 f"unsupported detection-state config format {payload.get('format')!r}"
             )
         fdet = payload["fdet"]
+        # format 1 stored FDET's density-ratio stop, which no detector runs
+        # any more: only its off value (0.0) reproduces the stored votes
+        if fdet.get("min_density_ratio", 0.0) != 0.0:
+            raise DetectionError(
+                f"the state was saved with min_density_ratio={fdet['min_density_ratio']}, "
+                "an early stop FDET no longer has; refit to resume detection"
+            )
         ensemble = payload["ensemble"]
         sampler = payload["sampler"]
         return EnsemFDetConfig(
@@ -559,7 +567,6 @@ class IncrementalEnsemFDet:
                 max_blocks=fdet["max_blocks"],
                 weight_policy=fdet["weight_policy"],
                 min_block_edges=fdet["min_block_edges"],
-                min_density_ratio=fdet["min_density_ratio"],
                 engine=fdet["engine"],
             ),
             # states saved with the thread backend load as serial, the step

@@ -20,15 +20,17 @@ run the same member loop (:func:`_run_serial`):
 It is a thin shell over :func:`run_members`, the fault-tolerant member
 engine. Every attempt records which members ran and which failed; failed
 members are retried under the :class:`~repro.parallel.FaultTolerance`
-policy — per-member wall-clock timeouts (hung workers are SIGKILLed),
-bounded deterministic backoff, automatic backend degradation (process →
-serial; timed-out members retry on the pool, the one backend that can
-time them out again) and store-file → pickled-store fallback — and
-whatever still fails after the last round comes back as a typed
-:class:`MemberFailure` instead of an exception. A member's own error
-fails only that member, on either backend; a failed map fails its chunk
-(``transport``), a dead worker every chunk not yet finished (``crash``)
-and a passed deadline the chunks still running (``timeout``). The spill
+policy — per-member wall-clock timeouts (hung workers are SIGKILLed) and
+up to ``max_retries`` further rounds. A retry round starts at once and
+runs in the parent, except a round that retries a timed-out member: it
+stays on the pool, the one backend that can time it out again, and ships
+the pickled store if a store-file map failed before. A dead worker
+switches every later round to the ``reference`` engine. Whatever still
+fails after the last round comes back as a typed :class:`MemberFailure`
+instead of an exception. A member's own error fails only that member, on
+either backend; a failed map fails its chunk (``transport``), a dead
+worker every chunk not yet finished (``crash``) and a passed deadline
+the chunks still running (``timeout``). The spill
 directory is removed on **every** exit path (normal, crash, timeout,
 KeyboardInterrupt), backstopped by its handle's ``weakref.finalize``.
 
@@ -205,12 +207,6 @@ def _chunked(items: list, n_chunks: int) -> list[list]:
     return chunks
 
 
-def _maybe_override_engine(config: FdetConfig, engine: str | None) -> FdetConfig:
-    if engine is not None and engine != config.engine:
-        return replace(config, engine=engine)
-    return config
-
-
 def _classify(error: BaseException) -> str:
     """Map one member/chunk exception to a failure kind."""
     if isinstance(error, BrokenExecutor):
@@ -218,22 +214,6 @@ def _classify(error: BaseException) -> str:
     if isinstance(error, TimeoutError):
         return FAIL_TIMEOUT
     return FAIL_ERROR
-
-
-def _degraded_backend(
-    mode: str, retry_round: int, tolerance: FaultTolerance, timed_out: bool
-) -> str:
-    """Backend for retry round ``retry_round`` (0 = first attempt).
-
-    The ladder is process → serial: a degrading policy runs retries in
-    the parent, where pool infrastructure cannot fail them. A round that
-    retries a timed-out member stays on ``mode`` instead: the process pool
-    is the one backend that enforces ``member_timeout``, and a member that
-    hangs again in the parent would hang the fit.
-    """
-    if retry_round == 0 or not tolerance.degrade or timed_out:
-        return mode
-    return ExecutorMode.SERIAL
 
 
 def _run_serial(
@@ -442,17 +422,16 @@ def run_members(
     config: FdetConfig,
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
-    engine: str | None = None,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
 ) -> MemberRun:
     """Fault-tolerant fan-out: every plan either detects or fails *typed*.
 
     Under the ``fast`` engine the eligible members of an attempt peel
-    through one multi-member kernel call on both execution backends. This
-    composes with the degradation ladder: a worker-crash round switches the
-    remaining retries to ``engine="reference"``, the one path with no
-    native code, the way a transport failure switches to the pickled store.
+    through one multi-member kernel call on both execution backends. A
+    worker-crash round switches the remaining retries to
+    ``engine="reference"``, the one path with no native code, the way a
+    transport failure switches later process rounds to the pickled store.
 
     ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
     graph — in particular one opened straight from a store file
@@ -461,8 +440,8 @@ def run_members(
     path+layout descriptor: workers map the same file lazily and the
     parent columns never materialize anywhere. A resident parent is
     spilled once per process attempt to a private store file instead.
-    Either file transport degrades to the pickled store after an
-    ``mmap.open``/map failure.
+    After an ``mmap.open``/map failure, later process rounds ship the
+    pickled store instead of either file.
 
     With ``window`` set, ``graph`` is the full stored graph of a rolling
     window and every member materializes through the liveness overlay
@@ -472,16 +451,13 @@ def run_members(
     The engine behind :func:`detect_on_plans` and
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
     requested backend, then re-runs failed members for up to
-    ``tolerance.max_retries`` extra rounds with deterministic backoff,
-    degrading the backend (process → serial, except for rounds that retry
-    a timed-out member) and falling back from the store file to the
-    pickled store when the failure kinds call for it.
-    Members that never succeed come back as :class:`MemberFailure`
-    entries; the caller decides whether that is a quorum violation.
+    ``tolerance.max_retries`` extra rounds, each at once and in the parent
+    unless it retries a timed-out member. Members that never succeed come
+    back as :class:`MemberFailure` entries; the caller decides whether
+    that is a quorum violation.
     """
     if mode not in ExecutorMode.ALL:
         raise ReproError(f"unknown executor mode {mode!r}; expected one of {ExecutorMode.ALL}")
-    config = _maybe_override_engine(config, engine)
     tolerance = tolerance or FaultTolerance()
     plans = list(plans)
     detections: list[SampleDetection | None] = [None] * len(plans)
@@ -513,19 +489,17 @@ def run_members(
     for attempt in range(tolerance.max_retries + 1):
         if not pending:
             break
-        backoff = tolerance.backoff_for(attempt)
-        if backoff:
-            _time.sleep(backoff)
         timed_out = attempt > 0 and any(fail_info[i][0] == FAIL_TIMEOUT for i in pending)
-        backend = _degraded_backend(mode, attempt, tolerance, timed_out)
         work = [(index, plans[index]) for index in pending]
         for index in pending:
             attempts_of[index] = attempt + 1
 
-        # one worker or one item never pays pool overhead (REPRO_WORKERS=1
-        # pins CI to this path) — except a timed-out retry, which only a
-        # pool can time out again
-        in_parent = backend == ExecutorMode.SERIAL
+        # retry rounds run in the parent, where pool infrastructure cannot
+        # fail them, and one worker or one item never pays pool overhead
+        # (REPRO_WORKERS=1 pins CI to this path) — except a round that
+        # retries a timed-out member: only the pool enforces member_timeout,
+        # and a member that hangs again in the parent would hang the fit
+        in_parent = mode == ExecutorMode.SERIAL or (attempt > 0 and not timed_out)
         if not in_parent and not timed_out:
             effective = n_workers or default_workers(len(work))
             in_parent = effective <= 1 or len(work) == 1
@@ -553,7 +527,7 @@ def run_members(
         retry_log.append(
             {
                 "attempt": attempt,
-                "backend": ExecutorMode.SERIAL if in_parent else backend,
+                "backend": ExecutorMode.SERIAL if in_parent else mode,
                 "transport": transport,
                 "engine": config.engine,
                 "members": [int(i) for i in pending],
@@ -570,7 +544,7 @@ def run_members(
             # a dead worker may mean the native kernel itself crashed —
             # retries run the pure-Python engine, like a transport
             # failure switches to the pickled store
-            config = _maybe_override_engine(config, PeelEngine.REFERENCE)
+            config = replace(config, engine=PeelEngine.REFERENCE)
         pending = failed
 
     failures_out = tuple(
@@ -628,7 +602,6 @@ def detect_on_plans(
     config: FdetConfig,
     mode: str = ExecutorMode.SERIAL,
     n_workers: int | None = None,
-    engine: str | None = None,
     tolerance: FaultTolerance | None = None,
     window: EdgeWindow | None = None,
 ) -> list[SampleDetection]:
@@ -636,7 +609,7 @@ def detect_on_plans(
 
     Strict by default: any member that still has no result after the
     (default zero-overhead) tolerance policy raises a typed error. Pass a
-    :class:`~repro.parallel.FaultTolerance` to retry/degrade instead; for
+    :class:`~repro.parallel.FaultTolerance` to retry instead; for
     access to partial results and the retry log, call :func:`run_members`
     directly (as :meth:`EnsemFDet.fit` does).
 
@@ -653,10 +626,8 @@ def detect_on_plans(
     mode, n_workers:
         Executor backend (one of :attr:`ExecutorMode.ALL`) and pool size
         (default :func:`repro.parallel.default_workers`).
-    engine:
-        Optional peeling-engine override applied on top of ``config.engine``.
     tolerance:
-        Retry/timeout/degradation policy; defaults to strict (no retries).
+        Retry/timeout/quorum policy; defaults to strict (no retries).
     window:
         Liveness overlay of a rolling window's stored graph.
     """
@@ -666,7 +637,6 @@ def detect_on_plans(
         config,
         mode=mode,
         n_workers=n_workers,
-        engine=engine,
         tolerance=tolerance or FaultTolerance.strict(),
         window=window,
     )

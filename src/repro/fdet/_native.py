@@ -248,7 +248,6 @@ def _configure(lib: ctypes.CDLL) -> NativeKernels:
         f64_array,  # scales
         ctypes.c_int64,  # max_blocks
         ctypes.c_int64,  # min_block_edges
-        ctypes.c_double,  # min_density_ratio
         ctypes.c_int64,  # frozen_policy
         ctypes.c_int64,  # all_nodes
         ctypes.c_int64,  # n_threads

@@ -673,7 +673,6 @@ typedef struct {
     /* FDET config */
     int64_t max_blocks;
     int64_t min_block_edges;
-    double min_density_ratio;
     int64_t frozen_policy;
     int64_t all_nodes; /* skip node compaction: every parent node is kept */
     /* outputs */
@@ -901,8 +900,6 @@ static void run_member(const batch_args_t *a, int64_t m)
 
         /* ---- the FDET block loop ---- */
         int64_t n_blocks = 0;
-        double first_density = 0.0;
-        int have_first = 0;
         int64_t row_bytes = ((int64_t)n + 7) / 8;
         int32_t *parent = scratch.nodes_tmp;
         /* The kept order is the last block's merged order, n_kept entries
@@ -1092,14 +1089,6 @@ static void run_member(const batch_args_t *a, int64_t m)
             a->block_n_edges[m * a->max_blocks + n_blocks] = count;
             n_blocks++;
 
-            if (!have_first) {
-                first_density = best_density;
-                have_first = 1;
-            } else if (a->min_density_ratio > 0.0
-                       && best_density < a->min_density_ratio * first_density) {
-                break;
-            }
-
             n_live_e = kept_e;
             if (residual) {
                 /* every node of a touched component leaves the kept order at
@@ -1165,7 +1154,6 @@ int64_t repro_fdet_batch(
     const double *scales,
     int64_t max_blocks,
     int64_t min_block_edges,
-    double min_density_ratio,
     int64_t frozen_policy,
     int64_t all_nodes,
     int64_t n_threads,
@@ -1196,7 +1184,6 @@ int64_t repro_fdet_batch(
     args.scales = scales;
     args.max_blocks = max_blocks;
     args.min_block_edges = min_block_edges;
-    args.min_density_ratio = min_density_ratio;
     args.frozen_policy = frozen_policy;
     args.all_nodes = all_nodes;
     args.out_status = out_status;

@@ -47,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import GraphValidationError, SamplingError
 from ..graph import BipartiteGraph
 from ..graph.window import EdgeWindow, StripeIndex
 from ..sampling import SamplePlan
@@ -158,11 +159,13 @@ def detect_many(
     """Run FDET for every plan in one kernel call.
 
     Returns ``None`` when the batch path is unavailable; otherwise one
-    :class:`NativeDetection` per plan, with ``None`` in a slot whose
-    member hit an in-kernel allocation failure (the caller re-runs just
-    that member through ``materialize_plan`` + ``Fdet.detect``). The
-    caller is responsible for eligibility (:func:`config_eligible`) and
-    for fault points.
+    :class:`NativeDetection` per plan, with ``None`` in a slot whose plan
+    names ids outside ``graph`` (or is not a stripe plan over a window) or
+    whose member hit an in-kernel allocation failure; the other members
+    still run. The caller re-runs just those members through
+    ``materialize_plan`` + ``Fdet.detect``, which raises the plan's own
+    error. The caller is responsible for eligibility
+    (:func:`config_eligible`) and for fault points.
     """
     kernels = batch_kernels()
     if kernels is None or not plans:
@@ -170,12 +173,21 @@ def detect_many(
     # one stripe index of the window's live rows serves every member
     stripes = set() if window is None else {plan.stripe for plan in plans}
     indexes = {stripe: StripeIndex(window, stripe) for stripe in stripes}
-    ids_list = [plan_edge_ids(plan, graph, window, indexes.get(plan.stripe)) for plan in plans]
-    scales = np.array(
-        [1.0 if plan.weight_scale is None else float(plan.weight_scale) for plan in plans],
-        dtype=np.float64,
-    )
-    return _run_batch(kernels, graph, ids_list, scales, config, n_threads, all_nodes=False)
+    slots, ids_list, scales = [], [], []
+    for slot, plan in enumerate(plans):
+        try:
+            ids_list.append(plan_edge_ids(plan, graph, window, indexes.get(plan.stripe)))
+        except (GraphValidationError, SamplingError):
+            continue  # the caller's per-member path raises the plan's own error
+        slots.append(slot)
+        scales.append(1.0 if plan.weight_scale is None else float(plan.weight_scale))
+    out: list[NativeDetection | None] = [None] * len(plans)
+    if slots:
+        scales = np.array(scales, dtype=np.float64)
+        batch = _run_batch(kernels, graph, ids_list, scales, config, n_threads, all_nodes=False)
+        for slot, detection in zip(slots, batch):
+            out[slot] = detection
+    return out
 
 
 def detect_graph(graph: BipartiteGraph, config: FdetConfig) -> FdetResult | None:
@@ -293,7 +305,6 @@ def _run_batch(
         scales,
         max_blocks,
         config.min_block_edges,
-        float(config.min_density_ratio),
         int(config.weight_policy == WeightPolicy.FROZEN),
         int(all_nodes),
         int(n_threads),

@@ -10,7 +10,8 @@ The natural heuristic for the disjoint objective of Equ. 1: repeatedly
 
 until the graph runs out of edges or ``max_blocks`` is reached, then apply a
 truncating-point rule (Definition 3) to keep only the ``k̂`` meaningful
-blocks.
+blocks. Like the paper's loop, it has no density-ratio stop: blocks whose
+density falls away are extracted and then dropped by the truncating point.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class FdetConfig:
         See :class:`WeightPolicy`.
     min_block_edges:
         Extraction stops when the best block has fewer edges than this.
-    min_density_ratio:
-        Early-stop: halt once a block's density falls below this fraction of
-        the first block's density (0 disables; truncation normally discards
-        such blocks anyway — this merely saves work).
     engine:
         Peeling backend, one of :class:`repro.fdet.PeelEngine`
         (``"reference"`` or ``"fast"``; default ``"fast"``). Both produce
@@ -123,7 +120,6 @@ class FdetConfig:
     truncation: TruncationRule = field(default_factory=SecondDifferenceRule)
     weight_policy: str = WeightPolicy.REFRESH
     min_block_edges: int = 1
-    min_density_ratio: float = 0.0
     engine: str = PeelEngine.DEFAULT
 
     def __post_init__(self) -> None:
@@ -139,10 +135,6 @@ class FdetConfig:
             )
         if self.min_block_edges < 1:
             raise DetectionError(f"min_block_edges must be >= 1, got {self.min_block_edges}")
-        if not 0.0 <= self.min_density_ratio < 1.0:
-            raise DetectionError(
-                f"min_density_ratio must be in [0, 1), got {self.min_density_ratio}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +315,6 @@ class Fdet:
         rows: list[np.ndarray] = []
         densities: list[float] = []
         edge_counts: list[int] = []
-        first_density: float | None = None
         for _ in range(config.max_blocks):
             if n_alive == 0:
                 break
@@ -339,13 +330,6 @@ class Fdet:
             )
             densities.append(peel.density)
             edge_counts.append(int(block_edges.size))
-            if first_density is None:
-                first_density = peel.density
-            elif (
-                config.min_density_ratio > 0.0
-                and peel.density < config.min_density_ratio * first_density
-            ):
-                break
             alive[block_edges] = False
             n_alive -= int(block_edges.size)
 

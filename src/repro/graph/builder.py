@@ -10,7 +10,11 @@ detections back in terms of the original identifiers.
 appending whole edge *batches* (numpy arrays of integer labels, e.g. the
 chunks yielded by :func:`repro.graph.io.iter_edge_batches`), interning
 labels across batches, and snapshots the current graph through the trusted
-constructor — the already-validated prefix is never re-scanned.
+constructor — the already-validated prefix is never re-scanned. With a
+:class:`~repro.graph.window.WindowConfig` it also tombstones the edges that
+expire or are retracted, and rewrites its rows without them once more than
+half of the stored rows are dead
+(:data:`~repro.graph.window.COMPACT_DEAD_FRACTION`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from ..errors import GraphError, InjectedFault
 from ..faults import fault_point
 from .bipartite import BipartiteGraph
-from .window import LiveWindow, WindowConfig
+from .window import COMPACT_DEAD_FRACTION, LiveWindow, WindowConfig
 
 __all__ = ["GraphBuilder", "BuiltGraph", "GraphAccumulator"]
 
@@ -311,8 +315,8 @@ class GraphAccumulator:
     fall out of the rolling window (by batch count and/or timestamp
     horizon), :meth:`retract` tombstones explicitly deleted edges, and
     :meth:`compact` reclaims tombstoned rows once :attr:`dead_fraction`
-    crosses the configured threshold — ids survive compaction, physical
-    rows do not. It keeps the ascending list of live rows up to date with
+    passes :data:`~repro.graph.window.COMPACT_DEAD_FRACTION` (one half) —
+    ids survive compaction, physical rows do not. It keeps the ascending list of live rows up to date with
     each of these, so :meth:`window` snapshots the state as a
     :class:`~repro.graph.window.LiveWindow` whose live rows index the
     stripes (:class:`~repro.graph.window.StripeIndex`) without a pass over
@@ -702,14 +706,13 @@ class GraphAccumulator:
         return dead
 
     def maybe_compact(self) -> bool:
-        """Compact once :attr:`dead_fraction` exceeds the threshold.
+        """Compact once :attr:`dead_fraction` exceeds ``COMPACT_DEAD_FRACTION``.
 
         Compaction is a pure memory optimisation — every read honors the
         liveness mask either way — so an injected fault or allocation
-        failure just defers it to the next threshold crossing.
+        failure just defers it to the next call past the fraction.
         """
-        window = self._window
-        if window is None or self.dead_fraction <= window.compact_threshold:
+        if self._window is None or self.dead_fraction <= COMPACT_DEAD_FRACTION:
             return False
         try:
             self.compact()

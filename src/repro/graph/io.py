@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,10 +128,10 @@ def save_edge_list(graph: BipartiteGraph, path: str | os.PathLike[str]) -> None:
 
 
 def _iter_rows(
-    fh: IO[str], path: Path, weighted: bool, start_line: int = 2
+    lines: Iterable[str], path: Path, weighted: bool, start_line: int = 2
 ) -> Iterator[tuple[int, int, float]]:
     """Yield ``(user, merchant, weight)`` per data row; shared by both loaders."""
-    for line_no, line in enumerate(fh, start=start_line):
+    for line_no, line in enumerate(lines, start=start_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -226,34 +226,45 @@ def iter_edge_batches(
     with path.open("r", encoding="utf-8") as fh:
         fields = _parse_header(fh.readline(), path)
         weighted = _weighted_flag(fields, path)
-        users: list[int] = []
-        merchants: list[int] = []
-        weights: list[float] = []
         total = 0
-
-        def flush() -> EdgeBatch:
-            batch = EdgeBatch(
-                users=np.array(users, dtype=np.int64),
-                merchants=np.array(merchants, dtype=np.int64),
-                weights=np.array(weights, dtype=np.float64) if weighted else None,
-            )
-            users.clear()
-            merchants.clear()
-            weights.clear()
-            return batch
-
-        for user, merchant, weight in _iter_rows(fh, path, weighted):
-            users.append(user)
-            merchants.append(merchant)
-            if weighted:
-                weights.append(weight)
-            total += 1
-            if len(users) >= batch_size:
-                yield flush()
-        if users:
-            yield flush()
+        for batch in _edge_batches(_iter_rows(fh, path, weighted), weighted, batch_size):
+            total += batch.n_edges
+            yield batch
     if strict:
         _check_declared_edges(_declared_edges(fields, path), total, path)
+
+
+def _edge_batches(
+    rows: Iterable[tuple[int, int, float]],
+    weighted: bool,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> Iterator[EdgeBatch]:
+    """Chunk parsed ``(user, merchant, weight)`` rows into batches of at most
+    ``batch_size`` edges, so only one chunk of rows is held as Python objects."""
+    users: list[int] = []
+    merchants: list[int] = []
+    weights: list[float] = []
+
+    def flush() -> EdgeBatch:
+        batch = EdgeBatch(
+            users=np.array(users, dtype=np.int64),
+            merchants=np.array(merchants, dtype=np.int64),
+            weights=np.array(weights, dtype=np.float64) if weighted else None,
+        )
+        users.clear()
+        merchants.clear()
+        weights.clear()
+        return batch
+
+    for user, merchant, weight in rows:
+        users.append(user)
+        merchants.append(merchant)
+        if weighted:
+            weights.append(weight)
+        if len(users) >= batch_size:
+            yield flush()
+    if users:
+        yield flush()
 
 
 def _canonical_labels(graph: BipartiteGraph) -> BipartiteGraph:

@@ -28,7 +28,10 @@ everything that follows. The windowed mode tracks which edges are *live*:
 
 The watermark is the total number of edges ever appended — the exclusive
 upper bound of the id space. It only grows; compaction reclaims physical
-rows but never reuses ids.
+rows but never reuses ids. Compaction runs once more than
+:data:`COMPACT_DEAD_FRACTION` (half) of the stored rows are dead, so the
+rows stored stay near at most twice the live edges; the fraction is a
+constant, not a setting of the window.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ import numpy as np
 from ..errors import GraphError
 from .bipartite import BipartiteGraph
 
-__all__ = ["WindowConfig", "EdgeWindow", "LiveWindow", "StripeIndex"]
+__all__ = ["COMPACT_DEAD_FRACTION", "WindowConfig", "EdgeWindow", "LiveWindow", "StripeIndex"]
+
+#: the share of stored rows that must be dead before a window compacts
+COMPACT_DEAD_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,24 +57,17 @@ class WindowConfig:
     When both ``max_batches`` and ``horizon`` are set, the *tighter* cutoff
     wins (an edge must be within the last ``max_batches`` batches **and**
     within ``horizon`` of the newest timestamp to stay live). With neither,
-    the window has no bound and nothing expires. ``compact_threshold`` is
-    the dead-row fraction above which the accumulator compacts its
-    physical arrays.
+    the window has no bound and nothing expires.
     """
 
     max_batches: int | None = None
     horizon: float | None = None
-    compact_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_batches is not None and int(self.max_batches) < 1:
             raise GraphError(f"max_batches must be >= 1, got {self.max_batches}")
         if self.horizon is not None and not float(self.horizon) > 0.0:
             raise GraphError(f"horizon must be > 0, got {self.horizon}")
-        if not 0.0 < float(self.compact_threshold) <= 1.0:
-            raise GraphError(
-                f"compact_threshold must be in (0, 1], got {self.compact_threshold}"
-            )
 
     @property
     def bounded(self) -> bool:
@@ -80,20 +79,22 @@ class WindowConfig:
         return {
             "max_batches": None if self.max_batches is None else int(self.max_batches),
             "horizon": None if self.horizon is None else float(self.horizon),
-            "compact_threshold": float(self.compact_threshold),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WindowConfig":
-        """Inverse of :meth:`as_dict` (validates via the constructor)."""
+        """Inverse of :meth:`as_dict` (validates via the constructor).
+
+        States saved before config format 2 also hold ``compact_threshold``.
+        It set only when storage was rewritten, never a vote, so it is read
+        and ignored.
+        """
         if not isinstance(payload, dict):
             raise GraphError(f"window config must be a mapping, got {type(payload).__name__}")
-        known = {"max_batches", "horizon", "compact_threshold"}
-        unknown = sorted(set(payload) - known)
+        kwargs = {key: value for key, value in payload.items() if key != "compact_threshold"}
+        unknown = sorted(set(kwargs) - {"max_batches", "horizon"})
         if unknown:
             raise GraphError(f"unknown window config keys: {', '.join(unknown)}")
-        kwargs = dict(payload)
-        kwargs.setdefault("compact_threshold", 0.5)
         return cls(**kwargs)
 
 

@@ -1,11 +1,12 @@
 """Fault-tolerance policy for the ensemble fan-out.
 
 One frozen value object, :class:`FaultTolerance`, holds every degraded-mode
-knob: per-member wall-clock timeout, bounded retry with deterministic
-backoff, the backend-degradation ladder (process → serial), and the
-minimum voting quorum.
-The runner (:func:`repro.ensemble.runner.run_members`) consumes it; the
-ensemble config embeds it and persists it with detection state.
+knob: the per-member wall-clock timeout, how many rounds re-run failed
+members, and the minimum voting quorum. What a retry round runs on is not
+a setting: it runs at once, in the parent, unless it retries a timed-out
+member (see :func:`repro.ensemble.runner.run_members`). The runner
+consumes the policy; the ensemble config embeds it and persists it with
+detection state.
 """
 
 from __future__ import annotations
@@ -33,18 +34,6 @@ class FaultTolerance:
         How many extra rounds failed members are re-run (0 = fail fast).
         Retried members re-materialize the same deterministic plan, so a
         recovered retry is bitwise-identical to a fault-free run.
-    backoff_seconds:
-        Deterministic backoff before retry round ``r``:
-        ``backoff_seconds × 2**(r-1)`` (no jitter — retry schedules must
-        reproduce exactly under a fixed fault plan).
-    degrade:
-        Walk the backend ladder on retries: process → serial, so retry
-        rounds run in the parent, where pool infrastructure cannot take
-        them down. A round that retries a timed-out member stays on the
-        process pool, the one backend that enforces ``member_timeout``,
-        so a member that hangs on every attempt still ends as a typed
-        timeout failure. Whatever this flag says, a failed store-file map
-        makes later process rounds ship the pickled store instead.
     min_quorum:
         Minimum surviving fraction of the ensemble (``0 < q ≤ 1``) for a
         vote to be meaningful. With fewer survivors the fit raises
@@ -54,8 +43,6 @@ class FaultTolerance:
 
     member_timeout: float | None = None
     max_retries: int = 2
-    backoff_seconds: float = 0.0
-    degrade: bool = True
     min_quorum: float = 0.5
 
     def __post_init__(self) -> None:
@@ -65,10 +52,6 @@ class FaultTolerance:
             )
         if self.max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_seconds < 0:
-            raise ReproError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
         if not 0.0 < self.min_quorum <= 1.0:
             raise ReproError(f"min_quorum must be in (0, 1], got {self.min_quorum}")
 
@@ -76,30 +59,28 @@ class FaultTolerance:
         """Smallest surviving member count that still meets the quorum."""
         return max(1, math.ceil(self.min_quorum * n_samples))
 
-    def backoff_for(self, retry_round: int) -> float:
-        """Deterministic backoff before retry round ``retry_round`` (1-based)."""
-        if self.backoff_seconds == 0.0 or retry_round < 1:
-            return 0.0
-        return self.backoff_seconds * (2.0 ** (retry_round - 1))
-
     @classmethod
     def strict(cls) -> "FaultTolerance":
-        """No retries, no degradation, full quorum — fail on first error."""
-        return cls(max_retries=0, degrade=False, min_quorum=1.0)
+        """No retries, full quorum — fail on first error."""
+        return cls(max_retries=0, min_quorum=1.0)
 
     def as_dict(self) -> dict:
         """JSON-able form for state persistence."""
         return {
             "member_timeout": self.member_timeout,
             "max_retries": self.max_retries,
-            "backoff_seconds": self.backoff_seconds,
-            "degrade": self.degrade,
             "min_quorum": self.min_quorum,
         }
 
     @classmethod
     def from_dict(cls, payload: dict | None) -> "FaultTolerance":
-        """Inverse of :meth:`as_dict` (``None`` → defaults, for old states)."""
+        """Inverse of :meth:`as_dict` (``None`` → defaults, for old states).
+
+        States saved before config format 2 also hold ``backoff_seconds``
+        and ``degrade``. They set only the wait before a retry and the
+        backend it ran on, never a vote, so they are read and ignored.
+        """
         if payload is None:
             return cls()
-        return cls(**payload)
+        retired = ("backoff_seconds", "degrade")
+        return cls(**{key: value for key, value in payload.items() if key not in retired})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,13 +179,16 @@ class TestExecutors:
             assert np.array_equal(a.sample_users, b.sample_users)
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
 
-    def test_engine_override_matches(self, toy):
+    def test_engines_match(self, toy):
+        """The engine is the config's: the fan-out takes no override."""
         plans = RandomEdgeSampler(0.3).plan_many(toy.graph, 3, rng=2)
         config = FdetConfig(max_blocks=4, engine="fast")
         fast = detect_on_plans(toy.graph, plans, config, mode=ExecutorMode.SERIAL)
         reference = detect_on_plans(
-            toy.graph, plans, config, mode=ExecutorMode.SERIAL, engine="reference"
+            toy.graph, plans, replace(config, engine="reference"), mode=ExecutorMode.SERIAL
         )
+        with pytest.raises(TypeError):
+            detect_on_plans(toy.graph, plans, config, engine="reference")
         for a, b in zip(fast, reference):
             assert np.array_equal(a.result.detected_users(), b.result.detected_users())
             assert np.array_equal(a.result.detected_merchants(), b.result.detected_merchants())

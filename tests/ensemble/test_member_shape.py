@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.datasets import make_jd_dataset
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans, run_members
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans, run_members, runner
 from repro.errors import GraphValidationError
 from repro.faults import arm, disarm
-from repro.fdet import FdetConfig, PeelEngine, batched
+from repro.fdet import FdetConfig, PeelEngine, _native, batched
 from repro.fdet._native import native_available
 from repro.graph import GraphStore
 from repro.parallel import FaultTolerance
@@ -162,15 +164,25 @@ def test_node_plans_run_in_one_kernel_call_per_attempt(jd_graph, monkeypatch, na
     assert table_fingerprint(result.vote_table) == FINGERPRINTS[name]
 
 
+def batch_arg(name: str) -> int:
+    """The position of parameter ``name`` in the C prototype of ``repro_fdet_batch``."""
+    source = Path(_native._SOURCE_PATH).read_text()
+    params = source.split("int64_t repro_fdet_batch(", 1)[1].split(")", 1)[0]
+    names = [re.findall(r"\w+", param)[-1] for param in params.split(",")]
+    assert len(names) == len(batched.batch_kernels().fdet_batch.argtypes)
+    return names.index(name)
+
+
 def refuse_members(monkeypatch, refused):
     """Make the kernel report an allocation failure (status -1) for the
     members at positions ``refused`` of every multi-member call."""
     kernels = batched.batch_kernels()
     fdet_batch = kernels.fdet_batch
+    n_members_at, out_status_at = batch_arg("n_members"), batch_arg("out_status")
 
     def failing(*args):
         fdet_batch(*args)
-        n_members, out_status = args[9], args[19]
+        n_members, out_status = args[n_members_at], args[out_status_at]
         if n_members > 1:
             out_status[[m for m in refused if m < n_members]] = -1
 
@@ -188,7 +200,24 @@ def test_members_off_the_batch_name_the_kernels_parent_nodes(
     assert table_fingerprint(reference.vote_table) == table_fingerprint(kernel.vote_table)
 
     refuse_members(monkeypatch, refused=[1, 3])
+    batch_plans, reached = [], []
+    detect_many, per_member = batched.detect_many, runner._member_detection
+
+    def spy_batch(graph, plans, *args):
+        batch_plans.append(plans)
+        return detect_many(graph, plans, *args)
+
+    def spy_member(fdet, graph, plan, window):
+        reached.append(plan)
+        return per_member(fdet, graph, plan, window)
+
+    monkeypatch.setattr(batched, "detect_many", spy_batch)
+    monkeypatch.setattr(runner, "_member_detection", spy_member)
     refused = EnsemFDet(config(name)).fit(jd_graph)
+    # one kernel call, and only the members it refused took the per-member path
+    (plans,) = batch_plans
+    assert len(plans) == 5 and len(reached) == 2
+    assert reached[0] is plans[1] and reached[1] is plans[3]
     assert_same_members(refused.sample_detections, kernel.sample_detections)
     assert table_fingerprint(refused.vote_table) == table_fingerprint(kernel.vote_table)
 
@@ -214,28 +243,66 @@ def bad_plans(graph):
 BAD_PLANS = ["edge-at-the-end", "edge-far-out", "edge-negative", "node-negative", "node-too-large"]
 
 
+def plan_digest(plan) -> str:
+    """A digest of a plan's kind and ids, equal in a forked worker."""
+    digest = hashlib.sha256(plan.kind.encode())
+    for ids in (plan.edge_indices, plan.users, plan.merchants):
+        if ids is not None:
+            digest.update(np.ascontiguousarray(ids, dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
 @pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("engine", PeelEngine.ALL)
 @pytest.mark.parametrize("bad", BAD_PLANS)
-def test_plan_ids_outside_the_parent_fail_only_their_member(jd_graph, bad, engine, executor):
-    fdet = FdetConfig(max_blocks=6)
+def test_plan_ids_outside_the_parent_fail_only_their_member(
+    jd_graph, bad, engine, executor, monkeypatch, tmp_path
+):
+    fdet = FdetConfig(max_blocks=6, engine=engine)
     plans = RandomEdgeSampler(0.2).plan_many(jd_graph, 3, resolve_rng(4))
     plans.insert(1, bad_plans(jd_graph)[bad])
+    # every plan that reaches the per-member path, here or in a forked worker
+    reached = tmp_path / "per_member.txt"
+    per_member = runner._member_detection
+
+    def spy(fdet, graph, plan, window):
+        with open(reached, "a") as fh:
+            fh.write(plan_digest(plan) + "\n")
+        return per_member(fdet, graph, plan, window)
+
+    monkeypatch.setattr(runner, "_member_detection", spy)
     run = run_members(
         jd_graph,
         plans,
         fdet,
         mode=executor,
         n_workers=2,
-        engine=engine,
         tolerance=FaultTolerance(max_retries=0, min_quorum=0.5),
     )
     (failure,) = run.failures
     assert (failure.index, failure.kind) == (1, "error")
     assert failure.error.startswith("GraphValidationError")
     assert run.retry_log[0]["backend"] == executor
+    if engine == PeelEngine.FAST:
+        # the bad plan leaves the kernel batch alone: its batch-mates peel in it
+        assert reached.read_text().split() == [plan_digest(plans[1])]
+    else:
+        assert sorted(reached.read_text().split()) == sorted(map(plan_digest, plans))
     good = [plans[0], *plans[2:]]
-    expected = detect_on_plans(jd_graph, good, fdet, engine=PeelEngine.REFERENCE)
+    expected = detect_on_plans(jd_graph, good, dataclasses.replace(fdet, engine=PeelEngine.REFERENCE))
     assert_same_members(run.survivors(), expected)
     with pytest.raises(GraphValidationError, match="outside the graph"):
-        detect_on_plans(jd_graph, plans, fdet, mode=executor, n_workers=2, engine=engine)
+        detect_on_plans(jd_graph, plans, fdet, mode=executor, n_workers=2)
+
+
+def test_detect_many_leaves_only_the_bad_plan_empty(jd_graph):
+    plans = RandomEdgeSampler(0.2).plan_many(jd_graph, 3, resolve_rng(4))
+    bad = bad_plans(jd_graph)
+    plans[1:1] = [bad["edge-far-out"], bad["node-negative"]]
+    fdet = FdetConfig(max_blocks=6)
+    native = batched.detect_many(jd_graph, plans, fdet)
+    assert [detection is None for detection in native] == [False, True, True, False, False]
+    good = [plans[0], *plans[3:]]
+    expected = detect_on_plans(jd_graph, good, dataclasses.replace(fdet, engine=PeelEngine.REFERENCE))
+    assert_same_members([native[0], *native[3:]], expected)
+    assert batched.detect_many(jd_graph, plans[1:3], fdet) == [None, None]

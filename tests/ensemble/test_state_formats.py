@@ -7,6 +7,12 @@ current build, re-save as the current format, and reload
 bitwise-identical — including through the ``.bak`` recovery path. A
 detector resumed from one votes as it did when the fixture was written, and
 its next update matches a cold fit on its window.
+
+Their configs are format 1, as is ``config_v1_window_tolerance.npz``, saved
+with a 0.3 compaction threshold, a 0.25 s retry backoff and ``degrade=False``
+— settings that are constants since config format 2 and are ignored on
+load. ``config_v1_density_ratio.npz`` was saved with FDET's density-ratio
+stop at 0.3, which no detector runs any more, so it is refused.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ from repro.ensemble import (
     state_backup_path,
 )
 from repro.ensemble.results import STATE_FORMAT_VERSION, _LEGACY_FORMAT_VERSIONS
-from repro.errors import StateError
+from repro.errors import DetectionError, StateError
 from repro.graph import WindowConfig
+from repro.parallel import FaultTolerance
 
-FIXTURES = sorted(
-    glob.glob(os.path.join(os.path.dirname(__file__), "fixtures", "state_v*.npz"))
-)
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURES = sorted(glob.glob(os.path.join(FIXTURE_DIR, "state_v*.npz")))
 
 
 def _assert_states_identical(left, right) -> None:
@@ -122,8 +128,22 @@ def test_legacy_fixture_rebuilds_a_live_detector(fixture, tmp_path):
     with np.load(tmp_path / "resaved.npz") as data:
         assert int(data["format_version"][0]) == STATE_FORMAT_VERSION
         assert {"window_json", "edge_ids"} <= set(data.files)
+    assert_resaves_as_config_format_2(detector, tmp_path)
+
+
+def assert_resaves_as_config_format_2(detector, tmp_path) -> None:
+    """Saved now, the state holds config format 2 and reloads to the same table."""
+    detector.save(tmp_path / "resaved.npz")
+    saved = load_detection_state(tmp_path / "resaved.npz")
+    assert saved.config["format"] == 2
+    assert "min_density_ratio" not in saved.config["fdet"]
+    assert set(saved.config["ensemble"]["tolerance"]) == {
+        "member_timeout", "max_retries", "min_quorum"
+    }
+    assert set(saved.window["config"]) == {"max_batches", "horizon"}
     resumed = IncrementalEnsemFDet.load(tmp_path / "resaved.npz")
     assert resumed.window_config == detector.window_config
+    assert resumed.state().config == saved.config
     assert table_fingerprint(resumed.vote_table) == table_fingerprint(detector.vote_table)
 
 
@@ -167,8 +187,12 @@ def test_legacy_fixture_resumes_and_updates_like_a_cold_fit(fixture):
     assert table_fingerprint(detector.vote_table) == RESUMED_FINGERPRINTS[
         os.path.basename(fixture)
     ]
+    assert_append_and_delete_matches_a_cold_fit(detector)
 
-    # one append-and-delete update: new pairs, and two live pairs retracted
+
+def assert_append_and_delete_matches_a_cold_fit(detector) -> None:
+    """One update of new pairs (and an unseen user) with two live pairs
+    retracted leaves the detector equal to a cold fit on its window."""
     window = detector.window()
     live = window.live_graph()
     rng = np.random.default_rng(5)
@@ -185,6 +209,23 @@ def test_legacy_fixture_resumes_and_updates_like_a_cold_fit(fixture):
     assert (report.n_new_edges, report.n_removed_edges) == (41, 2)
     assert report.n_refreshed > 0
     assert_matches_cold_window_fit(detector)
+
+
+def test_format1_config_with_retired_settings_resumes_like_a_cold_fit(tmp_path):
+    """Compaction threshold, retry backoff and ``degrade`` were stored;
+    they never changed a vote, so the archive loads without them."""
+    detector = IncrementalEnsemFDet.load(os.path.join(FIXTURE_DIR, "config_v1_window_tolerance.npz"))
+    # the table the archive's writer left, recorded at that commit
+    assert table_fingerprint(detector.vote_table) == "5998240e292876e7"
+    assert detector.window_config == WindowConfig(max_batches=3)
+    assert detector.config.tolerance == FaultTolerance(max_retries=2)
+    assert_resaves_as_config_format_2(detector, tmp_path)
+    assert_append_and_delete_matches_a_cold_fit(detector)
+
+
+def test_format1_config_with_a_density_ratio_stop_is_refused():
+    with pytest.raises(DetectionError, match="min_density_ratio=0.3"):
+        IncrementalEnsemFDet.load(os.path.join(FIXTURE_DIR, "config_v1_density_ratio.npz"))
 
 
 @pytest.mark.parametrize(

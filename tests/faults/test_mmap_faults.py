@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import uniform_bipartite
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans, runner
 from repro.ensemble.runner import _detect_member_chunk
 from repro.errors import GraphError, InjectedFault
 from repro.faults import arm, disarm, fired_log
@@ -58,17 +58,35 @@ def _chunk(graph, layout):
     return (layout, config.fdet, list(enumerate(plans)), 0, 1)
 
 
-def test_mmap_open_failure_falls_back_to_pickled_store(graph):
+def test_mmap_open_failure_ships_the_pickled_store_to_a_timed_out_round(graph, monkeypatch):
+    """Only a round that retries a timed-out member goes back to the pool;
+    once a map failed, that round ships the pickled store, not a spill."""
     reference = EnsemFDet(_config()).fit(graph)
-    arm("raise:point=mmap.open")
-    result = EnsemFDet(_config(executor="process", n_workers=2, degrade=False)).fit(graph)
+    real_attempt = runner._run_pooled
+    use_file_of: list[bool] = []
+
+    def attempt_with_a_hung_member(graph, work, config, n_workers, use_file, attempt, *rest):
+        use_file_of.append(use_file)
+        results, failures, transport = real_attempt(
+            graph, work, config, n_workers, use_file, attempt, *rest
+        )
+        if attempt == 0:  # as if member 0's worker had also hung past its deadline
+            failures[0] = ("timeout", TimeoutError("member 0 passed its deadline"))
+        return results, failures, transport
+
+    monkeypatch.setattr(runner, "_run_pooled", attempt_with_a_hung_member)
+    # every worker's map fails, whichever chunks it takes
+    arm("raise:point=mmap.open,times=-1")
+    result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
     assert not result.failed_members
     assert _tables_equal(result.vote_table, reference.vote_table)
     # first attempt went out over the spilled store file…
-    assert result.retry_log[0]["transport"] == "mmap"
-    assert "transport" in result.retry_log[0]["kinds"].values()
-    # …and the retry shipped the pickled store instead
-    assert result.retry_log[1]["transport"] == "pickle"
+    first, retry = result.retry_log
+    assert first["transport"] == "mmap"
+    assert first["kinds"] == {"0": "timeout", **{str(i): "transport" for i in range(1, 6)}}
+    # …and the timed-out round stayed on the pool, over the pickled store
+    assert use_file_of == [True, False]
+    assert (retry["backend"], retry["transport"], retry["failed"]) == ("process", "pickle", [])
     assert leaked_spills() == []
 
 

@@ -9,6 +9,7 @@ from repro.errors import InjectedFault, QuorumError, WorkerCrashError
 from repro.faults import arm, disarm
 from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
+from repro.ensemble.runner import _run_pooled
 from repro.fdet import FdetConfig
 from repro.graph import GraphStore
 from repro.parallel import FaultTolerance
@@ -63,7 +64,6 @@ class TestToleranceValidation:
         for kwargs in (
             {"member_timeout": 0},
             {"max_retries": -1},
-            {"backoff_seconds": -0.1},
             {"min_quorum": 0.0},
             {"min_quorum": 1.5},
         ):
@@ -76,12 +76,17 @@ class TestToleranceValidation:
         assert FaultTolerance(min_quorum=0.01).required_survivors(10) == 1
         assert FaultTolerance.strict().required_survivors(8) == 8
 
-    def test_backoff_doubles_deterministically(self):
-        tolerance = FaultTolerance(backoff_seconds=0.5)
-        assert tolerance.backoff_for(0) == 0.0
-        assert tolerance.backoff_for(1) == 0.5
-        assert tolerance.backoff_for(2) == 1.0
-        assert FaultTolerance().backoff_for(3) == 0.0
+    def test_archived_backoff_and_degrade_are_ignored(self):
+        """Retry rounds start at once and run in the parent (bar timed-out
+        rounds): neither is a setting, and an archive's values are dropped."""
+        for retired in ({"backoff_seconds": 0.5}, {"degrade": False}):
+            with pytest.raises(TypeError):
+                FaultTolerance(**retired)
+        archived = {"member_timeout": 2.5, "max_retries": 1, "backoff_seconds": 0.25,
+                    "degrade": False, "min_quorum": 0.75}
+        expected = FaultTolerance(member_timeout=2.5, max_retries=1, min_quorum=0.75)
+        assert FaultTolerance.from_dict(archived) == expected
+        assert set(expected.as_dict()) == {"member_timeout", "max_retries", "min_quorum"}
 
     def test_dict_roundtrip(self):
         tolerance = FaultTolerance(member_timeout=2.5, max_retries=1, min_quorum=0.75)
@@ -290,20 +295,42 @@ class TestProcessBackendFaults:
         assert not result.failed_members
         assert leaked_spills() == before
 
-    def test_store_file_map_failure_falls_back_to_pickled_store(self, graph, tmp_path):
+    def test_store_file_map_failure_retries_in_the_parent(self, graph, tmp_path):
         # workers map the file inside their chunk, so the injected map
         # failure surfaces as kind "transport", not a broken pool — and the
-        # next attempt must switch to the pickled store
+        # retry round runs in the parent, which maps nothing
         reference = EnsemFDet(_config()).fit(graph)
         path = tmp_path / "g.store"
         GraphStore.from_graph(graph).save(path)
         arm("raise:point=mmap.open")
-        result = EnsemFDet(_config(executor="process", n_workers=2, degrade=False)).fit(
-            GraphStore.open(path)
-        )
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(GraphStore.open(path))
         assert not result.failed_members
         assert _tables_equal(result.vote_table, reference.vote_table)
         assert result.retry_log[0]["transport"] == "file"
         assert "transport" in result.retry_log[0]["kinds"].values()
-        assert result.retry_log[1]["transport"] == "pickle"
+        assert (result.retry_log[1]["backend"], result.retry_log[1]["transport"]) == (
+            "serial",
+            "local",
+        )
+        assert leaked_spills() == []
+
+    def test_pool_round_after_a_map_failure_ships_the_pickled_store(self, graph, tmp_path):
+        """What a later process round runs once a map failed: the pool
+        attempt with ``use_file=False`` pickles the store, whether the
+        parent is a store file or resident, and matches the serial fit."""
+        config = _config()
+        reference = EnsemFDet(config).fit(graph)
+        plans = config.sampler.plan_many(graph, config.n_samples, resolve_rng(config.seed))
+        work = list(enumerate(plans))
+        path = tmp_path / "g.store"
+        GraphStore.from_graph(graph).save(path)
+        for source_store in (GraphStore.open(path), None):
+            results, failures, transport = _run_pooled(
+                graph, work, config.fdet, n_workers=2, use_file=False, attempt=1,
+                tolerance=FaultTolerance(), source_store=source_store,
+            )
+            assert (failures, transport) == ({}, "pickle")
+            assert [results[i].result.densities.tolist() for i in range(len(plans))] == [
+                d.result.densities.tolist() for d in reference.sample_detections
+            ]
         assert leaked_spills() == []

@@ -29,11 +29,11 @@ def _clean_faults():
 
 
 def _full_accumulator() -> GraphAccumulator:
-    """A windowed accumulator sitting right above its compaction threshold."""
-    acc = GraphAccumulator(window=WindowConfig(max_batches=1, compact_threshold=0.4))
+    """A windowed accumulator with more than half its rows dead: compaction is due."""
+    acc = GraphAccumulator(window=WindowConfig(max_batches=1))
     acc.append(np.arange(10), np.arange(10) % 4)
     acc.append(np.arange(10, 16), np.arange(6) % 4)
-    acc.expire()  # 10 of 16 rows dead: dead_fraction 0.625 > 0.4
+    acc.expire()  # 10 of 16 rows dead: dead_fraction 0.625 > 0.5
     return acc
 
 
@@ -92,8 +92,8 @@ class TestWindowedDetectionUnderChaos:
     def test_updates_stay_bitwise_correct_with_compaction_blocked(self):
         graph = uniform_bipartite(60, 30, 600, rng=0)
         config = _config()
-        # tiny window + eager threshold: every update wants to compact
-        window = WindowConfig(max_batches=2, compact_threshold=0.1)
+        # tiny window: once the fit's batch expires, compaction is due
+        window = WindowConfig(max_batches=2)
         chaotic = IncrementalEnsemFDet(config, window=window)
         chaotic.fit(graph, timestamp=0.0)
         arm("raise:point=window.compact,times=-1")
@@ -115,7 +115,7 @@ class TestWindowedDetectionUnderChaos:
     def test_v3_save_survives_compaction_chaos(self, tmp_path):
         graph = uniform_bipartite(60, 30, 600, rng=0)
         config = _config()
-        window = WindowConfig(max_batches=2, compact_threshold=0.1)
+        window = WindowConfig(max_batches=2)
         detector = IncrementalEnsemFDet(config, window=window)
         detector.fit(graph, timestamp=0.0)
         arm("raise:point=window.compact,times=-1")

@@ -394,7 +394,9 @@ class TestEligibilityGating:
         ]
         assert {plan.kind for plan in plans} == set(SamplePlan.KINDS)
         native = batched.detect_many(weighted_graph, plans, config)
-        reference = detect_on_plans(weighted_graph, plans, config, engine=PeelEngine.REFERENCE)
+        reference = detect_on_plans(
+            weighted_graph, plans, replace(config, engine=PeelEngine.REFERENCE)
+        )
         for got, expected in zip(native, reference):
             assert np.array_equal(got.result.block_rows, expected.result.block_rows)
             assert np.array_equal(got.result.user_labels, expected.result.user_labels)
@@ -591,7 +593,9 @@ class TestBackendMatrix:
         config = FdetConfig(max_blocks=6)
         plans = RandomEdgeSampler(0.4).plan_many(plain_graph, 5, resolve_rng(2))
         batch = detect_on_plans(plain_graph, plans, config)
-        reference = detect_on_plans(plain_graph, plans, config, engine=PeelEngine.REFERENCE)
+        reference = detect_on_plans(
+            plain_graph, plans, replace(config, engine=PeelEngine.REFERENCE)
+        )
         for left, right in zip(batch, reference):
             assert_same_detection(left, right)
 

@@ -157,7 +157,6 @@ def _seed_detect(graph, config):
         frozen = graph.merchant_degrees()
     blocks = []
     current = graph
-    first_density = None
     for _ in range(config.max_blocks):
         if current.is_empty:
             break
@@ -174,13 +173,6 @@ def _seed_detect(graph, config):
                 int(block_edges.size),
             )
         )
-        if first_density is None:
-            first_density = peel.density
-        elif (
-            config.min_density_ratio > 0.0
-            and peel.density < config.min_density_ratio * first_density
-        ):
-            break
         current = current.remove_edges(block_edges)
     return blocks
 
@@ -227,9 +219,14 @@ class TestIncrementalDetectParity:
         result = Fdet(config).detect(graph)
         assert [b.density for b in result.all_blocks] == [row[2] for row in expected]
 
-    def test_min_density_ratio_early_stop(self, fast_core):
+    def test_falling_density_does_not_stop_the_loop(self, fast_core):
         graph = chung_lu_bipartite(200, 80, 700, rng=8)
-        config = FdetConfig(max_blocks=12, min_density_ratio=0.5)
+        config = FdetConfig(max_blocks=12)
         expected = _seed_detect(graph, config)
         result = Fdet(config).detect(graph)
         assert len(result.all_blocks) == len(expected)
+        assert result.densities.tolist() == [row[2] for row in expected]
+        # the loop ran until the edges ran out, well past a block at half
+        # the first block's density
+        assert int(result.edge_counts.sum()) == graph.n_edges
+        assert result.densities[2] < 0.5 * result.densities[0]

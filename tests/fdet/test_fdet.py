@@ -32,8 +32,6 @@ class TestFdetConfig:
             {"max_blocks": 0},
             {"weight_policy": "bogus"},
             {"min_block_edges": 0},
-            {"min_density_ratio": 1.0},
-            {"min_density_ratio": -0.1},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -112,11 +110,15 @@ class TestFdetDetect:
             sum(b.density for b in result.blocks)
         )
 
-    def test_min_density_ratio_stops_early(self, planted_graph):
+    def test_no_density_ratio_stop(self, planted_graph):
+        """Blocks are extracted until the edges or ``max_blocks`` run out,
+        however far their density falls below the first block's."""
         graph, _ = planted_graph
-        unbounded = Fdet(FdetConfig(max_blocks=10)).detect(graph)
-        bounded = Fdet(FdetConfig(max_blocks=10, min_density_ratio=0.9)).detect(graph)
-        assert len(bounded.all_blocks) <= len(unbounded.all_blocks)
+        with pytest.raises(TypeError):
+            FdetConfig(max_blocks=10, min_density_ratio=0.9)
+        result = Fdet(FdetConfig(max_blocks=10)).detect(graph)
+        assert result.n_blocks == 10 or int(result.edge_counts.sum()) == graph.n_edges
+        assert result.densities.min() < 0.9 * result.densities[0]
 
     def test_planted_blocks_recovered_before_truncation_point(self):
         """Δ²-truncation keeps the fraud plateau, drops the noise floor.

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import BipartiteGraph, GraphAccumulator, WindowConfig
-from repro.graph.window import LiveWindow
+from repro.graph.window import COMPACT_DEAD_FRACTION, LiveWindow
 
 
 def _windowed(config: WindowConfig) -> GraphAccumulator:
@@ -35,17 +35,17 @@ class TestWindowConfig:
         assert not config.bounded
         assert WindowConfig(max_batches=1).bounded and WindowConfig(horizon=1.0).bounded
         assert WindowConfig.from_dict(config.as_dict()) == config
-        acc = _windowed(WindowConfig(compact_threshold=0.3))
+        acc = _windowed(WindowConfig())
         for i in range(4):
             _append_batch(acc, 5 * i, timestamp=10.0**i)
             assert acc.expire().size == 0
         assert acc.window().n_live == 20
         # retraction and compaction still work, and ids survive compaction
-        assert np.array_equal(acc.retract(np.arange(7), np.arange(7) % 3), np.arange(7))
+        assert np.array_equal(acc.retract(np.arange(11), np.arange(11) % 3), np.arange(11))
         assert acc.maybe_compact() is True
         window = acc.window()
-        assert (window.watermark, window.n_live, window.graph.n_edges) == (20, 13, 13)
-        assert np.array_equal(window.edge_ids, np.arange(7, 20))
+        assert (window.watermark, window.n_live, window.graph.n_edges) == (20, 9, 9)
+        assert np.array_equal(window.edge_ids, np.arange(11, 20))
 
     def test_rejects_nonpositive_batches(self):
         with pytest.raises(GraphError, match="max_batches"):
@@ -55,16 +55,20 @@ class TestWindowConfig:
         with pytest.raises(GraphError, match="horizon"):
             WindowConfig(horizon=0.0)
 
-    def test_rejects_bad_compact_threshold(self):
-        with pytest.raises(GraphError, match="compact_threshold"):
-            WindowConfig(max_batches=2, compact_threshold=0.0)
+    def test_compaction_threshold_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            WindowConfig(max_batches=2, compact_threshold=0.3)
+        # an archive's stored value is read and ignored
+        archived = {"max_batches": 4, "horizon": 10.0, "compact_threshold": 0.25}
+        assert WindowConfig.from_dict(archived) == WindowConfig(max_batches=4, horizon=10.0)
+        assert "compact_threshold" not in WindowConfig(max_batches=4).as_dict()
 
     @pytest.mark.parametrize(
         "config",
         [
             WindowConfig(max_batches=3),
             WindowConfig(horizon=2.5),
-            WindowConfig(max_batches=4, horizon=10.0, compact_threshold=0.25),
+            WindowConfig(max_batches=4, horizon=10.0),
         ],
     )
     def test_dict_round_trip(self, config):
@@ -234,7 +238,7 @@ class TestRetract:
 
 class TestCompact:
     def test_compact_preserves_ids_and_live_graph(self):
-        acc = _windowed(WindowConfig(max_batches=2, compact_threshold=0.01))
+        acc = _windowed(WindowConfig(max_batches=2))
         for i in range(4):
             _append_batch(acc, 5 * i, size=5)
         acc.expire()
@@ -254,18 +258,17 @@ class TestCompact:
         _append_batch(acc, 0)
         assert acc.compact() == 0
 
-    def test_maybe_compact_honours_threshold(self):
-        acc = _windowed(WindowConfig(max_batches=1, compact_threshold=0.9))
+    def test_maybe_compact_waits_for_more_than_half_the_rows_dead(self):
+        assert COMPACT_DEAD_FRACTION == 0.5
+        acc = _windowed(WindowConfig(max_batches=1))
         _append_batch(acc, 0, size=5)
         _append_batch(acc, 5, size=5)
-        acc.expire()  # 50% dead < 90% threshold
+        acc.expire()  # 5 of 10 rows dead: not more than half
         assert acc.maybe_compact() is False
-        tight = _windowed(WindowConfig(max_batches=1, compact_threshold=0.25))
-        _append_batch(tight, 0, size=5)
-        _append_batch(tight, 5, size=5)
-        tight.expire()
-        assert tight.maybe_compact() is True
-        assert tight.window().graph.n_edges == 5
+        _append_batch(acc, 10, size=5)
+        acc.expire()  # 10 of 15
+        assert acc.maybe_compact() is True
+        assert acc.window().graph.n_edges == 5
 
 
 class TestLiveWindow:
@@ -298,10 +301,10 @@ class TestLiveWindow:
         """A snapshot shares the accumulator's append-only columns; no later
         append (growing them or not), retraction, expiry, weighting or
         compaction may write into what it holds."""
-        acc = _windowed(WindowConfig(max_batches=2, compact_threshold=0.3))
+        acc = _windowed(WindowConfig(max_batches=2))
         offset, size = 0, 3
         _append_batch(acc, offset, size=size)
-        snapshots = []
+        snapshots, compactions = [], 0
         for step in range(1, 6):
             window = acc.window()
             graph = window.graph
@@ -314,7 +317,8 @@ class TestLiveWindow:
             if step == 3:
                 acc.append([1], [1], weights=[2.0], timestamp=float(step))
             acc.expire()
-            acc.maybe_compact()
+            compactions += acc.maybe_compact()
+        assert compactions
         for window, copies in snapshots:
             graph = window.graph
             arrays = (window.alive, window.edge_ids, window.rows, graph.edge_users,

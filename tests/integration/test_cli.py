@@ -211,6 +211,51 @@ def _watch_args(stream_file, state, extra=()):
     ]
 
 
+def _count_parsed_rows(monkeypatch) -> list:
+    """Every row the edge-list parser yields from now on, in order."""
+    import repro.cli as cli
+    import repro.graph.io as graph_io
+
+    parse_rows = graph_io._iter_rows
+    parsed = []
+
+    def counted(*args, **kwargs):
+        for row in parse_rows(*args, **kwargs):
+            parsed.append(row)
+            yield row
+
+    monkeypatch.setattr(graph_io, "_iter_rows", counted)
+    monkeypatch.setattr(cli, "_iter_rows", counted)
+    return parsed
+
+
+def _grow_on_each_poll(monkeypatch, path, appends):
+    """Append the next of ``appends`` to ``path`` where ``watch`` waits out its interval."""
+    import repro.cli as cli
+
+    appends = iter(appends)
+
+    def grow_the_file(guard, seconds):
+        with path.open("a") as fh:
+            fh.write(next(appends))
+        return False
+
+    monkeypatch.setattr(cli._ShutdownGuard, "wait", grow_the_file)
+
+
+def _assert_newest_rows(state, watch_rows, newest):
+    """The saved state took in ``watch_rows`` source rows, ends with the
+    edges ``newest`` and votes as a cold ``fit_window`` on its window."""
+    detector = IncrementalEnsemFDet.load(state)
+    assert detector.meta["watch_rows"] == watch_rows
+    live = detector.window().live_graph()
+    tail = zip(live.edge_users[-len(newest):], live.edge_merchants[-len(newest):])
+    assert [(int(live.user_labels[u]), int(live.merchant_labels[m])) for u, m in tail] == newest
+    cold = EnsemFDet(detector.config).fit_window(detector.window())
+    assert cold.vote_table.user_votes == detector.vote_table.user_votes
+    assert cold.vote_table.merchant_votes == detector.vote_table.merchant_votes
+
+
 class TestWatchCommand:
     def test_cold_fit_creates_state(self, stream_file, tmp_path, capsys):
         state = tmp_path / "state.npz"
@@ -234,6 +279,42 @@ class TestWatchCommand:
         out = capsys.readouterr().out
         assert "# loaded state" in out
         assert "# update: +12 edges" in out
+
+    def test_polls_parse_each_appended_row_once(self, stream_file, tmp_path, monkeypatch):
+        """A poll seeks past the rows already taken in and parses only the
+        complete rows after them: a row cut mid-write ("13<TAB>4" of
+        "13<TAB>45") waits for its newline instead of entering as an edge."""
+        parsed = _count_parsed_rows(monkeypatch)
+        appends = ["11\t4\n12\t5\n13\t4", "5\n14\t6\n", "15\t7\n"]
+        _grow_on_each_poll(monkeypatch, stream_file, appends)
+        state = tmp_path / "state.npz"
+        rows = len(stream_file.read_text().splitlines()) - 1  # below the header
+        extra = ["--iterations", "3", "--interval", "1"]
+        assert main(_watch_args(stream_file, state, extra)) == 0
+        assert len(parsed) == rows + 5  # the cold fit's rows, then each new row once
+        _assert_newest_rows(state, rows + 5, [(11, 4), (12, 5), (13, 45), (14, 6), (15, 7)])
+
+    def test_cold_fit_and_resume_leave_a_torn_row_for_its_newline(
+        self, stream_file, tmp_path, monkeypatch
+    ):
+        """The cold fit reads through the same tail as the polls, so a torn
+        last row at start waits too; a resumed run passes over the rows its
+        state holds once, then parses only what follows them."""
+        rows = len(stream_file.read_text().splitlines()) - 1
+        with stream_file.open("a") as fh:
+            fh.write("13\t4")
+        parsed = _count_parsed_rows(monkeypatch)
+        _grow_on_each_poll(monkeypatch, stream_file, ["5\n14\t6\n16\t8", "1\n"])
+        state = tmp_path / "state.npz"
+        extra = ["--iterations", "1", "--interval", "1"]
+        assert main(_watch_args(stream_file, state, extra)) == 0
+        assert len(parsed) == rows + 2  # the cold fit's rows, then the two completed ones
+        _assert_newest_rows(state, rows + 2, [(13, 45), (14, 6)])
+
+        parsed.clear()
+        assert main(_watch_args(stream_file, state, extra)) == 0
+        assert len(parsed) == (rows + 2) + 1  # the held rows once, then the new one
+        _assert_newest_rows(state, rows + 3, [(13, 45), (14, 6), (16, 81)])
 
     def test_no_new_rows_no_update(self, stream_file, tmp_path, capsys):
         state = tmp_path / "state.npz"

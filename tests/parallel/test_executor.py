@@ -219,21 +219,22 @@ class TestProcessAttempt:
         run_members(graph, plans, FdetConfig(max_blocks=4), mode=ExecutorMode.PROCESS)
         assert [pool._max_workers for pool in pools] == [3]
 
-    def test_retry_round_starts_a_fresh_pool(self, parent, pools):
+    def test_timed_out_round_starts_a_fresh_pool(self, parent, pools):
+        # only a round that retries a timed-out member goes back to the pool
         graph, plans = parent
-        arm("crash:point=member.detect,index=1")
+        arm("hang:point=member.detect,index=1,seconds=20")
         run = run_members(
             graph,
             plans,
             FdetConfig(max_blocks=4),
             mode=ExecutorMode.PROCESS,
             n_workers=2,
-            tolerance=FaultTolerance(degrade=False),
+            tolerance=FaultTolerance(member_timeout=1.0),
         )
         assert not run.failures
         assert [entry["backend"] for entry in run.retry_log] == [ExecutorMode.PROCESS] * 2
-        assert "crash" in run.retry_log[0]["kinds"].values()
-        # the broken pool is not reused: the retry forks a new one
+        assert "timeout" in run.retry_log[0]["kinds"].values()
+        # the killed pool is not reused: the retry forks a new one
         assert len(pools) == 2 and pools[0] is not pools[1]
         assert [pool.shutdowns for pool in pools] == [1, 1]
 

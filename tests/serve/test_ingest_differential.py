@@ -154,9 +154,9 @@ def ingest(service, model, users, merchants, removals, timestamp):
 
 
 WINDOWS = [
-    WindowConfig(max_batches=3, compact_threshold=0.3),
-    WindowConfig(horizon=2.5, compact_threshold=0.3),
-    WindowConfig(max_batches=4, horizon=3.0, compact_threshold=0.6),
+    WindowConfig(max_batches=3),
+    WindowConfig(horizon=2.5),
+    WindowConfig(max_batches=4, horizon=3.0),
     WindowConfig(),
 ]
 
@@ -270,7 +270,7 @@ def test_failed_refresh_keeps_the_stale_members_votes():
 
 
 def test_compaction_deferred_by_a_fault():
-    window = WindowConfig(max_batches=1, compact_threshold=0.2)
+    window = WindowConfig(max_batches=1)
     detector, service, model = start(window)
     try:
         arm("raise:point=window.compact,times=-1")
