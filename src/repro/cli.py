@@ -41,9 +41,8 @@ import signal
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import closing
-from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -211,27 +210,24 @@ def _stack(batches: Iterable[EdgeBatch]) -> tuple[np.ndarray, np.ndarray, np.nda
     )
 
 
-def _read_rows(
-    path: str, headerless_ok: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every data row of an edge-list TSV.
+def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every data row of an ``update`` delta (or removal) file.
 
     Streams in chunks (constant memory beyond the returned rows) and never
-    trusts the header's ``edges=`` count — the file may legitimately be
-    mid-append. With ``headerless_ok``, a bare ``u<TAB>v[<TAB>w]`` file
+    trusts the header's ``edges=`` count. A bare ``u<TAB>v[<TAB>w]`` file
     (no ``# bipartite`` header) is accepted too, as produced by ad-hoc
     delta exports.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-    if headerless_ok and not first.startswith("# bipartite"):
+    if not first.startswith("# bipartite"):
         return _stack(_headerless_batches(path))
-    # missing headers fail here with the reader's usual error
     return _stack(iter_edge_batches(path, strict=False))
 
 
 class _SourceTail:
-    """``watch``'s source file, read on from where the last read stopped.
+    """The source file of ``watch`` and ``serve``, read on from where the
+    last read stopped.
 
     ``offset`` is the byte just past the last line read. Each :meth:`read`
     seeks there and parses, in chunks, only the lines after it that a
@@ -325,15 +321,14 @@ def _describe_window(detector: IncrementalEnsemFDet) -> str:
 
 
 def _bootstrap_state(
-    args: argparse.Namespace,
-    state_path: Path,
-    read_source: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+    args: argparse.Namespace, state_path: Path, source: _SourceTail
 ) -> tuple[IncrementalEnsemFDet, int]:
     """Load saved state or cold-fit from the edge file (watch/serve shared).
 
-    ``read_source`` returns the source rows a cold fit starts from.
-    Returns the warm detector and the number of source-file rows already
-    folded into it (the resume offset for incremental polling).
+    A cold fit starts from the complete rows of ``source``: a last row
+    that no newline ends yet is left for a later read. Returns the warm
+    detector and the number of source-file rows already folded into it
+    (the resume offset for incremental polling).
     """
     if _state_exists(state_path):
         detector = _load_state(state_path)
@@ -353,7 +348,7 @@ def _bootstrap_state(
             "the stored configuration governs; delete the state file to refit"
         )
         return detector, consumed
-    users, merchants, weights = read_source()
+    users, merchants, weights = source.read(0)
     accumulator = GraphAccumulator()
     accumulator.append(users, merchants, weights)
     graph = accumulator.graph()
@@ -435,7 +430,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # still drains into a clean commit instead of a traceback
     with _ShutdownGuard() as guard:
         source = _SourceTail(args.edges)
-        detector, consumed = _bootstrap_state(args, state_path, partial(source.read, 0))
+        detector, consumed = _bootstrap_state(args, state_path, source)
 
         threshold = _default_threshold(args.threshold, detector.config.n_samples)
         _print_detection(detector.detect(threshold), f"# EnsemFDet[warm] T={threshold}")
@@ -503,7 +498,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DetectionService, ScoringServer
 
     state_path = Path(args.state)
-    detector, consumed = _bootstrap_state(args, state_path, partial(_read_rows, args.edges))
+    detector, consumed = _bootstrap_state(args, state_path, _SourceTail(args.edges))
     detector.meta["watch_rows"] = consumed
     threshold = _default_threshold(args.threshold, detector.config.n_samples)
     service = DetectionService(
@@ -533,12 +528,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
         return 2
     detector = _load_state(state_path)
     if args.delta is not None:
-        users, merchants, weights = _read_rows(args.delta, headerless_ok=True)
+        users, merchants, weights = _read_rows(args.delta)
     else:
         users = merchants = weights = None
     remove_users = remove_merchants = None
     if args.remove is not None:
-        remove_users, remove_merchants, _ = _read_rows(args.remove, headerless_ok=True)
+        remove_users, remove_merchants, _ = _read_rows(args.remove)
     report = detector.update(
         users,
         merchants,

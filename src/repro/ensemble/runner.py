@@ -23,14 +23,16 @@ members are retried under the :class:`~repro.parallel.FaultTolerance`
 policy — per-member wall-clock timeouts (hung workers are SIGKILLed) and
 up to ``max_retries`` further rounds. A retry round starts at once and
 runs in the parent, except a round that retries a timed-out member: it
-stays on the pool, the one backend that can time it out again, and ships
-the pickled store if a store-file map failed before. A dead worker
-switches every later round to the ``reference`` engine. Whatever still
-fails after the last round comes back as a typed :class:`MemberFailure`
-instead of an exception. A member's own error fails only that member, on
-either backend; a failed map fails its chunk (``transport``), a dead
-worker every chunk not yet finished (``crash``) and a passed deadline
-the chunks still running (``timeout``). The spill
+goes to a fresh pool, the one backend that can time it out again, which
+maps a fresh spill (or the parent's own file) as round 0 did. A dead
+worker switches every later round to the ``reference`` engine. Whatever
+still fails after the last round comes back as a typed
+:class:`MemberFailure` instead of an exception. A member's own error
+fails only that member, on either backend; a parent that does not reach
+the workers (a spill that cannot be written, a pool that cannot start
+its workers, a failed map) fails its members with kind ``transport``, a
+dead worker every chunk not yet finished (``crash``) and a passed
+deadline the chunks still running (``timeout``). The spill
 directory is removed on **every** exit path (normal, crash, timeout,
 KeyboardInterrupt), backstopped by its handle's ``weakref.finalize``.
 
@@ -76,7 +78,7 @@ __all__ = [
 #: failure classification recorded per member
 FAIL_CRASH = "crash"  # the worker process died under the member
 FAIL_TIMEOUT = "timeout"  # the member (chunk) exceeded its wall-clock budget
-FAIL_TRANSPORT = "transport"  # the worker could not map the parent's store file
+FAIL_TRANSPORT = "transport"  # the parent did not reach a worker: spill, pool start or map
 FAIL_ERROR = "error"  # the member's own code raised
 
 
@@ -265,30 +267,22 @@ def _run_serial(
 
 
 def _detect_member_chunk(
-    args: tuple[
-        GraphStore | StoreLayout,
-        FdetConfig,
-        list[tuple[int, SamplePlan]],
-        int,
-        int,
-    ]
+    args: tuple[StoreLayout, FdetConfig, list[tuple[int, SamplePlan]], int, int]
 ) -> tuple[dict[int, SampleDetection], dict[int, tuple[str, BaseException]]]:
     """Run a chunk of ``(member_index, plan)`` pairs in a pool worker.
 
-    The worker maps the parent's store file (or takes the pickled store),
-    then runs the chunk through :func:`_run_serial`, so the per-member
-    injection points fire *inside* the worker and chaos plans exercise the
-    real fan-out path (chunk pickling, store-file map, materialization)
-    unmodified. A failed map fails every member of the chunk with kind
-    ``transport``.
+    The worker maps the parent's store file, then runs the chunk through
+    :func:`_run_serial`, so the per-member injection points fire *inside*
+    the worker and chaos plans exercise the real fan-out path (chunk
+    pickling, store-file map, materialization) unmodified. A failed map
+    fails every member of the chunk with kind ``transport``.
     """
-    source, config, members, attempt, threads = args
+    layout, config, members, attempt, threads = args
     try:
-        if isinstance(source, StoreLayout):
-            fault_point("mmap.open", path=source.path)
-            source = GraphStore.open(source.path)
-        graph, window = source.to_graph(), source.edge_window()
-    except Exception as exc:  # noqa: BLE001 - typed per member, retried on the pickled store
+        fault_point("mmap.open", path=layout.path)
+        store = GraphStore.open(layout.path)
+        graph, window = store.to_graph(), store.edge_window()
+    except Exception as exc:  # noqa: BLE001 - typed per member, retried in the parent
         return {}, {index: (FAIL_TRANSPORT, exc) for index, _ in members}
     return _run_serial(graph, members, config, attempt, window, threads)
 
@@ -340,7 +334,6 @@ def _run_pooled(
     work: list[tuple[int, SamplePlan]],
     config: FdetConfig,
     n_workers: int | None,
-    use_file: bool,
     attempt: int,
     tolerance: FaultTolerance,
     window: EdgeWindow | None = None,
@@ -349,14 +342,13 @@ def _run_pooled(
     """One process-pool attempt. Returns ``(results, failures, transport)``.
 
     The attempt starts its own pool with one worker per chunk and sends
-    each chunk to :func:`_detect_member_chunk` together with the parent.
-
-    ``transport`` names what carried the parent to the workers: ``"file"``
-    (the parent is already a file-backed store — its layout is shipped and
-    workers map the same file), ``"mmap"`` (the store was spilled once to a
-    private store file) or ``"pickle"`` (the columnar store pickled per
-    worker chunk: the retry after a transport failure, or a spill that
-    could not be written).
+    each chunk to :func:`_detect_member_chunk` together with the layout
+    of the parent's store file. ``transport`` names that file: ``"file"``
+    (the parent is already a file-backed store, and workers map the same
+    file) or ``"mmap"`` (the store was spilled once to a private store
+    file). A spill that cannot be written or a pool that cannot start its
+    workers (``OSError``) fails every member of the attempt with kind
+    ``transport``; the workers already started are killed and reaped.
 
     The spill directory is created before the fan-out and removed in the
     ``finally`` below no matter how the attempt ends — worker crash,
@@ -367,36 +359,38 @@ def _run_pooled(
     """
     workers = n_workers or default_workers(len(work))
 
-    # the liveness columns ride inside the store (or its file); workers
-    # rebuild the EdgeWindow from them
+    # the liveness columns ride inside the store's file; workers rebuild
+    # the EdgeWindow from them
     store = source_store if source_store is not None else GraphStore.from_graph(graph, window)
-    source: GraphStore | StoreLayout = store
-    spill = None
-    transport = "pickle"
-    if use_file and store.layout is not None:
-        source, transport = store.layout, "file"
-    elif use_file:
-        try:
-            spill = store.export_shared()
-        except OSError:  # spill volume full or unwritable
-            pass
-        else:
-            source, transport = spill.layout, "mmap"
-
-    executor = None
+    transport = "file" if store.layout is not None else "mmap"
+    chunks = _chunked(work, workers)
+    spill = executor = None
+    futures: list[Future] = []
+    submit_error: BrokenExecutor | None = None
     try:
-        chunks = _chunked(work, workers)
-        # oversubscription guard: workers x in-kernel threads <= cores
-        threads = native_threads(workers)
-        executor = ProcessPoolExecutor(max_workers=len(chunks), mp_context=_process_context())
-        futures: list[Future] = []
-        submit_error: BrokenExecutor | None = None
         try:
+            layout = store.layout
+            if layout is None:
+                spill = store.export_shared()
+                layout = spill.layout
+            # oversubscription guard: workers x in-kernel threads <= cores
+            threads = native_threads(workers)
+            executor = ProcessPoolExecutor(max_workers=len(chunks), mp_context=_process_context())
             for chunk in chunks:
-                args = (source, config, chunk, attempt, threads)
+                args = (layout, config, chunk, attempt, threads)
                 futures.append(executor.submit(_detect_member_chunk, args))
         except BrokenExecutor as exc:
             submit_error = exc
+        except OSError as exc:
+            # a full spill volume or a worker that could not be forked. Under
+            # fork the first submit starts every worker before the manager
+            # thread that would join them: reap the ones that started, or
+            # they block the interpreter's exit
+            if executor is not None:
+                kill_executor_workers(executor)
+                for process in executor._processes.values():
+                    process.join()
+            return {}, {index: (FAIL_TRANSPORT, exc) for index, _ in work}, transport
 
         results, failures, timed_out = _gather_chunk_futures(
             futures, chunks[: len(futures)], tolerance.member_timeout
@@ -430,8 +424,7 @@ def run_members(
     Under the ``fast`` engine the eligible members of an attempt peel
     through one multi-member kernel call on both execution backends. A
     worker-crash round switches the remaining retries to
-    ``engine="reference"``, the one path with no native code, the way a
-    transport failure switches later process rounds to the pickled store.
+    ``engine="reference"``, the one path with no native code.
 
     ``graph`` may be a :class:`~repro.graph.GraphStore` instead of a
     graph — in particular one opened straight from a store file
@@ -440,13 +433,13 @@ def run_members(
     path+layout descriptor: workers map the same file lazily and the
     parent columns never materialize anywhere. A resident parent is
     spilled once per process attempt to a private store file instead.
-    After an ``mmap.open``/map failure, later process rounds ship the
-    pickled store instead of either file.
+    A spill, pool start or map that fails is a ``transport`` failure of
+    the attempt's members, and the next round retries them in the parent.
 
     With ``window`` set, ``graph`` is the full stored graph of a rolling
     window and every member materializes through the liveness overlay
     (see :func:`repro.sampling.materialize_plan`); the overlay travels
-    inside the store file / pickled store on the process backend.
+    inside the store file on the process backend.
 
     The engine behind :func:`detect_on_plans` and
     :meth:`~repro.ensemble.EnsemFDet.fit`. Runs all members on the
@@ -484,7 +477,6 @@ def run_members(
     fail_info: dict[int, tuple[str, BaseException]] = {}
     attempts_of: dict[int, int] = {}
     retry_log: list[dict] = []
-    use_file = True
 
     for attempt in range(tolerance.max_retries + 1):
         if not pending:
@@ -514,7 +506,6 @@ def run_members(
                 work,
                 config,
                 n_workers,
-                use_file,
                 attempt,
                 tolerance,
                 window,
@@ -536,14 +527,9 @@ def run_members(
             }
         )
         fail_info.update(failures)
-        if any(kind == FAIL_TRANSPORT for kind, _ in failures.values()):
-            # the store file itself is suspect (map failed) — pickled
-            # store next
-            use_file = False
         if any(kind == FAIL_CRASH for kind, _ in failures.values()):
             # a dead worker may mean the native kernel itself crashed —
-            # retries run the pure-Python engine, like a transport
-            # failure switches to the pickled store
+            # retries run the pure-Python engine
             config = replace(config, engine=PeelEngine.REFERENCE)
         pending = failed
 
@@ -585,9 +571,10 @@ def _raise_first_failure(run: MemberRun) -> None:
             "isolate the member",
             member_indices=indices,
         )
-    # member/application-level error (including a store-file map): re-raise the
-    # original exception so strict callers keep fail-fast semantics (e.g.
-    # a DetectionError from a misconfigured FdetConfig propagates as-is)
+    # member/application-level error, or a parent that did not reach the
+    # workers (spill, pool start, map): re-raise the original exception so
+    # strict callers keep fail-fast semantics (e.g. a DetectionError from a
+    # misconfigured FdetConfig, or a spill's OSError, propagates as-is)
     original = (run.errors or {}).get(first.index)
     if original is not None:
         raise original

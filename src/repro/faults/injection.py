@@ -24,9 +24,11 @@ Registered injection points
 ``mmap.open``
     A pool worker's map of the parent's graph store file (its own file, or
     the spill of a resident parent), once per chunk of members. A fired
-    fault fails that chunk's members with kind ``"transport"``, and later
-    process rounds ship the pickled store. Opens in the parent
-    (:meth:`repro.graph.GraphStore.open`) never fire it. Context: ``path``.
+    fault fails that chunk's members with kind ``"transport"``, and the
+    next round retries them in the parent (a round that retries a
+    timed-out member goes to a fresh pool, which maps the file again).
+    Opens in the parent (:meth:`repro.graph.GraphStore.open`) never fire
+    it. Context: ``path``.
 ``window.compact``
     A rolling window's compaction of tombstoned rows, before any
     mutation; a fired fault defers the compaction and the window keeps

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from repro.datasets import FraudBlockSpec, inject_fraud_blocks, toy_dataset, uniform_bipartite
 from repro.graph import BipartiteGraph, GraphStore
+from repro.graph.store import SPILL_PREFIX
 
 
 @pytest.fixture
@@ -53,9 +57,14 @@ def toy():
 
 @pytest.fixture
 def unwritable_spill(monkeypatch):
-    """Process fits ship the pickled store: the spill file cannot be written."""
+    """Process attempts cannot spill a resident parent: the spill directory
+    is made, then writing the file into it raises ``OSError`` (a full spill
+    volume). Store files saved anywhere else are written as usual."""
+    write = GraphStore._write
 
-    def refuse(store):
-        raise OSError("spill volume full")
+    def full_volume(store, path, *args, **kwargs):
+        if SPILL_PREFIX in os.fspath(path):
+            raise OSError(errno.ENOSPC, "spill volume full")
+        return write(store, path, *args, **kwargs)
 
-    monkeypatch.setattr(GraphStore, "export_shared", refuse)
+    monkeypatch.setattr(GraphStore, "_write", full_volume)

@@ -1,7 +1,7 @@
 """Compact dtypes are storage-only: vote tables must be bitwise identical
 whether the graph travels as int64/float64 or int32/float32, over every
-transport (resident, the parent's own store file, a spilled store file,
-pickled) and backend."""
+transport (resident, the parent's own store file, a spilled store file)
+and backend."""
 
 from __future__ import annotations
 
@@ -84,23 +84,21 @@ def test_backends_agree_on_compact_store(graph, executor, tmp_path):
     assert result.retry_log[0]["transport"] == expected
 
 
-def _process_parent(store, transport, tmp_path, request):
+def _process_parent(store, transport, tmp_path):
     """``store`` as the process path receives it over ``transport``: its
-    own store file (``"file"``), one spill (``"mmap"``) or pickled."""
+    own store file (``"file"``) or one spill (``"mmap"``)."""
     if transport == "file":
         path = tmp_path / "parent.store"
         store.save(path)
         return GraphStore.open(path)
-    if transport == "pickle":
-        request.getfixturevalue("unwritable_spill")
     return store
 
 
-@pytest.mark.parametrize("transport", ["file", "mmap", "pickle"])
-def test_process_transports_agree(graph, transport, request, tmp_path):
+@pytest.mark.parametrize("transport", ["file", "mmap"])
+def test_process_transports_agree(graph, transport, tmp_path):
     sampler = RandomEdgeSampler(0.35)
     reference = _tables(EnsemFDet(_config(sampler)).fit(graph))
-    parent = _process_parent(GraphStore.from_graph(graph), transport, tmp_path, request)
+    parent = _process_parent(GraphStore.from_graph(graph), transport, tmp_path)
     result = EnsemFDet(
         _config(RandomEdgeSampler(0.35), executor="process", n_workers=2)
     ).fit(parent)
@@ -141,12 +139,12 @@ def _windowed_store() -> GraphStore:
     )
 
 
-@pytest.mark.parametrize("transport", ["file", "mmap", "pickle"])
-def test_windowed_store_on_process_pool(transport, tmp_path, request):
+@pytest.mark.parametrize("transport", ["file", "mmap"])
+def test_windowed_store_on_process_pool(transport, tmp_path):
     """Whatever carries a windowed store to the workers keeps dead edges dead."""
     store = _windowed_store()
     reference = _tables(EnsemFDet(_config(StableEdgeSampler(0.4, stripe=64))).fit(store))
-    parent = _process_parent(store, transport, tmp_path, request)
+    parent = _process_parent(store, transport, tmp_path)
     result = EnsemFDet(
         _config(StableEdgeSampler(0.4, stripe=64), executor="process", n_workers=2)
     ).fit(parent)

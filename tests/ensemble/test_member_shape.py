@@ -63,7 +63,7 @@ FINGERPRINTS = {
     "ses": "ca9eda04491a8885",
 }
 
-BACKENDS = [("serial", "local"), ("process", "file"), ("process", "mmap"), ("process", "pickle")]
+BACKENDS = [("serial", "local"), ("process", "file"), ("process", "mmap")]
 
 
 @pytest.fixture(autouse=True)
@@ -130,14 +130,12 @@ def assert_same_members(got, expected):
 @pytest.mark.parametrize("executor,transport", BACKENDS, ids=[t for _, t in BACKENDS])
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_registry_sampler_fit_matches_its_fingerprint_and_the_reference(
-    jd_graph, reference_fits, name, executor, transport, request, tmp_path
+    jd_graph, reference_fits, name, executor, transport, tmp_path
 ):
     parent = jd_graph
     if transport == "file":
         GraphStore.from_graph(jd_graph).save(tmp_path / "g.store")
         parent = GraphStore.open(tmp_path / "g.store")
-    if transport == "pickle":
-        request.getfixturevalue("unwritable_spill")
     result = EnsemFDet(config(name, executor=executor, n_workers=2)).fit(parent)
     assert result.retry_log[0]["transport"] == transport
     assert table_fingerprint(result.vote_table) == FINGERPRINTS[name]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsemFDet, EnsemFDetConfig, run_members
+from repro.ensemble import EnsemFDet, EnsemFDetConfig
 from repro.ensemble.voting import VoteTable
 from repro.errors import GraphError
 from repro.faults.chaos import leaked_spills
@@ -177,20 +177,6 @@ class TestFitParity:
         assert result.vote_table.user_votes == reference_table.user_votes
         assert result.vote_table.merchant_votes == reference_table.merchant_votes
         assert_results_bitwise_equal(results_of(result.sample_detections), reference_results)
-        assert leaked_spills() == []
-
-    def test_spill_and_pickled_store_agree(self, parent, request):
-        config = FdetConfig(max_blocks=4)
-        sampler = RandomEdgeSampler(0.35)
-        plans = sampler.plan_many(parent, 6, rng=4)
-        spilled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
-        request.getfixturevalue("unwritable_spill")
-        pickled = run_members(parent, plans, config, mode=ExecutorMode.PROCESS, n_workers=2)
-        assert spilled.retry_log[0]["transport"] == "mmap"
-        assert pickled.retry_log[0]["transport"] == "pickle"
-        assert_results_bitwise_equal(
-            results_of(spilled.survivors()), results_of(pickled.survivors())
-        )
         assert leaked_spills() == []
 
     def test_track_appearances_parity_across_backends(self, parent):

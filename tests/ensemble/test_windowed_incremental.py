@@ -2,8 +2,8 @@
 
 The windowed :class:`IncrementalEnsemFDet` must stay bit-identical to a
 cold :meth:`EnsemFDet.fit_window` on the live window after any mix of
-appends, deletion deltas and expiry — across both executor backends, over
-the spilled and the pickled store transports, and for both sampler families
+appends, deletion deltas and expiry — across both executor backends (the
+process one over a spilled store), and for both sampler families
 (stripe-hash, which is id-keyed, and the rest, which fit the live graph).
 Also covers the windowed DetectionState v3 save/load round trip and stale
 votes after a failed refresh.
@@ -81,11 +81,9 @@ def assert_matches_cold_window_fit(detector, config):
 class TestWindowedParityMatrix:
     @pytest.mark.parametrize(
         "executor,transport",
-        [("serial", "local"), ("process", "mmap"), ("process", "pickle")],
+        [("serial", "local"), ("process", "mmap")],
     )
-    def test_update_matches_cold_window_fit(self, graph, executor, transport, request):
-        if transport == "pickle":
-            request.getfixturevalue("unwritable_spill")
+    def test_update_matches_cold_window_fit(self, graph, executor, transport):
         config = make_config(executor=executor)
         detector = IncrementalEnsemFDet(config, window=WindowConfig(max_batches=3))
         detector.fit(graph, timestamp=0.0)

@@ -70,7 +70,7 @@ def test_chaos_cycle_converges_bitwise(tmp_path, graph, batches):
     noisy = [
         "",  # clean cold fit: the state both cycles start from is identical
         "crash:point=member.detect,index=2",  # worker (or in-parent CLI) dies
-        "raise:point=mmap.open",  # spilled store file fails to map, pickle fallback
+        "raise:point=mmap.open",  # spilled store file fails to map, retried in the parent
         "crash:point=state.write,stage=backup_done",  # SIGKILL mid-commit
         "corrupt:point=state.write,stage=committed,offset=485",  # torn bytes
     ]

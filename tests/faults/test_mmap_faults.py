@@ -1,6 +1,7 @@
-"""The spilled store file degrades to the pickled store: an injected
-``mmap.open`` failure in a pool worker fails its chunk with kind
-``transport`` and falls back, bitwise-identically."""
+"""A worker that cannot map the parent's store file fails its chunk with
+kind ``transport``, and the retry recovers bitwise: in the parent, or, for
+a round that retries a timed-out member, on a fresh pool that maps the
+file again."""
 
 from __future__ import annotations
 
@@ -58,17 +59,16 @@ def _chunk(graph, layout):
     return (layout, config.fdet, list(enumerate(plans)), 0, 1)
 
 
-def test_mmap_open_failure_ships_the_pickled_store_to_a_timed_out_round(graph, monkeypatch):
-    """Only a round that retries a timed-out member goes back to the pool;
-    once a map failed, that round ships the pickled store, not a spill."""
+def test_mmap_open_failure_in_a_timed_out_round_retries_in_the_parent(graph, monkeypatch):
+    """Only a round that retries a timed-out member goes back to the pool,
+    where it maps a fresh spill; once that map fails too, the next round
+    runs in the parent."""
     reference = EnsemFDet(_config()).fit(graph)
     real_attempt = runner._run_pooled
-    use_file_of: list[bool] = []
 
-    def attempt_with_a_hung_member(graph, work, config, n_workers, use_file, attempt, *rest):
-        use_file_of.append(use_file)
+    def attempt_with_a_hung_member(graph, work, config, n_workers, attempt, *rest):
         results, failures, transport = real_attempt(
-            graph, work, config, n_workers, use_file, attempt, *rest
+            graph, work, config, n_workers, attempt, *rest
         )
         if attempt == 0:  # as if member 0's worker had also hung past its deadline
             failures[0] = ("timeout", TimeoutError("member 0 passed its deadline"))
@@ -80,13 +80,15 @@ def test_mmap_open_failure_ships_the_pickled_store_to_a_timed_out_round(graph, m
     result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
     assert not result.failed_members
     assert _tables_equal(result.vote_table, reference.vote_table)
-    # first attempt went out over the spilled store file…
-    first, retry = result.retry_log
-    assert first["transport"] == "mmap"
+    first, pooled, in_parent = result.retry_log
+    assert (first["backend"], first["transport"]) == ("process", "mmap")
     assert first["kinds"] == {"0": "timeout", **{str(i): "transport" for i in range(1, 6)}}
-    # …and the timed-out round stayed on the pool, over the pickled store
-    assert use_file_of == [True, False]
-    assert (retry["backend"], retry["transport"], retry["failed"]) == ("process", "pickle", [])
+    # the timed-out round went back to a pool over a fresh spill…
+    assert (pooled["backend"], pooled["transport"]) == ("process", "mmap")
+    assert pooled["kinds"] == {str(i): "transport" for i in range(6)}
+    # …and the round after it ran in the parent, which maps nothing
+    assert (in_parent["backend"], in_parent["transport"]) == ("serial", "local")
+    assert in_parent["failed"] == []
     assert leaked_spills() == []
 
 

@@ -6,7 +6,8 @@ enrolled into the multi-member kernel call — so an injected failure takes
 down exactly that member on either backend, the retry machinery recovers
 it bitwise, and a worker *crash* during a batched round moves the
 remaining retries to the ``reference`` engine, which runs no native code
-(the way a store-file map failure moves them to the pickled store).
+(a store-file map failure keeps the ``fast`` engine and retries in the
+parent).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from repro.errors import InjectedFault, QuorumError, WorkerCrashError
 from repro.faults import arm, disarm
 from repro.faults.chaos import leaked_spills
 from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans
-from repro.ensemble.runner import _run_pooled
 from repro.fdet import FdetConfig
 from repro.graph import GraphStore
 from repro.parallel import FaultTolerance
@@ -314,23 +313,35 @@ class TestProcessBackendFaults:
         )
         assert leaked_spills() == []
 
-    def test_pool_round_after_a_map_failure_ships_the_pickled_store(self, graph, tmp_path):
-        """What a later process round runs once a map failed: the pool
-        attempt with ``use_file=False`` pickles the store, whether the
-        parent is a store file or resident, and matches the serial fit."""
+    def test_unwritable_spill_retries_in_the_parent(self, graph, unwritable_spill):
+        """A spill that cannot be written fails the whole attempt with kind
+        ``transport``, as a failed map does; the parent's retry gives the
+        serial fit's votes."""
+        reference = EnsemFDet(_config()).fit(graph)
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(graph)
+        assert not result.failed_members
+        assert _tables_equal(result.vote_table, reference.vote_table)
+        first, retry = result.retry_log
+        assert (first["backend"], first["transport"]) == ("process", "mmap")
+        assert first["kinds"] == {str(i): "transport" for i in range(6)}
+        assert (retry["backend"], retry["transport"], retry["failed"]) == ("serial", "local", [])
+        assert leaked_spills() == []
+
+    def test_unwritable_spill_raises_under_strict(self, graph, unwritable_spill):
         config = _config()
-        reference = EnsemFDet(config).fit(graph)
         plans = config.sampler.plan_many(graph, config.n_samples, resolve_rng(config.seed))
-        work = list(enumerate(plans))
-        path = tmp_path / "g.store"
-        GraphStore.from_graph(graph).save(path)
-        for source_store in (GraphStore.open(path), None):
-            results, failures, transport = _run_pooled(
-                graph, work, config.fdet, n_workers=2, use_file=False, attempt=1,
-                tolerance=FaultTolerance(), source_store=source_store,
-            )
-            assert (failures, transport) == ({}, "pickle")
-            assert [results[i].result.densities.tolist() for i in range(len(plans))] == [
-                d.result.densities.tolist() for d in reference.sample_detections
-            ]
+        with pytest.raises(OSError, match="spill volume full"):
+            detect_on_plans(graph, plans, config.fdet, mode="process", n_workers=2)
+        assert leaked_spills() == []
+
+    def test_unwritable_spill_leaves_a_file_backed_parent_on_the_pool(
+        self, graph, unwritable_spill, tmp_path
+    ):
+        # only a resident parent is spilled: a store file is mapped as it is
+        reference = EnsemFDet(_config()).fit(graph)
+        parent = _process_parent(graph, "file", tmp_path)
+        result = EnsemFDet(_config(executor="process", n_workers=2)).fit(parent)
+        assert _tables_equal(result.vote_table, reference.vote_table)
+        (only,) = result.retry_log
+        assert (only["backend"], only["transport"], only["failed"]) == ("process", "file", [])
         assert leaked_spills() == []

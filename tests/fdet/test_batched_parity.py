@@ -8,7 +8,7 @@ produces must be **bitwise identical** to the ``reference`` engine — this
 suite pins that down across sampler families, window modes (append-only
 and rolling), batch sizes (1 / 4 / N, including degenerate empty members),
 unusual weights, nodes with no edge, execution backends (serial / process
-× the parent's own store file, a spilled or a pickled store), both
+× the parent's own store file or a spilled store), both
 weight policies, and ``Fdet.detect``'s per-block native peels when
 batching is off or refuses the metric.
 """
@@ -559,15 +559,13 @@ class TestBackendMatrix:
 
     @pytest.mark.parametrize(
         "executor,transport",
-        [("serial", "local"), ("process", "file"), ("process", "mmap"), ("process", "pickle")],
+        [("serial", "local"), ("process", "file"), ("process", "mmap")],
     )
-    def test_backend_parity(self, weighted_graph, executor, transport, request, tmp_path):
+    def test_backend_parity(self, weighted_graph, executor, transport, tmp_path):
         parent = weighted_graph
         if transport == "file":
             GraphStore.from_graph(weighted_graph).save(tmp_path / "g.store")
             parent = GraphStore.open(tmp_path / "g.store")
-        if transport == "pickle":
-            request.getfixturevalue("unwritable_spill")
         reference = EnsemFDet(
             EnsemFDetConfig(
                 sampler=RandomEdgeSampler(0.3),

@@ -18,7 +18,7 @@ from repro.errors import InjectedFault, ReproError
 from repro.faults import arm, disarm
 from repro.faults.chaos import leaked_spills
 from repro.fdet import FdetConfig
-from repro.graph import StoreLayout
+from repro.graph import GraphStore, StoreLayout
 from repro.parallel import ExecutorMode, FaultTolerance, Timer, default_workers, time_callable
 from repro.sampling import RandomEdgeSampler
 
@@ -204,6 +204,21 @@ class TestProcessAttempt:
         assert all(source is sources[0] for source in sources)
         members = [index for chunk in pool.chunks for index, _ in chunk[2]]
         assert members == list(range(len(plans)))
+
+    def test_file_backed_parent_ships_its_own_layout(self, parent, pools, tmp_path):
+        # a parent that is already a store file is never spilled: every
+        # chunk carries that file's own layout
+        graph, plans = parent
+        GraphStore.from_graph(graph).save(tmp_path / "g.store")
+        store = GraphStore.open(tmp_path / "g.store")
+        run = run_members(
+            store, plans, FdetConfig(max_blocks=4), mode=ExecutorMode.PROCESS, n_workers=2
+        )
+        assert len(run.survivors()) == len(plans)
+        assert run.retry_log[0]["transport"] == "file"
+        (pool,) = pools
+        assert [chunk[0] for chunk in pool.chunks] == [store.layout, store.layout]
+        assert leaked_spills() == []
 
     def test_pool_is_shut_down_when_the_attempt_returns(self, parent, pools):
         graph, plans = parent

@@ -1,18 +1,24 @@
 """Process-pool failure semantics: dead workers, member errors carried back
-from a worker, and reclaiming hung workers with SIGKILL."""
+from a worker, workers that cannot be forked, and reclaiming hung workers
+with SIGKILL."""
 
 from __future__ import annotations
 
+import errno
+import itertools
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import connection
+from multiprocessing.context import ForkProcess
 
 import pytest
 
 from repro.datasets import uniform_bipartite
-from repro.ensemble import detect_on_plans, run_members
+from repro.ensemble import EnsemFDet, EnsemFDetConfig, detect_on_plans, run_members
 from repro.errors import InjectedFault, WorkerCrashError
 from repro.faults import arm, disarm
+from repro.faults.chaos import leaked_spills
 from repro.fdet import FdetConfig
 from repro.parallel import FaultTolerance, kill_executor_workers
 from repro.parallel.executor import _process_context
@@ -114,3 +120,80 @@ class TestKillWorkers:
             assert pending == []
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
+
+
+class TestPoolStart:
+    """A pool that cannot fork its workers fails the attempt's members with
+    kind ``transport``: under fork the first submit starts every worker, and
+    the ones that did start are killed and reaped, not left to block the
+    interpreter's exit."""
+
+    @pytest.fixture
+    def fork_fails(self, monkeypatch):
+        """Make the ``nth`` worker fork from now on raise ``OSError(EAGAIN)``."""
+
+        def arm_nth(nth: int) -> None:
+            start = ForkProcess.start
+            starts = itertools.count(1)
+
+            def start_or_fail(process):
+                if next(starts) == nth:
+                    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+                start(process)
+
+            monkeypatch.setattr(ForkProcess, "start", start_or_fail)
+
+        yield arm_nth
+        # a worker left alive would block the interpreter's exit: reap it
+        # here, so the leak fails the test instead of hanging the session
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+
+    @staticmethod
+    def _config(executor, member_timeout=None):
+        return EnsemFDetConfig(
+            sampler=RandomEdgeSampler(0.4),
+            n_samples=4,
+            fdet=FdetConfig(max_blocks=4),
+            executor=executor,
+            n_workers=2,
+            seed=3,
+            tolerance=FaultTolerance(member_timeout=member_timeout),
+        )
+
+    @pytest.mark.parametrize("member_timeout", [None, 30.0], ids=["no-timeout", "timeout"])
+    @pytest.mark.parametrize("nth", [1, 2], ids=["first-fork", "second-fork"])
+    def test_fit_retries_in_the_parent(self, parent, fork_fails, nth, member_timeout):
+        graph, _ = parent
+        serial = EnsemFDet(self._config("serial")).fit(graph)
+        fork_fails(nth)
+        result = EnsemFDet(self._config("process", member_timeout)).fit(graph)
+        assert not result.failed_members
+        assert dict(result.vote_table.user_votes) == dict(serial.vote_table.user_votes)
+        assert dict(result.vote_table.merchant_votes) == dict(serial.vote_table.merchant_votes)
+        first, retry = result.retry_log
+        assert first["backend"] == "process"
+        assert first["kinds"] == {str(i): "transport" for i in range(4)}
+        assert (retry["backend"], retry["transport"], retry["failed"]) == ("serial", "local", [])
+        assert multiprocessing.active_children() == []
+        assert leaked_spills() == []
+
+    @pytest.mark.parametrize("member_timeout", [None, 30.0], ids=["no-timeout", "timeout"])
+    @pytest.mark.parametrize("nth", [1, 2], ids=["first-fork", "second-fork"])
+    def test_strict_fan_out_raises_the_os_error(self, parent, fork_fails, nth, member_timeout):
+        graph, plans = parent
+        strict = FaultTolerance(member_timeout=member_timeout, max_retries=0, min_quorum=1.0)
+        fork_fails(nth)
+        with pytest.raises(OSError) as excinfo:
+            detect_on_plans(
+                graph,
+                plans,
+                FdetConfig(max_blocks=4),
+                mode="process",
+                n_workers=2,
+                tolerance=strict,
+            )
+        assert excinfo.value.errno == errno.EAGAIN
+        assert multiprocessing.active_children() == []
+        assert leaked_spills() == []

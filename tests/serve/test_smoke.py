@@ -162,6 +162,42 @@ def test_chaos_round_over_http(tmp_path):
         handle.stop()
 
 
+def _serve_until_sigterm(edges: Path, state: Path, probe=lambda url: None) -> tuple[int, str]:
+    """Boot ``ensemfdet serve`` on ``edges`` as a subprocess, call
+    ``probe(url)`` once it is ready, then SIGTERM it; returns its exit code
+    and stderr."""
+    src_dir = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_dir), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.cli",
+            "serve", str(edges), "--state", str(state),
+            "--ratio", "0.25", "--samples", "8", "--stripe", "128",
+            "--executor", "serial", "--port", "0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        line = ""
+        while "# serving on http://" not in line:
+            line = proc.stdout.readline()
+            assert line, "serve exited before becoming ready"
+        probe(line.split("# serving on ", 1)[1].strip())
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup on failure
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, err
+
+
 class TestServeCli:
     """``ensemfdet serve`` as a real subprocess: boot, roundtrip, shutdown."""
 
@@ -170,42 +206,40 @@ class TestServeCli:
         edges = tmp_path / "stream.tsv"
         save_edge_list(graph, edges)
         state = tmp_path / "state.npz"
-        src_dir = Path(repro.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src_dir), env.get("PYTHONPATH", "")]
-        ).rstrip(os.pathsep)
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-u", "-m", "repro.cli",
-                "serve", str(edges), "--state", str(state),
-                "--ratio", "0.25", "--samples", "8", "--stripe", "128",
-                "--executor", "serial", "--port", "0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        try:
-            line = ""
-            while "# serving on http://" not in line:
-                line = proc.stdout.readline()
-                assert line, "serve exited before becoming ready"
-            url = line.split("# serving on ", 1)[1].strip()
+
+        def probe(url):
             with urllib.request.urlopen(f"{url}/health", timeout=60) as response:
                 health = json.loads(response.read())
             assert health["status"] == "ok"
             status, body = request(f"{url}/top?k=5")
             assert status == 200
             assert len(body["users"]) == 5
-            proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=120)
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on failure
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 0, err
+
+        code, err = _serve_until_sigterm(edges, state, probe)
+        assert code == 0, err
         assert "# shutdown: state committed" in err
         assert "Traceback" not in err
         assert state.exists()
+
+    def test_cold_fit_leaves_a_torn_last_row_for_its_newline(self, tmp_path):
+        """The cold fit reads the source through the same tail as ``watch``:
+        a last row cut mid-write (``13<TAB>4`` of ``13<TAB>45``) is not an
+        edge, and ``watch_rows`` counts only the complete rows (counting the
+        torn one would make a ``watch`` that resumes the state skip the
+        completed row)."""
+        graph = uniform_bipartite(120, 60, 900, rng=0)
+        edges = tmp_path / "stream.tsv"
+        save_edge_list(graph, edges)
+        complete = edges.read_text().splitlines()[1:]
+        with edges.open("a") as fh:
+            fh.write("13\t4")
+        state = tmp_path / "state.npz"
+        code, err = _serve_until_sigterm(edges, state)
+        assert code == 0, err
+        detector = IncrementalEnsemFDet.load(state)
+        assert detector.meta["watch_rows"] == len(complete)
+        live = detector.window().live_graph()
+        assert live.n_edges == len(complete)
+        last = (int(live.user_labels[live.edge_users[-1]]),
+                int(live.merchant_labels[live.edge_merchants[-1]]))
+        assert "\t".join(map(str, last)) == complete[-1]
