@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from ..errors import DetectionError
 from ..graph import BipartiteGraph, to_scipy
@@ -80,9 +79,11 @@ class FBoxDetector:
         """Compute reconstruction-deficiency scores for every user."""
         if graph.n_users < 2 or graph.n_merchants < 2:
             raise DetectionError("FBox needs at least a 2x2 adjacency matrix")
+        from scipy.sparse.linalg import svds  # on first use: no other detector needs scipy
+
         matrix = to_scipy(graph, binary=True).astype(np.float64)
         k = clamp_svd_rank("fbox", self.n_components, matrix.shape)
-        u, s, _ = scipy.sparse.linalg.svds(matrix, k=k, v0=svd_start_vector(matrix.shape))
+        u, s, _ = svds(matrix, k=k, v0=svd_start_vector(matrix.shape))
         # ‖row_i reconstruction‖₂ = ‖U[i, :] · diag(σ)‖₂
         reconstructed = np.linalg.norm(u * s[np.newaxis, :], axis=1)
         degrees = graph.user_degrees().astype(np.float64)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from ..errors import DetectionError
 from ..graph import BipartiteGraph, to_scipy
@@ -93,9 +92,11 @@ class SpokenDetector:
         self.n_components = n_components
 
     def _svd(self, graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from scipy.sparse.linalg import svds  # on first use: no other detector needs scipy
+
         matrix = to_scipy(graph, binary=True).astype(np.float64)
         k = clamp_svd_rank("spoken", self.n_components, matrix.shape)
-        u, s, vt = scipy.sparse.linalg.svds(matrix, k=k, v0=svd_start_vector(matrix.shape))
+        u, s, vt = svds(matrix, k=k, v0=svd_start_vector(matrix.shape))
         order = np.argsort(-s)
         return u[:, order], s[order], vt[order, :]
 

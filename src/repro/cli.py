@@ -35,7 +35,6 @@ Artifacts go to ``--outdir``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import dataclasses
 import signal
 import sys
@@ -178,14 +177,14 @@ def _headerless_batches(path: str) -> Iterator[EdgeBatch]:
     malformed rows fail with the same ``GraphError`` + line context.
     """
     weighted = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
-            weighted = len(line.split("\t")) >= 3
+            weighted = len(line.split(b"\t")) >= 3
             break
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         rows = _iter_rows(fh, Path(path), weighted, start_line=1)
         yield from _edge_batches(rows, weighted)
 
@@ -218,9 +217,9 @@ def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     (no ``# bipartite`` header) is accepted too, as produced by ad-hoc
     delta exports.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         first = fh.readline()
-    if not first.startswith("# bipartite"):
+    if not first.startswith(b"# bipartite"):
         return _stack(_headerless_batches(path))
     return _stack(iter_edge_batches(path, strict=False))
 
@@ -238,13 +237,13 @@ class _SourceTail:
 
     def __init__(self, path: str) -> None:
         self.path = Path(path)
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             self.weighted = _weighted_flag(_parse_header(fh.readline(), self.path), self.path)
         self.offset = 0
         self.line_no = 0  # lines before offset
         self.rows = 0  # data rows before offset
 
-    def _lines(self) -> Iterator[str]:
+    def _lines(self) -> Iterator[bytes]:
         """The newline-ended lines after ``offset``, which moves past each one."""
         with self.path.open("rb") as fh:
             fh.seek(self.offset)
@@ -253,7 +252,7 @@ class _SourceTail:
                     return
                 self.offset += len(line)
                 self.line_no += 1
-                yield line.decode("utf-8")
+                yield line
 
     def read(self, consumed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The complete data rows after the first ``consumed`` of the file."""
@@ -272,6 +271,21 @@ def _state_exists(state_path: Path) -> bool:
     behind — that is still resumable state, not a cold start.
     """
     return state_path.exists() or state_backup_path(state_path).exists()
+
+
+def _state_dir_missing(state_path: Path) -> bool:
+    """True, after one line on stderr, when the state's directory does not exist.
+
+    ``watch`` and ``serve`` check it before they read the source: a cold
+    fit would otherwise run in full and then fail its first commit.
+    """
+    if state_path.parent.is_dir():
+        return False
+    print(
+        f"cannot keep detection state at {state_path}: no directory {state_path.parent}",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _load_state(state_path: Path) -> IncrementalEnsemFDet:
@@ -426,6 +440,8 @@ class _ShutdownGuard:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     state_path = Path(args.state)
+    if _state_dir_missing(state_path):
+        return 2
     # the guard covers the bootstrap too: a signal during the cold fit
     # still drains into a clean commit instead of a traceback
     with _ShutdownGuard() as guard:
@@ -473,6 +489,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 async def _serve_until_signal(server, ready_message: str) -> None:
     """Run the scoring server until SIGINT/SIGTERM (or forever without them)."""
+    import asyncio
+
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     installed = []
@@ -495,9 +513,14 @@ async def _serve_until_signal(server, ready_message: str) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # serve alone runs an event loop: the other commands never load asyncio
+    import asyncio
+
     from .serve import DetectionService, ScoringServer
 
     state_path = Path(args.state)
+    if _state_dir_missing(state_path):
+        return 2
     detector, consumed = _bootstrap_state(args, state_path, _SourceTail(args.edges))
     detector.meta["watch_rows"] = consumed
     threshold = _default_threshold(args.threshold, detector.config.n_samples)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.format import write_array
 
 from ..errors import DetectionError, StateChecksumError, StateError
 from ..faults import fault_point
@@ -332,7 +334,15 @@ def save_detection_state(state: DetectionState, path: str | os.PathLike[str]) ->
     backup = state_backup_path(path)
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            # np.savez_compressed's container (a zip of .npy members), but
+            # deflated at level 1: about 4x faster than its level 6 for
+            # about 15% more bytes
+            with zipfile.ZipFile(
+                handle, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+            ) as archive:
+                for name, array in arrays.items():
+                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        write_array(member, array, allow_pickle=False)
             handle.flush()
             os.fsync(handle.fileno())
         fault_point("state.write", stage="tmp_written", path=str(path))

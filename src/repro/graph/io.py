@@ -56,7 +56,20 @@ class EdgeBatch(NamedTuple):
         return int(self.users.size)
 
 
-def _parse_header(header: str, path: Path) -> dict[str, str]:
+def _not_utf8(path: Path, line_no: int, line: bytes, exc: UnicodeDecodeError) -> GraphError:
+    """The error for a line that does not decode, naming its file, line and byte."""
+    return GraphError(
+        f"{path}:{line_no}: byte {line[exc.start]:#04x} is not UTF-8 "
+        "(corrupted or mis-encoded file?)"
+    )
+
+
+def _parse_header(line: bytes, path: Path) -> dict[str, str]:
+    """The ``key=value`` fields of a file's first line (raw bytes, decoded here)."""
+    try:
+        header = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, 1, line, exc) from None
     if not header.startswith(_HEADER_PREFIX):
         raise GraphError(f"{path}: missing '{_HEADER_PREFIX}' header")
     fields: dict[str, str] = {}
@@ -128,11 +141,15 @@ def save_edge_list(graph: BipartiteGraph, path: str | os.PathLike[str]) -> None:
 
 
 def _iter_rows(
-    lines: Iterable[str], path: Path, weighted: bool, start_line: int = 2
+    lines: Iterable[bytes], path: Path, weighted: bool, start_line: int = 2
 ) -> Iterator[tuple[int, int, float]]:
-    """Yield ``(user, merchant, weight)`` per data row; shared by both loaders."""
-    for line_no, line in enumerate(lines, start=start_line):
-        line = line.strip()
+    """Yield ``(user, merchant, weight)`` per data row of raw ``lines``;
+    shared by every edge-file reader, which all open their file in binary."""
+    for line_no, raw in enumerate(lines, start=start_line):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, line_no, raw, exc) from None
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -168,7 +185,7 @@ def load_edge_list(path: str | os.PathLike[str]) -> BipartiteGraph:
     edge_users: list[int] = []
     edge_merchants: list[int] = []
     weights: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         fields = _parse_header(fh.readline(), path)
         weighted = _weighted_flag(fields, path)
         for user, merchant, weight in _iter_rows(fh, path, weighted):
@@ -223,7 +240,7 @@ def iter_edge_batches(
     if batch_size < 1:
         raise GraphError(f"batch_size must be >= 1, got {batch_size}")
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         fields = _parse_header(fh.readline(), path)
         weighted = _weighted_flag(fields, path)
         total = 0
@@ -311,7 +328,7 @@ def load_edge_list_chunked(
     load as a different edge.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         fields = _parse_header(fh.readline(), path)
     weighted = _weighted_flag(fields, path)
     accumulator = GraphAccumulator()

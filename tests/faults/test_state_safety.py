@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -68,6 +70,24 @@ def _states_equal(a: DetectionState, b: DetectionState) -> bool:
     return True
 
 
+def _member_data(path, name: str | None = None) -> tuple[str, int, int]:
+    """A member of a state archive (the largest compressed one when ``name``
+    is None) and the span of file offsets its compressed data occupies."""
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    info = (
+        max(infos, key=lambda i: i.compress_size)
+        if name is None
+        else next(i for i in infos if i.filename == name)
+    )
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset)
+        local_header = fh.read(30)
+    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
+    start = info.header_offset + 30 + name_length + extra_length
+    return info.filename, start, start + info.compress_size
+
+
 def _flip_byte(path, offset: int) -> None:
     data = bytearray(path.read_bytes())
     data[offset % len(data)] ^= 0xFF
@@ -75,6 +95,21 @@ def _flip_byte(path, offset: int) -> None:
 
 
 class TestAtomicCommit:
+    def test_archive_is_an_npz_of_deflated_members(self, tmp_path):
+        """The archive is what ``np.savez_compressed`` writes (a zip of one
+        ``.npy`` member per array, each DEFLATE-compressed) and loads equal."""
+        state = _make_state()
+        target = tmp_path / "state.npz"
+        save_detection_state(state, target)
+        with zipfile.ZipFile(target) as archive, np.load(target) as data:
+            infos = archive.infolist()
+            manifest = json.loads(bytes(data["checksums_json"].tobytes()))
+        assert sorted(info.filename for info in infos) == sorted(
+            f"{name}.npy" for name in [*manifest, "checksums_json"]
+        )
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_DEFLATED}
+        assert _states_equal(load_detection_state(target), state)
+
     def test_roundtrip_and_version(self, tmp_path):
         state = _make_state()
         target = tmp_path / "state.npz"
@@ -124,10 +159,16 @@ class TestCorruptionDetection:
         first, second = _make_state(seed=1), _make_state(seed=2)
         target = tmp_path / "state.npz"
         save_detection_state(first, target)
-        # offset 485 sits inside a compressed zip member's payload, where a
-        # flip must trip the container CRC (zip header padding would not)
-        arm("corrupt:point=state.write,stage=committed,offset=485")
+        # flip the middle byte of the largest member's compressed data, where
+        # a flip must trip the container CRC (zip header padding would not);
+        # the layout is read off a save of the same state to another path
+        save_detection_state(second, tmp_path / "layout.npz")
+        name, start, end = _member_data(tmp_path / "layout.npz")
+        offset = (start + end) // 2
+        arm(f"corrupt:point=state.write,stage=committed,offset={offset}")
         save_detection_state(second, target)  # corrupts after the commit
+        _, start, end = _member_data(target, name)
+        assert start <= offset < end
         with pytest.raises(StateChecksumError):
             load_detection_state(target)
         state, recovered_from = load_detection_state_with_recovery(target)

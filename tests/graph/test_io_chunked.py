@@ -140,6 +140,34 @@ class TestTruncationGuard:
         assert load_edge_list(path).n_edges == 1
 
 
+#: an edge file with a byte that is not UTF-8, and the line it is on; the
+#: data row lies past the first 8 KiB, where a text-mode read would decode
+#: a whole chunk ahead of the rows it parses
+_HEADER = b"# bipartite users=3000 merchants=1 edges=3000 weighted=0\n"
+_NOT_UTF8 = {
+    "header": (_HEADER.replace(b"bipartite", b"bipartite\xff\xfe"), 1),
+    "data_row": (
+        _HEADER + b"".join(b"%d\t0\n" % u for u in range(2999)) + b"\xff\xfe\t0\n",
+        3001,
+    ),
+}
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("where", sorted(_NOT_UTF8))
+    @pytest.mark.parametrize(
+        "read",
+        [load_edge_list, load_edge_list_chunked, lambda path: list(iter_edge_batches(path))],
+        ids=["load_edge_list", "load_edge_list_chunked", "iter_edge_batches"],
+    )
+    def test_is_a_graph_error_naming_the_line(self, tmp_path, read, where):
+        data, line = _NOT_UTF8[where]
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        with pytest.raises(GraphError, match=rf"bad\.tsv:{line}: byte 0xff is not UTF-8"):
+            read(path)
+
+
 class TestNpzBatches:
     def test_roundtrip_through_accumulator(self, weighted_graph, tmp_path):
         path = tmp_path / "g.npz"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -16,7 +17,7 @@ import repro
 from repro.cli import build_parser, main
 from repro.datasets import load_dataset, uniform_bipartite
 from repro.ensemble import EnsemFDet, IncrementalEnsemFDet
-from repro.errors import AggregationError
+from repro.errors import AggregationError, GraphError
 from repro.graph import save_edge_list
 
 
@@ -25,6 +26,16 @@ def edges_file(tmp_path, toy):
     path = tmp_path / "edges.tsv"
     save_edge_list(toy.graph, path)
     return path
+
+
+def _src_env() -> dict[str, str]:
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src_dir = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_dir), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    return env
 
 
 class TestParser:
@@ -365,6 +376,123 @@ class TestUpdateCommand:
         assert "# update: +5 edges" in capsys.readouterr().out
 
 
+def _serve_args(edges, state, extra=()):
+    return [
+        "serve", str(edges), "--state", str(state),
+        "--ratio", "0.25", "--samples", "8", "--stripe", "128",
+        "--executor", "serial", "--port", "0",
+        *extra,
+    ]
+
+
+class TestStateDirectory:
+    @pytest.mark.parametrize("command", ["watch", "serve"])
+    def test_missing_directory_exits_2_before_the_source_is_read(
+        self, stream_file, tmp_path, capsys, monkeypatch, command
+    ):
+        """A state path in a missing directory used to cost a whole cold
+        fit and then end in a raw FileNotFoundError from the commit."""
+        parsed = _count_parsed_rows(monkeypatch)
+        before = sorted(tmp_path.rglob("*"))
+        state = tmp_path / "missing" / "state.npz"
+        args = {"watch": _watch_args, "serve": _serve_args}[command]
+        extra = ["--iterations", "0"] if command == "watch" else []
+        assert main(args(stream_file, state, extra)) == 2
+        out, err = capsys.readouterr()
+        assert "# cold fit" not in out
+        assert err.count("\n") == 1 and f"no directory {state.parent}" in err
+        assert parsed == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestUndecodableSource:
+    @pytest.mark.parametrize("command", ["detect", "watch", "serve", "update"])
+    def test_a_byte_that_is_not_utf8_is_a_graph_error(
+        self, stream_file, tmp_path, command
+    ):
+        """Every command's edge reader names the file and line of the byte,
+        as for any other malformed row, instead of a raw UnicodeDecodeError."""
+        state = tmp_path / "state.npz"
+        if command == "update":
+            assert main(_watch_args(stream_file, state, ["--iterations", "0"])) == 0
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(
+            b"# bipartite users=2 merchants=2 edges=2 weighted=0\n1\t2\n3\xff\xfe\t4\n"
+        )
+        argv = {
+            "detect": ["detect", str(bad)],
+            "watch": _watch_args(bad, state, ["--iterations", "0"]),
+            "serve": _serve_args(bad, state),
+            "update": ["update", str(bad), "--state", str(state)],
+        }[command]
+        with pytest.raises(GraphError, match=r"bad\.tsv:3: byte 0xff is not UTF-8"):
+            main(argv)
+
+
+#: A fresh interpreter's start path, one step at a time: after each step it
+#: records which of scipy and asyncio are loaded. The serve step stops the
+#: server as soon as it has bound, through the command's own SIGTERM handling.
+_START_PATH = r"""
+import json, os, signal, sys
+
+edges, state_dir, report = sys.argv[1:]
+loaded = {}
+
+def step(name):
+    loaded[name] = sorted({"scipy", "asyncio"} & set(sys.modules))
+
+import repro
+step("import repro")
+import repro.cli
+step("import repro.cli")
+repro.cli.build_parser()
+step("build_parser()")
+fit = ["--ratio", "0.25", "--samples", "8", "--stripe", "128", "--executor", "serial"]
+watch = ["watch", edges, "--state", os.path.join(state_dir, "watch.npz"), "--iterations", "0"]
+assert repro.cli.main(watch + fit) == 0
+step("watch --iterations 0")
+
+from repro.serve import ScoringServer
+
+start = ScoringServer.start
+
+async def start_then_stop(self):
+    await start(self)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+ScoringServer.start = start_then_stop
+serve = ["serve", edges, "--state", os.path.join(state_dir, "serve.npz"), "--port", "0"]
+assert repro.cli.main(serve + fit) == 0
+step("serve bootstrap")
+with open(report, "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+class TestStartPath:
+    def test_scipy_never_loads_and_asyncio_only_for_serve(self, stream_file, tmp_path):
+        """scipy serves only ``to_scipy``, SpokEn and FBox, and asyncio only
+        ``serve``'s event loop: a command that does not run them does not
+        pay for loading them."""
+        report = tmp_path / "loaded.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_PATH, str(stream_file), str(tmp_path), str(report)],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text()) == {
+            "import repro": [],
+            "import repro.cli": [],
+            "build_parser()": [],
+            "watch --iterations 0": [],
+            "serve bootstrap": ["asyncio"],
+        }
+        assert (tmp_path / "watch.npz").exists() and (tmp_path / "serve.npz").exists()
+
+
 class TestWatchGracefulShutdown:
     """Regression: a signal in the poll gap must not lose state.
 
@@ -415,11 +543,6 @@ class TestWatchGracefulShutdown:
     ):
         state = tmp_path / "state.npz"
         assert main(_watch_args(stream_file, state, ["--iterations", "0"])) == 0
-        src_dir = Path(repro.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src_dir), env.get("PYTHONPATH", "")]
-        ).rstrip(os.pathsep)
         proc = subprocess.Popen(
             [
                 sys.executable, "-u", "-m", "repro.cli",
@@ -430,7 +553,7 @@ class TestWatchGracefulShutdown:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=_src_env(),
         )
         try:
             # wait for the reload banner so the loop (and its handlers)
