@@ -40,23 +40,12 @@ import signal
 import sys
 import threading
 import time
-from collections.abc import Iterable, Iterator
-from contextlib import closing
-from itertools import islice
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datasets import make_jd_dataset, save_dataset
-from .detectors import (
-    DETECTOR_NAMES,
-    Detection,
-    DetectorContext,
-    available_detectors,
-    detector_info,
-    make_detector,
-    split_detector_specs,
-)
 from .ensemble import (
     DetectionResult,
     EnsemFDet,
@@ -64,28 +53,24 @@ from .ensemble import (
     IncrementalEnsemFDet,
     state_backup_path,
 )
-from .experiments.runner import main as experiments_main
 from .fdet import FdetConfig, PeelEngine
-from .graph import (
-    EdgeBatch,
-    GraphAccumulator,
-    WindowConfig,
-    describe,
-    iter_edge_batches,
-    load_edge_list,
+from .graph import GraphAccumulator, WindowConfig, describe, load_edge_list
+from .graph.io import (
+    _line_chunks,
+    _parse_chunk,
+    _parse_header,
+    _parsed_chunks,
+    _stack,
+    _weighted_flag,
 )
-from .graph.io import _edge_batches, _iter_rows, _parse_header, _weighted_flag
 from .parallel import ExecutorMode, FaultTolerance
 from .sampling import RandomEdgeSampler, StableEdgeSampler
-from .scenarios import (
-    SCENARIO_NAMES,
-    DriftGridConfig,
-    ScenarioGridConfig,
-    run_drift_grid,
-    run_grid,
-    scenario_descriptions,
-)
-from .scenarios.drift import TEMPORAL_SCENARIOS
+
+if TYPE_CHECKING:
+    from .detectors import Detection
+
+# The detector, dataset, experiment and scenario registries load inside the
+# commands that run them, so watch, serve and update never pay for them.
 
 __all__ = ["build_parser", "main"]
 
@@ -142,6 +127,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         return 2
     graph = load_edge_list(args.edges)
     if args.detector is not None:
+        from .detectors import DetectorContext, make_detector
+
         context = DetectorContext(
             seed=args.seed,
             n_samples=args.samples,
@@ -169,59 +156,28 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _headerless_batches(path: str) -> Iterator[EdgeBatch]:
-    """Parse a bare ``u<TAB>v[<TAB>w]`` file (no ``# bipartite`` header).
-
-    Weightedness is decided by the first data row's column count; row
-    parsing is shared with the standard loaders (``_iter_rows``), so
-    malformed rows fail with the same ``GraphError`` + line context.
-    """
-    weighted = False
-    with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith(b"#"):
-                continue
-            weighted = len(line.split(b"\t")) >= 3
-            break
-    with open(path, "rb") as fh:
-        rows = _iter_rows(fh, Path(path), weighted, start_line=1)
-        yield from _edge_batches(rows, weighted)
-
-
-def _stack(batches: Iterable[EdgeBatch]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The rows of ``batches`` as one array per column (weights only if they carry any)."""
-    users: list[np.ndarray] = []
-    merchants: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for batch in batches:
-        users.append(batch.users)
-        merchants.append(batch.merchants)
-        if batch.weights is not None:
-            weights.append(batch.weights)
-    if not users:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), None
-    return (
-        np.concatenate(users),
-        np.concatenate(merchants),
-        np.concatenate(weights) if weights else None,
-    )
-
-
 def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Every data row of an ``update`` delta (or removal) file.
 
-    Streams in chunks (constant memory beyond the returned rows) and never
-    trusts the header's ``edges=`` count. A bare ``u<TAB>v[<TAB>w]`` file
-    (no ``# bipartite`` header) is accepted too, as produced by ad-hoc
-    delta exports.
+    Parses in chunks and never trusts the header's ``edges=`` count. A
+    bare ``u<TAB>v[<TAB>w]`` file (no ``# bipartite`` header) is accepted
+    too, as produced by ad-hoc delta exports; its first data row's column
+    count decides whether it carries weights.
     """
-    with open(path, "rb") as fh:
+    path = Path(path)
+    with path.open("rb") as fh:
         first = fh.readline()
-    if not first.startswith(b"# bipartite"):
-        return _stack(_headerless_batches(path))
-    return _stack(iter_edge_batches(path, strict=False))
+        if first.startswith(b"# bipartite"):
+            weighted = _weighted_flag(_parse_header(first, path), path)
+            return _stack(_parsed_chunks(fh, path, weighted))
+        weighted = False
+        for line in chain((first,), fh):
+            line = line.strip()
+            if line and not line.startswith(b"#"):
+                weighted = len(line.split(b"\t")) >= 3
+                break
+        fh.seek(0)
+        return _stack(_parsed_chunks(fh, path, weighted, first_line=1))
 
 
 class _SourceTail:
@@ -232,36 +188,37 @@ class _SourceTail:
     seeks there and parses, in chunks, only the lines after it that a
     newline ends: a poll costs its own delta, and a row cut mid-write
     waits for its newline instead of being ingested as the wrong edge. On
-    resume, the first read passes over the rows the saved state holds.
+    resume, the first read drops the rows the saved state holds from each
+    chunk as it is parsed.
     """
 
     def __init__(self, path: str) -> None:
         self.path = Path(path)
         with self.path.open("rb") as fh:
-            self.weighted = _weighted_flag(_parse_header(fh.readline(), self.path), self.path)
-        self.offset = 0
-        self.line_no = 0  # lines before offset
+            header = fh.readline()
+        self.weighted = _weighted_flag(_parse_header(header, self.path), self.path)
+        # past a newline-ended header, so the first chunk holds data rows only
+        done = header.endswith(b"\n")
+        self.offset = len(header) if done else 0
+        self.line_no = int(done)  # lines before offset
         self.rows = 0  # data rows before offset
-
-    def _lines(self) -> Iterator[bytes]:
-        """The newline-ended lines after ``offset``, which moves past each one."""
-        with self.path.open("rb") as fh:
-            fh.seek(self.offset)
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    return
-                self.offset += len(line)
-                self.line_no += 1
-                yield line
 
     def read(self, consumed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The complete data rows after the first ``consumed`` of the file."""
-        with closing(self._lines()) as lines:
-            rows = _iter_rows(lines, self.path, self.weighted, start_line=self.line_no + 1)
-            self.rows += sum(1 for _ in islice(rows, max(0, consumed - self.rows)))
-            users, merchants, weights = _stack(_edge_batches(rows, self.weighted))
-        self.rows += users.size
-        return users, merchants, weights
+        parts = []
+        with self.path.open("rb") as fh:
+            fh.seek(self.offset)
+            for chunk in _line_chunks(fh):
+                if not chunk.endswith(b"\n"):
+                    break  # a torn last row waits for its newline
+                part = _parse_chunk(chunk, self.path, self.weighted, self.line_no + 1)
+                self.offset += len(chunk)
+                self.line_no += chunk.count(b"\n")
+                held = max(0, consumed - self.rows)  # rows the state holds
+                self.rows += part[0].size
+                if held < part[0].size:
+                    parts.append(tuple(None if a is None else a[held:] for a in part))
+        return _stack(parts)
 
 
 def _state_exists(state_path: Path) -> bool:
@@ -578,6 +535,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
+    from .datasets import make_jd_dataset, save_dataset
+
     dataset = make_jd_dataset(args.index, scale=args.scale, seed=args.seed)
     save_dataset(dataset, args.outdir)
     print(
@@ -595,6 +554,8 @@ def _parse_csv(raw: str, cast) -> tuple:
 
 def _cmd_detectors(args: argparse.Namespace) -> int:
     """List the detector registry: spec parameters and capabilities."""
+    from .detectors import available_detectors, detector_info
+
     # available_detectors(), not the frozen DETECTOR_NAMES tuple, so
     # downstream register_detector() additions show up here too
     for name in available_detectors():
@@ -616,6 +577,9 @@ def _cmd_detectors(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .detectors import split_detector_specs
+    from .scenarios import SCENARIO_NAMES, ScenarioGridConfig, run_grid, scenario_descriptions
+
     if args.list:
         for name, description in scenario_descriptions().items():
             print(f"{name}\t{description}")
@@ -648,6 +612,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _run_drift(args: argparse.Namespace) -> int:
     """``scenario --drift``: the temporal latency/decay grid."""
+    from .scenarios import DriftGridConfig, run_drift_grid
+    from .scenarios.drift import TEMPORAL_SCENARIOS
+
     intensities = _parse_csv(args.intensities, float) if args.intensities else (1.0,)
     if len(intensities) != 1:
         print(
@@ -691,11 +658,32 @@ def _add_executor_flag(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments.runner import main as experiments_main
+
+    return experiments_main(args.rest)
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     graph = load_edge_list(args.edges)
     for key, value in describe(graph).as_row().items():
         print(f"{key}\t{value}")
     return 0
+
+
+class _RegistryHelp(argparse.HelpFormatter):
+    """Fills the registries' names into ``scenario``'s help only when it is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        text = super()._get_help_string(action)
+        if "{" not in text:
+            return text
+        from .detectors import DETECTOR_NAMES
+        from .scenarios.drift import TEMPORAL_SCENARIOS
+
+        return text.format(
+            detectors=", ".join(DETECTOR_NAMES), temporal=",".join(TEMPORAL_SCENARIOS)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -896,6 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(camouflage, hijacked accounts, staged waves, spray, skewed targets) "
         "across an intensity sweep; staged scenarios replay through the "
         "incremental/streaming path batch by batch.",
+        formatter_class=_RegistryHelp,
     )
     scenario.add_argument(
         "--list", action="store_true", help="list registered scenarios and exit"
@@ -912,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios",
         default=None,
         help="comma-separated scenario names (default: all registered; "
-        f"with --drift: {','.join(TEMPORAL_SCENARIOS)})",
+        "with --drift: {temporal})",
     )
     scenario.add_argument(
         "--intensities",
@@ -937,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--detectors",
         default="ensemfdet,incremental",
         help="comma-separated detector registry specs, params allowed "
-        f"(e.g. 'ensemfdet,fraudar:n_blocks=8'; available: {', '.join(DETECTOR_NAMES)})",
+        "(e.g. 'ensemfdet,fraudar:n_blocks=8'; available: {detectors})",
     )
     scenario.add_argument("--scale", type=float, default=0.5, help="world-size multiplier")
     scenario.add_argument("--seed", type=int, default=0)
@@ -958,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate the paper's tables and figures", add_help=False
     )
     experiments.add_argument("rest", nargs=argparse.REMAINDER)
-    experiments.set_defaults(func=lambda a: experiments_main(a.rest))
+    experiments.set_defaults(func=_cmd_experiments)
     return parser
 
 

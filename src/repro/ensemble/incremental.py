@@ -595,14 +595,16 @@ class IncrementalEnsemFDet:
         # membership stable when the window resumes
         ws = self._acc.window_state()
         graph = ws["graph"]
-        # labels, not node indices, go to disk: from_state maps them back
+        # labels, not node indices, go to disk: from_state maps them back.
+        # A side's labels are unique, and so are a member's node ids, so a
+        # sort gives what np.unique would.
         user_labels, merchant_labels = graph.user_labels, graph.merchant_labels
         return DetectionState(
             config=self._config_dict(),
             graph=graph,
-            detected_users=[np.unique(user_labels[s.detected_user_indices]) for s in self._samples],
+            detected_users=[np.sort(user_labels[s.detected_user_indices]) for s in self._samples],
             detected_merchants=[
-                np.unique(merchant_labels[s.detected_merchant_indices]) for s in self._samples
+                np.sort(merchant_labels[s.detected_merchant_indices]) for s in self._samples
             ],
             sample_users=[s.sample_users for s in self._samples],
             sample_merchants=[s.sample_merchants for s in self._samples],

@@ -16,9 +16,11 @@ graph bitwise-identical to :func:`load_edge_list`'s.
 
 from __future__ import annotations
 
+import io
 import os
+import re
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,31 @@ _HEADER_PREFIX = "# bipartite"
 
 #: default number of edges per chunk for the streaming readers
 DEFAULT_BATCH_SIZE = 65_536
+
+#: bytes of an edge file the readers parse at once (whole lines)
+CHUNK_BYTES = 1 << 16
+
+#: up to 256 plain data rows; a chunk of nothing but such matches parses in
+#: one numpy call: decimal labels of at most 18 digits (an int64 holds
+#: them; 15 beside a weight, so a float64 holds them too) and a weight of
+#: digits, one point and an exponent
+_PLAIN_ROWS = {
+    False: re.compile(rb"(?:-?[0-9]{1,18}\t-?[0-9]{1,18}\n){1,256}"),
+    True: re.compile(
+        rb"(?:-?[0-9]{1,15}\t-?[0-9]{1,15}\t-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?\n)"
+        rb"{1,256}"
+    ),
+}
+# A match holds about 300 bytes per row until it returns. Chunks and matches
+# stay below 128 KiB: glibc's malloc maps a larger block, and once it is
+# freed raises its mapping threshold to that size, after which a long-running
+# server keeps blocks of up to that size in its heap and its resident set grows.
+
+#: the labels an int64 holds, as plain ints (``np.iinfo``'s are slow properties)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: a run of parsed data rows: users, merchants, and weights (``None`` unweighted)
+Rows = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
 
 
 class EdgeBatch(NamedTuple):
@@ -143,8 +170,9 @@ def save_edge_list(graph: BipartiteGraph, path: str | os.PathLike[str]) -> None:
 def _iter_rows(
     lines: Iterable[bytes], path: Path, weighted: bool, start_line: int = 2
 ) -> Iterator[tuple[int, int, float]]:
-    """Yield ``(user, merchant, weight)`` per data row of raw ``lines``;
-    shared by every edge-file reader, which all open their file in binary."""
+    """Yield ``(user, merchant, weight)`` per data row of raw ``lines``: the
+    parse of every chunk not wholly in :data:`_PLAIN_ROWS`, which names a
+    bad line."""
     for line_no, raw in enumerate(lines, start=start_line):
         try:
             line = raw.decode("utf-8").strip()
@@ -163,7 +191,7 @@ def _iter_rows(
                         f"{path}:{line_no}: weighted file missing weight column"
                     )
                 weight = float(parts[2])
-            yield int(parts[0]), int(parts[1]), weight
+            user, merchant = int(parts[0]), int(parts[1])
         except ValueError as exc:
             # a row cut mid-write ("123\t45" → "123\t4") parses as the wrong
             # edge silently only if every token survives; a half token must
@@ -172,6 +200,84 @@ def _iter_rows(
                 f"{path}:{line_no}: unparsable edge row {line!r} "
                 f"({exc}); truncated or corrupted file?"
             ) from exc
+        if not (_INT64_MIN <= user <= _INT64_MAX and _INT64_MIN <= merchant <= _INT64_MAX):
+            raise GraphError(f"{path}:{line_no}: edge row {line!r} has a label outside int64")
+        yield user, merchant, weight
+
+
+def _parse_chunk(chunk: bytes, path: Path, weighted: bool, first_line: int) -> Rows:
+    """The data rows of ``chunk``, whole lines of which the first is line ``first_line``.
+
+    A chunk of plain rows only (:data:`_PLAIN_ROWS`) parses in one numpy
+    call. Any other chunk (one with a comment, a blank line, CRLF, ``+``,
+    ``_`` or non-ASCII digits, ``nan``, a long label or a last line no
+    newline ends) goes line by line through :func:`_iter_rows`, which
+    raises on a bad line.
+    """
+    plain = _PLAIN_ROWS[weighted]
+    end = 0
+    while run := plain.match(chunk, end):
+        end = run.end()
+    if end == len(chunk):
+        table = np.fromstring(
+            chunk, dtype=np.float64 if weighted else np.int64, sep=" "
+        ).reshape(-1, 3 if weighted else 2)
+        return (
+            table[:, 0].astype(np.int64),
+            table[:, 1].astype(np.int64),
+            table[:, 2].copy() if weighted else None,
+        )
+    users: list[int] = []
+    merchants: list[int] = []
+    weights: list[float] = []
+    for user, merchant, weight in _iter_rows(io.BytesIO(chunk), path, weighted, first_line):
+        users.append(user)
+        merchants.append(merchant)
+        if weighted:
+            weights.append(weight)
+    return (
+        np.array(users, dtype=np.int64),
+        np.array(merchants, dtype=np.int64),
+        np.array(weights, dtype=np.float64) if weighted else None,
+    )
+
+
+def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``fh`` in chunks of about :data:`CHUNK_BYTES` that end at
+    a newline; a last line that no newline ends comes alone, last."""
+    rest = b""
+    while block := fh.read(CHUNK_BYTES):
+        block = rest + block
+        cut = block.rfind(b"\n") + 1
+        rest = block[cut:]
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest
+
+
+def _parsed_chunks(
+    fh: BinaryIO, path: Path, weighted: bool, first_line: int = 2
+) -> Iterator[Rows]:
+    """The data rows of the rest of ``fh``, one chunk at a time."""
+    for chunk in _line_chunks(fh):
+        yield _parse_chunk(chunk, path, weighted, first_line)
+        first_line += chunk.count(b"\n")
+
+
+def _stack(parts: Iterable[Rows]) -> Rows:
+    """The rows of ``parts`` as one array per column; weights are ``None``
+    unless some row carries one."""
+    parts = [part for part in parts if part[0].size]
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), None
+    users, merchants, weights = zip(*parts)
+    return (
+        np.concatenate(users),
+        np.concatenate(merchants),
+        None if weights[0] is None else np.concatenate(weights),
+    )
 
 
 def load_edge_list(path: str | os.PathLike[str]) -> BipartiteGraph:
@@ -182,31 +288,22 @@ def load_edge_list(path: str | os.PathLike[str]) -> BipartiteGraph:
     ``edges=`` count is cross-checked against the rows actually parsed.
     """
     path = Path(path)
-    edge_users: list[int] = []
-    edge_merchants: list[int] = []
-    weights: list[float] = []
     with path.open("rb") as fh:
         fields = _parse_header(fh.readline(), path)
         weighted = _weighted_flag(fields, path)
-        for user, merchant, weight in _iter_rows(fh, path, weighted):
-            edge_users.append(user)
-            edge_merchants.append(merchant)
-            if weighted:
-                weights.append(weight)
-    _check_declared_edges(_declared_edges(fields, path), len(edge_users), path)
+        edge_users, edge_merchants, weights = _stack(_parsed_chunks(fh, path, weighted))
+    _check_declared_edges(_declared_edges(fields, path), edge_users.size, path)
+    if weighted and weights is None:
+        weights = np.empty(0, dtype=np.float64)
 
-    user_labels, local_users = np.unique(
-        np.array(edge_users, dtype=np.int64), return_inverse=True
-    )
-    merchant_labels, local_merchants = np.unique(
-        np.array(edge_merchants, dtype=np.int64), return_inverse=True
-    )
+    user_labels, local_users = np.unique(edge_users, return_inverse=True)
+    merchant_labels, local_merchants = np.unique(edge_merchants, return_inverse=True)
     return BipartiteGraph(
         n_users=user_labels.size,
         n_merchants=merchant_labels.size,
         edge_users=local_users,
         edge_merchants=local_merchants,
-        edge_weights=np.array(weights, dtype=np.float64) if weighted else None,
+        edge_weights=weights,
         user_labels=user_labels,
         merchant_labels=merchant_labels,
     )
@@ -219,8 +316,9 @@ def iter_edge_batches(
 ) -> Iterator[EdgeBatch]:
     """Stream an edge-list TSV as fixed-size :class:`EdgeBatch` chunks.
 
-    Memory stays constant in the file size: only ``batch_size`` parsed rows
-    are alive at any moment. Labels are yielded raw (not interned) — feed
+    Memory stays constant in the file size: only one batch and one chunk
+    (:data:`CHUNK_BYTES`) of parsed rows are alive at any moment. Labels
+    are yielded raw (not interned) — feed
     the batches to a :class:`~repro.graph.builder.GraphAccumulator`, which
     interns across chunks.
 
@@ -244,44 +342,30 @@ def iter_edge_batches(
         fields = _parse_header(fh.readline(), path)
         weighted = _weighted_flag(fields, path)
         total = 0
-        for batch in _edge_batches(_iter_rows(fh, path, weighted), weighted, batch_size):
+        for batch in _edge_batches(_parsed_chunks(fh, path, weighted), batch_size):
             total += batch.n_edges
             yield batch
     if strict:
         _check_declared_edges(_declared_edges(fields, path), total, path)
 
 
-def _edge_batches(
-    rows: Iterable[tuple[int, int, float]],
-    weighted: bool,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> Iterator[EdgeBatch]:
-    """Chunk parsed ``(user, merchant, weight)`` rows into batches of at most
-    ``batch_size`` edges, so only one chunk of rows is held as Python objects."""
-    users: list[int] = []
-    merchants: list[int] = []
-    weights: list[float] = []
-
-    def flush() -> EdgeBatch:
-        batch = EdgeBatch(
-            users=np.array(users, dtype=np.int64),
-            merchants=np.array(merchants, dtype=np.int64),
-            weights=np.array(weights, dtype=np.float64) if weighted else None,
-        )
-        users.clear()
-        merchants.clear()
-        weights.clear()
-        return batch
-
-    for user, merchant, weight in rows:
-        users.append(user)
-        merchants.append(merchant)
-        if weighted:
-            weights.append(weight)
-        if len(users) >= batch_size:
-            yield flush()
-    if users:
-        yield flush()
+def _edge_batches(parts: Iterable[Rows], batch_size: int) -> Iterator[EdgeBatch]:
+    """Cut parsed runs of rows into batches of ``batch_size`` edges (the last
+    may hold fewer)."""
+    held: list[Rows] = []
+    n_held = 0
+    for part in parts:
+        start = 0
+        while n_held + part[0].size - start >= batch_size:
+            stop = start + batch_size - n_held
+            held.append(tuple(None if a is None else a[start:stop] for a in part))
+            yield EdgeBatch(*_stack(held))
+            held, n_held, start = [], 0, stop
+        if start < part[0].size:
+            held.append(tuple(None if a is None else a[start:] for a in part))
+            n_held += part[0].size - start
+    if n_held:
+        yield EdgeBatch(*_stack(held))
 
 
 def _canonical_labels(graph: BipartiteGraph) -> BipartiteGraph:

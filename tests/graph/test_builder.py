@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import GraphBuilder
+from repro.graph.builder import _Labels
 
 
 class TestGraphBuilder:
@@ -87,3 +91,29 @@ class TestGraphBuilder:
         built = GraphBuilder().build()
         assert built.graph.is_empty
         assert built.graph.n_users == 0
+
+
+class TestLabelInterning:
+    """``_Labels`` gives each batch's unseen labels the next node ids in
+    ascending label order, and every label keeps its node id."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.integers(-50, 50), st.integers(-(2**63), 2**63 - 1)), max_size=40
+            ),
+            max_size=8,
+        )
+    )
+    def test_node_ids_follow_np_unique(self, batches):
+        labels = _Labels("user")
+        node_of: dict[int, int] = {}
+        for batch in batches:
+            raw = np.array(batch, dtype=np.int64)
+            for label in np.unique(raw).tolist():  # ascending, as np.unique gives them
+                node_of.setdefault(label, len(node_of))
+            expected = np.array([node_of[label] for label in batch], dtype=np.int64)
+            assert np.array_equal(labels.intern(raw), expected)
+            assert np.array_equal(labels.lookup(raw), expected)
+        assert labels.labels().tolist() == list(node_of)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import signal
@@ -26,6 +27,11 @@ def edges_file(tmp_path, toy):
     path = tmp_path / "edges.tsv"
     save_edge_list(toy.graph, path)
     return path
+
+
+#: ``ensemfdet [command] --help`` at 80 columns, as the CLI printed it when
+#: it imported every registry at start
+_HELP = json.loads((Path(__file__).parent / "fixtures" / "cli_help.json").read_text())
 
 
 def _src_env() -> dict[str, str]:
@@ -223,20 +229,20 @@ def _watch_args(stream_file, state, extra=()):
 
 
 def _count_parsed_rows(monkeypatch) -> list:
-    """Every row the edge-list parser yields from now on, in order."""
+    """Every row the edge-file chunk parser returns from now on, in order."""
     import repro.cli as cli
     import repro.graph.io as graph_io
 
-    parse_rows = graph_io._iter_rows
+    parse_chunk = graph_io._parse_chunk
     parsed = []
 
     def counted(*args, **kwargs):
-        for row in parse_rows(*args, **kwargs):
-            parsed.append(row)
-            yield row
+        users, merchants, weights = parse_chunk(*args, **kwargs)
+        parsed.extend(zip(users.tolist(), merchants.tolist()))
+        return users, merchants, weights
 
-    monkeypatch.setattr(graph_io, "_iter_rows", counted)
-    monkeypatch.setattr(cli, "_iter_rows", counted)
+    monkeypatch.setattr(graph_io, "_parse_chunk", counted)
+    monkeypatch.setattr(cli, "_parse_chunk", counted)
     return parsed
 
 
@@ -429,17 +435,43 @@ class TestUndecodableSource:
             main(argv)
 
 
+class TestLabelOutsideInt64:
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
+    @pytest.mark.parametrize("command", ["detect", "watch", "serve", "update"])
+    def test_a_label_outside_int64_is_a_graph_error(self, stream_file, tmp_path, command, label):
+        """Every command's edge reader names the file and line of a label no
+        int64 holds, instead of a raw OverflowError."""
+        state = tmp_path / "state.npz"
+        if command == "update":
+            assert main(_watch_args(stream_file, state, ["--iterations", "0"])) == 0
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(
+            f"# bipartite users=2 merchants=2 edges=2 weighted=0\n1\t2\n{label}\t4\n"
+        )
+        argv = {
+            "detect": ["detect", str(bad)],
+            "watch": _watch_args(bad, state, ["--iterations", "0"]),
+            "serve": _serve_args(bad, state),
+            "update": ["update", str(bad), "--state", str(state)],
+        }[command]
+        with pytest.raises(GraphError, match=r"bad\.tsv:3: edge row .* has a label outside int64"):
+            main(argv)
+
+
 #: A fresh interpreter's start path, one step at a time: after each step it
-#: records which of scipy and asyncio are loaded. The serve step stops the
+#: records which of scipy, asyncio and the registry packages are loaded. The serve step stops the
 #: server as soon as it has bound, through the command's own SIGTERM handling.
 _START_PATH = r"""
 import json, os, signal, sys
 
 edges, state_dir, report = sys.argv[1:]
 loaded = {}
+REGISTRIES = ("baselines", "datasets", "detectors", "experiments", "metrics", "scenarios")
 
 def step(name):
-    loaded[name] = sorted({"scipy", "asyncio"} & set(sys.modules))
+    loaded[name] = sorted({"scipy", "asyncio"} & set(sys.modules)) + sorted(
+        m for m in sys.modules if m.startswith("repro.") and m.split(".")[1] in REGISTRIES
+    )
 
 import repro
 step("import repro")
@@ -472,8 +504,9 @@ with open(report, "w") as fh:
 class TestStartPath:
     def test_scipy_never_loads_and_asyncio_only_for_serve(self, stream_file, tmp_path):
         """scipy serves only ``to_scipy``, SpokEn and FBox, and asyncio only
-        ``serve``'s event loop: a command that does not run them does not
-        pay for loading them."""
+        ``serve``'s event loop; the baselines, datasets, detectors,
+        experiments, metrics and scenarios load only in the commands that
+        run them. A command that does not run them does not pay for them."""
         report = tmp_path / "loaded.json"
         proc = subprocess.run(
             [sys.executable, "-c", _START_PATH, str(stream_file), str(tmp_path), str(report)],
@@ -491,6 +524,58 @@ class TestStartPath:
             "serve bootstrap": ["asyncio"],
         }
         assert (tmp_path / "watch.npz").exists() and (tmp_path / "serve.npz").exists()
+
+    def test_every_public_name_resolves_to_its_submodule(self):
+        """``repro`` binds each public name on first use to the object its
+        submodule defines, and lists it in ``dir``."""
+        assert set(repro._SOURCES) == set(repro.__all__) - {"__version__"}
+        for name in repro.__all__:
+            value = {}
+            exec(f"from repro import {name} as value", value)
+            if name != "__version__":
+                module = importlib.import_module(f"repro.{repro._SOURCES[name]}")
+                assert value["value"] is getattr(module, name)
+            assert name in dir(repro)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            repro.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize("argv", sorted(_HELP), ids=lambda argv: argv.split()[0])
+    def test_help_is_unchanged(self, argv, capsys, monkeypatch):
+        """Every ``--help`` text reads as it did before the registries loaded
+        lazily (recorded at 80 columns; ``scenario --help`` fills in the
+        detector and temporal scenario names only when it is printed)."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == _HELP[argv]
+
+    def test_patched_run_members_still_intercept_fit_and_update(
+        self, stream_file, monkeypatch
+    ):
+        """perfbench's untraced serve run reads its retries, backend and
+        transport through these two module names."""
+        from repro.ensemble import ensemfdet, incremental
+        from repro.sampling import StableEdgeSampler
+
+        calls = []
+        for module in (ensemfdet, incremental):
+            run_members = module.run_members
+
+            def counted(*args, _run=run_members, _name=module.__name__, **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_members", counted)
+        graph = uniform_bipartite(60, 30, 300, rng=1)
+        config = repro.EnsemFDetConfig(
+            sampler=StableEdgeSampler(0.3, stripe=32), n_samples=4, seed=0
+        )
+        detector = IncrementalEnsemFDet(config)
+        detector.fit(graph)
+        assert calls == ["repro.ensemble.ensemfdet"]
+        detector.update([0, 1, 2], [3, 4, 5])
+        assert calls == ["repro.ensemble.ensemfdet", "repro.ensemble.incremental"]
 
 
 class TestWatchGracefulShutdown:
